@@ -1230,6 +1230,9 @@ pub struct PcMachine<'p> {
     spent: Vec<u64>,
     /// Lane → peak resident bytes attributed to the lane so far.
     peak_bytes: Vec<u64>,
+    /// Whether [`PcMachine::step`] folds lane footprints into
+    /// `peak_bytes` (see [`PcMachine::track_peak_bytes`]).
+    track_peak_bytes: bool,
     next_ticket: u64,
     steps: u64,
     last_active: usize,
@@ -1247,6 +1250,7 @@ impl<'p> PcMachine<'p> {
             tickets: Vec::new(),
             spent: Vec::new(),
             peak_bytes: Vec::new(),
+            track_peak_bytes: false,
             next_ticket: 0,
             steps: 0,
             last_active: 0,
@@ -1293,6 +1297,16 @@ impl<'p> PcMachine<'p> {
     /// cannot run it.
     pub fn step_budget_remaining(&self) -> u64 {
         self.vm.opts.max_supersteps.saturating_sub(self.steps)
+    }
+
+    /// Turn per-lane peak-byte accounting on or off (off by default).
+    /// It costs a walk of every lane per superstep, so only a server
+    /// that enforces a per-lane memory ceiling asks for it. While off,
+    /// the peaks [`PcMachine::lane_spend`] reports stay where they were
+    /// (zero for a lane admitted here; the carried value for a lane
+    /// injected from a checkpoint).
+    pub fn track_peak_bytes(&mut self, on: bool) {
+        self.track_peak_bytes = on;
     }
 
     /// Admission tickets of the live members, lane by lane.
@@ -1532,37 +1546,34 @@ impl<'p> PcMachine<'p> {
                 self.spent[b] += 1;
             }
         }
-        self.update_peak_bytes();
+        if self.track_peak_bytes {
+            self.update_peak_bytes();
+        }
         Ok(true)
     }
 
     /// Fold each lane's current resident-byte footprint into its peak.
     /// Derived entirely from buffer shapes and stack pointers — no data
-    /// walk — so the per-superstep cost is a few scalar ops per lane.
+    /// walk and no allocation — so the per-superstep cost is a few
+    /// scalar ops per lane and stacked variable.
     fn update_peak_bytes(&mut self) {
         // Registers and stack tops hold one row per lane regardless of
         // stack depth; only the occupied store frames vary by lane.
         let mut base: u64 = 0;
-        let mut frames: Vec<(usize, u64)> = Vec::new();
         for slot in self.st.registers.iter().flatten() {
             base += elem_bytes(slot.shape(), 1, slot.dtype());
         }
-        for (si, s) in self.st.stacked.iter().enumerate() {
-            if let Some(top) = &s.top {
-                base += elem_bytes(top.shape(), 1, top.dtype());
-            }
-            if let Some(store) = &s.store {
-                frames.push((si, elem_bytes(store.shape(), 2, store.dtype())));
-            }
+        for top in self.st.stacked.iter().filter_map(|s| s.top.as_ref()) {
+            base += elem_bytes(top.shape(), 1, top.dtype());
         }
-        for b in 0..self.st.z {
+        for (b, peak) in self.peak_bytes.iter_mut().enumerate() {
             let mut bytes = base;
-            for &(si, per_frame) in &frames {
-                bytes += self.st.stacked[si].sp[b] as u64 * per_frame;
+            for s in &self.st.stacked {
+                if let Some(store) = &s.store {
+                    bytes += s.sp[b] as u64 * elem_bytes(store.shape(), 2, store.dtype());
+                }
             }
-            if bytes > self.peak_bytes[b] {
-                self.peak_bytes[b] = bytes;
-            }
+            *peak = (*peak).max(bytes);
         }
     }
 
@@ -2625,6 +2636,43 @@ mod tests {
             f.extract_lanes(&[t], None),
             Err(VmError::BadInputs { .. })
         ));
+    }
+
+    #[test]
+    fn peak_bytes_are_folded_only_on_request_and_survive_a_checkpoint() {
+        let p = fibonacci_program();
+        let (pc, _) = lower(&p, LoweringOptions::default()).unwrap();
+        let input = [Tensor::from_i64(&[10], &[1]).unwrap()];
+        // Off by default: the superstep pays nothing for a ceiling
+        // nobody set.
+        let mut plain = PcMachine::new(&pc, KernelRegistry::new(), ExecOptions::default());
+        plain.admit(&input, 3, None).unwrap();
+        for _ in 0..6 {
+            assert!(plain.step(None).unwrap());
+        }
+        assert_eq!(plain.lane_spend()[0].2, 0);
+
+        let mut src = PcMachine::new(&pc, KernelRegistry::new(), ExecOptions::default());
+        src.track_peak_bytes(true);
+        let t = src.admit(&input, 3, None).unwrap();
+        for _ in 0..6 {
+            assert!(src.step(None).unwrap());
+        }
+        let peak = src.lane_spend()[0].2;
+        assert!(peak > 0, "a tracked lane has a footprint");
+        // The peak travels with the lane, and a machine that does not
+        // track leaves it where it was.
+        let lanes = src.extract_lanes(&[t], None).unwrap();
+        assert_eq!(lanes[0].1.peak_bytes(), peak);
+        let mut dst = PcMachine::new(&pc, KernelRegistry::new(), ExecOptions::default());
+        dst.inject_lane(&lanes[0].1, None).unwrap();
+        assert!(dst.step(None).unwrap());
+        assert_eq!(dst.lane_spend()[0].2, peak);
+        dst.track_peak_bytes(true);
+        assert!(dst.step(None).unwrap());
+        assert!(dst.lane_spend()[0].2 >= peak, "a peak never shrinks");
+        let done = dst.run_to_completion(None).unwrap();
+        assert_eq!(done[0].outputs[0].as_i64().unwrap(), &[89]);
     }
 
     #[test]

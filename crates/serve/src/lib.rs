@@ -606,6 +606,10 @@ impl<'p> BatchServer<'p> {
     /// boundary (see [`RequestBudget`]). The default is unlimited.
     pub fn set_budget(&mut self, budget: RequestBudget) {
         self.budget = budget;
+        // Only a byte ceiling needs the machine to walk its lanes'
+        // footprints every superstep.
+        self.machine
+            .track_peak_bytes(budget.max_lane_bytes.is_some());
     }
 
     /// The per-request resource ceilings in force.
@@ -1128,19 +1132,18 @@ impl<'p> BatchServer<'p> {
 
     /// Drive the server for **at most** `budget` supersteps, retiring and
     /// admitting as [`BatchServer::run_until_idle`] does, and return the
-    /// responses completed so far plus the number of supersteps actually
-    /// run. Unlike `run_until_idle` this never fast-forwards the clock:
-    /// the affinity scheduler owns fleet-wide time, and a shard blocked
-    /// on a deadline simply reports zero steps.
+    /// number of supersteps actually run; completed responses stay
+    /// buffered for [`BatchServer::take_ready`]. Fewer than `budget`
+    /// means the server cannot run further for now: it is idle, or the
+    /// deadline policy is holding a partial batch. Unlike
+    /// `run_until_idle` this never fast-forwards the clock — the fleet
+    /// drive owns fleet-wide time and decides whether everyone is
+    /// blocked.
     ///
     /// # Errors
     ///
     /// As [`BatchServer::run_until_idle`].
-    pub(crate) fn run_for(
-        &mut self,
-        budget: u64,
-        mut trace: Option<&mut Trace>,
-    ) -> Result<(Vec<Response>, u64)> {
+    pub(crate) fn run_for(&mut self, budget: u64, mut trace: Option<&mut Trace>) -> Result<u64> {
         if let Some(e) = &self.poisoned {
             return Err(e.clone());
         }
@@ -1156,22 +1159,18 @@ impl<'p> BatchServer<'p> {
             if !stepped {
                 self.collect_retired(&mut trace)?;
                 self.enforce_governance(&mut trace)?;
-                if self.queue.is_empty() && self.machine.live() == 0 {
-                    break;
-                }
-                if self.machine.step_budget_remaining() == 0 {
+                if (!self.queue.is_empty() || self.machine.live() > 0)
+                    && self.machine.step_budget_remaining() == 0
+                {
                     return Err(ServeError::Vm(VmError::StepLimit {
                         limit: self.step_limit,
                     }));
                 }
-                // Deadline policy holding a partial batch: report back
-                // without spinning — the scheduler decides whether the
-                // whole fleet is blocked and advances the clock.
                 break;
             }
             steps += 1;
         }
-        Ok((std::mem::take(&mut self.ready), steps))
+        Ok(steps)
     }
 
     /// Histogram of **running** lanes per pc top — the affinity signal

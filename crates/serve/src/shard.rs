@@ -1,14 +1,14 @@
-//! Sharded multi-worker serving: scaling the batch server *across*
-//! machines, not just lanes.
+//! Sharded multi-worker serving: scaling the batch server across host
+//! threads, not just lanes.
 //!
 //! A single [`BatchServer`] saturates one host thread: every superstep
 //! is host control (block selection, masking) followed by one fused
 //! device launch. [`ShardedServer`] partitions the request stream across
-//! N worker threads, each owning its own `BatchServer` (and so its own
-//! `PcMachine`), and drives them concurrently with scoped threads — the
-//! Send-safe machine handoff asserted in `autobatch-core`.
+//! N shards, each owning its own `BatchServer` (and so its own
+//! `PcMachine`), and runs them concurrently — the Send-safe machine
+//! handoff asserted in `autobatch-core`.
 //!
-//! Three design points:
+//! Four design points:
 //!
 //! - **Routing** is least-loaded: each shard's load is its live member
 //!   count from [`Trace`] membership accounting plus its queue depth, so
@@ -24,6 +24,19 @@
 //!   requests can be re-routed to healthy shards
 //!   ([`ShardedServer::drain_poisoned`]), and routing skips poisoned
 //!   shards from then on.
+//! - **One drive, one crew of threads.** Host control per superstep is
+//!   what batching has to amortise, so the runtime must not add to it:
+//!   a call to [`ShardedServer::run_until_idle_with`] starts its worker
+//!   threads once — one per busy shard, less the one the caller runs
+//!   itself — and each runs its shard to idle on its own. Workers report
+//!   only a change of state (idle, deadline-blocked, errored, panicked)
+//!   and the fleet meets at a parked barrier only to advance the
+//!   virtual clock past a deadline or, under
+//!   [`SchedulingPolicy::PcAffinity`], to rebalance between quanta.
+//!   Cancellations reach a running shard through a per-shard inbox
+//!   within one quantum of supersteps; a panicking worker poisons its
+//!   own shard and is always reported. The contract is spelled out on
+//!   [`ShardedServer::run_until_idle_with`].
 //!
 //! Shard sizing is not hardcoded: [`ShardPlan::for_backend`] derives the
 //! worker count and per-shard batch width from the [`Backend`] cost
@@ -31,9 +44,12 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 use autobatch_accel::{Backend, Trace};
-use autobatch_chaos::FaultPoint;
+use autobatch_chaos::{FaultPlan, FaultPoint};
 use autobatch_core::{ExecOptions, KernelRegistry};
 use autobatch_ir::pcab::Program;
 
@@ -43,21 +59,21 @@ use crate::{
     SchedulingPolicy, ServeError,
 };
 
-/// Supersteps per round when the least-loaded fleet is driven with a
-/// cancellation hook ([`ShardedServer::run_until_idle_with`]): the
-/// bound on how stale a cooperative cancellation can go before the
-/// fleet observes it.
+/// Supersteps a shard runs between two looks at its cancel inbox under
+/// default scheduling. With [`COORDINATOR_WAKE`], the bound on how
+/// stale a cooperative cancellation can go before its lane is evicted.
 const CANCEL_QUANTUM: u64 = 64;
 
-/// One shard's outcome for a quantum round: the responses it completed
-/// plus the supersteps it actually ran; `None` for shards sitting out
-/// the round (dead or poisoned).
-type RoundOutcome = Option<Result<(Vec<Response>, u64)>>;
+/// How long the coordinator of a drive sleeps between two calls of the
+/// cancellation hook while it has no shard of its own to run and waits
+/// for the workers to report — parked on a condvar, never spinning.
+const COORDINATOR_WAKE: Duration = Duration::from_millis(1);
 
-/// The empty cancellation hook [`ShardedServer::run_until_idle`] drives
-/// the PC-affinity rounds with.
-fn noop() -> Vec<u64> {
-    Vec::new()
+#[cfg(test)]
+thread_local! {
+    /// Threads started by drives on the calling thread, for the
+    /// thread-budget tests.
+    static THREADS_SPAWNED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Recover a human-readable message from a caught panic payload.
@@ -146,6 +162,9 @@ struct Shard<'p> {
     fault_record: Option<ServeError>,
     /// How many times this slot's server has been rebuilt.
     respawns: u64,
+    /// Queued requests this slot took from a deeper queue (work
+    /// stealing), over the slot's lifetime.
+    steals: u64,
 }
 
 /// Observability snapshot of one shard slot, for fleet health reporting
@@ -166,6 +185,11 @@ pub struct ShardHealth {
     /// Supersteps charged across the lanes currently in flight on this
     /// slot — the live budget spend a dashboard watches climb.
     pub spent_supersteps: u64,
+    /// Queued requests this slot stole from deeper queues under
+    /// [`SchedulingPolicy::PcAffinity`], over the slot's lifetime
+    /// (respawns included). Lane migrations are counted by the shard's
+    /// [`Trace`] (`members_migrated_in` / `_out`).
+    pub steals: u64,
 }
 
 impl Shard<'_> {
@@ -176,6 +200,12 @@ impl Shard<'_> {
 
     fn poisoned(&self) -> bool {
         self.server.poisoned().is_some()
+    }
+
+    /// Whether the shard holds a request that has not reached a
+    /// terminal outcome (queued or in flight).
+    fn has_work(&self) -> bool {
+        self.server.pending() > 0 || self.server.in_flight() > 0
     }
 }
 
@@ -238,8 +268,9 @@ pub struct ShardedServer<'p> {
     /// deterministic [`FaultPlan`](autobatch_chaos::FaultPlan) does not
     /// re-kill the replacement at the exact same superstep forever.
     next_fault_epoch: u64,
-    /// Fleet-level run rounds, the counter behind worker-panic and
-    /// worker-slowness injection.
+    /// Next chaos round: the counter behind worker-panic and
+    /// worker-slowness injection, drawn once per drive under default
+    /// scheduling and once per quantum round under PC-affinity.
     fault_round: u64,
     /// Lifetime completions on servers that were since respawned.
     retired_completed: u64,
@@ -309,6 +340,7 @@ impl<'p> ShardedServer<'p> {
                     last_error: None,
                     fault_record: None,
                     respawns: 0,
+                    steals: 0,
                 })
             })
             .collect::<Result<Vec<_>>>()?;
@@ -465,7 +497,8 @@ impl<'p> ShardedServer<'p> {
         )
     }
 
-    /// Number of shards (worker threads per run).
+    /// Number of shards (at most this many threads run a drive, the
+    /// caller's included).
     pub fn shards(&self) -> usize {
         self.shards.len()
     }
@@ -539,6 +572,7 @@ impl<'p> ShardedServer<'p> {
                 healthy: !s.poisoned(),
                 evictions: s.server.evictions(),
                 spent_supersteps: s.server.spent_supersteps(),
+                steals: s.steals,
             })
             .collect()
     }
@@ -546,6 +580,13 @@ impl<'p> ShardedServer<'p> {
     /// Total shard respawns over the fleet's lifetime.
     pub fn respawns(&self) -> u64 {
         self.shards.iter().map(|s| s.respawns).sum()
+    }
+
+    /// Queued requests moved between shards by work stealing over the
+    /// fleet's lifetime (see [`ShardHealth::steals`]) — the counterpart
+    /// of the traces' `members_migrated_in` for lanes.
+    pub fn steals(&self) -> u64 {
+        self.shards.iter().map(|s| s.steals).sum()
     }
 
     /// Tear down shard `i`'s server and rebuild it in place with a
@@ -567,10 +608,7 @@ impl<'p> ShardedServer<'p> {
     ///   machine; their ids are returned in `(_, lost)` so a supervisor
     ///   can retry them from its own copies.
     pub fn respawn_shard(&mut self, i: usize) -> (Vec<Request>, Vec<u64>) {
-        for r in self.shards[i].server.take_ready() {
-            let seq = Self::pop_seq(&mut self.order, r.id);
-            self.ready.push((seq, r));
-        }
+        Self::harvest(&mut self.shards[i].server, &mut self.order, &mut self.ready);
         // Governance verdicts already reached are salvaged too: a
         // budget-evicted request's terminal failure must not be lost
         // (and then retried) just because its shard later died.
@@ -600,6 +638,7 @@ impl<'p> ShardedServer<'p> {
             last_error: None,
             fault_record: self.shards[i].fault_record.take(),
             respawns: self.shards[i].respawns + 1,
+            steals: self.shards[i].steals,
         };
         (stranded, lost)
     }
@@ -796,16 +835,26 @@ impl<'p> ShardedServer<'p> {
     /// [`ShardedServer::run_until_idle`] reports a shard error.
     pub fn take_ready(&mut self) -> Vec<Response> {
         for shard in &mut self.shards {
-            for r in shard.server.take_ready() {
-                let seq = Self::pop_seq(&mut self.order, r.id);
-                self.ready.push((seq, r));
-            }
+            Self::harvest(&mut shard.server, &mut self.order, &mut self.ready);
         }
         self.ready.sort_by_key(|&(seq, _)| seq);
         std::mem::take(&mut self.ready)
             .into_iter()
             .map(|(_, r)| r)
             .collect()
+    }
+
+    /// Move a shard's completed responses into the fleet's ready
+    /// buffer, tagged with their submission sequence. Never drives the
+    /// machine, so it is safe on a poisoned shard too.
+    fn harvest(
+        server: &mut BatchServer<'p>,
+        order: &mut BTreeMap<u64, VecDeque<u64>>,
+        ready: &mut Vec<(u64, Response)>,
+    ) {
+        for r in server.take_ready() {
+            ready.push((Self::pop_seq(order, r.id), r));
+        }
     }
 
     fn pop_seq(order: &mut BTreeMap<u64, VecDeque<u64>>, id: u64) -> u64 {
@@ -822,354 +871,333 @@ impl<'p> ShardedServer<'p> {
         }
     }
 
-    /// Drive every shard to idle **concurrently**, one scoped worker
-    /// thread per shard, and return all completed responses in
-    /// submission order.
-    ///
-    /// Shards already poisoned by a previous call are skipped (they
-    /// cannot run); their error is *not* re-raised, so healthy shards
-    /// keep serving.
-    ///
-    /// # Panic containment
-    ///
-    /// Each worker body runs under `catch_unwind`: a panic while
-    /// driving one shard — from a VM bug or an injected
-    /// [`FaultPoint::WorkerPanic`] — is converted into a typed
-    /// [`ServeError::Panicked`] that poisons *that shard only*, instead
-    /// of unwinding through the scoped-thread fleet and aborting every
-    /// sibling. The poisoned shard's completed work is salvaged like
-    /// any other poisoning error, and [`ShardedServer::respawn_shard`]
-    /// puts the slot back in rotation.
+    /// Drive every shard until the fleet is idle and return all
+    /// completed responses in submission order:
+    /// [`ShardedServer::run_until_idle_with`] under a hook that never
+    /// cancels anything.
     ///
     /// # Errors
     ///
-    /// If any shard errors this call, the first such error (by shard
-    /// index) is returned — but no completed work is lost: every
-    /// response finished by any shard, including work a failing shard
-    /// completed before its error, stays buffered for
+    /// As [`ShardedServer::run_until_idle_with`].
+    pub fn run_until_idle(&mut self) -> Result<Vec<Response>> {
+        self.run_until_idle_with(&mut Vec::new)
+    }
+
+    /// Drive every shard **concurrently** until the fleet is idle and
+    /// return all completed responses in submission order. `poll` is
+    /// the cooperative cancellation hook: every id it returns is
+    /// cancelled on whichever shard holds it (as
+    /// [`ShardedServer::cancel`], except that a mid-drive cancel is
+    /// broadcast, so duplicate in-flight ids are all cancelled).
+    ///
+    /// # Threads
+    ///
+    /// One call is one *drive*. It opens one `std::thread::scope` and
+    /// starts one thread per shard that has work, less one: the caller
+    /// runs the first such shard itself and coordinates the rest. A
+    /// drive with one busy shard (a 1-worker fleet always) runs inline,
+    /// and a drive that finds no shard with work returns without
+    /// starting anything. The threads live until the drive ends, and
+    /// while they have nothing to run they are parked on a condvar —
+    /// nothing in a drive spins.
+    ///
+    /// Under [`SchedulingPolicy::LeastLoaded`] (the default) no shard
+    /// ever needs another: each worker runs its shard quantum after
+    /// quantum (`CANCEL_QUANTUM` = 64 supersteps) until the shard is
+    /// idle or deadline-blocked, and reports only then. The fleet meets
+    /// at a barrier for one decision alone: when every live shard has
+    /// reported and some are deadline-blocked, the fleet clock advances
+    /// to the earliest pending deadline (the single-server fast-forward,
+    /// taken fleet-wide) and the blocked shards are released again.
+    /// Under [`SchedulingPolicy::PcAffinity`] the same workers park at
+    /// that barrier after every quantum (`AffinityConfig::quantum`
+    /// supersteps), because the rebalance between quanta — straggler
+    /// migration, work stealing, batch splits (see [`crate::affinity`])
+    /// — plans against a quiesced snapshot of the fleet. Results and
+    /// response order are identical either way: scheduling only changes
+    /// *where* lanes execute, and a lane's draws are keyed by its
+    /// request seed, not its placement.
+    ///
+    /// # Cancellation latency
+    ///
+    /// `poll` is called before every leg, after each quantum of the
+    /// caller's own shard, and every `COORDINATOR_WAKE` (1 ms) while
+    /// the caller only waits. Ids go to a per-shard inbox that each
+    /// worker drains before its next quantum, so a lane named by `poll`
+    /// is evicted within one quantum of its shard's supersteps plus one
+    /// wake interval. A request still queued on a deadline-blocked shard
+    /// is dropped at the next barrier, before the clock moves.
+    ///
+    /// # Panic containment
+    ///
+    /// Every quantum runs under `catch_unwind`: a panic while driving
+    /// one shard — a VM bug or an injected [`FaultPoint::WorkerPanic`] —
+    /// becomes a typed [`ServeError::Panicked`] that poisons *that shard
+    /// only*. A worker reports its leg from a drop guard, so even one
+    /// that unwinds past the containment is reported (as panicked) and
+    /// the drive never waits on a thread that will not answer. The
+    /// poisoned shard's completed work is salvaged like any other
+    /// failing shard's, and [`ShardedServer::respawn_shard`] puts the
+    /// slot back in rotation. Shards already poisoned by an earlier
+    /// call are skipped; their error is *not* re-raised, so healthy
+    /// shards keep serving.
+    ///
+    /// # Errors
+    ///
+    /// If any shard errors this call, it leaves the drive, the healthy
+    /// remainder drains, and the first such error (by shard index) is
+    /// returned — but no completed work is lost: every response
+    /// finished by any shard, including work a failing shard completed
+    /// before its error, stays buffered for
     /// [`ShardedServer::take_ready`]. Recoverable per-shard errors
     /// (failed admissions, step-limit exhaustion) follow the
     /// [`BatchServer::run_until_idle`] contract shard-locally:
-    /// [`ShardedServer::reject_on`] unblocks the named shard.
-    ///
-    /// # Scheduling
-    ///
-    /// Under [`SchedulingPolicy::LeastLoaded`] (the default) each shard
-    /// runs straight to idle on its own thread. Under
-    /// [`SchedulingPolicy::PcAffinity`] the fleet runs in quantum-sized
-    /// rounds with straggler migration and work stealing between rounds
-    /// (see [`crate::affinity`]); results and response order are
-    /// identical either way — scheduling only changes *where* lanes
-    /// execute, and a lane's draws are keyed by its request seed, not
-    /// its placement.
-    pub fn run_until_idle(&mut self) -> Result<Vec<Response>> {
-        match self.scheduling {
-            SchedulingPolicy::LeastLoaded => self.run_fleet_to_idle(),
-            SchedulingPolicy::PcAffinity(cfg) => {
-                self.run_rounds(cfg.quantum, Some(cfg), false, &mut noop)
-            }
-        }
-    }
-
-    /// As [`ShardedServer::run_until_idle`], but with a cooperative
-    /// cancellation hook: `poll` is called between scheduling rounds and
-    /// every id it returns is [cancelled](ShardedServer::cancel) before
-    /// the next round runs. Under [`SchedulingPolicy::LeastLoaded`] the
-    /// fleet is driven in bounded rounds (instead of one burst per
-    /// shard) so a cancellation lands within a bounded quantum of
-    /// supersteps — the price of mid-drive responsiveness; results are
-    /// identical either way, since round boundaries only change *when*
-    /// the host observes each shard, never what the lanes compute.
+    /// [`ShardedServer::reject_on`] unblocks the named shard. If only
+    /// errored shards still hold work, or no shard names a deadline to
+    /// advance to, the drive stops — the recorded per-shard errors say
+    /// why.
     pub fn run_until_idle_with(
         &mut self,
         poll: &mut dyn FnMut() -> Vec<u64>,
     ) -> Result<Vec<Response>> {
-        match self.scheduling {
-            SchedulingPolicy::LeastLoaded => self.run_rounds(CANCEL_QUANTUM, None, true, poll),
-            SchedulingPolicy::PcAffinity(cfg) => {
-                self.run_rounds(cfg.quantum, Some(cfg), false, poll)
-            }
-        }
-    }
-
-    /// The least-loaded driver: one scoped thread per healthy shard,
-    /// each running its server to idle in a single burst.
-    fn run_fleet_to_idle(&mut self) -> Result<Vec<Response>> {
-        let round = self.fault_round;
-        self.fault_round += 1;
-        let nshards = self.shards.len() as u64;
+        let (quantum, affinity) = match self.scheduling {
+            SchedulingPolicy::LeastLoaded => (CANCEL_QUANTUM, None),
+            SchedulingPolicy::PcAffinity(cfg) => (cfg.quantum.max(1), Some(cfg)),
+        };
+        let n = self.shards.len();
         let fault = self.opts.fault;
-        let results: Vec<Option<Result<Vec<Response>>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .enumerate()
-                .map(|(i, shard)| {
-                    scope.spawn(move || {
-                        if shard.server.poisoned().is_some() {
-                            return None;
-                        }
-                        // One fleet-unique counter per (round, shard):
-                        // the chaos schedule for worker-level faults.
-                        let counter = round * nshards + i as u64;
-                        if fault.fires(FaultPoint::WorkerSlow, counter) {
-                            std::thread::sleep(std::time::Duration::from_micros(
-                                fault.delay_micros(counter),
-                            ));
-                        }
-                        let run = catch_unwind(AssertUnwindSafe(|| {
-                            if fault.fires(FaultPoint::WorkerPanic, counter) {
-                                panic!(
-                                    "injected fault at {} (counter {counter})",
-                                    FaultPoint::WorkerPanic.name()
-                                );
-                            }
-                            shard.server.run_until_idle(Some(&mut shard.trace))
-                        }));
-                        Some(match run {
-                            Ok(outcome) => outcome,
-                            Err(payload) => {
-                                // The machine may be mid-superstep;
-                                // poison the shard so nothing drives it
-                                // again before a respawn.
-                                let e = ServeError::Panicked {
-                                    what: panic_message(payload),
-                                };
-                                shard.server.poison(e.clone());
-                                Err(e)
-                            }
-                        })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    // catch_unwind above makes a worker panic
-                    // unreachable here in practice; stay defensive
-                    // anyway (e.g. a panic thrown while dropping the
-                    // first payload) instead of taking down the fleet.
-                    h.join().unwrap_or_else(|payload| {
-                        Some(Err(ServeError::Panicked {
-                            what: panic_message(payload),
-                        }))
-                    })
-                })
-                .collect()
-        });
-        let mut first_error: Option<ServeError> = None;
-        for (i, outcome) in results.into_iter().enumerate() {
-            match outcome {
-                None => {} // poisoned before this call; skipped
-                Some(Ok(responses)) => {
-                    self.shards[i].last_error = None;
-                    for r in responses {
-                        let seq = Self::pop_seq(&mut self.order, r.id);
-                        self.ready.push((seq, r));
-                    }
-                }
-                Some(Err(e)) => {
-                    // A panic that somehow escaped the in-thread
-                    // containment still has to poison its shard.
-                    if matches!(e, ServeError::Panicked { .. })
-                        && self.shards[i].server.poisoned().is_none()
-                    {
-                        self.shards[i].server.poison(e.clone());
-                    }
-                    // Salvage whatever the failing shard completed
-                    // before the error (take_ready never drives the
-                    // machine, so this is safe even when poisoned).
-                    for r in self.shards[i].server.take_ready() {
-                        let seq = Self::pop_seq(&mut self.order, r.id);
-                        self.ready.push((seq, r));
-                    }
-                    self.shards[i].last_error = Some(e.clone());
-                    self.shards[i].fault_record = Some(e.clone());
-                    first_error.get_or_insert(e);
-                }
+        let cap = self.policy.max_batch().max(1);
+        // Worker-level chaos: default scheduling draws one counter per
+        // (call, shard), PC-affinity a fresh one per (round, shard).
+        let first_round = self.fault_round;
+        self.fault_round += 1;
+        // The crew: shards that take part in this drive. Under affinity
+        // work moves, so one busy shard enlists every healthy one.
+        let any_work = self.shards.iter().any(|s| !s.poisoned() && s.has_work());
+        let crew: Vec<bool> = (0..n)
+            .map(|i| {
+                let counter = first_round * n as u64 + i as u64;
+                let s = &self.shards[i];
+                !s.poisoned()
+                    && (s.has_work()
+                        || (affinity.is_some() && any_work)
+                        || fault.fires(FaultPoint::WorkerSlow, counter)
+                        || fault.fires(FaultPoint::WorkerPanic, counter))
+            })
+            .collect();
+        for (s, &enlisted) in self.shards.iter_mut().zip(&crew) {
+            // A healthy shard with nothing to do has nothing to report.
+            if !enlisted && !s.poisoned() {
+                s.last_error = None;
             }
         }
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(self.take_ready()),
-        }
-    }
-
-    /// The round driver: shards run concurrently in rounds of at most
-    /// `quantum` supersteps each. Between rounds the `poll` hook is
-    /// drained (cooperative cancellation) and — when `rebalance_cfg` is
-    /// set (PC-affinity scheduling) — the scheduler applies the
-    /// migration and stealing plans from [`crate::affinity`]. Error
-    /// handling matches the least-loaded driver — a failing shard is
-    /// poisoned if it panicked, its completed work is salvaged, it
-    /// leaves this call's rotation, and the first error (by shard
-    /// index) is returned after the healthy remainder drains.
-    ///
-    /// When a whole round runs zero supersteps and moves nothing, every
-    /// runnable shard is deadline-blocked: the fleet clock advances to
-    /// the earliest pending deadline (mirroring the single-server
-    /// fast-forward). If no shard names a deadline either, the fleet is
-    /// wedged (e.g. only errored shards still hold work) and the drive
-    /// stops — the recorded per-shard errors say why.
-    fn run_rounds(
-        &mut self,
-        quantum: u64,
-        rebalance_cfg: Option<AffinityConfig>,
-        fault_once: bool,
-        poll: &mut dyn FnMut() -> Vec<u64>,
-    ) -> Result<Vec<Response>> {
-        let quantum = quantum.max(1);
-        let cap = self.policy.max_batch().max(1);
-        let mut first_error: Option<ServeError> = None;
-        // Shards that errored during *this* call: out of the rotation
-        // until the caller triages (respawn/reject), like the one-burst
-        // driver's post-error behavior.
-        let mut dead = vec![false; self.shards.len()];
-        // `fault_once` gives burst-equivalent chaos: one counter per
-        // (call, shard), checked on the shard's first round only, so a
-        // deterministic plan sees the same per-attempt fault frequency
-        // as the one-burst driver no matter how many quanta the drive
-        // takes. Without it (PC-affinity) every round draws its own
-        // counter, which the plan accounts for.
-        let call_round = self.fault_round;
-        if fault_once {
-            self.fault_round += 1;
-        }
-        let mut fresh = vec![true; self.shards.len()];
-        loop {
+        let Some(mine) = crew.iter().position(|&enlisted| enlisted) else {
             for id in poll() {
                 self.cancel(id);
             }
-            let round = if fault_once {
-                call_round
-            } else {
-                let r = self.fault_round;
-                self.fault_round += 1;
-                r
-            };
-            let nshards = self.shards.len() as u64;
-            let fault = self.opts.fault;
-            let results: Vec<RoundOutcome> = std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .zip(&dead)
-                    .zip(fresh.iter_mut())
-                    .enumerate()
-                    .map(|(i, ((shard, &is_dead), fresh_i))| {
-                        scope.spawn(move || {
-                            if is_dead || shard.server.poisoned().is_some() {
-                                return None;
+            return Ok(self.take_ready());
+        };
+
+        let ShardedServer {
+            shards,
+            order,
+            ready,
+            clock,
+            fault_round: next_fault_round,
+            ..
+        } = self;
+        let drive = Drive {
+            slots: shards.iter_mut().map(Mutex::new).collect(),
+            inboxes: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
+            quantum,
+            one_quantum_legs: affinity.is_some(),
+            fault,
+        };
+        let mut first_error: Option<ServeError> = None;
+        std::thread::scope(|scope| {
+            // One channel of legs to each worker, one of reports back.
+            // A worker parks in `recv` between legs and leaves when its
+            // sender is dropped — at the end of this closure, also when
+            // it unwinds (a panicking `poll`), so the scope never waits
+            // on a parked thread.
+            let (report_tx, report_rx) = channel::<(usize, LegOutcome)>();
+            let mut legs: Vec<Option<Sender<Option<u64>>>> = (0..n).map(|_| None).collect();
+            for i in (mine + 1..n).filter(|&i| crew[i]) {
+                let (legs_tx, legs_rx) = channel();
+                legs[i] = Some(legs_tx);
+                let (drive, report_tx) = (&drive, report_tx.clone());
+                #[cfg(test)]
+                THREADS_SPAWNED.with(|c| c.set(c.get() + 1));
+                scope.spawn(move || drive.work(i, &legs_rx, &report_tx));
+            }
+            // Shards that errored during *this* call: out of the drive
+            // until the caller triages (respawn/reject).
+            let mut dead = vec![false; n];
+            let mut reports: Vec<Option<LegOutcome>> = vec![None; n];
+            let mut fault_round = Some(first_round);
+            let mut first_leg = true;
+            loop {
+                // The barrier: every worker is parked, so the whole
+                // fleet is the coordinator's until the next release.
+                let runs: Vec<bool> = {
+                    let mut guards: Vec<_> = drive.slots.iter().map(lock).collect();
+                    let mut shards: Vec<&mut Shard<'p>> =
+                        guards.iter_mut().map(|g| &mut ***g).collect();
+                    let mut steps_total = 0u64;
+                    for (i, outcome) in reports.iter_mut().enumerate() {
+                        let Some(outcome) = outcome.take() else {
+                            continue;
+                        };
+                        match Self::settle(shards[i], outcome, order, ready) {
+                            Ok(steps) => steps_total += steps,
+                            Err(e) => {
+                                dead[i] = true;
+                                first_error.get_or_insert(e);
                             }
-                            let inject = !fault_once || std::mem::take(fresh_i);
-                            let counter = round * nshards + i as u64;
-                            if inject && fault.fires(FaultPoint::WorkerSlow, counter) {
-                                std::thread::sleep(std::time::Duration::from_micros(
-                                    fault.delay_micros(counter),
-                                ));
-                            }
-                            let run = catch_unwind(AssertUnwindSafe(|| {
-                                if inject && fault.fires(FaultPoint::WorkerPanic, counter) {
-                                    panic!(
-                                        "injected fault at {} (counter {counter})",
-                                        FaultPoint::WorkerPanic.name()
-                                    );
-                                }
-                                shard.server.run_for(quantum, Some(&mut shard.trace))
-                            }));
-                            Some(match run {
-                                Ok(outcome) => outcome,
-                                Err(payload) => {
-                                    let e = ServeError::Panicked {
-                                        what: panic_message(payload),
-                                    };
-                                    shard.server.poison(e.clone());
-                                    Err(e)
-                                }
-                            })
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join().unwrap_or_else(|payload| {
-                            Some(Err(ServeError::Panicked {
-                                what: panic_message(payload),
-                            }))
-                        })
-                    })
-                    .collect()
-            });
-            let mut steps_total = 0u64;
-            for (i, outcome) in results.into_iter().enumerate() {
-                match outcome {
-                    None => {}
-                    Some(Ok((responses, steps))) => {
-                        steps_total += steps;
-                        self.shards[i].last_error = None;
-                        for r in responses {
-                            let seq = Self::pop_seq(&mut self.order, r.id);
-                            self.ready.push((seq, r));
                         }
                     }
-                    Some(Err(e)) => {
-                        if matches!(e, ServeError::Panicked { .. })
-                            && self.shards[i].server.poisoned().is_none()
-                        {
-                            self.shards[i].server.poison(e.clone());
+                    let live: Vec<usize> = (0..n)
+                        .filter(|&i| !dead[i] && !shards[i].poisoned())
+                        .collect();
+                    let mut go_on = first_leg || live.iter().any(|&i| shards[i].has_work());
+                    if go_on && !first_leg {
+                        let moved = match &affinity {
+                            Some(cfg) => Self::rebalance(&mut shards, cap, cfg, &dead),
+                            None => 0,
+                        };
+                        // A leg under default scheduling ends only when
+                        // its shard cannot run, and a quantum round
+                        // stalls when nothing stepped and nothing moved:
+                        // either way every live shard still holding
+                        // work is deadline-blocked. Advance the fleet
+                        // clock to the earliest pending deadline
+                        // (mirroring the single-server fast-forward), or
+                        // stop if no shard names one — the fleet is
+                        // wedged, and the per-shard errors say why.
+                        if affinity.is_none() || (steps_total == 0 && moved == 0) {
+                            let next = live
+                                .iter()
+                                .filter_map(|&i| shards[i].server.next_deadline())
+                                .min();
+                            match next {
+                                Some(t) => {
+                                    *clock = (*clock).max(t);
+                                    for s in shards.iter_mut() {
+                                        s.server.set_clock(t);
+                                    }
+                                }
+                                None => go_on = false,
+                            }
                         }
-                        for r in self.shards[i].server.take_ready() {
-                            let seq = Self::pop_seq(&mut self.order, r.id);
-                            self.ready.push((seq, r));
+                    }
+                    if go_on {
+                        if !first_leg {
+                            // Only a quantum round draws chaos again.
+                            fault_round = affinity.map(|_| {
+                                *next_fault_round += 1;
+                                *next_fault_round - 1
+                            });
                         }
-                        self.shards[i].last_error = Some(e.clone());
-                        self.shards[i].fault_record = Some(e.clone());
-                        dead[i] = true;
-                        first_error.get_or_insert(e);
+                        drive.post(poll());
+                    }
+                    // Also lands what was posted while the last leg was
+                    // out and no worker was left to read it.
+                    for (i, s) in shards.iter_mut().enumerate() {
+                        drive.drain(i, &mut s.server);
+                    }
+                    if !go_on {
+                        break;
+                    }
+                    (0..n)
+                        .map(|i| {
+                            crew[i]
+                                && !dead[i]
+                                && !shards[i].poisoned()
+                                && (first_leg || affinity.is_some() || shards[i].has_work())
+                        })
+                        .collect()
+                };
+                let mut out = 0;
+                for i in (0..n).filter(|&i| i != mine && runs[i]) {
+                    let released = legs[i]
+                        .as_ref()
+                        .is_some_and(|leg| leg.send(fault_round).is_ok());
+                    if released {
+                        out += 1;
+                    } else {
+                        // Its thread is gone (it unwound past its own
+                        // containment in an earlier leg): never wait
+                        // for it.
+                        reports[i] = Some(Err(ServeError::Panicked {
+                            what: "shard worker is gone".into(),
+                        }));
                     }
                 }
-            }
-            let active: Vec<usize> = (0..self.shards.len())
-                .filter(|&i| !dead[i] && !self.shards[i].poisoned())
-                .collect();
-            let work_left = active.iter().any(|&i| {
-                self.shards[i].server.pending() > 0 || self.shards[i].server.in_flight() > 0
-            });
-            if !work_left {
-                break;
-            }
-            let moved = match &rebalance_cfg {
-                Some(cfg) => self.rebalance(cap, cfg, &dead),
-                None => 0,
-            };
-            if steps_total == 0 && moved == 0 {
-                let next = active
-                    .iter()
-                    .filter_map(|&i| self.shards[i].server.next_deadline())
-                    .min();
-                match next {
-                    Some(t) => self.set_clock(t),
-                    None => break,
+                if runs[mine] {
+                    reports[mine] = Some(drive.leg(mine, fault_round, Some(&mut *poll)));
                 }
+                while out > 0 {
+                    match report_rx.recv_timeout(COORDINATOR_WAKE) {
+                        Ok((i, outcome)) => {
+                            reports[i] = Some(outcome);
+                            out -= 1;
+                        }
+                        // Parked, not spinning: wake only to ask the
+                        // hook. (`report_tx` is alive in this scope, so
+                        // the channel cannot disconnect.)
+                        Err(_) => drive.post(poll()),
+                    }
+                }
+                first_leg = false;
             }
-        }
+        });
         match first_error {
             Some(e) => Err(e),
             None => Ok(self.take_ready()),
         }
+    }
+
+    /// Book one finished leg on its shard: record or clear the shard's
+    /// error and move its completed responses into the fleet's ready
+    /// buffer. Returns the supersteps the leg ran, or the error that
+    /// takes the shard out of the drive.
+    fn settle(
+        shard: &mut Shard<'p>,
+        outcome: LegOutcome,
+        order: &mut BTreeMap<u64, VecDeque<u64>>,
+        ready: &mut Vec<(u64, Response)>,
+    ) -> LegOutcome {
+        match &outcome {
+            Ok(_) => shard.last_error = None,
+            Err(e) => {
+                // A worker that died outside its containment still has
+                // to poison its shard: the machine may be mid-superstep.
+                if matches!(e, ServeError::Panicked { .. }) && !shard.poisoned() {
+                    shard.server.poison(e.clone());
+                }
+                shard.last_error = Some(e.clone());
+                shard.fault_record = Some(e.clone());
+            }
+        }
+        // Completed work is salvaged either way.
+        Self::harvest(&mut shard.server, order, ready);
+        outcome
     }
 
     /// One rebalance pass between quantum rounds: straggler migrations
     /// first, then work stealing, both planned against one consistent
-    /// snapshot of the fleet. Returns how many lanes and requests
-    /// moved. A migration whose eviction or injection fails is skipped
-    /// (the plan raced a retirement), and a lane that cannot be
+    /// snapshot of the (quiesced) fleet. Returns how many lanes and
+    /// requests moved. A migration whose eviction or injection fails is
+    /// skipped (the plan raced a retirement), and a lane that cannot be
     /// injected is put back on its donor — rebalancing never loses
     /// work.
-    fn rebalance(&mut self, cap: usize, cfg: &AffinityConfig, dead: &[bool]) -> usize {
-        let views: Vec<ShardView> = self
-            .shards
+    fn rebalance(
+        shards: &mut [&mut Shard<'p>],
+        cap: usize,
+        cfg: &AffinityConfig,
+        dead: &[bool],
+    ) -> usize {
+        let views: Vec<ShardView> = shards
             .iter()
             .enumerate()
             .map(|(i, s)| ShardView {
@@ -1193,7 +1221,7 @@ impl<'p> ShardedServer<'p> {
         let mut lane_moves = plan_migrations(&views, cap, cfg);
         lane_moves.extend(plan_splits(&views, cap, cfg));
         for m in lane_moves {
-            let (donor, recipient) = Self::shard_pair(&mut self.shards, m.from, m.to);
+            let (donor, recipient) = Self::shard_pair(shards, m.from, m.to);
             let migrants = match donor
                 .server
                 .evict_lanes(&[m.ticket], Some(&mut donor.trace))
@@ -1225,9 +1253,10 @@ impl<'p> ShardedServer<'p> {
             }
         }
         for s in plan_steals(&views, cap, cfg) {
-            let (donor, thief) = Self::shard_pair(&mut self.shards, s.from, s.to);
+            let (donor, thief) = Self::shard_pair(shards, s.from, s.to);
             let batch = donor.server.steal_queued(s.n);
             moved += batch.len();
+            thief.steals += batch.len() as u64;
             thief.server.enqueue_stolen(batch);
         }
         moved
@@ -1235,18 +1264,156 @@ impl<'p> ShardedServer<'p> {
 
     /// Borrow two distinct shards mutably at once.
     fn shard_pair<'a>(
-        shards: &'a mut [Shard<'p>],
+        shards: &'a mut [&mut Shard<'p>],
         a: usize,
         b: usize,
     ) -> (&'a mut Shard<'p>, &'a mut Shard<'p>) {
         debug_assert_ne!(a, b);
         if a < b {
             let (left, right) = shards.split_at_mut(b);
-            (&mut left[a], &mut right[0])
+            (&mut *left[a], &mut *right[0])
         } else {
             let (left, right) = shards.split_at_mut(a);
-            (&mut right[0], &mut left[b])
+            (&mut *right[0], &mut *left[b])
         }
+    }
+}
+
+/// How a leg ended for one shard: the supersteps it ran, or the error
+/// that takes the shard out of the drive.
+type LegOutcome = Result<u64>;
+
+/// Lock a drive mutex, poisoned or not: every value these guard stays
+/// valid at every step. (A *shard* left half-mutated by a panic is
+/// marked through [`BatchServer::poison`], never through its lock.)
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// What the coordinator and the workers of one drive share. A *leg* is
+/// what a shard runs between two barriers: under default scheduling,
+/// quanta until it is idle or deadline-blocked; under PC-affinity, one
+/// quantum.
+struct Drive<'a, 'p> {
+    /// Every shard of the fleet. A worker holds its shard's lock for
+    /// the length of a leg; the coordinator takes all of them at the
+    /// barrier, when every worker is parked.
+    slots: Vec<Mutex<&'a mut Shard<'p>>>,
+    /// Per shard, cancellations posted while a leg is out.
+    inboxes: Vec<Mutex<Vec<u64>>>,
+    /// Supersteps per [`BatchServer::run_for`] call.
+    quantum: u64,
+    /// Whether a leg is a single quantum (PC-affinity) or runs until
+    /// the shard cannot (default scheduling).
+    one_quantum_legs: bool,
+    fault: FaultPlan,
+}
+
+impl<'p> Drive<'_, 'p> {
+    /// Broadcast cancellations to every shard's inbox: the coordinator
+    /// cannot look into a shard that is out on a leg, and
+    /// [`BatchServer::cancel`] ignores ids it does not hold.
+    fn post(&self, ids: Vec<u64>) {
+        if ids.is_empty() {
+            return;
+        }
+        for inbox in &self.inboxes {
+            lock(inbox).extend_from_slice(&ids);
+        }
+    }
+
+    /// Apply the cancellations posted for shard `i`.
+    fn drain(&self, i: usize, server: &mut BatchServer<'p>) {
+        let ids = std::mem::take(&mut *lock(&self.inboxes[i]));
+        for id in ids {
+            server.cancel(id);
+        }
+    }
+
+    /// Run one leg on shard `i`, rolling worker-level chaos against
+    /// `fault_round` if the leg draws any. Cancellations are drained
+    /// before every quantum; the coordinator passes its `poll` hook so
+    /// that driving a shard of its own does not stop it listening.
+    fn leg(
+        &self,
+        i: usize,
+        fault_round: Option<u64>,
+        mut poll: Option<&mut dyn FnMut() -> Vec<u64>>,
+    ) -> LegOutcome {
+        let mut slot = lock(&self.slots[i]);
+        let shard: &mut Shard<'p> = &mut slot;
+        // One fleet-unique counter per (round, shard): the chaos
+        // schedule for worker-level faults.
+        let counter = fault_round.map(|round| round * self.slots.len() as u64 + i as u64);
+        if let Some(c) = counter.filter(|&c| self.fault.fires(FaultPoint::WorkerSlow, c)) {
+            std::thread::sleep(Duration::from_micros(self.fault.delay_micros(c)));
+        }
+        let mut panic_at = counter.filter(|&c| self.fault.fires(FaultPoint::WorkerPanic, c));
+        let mut steps = 0u64;
+        loop {
+            self.drain(i, &mut shard.server);
+            let ran = catch_unwind(AssertUnwindSafe(|| {
+                if let Some(c) = panic_at.take() {
+                    panic!(
+                        "injected fault at {} (counter {c})",
+                        FaultPoint::WorkerPanic.name()
+                    );
+                }
+                shard.server.run_for(self.quantum, Some(&mut shard.trace))
+            }))
+            .unwrap_or_else(|payload| {
+                // The machine may be mid-superstep: poison the shard so
+                // nothing drives it again before a respawn.
+                let e = ServeError::Panicked {
+                    what: panic_message(payload),
+                };
+                shard.server.poison(e.clone());
+                Err(e)
+            })?;
+            steps += ran;
+            if self.one_quantum_legs || ran < self.quantum {
+                return Ok(steps);
+            }
+            if let Some(poll) = poll.as_mut() {
+                self.post(poll());
+            }
+        }
+    }
+
+    /// A worker thread's life: park until the coordinator releases a
+    /// leg (naming its chaos round), run it on shard `i`, report, and
+    /// repeat until the coordinator hangs up.
+    fn work(&self, i: usize, legs: &Receiver<Option<u64>>, reports: &Sender<(usize, LegOutcome)>) {
+        for fault_round in legs {
+            let mut report = Report {
+                to: reports,
+                shard: i,
+                outcome: None,
+            };
+            report.outcome = Some(self.leg(i, fault_round, None));
+        }
+    }
+}
+
+/// Sends a worker's leg outcome when dropped — so a worker that unwinds
+/// past its own containment still reports (as panicked), and the
+/// coordinator never waits on a thread that will not answer.
+struct Report<'r> {
+    to: &'r Sender<(usize, LegOutcome)>,
+    shard: usize,
+    outcome: Option<LegOutcome>,
+}
+
+impl Drop for Report<'_> {
+    fn drop(&mut self) {
+        let outcome = self.outcome.take().unwrap_or_else(|| {
+            Err(ServeError::Panicked {
+                what: "shard worker died mid-leg".into(),
+            })
+        });
+        // The coordinator holds the receiver for as long as any leg is
+        // out; a failed send means nobody is waiting.
+        let _ = self.to.send((self.shard, outcome));
     }
 }
 
@@ -1610,6 +1777,326 @@ mod tests {
             Backend::hybrid_cpu(),
         );
         assert!(matches!(err, Err(ServeError::BadPolicy(_))));
+    }
+
+    /// Silence the default panic hook for injected worker panics only:
+    /// libtest cannot capture panic output from the drive's worker
+    /// threads. Real panics (assertion failures included) still print.
+    fn silence_injected_panics() {
+        static ONCE: std::sync::Once = std::sync::Once::new();
+        ONCE.call_once(|| {
+            let prev = std::panic::take_hook();
+            std::panic::set_hook(Box::new(move |info| {
+                let msg = info
+                    .payload()
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| info.payload().downcast_ref::<&str>().copied())
+                    .unwrap_or("");
+                if !msg.starts_with("injected fault") {
+                    prev(info);
+                }
+            }));
+        });
+    }
+
+    /// Run `body` on a thread of its own and fail if it has not
+    /// returned within `limit`: how a test says "this drive must not
+    /// hang" without hanging itself.
+    fn within<T: Send + 'static>(limit: Duration, body: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(body());
+        });
+        rx.recv_timeout(limit)
+            .expect("the drive must return within the wall-clock limit")
+    }
+
+    fn affinity(quantum: u64) -> SchedulingPolicy {
+        SchedulingPolicy::PcAffinity(AffinityConfig {
+            quantum,
+            ..AffinityConfig::default()
+        })
+    }
+
+    fn threads_spawned_by(drive: impl FnOnce()) -> usize {
+        let before = THREADS_SPAWNED.with(std::cell::Cell::get);
+        drive();
+        THREADS_SPAWNED.with(std::cell::Cell::get) - before
+    }
+
+    #[test]
+    fn a_drive_starts_its_threads_once_and_an_idle_drive_starts_none() {
+        let (pc, _) = lower(&fibonacci_program(), LoweringOptions::default()).unwrap();
+        let policy = AdmissionPolicy::JoinAtEntry {
+            max_batch: 2,
+            min_utilization: 1.0,
+        };
+        for scheduling in [SchedulingPolicy::LeastLoaded, affinity(12)] {
+            let mut server = sharded(policy, 2, ExecOptions::default(), &pc);
+            server.set_scheduling(scheduling);
+            for id in 0..6u64 {
+                server.submit(fib_request(id, 17)).unwrap();
+            }
+            let spawned = threads_spawned_by(|| {
+                assert_eq!(server.run_until_idle().unwrap().len(), 6);
+            });
+            for i in 0..2 {
+                assert!(
+                    server.shard_trace(i).supersteps() >= 100 * CANCEL_QUANTUM,
+                    "each shard must have run at least 100 quanta"
+                );
+            }
+            assert_eq!(
+                spawned, 1,
+                "{scheduling:?}: the caller runs one of two busy shards itself"
+            );
+            // Nothing to do: nothing started.
+            assert_eq!(threads_spawned_by(|| drop(server.run_until_idle())), 0);
+        }
+        // One busy shard of four runs inline, and so does any 1-worker
+        // fleet.
+        let mut server = sharded(policy, 4, ExecOptions::default(), &pc);
+        server.submit(fib_request(0, 12)).unwrap();
+        assert_eq!(threads_spawned_by(|| drop(server.run_until_idle())), 0);
+        let mut server = sharded(policy, 1, ExecOptions::default(), &pc);
+        for id in 0..4u64 {
+            server.submit(fib_request(id, 12)).unwrap();
+        }
+        assert_eq!(threads_spawned_by(|| drop(server.run_until_idle())), 0);
+        // Under affinity work moves, so one busy shard enlists the
+        // fleet: four shards, three threads.
+        let mut server = sharded(policy, 4, ExecOptions::default(), &pc);
+        server.set_scheduling(affinity(12));
+        server.submit(fib_request(0, 12)).unwrap();
+        assert_eq!(threads_spawned_by(|| drop(server.run_until_idle())), 3);
+    }
+
+    #[test]
+    fn every_worker_panicking_at_once_cannot_hang_the_drive() {
+        use autobatch_chaos::FaultPlan;
+        silence_injected_panics();
+        for scheduling in [SchedulingPolicy::LeastLoaded, affinity(12)] {
+            let (poisoned, err) = within(Duration::from_secs(30), move || {
+                let (pc, _) = lower(&fibonacci_program(), LoweringOptions::default()).unwrap();
+                let opts = ExecOptions {
+                    fault: FaultPlan {
+                        seed: 5,
+                        worker_panic: FaultPlan::ALWAYS,
+                        ..FaultPlan::none()
+                    },
+                    ..ExecOptions::default()
+                };
+                let policy = AdmissionPolicy::JoinAtEntry {
+                    max_batch: 2,
+                    min_utilization: 1.0,
+                };
+                let mut server = sharded(policy, 4, opts, &pc);
+                server.set_scheduling(scheduling);
+                for (id, &n) in NS.iter().enumerate() {
+                    server.submit(fib_request(id as u64, n)).unwrap();
+                }
+                let err = server.run_until_idle().unwrap_err();
+                (server.poisoned_shards(), err)
+            });
+            // The caller's own shard and all three workers die in the
+            // same leg; each is reported and the drive ends.
+            assert!(matches!(err, ServeError::Panicked { .. }), "{err:?}");
+            assert_eq!(poisoned, vec![0, 1, 2, 3]);
+        }
+    }
+
+    #[test]
+    fn a_worker_that_dies_outside_its_containment_is_still_reported() {
+        silence_injected_panics();
+        // The drop guard is the only way a leg is ever reported, so a
+        // worker unwinding from anywhere reports too — as panicked.
+        let (tx, rx) = channel();
+        let worker = std::thread::spawn(move || {
+            let _report = Report {
+                to: &tx,
+                shard: 3,
+                outcome: None,
+            };
+            panic!("injected fault: a worker dying mid-leg");
+        });
+        assert!(worker.join().is_err());
+        assert!(matches!(
+            rx.try_recv(),
+            Ok((3, Err(ServeError::Panicked { .. })))
+        ));
+    }
+
+    #[test]
+    fn one_panicking_worker_poisons_only_its_shard() {
+        use autobatch_chaos::FaultPlan;
+        silence_injected_panics();
+        let (pc, _) = lower(&fibonacci_program(), LoweringOptions::default()).unwrap();
+        let policy = AdmissionPolicy::JoinAtEntry {
+            max_batch: 2,
+            min_utilization: 1.0,
+        };
+        // The fault-free answers, by id.
+        let mut clean = sharded(policy, 4, ExecOptions::default(), &pc);
+        for (id, &n) in NS.iter().enumerate() {
+            clean.submit(fib_request(id as u64, n)).unwrap();
+        }
+        let want = clean.run_until_idle().unwrap();
+        // A quantum no shard outlasts makes an affinity drive a single
+        // round, so a plan can be picked that fires on exactly one
+        // (round, shard) counter of the drive: shard 2's first.
+        const VICTIM: u64 = 2;
+        const ROUNDS: u64 = 2;
+        let plan = (0u64..)
+            .map(|seed| FaultPlan {
+                seed,
+                worker_panic: FaultPlan::ALWAYS / 2,
+                ..FaultPlan::none()
+            })
+            .find(|plan| {
+                (0..ROUNDS * 4).all(|c| plan.fires(FaultPoint::WorkerPanic, c) == (c == VICTIM))
+            })
+            .unwrap();
+        for scheduling in [SchedulingPolicy::LeastLoaded, affinity(1_000_000)] {
+            let opts = ExecOptions {
+                fault: plan,
+                ..ExecOptions::default()
+            };
+            let mut server = sharded(policy, 4, opts, &pc);
+            server.set_scheduling(scheduling);
+            for (id, &n) in NS.iter().enumerate() {
+                server.submit(fib_request(id as u64, n)).unwrap();
+            }
+            let err = server.run_until_idle().unwrap_err();
+            assert!(matches!(err, ServeError::Panicked { .. }), "{err:?}");
+            assert_eq!(server.poisoned_shards(), vec![VICTIM as usize]);
+            assert!(server.fault_round <= ROUNDS, "the plan covers the drive");
+            // The victim died before it ran anything: its requests are
+            // still queued, and every request routed elsewhere is
+            // answered, bit-identical to the fault-free run.
+            let stranded = server.shards[VICTIM as usize].server.pending();
+            assert!(stranded > 0, "the victim must have held work");
+            let got = server.take_ready();
+            assert_eq!(got.len() + stranded, NS.len());
+            for g in &got {
+                let w = want.iter().find(|w| w.id == g.id).unwrap();
+                assert_eq!(g.outputs, w.outputs, "request {} drifted", g.id);
+            }
+        }
+    }
+
+    /// A request that never terminates (every lane whose seed the plan
+    /// picks is rewound to entry at its exit) beside one that does.
+    fn runaway_plan() -> (autobatch_chaos::FaultPlan, u64, u64) {
+        use autobatch_chaos::FaultPlan;
+        let plan = FaultPlan {
+            seed: 3,
+            runaway: FaultPlan::ALWAYS / 2,
+            ..FaultPlan::none()
+        };
+        let doomed = (0u64..)
+            .find(|&s| plan.fires(FaultPoint::Runaway, s))
+            .unwrap();
+        let clean = (0u64..)
+            .find(|&s| !plan.fires(FaultPoint::Runaway, s))
+            .unwrap();
+        (plan, doomed, clean)
+    }
+
+    #[test]
+    fn a_mid_drive_cancel_lands_within_one_quantum() {
+        // Inline (the caller runs the only busy shard), so the count is
+        // exact: the hook is called before the leg and after each
+        // quantum, and an id it returns is evicted before the next
+        // superstep runs.
+        let (plan, doomed, _) = runaway_plan();
+        let opts = ExecOptions {
+            fault: plan,
+            ..ExecOptions::default()
+        };
+        let (pc, _) = lower(&fibonacci_program(), LoweringOptions::default()).unwrap();
+        let policy = AdmissionPolicy::JoinAtEntry {
+            max_batch: 2,
+            min_utilization: 1.0,
+        };
+        let mut server = sharded(policy, 1, opts, &pc);
+        server
+            .submit(Request {
+                id: 7,
+                inputs: vec![Tensor::from_i64(&[9], &[1]).unwrap()],
+                seed: doomed,
+            })
+            .unwrap();
+        let mut calls = 0u64;
+        let done = server
+            .run_until_idle_with(&mut || {
+                calls += 1;
+                if calls == 4 {
+                    vec![7]
+                } else {
+                    Vec::new()
+                }
+            })
+            .unwrap();
+        assert!(done.is_empty());
+        assert_eq!(server.take_failed(), vec![(7, ServeError::Cancelled)]);
+        // Posted after the third quantum; not one superstep more.
+        let ran = server.shard_trace(0).supersteps();
+        assert!(
+            (3 * CANCEL_QUANTUM..4 * CANCEL_QUANTUM).contains(&ran),
+            "evicted after {ran} supersteps"
+        );
+    }
+
+    #[test]
+    fn a_cancel_reaches_a_worker_while_the_caller_only_waits() {
+        // Shard 0 (the caller's) finishes at once; shard 1 (a worker's)
+        // never would. The caller is parked waiting for the worker and
+        // wakes every `COORDINATOR_WAKE` to ask the hook; the id goes
+        // to the worker's inbox, and only its eviction ends the drive.
+        let (plan, doomed, clean) = runaway_plan();
+        let (failed, done, latency) = within(Duration::from_secs(30), move || {
+            let opts = ExecOptions {
+                fault: plan,
+                ..ExecOptions::default()
+            };
+            let (pc, _) = lower(&fibonacci_program(), LoweringOptions::default()).unwrap();
+            let policy = AdmissionPolicy::JoinAtEntry {
+                max_batch: 2,
+                min_utilization: 1.0,
+            };
+            let mut server = sharded(policy, 2, opts, &pc);
+            for (id, seed) in [(0u64, clean), (1, doomed)] {
+                server
+                    .submit(Request {
+                        id,
+                        inputs: vec![Tensor::from_i64(&[6], &[1]).unwrap()],
+                        seed,
+                    })
+                    .unwrap();
+            }
+            assert_eq!(server.shard_load(1), 1, "the runaway is the worker's");
+            let mut calls = 0u64;
+            let mut posted = None;
+            let done = server
+                .run_until_idle_with(&mut || {
+                    calls += 1;
+                    if calls == 6 {
+                        posted = Some(std::time::Instant::now());
+                        vec![1]
+                    } else {
+                        Vec::new()
+                    }
+                })
+                .unwrap();
+            let latency = posted.expect("the hook was asked six times").elapsed();
+            (server.take_failed(), done, latency)
+        });
+        assert_eq!(done.len(), 1, "the clean request completed");
+        assert_eq!(failed, vec![(1, ServeError::Cancelled)]);
+        // One quantum of this program is tens of microseconds and the
+        // report wakes the caller at once; a second is a loaded CI box.
+        assert!(latency < Duration::from_secs(1), "took {latency:?}");
     }
 
     #[test]

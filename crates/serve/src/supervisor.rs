@@ -473,30 +473,25 @@ impl<'p> Supervisor<'p> {
     /// that fires on every round terminates with typed
     /// [`Outcome::Failed`] answers — and a healthy fleet.
     pub fn run_until_quiescent(&mut self) -> Vec<Outcome> {
-        self.drive(None)
+        self.run_until_quiescent_with(&mut Vec::new)
     }
 
     /// As [`Supervisor::run_until_quiescent`], with a cooperative
     /// cancellation hook: `poll` is drained between supervision rounds
-    /// *and* between fleet scheduling rounds (see
-    /// [`ShardedServer::run_until_idle_with`]), and every id it returns
-    /// is [cancelled](Supervisor::cancel) — the plumbing an ingress
-    /// front end uses to map client disconnects onto lane evictions
-    /// while a flush is still running.
+    /// *and* throughout each fleet drive (see
+    /// [`ShardedServer::run_until_idle_with`] for the latency
+    /// contract), and every id it returns is
+    /// [cancelled](Supervisor::cancel) — the plumbing an ingress front
+    /// end uses to map client disconnects onto lane evictions while a
+    /// flush is still running.
     pub fn run_until_quiescent_with(&mut self, poll: &mut dyn FnMut() -> Vec<u64>) -> Vec<Outcome> {
-        self.drive(Some(poll))
-    }
-
-    fn drive(&mut self, mut poll: Option<&mut dyn FnMut() -> Vec<u64>>) -> Vec<Outcome> {
         let mut outcomes = Vec::new();
         loop {
-            if let Some(p) = poll.as_mut() {
-                // Supervisor-level drain: catches ids the fleet cannot
-                // see (parked retries). Queued/in-flight ids forward to
-                // the shards like any cancel.
-                for id in p() {
-                    self.cancel(id);
-                }
+            // Supervisor-level drain: catches ids the fleet cannot see
+            // (parked retries). Queued/in-flight ids forward to the
+            // shards like any cancel.
+            for id in poll() {
+                self.cancel(id);
             }
             self.triage();
             self.heal();
@@ -548,11 +543,7 @@ impl<'p> Supervisor<'p> {
                 return outcomes;
             }
             self.round += 1;
-            let run = match poll.as_mut() {
-                Some(p) => self.inner.run_until_idle_with(*p),
-                None => self.inner.run_until_idle(),
-            };
-            let completed = match run {
+            let completed = match self.inner.run_until_idle_with(poll) {
                 Ok(responses) => responses,
                 // The error is recorded per shard; triage/heal at the
                 // top of the next iteration act on it. Completed work
