@@ -12,10 +12,14 @@ use std::fmt;
 use crate::backend::Backend;
 
 /// One kernel launch reported by a runtime.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LaunchRecord {
-    /// Kernel tag, e.g. `"add"`, `"grad"`, `"block:7"`, `"stack_push"`.
-    pub kernel: String,
+///
+/// The tag is borrowed: runtimes report launches from their hot loop,
+/// with tags they built once, and a [`Trace`] copies a tag only the
+/// first time it sees it (and per event under [`Trace::recording`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LaunchRecord<'a> {
+    /// Kernel tag, e.g. `"add"`, `"grad"`, `"block:7"`, `"stack"`.
+    pub kernel: &'a str,
     /// Total useful floating-point work in the launch (all lanes).
     pub flops: f64,
     /// Sequential memory traffic in bytes.
@@ -31,11 +35,11 @@ pub struct LaunchRecord {
     pub total_members: usize,
 }
 
-impl LaunchRecord {
+impl<'a> LaunchRecord<'a> {
     /// Convenience constructor for a compute-only launch.
-    pub fn compute(kernel: impl Into<String>, flops: f64, parallel: usize) -> LaunchRecord {
+    pub fn compute(kernel: &'a str, flops: f64, parallel: usize) -> LaunchRecord<'a> {
         LaunchRecord {
-            kernel: kernel.into(),
+            kernel,
             flops,
             bytes: 0.0,
             random_bytes: 0.0,
@@ -73,11 +77,49 @@ impl KernelStats {
     }
 }
 
+/// The owned copy of a [`LaunchRecord`] a recording trace keeps.
+#[derive(Debug, Clone)]
+struct Recorded {
+    kernel: String,
+    flops: f64,
+    bytes: f64,
+    random_bytes: f64,
+    parallel: usize,
+    active_members: usize,
+    total_members: usize,
+}
+
+impl Recorded {
+    fn of(rec: &LaunchRecord<'_>) -> Recorded {
+        Recorded {
+            kernel: rec.kernel.to_owned(),
+            flops: rec.flops,
+            bytes: rec.bytes,
+            random_bytes: rec.random_bytes,
+            parallel: rec.parallel,
+            active_members: rec.active_members,
+            total_members: rec.total_members,
+        }
+    }
+
+    fn record(&self) -> LaunchRecord<'_> {
+        LaunchRecord {
+            kernel: &self.kernel,
+            flops: self.flops,
+            bytes: self.bytes,
+            random_bytes: self.random_bytes,
+            parallel: self.parallel,
+            active_members: self.active_members,
+            total_members: self.total_members,
+        }
+    }
+}
+
 /// One recorded event, for post-hoc re-pricing.
 #[derive(Debug, Clone)]
 enum Event {
-    Launch(LaunchRecord),
-    Logical(LaunchRecord),
+    Launch(Recorded),
+    Logical(Recorded),
     Superstep,
     /// Batch membership change: `joined` members admitted / `left`
     /// members retired, leaving `total_after` live members.
@@ -168,9 +210,9 @@ impl Trace {
         for e in events {
             match e {
                 Event::Launch(r) => {
-                    out.launch(r);
+                    out.launch(&r.record());
                 }
-                Event::Logical(r) => out.record_logical(r),
+                Event::Logical(r) => out.record_logical(&r.record()),
                 Event::Superstep => out.superstep(),
                 Event::Membership {
                     joined,
@@ -197,7 +239,7 @@ impl Trace {
 
     /// Price one kernel launch and accumulate it. Returns the launch's
     /// simulated duration in seconds.
-    pub fn launch(&mut self, rec: &LaunchRecord) -> f64 {
+    pub fn launch(&mut self, rec: &LaunchRecord<'_>) -> f64 {
         let b = &self.backend;
         let compute = if b.scalar_compute {
             b.device.scalar_time(rec.flops)
@@ -209,16 +251,11 @@ impl Trace {
         // Compute and memory overlap on real hardware; dispatch does not.
         let t = b.launch_overhead + compute.max(mem);
         if let Some(ev) = self.events.as_mut() {
-            ev.push(Event::Launch(rec.clone()));
+            ev.push(Event::Launch(Recorded::of(rec)));
         }
         self.sim_time += t;
         self.launches += 1;
-        let s = self.per_kernel.entry(rec.kernel.clone()).or_default();
-        s.launches += 1;
-        s.flops += rec.flops;
-        s.time += t;
-        s.active_members += rec.active_members as u64;
-        s.total_members += rec.total_members as u64;
+        accumulate(&mut self.per_kernel, rec, t);
         t
     }
 
@@ -228,15 +265,11 @@ impl Trace {
     /// so utilization questions ("what fraction of gradient lanes were
     /// useful?", the paper's Figure 6) can be answered even when the
     /// timed launches are whole fused blocks.
-    pub fn record_logical(&mut self, rec: &LaunchRecord) {
+    pub fn record_logical(&mut self, rec: &LaunchRecord<'_>) {
         if let Some(ev) = self.events.as_mut() {
-            ev.push(Event::Logical(rec.clone()));
+            ev.push(Event::Logical(Recorded::of(rec)));
         }
-        let s = self.logical.entry(rec.kernel.clone()).or_default();
-        s.launches += 1;
-        s.flops += rec.flops;
-        s.active_members += rec.active_members as u64;
-        s.total_members += rec.total_members as u64;
+        accumulate(&mut self.logical, rec, 0.0);
     }
 
     /// Record a batch-membership change: `joined` members admitted and
@@ -464,6 +497,23 @@ impl Trace {
     }
 }
 
+/// Add one record, `time` seconds long, to its tag's row. Launches
+/// arrive by the million under a few dozen tags, so the hit path is one
+/// lookup and no allocation; a tag is copied the first time it is seen.
+fn accumulate(table: &mut BTreeMap<String, KernelStats>, rec: &LaunchRecord<'_>, time: f64) {
+    let add = |s: &mut KernelStats| {
+        s.launches += 1;
+        s.flops += rec.flops;
+        s.time += time;
+        s.active_members += rec.active_members as u64;
+        s.total_members += rec.total_members as u64;
+    };
+    match table.get_mut(rec.kernel) {
+        Some(s) => add(s),
+        None => add(table.entry(rec.kernel.to_owned()).or_default()),
+    }
+}
+
 impl fmt::Display for Trace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -507,7 +557,7 @@ mod tests {
     fn utilization_tracks_active_lanes() {
         let mut tr = Trace::new(Backend::xla_cpu());
         tr.launch(&LaunchRecord {
-            kernel: "grad".into(),
+            kernel: "grad",
             flops: 100.0,
             bytes: 0.0,
             random_bytes: 0.0,
@@ -516,7 +566,7 @@ mod tests {
             total_members: 4,
         });
         tr.launch(&LaunchRecord {
-            kernel: "grad".into(),
+            kernel: "grad",
             flops: 100.0,
             bytes: 0.0,
             random_bytes: 0.0,
@@ -533,7 +583,7 @@ mod tests {
     fn logical_records_cost_no_time_but_count_utilization() {
         let mut tr = Trace::new(Backend::xla_cpu());
         tr.record_logical(&LaunchRecord {
-            kernel: "grad".into(),
+            kernel: "grad",
             flops: 100.0,
             bytes: 0.0,
             random_bytes: 0.0,
@@ -577,7 +627,7 @@ mod tests {
         let mut tr = Trace::new(Backend::xla_cpu());
         let bw = tr.backend().device.mem_bw;
         let t = tr.launch(&LaunchRecord {
-            kernel: "copy".into(),
+            kernel: "copy",
             flops: 1.0,
             bytes: bw, // exactly one second of traffic
             random_bytes: 0.0,
@@ -650,7 +700,7 @@ mod tests {
         let mut b = Trace::new(Backend::hybrid_cpu());
         a.superstep();
         a.launch(&LaunchRecord {
-            kernel: "grad".into(),
+            kernel: "grad",
             flops: 100.0,
             bytes: 0.0,
             random_bytes: 0.0,
@@ -663,7 +713,7 @@ mod tests {
             b.superstep();
         }
         b.launch(&LaunchRecord {
-            kernel: "grad".into(),
+            kernel: "grad",
             flops: 100.0,
             bytes: 0.0,
             random_bytes: 0.0,

@@ -41,14 +41,15 @@
 
 use std::collections::BTreeMap;
 
-use autobatch_accel::{LaunchRecord, Trace};
+use autobatch_accel::Trace;
 use autobatch_ir::lsab::{Op, Program, Terminator};
 use autobatch_ir::{Prim, Var};
 use autobatch_tensor::{CounterRng, Tensor};
 
 use crate::error::{Result, VmError};
-use crate::kernels::{eval_prim, prim_cost, KernelRegistry};
+use crate::kernels::{eval_prim, KernelRegistry};
 use crate::options::{DynSchedule, ExecOptions};
+use crate::pricing::Pricing;
 
 /// Host-side scheduler cost per agenda entry per round, seconds.
 ///
@@ -422,20 +423,7 @@ impl<'p> DynamicVm<'p> {
         let ids: Vec<u64> = members.iter().map(|&ti| threads[ti].member).collect();
         let results = eval_prim(&prim, &stacked, &ids, rng, &self.registry)?;
 
-        if let Some(t) = trace {
-            let cost = prim_cost(&prim, &stacked, &results, &self.registry);
-            let rec = LaunchRecord {
-                kernel: prim.kernel_tag(),
-                flops: cost.flops,
-                bytes: cost.bytes,
-                random_bytes: 0.0,
-                parallel: cost.parallel,
-                active_members: members.len(),
-                total_members: members.len(),
-            };
-            t.launch(&rec);
-            t.record_logical(&rec);
-        }
+        Pricing::per_op(trace, members.len()).op(&prim, &stacked, &results, &self.registry, false);
 
         // Scatter row r of each result to group member r.
         for (r, &ti) in members.iter().enumerate() {
@@ -447,7 +435,7 @@ impl<'p> DynamicVm<'p> {
             }
             frame.op += 1;
         }
-        Ok(prim.kernel_tag())
+        Ok(prim.kernel_tag().to_string())
     }
 }
 

@@ -315,7 +315,7 @@ fn finalize(
             })
             .collect()
     });
-    let tags: Vec<String> = specs.iter().map(|(prim, ..)| prim.kernel_tag()).collect();
+    let tags: Vec<&str> = specs.iter().map(|(prim, ..)| prim.kernel_tag()).collect();
     FusedRegion {
         start,
         len: end - start,

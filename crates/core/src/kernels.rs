@@ -1,7 +1,6 @@
-//! Batched evaluation of [`Prim`]s, the external-kernel registry, and
-//! per-op cost accounting for the simulated accelerator.
+//! Batched evaluation of [`Prim`]s and the external-kernel registry.
 //!
-//! Both virtual machines funnel every primitive through [`eval_prim`]:
+//! All virtual machines funnel every primitive through [`eval_prim`]:
 //! inputs arrive as tensors whose axis 0 is the batch of *rows being
 //! processed* (the whole batch under masking, the active subset under
 //! gather/scatter), accompanied by the original member id of each row so
@@ -246,61 +245,10 @@ pub fn eval_prim(
     }
 }
 
-/// Flops and streaming bytes of one primitive evaluation, for pricing.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct OpCost {
-    /// Floating-point work.
-    pub flops: f64,
-    /// Sequential memory traffic (inputs read + outputs written).
-    pub bytes: f64,
-    /// Independent elements available for parallel execution.
-    pub parallel: usize,
-}
-
-/// Compute the cost of a primitive applied to `inputs` producing `outputs`.
-pub fn prim_cost(
-    prim: &Prim,
-    inputs: &[Tensor],
-    outputs: &[Tensor],
-    registry: &KernelRegistry,
-) -> OpCost {
-    let in_elems: usize = inputs.iter().map(Tensor::len).max().unwrap_or(0);
-    let out_elems: usize = outputs.iter().map(Tensor::len).max().unwrap_or(0);
-    let work_elems = in_elems.max(out_elems);
-    let bytes: f64 = inputs
-        .iter()
-        .chain(outputs)
-        .map(|t| t.size_bytes() as f64)
-        .sum();
-    let (flops, parallel) = match prim {
-        Prim::External(name) => {
-            let rows = outputs.first().or(inputs.first()).map_or(0, |t| {
-                if t.rank() == 0 {
-                    1
-                } else {
-                    t.shape()[0]
-                }
-            });
-            match registry.get(name) {
-                Ok(k) => (
-                    k.flops_per_member(inputs) * rows as f64,
-                    k.parallel_per_member(inputs) * rows,
-                ),
-                Err(_) => (0.0, work_elems),
-            }
-        }
-        p => (p.flops_per_element() * work_elems as f64, work_elems),
-    };
-    OpCost {
-        flops,
-        bytes,
-        parallel,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pricing::prim_cost;
     use autobatch_tensor::DType;
 
     fn env() -> (CounterRng, KernelRegistry) {

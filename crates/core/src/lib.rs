@@ -25,12 +25,16 @@
 //!
 //! # Performance architecture
 //!
-//! The program-counter interpreter's superstep loop is allocation-free
-//! in the steady state: each machine owns a scratch arena (active
-//! mask, active-index list, member keys, pop depths, block-local
-//! temporaries) that is cleared per superstep, never reallocated, and
-//! tensors are copy-on-write so state reads and observer snapshots
-//! share buffers instead of deep-copying. On top of that, each basic
+//! The program-counter interpreter's superstep loop keeps its
+//! bookkeeping allocation-free in the steady state: each machine owns
+//! a scratch arena (active mask, active-index list, member keys, pop
+//! depths, block-local temporaries) that is cleared per superstep,
+//! never reallocated, and tensors are copy-on-write so state reads and
+//! observer snapshots share buffers instead of deep-copying (primitive
+//! results are still fresh tensors). The VMs only execute; what a
+//! superstep costs on a simulated accelerator is decided in one place,
+//! the `pricing` module, which does nothing at all on an untraced run.
+//! On top of that, each basic
 //! block is planned once into **fused elementwise regions** —
 //! straight-line runs of elementwise primitives executed as a single
 //! loop with per-element virtual registers and priced as a single
@@ -52,12 +56,14 @@ mod lowering;
 mod lsab_vm;
 mod options;
 mod pc_vm;
+mod pricing;
 
 pub use api::{vmap, Autobatcher, BatchedFn};
 pub use dynamic_vm::{DynObservation, DynObserver, DynamicVm};
 pub use error::{Result, VmError};
-pub use kernels::{eval_prim, prim_cost, ExternalKernel, KernelRegistry, OpCost};
+pub use kernels::{eval_prim, ExternalKernel, KernelRegistry};
 pub use lowering::{lower, LoweringStats};
 pub use lsab_vm::{LocalStaticVm, LsabObservation, LsabObserver};
 pub use options::{BlockHeuristic, DynSchedule, ExecOptions, ExecStrategy, LoweringOptions};
 pub use pc_vm::{LaneState, PcMachine, PcObservation, PcObserver, PcVm, Retired, StackSnapshot};
+pub use pricing::{prim_cost, OpCost};

@@ -12,14 +12,15 @@
 
 use std::collections::BTreeMap;
 
-use autobatch_accel::{LaunchRecord, Trace};
+use autobatch_accel::Trace;
 use autobatch_ir::lsab::{Op, Program, Terminator};
 use autobatch_ir::{FuncId, Var};
 use autobatch_tensor::{CounterRng, Tensor};
 
 use crate::error::{Result, VmError};
-use crate::kernels::{eval_prim, prim_cost, KernelRegistry, OpCost};
+use crate::kernels::{eval_prim, KernelRegistry};
 use crate::options::{BlockHeuristic, ExecOptions, ExecStrategy};
+use crate::pricing::Pricing;
 
 /// A snapshot handed to an observer after every superstep, carrying the
 /// information displayed in the paper's Figure 1.
@@ -62,10 +63,12 @@ pub struct LocalStaticVm<'p> {
     program: &'p Program,
     registry: KernelRegistry,
     opts: ExecOptions,
+    /// Kernel tag of each block's launches, `block:{fn}:{i}`, by
+    /// function and block.
+    block_tags: Vec<Vec<String>>,
 }
 
 struct Ctx<'a, 'o> {
-    registry: &'a KernelRegistry,
     rng: CounterRng,
     trace: Option<&'a mut Trace>,
     observer: Option<&'a mut LsabObserver<'o>>,
@@ -75,10 +78,20 @@ struct Ctx<'a, 'o> {
 impl<'p> LocalStaticVm<'p> {
     /// Create a VM for `program` with the given kernels and options.
     pub fn new(program: &'p Program, registry: KernelRegistry, opts: ExecOptions) -> Self {
+        let block_tags = program
+            .funcs
+            .iter()
+            .map(|f| {
+                (0..f.blocks.len())
+                    .map(|i| format!("block:{}:{i}", f.name))
+                    .collect()
+            })
+            .collect();
         LocalStaticVm {
             program,
             registry,
             opts,
+            block_tags,
         }
     }
 
@@ -124,7 +137,6 @@ impl<'p> LocalStaticVm<'p> {
         }
         let z = batch_size(inputs)?;
         let mut ctx = Ctx {
-            registry: &self.registry,
             rng: CounterRng::new(self.opts.seed),
             trace,
             observer,
@@ -176,34 +188,25 @@ impl<'p> LocalStaticVm<'p> {
             local.extend((0..z).map(|b| active[b] && pc[b] == i));
             local_idx.clear();
             local_idx.extend((0..z).filter(|&b| local[b]));
-            if let Some(t) = ctx.trace.as_deref_mut() {
-                t.superstep();
-            }
-            let fused = ctx
-                .trace
-                .as_deref()
-                .map(|t| !matches!(t.backend().mode, autobatch_accel::DispatchMode::Eager))
-                .unwrap_or(false);
-            let mut block_cost = OpCost::default();
+            let tag = &self.block_tags[fid.0][i];
+            let mut pricing = Pricing::begin(ctx.trace.as_deref_mut(), z, local_idx.len());
             let block = &f.blocks[i];
             for op in &block.ops {
                 match op {
-                    Op::Prim { outs, prim, ins } => {
-                        let cost =
-                            self.exec_prim(ctx, &mut env, prim, outs, ins, &local, &local_idx, z)?;
-                        if fused {
-                            block_cost.flops += cost.flops;
-                            block_cost.bytes += cost.bytes;
-                            block_cost.parallel = block_cost.parallel.max(cost.parallel);
-                        }
-                    }
+                    Op::Prim { outs, prim, ins } => self.exec_prim(
+                        &ctx.rng,
+                        &mut pricing,
+                        &mut env,
+                        prim,
+                        outs,
+                        ins,
+                        &local,
+                        &local_idx,
+                    )?,
                     Op::Call { outs, callee, ins } => {
-                        // Flush the fused-block launch before handing
+                        // Close the segment's launch before handing
                         // control back to the host for the call.
-                        if fused && block_cost.parallel > 0 {
-                            flush_block_launch(ctx, f, i, &block_cost, &local_idx, z);
-                            block_cost = OpCost::default();
-                        }
+                        pricing.end_segment(tag);
                         let args: Vec<Tensor> = ins
                             .iter()
                             .map(|v| lookup(&env, v, &f.name))
@@ -212,12 +215,11 @@ impl<'p> LocalStaticVm<'p> {
                         for (o, r) in outs.iter().zip(rets) {
                             write_masked(&mut env, o, r, &local)?;
                         }
+                        pricing = Pricing::resume(ctx.trace.as_deref_mut(), z, local_idx.len());
                     }
                 }
             }
-            if fused && block_cost.parallel > 0 {
-                flush_block_launch(ctx, f, i, &block_cost, &local_idx, z);
-            }
+            pricing.end_segment(tag);
             // Terminator: update the locally active members' pcs.
             match &block.term {
                 Terminator::Jump(t) => {
@@ -251,121 +253,50 @@ impl<'p> LocalStaticVm<'p> {
         f.outputs.iter().map(|o| lookup(&env, o, &f.name)).collect()
     }
 
-    /// Execute one primitive under the configured strategy, recording
-    /// logical stats and (when unfused) a priced launch. Returns the op's
-    /// cost for fused accumulation.
+    /// Execute one primitive under the configured strategy.
     #[allow(clippy::too_many_arguments)]
     fn exec_prim(
         &self,
-        ctx: &mut Ctx<'_, '_>,
+        rng: &CounterRng,
+        pricing: &mut Pricing<'_>,
         env: &mut BTreeMap<Var, Tensor>,
         prim: &autobatch_ir::Prim,
         outs: &[Var],
         ins: &[Var],
         local: &[bool],
         local_idx: &[usize],
-        z: usize,
-    ) -> Result<OpCost> {
-        let n_active = local_idx.len();
-        let (results, cost, random_bytes) = match self.opts.strategy {
-            ExecStrategy::Masking => {
-                let inputs: Vec<Tensor> = ins
-                    .iter()
-                    .map(|v| lookup(env, v, "prim"))
-                    .collect::<Result<_>>()?;
-                let members: Vec<u64> = (0..z as u64).collect();
-                let results = eval_prim(prim, &inputs, &members, &ctx.rng, ctx.registry)?;
-                let cost = prim_cost(prim, &inputs, &results, ctx.registry);
-                (results, cost, 0.0)
-            }
-            ExecStrategy::GatherScatter => {
-                let inputs: Vec<Tensor> = ins
-                    .iter()
-                    .map(|v| {
-                        lookup(env, v, "prim").and_then(|t| {
-                            ensure_batched(&t, z)?
-                                .gather_rows(local_idx)
-                                .map_err(VmError::from)
-                        })
+    ) -> Result<()> {
+        let z = local.len();
+        let gather = self.opts.strategy == ExecStrategy::GatherScatter;
+        let (inputs, members): (Vec<Tensor>, Vec<u64>) = if gather {
+            let inputs = ins
+                .iter()
+                .map(|v| {
+                    lookup(env, v, "prim").and_then(|t| {
+                        ensure_batched(&t, z)?
+                            .gather_rows(local_idx)
+                            .map_err(VmError::from)
                     })
-                    .collect::<Result<_>>()?;
-                let members: Vec<u64> = local_idx.iter().map(|&b| b as u64).collect();
-                let results = eval_prim(prim, &inputs, &members, &ctx.rng, ctx.registry)?;
-                let cost = prim_cost(prim, &inputs, &results, ctx.registry);
-                let moved: f64 = inputs
-                    .iter()
-                    .chain(&results)
-                    .map(|t| t.size_bytes() as f64)
-                    .sum();
-                (results, cost, moved)
-            }
+                })
+                .collect::<Result<_>>()?;
+            (inputs, local_idx.iter().map(|&b| b as u64).collect())
+        } else {
+            let inputs = ins
+                .iter()
+                .map(|v| lookup(env, v, "prim"))
+                .collect::<Result<_>>()?;
+            (inputs, (0..z as u64).collect())
         };
-        // Fusion-independent logical record (drives utilization metrics).
-        if let Some(t) = ctx.trace.as_deref_mut() {
-            t.record_logical(&LaunchRecord {
-                kernel: prim.kernel_tag(),
-                flops: cost.flops,
-                bytes: cost.bytes,
-                random_bytes,
-                parallel: cost.parallel,
-                active_members: n_active,
-                total_members: if self.opts.strategy == ExecStrategy::Masking {
-                    z
-                } else {
-                    n_active
-                },
-            });
-            if matches!(t.backend().mode, autobatch_accel::DispatchMode::Eager) {
-                t.launch(&LaunchRecord {
-                    kernel: prim.kernel_tag(),
-                    flops: cost.flops,
-                    bytes: cost.bytes,
-                    random_bytes,
-                    parallel: cost.parallel,
-                    active_members: n_active,
-                    total_members: if self.opts.strategy == ExecStrategy::Masking {
-                        z
-                    } else {
-                        n_active
-                    },
-                });
+        let results = eval_prim(prim, &inputs, &members, rng, &self.registry)?;
+        pricing.op(prim, &inputs, &results, &self.registry, gather);
+        for (o, r) in outs.iter().zip(results) {
+            if gather {
+                write_scattered(env, o, r, local_idx, z)?;
+            } else {
+                write_masked(env, o, r, local)?;
             }
         }
-        // Write back.
-        match self.opts.strategy {
-            ExecStrategy::Masking => {
-                for (o, r) in outs.iter().zip(results) {
-                    write_masked(env, o, r, local)?;
-                }
-            }
-            ExecStrategy::GatherScatter => {
-                for (o, r) in outs.iter().zip(results) {
-                    write_scattered(env, o, r, local_idx, z)?;
-                }
-            }
-        }
-        Ok(cost)
-    }
-}
-
-fn flush_block_launch(
-    ctx: &mut Ctx<'_, '_>,
-    f: &autobatch_ir::lsab::Function,
-    block: usize,
-    cost: &OpCost,
-    local_idx: &[usize],
-    z: usize,
-) {
-    if let Some(t) = ctx.trace.as_deref_mut() {
-        t.launch(&LaunchRecord {
-            kernel: format!("block:{}:{block}", f.name),
-            flops: cost.flops,
-            bytes: cost.bytes,
-            random_bytes: 0.0,
-            parallel: cost.parallel,
-            active_members: local_idx.len(),
-            total_members: z,
-        });
+        Ok(())
     }
 }
 

@@ -12,15 +12,16 @@
 
 use std::collections::BTreeMap;
 
-use autobatch_accel::{DispatchMode, LaunchRecord, Trace};
+use autobatch_accel::Trace;
 use autobatch_ir::pcab::{Op, Program, Terminator, WriteKind};
 use autobatch_ir::{Prim, Var};
 use autobatch_tensor::{CounterRng, DType, Data, Tensor};
 
 use crate::error::{Result, VmError};
 use crate::fusion::{self, FusedRegion};
-use crate::kernels::{eval_prim, prim_cost, KernelRegistry, OpCost};
+use crate::kernels::{eval_prim, KernelRegistry};
 use crate::options::{BlockHeuristic, ExecOptions, ExecStrategy};
+use crate::pricing::Pricing;
 
 /// Storage for one stacked variable: frames below the cached top.
 #[derive(Debug, Clone)]
@@ -109,6 +110,8 @@ pub struct PcVm<'p> {
     slot_of: BTreeMap<Var, Slot>,
     /// Stacked variables in slot order (the program's sorted order).
     stacked_vars: Vec<Var>,
+    /// Kernel tag of each block's launch, `block:{i}`.
+    block_tags: Vec<String>,
 }
 
 /// Storage slot of a persistent variable: an index into the state's
@@ -233,6 +236,9 @@ impl<'p> PcVm<'p> {
             plans: fusion::plan_program(program),
             slot_of,
             stacked_vars,
+            block_tags: (0..program.blocks.len())
+                .map(|i| format!("block:{i}"))
+                .collect(),
         }
     }
 
@@ -294,7 +300,7 @@ impl<'p> PcVm<'p> {
                 &all,
                 &mut Temps::default(),
                 WriteKind::Update,
-                false,
+                &mut Pricing::off(),
             )?;
         }
 
@@ -307,7 +313,7 @@ impl<'p> PcVm<'p> {
                     limit: self.opts.max_supersteps,
                 });
             }
-            self.run_block(&mut st, i, &rng, &mut trace)?;
+            self.run_block(&mut st, i, &rng, trace.as_deref_mut())?;
             if let Some(obs) = observer.as_deref_mut() {
                 // Tensor clones here are O(1) copy-on-write shares; the
                 // machine pays a buffer copy only on its next write.
@@ -342,18 +348,17 @@ impl<'p> PcVm<'p> {
             .collect()
     }
 
-    /// Execute one superstep on block `i`: all ops, the terminator, and
-    /// (under fused dispatch) the single block launch. Returns the
-    /// number of active members; the active mask itself stays in the
-    /// state's scratch arena (`st.scratch.active`). Shared between the
-    /// one-shot [`PcVm::run`] loop and the incremental
-    /// [`PcMachine::step`].
+    /// Execute one superstep on block `i`: all ops and the terminator,
+    /// priced into `trace`. Returns the number of active members; the
+    /// active mask itself stays in the state's scratch arena
+    /// (`st.scratch.active`). Shared between the one-shot [`PcVm::run`]
+    /// loop and the incremental [`PcMachine::step`].
     fn run_block(
         &self,
         st: &mut State,
         i: usize,
         rng: &CounterRng,
-        trace: &mut Option<&mut Trace>,
+        trace: Option<&mut Trace>,
     ) -> Result<usize> {
         let p = self.program;
         let z = st.z;
@@ -367,25 +372,13 @@ impl<'p> PcVm<'p> {
             .active_idx
             .extend((0..z).filter(|&b| scratch.active[b]));
         let n_active = scratch.active_idx.len();
-        if let Some(t) = trace.as_deref_mut() {
-            t.superstep();
-        }
-        let fused = trace
-            .as_deref()
-            .map(|t| !matches!(t.backend().mode, DispatchMode::Eager))
-            .unwrap_or(false);
-        let functional = trace
-            .as_deref()
-            .map(|t| t.functional_stack_updates())
-            .unwrap_or(false);
+        let mut pricing = Pricing::begin(trace, z, n_active);
 
         if scratch.fused_off.len() != self.plans.len() {
             scratch.fused_off = self.plans.iter().map(|b| vec![false; b.len()]).collect();
         }
         let mut temps = std::mem::take(&mut scratch.temps);
         temps.clear();
-        let mut block_cost = OpCost::default();
-        let mut block_random_bytes = 0.0f64;
         let block = &p.blocks[i];
         let plan = &self.plans[i];
         let mut next_region = 0usize;
@@ -405,11 +398,7 @@ impl<'p> PcVm<'p> {
                             &mut temps,
                             region,
                             &mut scratch,
-                            trace,
-                            &mut block_random_bytes,
-                            &mut block_cost,
-                            fused,
-                            functional,
+                            &mut pricing,
                         )? {
                             op_idx += region.len;
                             continue;
@@ -419,40 +408,24 @@ impl<'p> PcVm<'p> {
                 }
             }
             match &block.ops[op_idx] {
-                Op::Compute { outs, prim, ins } => {
-                    let cost = self.exec_compute(
-                        st,
-                        &mut temps,
-                        prim,
-                        outs,
-                        ins,
-                        &scratch.active,
-                        &scratch.active_idx,
-                        &mut scratch.members,
-                        &mut scratch.inputs,
-                        rng,
-                        trace,
-                        &mut block_random_bytes,
-                        fused,
-                        functional,
-                    )?;
-                    block_cost.flops += cost.flops;
-                    block_cost.bytes += cost.bytes;
-                    block_cost.parallel = block_cost.parallel.max(cost.parallel);
-                }
-                Op::Pop { var } => {
-                    let (seq, rand) = self.pop_var(
-                        st,
-                        var,
-                        &scratch.active,
-                        &scratch.active_idx,
-                        &mut scratch.depths,
-                        trace,
-                        fused,
-                        functional,
-                    )?;
-                    block_random_bytes += seq + rand;
-                }
+                Op::Compute { outs, prim, ins } => self.exec_compute(
+                    st,
+                    &mut temps,
+                    prim,
+                    outs,
+                    ins,
+                    &mut scratch,
+                    rng,
+                    &mut pricing,
+                )?,
+                Op::Pop { var } => self.pop_var(
+                    st,
+                    var,
+                    &scratch.active,
+                    &scratch.active_idx,
+                    &mut scratch.depths,
+                    &mut pricing,
+                )?,
             }
             op_idx += 1;
         }
@@ -490,9 +463,7 @@ impl<'p> PcVm<'p> {
                     st.pc_stack[b].push(resume.0);
                     st.pc_top[b] = enter.0;
                 }
-                // pc stack traffic: one index per active member.
-                let (seq, rand) = pc_traffic(trace, self.opts.stack_depth, z, n_active, fused);
-                block_random_bytes += seq + rand;
+                pricing.pc_stack(self.opts.stack_depth);
             }
             Terminator::Return => {
                 for &b in active_idx {
@@ -505,23 +476,10 @@ impl<'p> PcVm<'p> {
                         }
                     }
                 }
-                let (seq, rand) = pc_traffic(trace, self.opts.stack_depth, z, n_active, fused);
-                block_random_bytes += seq + rand;
+                pricing.pc_stack(self.opts.stack_depth);
             }
         }
-        if fused {
-            if let Some(t) = trace.as_deref_mut() {
-                t.launch(&LaunchRecord {
-                    kernel: format!("block:{i}"),
-                    flops: block_cost.flops,
-                    bytes: block_cost.bytes,
-                    random_bytes: block_random_bytes,
-                    parallel: block_cost.parallel.max(1),
-                    active_members: n_active,
-                    total_members: z,
-                });
-            }
-        }
+        pricing.end_block(&self.block_tags[i]);
         scratch.temps = temps;
         st.scratch = scratch;
         Ok(n_active)
@@ -537,18 +495,13 @@ impl<'p> PcVm<'p> {
     /// Results are bit-identical to per-op execution: the loop applies
     /// the same `scalar_ops` functions in the same order, and
     /// write-back goes through the exact per-op write path in op order.
-    #[allow(clippy::too_many_arguments)]
     fn try_exec_fused(
         &self,
         st: &mut State,
         temps: &mut Temps,
         region: &FusedRegion,
         scratch: &mut Scratch,
-        trace: &mut Option<&mut Trace>,
-        block_random_bytes: &mut f64,
-        block_cost: &mut OpCost,
-        fused: bool,
-        functional: bool,
+        pricing: &mut Pricing<'_>,
     ) -> Result<bool> {
         if !self.opts.cache_stack_tops {
             return Ok(false);
@@ -664,64 +617,14 @@ impl<'p> PcVm<'p> {
             DType::Bool => return Ok(false),
         };
         drop(ext_tensors);
-        // Accounting. Logical per-primitive records stay one-per-op
-        // (utilization and flop statistics are fusion-independent); the
-        // *priced* cost is a single fused launch whose memory traffic
-        // counts only the region's external inputs and materialized
-        // outputs — intermediates live in registers, which is exactly
-        // the saving a fusing compiler buys.
-        let total = if gather { n_active } else { z };
-        let elem = 8.0; // f64 and i64 payloads are both 8 bytes
-        let mut flops_total = 0.0f64;
-        for (d, op) in region.ops.iter().enumerate() {
-            // A member-narrow op works over one element per member,
-            // exactly like its per-op evaluation would.
-            let n_op = if scratch.def_wide[d] { n } else { rows };
-            let flops = op.prim.flops_per_element() * n_op as f64;
-            flops_total += flops;
-            let op_bytes = (op.n_ins + 1) as f64 * n_op as f64 * elem;
-            let moved = if gather { op_bytes } else { 0.0 };
-            if let Some(t) = trace.as_deref_mut() {
-                t.record_logical(&LaunchRecord {
-                    kernel: op.prim.kernel_tag(),
-                    flops,
-                    bytes: op_bytes,
-                    random_bytes: moved,
-                    parallel: n_op,
-                    active_members: n_active,
-                    total_members: total,
-                });
-            }
-        }
-        let ext_bytes: f64 = scratch
-            .ext_bcast
-            .iter()
-            .map(|&b| if b { rows as f64 } else { n as f64 } * elem)
-            .sum();
-        let mat_bytes: f64 = region
-            .mats
-            .iter()
-            .map(|&d| if scratch.def_wide[d] { n as f64 } else { rows as f64 } * elem)
-            .sum();
-        let fused_bytes = ext_bytes + mat_bytes;
-        let fused_moved = if gather { fused_bytes } else { 0.0 };
-        *block_random_bytes += fused_moved;
-        block_cost.flops += flops_total;
-        block_cost.bytes += fused_bytes;
-        block_cost.parallel = block_cost.parallel.max(n);
-        if !fused {
-            if let Some(t) = trace.as_deref_mut() {
-                t.launch(&LaunchRecord {
-                    kernel: region.kernel_tag.clone(),
-                    flops: flops_total,
-                    bytes: fused_bytes,
-                    random_bytes: fused_moved,
-                    parallel: n,
-                    active_members: n_active,
-                    total_members: total,
-                });
-            }
-        }
+        pricing.region(
+            region,
+            &scratch.ext_bcast,
+            &scratch.def_wide,
+            rows,
+            n,
+            gather,
+        );
         // Write back the materialized results through the per-op write
         // path, in op order (so stack pushes error in the same order as
         // unfused execution).
@@ -735,10 +638,7 @@ impl<'p> PcVm<'p> {
                 r,
                 &scratch.active,
                 &scratch.active_idx,
-                trace,
-                block_random_bytes,
-                fused,
-                functional,
+                pricing,
             )?;
         }
         Ok(true)
@@ -753,123 +653,74 @@ impl<'p> PcVm<'p> {
         prim: &Prim,
         outs: &[(Var, WriteKind)],
         ins: &[Var],
-        active: &[bool],
-        active_idx: &[usize],
-        members_buf: &mut Vec<u64>,
-        inputs_buf: &mut Vec<Tensor>,
+        scratch: &mut Scratch,
         rng: &CounterRng,
-        trace: &mut Option<&mut Trace>,
-        block_random_bytes: &mut f64,
-        fused: bool,
-        functional: bool,
-    ) -> Result<OpCost> {
+        pricing: &mut Pricing<'_>,
+    ) -> Result<()> {
         let z = st.z;
+        let active_idx = &scratch.active_idx;
         let n_active = active_idx.len();
+        let inputs = &mut scratch.inputs;
         // Uncached-top ablation: every read of a stacked variable pays a
         // gather from the stack storage.
         if !self.opts.cache_stack_tops {
             for v in ins {
                 if let Some(&Slot::Stacked(slot)) = self.slot_of.get(v) {
                     if let Some(top) = &st.stacked[slot].top {
-                        let bytes = (top.len() / z.max(1) * n_active) as f64
-                            * top.dtype().size_bytes() as f64;
-                        *block_random_bytes += bytes;
-                        if !fused {
-                            record_stack_launch(trace, 0.0, bytes, n_active, z);
-                        }
+                        pricing.uncached_read(row_bytes(top));
                     }
                 }
             }
         }
-        let (results, cost, extra_random) = match self.opts.strategy {
-            ExecStrategy::Masking => {
-                inputs_buf.clear();
-                for v in ins {
-                    inputs_buf.push(self.read_var_mut_temps(st, temps, v)?);
+        inputs.clear();
+        let gather = self.opts.strategy == ExecStrategy::GatherScatter;
+        let results = if gather {
+            for v in ins {
+                let t = self.read_var_mut_temps(st, temps, v)?;
+                // Temps are already compacted to the active rows.
+                if t.rank() > 0 && t.shape()[0] == n_active && n_active != z {
+                    inputs.push(t);
+                } else {
+                    inputs.push(t.gather_rows(active_idx).map_err(VmError::from)?);
                 }
-                let results = eval_prim(prim, inputs_buf, &st.member_keys, rng, &self.registry)?;
-                let cost = prim_cost(prim, inputs_buf, &results, &self.registry);
-                (results, cost, 0.0)
             }
-            ExecStrategy::GatherScatter => {
-                inputs_buf.clear();
-                for v in ins {
-                    let t = self.read_var_mut_temps(st, temps, v)?;
-                    // Temps are already compacted to the active rows.
-                    if t.rank() > 0 && t.shape()[0] == n_active && n_active != z {
-                        inputs_buf.push(t);
-                    } else {
-                        inputs_buf.push(t.gather_rows(active_idx).map_err(VmError::from)?);
-                    }
-                }
-                members_buf.clear();
-                members_buf.extend(active_idx.iter().map(|&b| st.member_keys[b]));
-                let results = eval_prim(prim, inputs_buf, members_buf, rng, &self.registry)?;
-                let cost = prim_cost(prim, inputs_buf, &results, &self.registry);
-                let moved: f64 = inputs_buf
-                    .iter()
-                    .chain(&results)
-                    .map(|t| t.size_bytes() as f64)
-                    .sum();
-                (results, cost, moved)
+            scratch.members.clear();
+            scratch
+                .members
+                .extend(active_idx.iter().map(|&b| st.member_keys[b]));
+            eval_prim(prim, inputs, &scratch.members, rng, &self.registry)?
+        } else {
+            for v in ins {
+                inputs.push(self.read_var_mut_temps(st, temps, v)?);
             }
+            eval_prim(prim, inputs, &st.member_keys, rng, &self.registry)?
         };
+        pricing.op(prim, inputs, &results, &self.registry, gather);
         // Release the operand clones before write-back: a surviving
         // share of the destination buffer would force the masked store
         // below into a full copy-on-write instead of an in-place write.
-        inputs_buf.clear();
-        *block_random_bytes += extra_random;
-        if let Some(t) = trace.as_deref_mut() {
-            let total = if self.opts.strategy == ExecStrategy::Masking {
-                z
-            } else {
-                n_active
-            };
-            t.record_logical(&LaunchRecord {
-                kernel: prim.kernel_tag(),
-                flops: cost.flops,
-                bytes: cost.bytes,
-                random_bytes: extra_random,
-                parallel: cost.parallel,
-                active_members: n_active,
-                total_members: total,
-            });
-            if !fused {
-                t.launch(&LaunchRecord {
-                    kernel: prim.kernel_tag(),
-                    flops: cost.flops,
-                    bytes: cost.bytes,
-                    random_bytes: extra_random,
-                    parallel: cost.parallel,
-                    active_members: n_active,
-                    total_members: total,
-                });
-            }
-        }
+        inputs.clear();
         // Write back (in gather mode, compacted rows expand first).
-        for ((var, kind), r) in outs.iter().cloned().zip(results) {
+        for ((var, kind), r) in outs.iter().zip(results) {
             self.write_result(
                 st,
                 temps,
-                &var,
-                kind,
+                var,
+                *kind,
                 r,
-                active,
+                &scratch.active,
                 active_idx,
-                trace,
-                block_random_bytes,
-                fused,
-                functional,
+                pricing,
             )?;
         }
-        Ok(cost)
+        Ok(())
     }
 
     /// Land one computed result on its output variable: expand
     /// compacted rows under gather/scatter (temps stay compacted), then
-    /// write through the masked store / stack push path, accounting the
-    /// stack traffic. Shared verbatim by the per-op and fused paths, so
-    /// fusion cannot change write semantics.
+    /// write through the masked store / stack push path. Shared
+    /// verbatim by the per-op and fused paths, so fusion cannot change
+    /// write semantics.
     #[allow(clippy::too_many_arguments)]
     fn write_result(
         &self,
@@ -880,14 +731,10 @@ impl<'p> PcVm<'p> {
         mut r: Tensor,
         active: &[bool],
         active_idx: &[usize],
-        trace: &mut Option<&mut Trace>,
-        block_random_bytes: &mut f64,
-        fused: bool,
-        functional: bool,
+        pricing: &mut Pricing<'_>,
     ) -> Result<()> {
         let z = st.z;
-        let n_active = active_idx.len();
-        if self.opts.strategy == ExecStrategy::GatherScatter && n_active != z {
+        if self.opts.strategy == ExecStrategy::GatherScatter && active_idx.len() != z {
             if self.slot_of.contains_key(var) {
                 // Expand to full width by scattering into the current
                 // value (or zeros when absent).
@@ -907,12 +754,7 @@ impl<'p> PcVm<'p> {
                 return Ok(());
             }
         }
-        let (seq, rand) = self.write_var(st, var, r, active, temps, kind, functional)?;
-        *block_random_bytes += seq + rand;
-        if !fused && (seq > 0.0 || rand > 0.0) {
-            record_stack_launch(trace, 0.0, seq + rand, n_active, z);
-        }
-        Ok(())
+        self.write_var(st, var, r, active, temps, kind, pricing)
     }
 
     /// Current full-width value of a persistent variable, if any.
@@ -938,8 +780,7 @@ impl<'p> PcVm<'p> {
         self.read_var(st, temps, v, "compute")
     }
 
-    /// Write `value` to `var` for the active members. Returns the
-    /// (sequential, random) stack traffic in bytes.
+    /// Write `value` to `var` for the active members.
     #[allow(clippy::too_many_arguments)]
     fn write_var(
         &self,
@@ -949,8 +790,8 @@ impl<'p> PcVm<'p> {
         active: &[bool],
         temps: &mut Temps,
         kind: WriteKind,
-        functional: bool,
-    ) -> Result<(f64, f64)> {
+        pricing: &mut Pricing<'_>,
+    ) -> Result<()> {
         let z = st.z;
         if let Some(&Slot::Stacked(slot)) = self.slot_of.get(var) {
             let s = &mut st.stacked[slot];
@@ -958,25 +799,15 @@ impl<'p> PcVm<'p> {
                 WriteKind::Update => {
                     masked_store(&mut s.top, value, active)?;
                     let top = s.top.as_ref().expect("just stored");
-                    // Functional semantics rebuild the top buffer on every
-                    // masked update (read the old buffer + write the new,
-                    // matching how op costs count inputs + outputs).
-                    let seq = if functional {
-                        2.0 * top.size_bytes() as f64
-                    } else {
-                        0.0
-                    };
                     // Uncached-top ablation: updates scatter to storage.
-                    if !self.opts.cache_stack_tops {
-                        let n_active = active.iter().filter(|&&a| a).count();
-                        let bytes = (top.len() / z.max(1) * n_active) as f64
-                            * top.dtype().size_bytes() as f64;
-                        return Ok((seq, bytes));
-                    }
-                    Ok((seq, 0.0))
+                    let scattered = if self.opts.cache_stack_tops {
+                        0
+                    } else {
+                        row_bytes(top)
+                    };
+                    pricing.stack_update(top.size_bytes(), scattered);
                 }
                 WriteKind::Push => {
-                    let n_active = active.iter().filter(|&&a| a).count();
                     // Materialize the old top (zeros for the virgin frame)
                     // into storage, then cache the new value as top.
                     let elem_shape: Vec<usize> = value.shape()[1..].to_vec();
@@ -1009,38 +840,23 @@ impl<'p> PcVm<'p> {
                             s.sp[b] += 1;
                         }
                     }
-                    let elem_bytes = top.len() / z.max(1) * top.dtype().size_bytes();
+                    let (store_bytes, frame_bytes) = (store.size_bytes(), row_bytes(&top));
                     s.top = Some(top);
                     masked_store(&mut s.top, value, active)?;
-                    // Functional semantics copy the whole [D, Z, ..] stack
-                    // buffer to produce the "new" stack value — the cost
-                    // the paper's §4.1 hypothesis (2) blames for fully
-                    // compiled autobatching losing to the hybrid at very
-                    // large batch sizes.
-                    let seq = if functional {
-                        s.store
-                            .as_ref()
-                            .map_or(0.0, |st| 2.0 * st.size_bytes() as f64)
-                    } else {
-                        0.0
-                    };
-                    Ok((seq, (elem_bytes * n_active) as f64))
+                    pricing.stack_push(store_bytes, frame_bytes);
                 }
             }
         } else if let Some(&Slot::Register(slot)) = self.slot_of.get(var) {
             debug_assert_eq!(kind, WriteKind::Update, "validated: no push to register");
             masked_store(&mut st.registers[slot], value, active)?;
-            Ok((0.0, 0.0))
         } else {
             // Block-local temporary: plain unmasked binding.
             temps.insert(var.clone(), value);
-            Ok((0.0, 0.0))
         }
+        Ok(())
     }
 
-    /// Pop a stacked variable for the active members. Returns the
-    /// (sequential, random) stack traffic in bytes.
-    #[allow(clippy::too_many_arguments)]
+    /// Pop a stacked variable for the active members.
     fn pop_var(
         &self,
         st: &mut State,
@@ -1048,11 +864,8 @@ impl<'p> PcVm<'p> {
         active: &[bool],
         active_idx: &[usize],
         depths_buf: &mut Vec<usize>,
-        trace: &mut Option<&mut Trace>,
-        fused: bool,
-        functional: bool,
-    ) -> Result<(f64, f64)> {
-        let z = st.z;
+        pricing: &mut Pricing<'_>,
+    ) -> Result<()> {
         let slot = match self.slot_of.get(var) {
             Some(&Slot::Stacked(i)) => i,
             _ => {
@@ -1084,21 +897,8 @@ impl<'p> PcVm<'p> {
             s.sp[b] -= 1;
         }
         let top = s.top.as_ref().expect("pop restores a value");
-        let bytes =
-            (top.len() / z.max(1) * active_idx.len()) as f64 * top.dtype().size_bytes() as f64;
-        // Functional semantics rebuild the stack buffer on pop as well
-        // (the while-loop state tuple is immutable).
-        let seq = if functional {
-            s.store
-                .as_ref()
-                .map_or(0.0, |st| 2.0 * st.size_bytes() as f64)
-        } else {
-            0.0
-        };
-        if !fused {
-            record_stack_launch(trace, 0.0, seq + bytes, active_idx.len(), z);
-        }
-        Ok((seq, bytes))
+        pricing.stack_pop(store.size_bytes(), row_bytes(top));
+        Ok(())
     }
 }
 
@@ -1465,7 +1265,7 @@ impl<'p> PcMachine<'p> {
                 &active,
                 &mut Temps::default(),
                 WriteKind::Update,
-                false,
+                &mut Pricing::off(),
             )?;
         }
         let tickets: Vec<u64> = (self.next_ticket..self.next_ticket + k as u64).collect();
@@ -1487,7 +1287,7 @@ impl<'p> PcMachine<'p> {
     ///
     /// As [`PcVm::run`]; the superstep count is cumulative over the
     /// machine's lifetime.
-    pub fn step(&mut self, mut trace: Option<&mut Trace>) -> Result<bool> {
+    pub fn step(&mut self, trace: Option<&mut Trace>) -> Result<bool> {
         let n_blocks = self.vm.program.blocks.len();
         let Some(i) = select_block(&self.st.pc_top, n_blocks, self.vm.opts.heuristic) else {
             self.last_active = 0;
@@ -1510,7 +1310,7 @@ impl<'p> PcMachine<'p> {
                 counter: self.steps,
             });
         }
-        self.last_active = self.vm.run_block(&mut self.st, i, &self.rng, &mut trace)?;
+        self.last_active = self.vm.run_block(&mut self.st, i, &self.rng, trace)?;
         // Chaos hook: a runaway lane never reaches the exit — the
         // moment its pc top would finish, it is reset to the entry
         // block, exactly as a genuinely non-terminating program would
@@ -2012,6 +1812,11 @@ impl<'p> PcMachine<'p> {
     }
 }
 
+/// Bytes of one member's row of a `[Z, elem..]` buffer.
+fn row_bytes(t: &Tensor) -> usize {
+    elem_bytes(t.shape(), 1, t.dtype()) as usize
+}
+
 /// Resident bytes of one member's slice of a batched buffer: the
 /// element volume past the leading `skip` axes (batch axes) times the
 /// dtype width.
@@ -2115,46 +1920,6 @@ fn masked_store(slot: &mut Option<Tensor>, value: Tensor, active: &[bool]) -> Re
         }
     }
     Ok(())
-}
-
-fn record_stack_launch(
-    trace: &mut Option<&mut Trace>,
-    seq: f64,
-    rand: f64,
-    active: usize,
-    z: usize,
-) {
-    if let Some(t) = trace.as_deref_mut() {
-        t.launch(&LaunchRecord {
-            kernel: "stack".into(),
-            flops: 0.0,
-            bytes: seq,
-            random_bytes: rand,
-            parallel: active.max(1),
-            active_members: active,
-            total_members: z,
-        });
-    }
-}
-
-/// Traffic of one pc stack push/pop: 8 bytes per active member, plus a
-/// whole-buffer copy under functional (XLA-style) stack updates.
-fn pc_traffic(
-    trace: &mut Option<&mut Trace>,
-    depth_limit: usize,
-    z: usize,
-    n_active: usize,
-    fused: bool,
-) -> (f64, f64) {
-    let rand = (n_active * 8) as f64;
-    let seq = match trace.as_deref() {
-        Some(t) if t.functional_stack_updates() => (2 * depth_limit * z * 8) as f64,
-        _ => 0.0,
-    };
-    if !fused {
-        record_stack_launch(trace, 0.0, seq + rand, n_active, z);
-    }
-    (seq, rand)
 }
 
 /// Block selection over pc tops (all members still in flight).

@@ -171,12 +171,55 @@ impl Prim {
 
     /// A short kernel tag for tracing (externals use their registry name,
     /// so e.g. gradient utilization can be measured under `"grad"`).
-    pub fn kernel_tag(&self) -> String {
+    /// Borrowed, so a runtime can tag every launch of its hot loop
+    /// without formatting a string.
+    pub fn kernel_tag(&self) -> &str {
+        use Prim::*;
         match self {
-            Prim::External(name) => name.to_string(),
-            Prim::ConstF64(_) | Prim::ConstI64(_) | Prim::ConstBool(_) => "const".to_string(),
-            Prim::FillLike(_) => "fill".to_string(),
-            other => format!("{other}").to_ascii_lowercase(),
+            External(name) => name,
+            ConstF64(_) | ConstI64(_) | ConstBool(_) => "const",
+            FillLike(_) => "fill",
+            Id => "id",
+            Neg => "neg",
+            Abs => "abs",
+            Exp => "exp",
+            Ln => "ln",
+            Sqrt => "sqrt",
+            Square => "square",
+            Sigmoid => "sigmoid",
+            Softplus => "softplus",
+            Floor => "floor",
+            Sin => "sin",
+            Cos => "cos",
+            Tanh => "tanh",
+            NegI => "negi",
+            Not => "not",
+            Add => "add",
+            Sub => "sub",
+            Mul => "mul",
+            Div => "div",
+            Pow => "pow",
+            Min2 => "min2",
+            Max2 => "max2",
+            Lt => "lt",
+            Le => "le",
+            Gt => "gt",
+            Ge => "ge",
+            EqE => "eqe",
+            NeE => "nee",
+            And => "and",
+            Or => "or",
+            Xor => "xor",
+            Select => "select",
+            ToF64 => "tof64",
+            ToI64 => "toi64",
+            ToBool => "tobool",
+            SumElems => "sumelems",
+            Dot => "dot",
+            RandUniform => "randuniform",
+            RandNormal => "randnormal",
+            RandExponential => "randexponential",
+            RandNormalLike => "randnormallike",
         }
     }
 
@@ -265,10 +308,7 @@ impl fmt::Display for Prim {
             Prim::ConstBool(c) => write!(f, "const({c})"),
             Prim::FillLike(c) => write!(f, "fill_like({c})"),
             Prim::External(name) => write!(f, "ext:{name}"),
-            other => {
-                let s = format!("{other:?}");
-                write!(f, "{}", s.to_ascii_lowercase())
-            }
+            other => f.write_str(other.kernel_tag()),
         }
     }
 }
@@ -293,6 +333,53 @@ mod tests {
         assert_eq!(Prim::external("grad").to_string(), "ext:grad");
         assert_eq!(Prim::external("grad").kernel_tag(), "grad");
         assert_eq!(Prim::ConstI64(1).kernel_tag(), "const");
+        // Every payload-free primitive is tagged by its lowercased name.
+        use Prim::*;
+        for p in [
+            Id,
+            Neg,
+            Abs,
+            Exp,
+            Ln,
+            Sqrt,
+            Square,
+            Sigmoid,
+            Softplus,
+            Floor,
+            Sin,
+            Cos,
+            Tanh,
+            NegI,
+            Not,
+            Add,
+            Sub,
+            Mul,
+            Div,
+            Pow,
+            Min2,
+            Max2,
+            Lt,
+            Le,
+            Gt,
+            Ge,
+            EqE,
+            NeE,
+            And,
+            Or,
+            Xor,
+            Select,
+            ToF64,
+            ToI64,
+            ToBool,
+            SumElems,
+            Dot,
+            RandUniform,
+            RandNormal,
+            RandExponential,
+            RandNormalLike,
+        ] {
+            assert_eq!(p.kernel_tag(), format!("{p:?}").to_ascii_lowercase());
+        }
     }
 
     #[test]
