@@ -22,9 +22,9 @@
 use autobatch::accel::{Backend, Trace};
 use autobatch::core::{
     lower, BlockHeuristic, DynSchedule, DynamicVm, ExecOptions, ExecStrategy, KernelRegistry,
-    LocalStaticVm, LoweringOptions, PcVm,
+    LaneState, LocalStaticVm, LoweringOptions, PcMachine, PcVm, VmError,
 };
-use autobatch::ir::build::ProgramBuilder;
+use autobatch::ir::build::{fibonacci_program, ProgramBuilder};
 use autobatch::ir::{lsab, Prim, Var};
 use autobatch::serve::{AdmissionPolicy, BatchServer, Request, ShardedServer};
 use autobatch::tensor::Tensor;
@@ -200,6 +200,124 @@ fn run_pc(
         .expect("pc runs")
 }
 
+/// One machine of `member_set_edits_cannot_perturb_results`: the trace
+/// its edits are recorded in, and the schedule's own count of what that
+/// trace must end up holding.
+struct Rig<'p> {
+    m: PcMachine<'p>,
+    trace: Trace,
+    admitted: u64,
+    retired: u64,
+    moved_in: u64,
+    moved_out: u64,
+    peak: usize,
+}
+
+impl<'p> Rig<'p> {
+    fn new(m: PcMachine<'p>) -> Rig<'p> {
+        Rig {
+            m,
+            trace: Trace::new(Backend::hybrid_cpu()),
+            admitted: 0,
+            retired: 0,
+            moved_in: 0,
+            moved_out: 0,
+            peak: 0,
+        }
+    }
+
+    /// Lanes the schedule says are live.
+    fn live(&self) -> u64 {
+        self.admitted + self.moved_in - self.retired - self.moved_out
+    }
+
+    /// What must hold after every edit: every view of the member set
+    /// has the same length, in the same (ticket) order.
+    fn check(&mut self, what: &str) {
+        let m = &self.m;
+        assert_eq!(m.live() as u64, self.live(), "live() after {what}");
+        assert_eq!(m.tickets().len(), m.live(), "tickets after {what}");
+        assert_eq!(
+            m.lane_pcs().len() + m.finished(),
+            m.live(),
+            "running + finished after {what}"
+        );
+        let running: Vec<u64> = m.lane_pcs().iter().map(|&(t, _)| t).collect();
+        let charged: Vec<u64> = m.lane_spend().iter().map(|&(t, _, _)| t).collect();
+        assert_eq!(running, charged, "lane_spend vs lane_pcs after {what}");
+        assert!(
+            m.tickets().windows(2).all(|w| w[0] < w[1]),
+            "tickets out of lane order after {what}: {:?}",
+            m.tickets()
+        );
+        assert_eq!(self.trace.live_members(), self.live(), "trace after {what}");
+        self.peak = self.peak.max(m.live());
+    }
+
+    /// Hand back retired members: each answers a request nobody has
+    /// answered yet, with that request's solo outputs.
+    fn retire(
+        &mut self,
+        retired: Vec<autobatch::core::Retired>,
+        want: &[Vec<Tensor>],
+        answered: &mut [bool],
+    ) {
+        for r in retired {
+            let key = r.key as usize;
+            assert!(!answered[key], "request {key} retired twice");
+            answered[key] = true;
+            assert_eq!(r.outputs, want[key], "request {key} perturbed");
+            self.retired += 1;
+        }
+        self.check("retirement");
+    }
+
+    /// An edit that must be refused by validation, leaving the member
+    /// set as it was.
+    fn refused<T: std::fmt::Debug>(
+        &mut self,
+        what: &str,
+        edit: impl FnOnce(&mut PcMachine<'p>) -> Result<T, VmError>,
+    ) {
+        let before = self.m.tickets().to_vec();
+        let err = edit(&mut self.m);
+        assert!(
+            matches!(err, Err(VmError::BadInputs { .. })),
+            "{what} must be refused, got {err:?}"
+        );
+        assert_eq!(
+            self.m.tickets(),
+            &before[..],
+            "tickets after refused {what}"
+        );
+        self.check(what);
+    }
+}
+
+/// A running lane of a Fibonacci machine, `steps` supersteps into
+/// `fib(n)`: a lane of the wrong program for every other machine, and a
+/// deep one for a machine of the same program with a tighter depth
+/// limit.
+fn fib_lane(
+    pc: &autobatch::ir::pcab::Program,
+    opts: ExecOptions,
+    n: i64,
+    steps: usize,
+) -> LaneState {
+    let mut donor = PcMachine::new(pc, KernelRegistry::new(), opts);
+    let t = donor
+        .admit(&[Tensor::from_i64(&[n], &[1]).expect("n")], 0, None)
+        .expect("admit");
+    for _ in 0..steps {
+        assert!(donor.step(None).expect("step"));
+    }
+    donor
+        .extract_lanes(&[t], None)
+        .expect("extract")
+        .remove(0)
+        .1
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -358,6 +476,178 @@ proptest! {
                 &order
             );
         }
+    }
+
+    #[test]
+    fn member_set_edits_cannot_perturb_results(
+        seed in any::<u64>(),
+        schedule_seed in any::<u64>(),
+        gather in any::<bool>(),
+        cache_stack_tops in any::<bool>(),
+    ) {
+        // The member set changes four ways — admission, retirement,
+        // extraction and injection — and none of them may be visible to
+        // any member: under a drawn schedule of all four over two
+        // machines, every request's outputs equal its solo run, every
+        // view of the member set stays in step, and each machine's
+        // trace ends with the schedule's own count of who came and went.
+        let p = random_program(seed);
+        let (lowered, _) = lower(&p, LoweringOptions::default()).expect("lowers");
+        let opts = ExecOptions {
+            strategy: if gather { ExecStrategy::GatherScatter } else { ExecStrategy::Masking },
+            cache_stack_tops,
+            ..ExecOptions::default()
+        };
+        let solo = PcVm::new(&lowered, KernelRegistry::new(), opts);
+        let mut rng = StdRng::seed_from_u64(schedule_seed);
+        let mut rigs = [
+            Rig::new(PcMachine::new(&lowered, KernelRegistry::new(), opts)),
+            Rig::new(PcMachine::new(&lowered, KernelRegistry::new(), opts)),
+        ];
+        let track = rng.gen_bool(0.5);
+        for rig in &mut rigs {
+            rig.m.track_peak_bytes(track);
+        }
+
+        // Lanes no machine of this program may accept: one of another
+        // program, and one of this program whose `x` rows are `[2]`
+        // where every admitted request's are scalars.
+        let (fib, _) = lower(&fibonacci_program(), LoweringOptions::default()).expect("lowers");
+        let foreign = fib_lane(&fib, opts, 9, 3);
+        let wide_x = Tensor::from_f64(&[0.5, 0.5], &[1, 2]).expect("x");
+        let misshapen = {
+            let mut donor = PcMachine::new(&lowered, KernelRegistry::new(), opts);
+            let row = [wide_x.clone(), Tensor::from_i64(&[1], &[1]).expect("n")];
+            let t = donor.admit(&row, 0, None).expect("first admission fixes the spec");
+            donor.extract_lanes(&[t], None).expect("extract").remove(0).1
+        };
+
+        // Request key -> its solo outputs, and whether it has retired.
+        let mut want: Vec<Vec<Tensor>> = Vec::new();
+        let mut answered: Vec<bool> = Vec::new();
+        for _ in 0..rng.gen_range(12..40) {
+            let i = usize::from(rng.gen_bool(0.4));
+            match rng.gen_range(0..10) {
+                0..=2 if want.len() < 14 => {
+                    let rows: Vec<[Tensor; 2]> = (0..rng.gen_range(1..=4))
+                        .map(|_| {
+                            let x = Tensor::from_f64(&[rng.gen_range(-2.0..2.0)], &[1]).expect("x");
+                            let n = Tensor::from_i64(&[rng.gen_range(0..6)], &[1]).expect("n");
+                            [x, n]
+                        })
+                        .collect();
+                    let first_key = want.len() as u64;
+                    for row in &rows {
+                        want.push(solo.run(row, None).expect("solo run"));
+                        answered.push(false);
+                    }
+                    let reqs: Vec<(&[Tensor], u64)> = rows
+                        .iter()
+                        .zip(first_key..)
+                        .map(|(row, key)| (&row[..], key))
+                        .collect();
+                    let rig = &mut rigs[i];
+                    let tickets = rig.m.admit_batch(&reqs, Some(&mut rig.trace)).expect("admit");
+                    let z = rig.m.live();
+                    prop_assert_eq!(&rig.m.tickets()[z - rows.len()..], &tickets[..]);
+                    rig.admitted += rows.len() as u64;
+                    rig.check("admit_batch");
+                }
+                0..=5 => {
+                    let rig = &mut rigs[i];
+                    for _ in 0..rng.gen_range(1..=20) {
+                        if !rig.m.step(Some(&mut rig.trace)).expect("step") {
+                            break;
+                        }
+                    }
+                }
+                6..=7 => {
+                    // Move up to three running lanes, picked in any
+                    // order, from machine `i` to the other one.
+                    let i = if rigs[i].m.running() == 0 { 1 - i } else { i };
+                    let mut running = rigs[i].m.lane_pcs();
+                    let mut tickets = Vec::new();
+                    for _ in 0..rng.gen_range(1..=3usize).min(running.len()) {
+                        tickets.push(running.swap_remove(rng.gen_range(0..running.len())).0);
+                    }
+                    let spend = rigs[i].m.lane_spend();
+                    let (src, dst) = {
+                        let (a, b) = rigs.split_at_mut(1);
+                        if i == 0 { (&mut a[0], &mut b[0]) } else { (&mut b[0], &mut a[0]) }
+                    };
+                    let lanes = src.m.extract_lanes(&tickets, Some(&mut src.trace)).expect("extract");
+                    src.moved_out += lanes.len() as u64;
+                    src.check("extract_lanes");
+                    let moved: Vec<u64> = lanes.iter().map(|&(t, _)| t).collect();
+                    prop_assert_eq!(&moved, &tickets, "lanes come out in the order asked for");
+                    for (ticket, lane) in &lanes {
+                        let &(_, spent, peak) =
+                            spend.iter().find(|s| s.0 == *ticket).expect("was running");
+                        prop_assert_eq!((lane.spent(), lane.peak_bytes()), (spent, peak));
+                        let new = dst.m.inject_lane(lane, Some(&mut dst.trace)).expect("inject");
+                        prop_assert_eq!(dst.m.tickets().last(), Some(&new));
+                        let carried = dst.m.lane_spend();
+                        let &(_, spent_after, peak_after) =
+                            carried.iter().find(|s| s.0 == new).expect("still running");
+                        prop_assert_eq!((spent_after, peak_after), (spent, peak));
+                        dst.moved_in += 1;
+                        dst.check("inject_lane");
+                    }
+                }
+                8 => {
+                    let i = if rigs[i].m.finished() == 0 { 1 - i } else { i };
+                    let rig = &mut rigs[i];
+                    let retired = rig.m.retire_finished(Some(&mut rig.trace)).expect("retire");
+                    rig.retire(retired, &want, &mut answered);
+                }
+                _ => {
+                    // Validation comes before mutation.
+                    let rig = &mut rigs[i];
+                    let x = Tensor::from_f64(&[1.0], &[1]).expect("x");
+                    let n = Tensor::from_i64(&[2], &[1]).expect("n");
+                    rig.refused("an admission of the wrong arity", |m| {
+                        m.admit_batch(&[(&[x.clone()][..], 99)], None)
+                    });
+                    rig.refused("a lane of another program", |m| m.inject_lane(&foreign, None));
+                    // Element shapes are fixed by the first lane a
+                    // machine ever held.
+                    if rig.admitted + rig.moved_in > 0 {
+                        rig.refused("an admission of the wrong element shape", |m| {
+                            m.admit_batch(&[(&[wide_x.clone(), n.clone()][..], 99)], None)
+                        });
+                        rig.refused("a lane of the wrong element shape", |m| {
+                            m.inject_lane(&misshapen, None)
+                        });
+                    }
+                }
+            }
+        }
+        for rig in &mut rigs {
+            let retired = rig.m.run_to_completion(Some(&mut rig.trace)).expect("drain");
+            rig.retire(retired, &want, &mut answered);
+            prop_assert_eq!(rig.m.live(), 0);
+            prop_assert_eq!(rig.trace.members_admitted(), rig.admitted);
+            prop_assert_eq!(rig.trace.members_retired(), rig.retired);
+            prop_assert_eq!(rig.trace.members_migrated_in(), rig.moved_in);
+            prop_assert_eq!(rig.trace.members_migrated_out(), rig.moved_out);
+            prop_assert_eq!(rig.trace.live_members(), 0);
+            prop_assert_eq!(rig.trace.peak_members(), rig.peak);
+        }
+        prop_assert!(answered.iter().all(|&a| a), "every request retires exactly once");
+
+        // The depth limit is checked the same way: a lane deeper than
+        // the destination allows is refused whole.
+        let tight_opts = ExecOptions { stack_depth: 2, ..opts };
+        let deep = fib_lane(&fib, opts, 12, 40);
+        let mut tight = Rig::new(PcMachine::new(&fib, KernelRegistry::new(), tight_opts));
+        let two = [Tensor::from_i64(&[2], &[1]).expect("n")];
+        tight.m.admit(&two, 0, Some(&mut tight.trace)).expect("admit");
+        tight.admitted += 1;
+        prop_assert!(tight.m.step(None).expect("step"));
+        tight.refused("a lane over the depth limit", |m| m.inject_lane(&deep, None));
+        let done = tight.m.run_to_completion(None).expect("fib(2) fits in two frames");
+        let alone = PcVm::new(&fib, KernelRegistry::new(), tight_opts).run(&two, None).expect("solo");
+        prop_assert_eq!(&done[0].outputs, &alone);
     }
 
     #[test]
