@@ -54,6 +54,7 @@ mod fusion;
 mod kernels;
 mod lowering;
 mod lsab_vm;
+mod member_set;
 mod options;
 mod pc_vm;
 mod pricing;
@@ -64,6 +65,7 @@ pub use error::{Result, VmError};
 pub use kernels::{eval_prim, ExternalKernel, KernelRegistry};
 pub use lowering::{lower, LoweringStats};
 pub use lsab_vm::{LocalStaticVm, LsabObservation, LsabObserver};
+pub use member_set::LaneState;
 pub use options::{BlockHeuristic, DynSchedule, ExecOptions, ExecStrategy, LoweringOptions};
-pub use pc_vm::{LaneState, PcMachine, PcObservation, PcObserver, PcVm, Retired, StackSnapshot};
+pub use pc_vm::{PcMachine, PcObservation, PcObserver, PcVm, Retired, StackSnapshot};
 pub use pricing::{prim_cost, OpCost};

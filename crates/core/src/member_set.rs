@@ -1,0 +1,413 @@
+//! The member set: the per-member state the program-counter VM
+//! "explicitly tracks" (paper §3) — a pc stack, the data stacks with
+//! their cached tops, the registers — and the only code that changes
+//! who is in it.
+//!
+//! [`State`] holds every per-lane structure of a batch of `Z` members,
+//! and four invariants hold between any two supersteps:
+//!
+//! 1. **One length.** Every per-lane structure has length `Z`: the pc
+//!    tops and pc stacks, the RNG keys, tickets, spend and peak-byte
+//!    counters, each stacked variable's stack pointers, axis 0 of every
+//!    `[Z, elem..]` top and register buffer, and axis 1 of every
+//!    `[D, Z, elem..]` store.
+//! 2. **Ticket order.** Lanes are in ascending ticket order: new lanes
+//!    are appended with fresh tickets, and removing lanes keeps the
+//!    survivors' order.
+//! 3. **Edits at a superstep edge only.** Inside a superstep, fused
+//!    regions hold intermediate values in registers that exist in none
+//!    of these buffers, and gather indices name lanes by position. At
+//!    the edge every live value is materialized per lane, so adding or
+//!    removing lanes is pure row padding and row selection, which the
+//!    other lanes cannot observe.
+//! 4. **Validation before mutation.** Whatever can be refused is
+//!    refused by a `&self` check first; an edit that returns an error
+//!    has not touched the state.
+//!
+//! `Z` changes in exactly two functions: [`State::grow`] appends lanes
+//! and [`State::compact`] keeps a subset. Beside them
+//! [`State::snapshot`] and [`State::restore`] read and write one lane's
+//! rows as a portable [`LaneState`]. Admission, retirement, extraction
+//! and injection ([`PcMachine`](crate::PcMachine)) are validation plus
+//! these four.
+
+use autobatch_ir::pcab::Program;
+use autobatch_tensor::Tensor;
+
+use crate::error::{Result, VmError};
+use crate::pc_vm::Scratch;
+
+/// Storage for one stacked variable: frames below the cached top.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct StackVar {
+    /// `[D, Z, elem..]` frames beneath the top (lazily allocated).
+    pub(crate) store: Option<Tensor>,
+    /// Per-member count of frames in `store`.
+    pub(crate) sp: Vec<usize>,
+    /// `[Z, elem..]` cached top value (lazily allocated).
+    pub(crate) top: Option<Tensor>,
+}
+
+/// Every per-lane structure of a batch (see the module docs for what
+/// holds between them).
+#[derive(Debug)]
+pub(crate) struct State {
+    z: usize,
+    /// Block a fresh lane starts at.
+    entry: usize,
+    /// The block count: a pc top here means the lane has finished, and
+    /// it is the sentinel at the bottom of every pc stack.
+    exit: usize,
+    pub(crate) pc_top: Vec<usize>,
+    /// Per-member pc frames beneath the top.
+    pub(crate) pc_stack: Vec<Vec<usize>>,
+    /// Stacked-variable storage, in the program's slot order.
+    pub(crate) stacked: Vec<StackVar>,
+    /// Register storage, in the program's slot order.
+    pub(crate) registers: Vec<Option<Tensor>>,
+    /// Per-member RNG key: the `member` argument handed to the
+    /// counter-based RNG. A one-shot run uses the lane index; a machine
+    /// gives each admitted request its own key so a member's draws are
+    /// identical whether it runs alone or joins a batch mid-flight, in
+    /// any admission order.
+    pub(crate) member_keys: Vec<u64>,
+    /// Lane → ticket, ascending.
+    pub(crate) tickets: Vec<u64>,
+    next_ticket: u64,
+    /// Lane → supersteps charged to the lane.
+    pub(crate) spent: Vec<u64>,
+    /// Lane → peak resident bytes attributed to the lane so far.
+    pub(crate) peak_bytes: Vec<u64>,
+    /// Reused per-superstep buffers; dead between supersteps.
+    pub(crate) scratch: Scratch,
+}
+
+/// One stacked variable's slice of a [`LaneState`]: the lane's frames
+/// (bottom first, each `[1, elem..]`; as many as its stack pointer
+/// counts) and its cached top row.
+#[derive(Debug, Clone)]
+struct LaneStack {
+    frames: Vec<Tensor>,
+    top: Option<Tensor>,
+}
+
+/// The complete portable state of one **running** lane, extracted by
+/// [`PcMachine::extract_lanes`](crate::PcMachine::extract_lanes) and
+/// re-admitted elsewhere by
+/// [`PcMachine::inject_lane`](crate::PcMachine::inject_lane) — the
+/// mechanism behind cross-shard straggler migration.
+///
+/// Moving a lane between machines cannot perturb its results: every
+/// random draw is keyed by `(seed, member_key, counter)` where the
+/// counter is threaded through the program's own data, so the draw
+/// stream is independent of placement, batch composition, and timing.
+/// The only compatibility requirement is that source and destination
+/// execute the same lowered program under the same
+/// [`ExecOptions::stack_depth`](crate::ExecOptions::stack_depth)
+/// (checked at injection).
+#[derive(Debug, Clone)]
+pub struct LaneState {
+    /// The RNG member key the lane draws under.
+    key: u64,
+    /// The lane's current pc top (block index).
+    pc_top: usize,
+    /// pc frames beneath the top (exit sentinel at the bottom).
+    pc_stack: Vec<usize>,
+    /// Per stacked variable, in the program's slot order.
+    stacked: Vec<LaneStack>,
+    /// Per register slot: the lane's row, if ever materialized.
+    registers: Vec<Option<Tensor>>,
+    /// Supersteps the lane has been charged for so far; migrates with
+    /// the lane so a budget cannot be reset by moving shards.
+    spent: u64,
+    /// Peak per-lane resident bytes observed so far; migrates with the
+    /// lane for the same reason.
+    peak_bytes: u64,
+}
+
+impl LaneState {
+    /// The block index the lane is about to execute.
+    pub fn pc(&self) -> usize {
+        self.pc_top
+    }
+
+    /// The RNG member key the lane draws under.
+    pub fn key(&self) -> u64 {
+        self.key
+    }
+
+    /// Supersteps charged to the lane so far.
+    pub fn spent(&self) -> u64 {
+        self.spent
+    }
+
+    /// Peak per-lane resident bytes observed so far.
+    pub fn peak_bytes(&self) -> u64 {
+        self.peak_bytes
+    }
+}
+
+/// Refuse `row` (a lane's `[1, elem..]` slice of some buffer) unless
+/// its element shape and dtype are those of the live buffer `live`,
+/// whose leading `skip` axes are batch axes.
+fn check_row(what: &str, row: &Tensor, live: &Tensor, skip: usize) -> Result<()> {
+    if live.shape()[skip..] != row.shape()[1..] || live.dtype() != row.dtype() {
+        return Err(VmError::BadInputs {
+            what: format!(
+                "inject_lane: lane {what} row is {:?} {:?}, but the live \
+                 batch holds {:?} {:?}",
+                &row.shape()[1..],
+                row.dtype(),
+                &live.shape()[skip..],
+                live.dtype()
+            ),
+        });
+    }
+    Ok(())
+}
+
+/// Write `rows` (`[lanes.len(), elem..]`) into the given lanes of a
+/// `[z, elem..]` buffer, creating it zeroed if nobody has written it
+/// yet.
+pub(crate) fn store_rows(
+    slot: &mut Option<Tensor>,
+    z: usize,
+    lanes: &[usize],
+    rows: &Tensor,
+) -> Result<()> {
+    let buf = slot.get_or_insert_with(|| zeroed(z, rows));
+    buf.scatter_rows(lanes, rows)?;
+    Ok(())
+}
+
+/// A zeroed `[z, elem..]` buffer for rows like `row` (`[_, elem..]`).
+fn zeroed(z: usize, row: &Tensor) -> Tensor {
+    let mut shape = row.shape().to_vec();
+    shape[0] = z;
+    Tensor::zeros(row.dtype(), &shape)
+}
+
+impl State {
+    /// The state of a fresh batch of `z` members, keyed by lane index.
+    pub(crate) fn new(p: &Program, z: usize) -> State {
+        let mut st = State {
+            z: 0,
+            entry: p.entry.0,
+            exit: p.blocks.len(),
+            pc_top: Vec::new(),
+            pc_stack: Vec::new(),
+            stacked: vec![StackVar::default(); p.stacked_vars().len()],
+            registers: vec![None; p.register_vars().len()],
+            member_keys: Vec::new(),
+            tickets: Vec::new(),
+            next_ticket: 0,
+            spent: Vec::new(),
+            peak_bytes: Vec::new(),
+            scratch: Scratch::default(),
+        };
+        st.grow(z).expect("an empty state has no buffer to pad");
+        st.member_keys = (0..z as u64).collect();
+        st
+    }
+
+    /// The batch width `Z`: live lanes, running or finished.
+    pub(crate) fn z(&self) -> usize {
+        self.z
+    }
+
+    /// Whether lane `b` has yet to reach the exit.
+    pub(crate) fn is_running(&self, b: usize) -> bool {
+        self.pc_top[b] < self.exit
+    }
+
+    /// Append `k` zeroed lanes — exactly the state a fresh batch starts
+    /// from: parked at the entry block over the exit sentinel, empty
+    /// data stacks, zero rows, key 0, nothing spent — under the next
+    /// `k` tickets. Every live buffer is padded once, however many
+    /// lanes join.
+    pub(crate) fn grow(&mut self, k: usize) -> Result<()> {
+        self.pc_top.extend(std::iter::repeat_n(self.entry, k));
+        self.pc_stack
+            .extend(std::iter::repeat_n(vec![self.exit], k));
+        self.member_keys.extend(std::iter::repeat_n(0, k));
+        self.tickets
+            .extend(self.next_ticket..self.next_ticket + k as u64);
+        self.next_ticket += k as u64;
+        self.spent.extend(std::iter::repeat_n(0, k));
+        self.peak_bytes.extend(std::iter::repeat_n(0, k));
+        for s in self.stacked.iter_mut() {
+            s.sp.extend(std::iter::repeat_n(0, k));
+            if let Some(top) = &s.top {
+                s.top = Some(top.pad_rows(k)?);
+            }
+            if let Some(store) = &s.store {
+                s.store = Some(store.pad_axis1(k)?);
+            }
+        }
+        for slot in self.registers.iter_mut().flatten() {
+            *slot = slot.pad_rows(k)?;
+        }
+        self.z += k;
+        Ok(())
+    }
+
+    /// Keep the lanes listed in `keep` (ascending), in that order, and
+    /// drop the rest. Buffers keep their element shapes even at zero
+    /// lanes. With nothing to drop, no buffer is touched.
+    pub(crate) fn compact(&mut self, keep: &[usize]) -> Result<()> {
+        if keep.len() == self.z {
+            return Ok(());
+        }
+        self.pc_top = keep.iter().map(|&b| self.pc_top[b]).collect();
+        self.pc_stack = keep
+            .iter()
+            .map(|&b| std::mem::take(&mut self.pc_stack[b]))
+            .collect();
+        self.member_keys = keep.iter().map(|&b| self.member_keys[b]).collect();
+        self.tickets = keep.iter().map(|&b| self.tickets[b]).collect();
+        self.spent = keep.iter().map(|&b| self.spent[b]).collect();
+        self.peak_bytes = keep.iter().map(|&b| self.peak_bytes[b]).collect();
+        for s in self.stacked.iter_mut() {
+            s.sp = keep.iter().map(|&b| s.sp[b]).collect();
+            if let Some(top) = &s.top {
+                s.top = Some(top.gather_rows(keep)?);
+            }
+            if let Some(store) = &s.store {
+                s.store = Some(store.select_axis1(keep)?);
+            }
+        }
+        for slot in self.registers.iter_mut().flatten() {
+            *slot = slot.gather_rows(keep)?;
+        }
+        self.z = keep.len();
+        Ok(())
+    }
+
+    /// A copy of everything lane `b` holds.
+    pub(crate) fn snapshot(&self, b: usize) -> Result<LaneState> {
+        let mut depths = vec![0usize; self.z];
+        let mut stacked = Vec::with_capacity(self.stacked.len());
+        for s in &self.stacked {
+            let sp = s.sp[b];
+            let mut frames = Vec::with_capacity(sp);
+            if sp > 0 {
+                // The store always spans the full depth limit, so any
+                // frame index below `sp` is in bounds for every lane.
+                let store = s.store.as_ref().ok_or_else(|| VmError::BadInputs {
+                    what: format!("extract_lanes: sp {sp} > 0 with no store buffer"),
+                })?;
+                for d in 0..sp {
+                    depths.fill(d);
+                    frames.push(store.gather_at_depth(&depths)?.gather_rows(&[b])?);
+                }
+            }
+            let top = s.top.as_ref().map(|t| t.gather_rows(&[b])).transpose()?;
+            stacked.push(LaneStack { frames, top });
+        }
+        let registers = self
+            .registers
+            .iter()
+            .map(|slot| slot.as_ref().map(|t| t.gather_rows(&[b])).transpose())
+            .collect::<std::result::Result<_, _>>()?;
+        Ok(LaneState {
+            key: self.member_keys[b],
+            pc_top: self.pc_top[b],
+            pc_stack: self.pc_stack[b].clone(),
+            stacked,
+            registers,
+            spent: self.spent[b],
+            peak_bytes: self.peak_bytes[b],
+        })
+    }
+
+    /// Whether [`State::restore`] can write `lane` into a lane of this
+    /// state: a running lane of the same program, no deeper than
+    /// `depth_limit`, whose rows have the live buffers' element shapes
+    /// and dtypes wherever both sides hold one.
+    pub(crate) fn accepts(&self, lane: &LaneState, depth_limit: usize) -> Result<()> {
+        if lane.pc_top >= self.exit {
+            return Err(VmError::BadInputs {
+                what: format!(
+                    "inject_lane: pc top {} is out of range for {} blocks",
+                    lane.pc_top, self.exit
+                ),
+            });
+        }
+        if lane.stacked.len() != self.stacked.len() || lane.registers.len() != self.registers.len()
+        {
+            return Err(VmError::BadInputs {
+                what: format!(
+                    "inject_lane: lane has {} stacked vars / {} registers, \
+                     machine has {} / {} (programs must match)",
+                    lane.stacked.len(),
+                    lane.registers.len(),
+                    self.stacked.len(),
+                    self.registers.len()
+                ),
+            });
+        }
+        if let Some(ls) = lane.stacked.iter().find(|ls| ls.frames.len() > depth_limit) {
+            return Err(VmError::BadInputs {
+                what: format!(
+                    "inject_lane: lane carries {0} frames at sp {0} under depth limit \
+                     {depth_limit}",
+                    ls.frames.len(),
+                ),
+            });
+        }
+        for (s, ls) in self.stacked.iter().zip(&lane.stacked) {
+            if let (Some(top), Some(row)) = (&s.top, &ls.top) {
+                check_row("stack-top", row, top, 1)?;
+            }
+            if let (Some(store), Some(frame)) = (&s.store, ls.frames.first()) {
+                check_row("stack-frame", frame, store, 2)?;
+            }
+        }
+        for (slot, row) in self.registers.iter().zip(&lane.registers) {
+            if let (Some(t), Some(row)) = (slot, row) {
+                check_row("register", row, t, 1)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Overwrite lane `b` — a zeroed lane [`State::grow`] just appended
+    /// — with `lane`, which this state [accepts](State::accepts). The
+    /// lane keeps the ticket `grow` gave it. A store created here spans
+    /// `depth_limit` frames like one the VM's push path creates, so it
+    /// is layout-identical to one the machine grew itself.
+    pub(crate) fn restore(&mut self, b: usize, lane: &LaneState, depth_limit: usize) -> Result<()> {
+        let z = self.z;
+        self.pc_top[b] = lane.pc_top;
+        self.pc_stack[b].clone_from(&lane.pc_stack);
+        self.member_keys[b] = lane.key;
+        self.spent[b] = lane.spent;
+        self.peak_bytes[b] = lane.peak_bytes;
+        let mut mask = vec![false; z];
+        mask[b] = true;
+        let mut depths = vec![0usize; z];
+        for (s, ls) in self.stacked.iter_mut().zip(&lane.stacked) {
+            s.sp[b] = ls.frames.len();
+            if let Some(row) = &ls.top {
+                store_rows(&mut s.top, z, &[b], row)?;
+            }
+            for (d, frame) in ls.frames.iter().enumerate() {
+                let store = s.store.get_or_insert_with(|| {
+                    let mut shape = vec![depth_limit, z];
+                    shape.extend_from_slice(&frame.shape()[1..]);
+                    Tensor::zeros(frame.dtype(), &shape)
+                });
+                let mut full = zeroed(z, frame);
+                full.scatter_rows(&[b], frame)?;
+                depths.fill(d);
+                store.scatter_at_depth(&depths, &mask, &full)?;
+            }
+        }
+        for (slot, row) in self.registers.iter_mut().zip(&lane.registers) {
+            if let Some(row) = row {
+                store_rows(slot, z, &[b], row)?;
+            }
+        }
+        Ok(())
+    }
+}

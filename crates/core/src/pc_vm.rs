@@ -20,29 +20,9 @@ use autobatch_tensor::{CounterRng, DType, Data, Tensor};
 use crate::error::{Result, VmError};
 use crate::fusion::{self, FusedRegion};
 use crate::kernels::{eval_prim, KernelRegistry};
+use crate::member_set::{store_rows, LaneState, State};
 use crate::options::{BlockHeuristic, ExecOptions, ExecStrategy};
 use crate::pricing::Pricing;
-
-/// Storage for one stacked variable: frames below the cached top.
-#[derive(Debug, Clone)]
-struct StackVar {
-    /// `[D, Z, elem..]` frames beneath the top (lazily allocated).
-    store: Option<Tensor>,
-    /// Per-member count of frames in `store`.
-    sp: Vec<usize>,
-    /// `[Z, elem..]` cached top value (lazily allocated).
-    top: Option<Tensor>,
-}
-
-impl StackVar {
-    fn new(z: usize) -> StackVar {
-        StackVar {
-            store: None,
-            sp: vec![0; z],
-            top: None,
-        }
-    }
-}
 
 /// A point-in-time copy of one stacked variable, for observers (the
 /// paper's Figure 3 visualization).
@@ -152,7 +132,7 @@ impl Temps {
 /// alive makes the steady-state superstep loop allocation-free for all
 /// bookkeeping (masks, index lists, stack depths, fused-loop registers).
 #[derive(Debug, Default)]
-struct Scratch {
+pub(crate) struct Scratch {
     /// Active mask of the current superstep.
     active: Vec<bool>,
     /// Indices of the active members.
@@ -180,41 +160,6 @@ struct Scratch {
     /// region for this machine instead of paying the check every
     /// superstep.
     fused_off: Vec<Vec<bool>>,
-}
-
-#[derive(Debug)]
-struct State {
-    z: usize,
-    pc_top: Vec<usize>,
-    /// Per-member pc frames beneath the top.
-    pc_stack: Vec<Vec<usize>>,
-    /// Stacked-variable storage, indexed by [`Slot::Stacked`].
-    stacked: Vec<StackVar>,
-    /// Register storage, indexed by [`Slot::Register`].
-    registers: Vec<Option<Tensor>>,
-    /// Per-member RNG key: the `member` argument handed to the
-    /// counter-based RNG. A one-shot [`PcVm::run`] uses the lane index;
-    /// [`PcMachine`] assigns each admitted request its own key so a
-    /// member's draws are identical whether it runs alone or joins a
-    /// batch mid-flight, in any admission order.
-    member_keys: Vec<u64>,
-    /// Reused per-superstep buffers (see [`Scratch`]).
-    scratch: Scratch,
-}
-
-impl State {
-    fn new(p: &Program, z: usize) -> State {
-        let n_blocks = p.blocks.len();
-        State {
-            z,
-            pc_top: vec![p.entry.0; z],
-            pc_stack: vec![vec![n_blocks]; z], // exit sentinel at the bottom
-            stacked: p.stacked_vars().iter().map(|_| StackVar::new(z)).collect(),
-            registers: vec![None; p.register_vars().len()],
-            member_keys: (0..z as u64).collect(),
-            scratch: Scratch::default(),
-        }
-    }
 }
 
 impl<'p> PcVm<'p> {
@@ -361,7 +306,7 @@ impl<'p> PcVm<'p> {
         trace: Option<&mut Trace>,
     ) -> Result<usize> {
         let p = self.program;
-        let z = st.z;
+        let z = st.z();
         // Borrow the scratch arena for the superstep; restored on every
         // successful exit (error paths simply leave fresh buffers).
         let mut scratch = std::mem::take(&mut st.scratch);
@@ -506,7 +451,7 @@ impl<'p> PcVm<'p> {
         if !self.opts.cache_stack_tops {
             return Ok(false);
         }
-        let z = st.z;
+        let z = st.z();
         let n_active = scratch.active_idx.len();
         let gather = self.opts.strategy == ExecStrategy::GatherScatter;
         // Read the external inputs (O(1) copy-on-write clones),
@@ -657,7 +602,7 @@ impl<'p> PcVm<'p> {
         rng: &CounterRng,
         pricing: &mut Pricing<'_>,
     ) -> Result<()> {
-        let z = st.z;
+        let z = st.z();
         let active_idx = &scratch.active_idx;
         let n_active = active_idx.len();
         let inputs = &mut scratch.inputs;
@@ -733,7 +678,7 @@ impl<'p> PcVm<'p> {
         active_idx: &[usize],
         pricing: &mut Pricing<'_>,
     ) -> Result<()> {
-        let z = st.z;
+        let z = st.z();
         if self.opts.strategy == ExecStrategy::GatherScatter && active_idx.len() != z {
             if self.slot_of.contains_key(var) {
                 // Expand to full width by scattering into the current
@@ -766,6 +711,15 @@ impl<'p> PcVm<'p> {
         }
     }
 
+    /// The full-width `[Z, elem..]` buffer of a persistent variable — a
+    /// stacked variable's cached top, or a register — if `v` is one.
+    fn slot_mut<'s>(&self, st: &'s mut State, v: &Var) -> Option<&'s mut Option<Tensor>> {
+        match *self.slot_of.get(v)? {
+            Slot::Stacked(i) => Some(&mut st.stacked[i].top),
+            Slot::Register(i) => Some(&mut st.registers[i]),
+        }
+    }
+
     fn read_var(&self, st: &State, temps: &Temps, v: &Var, ctx: &str) -> Result<Tensor> {
         if let Some(t) = temps.get(v) {
             return Ok(t.clone());
@@ -792,7 +746,7 @@ impl<'p> PcVm<'p> {
         kind: WriteKind,
         pricing: &mut Pricing<'_>,
     ) -> Result<()> {
-        let z = st.z;
+        let z = st.z();
         if let Some(&Slot::Stacked(slot)) = self.slot_of.get(var) {
             let s = &mut st.stacked[slot];
             match kind {
@@ -914,71 +868,6 @@ pub struct Retired {
     pub outputs: Vec<Tensor>,
 }
 
-/// One stacked variable's slice of a [`LaneState`]: the lane's stack
-/// pointer, its frames (bottom first, each `[1, elem..]`), and its
-/// cached top row.
-#[derive(Debug, Clone)]
-struct LaneStack {
-    sp: usize,
-    frames: Vec<Tensor>,
-    top: Option<Tensor>,
-}
-
-/// The complete portable state of one **running** lane, extracted by
-/// [`PcMachine::extract_lanes`] and re-admitted elsewhere by
-/// [`PcMachine::inject_lane`] — the mechanism behind cross-shard
-/// straggler migration.
-///
-/// Moving a lane between machines cannot perturb its results: every
-/// random draw is keyed by `(seed, member_key, counter)` where the
-/// counter is threaded through the program's own data, so the draw
-/// stream is independent of placement, batch composition, and timing.
-/// The only compatibility requirement is that source and destination
-/// execute the same lowered program under the same
-/// [`ExecOptions::stack_depth`] (checked at injection).
-#[derive(Debug, Clone)]
-pub struct LaneState {
-    /// The RNG member key the lane draws under.
-    key: u64,
-    /// The lane's current pc top (block index).
-    pc_top: usize,
-    /// pc frames beneath the top (exit sentinel at the bottom).
-    pc_stack: Vec<usize>,
-    /// Per stacked variable, in the program's slot order.
-    stacked: Vec<LaneStack>,
-    /// Per register slot: the lane's row, if ever materialized.
-    registers: Vec<Option<Tensor>>,
-    /// Supersteps the lane has been charged for so far (see
-    /// [`PcMachine::lane_spend`]); migrates with the lane so a budget
-    /// cannot be reset by moving shards.
-    spent: u64,
-    /// Peak per-lane resident bytes observed so far; migrates with the
-    /// lane for the same reason.
-    peak_bytes: u64,
-}
-
-impl LaneState {
-    /// The block index the lane is about to execute.
-    pub fn pc(&self) -> usize {
-        self.pc_top
-    }
-
-    /// The RNG member key the lane draws under.
-    pub fn key(&self) -> u64 {
-        self.key
-    }
-
-    /// Supersteps charged to the lane so far.
-    pub fn spent(&self) -> u64 {
-        self.spent
-    }
-
-    /// Peak per-lane resident bytes observed so far.
-    pub fn peak_bytes(&self) -> u64 {
-        self.peak_bytes
-    }
-}
-
 /// An incremental program-counter VM supporting **dynamic batch
 /// admission**: members join an in-flight batch at the entry block (with
 /// fresh stacks) and are compacted out once their pc top hits the exit.
@@ -996,6 +885,18 @@ impl LaneState {
 /// admission order cannot perturb results. This is what turns the
 /// one-shot batched VM into a serving runtime (see the `autobatch-serve`
 /// crate).
+///
+/// # The member set
+///
+/// Who is in the batch changes four ways — [`PcMachine::admit_batch`],
+/// [`PcMachine::retire_finished`], [`PcMachine::extract_lanes`] and
+/// [`PcMachine::inject_lane`] — and each is validation followed by the
+/// same two edits of the per-lane state (append lanes, keep a subset of
+/// lanes). The `member_set` module owns that state and spells out what
+/// all four keep true: every per-lane structure has one length, lanes
+/// stay in ticket order, an edit is legal only between one
+/// [`PcMachine::step`] returning and the next beginning, and an edit
+/// that returns an error has not touched the machine.
 ///
 /// # Examples
 ///
@@ -1023,17 +924,9 @@ pub struct PcMachine<'p> {
     vm: PcVm<'p>,
     st: State,
     rng: CounterRng,
-    /// Lane → admission ticket.
-    tickets: Vec<u64>,
-    /// Lane → supersteps charged to the lane (see
-    /// [`PcMachine::lane_spend`]).
-    spent: Vec<u64>,
-    /// Lane → peak resident bytes attributed to the lane so far.
-    peak_bytes: Vec<u64>,
-    /// Whether [`PcMachine::step`] folds lane footprints into
-    /// `peak_bytes` (see [`PcMachine::track_peak_bytes`]).
+    /// Whether [`PcMachine::step`] folds lane footprints into the
+    /// lanes' peak bytes (see [`PcMachine::track_peak_bytes`]).
     track_peak_bytes: bool,
-    next_ticket: u64,
     steps: u64,
     last_active: usize,
 }
@@ -1047,11 +940,7 @@ impl<'p> PcMachine<'p> {
             vm: PcVm::new(program, registry, opts),
             st,
             rng,
-            tickets: Vec::new(),
-            spent: Vec::new(),
-            peak_bytes: Vec::new(),
             track_peak_bytes: false,
-            next_ticket: 0,
             steps: 0,
             last_active: 0,
         }
@@ -1064,13 +953,17 @@ impl<'p> PcMachine<'p> {
 
     /// Live members (running + finished-but-not-yet-retired).
     pub fn live(&self) -> usize {
-        self.st.z
+        self.st.z()
     }
 
     /// Members whose pc top has not yet reached the exit.
     pub fn running(&self) -> usize {
-        let n_blocks = self.vm.program.blocks.len();
-        self.st.pc_top.iter().filter(|&&pc| pc < n_blocks).count()
+        self.running_lanes().count()
+    }
+
+    /// The lanes that have yet to reach the exit, in lane order.
+    fn running_lanes(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.st.z()).filter(|&b| self.st.is_running(b))
     }
 
     /// Members that finished and are waiting to be retired.
@@ -1111,18 +1004,15 @@ impl<'p> PcMachine<'p> {
 
     /// Admission tickets of the live members, lane by lane.
     pub fn tickets(&self) -> &[u64] {
-        &self.tickets
+        &self.st.tickets
     }
 
     /// Admit one member at the entry block with fresh stacks. `inputs`
     /// holds one `[1, elem..]` tensor per program input; `key` is the RNG
     /// member key the lane draws under. Returns an admission ticket.
     ///
-    /// All existing lanes are untouched: buffers grow by one zeroed lane
-    /// (exactly the state a fresh batch starts from), so live members'
-    /// results are unchanged by the admission. To admit several members
-    /// at once, [`PcMachine::admit_batch`] grows every buffer a single
-    /// time instead of once per member.
+    /// To admit several members at once, [`PcMachine::admit_batch`]
+    /// grows every buffer a single time instead of once per member.
     ///
     /// # Errors
     ///
@@ -1133,10 +1023,11 @@ impl<'p> PcMachine<'p> {
     }
 
     /// Admit several members at once: each entry holds one `[1, elem..]`
-    /// tensor per program input plus the lane's RNG member key. Every
-    /// per-member buffer grows by `requests.len()` zeroed lanes in a
-    /// single pad (one copy of the live state, however many members
-    /// join), so a full batch refill costs the same as one admission.
+    /// tensor per program input plus the lane's RNG member key. The
+    /// member set grows by `requests.len()` fresh lanes in one edit (one
+    /// copy of the live state, however many members join, so a full
+    /// batch refill costs the same as one admission), and each input is
+    /// written into the new lanes once; live members are untouched.
     /// Returns one admission ticket per request, in order.
     ///
     /// Programs are shape-polymorphic (like [`PcVm::run`], which accepts
@@ -1179,8 +1070,7 @@ impl<'p> PcMachine<'p> {
             }
         }
         // Stack the requests' rows per program input — [k, elem..] each —
-        // before any growth, so cross-request shape mismatches surface
-        // while the machine is still untouched.
+        // so cross-request shape mismatches surface here.
         let stacked_inputs: Vec<Tensor> = (0..p.inputs.len())
             .map(|j| {
                 let rows: Vec<Tensor> = requests.iter().map(|(ins, _)| ins[j].clone()).collect();
@@ -1188,95 +1078,40 @@ impl<'p> PcMachine<'p> {
             })
             .collect::<Result<_>>()?;
         // The rows must also agree with the *live* lanes' buffers: a
-        // masked store silently reallocates on shape or dtype change, so
-        // a mismatched admission would zero or corrupt in-flight members.
-        // Check against whatever full-width buffer the var currently
-        // holds — still before the machine is touched.
+        // row of another shape or dtype could not be written beside
+        // theirs.
         for (v, rows) in p.inputs.iter().zip(&stacked_inputs) {
-            let live = match self.vm.slot_of.get(v) {
-                Some(&Slot::Stacked(i)) => {
-                    let s = &self.st.stacked[i];
-                    s.top
-                        .as_ref()
-                        .map(|t| (t.shape()[1..].to_vec(), t.dtype()))
-                        .or_else(|| {
-                            s.store
-                                .as_ref()
-                                .map(|t| (t.shape()[2..].to_vec(), t.dtype()))
-                        })
-                }
-                Some(&Slot::Register(i)) => self.st.registers[i]
-                    .as_ref()
-                    .map(|t| (t.shape()[1..].to_vec(), t.dtype())),
-                None => None,
-            };
-            if let Some((elem, dtype)) = live {
-                if rows.shape()[1..] != elem[..] || rows.dtype() != dtype {
+            if let Some(live) = self.vm.peek_var(&self.st, v) {
+                if rows.shape()[1..] != live.shape()[1..] || rows.dtype() != live.dtype() {
                     return Err(VmError::BadInputs {
                         what: format!(
                             "admitted input {v} rows are {:?} {:?}, but the live \
                              batch holds {:?} {:?}",
                             &rows.shape()[1..],
                             rows.dtype(),
-                            elem,
-                            dtype
+                            &live.shape()[1..],
+                            live.dtype()
                         ),
                     });
                 }
             }
         }
-        let z = self.st.z;
-        // Grow every per-member structure by k zeroed lanes at once.
-        self.st.z = z + k;
-        self.st.pc_top.extend(std::iter::repeat_n(p.entry.0, k));
-        self.st
-            .pc_stack
-            .extend(std::iter::repeat_n(vec![p.blocks.len()], k)); // exit sentinel
-        self.st
-            .member_keys
-            .extend(requests.iter().map(|&(_, key)| key));
-        for s in self.st.stacked.iter_mut() {
-            s.sp.extend(std::iter::repeat_n(0, k));
-            if let Some(top) = &s.top {
-                s.top = Some(top.pad_rows(k)?);
-            }
-            if let Some(store) = &s.store {
-                s.store = Some(store.pad_axis1(k)?);
-            }
-        }
-        for slot in self.st.registers.iter_mut() {
-            if let Some(t) = slot {
-                *slot = Some(t.pad_rows(k)?);
-            }
+        let z = self.st.z();
+        self.st.grow(k)?;
+        for (key, &(_, k)) in self.st.member_keys[z..].iter_mut().zip(requests) {
+            *key = k;
         }
         // Bind the inputs into the new lanes only.
-        let mut active = vec![false; z + k];
-        active[z..].fill(true);
         let new_lanes: Vec<usize> = (z..z + k).collect();
-        for (v, rows) in p.inputs.iter().zip(stacked_inputs) {
-            let mut shape = rows.shape().to_vec();
-            shape[0] = z + k;
-            let mut full = Tensor::zeros(rows.dtype(), &shape);
-            full.scatter_rows(&new_lanes, &rows)?;
-            self.vm.write_var(
-                &mut self.st,
-                v,
-                full,
-                &active,
-                &mut Temps::default(),
-                WriteKind::Update,
-                &mut Pricing::off(),
-            )?;
+        for (v, rows) in p.inputs.iter().zip(&stacked_inputs) {
+            if let Some(slot) = self.vm.slot_mut(&mut self.st, v) {
+                store_rows(slot, z + k, &new_lanes, rows)?;
+            }
         }
-        let tickets: Vec<u64> = (self.next_ticket..self.next_ticket + k as u64).collect();
-        self.next_ticket += k as u64;
-        self.tickets.extend_from_slice(&tickets);
-        self.spent.extend(std::iter::repeat_n(0, k));
-        self.peak_bytes.extend(std::iter::repeat_n(0, k));
         if let Some(t) = trace {
-            t.membership(k, 0, self.st.z);
+            t.membership(k, 0, self.st.z());
         }
-        Ok(tickets)
+        Ok(self.st.tickets[z..].to_vec())
     }
 
     /// Run one superstep. Returns `false` (and does nothing) when no
@@ -1323,8 +1158,8 @@ impl<'p> PcMachine<'p> {
         let fault = self.vm.opts.fault;
         if fault.runaway != 0 {
             let entry = self.vm.program.entry.0;
-            for b in 0..self.st.z {
-                if self.st.pc_top[b] >= n_blocks
+            for b in 0..self.st.z() {
+                if !self.st.is_running(b)
                     && fault.fires(autobatch_chaos::FaultPoint::Runaway, self.st.member_keys[b])
                 {
                     self.st.pc_top[b] = entry;
@@ -1341,9 +1176,9 @@ impl<'p> PcMachine<'p> {
         // superstep is charged one superstep, whether or not its block
         // was the one selected — a parked lane occupies the machine all
         // the same. Lanes that just finished stop accruing.
-        for b in 0..self.st.z {
-            if self.st.pc_top[b] < n_blocks {
-                self.spent[b] += 1;
+        for b in 0..self.st.z() {
+            if self.st.is_running(b) {
+                self.st.spent[b] += 1;
             }
         }
         if self.track_peak_bytes {
@@ -1359,16 +1194,17 @@ impl<'p> PcMachine<'p> {
     fn update_peak_bytes(&mut self) {
         // Registers and stack tops hold one row per lane regardless of
         // stack depth; only the occupied store frames vary by lane.
+        let st = &mut self.st;
         let mut base: u64 = 0;
-        for slot in self.st.registers.iter().flatten() {
+        for slot in st.registers.iter().flatten() {
             base += elem_bytes(slot.shape(), 1, slot.dtype());
         }
-        for top in self.st.stacked.iter().filter_map(|s| s.top.as_ref()) {
+        for top in st.stacked.iter().filter_map(|s| s.top.as_ref()) {
             base += elem_bytes(top.shape(), 1, top.dtype());
         }
-        for (b, peak) in self.peak_bytes.iter_mut().enumerate() {
+        for (b, peak) in st.peak_bytes.iter_mut().enumerate() {
             let mut bytes = base;
-            for s in &self.st.stacked {
+            for s in &st.stacked {
                 if let Some(store) = &s.store {
                     bytes += s.sp[b] as u64 * elem_bytes(store.shape(), 2, store.dtype());
                 }
@@ -1385,76 +1221,47 @@ impl<'p> PcMachine<'p> {
     /// [`PcMachine::extract_lanes`] / [`PcMachine::inject_lane`], so
     /// migrating cannot reset a budget.
     pub fn lane_spend(&self) -> Vec<(u64, u64, u64)> {
-        let n_blocks = self.vm.program.blocks.len();
-        (0..self.st.z)
-            .filter(|&b| self.st.pc_top[b] < n_blocks)
-            .map(|b| (self.tickets[b], self.spent[b], self.peak_bytes[b]))
+        let st = &self.st;
+        self.running_lanes()
+            .map(|b| (st.tickets[b], st.spent[b], st.peak_bytes[b]))
             .collect()
     }
 
-    /// Retire every finished member: read its outputs, then compact its
-    /// lane out of all batch structures (the member-set shrink of dynamic
-    /// admission). Returns the retired members in lane order.
+    /// Retire every finished member: read its outputs, then drop its
+    /// lane from the [member set](PcMachine#the-member-set). Returns the
+    /// retired members in lane order.
     ///
     /// # Errors
     ///
     /// Propagates output-read errors.
     pub fn retire_finished(&mut self, trace: Option<&mut Trace>) -> Result<Vec<Retired>> {
-        let p = self.vm.program;
-        let n_blocks = p.blocks.len();
-        let done: Vec<usize> = (0..self.st.z)
-            .filter(|&b| self.st.pc_top[b] >= n_blocks)
-            .collect();
-        if done.is_empty() {
+        let keep: Vec<usize> = self.running_lanes().collect();
+        let done = self.st.z() - keep.len();
+        if done == 0 {
             return Ok(Vec::new());
         }
-        let outs_full: Vec<Tensor> = p
+        let outs_full: Vec<Tensor> = self
+            .vm
+            .program
             .outputs
             .iter()
             .map(|o| self.vm.read_var(&self.st, &Temps::default(), o, "outputs"))
             .collect::<Result<_>>()?;
-        let mut retired = Vec::with_capacity(done.len());
-        for &b in &done {
+        let mut retired = Vec::with_capacity(done);
+        for b in (0..self.st.z()).filter(|&b| !self.st.is_running(b)) {
             let outputs: Vec<Tensor> = outs_full
                 .iter()
                 .map(|t| t.gather_rows(&[b]).map_err(VmError::from))
                 .collect::<Result<_>>()?;
             retired.push(Retired {
-                ticket: self.tickets[b],
+                ticket: self.st.tickets[b],
                 key: self.st.member_keys[b],
                 outputs,
             });
         }
-        // Compact the surviving lanes together.
-        let keep: Vec<usize> = (0..self.st.z)
-            .filter(|&b| self.st.pc_top[b] < n_blocks)
-            .collect();
-        self.st.pc_top = keep.iter().map(|&b| self.st.pc_top[b]).collect();
-        self.st.pc_stack = keep
-            .iter()
-            .map(|&b| std::mem::take(&mut self.st.pc_stack[b]))
-            .collect();
-        self.st.member_keys = keep.iter().map(|&b| self.st.member_keys[b]).collect();
-        self.tickets = keep.iter().map(|&b| self.tickets[b]).collect();
-        self.spent = keep.iter().map(|&b| self.spent[b]).collect();
-        self.peak_bytes = keep.iter().map(|&b| self.peak_bytes[b]).collect();
-        for s in self.st.stacked.iter_mut() {
-            s.sp = keep.iter().map(|&b| s.sp[b]).collect();
-            if let Some(top) = &s.top {
-                s.top = Some(top.gather_rows(&keep)?);
-            }
-            if let Some(store) = &s.store {
-                s.store = Some(store.select_axis1(&keep)?);
-            }
-        }
-        for slot in self.st.registers.iter_mut() {
-            if let Some(t) = slot {
-                *slot = Some(t.gather_rows(&keep)?);
-            }
-        }
-        self.st.z = keep.len();
+        self.st.compact(&keep)?;
         if let Some(t) = trace {
-            t.membership(0, done.len(), self.st.z);
+            t.membership(0, done, self.st.z());
         }
         Ok(retired)
     }
@@ -1485,12 +1292,9 @@ impl<'p> PcMachine<'p> {
     /// excluded — they leave at the next retirement and carry no
     /// affinity signal.
     pub fn pc_histogram(&self) -> BTreeMap<usize, usize> {
-        let n_blocks = self.vm.program.blocks.len();
         let mut hist = BTreeMap::new();
-        for &pc in &self.st.pc_top {
-            if pc < n_blocks {
-                *hist.entry(pc).or_insert(0) += 1;
-            }
+        for b in self.running_lanes() {
+            *hist.entry(self.st.pc_top[b]).or_insert(0) += 1;
         }
         hist
     }
@@ -1507,40 +1311,21 @@ impl<'p> PcMachine<'p> {
 
     /// `(ticket, pc)` of every **running** lane, in lane order.
     pub fn lane_pcs(&self) -> Vec<(u64, usize)> {
-        let n_blocks = self.vm.program.blocks.len();
-        self.tickets
-            .iter()
-            .zip(&self.st.pc_top)
-            .filter(|&(_, &pc)| pc < n_blocks)
-            .map(|(&t, &pc)| (t, pc))
+        self.running_lanes()
+            .map(|b| (self.st.tickets[b], self.st.pc_top[b]))
             .collect()
     }
 
     /// Extract the given **running** lanes as portable [`LaneState`]s and
-    /// compact them out of this machine (the same member-set shrink as
-    /// [`PcMachine::retire_finished`], keyed by ticket instead of exit
-    /// pc). Returns `(ticket, state)` pairs in the order requested —
-    /// the eviction half of cross-shard straggler migration, and the
-    /// checkpoint path budget enforcement evicts over-limit lanes
-    /// through.
-    ///
-    /// # Soundness: the eviction boundary
-    ///
-    /// Eviction is only legal at a **superstep edge** — between one
-    /// [`PcMachine::step`] returning and the next beginning — never
-    /// mid-superstep and in particular never inside a fused elementwise
-    /// region. Within a superstep, fused regions hold intermediate
-    /// values in registers that exist nowhere in `State`'s buffers;
-    /// compacting a lane out at that point would leave batchmates'
-    /// gather indices pointing at moved rows. At the edge, every live
-    /// value is materialized in the per-lane buffers, so removing a
-    /// lane is a pure row-compaction the remaining lanes cannot
-    /// observe (their results are bit-identical by the masking
-    /// argument). All callers in this workspace — migration planning
-    /// and budget eviction alike — run strictly between supersteps.
-    ///
-    /// Validation happens before any mutation: on error the machine is
-    /// untouched.
+    /// drop them from the [member set](PcMachine#the-member-set) — the same
+    /// shrink as [`PcMachine::retire_finished`], keyed by ticket
+    /// instead of exit pc. Returns `(ticket, state)` pairs in the order
+    /// requested — the eviction half of cross-shard straggler
+    /// migration, and the checkpoint path budget enforcement evicts
+    /// over-limit lanes through. All callers in this workspace —
+    /// migration planning and budget eviction alike — run strictly
+    /// between supersteps, where removing a lane is a row selection the
+    /// remaining lanes cannot observe.
     ///
     /// # Errors
     ///
@@ -1555,260 +1340,59 @@ impl<'p> PcMachine<'p> {
         if tickets.is_empty() {
             return Ok(Vec::new());
         }
-        let n_blocks = self.vm.program.blocks.len();
         let mut lanes = Vec::with_capacity(tickets.len());
         for &ticket in tickets {
-            let Some(b) = self.tickets.iter().position(|&t| t == ticket) else {
+            let Some(b) = self.st.tickets.iter().position(|&t| t == ticket) else {
                 return Err(VmError::BadInputs {
                     what: format!("extract_lanes: no live lane holds ticket {ticket}"),
                 });
             };
-            if self.st.pc_top[b] >= n_blocks {
+            if !self.st.is_running(b) {
                 return Err(VmError::BadInputs {
                     what: format!("extract_lanes: lane with ticket {ticket} already finished"),
                 });
             }
             lanes.push(b);
         }
-        let z = self.st.z;
-        let mut out = Vec::with_capacity(lanes.len());
-        let mut depths = vec![0usize; z];
-        for (&ticket, &b) in tickets.iter().zip(&lanes) {
-            let mut stacked = Vec::with_capacity(self.st.stacked.len());
-            for s in &self.st.stacked {
-                let sp = s.sp[b];
-                let mut frames = Vec::with_capacity(sp);
-                if sp > 0 {
-                    // The store always spans the full depth limit, so any
-                    // frame index below `sp` is in bounds for every lane.
-                    let store = s.store.as_ref().ok_or_else(|| VmError::BadInputs {
-                        what: format!("extract_lanes: sp {sp} > 0 with no store buffer"),
-                    })?;
-                    for d in 0..sp {
-                        depths.fill(d);
-                        frames.push(store.gather_at_depth(&depths)?.gather_rows(&[b])?);
-                    }
-                }
-                stacked.push(LaneStack {
-                    sp,
-                    frames,
-                    top: match &s.top {
-                        Some(t) => Some(t.gather_rows(&[b])?),
-                        None => None,
-                    },
-                });
-            }
-            let registers = self
-                .st
-                .registers
-                .iter()
-                .map(|slot| slot.as_ref().map(|t| t.gather_rows(&[b])).transpose())
-                .collect::<std::result::Result<_, _>>()?;
-            out.push((
-                ticket,
-                LaneState {
-                    key: self.st.member_keys[b],
-                    pc_top: self.st.pc_top[b],
-                    pc_stack: self.st.pc_stack[b].clone(),
-                    stacked,
-                    registers,
-                    spent: self.spent[b],
-                    peak_bytes: self.peak_bytes[b],
-                },
-            ));
-        }
-        // Compact the surviving lanes together (as retire_finished does).
-        let keep: Vec<usize> = (0..z).filter(|b| !lanes.contains(b)).collect();
-        self.st.pc_top = keep.iter().map(|&b| self.st.pc_top[b]).collect();
-        self.st.pc_stack = keep
+        let out = tickets
             .iter()
-            .map(|&b| std::mem::take(&mut self.st.pc_stack[b]))
-            .collect();
-        self.st.member_keys = keep.iter().map(|&b| self.st.member_keys[b]).collect();
-        self.tickets = keep.iter().map(|&b| self.tickets[b]).collect();
-        self.spent = keep.iter().map(|&b| self.spent[b]).collect();
-        self.peak_bytes = keep.iter().map(|&b| self.peak_bytes[b]).collect();
-        for s in self.st.stacked.iter_mut() {
-            s.sp = keep.iter().map(|&b| s.sp[b]).collect();
-            if let Some(top) = &s.top {
-                s.top = Some(top.gather_rows(&keep)?);
-            }
-            if let Some(store) = &s.store {
-                s.store = Some(store.select_axis1(&keep)?);
-            }
-        }
-        for slot in self.st.registers.iter_mut() {
-            if let Some(t) = slot {
-                *slot = Some(t.gather_rows(&keep)?);
-            }
-        }
-        self.st.z = keep.len();
+            .zip(&lanes)
+            .map(|(&ticket, &b)| Ok((ticket, self.st.snapshot(b)?)))
+            .collect::<Result<_>>()?;
+        let keep: Vec<usize> = (0..self.st.z()).filter(|b| !lanes.contains(b)).collect();
+        self.st.compact(&keep)?;
         if let Some(t) = trace {
-            t.migrate_out(lanes.len(), self.st.z);
+            t.migrate_out(lanes.len(), self.st.z());
         }
         Ok(out)
     }
 
     /// Re-admit a lane previously produced by [`PcMachine::extract_lanes`]
     /// (possibly on a different machine): the admission half of
-    /// straggler migration. The lane joins with its pc stack, data
-    /// stacks, registers, and RNG key intact, so its remaining draws and
+    /// straggler migration. The [member set](PcMachine#the-member-set) grows
+    /// by one lane, which takes over the extracted lane's pc stack, data
+    /// stacks, registers, RNG key and spend, so its remaining draws and
     /// outputs are bit-identical to never having moved. Returns the
     /// lane's new ticket on this machine.
     ///
     /// Source and destination must execute the same lowered program
-    /// under the same [`ExecOptions::stack_depth`]; all structural
-    /// checks run before any mutation.
+    /// under the same [`ExecOptions::stack_depth`].
     ///
     /// # Errors
     ///
-    /// Returns [`VmError::BadInputs`] on arity or depth mismatch, and
-    /// tensor-shape errors when the lane's rows disagree with the live
-    /// batch's element shapes.
+    /// Returns [`VmError::BadInputs`] on arity or depth mismatch, or
+    /// when the lane's rows disagree with the live batch's element
+    /// shapes.
     pub fn inject_lane(&mut self, lane: &LaneState, trace: Option<&mut Trace>) -> Result<u64> {
-        let p = self.vm.program;
-        let n_blocks = p.blocks.len();
-        if lane.pc_top >= n_blocks {
-            return Err(VmError::BadInputs {
-                what: format!(
-                    "inject_lane: pc top {} is out of range for {} blocks",
-                    lane.pc_top, n_blocks
-                ),
-            });
-        }
-        if lane.stacked.len() != self.st.stacked.len()
-            || lane.registers.len() != self.st.registers.len()
-        {
-            return Err(VmError::BadInputs {
-                what: format!(
-                    "inject_lane: lane has {} stacked vars / {} registers, \
-                     machine has {} / {} (programs must match)",
-                    lane.stacked.len(),
-                    lane.registers.len(),
-                    self.st.stacked.len(),
-                    self.st.registers.len()
-                ),
-            });
-        }
         let depth_limit = self.vm.opts.stack_depth;
-        for ls in &lane.stacked {
-            if ls.sp > depth_limit || ls.frames.len() != ls.sp {
-                return Err(VmError::BadInputs {
-                    what: format!(
-                        "inject_lane: lane carries {} frames at sp {} under depth limit {}",
-                        ls.frames.len(),
-                        ls.sp,
-                        depth_limit
-                    ),
-                });
-            }
-        }
-        // Element shapes and dtypes must agree with the live buffers
-        // wherever both sides hold one — checked up front so an error
-        // leaves the machine untouched.
-        let check = |what: &str, elem: &[usize], dt: DType, live: &Tensor, skip: usize| {
-            if live.shape()[skip..] != elem[1..] || live.dtype() != dt {
-                return Err(VmError::BadInputs {
-                    what: format!(
-                        "inject_lane: lane {what} row is {:?} {dt:?}, but the live \
-                         batch holds {:?} {:?}",
-                        &elem[1..],
-                        &live.shape()[skip..],
-                        live.dtype()
-                    ),
-                });
-            }
-            Ok(())
-        };
-        for (s, ls) in self.st.stacked.iter().zip(&lane.stacked) {
-            if let (Some(top), Some(row)) = (&s.top, &ls.top) {
-                check("stack-top", row.shape(), row.dtype(), top, 1)?;
-            }
-            if let (Some(store), Some(frame)) = (&s.store, ls.frames.first()) {
-                check("stack-frame", frame.shape(), frame.dtype(), store, 2)?;
-            }
-        }
-        for (slot, row) in self.st.registers.iter().zip(&lane.registers) {
-            if let (Some(t), Some(row)) = (slot, row) {
-                check("register", row.shape(), row.dtype(), t, 1)?;
-            }
-        }
-        let z = self.st.z;
-        self.st.z = z + 1;
-        self.st.pc_top.push(lane.pc_top);
-        self.st.pc_stack.push(lane.pc_stack.clone());
-        self.st.member_keys.push(lane.key);
-        let mut mask = vec![false; z + 1];
-        mask[z] = true;
-        let mut depths = vec![0usize; z + 1];
-        for (s, ls) in self.st.stacked.iter_mut().zip(&lane.stacked) {
-            s.sp.push(ls.sp);
-            match (&mut s.top, &ls.top) {
-                (Some(top), Some(row)) => {
-                    let mut grown = top.pad_rows(1)?;
-                    grown.scatter_rows(&[z], row)?;
-                    *top = grown;
-                }
-                (Some(top), None) => *top = top.pad_rows(1)?,
-                (slot @ None, Some(row)) => {
-                    let mut shape = row.shape().to_vec();
-                    shape[0] = z + 1;
-                    let mut full = Tensor::zeros(row.dtype(), &shape);
-                    full.scatter_rows(&[z], row)?;
-                    *slot = Some(full);
-                }
-                (None, None) => {}
-            }
-            match (&mut s.store, ls.frames.first()) {
-                (Some(store), _) => *store = store.pad_axis1(1)?,
-                (slot @ None, Some(frame)) => {
-                    // Stores always span the full depth limit (see
-                    // write_var's push path), so a fresh one here is
-                    // layout-identical to one the machine grew itself.
-                    let mut shape = vec![depth_limit, z + 1];
-                    shape.extend_from_slice(&frame.shape()[1..]);
-                    *slot = Some(Tensor::zeros(frame.dtype(), &shape));
-                }
-                (None, None) => {}
-            }
-            if let Some(store) = &mut s.store {
-                for (d, frame) in ls.frames.iter().enumerate() {
-                    let mut shape = frame.shape().to_vec();
-                    shape[0] = z + 1;
-                    let mut full = Tensor::zeros(frame.dtype(), &shape);
-                    full.scatter_rows(&[z], frame)?;
-                    depths.fill(d);
-                    store.scatter_at_depth(&depths, &mask, &full)?;
-                }
-            }
-        }
-        for (slot, row) in self.st.registers.iter_mut().zip(&lane.registers) {
-            match (&mut *slot, row) {
-                (Some(t), Some(row)) => {
-                    let mut grown = t.pad_rows(1)?;
-                    grown.scatter_rows(&[z], row)?;
-                    *slot = Some(grown);
-                }
-                (Some(t), None) => *slot = Some(t.pad_rows(1)?),
-                (None, Some(row)) => {
-                    let mut shape = row.shape().to_vec();
-                    shape[0] = z + 1;
-                    let mut full = Tensor::zeros(row.dtype(), &shape);
-                    full.scatter_rows(&[z], row)?;
-                    *slot = Some(full);
-                }
-                (None, None) => {}
-            }
-        }
-        let ticket = self.next_ticket;
-        self.next_ticket += 1;
-        self.tickets.push(ticket);
-        self.spent.push(lane.spent);
-        self.peak_bytes.push(lane.peak_bytes);
+        self.st.accepts(lane, depth_limit)?;
+        let b = self.st.z();
+        self.st.grow(1)?;
+        self.st.restore(b, lane, depth_limit)?;
         if let Some(t) = trace {
-            t.migrate_in(1, self.st.z);
+            t.migrate_in(1, self.st.z());
         }
-        Ok(ticket)
+        Ok(self.st.tickets[b])
     }
 }
 
