@@ -842,7 +842,6 @@ fn flush(
                 // A quarantined program is fast-rejected before it can
                 // touch the fleet at all.
                 let code = match &e {
-                    ServeError::Overloaded { .. } => RejectCode::Overloaded,
                     ServeError::RetriesExhausted { .. } => RejectCode::Internal,
                     ServeError::InvalidRequest(_) => RejectCode::Invalid,
                     ServeError::Quarantined { .. } => RejectCode::Quarantined,

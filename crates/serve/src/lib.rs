@@ -31,9 +31,10 @@
 //! Benchmarks drive it deterministically from the simulated cost model;
 //! the TCP ingress layer (`autobatch-ingress`) drives it from the real
 //! clock at the connection boundary. Queue-wait observability
-//! ([`Response::queued_ticks`], [`BatchServer::peak_pending`]) and
-//! backpressure ([`BatchServer::set_queue_budget`], the typed
-//! [`ServeError::Overloaded`] rejection) are measured in those ticks.
+//! ([`Response::queued_ticks`], [`BatchServer::peak_pending`]) is
+//! measured in those ticks. Backpressure is the front door's job: the
+//! ingress layer bounds its backlog at the connection threads and
+//! refuses with the typed [`ServeError::Overloaded`].
 //!
 //! Correctness does not depend on the policy: every request's draws come
 //! from the counter-based RNG keyed by `(seed, member_key, counter)`,
@@ -45,6 +46,7 @@
 #![warn(missing_debug_implementations)]
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use autobatch_accel::Trace;
 use autobatch_chaos::{FaultPlan, FaultPoint};
@@ -83,10 +85,11 @@ pub enum ServeError {
     /// signature (wrong dtype or element shape). Detected at
     /// submission, before the request touches any machine state.
     InvalidRequest(IrError),
-    /// Load shedding: the queue is at its configured budget and the
-    /// request was **not** enqueued. The typed alternative to letting
-    /// the queue grow without bound — callers can retry later or fail
-    /// fast upstream.
+    /// Load shedding: the backlog is at its configured budget and the
+    /// request was **not** accepted. The typed alternative to letting
+    /// the backlog grow without bound — callers can retry later or fail
+    /// fast upstream. Raised by the ingress front door, which owns the
+    /// budget; no server in this crate sheds.
     Overloaded {
         /// Queue depth observed at rejection.
         depth: usize,
@@ -415,33 +418,28 @@ pub struct Response {
 }
 
 /// A lane evicted mid-flight from one [`BatchServer`] for re-admission
-/// on another — the unit of cross-shard straggler migration. Produced by
+/// on another — the unit of cross-shard straggler migration: the lane's
+/// complete portable execution state, and the request's record, whole,
+/// so the destination produces an unchanged [`Response`] and a
+/// per-request deadline keeps counting across the move. Produced by
 /// [`BatchServer::evict_lanes`], consumed by
 /// [`BatchServer::admit_migrant`].
 #[derive(Debug)]
 pub struct Migrant {
-    /// The request id the lane is computing.
-    pub id: u64,
-    /// The lane's complete portable execution state.
-    pub lane: LaneState,
-    /// Superstep at which the request was originally admitted (on its
-    /// first machine; carried into the final [`Response`]).
-    pub admitted_at: u64,
-    /// Queue-wait ticks from the original admission.
-    pub queued_ticks: u64,
-    /// Virtual-clock reading at the original admission, carried so a
-    /// per-request deadline keeps counting across migrations.
-    pub admitted_clock: u64,
+    lane: LaneState,
+    flight: InFlight,
 }
 
-/// Bookkeeping for one lane admitted into the in-flight machine.
+/// A request's record while a lane computes it. It is filed at
+/// admission and travels with the lane if the lane migrates.
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
-    /// The machine ticket identifying the lane.
+    /// The ticket of the lane on the machine it is on now.
     ticket: u64,
     /// The request id the lane is computing.
     id: u64,
-    /// Superstep at admission (for [`Response::admitted_at`]).
+    /// Superstep at admission, on the request's first machine (for
+    /// [`Response::admitted_at`]).
     admitted_at: u64,
     /// Queue-wait ticks accrued before admission.
     queued_ticks: u64,
@@ -480,9 +478,6 @@ pub struct BatchServer<'p> {
     /// Monotonic virtual clock in abstract ticks, advanced by the
     /// caller. Deadline admission and queue-latency accounting read it.
     clock: u64,
-    /// Load-shedding budget: submissions beyond this queue depth are
-    /// rejected with [`ServeError::Overloaded`]. `None` = unbounded.
-    queue_budget: Option<usize>,
     /// Deepest the queue has ever been.
     peak_pending: usize,
     /// Bookkeeping for every lane admitted and not yet retired.
@@ -520,8 +515,9 @@ pub struct BatchServer<'p> {
     fault_rolls: u64,
     submitted: u64,
     completed: u64,
-    /// The static verification report computed once at construction.
-    report: PcabReport,
+    /// The static verification report of the program, computed once —
+    /// by this server, or by the fleet it is a shard of.
+    report: Arc<PcabReport>,
     /// Per-input-spec memo of concrete signature inference: `None` =
     /// accepted, `Some(e)` = rejected with `e`. Traffic repeats a
     /// handful of specs, so each distinct one is inferred once.
@@ -545,8 +541,21 @@ impl<'p> BatchServer<'p> {
         opts: ExecOptions,
         policy: AdmissionPolicy,
     ) -> Result<BatchServer<'p>> {
+        let report = Arc::new(analyze_pcab(program));
+        BatchServer::with_report(program, registry, opts, policy, report)
+    }
+
+    /// [`BatchServer::new`] for a program whose `report` the caller
+    /// already holds: a fleet analyses its program once and every
+    /// shard, first or respawned, shares the result.
+    pub(crate) fn with_report(
+        program: &'p Program,
+        registry: KernelRegistry,
+        opts: ExecOptions,
+        policy: AdmissionPolicy,
+        report: Arc<PcabReport>,
+    ) -> Result<BatchServer<'p>> {
         policy.validate()?;
-        let report = analyze_pcab(program);
         if let Some(e) = report.diagnostics.first() {
             return Err(ServeError::InvalidProgram(e.clone()));
         }
@@ -560,7 +569,6 @@ impl<'p> BatchServer<'p> {
             policy,
             queue: VecDeque::new(),
             clock: 0,
-            queue_budget: None,
             peak_pending: 0,
             in_flight: Vec::new(),
             budget: RequestBudget::unlimited(),
@@ -589,19 +597,6 @@ impl<'p> BatchServer<'p> {
         self.clock
     }
 
-    /// Bound the queue depth: once `pending()` reaches the budget,
-    /// further submissions are rejected with [`ServeError::Overloaded`]
-    /// instead of growing the queue without bound. `None` (the default)
-    /// disables shedding.
-    pub fn set_queue_budget(&mut self, budget: Option<usize>) {
-        self.queue_budget = budget;
-    }
-
-    /// The configured load-shedding budget, if any.
-    pub fn queue_budget(&self) -> Option<usize> {
-        self.queue_budget
-    }
-
     /// Set the per-request resource ceilings enforced at every superstep
     /// boundary (see [`RequestBudget`]). The default is unlimited.
     pub fn set_budget(&mut self, budget: RequestBudget) {
@@ -610,11 +605,6 @@ impl<'p> BatchServer<'p> {
         // footprints every superstep.
         self.machine
             .track_peak_bytes(budget.max_lane_bytes.is_some());
-    }
-
-    /// The per-request resource ceilings in force.
-    pub fn budget(&self) -> RequestBudget {
-        self.budget
     }
 
     /// Request cooperative cancellation of a request. A still-queued
@@ -726,10 +716,8 @@ impl<'p> BatchServer<'p> {
     /// # Errors
     ///
     /// Returns [`ServeError::BadRequest`] on input arity mismatch,
-    /// [`ServeError::InvalidRequest`] when an input's dtype or element
-    /// shape violates the inferred signature, or
-    /// [`ServeError::Overloaded`] — without enqueueing — when the queue
-    /// is at its [budget](BatchServer::set_queue_budget).
+    /// or [`ServeError::InvalidRequest`] when an input's dtype or
+    /// element shape violates the inferred signature.
     pub fn submit(&mut self, request: Request) -> Result<()> {
         let want = self.machine.program().inputs.len();
         if request.inputs.len() != want {
@@ -741,16 +729,8 @@ impl<'p> BatchServer<'p> {
             )));
         }
         self.check_signature(&request)?;
-        if let Some(budget) = self.queue_budget {
-            if self.queue.len() >= budget {
-                return Err(ServeError::Overloaded {
-                    depth: self.queue.len(),
-                    budget,
-                });
-            }
-        }
         // Chaos hook: an injected admission failure refuses a request
-        // that would otherwise have been enqueued (arity and budget
+        // that would otherwise have been enqueued (arity and signature
         // passed). Every call rolls a fresh counter, so a supervised
         // retry re-rolls instead of deterministically re-failing.
         self.fault_rolls += 1;
@@ -842,7 +822,6 @@ impl<'p> BatchServer<'p> {
         let batch: Vec<(Request, u64)> = (0..free.min(self.queue.len()))
             .map(|_| self.queue.pop_front().expect("checked non-empty"))
             .collect();
-        let clock = self.clock;
         let admitted = {
             let reqs: Vec<(&[Tensor], u64)> = batch
                 .iter()
@@ -868,13 +847,7 @@ impl<'p> BatchServer<'p> {
                         rest.push((r, stamp));
                     } else {
                         match self.machine.admit(&r.inputs, r.seed, trace.as_deref_mut()) {
-                            Ok(ticket) => self.in_flight.push(InFlight {
-                                ticket,
-                                id: r.id,
-                                admitted_at: self.machine.supersteps(),
-                                queued_ticks: clock.saturating_sub(stamp),
-                                admitted_clock: clock,
-                            }),
+                            Ok(ticket) => self.file(ticket, r.id, stamp),
                             Err(e) => offender = Some(((r, stamp), e.into())),
                         }
                     }
@@ -897,26 +870,37 @@ impl<'p> BatchServer<'p> {
             }
         };
         for (ticket, (req, stamp)) in tickets.into_iter().zip(&batch) {
-            self.in_flight.push(InFlight {
-                ticket,
-                id: req.id,
-                admitted_at: self.machine.supersteps(),
-                queued_ticks: clock.saturating_sub(*stamp),
-                admitted_clock: clock,
-            });
+            self.file(ticket, req.id, *stamp);
         }
         Ok(())
+    }
+
+    /// File the record of a request just admitted under `ticket`, having
+    /// queued since `stamp`.
+    fn file(&mut self, ticket: u64, id: u64, stamp: u64) {
+        self.in_flight.push(InFlight {
+            ticket,
+            id,
+            admitted_at: self.machine.supersteps(),
+            queued_ticks: self.clock.saturating_sub(stamp),
+            admitted_clock: self.clock,
+        });
+    }
+
+    /// Where the in-flight table holds the record of the lane under
+    /// `ticket`. Every live lane has one: a lane enters the machine only
+    /// through this server's admissions, and each files it.
+    fn flight(&self, ticket: u64) -> usize {
+        self.in_flight
+            .iter()
+            .position(|f| f.ticket == ticket)
+            .expect("every live lane was admitted by this server")
     }
 
     /// Retire finished members into the [`BatchServer::ready`] buffer.
     fn collect_retired(&mut self, trace: &mut Option<&mut Trace>) -> Result<()> {
         for r in self.machine.retire_finished(trace.as_deref_mut())? {
-            let pos = self
-                .in_flight
-                .iter()
-                .position(|f| f.ticket == r.ticket)
-                .expect("retired member was admitted by this server");
-            let f = self.in_flight.swap_remove(pos);
+            let f = self.in_flight.swap_remove(self.flight(r.ticket));
             self.cancel_requested.remove(&f.id);
             self.completed += 1;
             self.ready.push(Response {
@@ -944,11 +928,7 @@ impl<'p> BatchServer<'p> {
         }
         let mut doomed: Vec<(u64, ServeError)> = Vec::new();
         for (ticket, spent, peak) in self.machine.lane_spend() {
-            let f = self
-                .in_flight
-                .iter()
-                .find(|f| f.ticket == ticket)
-                .expect("running lane was admitted by this server");
+            let f = &self.in_flight[self.flight(ticket)];
             // Total request age: time spent queued plus virtual-clock
             // residency since admission. A request cannot dodge its
             // deadline by waiting out the queue on a busy shard.
@@ -977,12 +957,7 @@ impl<'p> BatchServer<'p> {
         // whole point is to stop spending resources on this work.
         self.machine.extract_lanes(&tickets, trace.as_deref_mut())?;
         for (ticket, e) in doomed {
-            let pos = self
-                .in_flight
-                .iter()
-                .position(|f| f.ticket == ticket)
-                .expect("doomed lane was in flight");
-            let f = self.in_flight.swap_remove(pos);
+            let f = self.in_flight.swap_remove(self.flight(ticket));
             self.cancel_requested.remove(&f.id);
             self.evictions += 1;
             self.failed.push((f.id, e));
@@ -1063,42 +1038,58 @@ impl<'p> BatchServer<'p> {
     ///   every later call return the error. Salvage completed work with
     ///   [`BatchServer::take_ready`] and rebuild the server.
     pub fn run_until_idle(&mut self, mut trace: Option<&mut Trace>) -> Result<Vec<Response>> {
-        if let Some(e) = &self.poisoned {
-            return Err(e.clone());
-        }
+        self.check_poisoned()?;
         loop {
-            self.collect_retired(&mut trace)?;
-            self.enforce_governance(&mut trace)?;
-            self.admit_pending(&mut trace)?;
-            let stepped = self.step_machine(trace.as_deref_mut())?;
-            if !stepped {
-                self.collect_retired(&mut trace)?;
-                self.enforce_governance(&mut trace)?;
-                if self.queue.is_empty() && self.machine.live() == 0 {
-                    return Ok(std::mem::take(&mut self.ready));
-                }
-                // Nothing stepped and requests remain: either the step
-                // budget is exhausted (surface it rather than spinning on
-                // a machine that can never run again) …
-                if self.machine.step_budget_remaining() == 0 {
-                    return Err(ServeError::Vm(VmError::StepLimit {
-                        limit: self.step_limit,
-                    }));
-                }
-                // … or the deadline policy is holding a partial batch
-                // back from an idle machine. Nobody else advances the
-                // clock inside this call, so model the wait: fast-forward
-                // to the head-of-line deadline, at which point the next
-                // admission check force-admits the partial batch. (This
-                // is what a real front end experiences as wall-clock
-                // waiting; responses record it in `queued_ticks`.)
-                if self.machine.live() == 0 {
-                    if let Some(deadline) = self.next_deadline() {
-                        self.set_clock(deadline);
-                    }
+            if self.turn(&mut trace)? {
+                continue;
+            }
+            self.settle(&mut trace)?;
+            if self.queue.is_empty() && self.machine.live() == 0 {
+                return Ok(std::mem::take(&mut self.ready));
+            }
+            // Nothing stepped and requests remain: either the step
+            // budget is exhausted (surface it rather than spinning on
+            // a machine that can never run again) …
+            if self.machine.step_budget_remaining() == 0 {
+                return Err(ServeError::Vm(VmError::StepLimit {
+                    limit: self.step_limit,
+                }));
+            }
+            // … or the deadline policy is holding a partial batch
+            // back from an idle machine. Nobody else advances the
+            // clock inside this call, so model the wait: fast-forward
+            // to the head-of-line deadline, at which point the next
+            // admission check force-admits the partial batch. (This
+            // is what a real front end experiences as wall-clock
+            // waiting; responses record it in `queued_ticks`.)
+            if self.machine.live() == 0 {
+                if let Some(deadline) = self.next_deadline() {
+                    self.set_clock(deadline);
                 }
             }
         }
+    }
+
+    /// The error that poisoned this server, as the refusal every driver
+    /// and lane move opens with.
+    fn check_poisoned(&self) -> Result<()> {
+        self.poisoned.clone().map_or(Ok(()), Err)
+    }
+
+    /// What every superstep edge owes: finished members retire, then
+    /// budgets and cancellations are enforced on the lanes that remain.
+    fn settle(&mut self, trace: &mut Option<&mut Trace>) -> Result<()> {
+        self.collect_retired(trace)?;
+        self.enforce_governance(trace)
+    }
+
+    /// One turn of the drive loop, the same under every driver: settle
+    /// the edge, admit per the policy, run at most one superstep.
+    /// Returns whether a superstep ran.
+    fn turn(&mut self, trace: &mut Option<&mut Trace>) -> Result<bool> {
+        self.settle(trace)?;
+        self.admit_pending(trace)?;
+        self.step_machine(trace.as_deref_mut())
     }
 
     /// One scheduling iteration: retire finished members, admit pending
@@ -1116,16 +1107,12 @@ impl<'p> BatchServer<'p> {
     /// As [`BatchServer::run_until_idle`] — admission errors are
     /// recoverable, execution errors poison the server.
     pub fn poll(&mut self, mut trace: Option<&mut Trace>) -> Result<bool> {
-        if let Some(e) = &self.poisoned {
-            return Err(e.clone());
-        }
-        self.collect_retired(&mut trace)?;
-        self.enforce_governance(&mut trace)?;
-        self.admit_pending(&mut trace)?;
-        let stepped = self.step_machine(trace.as_deref_mut())?;
+        self.check_poisoned()?;
+        let stepped = self.turn(&mut trace)?;
         if stepped {
-            self.collect_retired(&mut trace)?;
-            self.enforce_governance(&mut trace)?;
+            // Not another admission: a request admitted here would
+            // read one poll's worth less `queued_ticks` than it does.
+            self.settle(&mut trace)?;
         }
         Ok(stepped)
     }
@@ -1144,33 +1131,26 @@ impl<'p> BatchServer<'p> {
     ///
     /// As [`BatchServer::run_until_idle`].
     pub(crate) fn run_for(&mut self, budget: u64, mut trace: Option<&mut Trace>) -> Result<u64> {
-        if let Some(e) = &self.poisoned {
-            return Err(e.clone());
-        }
-        let mut steps = 0u64;
-        loop {
-            self.collect_retired(&mut trace)?;
-            self.enforce_governance(&mut trace)?;
-            self.admit_pending(&mut trace)?;
-            if steps >= budget {
-                break;
+        self.check_poisoned()?;
+        for steps in 0..budget {
+            if self.turn(&mut trace)? {
+                continue;
             }
-            let stepped = self.step_machine(trace.as_deref_mut())?;
-            if !stepped {
-                self.collect_retired(&mut trace)?;
-                self.enforce_governance(&mut trace)?;
-                if (!self.queue.is_empty() || self.machine.live() > 0)
-                    && self.machine.step_budget_remaining() == 0
-                {
-                    return Err(ServeError::Vm(VmError::StepLimit {
-                        limit: self.step_limit,
-                    }));
-                }
-                break;
+            self.settle(&mut trace)?;
+            if (!self.queue.is_empty() || self.machine.live() > 0)
+                && self.machine.step_budget_remaining() == 0
+            {
+                return Err(ServeError::Vm(VmError::StepLimit {
+                    limit: self.step_limit,
+                }));
             }
-            steps += 1;
+            return Ok(steps);
         }
-        Ok(steps)
+        // The budget is spent: leave the last superstep's edge settled
+        // and the free lanes refilled for whoever reads the shard next.
+        self.settle(&mut trace)?;
+        self.admit_pending(&mut trace)?;
+        Ok(budget)
     }
 
     /// Histogram of **running** lanes per pc top — the affinity signal
@@ -1196,22 +1176,13 @@ impl<'p> BatchServer<'p> {
         self.machine
             .lane_pcs()
             .into_iter()
-            .map(|(ticket, pc)| {
-                let id = self
-                    .in_flight
-                    .iter()
-                    .find(|f| f.ticket == ticket)
-                    .map(|f| f.id)
-                    .expect("running lane was admitted by this server");
-                (ticket, id, pc)
-            })
+            .map(|(ticket, pc)| (ticket, self.in_flight[self.flight(ticket)].id, pc))
             .collect()
     }
 
     /// Evict the given running lanes for re-admission on another server
     /// (straggler migration). Each migrant carries the lane's complete
-    /// execution state plus the request bookkeeping the destination
-    /// needs to produce an unchanged [`Response`].
+    /// execution state and the request's record.
     ///
     /// # Errors
     ///
@@ -1223,34 +1194,22 @@ impl<'p> BatchServer<'p> {
         tickets: &[u64],
         trace: Option<&mut Trace>,
     ) -> Result<Vec<Migrant>> {
-        if let Some(e) = &self.poisoned {
-            return Err(e.clone());
-        }
+        self.check_poisoned()?;
         let lanes = self.machine.extract_lanes(tickets, trace)?;
-        lanes
+        Ok(lanes
             .into_iter()
-            .map(|(ticket, lane)| {
-                let pos = self
-                    .in_flight
-                    .iter()
-                    .position(|f| f.ticket == ticket)
-                    .expect("extracted lane was admitted by this server");
-                let f = self.in_flight.swap_remove(pos);
-                Ok(Migrant {
-                    id: f.id,
-                    lane,
-                    admitted_at: f.admitted_at,
-                    queued_ticks: f.queued_ticks,
-                    admitted_clock: f.admitted_clock,
-                })
+            .map(|(ticket, lane)| Migrant {
+                lane,
+                flight: self.in_flight.swap_remove(self.flight(ticket)),
             })
-            .collect()
+            .collect())
     }
 
     /// Admit a lane evicted from another server. The lane resumes with
     /// all state intact, so its outputs are bit-identical to never
-    /// having moved; `admitted_at` and `queued_ticks` carry over from
-    /// the original admission.
+    /// having moved, and the request's record is refiled under the
+    /// lane's ticket here: `admitted_at`, `queued_ticks` and the
+    /// deadline's starting point stay those of the original admission.
     ///
     /// # Errors
     ///
@@ -1264,20 +1223,14 @@ impl<'p> BatchServer<'p> {
         m: Migrant,
         trace: Option<&mut Trace>,
     ) -> std::result::Result<(), Box<(Migrant, ServeError)>> {
-        if let Some(e) = &self.poisoned {
-            return Err(Box::new((m, e.clone())));
+        if let Err(e) = self.check_poisoned() {
+            return Err(Box::new((m, e)));
         }
         let ticket = match self.machine.inject_lane(&m.lane, trace) {
             Ok(ticket) => ticket,
             Err(e) => return Err(Box::new((m, ServeError::from(e)))),
         };
-        self.in_flight.push(InFlight {
-            ticket,
-            id: m.id,
-            admitted_at: m.admitted_at,
-            queued_ticks: m.queued_ticks,
-            admitted_clock: m.admitted_clock,
-        });
+        self.in_flight.push(InFlight { ticket, ..m.flight });
         Ok(())
     }
 
@@ -1290,8 +1243,7 @@ impl<'p> BatchServer<'p> {
     }
 
     /// Append stolen requests (with their original stamps) to this
-    /// server's queue — the thief half of work stealing. Bypasses the
-    /// queue budget: the work was already accepted by the fleet.
+    /// server's queue — the thief half of work stealing.
     pub(crate) fn enqueue_stolen(&mut self, batch: Vec<(Request, u64)>) {
         self.queue.extend(batch);
         self.peak_pending = self.peak_pending.max(self.queue.len());
@@ -1984,46 +1936,6 @@ mod tests {
             assert_eq!(a.id, b.id);
             assert_eq!(a.outputs, b.outputs, "deadline admission perturbed results");
         }
-    }
-
-    #[test]
-    fn queue_budget_sheds_load_with_a_typed_rejection() {
-        let (pc, _) = lower(&fibonacci_program(), LoweringOptions::default()).unwrap();
-        let policy = AdmissionPolicy::Deadline {
-            max_batch: 2,
-            max_wait: 50,
-        };
-        let mut server =
-            BatchServer::new(&pc, KernelRegistry::new(), ExecOptions::default(), policy).unwrap();
-        server.set_queue_budget(Some(2));
-        assert_eq!(server.queue_budget(), Some(2));
-        for r in fib_requests(&[9, 5]) {
-            server.submit(r).unwrap();
-        }
-        // Third submission: queue at budget → typed rejection, nothing
-        // enqueued, lifetime counter untouched.
-        let mut extra = fib_requests(&[7]);
-        extra[0].id = 2;
-        let err = server.submit(extra.remove(0)).unwrap_err();
-        assert_eq!(
-            err,
-            ServeError::Overloaded {
-                depth: 2,
-                budget: 2
-            }
-        );
-        assert_eq!(server.pending(), 2);
-        assert_eq!(server.submitted(), 2);
-        assert_eq!(server.peak_pending(), 2);
-        // Draining the queue frees budget for new submissions.
-        let out = server.run_until_idle(None).unwrap();
-        assert_eq!(out.len(), 2);
-        let mut retry = fib_requests(&[7]);
-        retry[0].id = 2;
-        server.submit(retry.remove(0)).unwrap();
-        let out = server.run_until_idle(None).unwrap();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].outputs[0].as_i64().unwrap(), &[21]);
     }
 
     #[test]

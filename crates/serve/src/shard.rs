@@ -45,12 +45,13 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use autobatch_accel::{Backend, Trace};
 use autobatch_chaos::{FaultPlan, FaultPoint};
 use autobatch_core::{ExecOptions, KernelRegistry};
+use autobatch_ir::analysis::{analyze_pcab, PcabReport};
 use autobatch_ir::pcab::Program;
 
 use crate::affinity::{plan_migrations, plan_splits, plan_steals, ShardView};
@@ -256,6 +257,9 @@ pub struct ShardedServer<'p> {
     /// place ([`ShardedServer::respawn_shard`]) with a fresh
     /// `BatchServer` + `PcMachine`.
     program: &'p Program,
+    /// The program's static verification report: the fleet analyses the
+    /// program once, and every shard, first or respawned, shares it.
+    report: Arc<PcabReport>,
     registry: KernelRegistry,
     opts: ExecOptions,
     policy: AdmissionPolicy,
@@ -281,10 +285,6 @@ pub struct ShardedServer<'p> {
     /// Governance failures salvaged from respawned shards, awaiting
     /// [`ShardedServer::take_failed`].
     failed: Vec<(u64, ServeError)>,
-    /// Per-shard load-shedding budget (mirrors each shard's
-    /// [`BatchServer::set_queue_budget`]); kept here so routing can
-    /// report a fleet-level [`ServeError::Overloaded`].
-    queue_budget: Option<usize>,
     /// Per-request resource ceilings (mirrors each shard's
     /// [`BatchServer::set_budget`]); kept here so a respawned shard
     /// re-enforces the same budget.
@@ -325,6 +325,7 @@ impl<'p> ShardedServer<'p> {
             ));
         }
         let base_epoch = opts.fault.epoch;
+        let report = Arc::new(analyze_pcab(program));
         let shards = (0..workers)
             .map(|i| {
                 // Each shard gets its own fault-stream epoch so the
@@ -335,7 +336,13 @@ impl<'p> ShardedServer<'p> {
                     ..opts
                 };
                 Ok(Shard {
-                    server: BatchServer::new(program, registry.clone(), shard_opts, policy)?,
+                    server: BatchServer::with_report(
+                        program,
+                        registry.clone(),
+                        shard_opts,
+                        policy,
+                        Arc::clone(&report),
+                    )?,
                     trace: Trace::new(backend),
                     last_error: None,
                     fault_record: None,
@@ -348,6 +355,7 @@ impl<'p> ShardedServer<'p> {
             shards,
             backend,
             program,
+            report,
             registry,
             opts,
             policy,
@@ -359,7 +367,6 @@ impl<'p> ShardedServer<'p> {
             retired_peak: 0,
             retired_evictions: 0,
             failed: Vec::new(),
-            queue_budget: None,
             budget: RequestBudget::unlimited(),
             next_seq: 0,
             order: BTreeMap::new(),
@@ -377,17 +384,6 @@ impl<'p> ShardedServer<'p> {
         }
     }
 
-    /// Bound every shard's queue depth. Once each healthy shard's queue
-    /// is at the budget, [`ShardedServer::submit`] rejects with
-    /// [`ServeError::Overloaded`] instead of queueing deeper. `None`
-    /// (the default) disables shedding.
-    pub fn set_queue_budget(&mut self, budget: Option<usize>) {
-        self.queue_budget = budget;
-        for s in &mut self.shards {
-            s.server.set_queue_budget(budget);
-        }
-    }
-
     /// Set the per-request resource ceilings every shard enforces at
     /// superstep boundaries (see [`RequestBudget`]). Respawned shards
     /// inherit the budget, so a rebuild never un-governs the fleet.
@@ -396,11 +392,6 @@ impl<'p> ShardedServer<'p> {
         for s in &mut self.shards {
             s.server.set_budget(budget);
         }
-    }
-
-    /// The per-request resource ceilings in force.
-    pub fn budget(&self) -> RequestBudget {
-        self.budget
     }
 
     /// Request cooperative cancellation of a request anywhere in the
@@ -451,17 +442,6 @@ impl<'p> ShardedServer<'p> {
     /// sequence).
     pub fn set_scheduling(&mut self, scheduling: SchedulingPolicy) {
         self.scheduling = scheduling;
-    }
-
-    /// The current scheduling policy.
-    pub fn scheduling(&self) -> SchedulingPolicy {
-        self.scheduling
-    }
-
-    /// Histogram of running lanes per pc top on shard `i` — the
-    /// affinity signal the PC-affinity scheduler keys on.
-    pub fn shard_pc_histogram(&self, i: usize) -> BTreeMap<usize, usize> {
-        self.shards[i].server.pc_histogram()
     }
 
     /// The deepest any single shard's queue has ever been (including on
@@ -582,16 +562,10 @@ impl<'p> ShardedServer<'p> {
         self.shards.iter().map(|s| s.respawns).sum()
     }
 
-    /// Queued requests moved between shards by work stealing over the
-    /// fleet's lifetime (see [`ShardHealth::steals`]) — the counterpart
-    /// of the traces' `members_migrated_in` for lanes.
-    pub fn steals(&self) -> u64 {
-        self.shards.iter().map(|s| s.steals).sum()
-    }
-
     /// Tear down shard `i`'s server and rebuild it in place with a
     /// fresh `BatchServer` + `PcMachine` (same program, registry,
-    /// options, policy; fleet clock and queue budget restored; a fresh
+    /// options, policy and verification report; fleet clock and request
+    /// budget restored; a fresh
     /// fault-stream epoch so a deterministic fault plan does not re-kill
     /// the replacement on schedule). The recovery move for a shard
     /// poisoned by an execution error or panic, or wedged by step-limit
@@ -624,10 +598,15 @@ impl<'p> ShardedServer<'p> {
             fault: self.opts.fault.with_epoch(epoch),
             ..self.opts
         };
-        let mut server = BatchServer::new(self.program, self.registry.clone(), opts, self.policy)
-            .expect("policy was validated when the fleet was built");
+        let mut server = BatchServer::with_report(
+            self.program,
+            self.registry.clone(),
+            opts,
+            self.policy,
+            Arc::clone(&self.report),
+        )
+        .expect("policy and program were validated when the fleet was built");
         server.set_clock(self.clock);
-        server.set_queue_budget(self.queue_budget);
         server.set_budget(self.budget);
         self.retired_completed += self.shards[i].server.completed();
         self.retired_peak = self.retired_peak.max(self.shards[i].server.peak_pending());
@@ -646,14 +625,12 @@ impl<'p> ShardedServer<'p> {
     /// Re-route a request that was already accepted once (its original
     /// submission sequence is still on file, so aggregation order and
     /// the lifetime [`ShardedServer::submitted`] count are unchanged).
-    /// Bypasses the queue budget — the request was admitted under it
-    /// the first time.
     ///
     /// # Errors
     ///
-    /// As [`ShardedServer::submit`], minus shedding.
+    /// As [`ShardedServer::submit`].
     pub fn resubmit(&mut self, request: Request) -> Result<()> {
-        self.route(request, false)
+        self.route(request)
     }
 
     /// Forget the pending submission sequence of one `id` whose request
@@ -680,15 +657,12 @@ impl<'p> ShardedServer<'p> {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::BadRequest`] on arity mismatch;
-    /// [`ServeError::Overloaded`] — without enqueueing — when every
-    /// healthy shard's queue is at the configured
-    /// [budget](ShardedServer::set_queue_budget); if every shard is
-    /// poisoned, the first shard's poison error.
+    /// Returns [`ServeError::BadRequest`] on arity mismatch; if every
+    /// shard is poisoned, the first shard's poison error.
     pub fn submit(&mut self, request: Request) -> Result<()> {
         let seq = self.next_seq;
         let id = request.id;
-        self.route(request, true)?;
+        self.route(request)?;
         // Only a successful enqueue consumes a sequence number.
         self.next_seq += 1;
         self.order.entry(id).or_default().push_back(seq);
@@ -697,19 +671,10 @@ impl<'p> ShardedServer<'p> {
 
     /// Route per the scheduling policy — least-loaded healthy shard
     /// (lowest index on ties), or PC-affinity packing
-    /// ([`ShardedServer::affinity_target`]). `shed` applies the queue
-    /// budget; re-routing of already-accepted work
-    /// ([`ShardedServer::drain_poisoned`]) bypasses it, since those
-    /// requests were admitted under the budget once already.
-    fn route(&mut self, request: Request, shed: bool) -> Result<()> {
-        let healthy = |i: &usize| !self.shards[*i].poisoned();
-        let under_budget = |i: &usize| match self.queue_budget {
-            Some(budget) if shed => self.shards[*i].server.pending() < budget,
-            _ => true,
-        };
+    /// ([`ShardedServer::affinity_target`]).
+    fn route(&mut self, request: Request) -> Result<()> {
         let candidates: Vec<usize> = (0..self.shards.len())
-            .filter(healthy)
-            .filter(under_budget)
+            .filter(|&i| !self.shards[i].poisoned())
             .collect();
         let target = match self.scheduling {
             SchedulingPolicy::LeastLoaded => candidates
@@ -720,22 +685,11 @@ impl<'p> ShardedServer<'p> {
         };
         match target {
             Some(i) => self.shards[i].server.submit(request),
-            None => {
-                // Distinguish "every shard is dead" from "every healthy
-                // shard is full".
-                let min_depth = (0..self.shards.len())
-                    .filter(healthy)
-                    .map(|i| self.shards[i].server.pending())
-                    .min();
-                match (min_depth, self.queue_budget) {
-                    (Some(depth), Some(budget)) => Err(ServeError::Overloaded { depth, budget }),
-                    _ => Err(self
-                        .shards
-                        .iter()
-                        .find_map(|s| s.server.poisoned().cloned())
-                        .expect("no healthy shard implies a poisoned one")),
-                }
-            }
+            None => Err(self
+                .shards
+                .iter()
+                .find_map(|s| s.server.poisoned().cloned())
+                .expect("no healthy shard implies a poisoned one")),
         }
     }
 
@@ -820,11 +774,9 @@ impl<'p> ShardedServer<'p> {
         }
         let moved = stranded.len();
         for r in stranded {
-            // Healthy shards exist and re-routing bypasses the queue
-            // budget (these requests were accepted under it once), so
-            // routing cannot fail for capacity; arity was validated at
-            // the original submission.
-            self.route(r, false)?;
+            // Healthy shards exist and no shard refuses for capacity;
+            // arity was validated at the original submission.
+            self.route(r)?;
         }
         Ok(moved)
     }
@@ -1695,43 +1647,6 @@ mod tests {
             .map(|r| r.outputs[0].as_i64().unwrap()[0])
             .collect();
         assert_eq!(got, FIB);
-    }
-
-    #[test]
-    fn fleet_queue_budget_sheds_load_only_when_every_shard_is_full() {
-        let (pc, _) = lower(&fibonacci_program(), LoweringOptions::default()).unwrap();
-        let policy = AdmissionPolicy::Deadline {
-            max_batch: 2,
-            max_wait: 1_000,
-        };
-        let mut server = sharded(policy, 2, ExecOptions::default(), &pc);
-        server.set_queue_budget(Some(2));
-        // 2 shards × budget 2 = 4 queued requests fit…
-        for id in 0..4u64 {
-            server.submit(fib_request(id, 5)).unwrap();
-        }
-        assert_eq!(server.pending(), 4);
-        // …the fifth is shed with a typed rejection and no sequence
-        // number is consumed.
-        let err = server.submit(fib_request(4, 5)).unwrap_err();
-        assert_eq!(
-            err,
-            ServeError::Overloaded {
-                depth: 2,
-                budget: 2
-            }
-        );
-        assert_eq!(server.submitted(), 4);
-        assert_eq!(server.peak_pending(), 2);
-        // Clock forwarding reaches every shard: the partial batches
-        // launch at their deadline and everything completes.
-        server.set_clock(1_000);
-        let done = server.run_until_idle().unwrap();
-        assert_eq!(done.len(), 4);
-        assert_eq!(
-            done.iter().map(|r| r.id).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3]
-        );
     }
 
     #[test]

@@ -351,12 +351,6 @@ impl<'p> Supervisor<'p> {
         self.inner.set_clock(now);
     }
 
-    /// Bound every shard's queue depth. See
-    /// [`ShardedServer::set_queue_budget`].
-    pub fn set_queue_budget(&mut self, budget: Option<usize>) {
-        self.inner.set_queue_budget(budget);
-    }
-
     /// Set the per-request resource ceilings every shard enforces. See
     /// [`ShardedServer::set_budget`].
     pub fn set_budget(&mut self, budget: crate::RequestBudget) {
@@ -408,12 +402,12 @@ impl<'p> Supervisor<'p> {
 
     /// Submit a request for supervised execution. An injected admission
     /// fault is retried inline up to the retry budget; real refusals
-    /// (bad arity, overload) pass straight through — the caller owns
-    /// that terminal outcome.
+    /// (bad arity, a bad signature) pass straight through — the caller
+    /// owns that terminal outcome.
     ///
     /// # Errors
     ///
-    /// [`ServeError::BadRequest`] / [`ServeError::Overloaded`] as
+    /// [`ServeError::BadRequest`] / [`ServeError::InvalidRequest`] as
     /// [`ShardedServer::submit`]; [`ServeError::Quarantined`] when the
     /// program's breaker is open (fast rejection — nothing reaches the
     /// fleet); [`ServeError::RetriesExhausted`] when injected admission
