@@ -3,6 +3,9 @@
 //! behind the front door, and typed Shutdown refusals for work the
 //! server can no longer take.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::channel;
+use std::sync::Arc;
 use std::time::Duration;
 
 use autobatch_chaos::FaultPlan;
@@ -146,6 +149,7 @@ fn shutdown_answers_late_frames_with_typed_shutdown_rejects() {
         ..IngressConfig::default()
     });
     let addr = handle.addr();
+    let mut handle = Some(handle);
     // Raw wire access so sending and receiving can run concurrently on
     // the two halves of one connection: the reader must keep draining
     // while the writer floods, or TCP backpressure would couple the
@@ -155,31 +159,58 @@ fn shutdown_answers_late_frames_with_typed_shutdown_rejects() {
     // Keep sending while the server shuts down: frames that arrive
     // after the stop flag flips can no longer be served and must be
     // answered with typed Shutdown rejects (not silently dropped)
-    // before the socket closes.
-    let writer = std::thread::spawn(move || {
-        let payload = wire::encode_request(1, 1, &[Tensor::from_i64(&[6], &[1]).unwrap()]).unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_millis(300);
-        let mut sent = 0u64;
-        while std::time::Instant::now() < deadline {
-            if wire::write_frame(&mut write_half, &payload).is_err() {
-                break; // socket closed: the server is gone
+    // before the socket closes. One frame goes first; its reply proves
+    // the server is serving and starts the flood, and shutdown starts
+    // once the writer reports the flood under way — so frames are
+    // arriving when the stop flag flips, however this host schedules
+    // the threads, and few enough were admitted before it that draining
+    // them is quick. The flood ends when the reader has seen a refusal
+    // (the server answers late frames for as long as they keep coming,
+    // so it closes only once the writer is quiet) or when the socket
+    // errors because the server is gone.
+    let (flood, flooding) = channel::<()>();
+    let (under_way, flood_under_way) = channel::<()>();
+    let refused = Arc::new(AtomicBool::new(false));
+    let writer = std::thread::spawn({
+        let refused = Arc::clone(&refused);
+        move || {
+            let row = [Tensor::from_i64(&[6], &[1]).unwrap()];
+            let payload = wire::encode_request(1, 1, &row).unwrap();
+            wire::write_frame(&mut write_half, &payload).unwrap();
+            let mut sent = 1u64;
+            flooding.recv().unwrap();
+            while !refused.load(Ordering::SeqCst)
+                && wire::write_frame(&mut write_half, &payload).is_ok()
+            {
+                sent += 1;
+                if sent == 64 {
+                    under_way.send(()).unwrap();
+                }
             }
-            sent += 1;
+            sent
         }
-        sent
     });
-    let shutdown = std::thread::spawn(move || handle.shutdown());
     let mut read_half = stream;
     let mut reader = wire::FrameReader::new();
     let mut shutdown_rejects = 0u64;
     let mut served = 0u64;
+    let mut shutdown = None;
     // Drain until EOF / reset: every frame the server read got an answer.
     while let Ok(Some(payload)) = reader.next_frame(&mut read_half) {
         match wire::decode(&payload).unwrap() {
-            wire::Message::Response(_) => served += 1,
+            wire::Message::Response(_) => {
+                served += 1;
+                if served == 1 {
+                    flood.send(()).unwrap();
+                    flood_under_way.recv().unwrap();
+                    let handle = handle.take().unwrap();
+                    shutdown = Some(std::thread::spawn(move || handle.shutdown()));
+                }
+            }
             wire::Message::Reject(rej) => {
                 assert_eq!(rej.code, RejectCode::Shutdown, "only Shutdown refusals");
                 shutdown_rejects += 1;
+                refused.store(true, Ordering::SeqCst);
             }
             wire::Message::Request(_) | wire::Message::Cancel(_) => {
                 panic!("server sent a client-only frame")
@@ -192,5 +223,8 @@ fn shutdown_answers_late_frames_with_typed_shutdown_rejects() {
         "frames sent during shutdown must be refused, not dropped \
          (served {served} of {sent} sent)"
     );
-    shutdown.join().unwrap();
+    shutdown
+        .expect("a reply was served before the socket closed")
+        .join()
+        .unwrap();
 }
