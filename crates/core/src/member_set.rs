@@ -206,7 +206,9 @@ impl State {
             scratch: Scratch::default(),
         };
         st.grow(z).expect("an empty state has no buffer to pad");
-        st.member_keys = (0..z as u64).collect();
+        for (key, b) in st.member_keys.iter_mut().zip(0..) {
+            *key = b;
+        }
         st
     }
 

@@ -1024,11 +1024,12 @@ impl<'p> PcMachine<'p> {
 
     /// Admit several members at once: each entry holds one `[1, elem..]`
     /// tensor per program input plus the lane's RNG member key. The
-    /// member set grows by `requests.len()` fresh lanes in one edit (one
-    /// copy of the live state, however many members join, so a full
-    /// batch refill costs the same as one admission), and each input is
-    /// written into the new lanes once; live members are untouched.
-    /// Returns one admission ticket per request, in order.
+    /// [member set](PcMachine#the-member-set) grows by `requests.len()`
+    /// fresh lanes in one edit (one copy of the live state, however many
+    /// members join, so a full batch refill costs the same as one
+    /// admission), and each input is written into the new lanes once;
+    /// live members are untouched. Returns one admission ticket per
+    /// request, in order.
     ///
     /// Programs are shape-polymorphic (like [`PcVm::run`], which accepts
     /// any consistently-shaped batch), so the machine's **first**

@@ -847,7 +847,7 @@ impl<'p> BatchServer<'p> {
                         rest.push((r, stamp));
                     } else {
                         match self.machine.admit(&r.inputs, r.seed, trace.as_deref_mut()) {
-                            Ok(ticket) => self.file(ticket, r.id, stamp),
+                            Ok(ticket) => self.admitted(ticket, r.id, stamp),
                             Err(e) => offender = Some(((r, stamp), e.into())),
                         }
                     }
@@ -870,14 +870,14 @@ impl<'p> BatchServer<'p> {
             }
         };
         for (ticket, (req, stamp)) in tickets.into_iter().zip(&batch) {
-            self.file(ticket, req.id, *stamp);
+            self.admitted(ticket, req.id, *stamp);
         }
         Ok(())
     }
 
     /// File the record of a request just admitted under `ticket`, having
     /// queued since `stamp`.
-    fn file(&mut self, ticket: u64, id: u64, stamp: u64) {
+    fn admitted(&mut self, ticket: u64, id: u64, stamp: u64) {
         self.in_flight.push(InFlight {
             ticket,
             id,
