@@ -5,19 +5,25 @@
 //! # Architecture
 //!
 //! ```text
-//! clients ──TCP──▶ connection threads ──mpsc──▶ engine thread
-//!    ▲  (length-prefixed frames, wire.rs)          │ collect until the
-//!    │                                             │ batch fills or the
-//!    └───────────── response frames ◀──────────────┘ oldest request's
-//!                                                    deadline expires,
-//!                                                    then drive the
-//!                                                    ShardedServer
+//!            accept() (blocking; shutdown wakes it with one connect)
+//!               │ TCP_NODELAY on every accepted socket
+//!               ▼
+//! clients ──▶ connection threads ──mpsc──▶ engine thread
+//!    ▲  read into FrameReader's own buffer,   │ collect until the batch
+//!    │  frames taken by cursor, decoded here  │ fills or the oldest
+//!    │                                        │ request's deadline
+//!    │                                        │ expires, then drive the
+//!    │                                        ▼ ShardedServer
+//!    └──── one write per connection ◀──── the flush's replies, framed
+//!          per burst, under one lock      and grouped by connection
 //! ```
 //!
 //! - **Thread-per-connection** readers decode [`wire`] frames and
 //!   forward requests to the engine over a channel. There is no async
 //!   runtime: blocking reads with a short timeout double as the
-//!   shutdown poll.
+//!   shutdown poll. After the stop flag flips a connection answers late
+//!   frames with typed `Shutdown` rejects until the wire goes quiet, and
+//!   for a fixed 100 ms at most.
 //! - The **engine thread** owns the program and a [`ShardedServer`]
 //!   configured with
 //!   [`AdmissionPolicy::Deadline`]: it collects arrivals until they can
@@ -25,6 +31,30 @@
 //!   has waited [`IngressConfig::max_wait`] — OpenVINO-style auto-batch
 //!   collection — then stamps the virtual clock from the real clock
 //!   (nanosecond ticks) and runs the batch to completion.
+//! - **The wire path never waits on the network's timers.** Both ends
+//!   of a connection run with `TCP_NODELAY`, every frame is assembled
+//!   with its length prefix and leaves in one `write`
+//!   ([`wire::write_frame`]), and the replies of a flush are grouped by
+//!   connection and written once per connection. A prefix in a segment
+//!   of its own, on a socket with Nagle on, held the payload back until
+//!   the peer's delayed ACK: 40 ms per reply burst and 88 ms for a lone
+//!   call against a 2 ms `max_wait`. Grouping matters beyond the
+//!   syscalls saved: a closed-loop client that gets its replies together
+//!   refills together, so the next flush finds a full batch
+//!   ([`IngressStats::flushes`] and [`IngressStats::reply_writes`] show
+//!   both from a running server). The price is that a client that stops
+//!   reading now loses a flush's whole burst, not one reply, when the
+//!   1 s write timeout expires — and, as before, a write that timed out
+//!   part-way leaves that connection's stream ending mid-frame.
+//! - **Bounded read-ahead.** A connection thread stops reading while
+//!   1 MiB of decoded request inputs already wait for a flush, and
+//!   resumes when the next flush takes them. Past that point a request
+//!   waits as bytes in its socket, where TCP pushes back on the sender,
+//!   instead of as tensors on this heap — which is where the parent's
+//!   delayed-ACK stalls used to park them by accident. The bound is in
+//!   bytes, so small requests (whose flushes do better the more of them
+//!   there are) never meet it; while a connection is paused, its cancel
+//!   frames and its disconnect wait with the rest of its bytes.
 //! - **Backpressure**: with [`IngressConfig::queue_budget`] set, a
 //!   request arriving while `budget × workers` are already waiting is
 //!   refused immediately with a typed
@@ -34,7 +64,9 @@
 //!   *connection* threads through a shared counter covering both the
 //!   channel and the engine's collection buffer, so a burst arriving
 //!   while the engine is mid-flush is shed right away instead of piling
-//!   up unboundedly in the channel until the flush returns.
+//!   up unboundedly in the channel until the flush returns. The budget
+//!   counts requests and sheds; the read-ahead bound counts bytes and
+//!   waits; whichever a connection meets first acts.
 //! - **Self-healing**: the engine drives the fleet through a
 //!   [`Supervisor`]: a worker panic or injected execution fault poisons
 //!   one shard, which is salvaged and respawned while its stranded work
@@ -59,7 +91,7 @@ pub mod wire;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
@@ -72,8 +104,8 @@ use autobatch_chaos::{FaultPlan, FaultPoint};
 use autobatch_core::{ExecOptions, KernelRegistry, VmError};
 use autobatch_ir::pcab::Program;
 use autobatch_serve::{
-    AdmissionPolicy, Outcome, Request, RequestBudget, Response, SchedulingPolicy, ServeError,
-    ShardedServer, Supervisor, SupervisorConfig,
+    AdmissionPolicy, Outcome, Request, RequestBudget, SchedulingPolicy, ServeError, ShardedServer,
+    Supervisor, SupervisorConfig,
 };
 use autobatch_tensor::Tensor;
 
@@ -83,6 +115,17 @@ use wire::{
 
 /// How often blocked threads wake to poll the stop flag / deadline.
 const POLL: Duration = Duration::from_millis(10);
+
+/// How long after the stop flag flips a connection keeps answering late
+/// frames with `Shutdown` rejects before it closes regardless.
+const SHUTDOWN_GRACE: Duration = Duration::from_millis(100);
+
+/// How many bytes of decoded request inputs may wait for a flush before
+/// the connection threads stop reading ahead: past it, a request waits
+/// as bytes in its socket, where TCP pushes back on the sender, rather
+/// than as tensors in this process. Sixteen 64 KiB requests, a fleet's
+/// worth at the default shape; small requests never come near it.
+const READ_AHEAD: usize = 1024 * 1024;
 
 /// Errors surfaced by the ingress client and server entry points.
 #[derive(Debug)]
@@ -226,6 +269,14 @@ pub struct IngressStats {
     /// Requests fast-rejected because the served program's quarantine
     /// breaker was open.
     pub quarantined: u64,
+    /// Batches the engine collected and drove to completion. Mean flush
+    /// size is `completed / flushes`.
+    pub flushes: u64,
+    /// Socket writes that carried the flushes' replies: one per
+    /// connection answered per burst (refusals at submission leave
+    /// before the fleet runs, everything else after it). Replies per
+    /// write is `completed / reply_writes`.
+    pub reply_writes: u64,
 }
 
 /// A running ingress server; dropping it (or calling
@@ -254,6 +305,15 @@ impl IngressHandle {
     fn join(&mut self) -> Option<IngressStats> {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(l) = self.listener.take() {
+            // The acceptor blocks in `accept()`: one connection to its
+            // own port wakes it to see the flag. An unspecified bind
+            // address (`0.0.0.0`, `::`) is reached over loopback.
+            let ip = match self.addr.ip() {
+                IpAddr::V4(ip) if ip.is_unspecified() => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(ip) if ip.is_unspecified() => Ipv6Addr::LOCALHOST.into(),
+                ip => ip,
+            };
+            let _ = TcpStream::connect((ip, self.addr.port()));
             let _ = l.join();
         }
         self.engine.take().and_then(|e| e.join().ok())
@@ -272,10 +332,12 @@ impl Drop for IngressHandle {
 /// engine's collection buffer — so the configured budget holds even
 /// while the engine is blocked inside a flush: excess arrivals are shed
 /// at the connection instead of accumulating in the unbounded channel.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Gate {
-    /// Requests decoded but not yet handed to the batch server.
+    /// Requests decoded but not yet handed to the batch server, and the
+    /// bytes of their inputs.
     queued: AtomicUsize,
+    queued_bytes: AtomicUsize,
     /// `queue_budget × workers`; `None` disables shedding.
     budget: Option<usize>,
     /// Requests shed at the front door, over the server's lifetime.
@@ -285,20 +347,11 @@ struct Gate {
 }
 
 impl Gate {
-    fn new(budget: Option<usize>) -> Gate {
-        Gate {
-            queued: AtomicUsize::new(0),
-            budget,
-            shed: AtomicU64::new(0),
-            bad_frames: AtomicU64::new(0),
-        }
-    }
-
     /// Reserve a slot for one decoded request. `Err(depth)` means the
     /// budget is hit: the slot is not taken and the request must be
     /// shed. The reserve-then-check shape keeps the bound exact under
     /// concurrent connections.
-    fn admit(&self) -> Result<(), usize> {
+    fn admit(&self, request: &WireRequest) -> Result<(), usize> {
         let prev = self.queued.fetch_add(1, Ordering::SeqCst);
         match self.budget {
             Some(budget) if prev >= budget => {
@@ -306,15 +359,25 @@ impl Gate {
                 self.shed.fetch_add(1, Ordering::Relaxed);
                 Err(prev)
             }
-            _ => Ok(()),
+            _ => {
+                self.queued_bytes
+                    .fetch_add(input_bytes(request), Ordering::SeqCst);
+                Ok(())
+            }
         }
     }
 
-    /// Give back `n` slots once their requests reach the batch server
-    /// (or are refused at submission).
-    fn release(&self, n: usize) {
-        self.queued.fetch_sub(n, Ordering::SeqCst);
+    /// Give back the slot of a request that reaches the batch server (or
+    /// is refused at submission, or cancelled while it waits).
+    fn release(&self, request: &WireRequest) {
+        self.queued.fetch_sub(1, Ordering::SeqCst);
+        self.queued_bytes
+            .fetch_sub(input_bytes(request), Ordering::SeqCst);
     }
+}
+
+fn input_bytes(request: &WireRequest) -> usize {
+    request.inputs.iter().map(Tensor::size_bytes).sum()
 }
 
 /// The TCP front-end: binds a listener and serves `program` behind
@@ -351,11 +414,12 @@ impl IngressServer {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let gate = Arc::new(Gate::new(
-            config
+        let gate = Arc::new(Gate {
+            budget: config
                 .queue_budget
                 .map(|b| b.saturating_mul(config.workers).max(1)),
-        ));
+            ..Gate::default()
+        });
         let (tx, rx) = std::sync::mpsc::channel::<Arrival>();
         let fault = config.opts.fault;
         let engine_cfg = config.clone();
@@ -434,11 +498,13 @@ fn listener_loop(
     gate: &Arc<Gate>,
     fault: FaultPlan,
 ) {
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::Relaxed) {
+    // Blocks in `accept()`; `IngressHandle::join` sets `stop` and then
+    // connects once to wake it. An accept error ends the loop.
+    while let Ok((stream, _)) = listener.accept() {
+        if stop.load(Ordering::Relaxed) {
+            break;
+        }
         // Reap finished connection threads as we go: a long-lived server
         // accepting many short connections must not grow `conns` (and
         // retain thread resources) without bound until shutdown.
@@ -450,18 +516,12 @@ fn listener_loop(
                 i += 1;
             }
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let tx = tx.clone();
-                let stop = Arc::clone(stop);
-                let gate = Arc::clone(gate);
-                conns.push(std::thread::spawn(move || {
-                    connection_loop(stream, &tx, &stop, &gate, fault);
-                }));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(_) => break,
-        }
+        let tx = tx.clone();
+        let stop = Arc::clone(stop);
+        let gate = Arc::clone(gate);
+        conns.push(std::thread::spawn(move || {
+            connection_loop(stream, &tx, &stop, &gate, fault);
+        }));
     }
     for c in conns {
         let _ = c.join();
@@ -478,8 +538,10 @@ fn connection_loop(
     fault: FaultPlan,
 ) {
     // The read timeout doubles as the stop-flag poll; FrameReader keeps
-    // partial input across timeouts.
-    if stream.set_read_timeout(Some(POLL)).is_err() {
+    // partial input across timeouts. Replies are small and each burst
+    // is one write, so Nagle could only hold them back for the client's
+    // delayed ACK: off.
+    if stream.set_read_timeout(Some(POLL)).is_err() || stream.set_nodelay(true).is_err() {
         return;
     }
     let writer = match stream.try_clone() {
@@ -487,7 +549,7 @@ fn connection_loop(
         Err(_) => return,
     };
     // A client that stops reading must not wedge the engine: replies go
-    // out under a bounded write stall, after which that reply is the
+    // out under a bounded write stall, after which that burst is the
     // slow reader's loss.
     if let Ok(w) = writer.lock() {
         let _ = w.set_write_timeout(Some(Duration::from_secs(1)));
@@ -537,6 +599,12 @@ fn connection_body(
     // a run replays bit-for-bit from the fault plan's seed.
     let mut frames: u64 = 0;
     while !stop.load(Ordering::Relaxed) {
+        // Bounded read-ahead (`READ_AHEAD`). The wait ends when the next
+        // flush takes what is queued, so it is polled, and briefly.
+        if gate.queued_bytes.load(Ordering::SeqCst) >= READ_AHEAD {
+            std::thread::sleep(Duration::from_micros(100));
+            continue;
+        }
         match reader.next_frame(stream) {
             Ok(Some(mut payload)) => {
                 frames += 1;
@@ -553,7 +621,7 @@ fn connection_body(
                     Ok(Message::Request(request)) => {
                         // Shed at the reader, before the channel: the budget
                         // must hold even while the engine is mid-flush.
-                        if let Err(depth) = gate.admit() {
+                        if let Err(depth) = gate.admit(&request) {
                             let budget = gate.budget.unwrap_or(0);
                             let e = ServeError::Overloaded { depth, budget };
                             send_reject(
@@ -617,8 +685,14 @@ fn connection_body(
     // Stop was requested. Frames already on the wire can no longer be
     // served: answer every decodable request with a typed Shutdown
     // reject before the socket closes, so a pipelining client gets a
-    // definite refusal instead of a silent EOF.
-    while let Ok(Some(payload)) = reader.next_frame(stream) {
+    // definite refusal instead of a silent EOF. The loop ends at the
+    // first quiet `POLL`, and at `SHUTDOWN_GRACE` for a client that
+    // never goes quiet.
+    let stopped = Instant::now();
+    while stopped.elapsed() < SHUTDOWN_GRACE {
+        let Ok(Some(payload)) = reader.next_frame(stream) else {
+            break;
+        };
         if let Ok(Message::Request(request)) = wire::decode(&payload) {
             send_reject(
                 writer,
@@ -635,6 +709,17 @@ fn connection_body(
     false
 }
 
+fn reject_payload(id: u64, code: RejectCode, depth: u64, budget: u64, message: &str) -> Vec<u8> {
+    wire::encode_reject(&WireReject {
+        id,
+        code,
+        depth,
+        budget,
+        message: message.to_string(),
+    })
+}
+
+/// Answer one frame outside a flush with a typed reject.
 fn send_reject(
     conn: &Arc<Mutex<TcpStream>>,
     id: u64,
@@ -643,15 +728,45 @@ fn send_reject(
     budget: u64,
     message: &str,
 ) {
-    let payload = wire::encode_reject(&WireReject {
-        id,
-        code,
-        depth,
-        budget,
-        message: message.to_string(),
-    });
     if let Ok(mut w) = conn.lock() {
-        let _ = wire::write_frame(&mut *w, &payload);
+        // A vanished client is its own problem.
+        let _ = wire::write_frame(&mut *w, &reject_payload(id, code, depth, budget, message));
+    }
+}
+
+/// The replies of one flush, framed and grouped by connection, so that
+/// each connection's burst leaves in one `write` under one lock: a
+/// closed-loop client then sees its replies together and refills
+/// together, and the next flush finds a full batch.
+struct Burst<W> {
+    /// Connections in first-reply order, each with its frames in reply
+    /// order.
+    conns: Vec<(Arc<Mutex<W>>, Vec<u8>)>,
+}
+
+impl<W: io::Write> Burst<W> {
+    fn push(&mut self, conn: &Arc<Mutex<W>>, payload: &[u8]) {
+        let known = self.conns.iter().position(|(c, _)| Arc::ptr_eq(c, conn));
+        let i = known.unwrap_or_else(|| {
+            self.conns.push((Arc::clone(conn), Vec::new()));
+            self.conns.len() - 1
+        });
+        // A payload over `MAX_FRAME_LEN` is dropped here, as
+        // `write_frame` would refuse it.
+        let _ = wire::put_frame(&mut self.conns[i].1, payload);
+    }
+
+    /// Write every connection's burst and return how many writes that
+    /// took.
+    fn send(&mut self) -> u64 {
+        let writes = self.conns.len() as u64;
+        for (conn, frames) in self.conns.drain(..) {
+            if let Ok(mut w) = conn.lock() {
+                // A vanished client is its own problem; the work is done.
+                let _ = w.write_all(&frames);
+            }
+        }
+        writes
     }
 }
 
@@ -766,7 +881,7 @@ fn accept(arrival: Arrival, buf: &mut VecDeque<Buffered>, gate: &Gate, stats: &m
                 .position(|b| b.request.id == client_id && conn_token(&b.conn) == token);
             if let Some(i) = hit {
                 let b = buf.remove(i).expect("position came from this buffer");
-                gate.release(1);
+                gate.release(&b.request);
                 send_reject(
                     &b.conn,
                     client_id,
@@ -781,11 +896,14 @@ fn accept(arrival: Arrival, buf: &mut VecDeque<Buffered>, gate: &Gate, stats: &m
         Arrival::Disconnect { token } => {
             // The client is gone: nobody will read these replies, so
             // the buffered requests are dropped without an answer.
-            let before = buf.len();
-            buf.retain(|b| conn_token(&b.conn) != token);
-            let dropped = before - buf.len();
-            gate.release(dropped);
-            stats.cancelled += dropped as u64;
+            buf.retain(|b| {
+                let keep = conn_token(&b.conn) != token;
+                if !keep {
+                    gate.release(&b.request);
+                    stats.cancelled += 1;
+                }
+                keep
+            });
         }
     }
 }
@@ -807,8 +925,10 @@ fn flush(
     // different connections cannot collide inside the server; the
     // client's id is restored on the reply.
     let mut outstanding: HashMap<u64, Pending> = HashMap::new();
-    let drained = buf.len();
+    let mut replies = Burst { conns: Vec::new() };
+    stats.flushes += 1;
     for Buffered { conn, request, at } in buf.drain(..) {
+        gate.release(&request);
         let eid = *next_eid;
         *next_eid += 1;
         // Stamp the queue entry at its real arrival time so the shards'
@@ -847,7 +967,10 @@ fn flush(
                     ServeError::Quarantined { .. } => RejectCode::Quarantined,
                     _ => RejectCode::BadRequest,
                 };
-                send_reject(&conn, client_id, code, 0, 0, &e.to_string());
+                replies.push(
+                    &conn,
+                    &reject_payload(client_id, code, 0, 0, &e.to_string()),
+                );
                 match code {
                     RejectCode::Internal => stats.failed += 1,
                     RejectCode::Quarantined => stats.quarantined += 1,
@@ -856,10 +979,11 @@ fn flush(
             }
         }
     }
-    gate.release(drained);
+    // A refusal is final now: it does not wait for the fleet to run.
+    stats.reply_writes += replies.send();
     server.set_clock(ticks(Instant::now()));
     // The instant the fleet takes over: the wall-clock end of every
-    // request's queue wait (see `deliver`).
+    // request's queue wait.
     let admitted = Instant::now();
     // The supervisor heals as it drives: poisoned shards are respawned,
     // their stranded and lost work retried under a bounded budget, and
@@ -904,7 +1028,23 @@ fn flush(
     };
     for outcome in outcomes {
         match outcome {
-            Outcome::Done(r) => deliver(vec![r], &mut outstanding, admitted, stats),
+            Outcome::Done(r) => {
+                let Some(p) = outstanding.remove(&r.id) else {
+                    continue;
+                };
+                // The queue wait reported to the client is wall-clock:
+                // TCP arrival to the instant this flush handed the batch
+                // to the fleet. The server's own `queued_ticks` is not
+                // used here — its virtual clock can run ahead of real
+                // time after a deadline fast-forward, which would
+                // distort later stamps.
+                let queued = u64::try_from(admitted.saturating_duration_since(p.at).as_nanos())
+                    .unwrap_or(u64::MAX);
+                if let Ok(payload) = wire::encode_response(p.client_id, queued, &r.outputs) {
+                    replies.push(&p.conn, &payload);
+                }
+                stats.completed += 1;
+            }
             Outcome::Failed { id, error } => {
                 let Some(p) = outstanding.remove(&id) else {
                     continue;
@@ -928,7 +1068,10 @@ fn flush(
                     ServeError::Cancelled => (RejectCode::Cancelled, 0, 0),
                     _ => (RejectCode::Internal, 0, 0),
                 };
-                send_reject(&p.conn, p.client_id, code, a, b, &error.to_string());
+                replies.push(
+                    &p.conn,
+                    &reject_payload(p.client_id, code, a, b, &error.to_string()),
+                );
                 match code {
                     RejectCode::BadRequest => stats.rejected += 1,
                     RejectCode::OverBudget => stats.over_budget += 1,
@@ -942,50 +1085,18 @@ fn flush(
         // Unreachable under the supervisor's exactly-one-outcome
         // contract; answered defensively so no client ever hangs.
         for (_, p) in outstanding.drain() {
-            send_reject(
-                &p.conn,
-                p.client_id,
-                RejectCode::Internal,
-                0,
-                0,
-                "request lost",
-            );
+            let lost = reject_payload(p.client_id, RejectCode::Internal, 0, 0, "request lost");
+            replies.push(&p.conn, &lost);
             stats.failed += 1;
         }
     }
+    stats.reply_writes += replies.send();
     // Re-admit what the hook stashed, in arrival order: a stashed
     // cancel lands after the stashed request it names (per-connection
     // FIFO), and a disconnect purges whatever its connection left
     // behind.
     for a in stash {
         accept(a, buf, gate, stats);
-    }
-}
-
-fn deliver(
-    responses: Vec<Response>,
-    outstanding: &mut HashMap<u64, Pending>,
-    admitted: Instant,
-    stats: &mut IngressStats,
-) {
-    for r in responses {
-        let Some(p) = outstanding.remove(&r.id) else {
-            continue;
-        };
-        // The queue wait reported to the client is wall-clock: TCP
-        // arrival to the instant this flush handed the batch to the
-        // fleet. The server's own `queued_ticks` is not used here — its
-        // virtual clock can run ahead of real time after a deadline
-        // fast-forward, which would distort later stamps.
-        let queued =
-            u64::try_from(admitted.saturating_duration_since(p.at).as_nanos()).unwrap_or(u64::MAX);
-        if let Ok(payload) = wire::encode_response(p.client_id, queued, &r.outputs) {
-            if let Ok(mut w) = p.conn.lock() {
-                // A vanished client is its own problem; the work is done.
-                let _ = wire::write_frame(&mut *w, &payload);
-            }
-        }
-        stats.completed += 1;
     }
 }
 
@@ -1007,8 +1118,12 @@ impl IngressClient {
     ///
     /// Any socket-level connect failure.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<IngressClient, IngressError> {
+        let stream = TcpStream::connect(addr)?;
+        // A request is one small write that must not wait for the ACK of
+        // the one before it.
+        stream.set_nodelay(true)?;
         Ok(IngressClient {
-            stream: TcpStream::connect(addr)?,
+            stream,
             reader: FrameReader::new(),
         })
     }
@@ -1071,5 +1186,53 @@ impl IngressClient {
     ) -> Result<WireResponse, IngressError> {
         self.send(id, seed, inputs)?;
         self.recv()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::wire::tests::CountingWrite;
+    use super::*;
+
+    fn frames(conn: &Arc<Mutex<CountingWrite>>) -> Vec<Message> {
+        let w = conn.lock().unwrap();
+        let mut src = w.bytes.as_slice();
+        let mut reader = FrameReader::new();
+        std::iter::from_fn(|| reader.next_frame(&mut src).unwrap())
+            .map(|payload| wire::decode(&payload).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn a_burst_is_one_write_per_connection_in_reply_order() {
+        let a = Arc::new(Mutex::new(CountingWrite::default()));
+        let b = Arc::new(Mutex::new(CountingWrite::default()));
+        let done = |id| wire::encode_response(id, 0, &[]).unwrap();
+        let mut burst = Burst { conns: Vec::new() };
+        // Two connections interleaved, and a refusal in the middle of
+        // the first one's replies.
+        burst.push(&a, &done(1));
+        burst.push(&b, &done(1));
+        burst.push(&a, &reject_payload(2, RejectCode::OverBudget, 9, 8, "over"));
+        burst.push(&b, &done(2));
+        burst.push(&a, &done(3));
+        assert_eq!(burst.send(), 2);
+        assert_eq!(a.lock().unwrap().writes, 1);
+        assert_eq!(b.lock().unwrap().writes, 1);
+        let ids = |conn| -> Vec<(u64, bool)> {
+            frames(conn)
+                .into_iter()
+                .map(|m| match m {
+                    Message::Response(r) => (r.id, true),
+                    Message::Reject(r) => (r.id, false),
+                    other => panic!("a burst carried {other:?}"),
+                })
+                .collect()
+        };
+        assert_eq!(ids(&a), [(1, true), (2, false), (3, true)]);
+        assert_eq!(ids(&b), [(1, true), (2, true)]);
+        // Sent means emptied: the next burst starts from nothing.
+        assert_eq!(burst.send(), 0);
+        assert_eq!(a.lock().unwrap().writes, 1);
     }
 }

@@ -212,14 +212,15 @@ pub enum Message {
     Cancel(u64),
 }
 
-/// Write one frame: a `u32` little-endian length prefix, then the
-/// payload, then flush.
+/// Append one frame to `out`: a `u32` little-endian length prefix, then
+/// the payload. Every frame this crate puts on a socket is assembled
+/// here, so that prefix and payload (and, for a flush's replies, a whole
+/// connection's burst) leave in one `write`.
 ///
 /// # Errors
 ///
-/// `InvalidInput` if the payload exceeds [`MAX_FRAME_LEN`]; otherwise
-/// whatever the underlying writer reports.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+/// `InvalidInput` if the payload exceeds [`MAX_FRAME_LEN`].
+pub fn put_frame(out: &mut Vec<u8>, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len())
         .ok()
         .filter(|&l| l <= MAX_FRAME_LEN)
@@ -229,10 +230,32 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
                 format!("frame of {} bytes exceeds MAX_FRAME_LEN", payload.len()),
             )
         })?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
+    out.reserve(4 + payload.len());
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(payload);
+    Ok(())
+}
+
+/// Write one frame ([`put_frame`]) in a single `write`, then flush. Two
+/// writes per frame would put the prefix in a segment of its own, and
+/// the payload behind it would wait out Nagle and the peer's delayed
+/// ACK (40 ms on Linux) on a socket without `TCP_NODELAY`.
+///
+/// # Errors
+///
+/// As [`put_frame`]; otherwise whatever the underlying writer reports.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+    let mut frame = Vec::new();
+    put_frame(&mut frame, payload)?;
+    w.write_all(&frame)?;
     w.flush()
 }
+
+/// The size of a reader's staging buffer. A page holds a burst of some
+/// ninety echo-sized frames; a frame that cannot fit is read straight
+/// into its own allocation instead. Every connection keeps one of these
+/// for its lifetime, so it counts against the server's resident size.
+const READ_CHUNK: usize = 4 * 1024;
 
 /// Incremental frame reassembly over a byte stream.
 ///
@@ -240,9 +263,23 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// when the socket has a read timeout (the ingress connection threads
 /// use one to poll their stop flag). `FrameReader` buffers partial
 /// input across calls so neither split writes nor timeouts lose bytes.
+///
+/// Input is read straight into the staging buffer's spare room and
+/// frames are consumed by moving a cursor: a frame's bytes are copied
+/// once, into the `Vec` handed to the caller, and the only other copy is
+/// of the partial frame behind the last whole one (less than the 4 KiB
+/// buffer, once per read). A frame longer than the staging buffer is not
+/// staged at all: the reader allocates the caller's `Vec` and reads the
+/// rest of the frame into it directly.
 #[derive(Debug, Default)]
 pub struct FrameReader {
+    /// `buf[start..end]` is input not yet returned; `buf[end..]` is
+    /// spare room for the next read.
     buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    /// A frame too long for `buf`, and how much of it has arrived.
+    wide: Option<(Vec<u8>, usize)>,
 }
 
 impl FrameReader {
@@ -263,46 +300,55 @@ impl FrameReader {
     /// an oversized length prefix, and any underlying I/O error.
     pub fn next_frame(&mut self, r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
         loop {
-            if let Some(frame) = self.take_buffered()? {
-                return Ok(Some(frame));
-            }
-            let mut chunk = [0u8; 16 * 1024];
-            match r.read(&mut chunk) {
-                Ok(0) => {
-                    return if self.buf.is_empty() {
-                        Ok(None)
-                    } else {
-                        Err(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "stream ended mid-frame",
-                        ))
-                    };
+            if let Some((frame, filled)) = &mut self.wide {
+                if *filled == frame.len() {
+                    return Ok(self.wide.take().map(|(frame, _)| frame));
                 }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e) => return Err(e),
+                match r.read(&mut frame[*filled..])? {
+                    0 => return Err(mid_frame_eof()),
+                    n => *filled += n,
+                }
+                continue;
+            }
+            let unread = &self.buf[self.start..self.end];
+            if let Some(prefix) = unread.first_chunk::<4>() {
+                let len = u32::from_le_bytes(*prefix);
+                if len > MAX_FRAME_LEN {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("frame length {len} exceeds MAX_FRAME_LEN"),
+                    ));
+                }
+                let (body, len) = (&unread[4..], len as usize);
+                if body.len() >= len {
+                    self.start += 4 + len;
+                    return Ok(Some(body[..len].to_vec()));
+                }
+                if 4 + len > READ_CHUNK {
+                    // Zeroed, so pages of a length the peer only claimed
+                    // are not resident until its bytes arrive.
+                    let mut frame = vec![0; len];
+                    frame[..body.len()].copy_from_slice(body);
+                    self.wide = Some((frame, body.len()));
+                    self.start = self.end;
+                    continue;
+                }
+            }
+            // What is left is less than one frame that fits: to the front.
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, self.end - self.start);
+            self.buf.resize(READ_CHUNK, 0);
+            match r.read(&mut self.buf[self.end..])? {
+                0 if self.end == 0 => return Ok(None),
+                0 => return Err(mid_frame_eof()),
+                n => self.end += n,
             }
         }
     }
+}
 
-    fn take_buffered(&mut self) -> io::Result<Option<Vec<u8>>> {
-        if self.buf.len() < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]);
-        if len > MAX_FRAME_LEN {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("frame length {len} exceeds MAX_FRAME_LEN"),
-            ));
-        }
-        let total = 4 + len as usize;
-        if self.buf.len() < total {
-            return Ok(None);
-        }
-        let frame = self.buf[4..total].to_vec();
-        self.buf.drain(..total);
-        Ok(Some(frame))
-    }
+fn mid_frame_eof() -> io::Error {
+    io::Error::new(io::ErrorKind::UnexpectedEof, "stream ended mid-frame")
 }
 
 /// Encode a request payload (no frame prefix; pair with
@@ -550,8 +596,9 @@ impl<'a> Cursor<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_tensors() -> Vec<Tensor> {
         vec![
@@ -667,6 +714,179 @@ mod tests {
         assert_eq!(r.next_frame(&mut src).unwrap(), Some(payload.clone()));
         assert_eq!(r.next_frame(&mut src).unwrap(), Some(payload));
         assert_eq!(r.next_frame(&mut src).unwrap(), None);
+    }
+
+    /// Counts `write` calls; takes whatever it is given.
+    #[derive(Default)]
+    pub(crate) struct CountingWrite {
+        pub(crate) writes: usize,
+        pub(crate) bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWrite {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        for len in [12, 64 * 1024] {
+            let payload: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let mut w = CountingWrite::default();
+            write_frame(&mut w, &payload).unwrap();
+            assert_eq!(w.writes, 1, "{len}-byte payload");
+            let mut r = FrameReader::new();
+            assert_eq!(
+                r.next_frame(&mut w.bytes.as_slice()).unwrap(),
+                Some(payload)
+            );
+        }
+    }
+
+    /// A byte stream handed out in scripted pieces, with scripted
+    /// timeouts in between.
+    struct Script<'a> {
+        data: &'a [u8],
+        /// Size of each successive read, cycled.
+        cuts: &'a [usize],
+        /// Before each read: 1 = `WouldBlock` first, 2 = `TimedOut`
+        /// first, anything else = no stall. Used up, then no stalls.
+        stalls: &'a [u8],
+        reads: usize,
+    }
+
+    impl Read for Script<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            if let Some((&stall, rest)) = self.stalls.split_first() {
+                self.stalls = rest;
+                match stall {
+                    1 => return Err(io::ErrorKind::WouldBlock.into()),
+                    2 => return Err(io::ErrorKind::TimedOut.into()),
+                    _ => {}
+                }
+            }
+            let cut = self.cuts[self.reads % self.cuts.len()];
+            self.reads += 1;
+            let n = cut.min(out.len()).min(self.data.len());
+            out[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// However the stream is cut into reads and wherever timeouts
+        /// fall, the reader yields exactly the frames written, in order,
+        /// and then the stream's end: clean EOF, `UnexpectedEof` inside a
+        /// frame, or `InvalidData` at an oversized length prefix.
+        #[test]
+        fn frames_survive_any_split_and_any_timeouts(
+            lens in proptest::collection::vec(0usize..40_000, 0..10),
+            small in any::<bool>(),
+            cuts in proptest::collection::vec(1usize..70_000, 1..8),
+            stalls in proptest::collection::vec(0u8..4, 0..64),
+            tail in 0u8..3,
+            torn in 1usize..5_000,
+        ) {
+            // Half the cases are bursts of small frames (many per read),
+            // half are frames that outgrow the reader's first buffer.
+            let payloads: Vec<Vec<u8>> = lens
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| {
+                    let len = if small { len % 64 } else { len };
+                    (0..len).map(|j| (i * 31 + j) as u8).collect()
+                })
+                .collect();
+            let mut stream = Vec::new();
+            for p in &payloads {
+                write_frame(&mut stream, p).unwrap();
+            }
+            let want_end = match tail {
+                1 => {
+                    write_frame(&mut stream, &[7u8; 5_000]).unwrap();
+                    stream.truncate(stream.len() - torn);
+                    Some(io::ErrorKind::UnexpectedEof)
+                }
+                2 => {
+                    stream.extend_from_slice(&(MAX_FRAME_LEN + 1).to_le_bytes());
+                    Some(io::ErrorKind::InvalidData)
+                }
+                _ => None,
+            };
+            let mut src = Script { data: &stream, cuts: &cuts, stalls: &stalls, reads: 0 };
+            let mut reader = FrameReader::new();
+            let mut got = Vec::new();
+            let end = loop {
+                match reader.next_frame(&mut src) {
+                    Ok(Some(frame)) => got.push(frame),
+                    Ok(None) => break None,
+                    Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {}
+                    Err(e) => break Some(e.kind()),
+                }
+            };
+            prop_assert_eq!(got, payloads);
+            prop_assert_eq!(end, want_end);
+        }
+    }
+
+    #[test]
+    fn frames_at_the_staging_boundary_take_either_route_intact() {
+        // Prefix and payload together fit the staging buffer up to
+        // `READ_CHUNK - 4` payload bytes and go wide beyond.
+        for len in READ_CHUNK - 6..=READ_CHUNK {
+            let payload: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let mut stream = Vec::new();
+            for _ in 0..3 {
+                write_frame(&mut stream, &payload).unwrap();
+            }
+            let mut src = Script {
+                data: &stream,
+                cuts: &[1_000, 7, 4_096],
+                stalls: &[1, 0, 2],
+                reads: 0,
+            };
+            let mut r = FrameReader::new();
+            let mut got = 0;
+            loop {
+                match r.next_frame(&mut src) {
+                    Ok(Some(frame)) => {
+                        assert_eq!(frame, payload, "frame {got} of {len} bytes");
+                        got += 1;
+                    }
+                    Ok(None) => break,
+                    Err(e) => assert!(
+                        matches!(
+                            e.kind(),
+                            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                        ),
+                        "{len}-byte frames: {e}"
+                    ),
+                }
+            }
+            assert_eq!(got, 3, "{len}-byte frames");
+        }
+    }
+
+    #[test]
+    fn a_wide_frame_bypasses_the_staging_buffer() {
+        let mut stream = Vec::new();
+        write_frame(&mut stream, &[1u8; 64 * 1024]).unwrap();
+        write_frame(&mut stream, &[2u8; 8]).unwrap();
+        let mut src = stream.as_slice();
+        let mut r = FrameReader::new();
+        assert_eq!(r.next_frame(&mut src).unwrap(), Some(vec![1u8; 64 * 1024]));
+        assert_eq!(r.next_frame(&mut src).unwrap(), Some(vec![2u8; 8]));
+        assert_eq!(r.next_frame(&mut src).unwrap(), None);
+        assert_eq!(r.buf.len(), READ_CHUNK);
     }
 
     #[test]

@@ -228,3 +228,60 @@ fn shutdown_answers_late_frames_with_typed_shutdown_rejects() {
         .join()
         .unwrap();
 }
+
+#[test]
+fn a_client_that_never_stops_sending_cannot_hold_shutdown_open() {
+    // The queue budget bounds what was admitted before the stop flag
+    // flipped, so what shutdown must drain is a handful of fib(6).
+    let handle = fib_server(IngressConfig {
+        workers: 1,
+        max_batch: 4,
+        max_wait: Duration::from_millis(2),
+        queue_budget: Some(16),
+        ..IngressConfig::default()
+    });
+    let stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    let mut write_half = stream.try_clone().unwrap();
+    // Writes frames back to back until the server closes the socket:
+    // after the stop flag flips there is never a quiet 10 ms on this
+    // connection.
+    let writer = std::thread::spawn(move || {
+        let row = [Tensor::from_i64(&[6], &[1]).unwrap()];
+        let payload = wire::encode_request(1, 1, &row).unwrap();
+        let mut sent = 0u64;
+        while wire::write_frame(&mut write_half, &payload).is_ok() {
+            sent += 1;
+        }
+        sent
+    });
+    // Replies are drained and dropped so that TCP backpressure never
+    // stalls the server's writes; the first one shows the flood is being
+    // served.
+    let (first_reply, flood_served) = channel::<()>();
+    let reader = std::thread::spawn(move || {
+        let mut read_half = stream;
+        let mut frames = wire::FrameReader::new();
+        let mut replies = 0u64;
+        while let Ok(Some(_)) = frames.next_frame(&mut read_half) {
+            replies += 1;
+            if replies == 1 {
+                first_reply.send(()).unwrap();
+            }
+        }
+        replies
+    });
+    flood_served.recv().unwrap();
+    let t0 = std::time::Instant::now();
+    let stats = handle.shutdown();
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "shutdown took {took:?} under a flood"
+    );
+    // The socket closed under the writer, and every frame the server
+    // answered was a whole frame.
+    let sent = writer.join().unwrap();
+    let replies = reader.join().unwrap();
+    assert!(replies <= sent, "{replies} replies to {sent} requests");
+    assert!(stats.completed > 0);
+}

@@ -346,7 +346,93 @@ fn bad_configs_are_refused_at_start() {
 
 #[test]
 fn idle_shutdown_joins_cleanly() {
-    let handle = fib_server(IngressConfig::default());
+    // The acceptor blocks in `accept()`; shutdown wakes it by connecting
+    // to its own port — over loopback when the bind address is the
+    // unspecified one. A wake-up that missed would hang this test.
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let (pc, _) = lower(&fibonacci_program(), LoweringOptions::default()).unwrap();
+        let handle = IngressServer::start(pc, IngressConfig::default(), addr).unwrap();
+        // An open, silent connection must not hold shutdown up either.
+        let idle = IngressClient::connect(("127.0.0.1", handle.addr().port())).unwrap();
+        let t0 = Instant::now();
+        let stats = handle.shutdown();
+        assert!(
+            t0.elapsed() < Duration::from_millis(500),
+            "idle shutdown on {addr} took {:?}",
+            t0.elapsed()
+        );
+        assert_eq!(stats.completed, 0);
+        drop(idle);
+    }
+}
+
+#[test]
+fn a_lone_call_costs_the_deadline_and_a_round_trip_not_a_delayed_ack() {
+    // One request at a time on an idle server: each waits out `max_wait`
+    // (2 ms) and then a batch of one runs. Two writes per frame, or a
+    // socket with Nagle on at either end, adds the peer's 40 ms delayed
+    // ACK each way.
+    let handle = fib_server(IngressConfig {
+        max_wait: Duration::from_millis(2),
+        ..IngressConfig::default()
+    });
+    let mut client = IngressClient::connect(handle.addr()).unwrap();
+    let row = [Tensor::from_i64(&[6], &[1]).unwrap()];
+    let mut took: Vec<Duration> = (0..9)
+        .map(|id| {
+            let t0 = Instant::now();
+            let r = client.call(id, id, &row).unwrap();
+            assert_eq!(r.outputs[0].as_i64().unwrap(), &[13]);
+            t0.elapsed()
+        })
+        .collect();
+    took.sort();
+    assert!(
+        took[4] < Duration::from_millis(20),
+        "median lone call took {:?} (all: {took:?})",
+        took[4]
+    );
     let stats = handle.shutdown();
-    assert_eq!(stats.completed, 0);
+    assert_eq!(stats.completed, 9);
+    assert_eq!(stats.flushes, 9, "one request, one flush");
+    assert_eq!(stats.reply_writes, 9, "one reply, one write");
+}
+
+#[test]
+fn read_ahead_is_bounded_in_bytes_and_nothing_is_lost_to_it() {
+    // Forty pipelined requests of 64 KiB each, against an engine that
+    // only flushes at its 50 ms deadline: the connection stops reading
+    // at 1 MiB of decoded inputs (sixteen of these), the rest wait in
+    // the socket, and each flush lets the next sixteen in. Their shape
+    // is wrong for fib, so every one is answered with a typed reject —
+    // what matters here is that all forty are answered.
+    let handle = fib_server(IngressConfig {
+        workers: 1,
+        max_batch: 64,
+        max_wait: Duration::from_millis(50),
+        ..IngressConfig::default()
+    });
+    let mut client = IngressClient::connect(handle.addr()).unwrap();
+    let wide = [Tensor::from_f64(&vec![0.0; 8192], &[1, 8192]).unwrap()];
+    for id in 0..40 {
+        client.send(id, id, &wide).unwrap();
+    }
+    let mut answered: Vec<u64> = (0..40)
+        .map(|_| match client.recv() {
+            Err(IngressError::Rejected(r)) => {
+                assert_eq!(r.code, RejectCode::Invalid, "{r}");
+                r.id
+            }
+            other => panic!("expected an Invalid reject, got {other:?}"),
+        })
+        .collect();
+    answered.sort_unstable();
+    assert_eq!(answered, (0..40).collect::<Vec<u64>>());
+    let stats = handle.shutdown();
+    assert_eq!(stats.rejected, 40);
+    assert!(
+        stats.peak_buffered <= 16,
+        "{} requests of 64 KiB were buffered at once",
+        stats.peak_buffered
+    );
 }
