@@ -1236,11 +1236,13 @@ impl<'p> PcMachine<'p> {
     ///
     /// Propagates output-read errors.
     pub fn retire_finished(&mut self, trace: Option<&mut Trace>) -> Result<Vec<Retired>> {
-        let keep: Vec<usize> = self.running_lanes().collect();
-        let done = self.st.z() - keep.len();
+        // Called once per superstep and usually with nothing to retire:
+        // decide that before allocating anything.
+        let done = self.finished();
         if done == 0 {
             return Ok(Vec::new());
         }
+        let keep: Vec<usize> = self.running_lanes().collect();
         let outs_full: Vec<Tensor> = self
             .vm
             .program

@@ -7,9 +7,10 @@
 //! [Radul et al., MLSys 2020](https://arxiv.org/abs/1910.11141), Figure 2.
 //!
 //! This crate substitutes for the paper's Python + AutoGraph frontend
-//! (see DESIGN.md §2): the essential property — *the user writes ordinary
-//! single-example imperative code with `if`/`while`/recursion and the
-//! system batches it* — is preserved; only the surface syntax differs.
+//! (README, "Workspace layout"): the essential property — *the user
+//! writes ordinary single-example imperative code with
+//! `if`/`while`/recursion and the system batches it* — is preserved;
+//! only the surface syntax differs.
 //!
 //! Pipeline: [`parse`] → [`check_module`] → [`compile`] (lex, parse, type
 //! check, lower).

@@ -57,8 +57,8 @@ pub enum SchedulingPolicy {
 }
 
 /// Tuning knobs of [`SchedulingPolicy::PcAffinity`]. The defaults are
-/// what `shard_throughput` gates in CI; they favor packed batches and
-/// conservative migration.
+/// the ones whose superstep totals `tests/golden_outputs.rs` pins; they
+/// favor packed batches and conservative migration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AffinityConfig {
     /// Supersteps each shard runs between rebalance points (clamped to

@@ -1894,11 +1894,13 @@ mod tests {
         // run_until_idle must never spin when the deadline policy holds a
         // partial batch back from an idle machine: it fast-forwards the
         // clock to the head-of-line deadline, and the wait shows up in
-        // queued_ticks.
+        // queued_ticks. This is the light-load latency bound: when only
+        // the deadline can admit, the queue wait's p99 (its maximum) is
+        // `max_wait` itself, not `max_wait` plus a superstep.
         let (pc, _) = lower(&fibonacci_program(), LoweringOptions::default()).unwrap();
         let policy = AdmissionPolicy::Deadline {
             max_batch: 8,
-            max_wait: 250,
+            max_wait: 300,
         };
         let mut server =
             BatchServer::new(&pc, KernelRegistry::new(), ExecOptions::default(), policy).unwrap();
@@ -1916,8 +1918,13 @@ mod tests {
         assert_eq!(got, vec![610, 2, 55]);
         // Every request waited exactly the fast-forwarded deadline.
         let waits: Vec<u64> = out.iter().map(|r| r.queued_ticks).collect();
-        assert_eq!(waits, vec![250, 250, 250]);
-        assert_eq!(server.clock(), 250, "clock was fast-forwarded");
+        assert_eq!(waits, vec![300, 300, 300]);
+        assert_eq!(server.clock(), 300, "clock was fast-forwarded");
+        // A later arrival into the idle server waits the same, no longer.
+        server.set_clock(2_000);
+        server.submit(fib_requests(&[5]).remove(0)).unwrap();
+        let late = server.run_until_idle(None).unwrap();
+        assert_eq!((late[0].queued_ticks, server.clock()), (300, 2_300));
     }
 
     #[test]

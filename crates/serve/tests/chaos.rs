@@ -7,11 +7,13 @@
 //! slowness, every submitted request reaches **exactly one** terminal
 //! outcome, every surviving response is **bit-identical** to the
 //! fault-free run, and the fleet ends healthy (no poisoned shards).
+//! The proptests state that in general; `fixed_seeds_end_exactly_as_pinned`
+//! pins its exact counts on the divergent-binom stream of `golden_outputs.rs`.
 
 use std::collections::HashMap;
 
 use autobatch_accel::Backend;
-use autobatch_chaos::FaultPlan;
+use autobatch_chaos::{FaultPlan, FaultPoint};
 use autobatch_core::{lower, ExecOptions, KernelRegistry, LoweringOptions};
 use autobatch_ir::build::fibonacci_program;
 use autobatch_ir::pcab::Program;
@@ -442,4 +444,114 @@ fn respawn_salvages_completed_work_and_reports_health() {
         matches!(health.last_error, Some(ServeError::Panicked { .. })),
         "the fault record survives the respawn"
     );
+}
+
+#[test]
+fn fixed_seeds_end_exactly_as_pinned() {
+    silence_injected_panics();
+    let source = "fn binom(n: int, k: int) -> (out: int) {
+        if k <= 0 { out = 1; } else if k >= n { out = 1; } else {
+            let left = binom(n - 1, k - 1);
+            let right = binom(n - 1, k);
+            out = left + right;
+        }
+    }";
+    let program = autobatch_lang::compile(source, "binom").expect("binom compiles");
+    let (pc, _) = lower(&program, LoweringOptions::default()).expect("binom lowers");
+    // Five fault plans on 2 workers: availability 1.0 under execution
+    // and admission faults, 0.75 with a panic on every other worker
+    // round, 0 (typed, still no wedge) with one on every round. Then four
+    // adversarial mixes on 4 budgeted workers: runaways alone, with
+    // clamped worker stalls, and beside cancellation of a third of the
+    // stream; their operands are smaller because a runaway burns the
+    // whole budget, which is sized for a full batch of honest requests.
+    // Rows: `(workers, first n, max_supersteps)`; one-in-n rates (0 =
+    // never) of `[exec_error, admit_error, worker_panic, runaway,
+    // worker_slow]`; cancel one in; `[done, retries exhausted, over
+    // budget, cancelled, retries, respawns, evictions]`.
+    let (faults, mixes) = ((2, 10, None), (4, 6, Some(65_536)));
+    for ((workers, n0, max_supersteps), one_in, cancel_one_in, want) in [
+        (faults, [0, 0, 0, 0, 0], 0, [12, 0, 0, 0, 0, 0, 0]),
+        (faults, [65_536, 0, 0, 0, 0], 0, [12, 0, 0, 0, 6, 3, 0]),
+        (faults, [0, 8, 0, 0, 0], 0, [12, 0, 0, 0, 2, 0, 0]),
+        (faults, [0, 0, 2, 0, 0], 0, [9, 3, 0, 0, 15, 6, 0]),
+        (faults, [0, 0, 1, 0, 0], 0, [0, 12, 0, 0, 48, 8, 0]),
+        (mixes, [0, 0, 0, 0, 0], 0, [12, 0, 0, 0, 0, 0, 0]),
+        (mixes, [0, 0, 0, 4, 0], 0, [8, 0, 4, 0, 0, 0, 4]),
+        (mixes, [0, 0, 0, 2, 8], 0, [6, 0, 6, 0, 0, 0, 6]),
+        (mixes, [0, 0, 0, 4, 0], 3, [5, 0, 3, 4, 0, 0, 3]),
+    ] {
+        let [exec_error, admit_error, worker_panic, runaway, worker_slow] =
+            one_in.map(|n| FaultPlan::ALWAYS.checked_div(n).unwrap_or(0));
+        let fault = FaultPlan {
+            seed: 2025,
+            exec_error,
+            admit_error,
+            worker_panic,
+            runaway,
+            worker_slow,
+            max_slow_micros: 200,
+            ..FaultPlan::none()
+        };
+        let opts = ExecOptions {
+            fault,
+            ..ExecOptions::default()
+        };
+        let policy = AdmissionPolicy::JoinAtEntry {
+            max_batch: 4,
+            min_utilization: 1.0,
+        };
+        let backend = Backend::hybrid_cpu();
+        let inner = ShardedServer::new(&pc, KernelRegistry::new(), opts, policy, workers, backend);
+        // Quarantine off: every doomed lane must burn its own budget,
+        // not be spared by the breaker (which counts budget blowups
+        // only, so this changes nothing for the fault plans).
+        let mut config = SupervisorConfig::default();
+        config.quarantine.trip_threshold = 0;
+        let mut sup = Supervisor::new(inner.expect("fleet"), config);
+        let mut budget = RequestBudget::unlimited();
+        budget.max_supersteps = max_supersteps;
+        sup.set_budget(budget);
+        let operands = |id: u64| (n0 + (id * 5 % 7) as i64, 2 + (id * 3 % 5) as i64);
+        let asked_to_cancel = |id: u64| cancel_one_in != 0 && id.is_multiple_of(cancel_one_in);
+        let runs_away = |id: u64| fault.fires(FaultPoint::Runaway, id) && !asked_to_cancel(id);
+        let mut outcomes = Vec::new();
+        for id in 0..12 {
+            let (n, k) = operands(id);
+            let inputs = [n, k].map(|x| Tensor::from_i64(&[x], &[1]).expect("input"));
+            let (seed, inputs) = (id, inputs.into());
+            if let Err(error) = sup.submit(Request { id, seed, inputs }) {
+                outcomes.push(Outcome::Failed { id, error });
+            }
+        }
+        let mut to_cancel: Vec<u64> = (0..12).filter(|&id| asked_to_cancel(id)).collect();
+        outcomes.extend(sup.run_until_quiescent_with(&mut || std::mem::take(&mut to_cancel)));
+        let mut got = [0; 7];
+        for o in outcomes {
+            let kind = match o {
+                Outcome::Done(r) => {
+                    let (n, k) = operands(r.id);
+                    let c_n_k = (1..=k).fold(1, |c, j| c * (n - k + j) / j);
+                    assert_eq!(r.outputs[0].as_i64().expect("i64"), &[c_n_k]);
+                    assert!(!runs_away(r.id), "runaway {} escaped its budget", r.id);
+                    0
+                }
+                Outcome::Failed { error, id } => match error {
+                    ServeError::RetriesExhausted { .. } => 1,
+                    ServeError::BudgetExceeded { spent, limit } => {
+                        assert!(runs_away(id), "well-behaved request {id} evicted");
+                        assert_eq!((Some(limit), spent), (max_supersteps, limit + 1));
+                        2
+                    }
+                    ServeError::Cancelled if asked_to_cancel(id) => 3,
+                    error => panic!("request {id} failed: {error}"),
+                },
+            };
+            got[kind] += 1;
+        }
+        got[4..].copy_from_slice(&[sup.retries(), sup.respawns(), sup.inner().evictions()]);
+        assert_eq!(got, want, "{fault:?}, cancel 1 in {cancel_one_in}");
+        let unhealthy_or_busy = (sup.inner().poisoned_shards().len(), sup.outstanding());
+        assert_eq!(unhealthy_or_busy, (0, 0), "the fleet ends healthy and idle");
+    }
 }

@@ -1,0 +1,119 @@
+//! The PC interpreter's allocations per superstep, as a ceiling on an
+//! exact count (they are a pure function of the code path): the
+//! 12-request streams of `crates/serve/tests/golden_outputs.rs` through
+//! one [`PcMachine`], fusion on and off. Supersteps and eager launches
+//! are pinned exactly; allocations may only go down (ROADMAP item 3(b)).
+//! `core.allocs_per_superstep` in `benchmark/` counts the served path.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use autobatch::accel::{Backend, Trace};
+use autobatch::core::{lower, ExecOptions, KernelRegistry, LoweringOptions, PcMachine};
+use autobatch::ir::pcab::Program;
+use autobatch::lang::compile;
+use autobatch::models::NealsFunnel;
+use autobatch::nuts::{BatchNuts, NutsConfig};
+use autobatch::tensor::{CounterRng, Tensor};
+
+thread_local!(static ALLOCATIONS: Cell<u64> = const { Cell::new(0) });
+
+/// [`System`], counting per thread so that libtest's other threads stay
+/// out of the window. The default `realloc` is one `alloc`: one count.
+struct CountingAlloc;
+
+// SAFETY: every operation is delegated to `System` unchanged; the
+// counter is a const-initialised thread-local `Cell` with no destructor,
+// so touching it neither allocates nor outlives its thread.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Run `requests`, all admitted up front into one machine, with fusion
+/// on and off (`pins`: fused?, allocation ceiling, eager launches). Each
+/// run must take exactly `supersteps` and its pinned launches, and
+/// allocate no more than its ceiling inside `run_to_completion`.
+fn check(
+    program: &Program,
+    registry: &KernelRegistry,
+    opts: ExecOptions,
+    requests: &[Vec<Tensor>],
+    supersteps: u64,
+    pins: [(bool, u64, u64); 2],
+) {
+    let members: Vec<(&[Tensor], u64)> = requests.iter().map(Vec::as_slice).zip(0..).collect();
+    for (fuse_elementwise, ceiling, launches) in pins {
+        let opts = ExecOptions {
+            fuse_elementwise,
+            ..opts
+        };
+        let run = |trace: Option<&mut Trace>| {
+            let mut m = PcMachine::new(program, registry.clone(), opts);
+            m.admit_batch(&members, None).expect("admission");
+            let before = ALLOCATIONS.with(Cell::get);
+            let done = m.run_to_completion(trace).expect("runs");
+            let allocations = ALLOCATIONS.with(Cell::get) - before;
+            assert_eq!(done.len(), requests.len());
+            (m.supersteps(), allocations)
+        };
+        let (steps, allocations) = run(None);
+        let mut trace = Trace::new(Backend::eager_cpu());
+        run(Some(&mut trace));
+        let at = format!("fused={fuse_elementwise}");
+        assert_eq!((steps, trace.launches()), (supersteps, launches), "{at}");
+        assert!(
+            allocations <= ceiling,
+            "{at}: {allocations} allocations in {steps} supersteps, ceiling {ceiling}"
+        );
+    }
+}
+
+#[test]
+fn divergent_binom_stays_under_11_646_and_14_551_allocations_per_superstep() {
+    let source = "fn binom(n: int, k: int) -> (out: int) {
+        if k <= 0 { out = 1; } else if k >= n { out = 1; } else {
+            let left = binom(n - 1, k - 1);
+            let right = binom(n - 1, k);
+            out = left + right;
+        }
+    }";
+    let program = compile(source, "binom").expect("binom compiles");
+    let (pc, _) = lower(&program, LoweringOptions::default()).expect("binom lowers");
+    let scalar = |x| Tensor::from_i64(&[x], &[1]).expect("scalar");
+    let requests: Vec<Vec<Tensor>> = (0..12)
+        .map(|i| vec![scalar(10 + i * 5 % 7), scalar(2 + i * 3 % 5)])
+        .collect();
+    let pins = [(true, 1_303_093, 283_455), (false, 1_628_141, 509_129)];
+    let opts = ExecOptions::default();
+    check(&pc, &KernelRegistry::new(), opts, &requests, 111_892, pins);
+}
+
+#[test]
+fn funnel_nuts_stays_under_32_613_and_37_369_allocations_per_superstep() {
+    let cfg = NutsConfig {
+        step_size: 0.2,
+        n_trajectories: 3,
+        max_depth: 6,
+        leapfrog_steps: 2,
+        seed: 31,
+    };
+    let nuts = BatchNuts::new(Arc::new(NealsFunnel::new(5)), cfg).expect("NUTS compiles");
+    let rng = CounterRng::new(64);
+    let requests: Vec<Vec<Tensor>> = (0..12)
+        .map(|i| rng.normal_batch(&[i], &[nuts.dim()]).row(0).expect("row"))
+        .map(|q| nuts.request_inputs(&q).expect("inputs"))
+        .collect();
+    let pins = [(true, 129_637, 30_128), (false, 148_542, 37_669)];
+    let (program, opts) = (nuts.lowered(), nuts.exec_options());
+    check(program, nuts.registry(), opts, &requests, 3_975, pins);
+}

@@ -1,7 +1,7 @@
-//! Shape assertions for the paper's evaluation figures (DESIGN.md §4):
-//! small-scale versions of the Figure 5/6 experiments whose *qualitative*
-//! conclusions must hold for the reproduction to count. These are the
-//! regression tests behind EXPERIMENTS.md.
+//! Shape assertions for the paper's evaluation figures (README, "Build,
+//! test, bench" runs the full-size `crates/bench` binaries): small-scale
+//! versions of the Figure 5/6 experiments whose *qualitative* conclusions
+//! must hold for the reproduction to count.
 
 use std::sync::Arc;
 

@@ -1,8 +1,7 @@
 //! Golden digests of the *prices*, not the results.
 //!
-//! `bench_gate` tolerates 20% on priced metrics and the golden-output
-//! tests hash responses only, so nothing else pins what the accelerator
-//! cost model charges. This suite hashes the whole [`Trace`] — simulated
+//! The golden-output tests hash responses and pin superstep counts
+//! only, so nothing else pins what the accelerator cost model charges. This suite hashes the whole [`Trace`] — simulated
 //! time, launch and superstep counts, and every per-kernel row of both
 //! the priced and the logical table — over three programs × the four
 //! runtimes × both execution strategies × fusion on/off × stack-top
