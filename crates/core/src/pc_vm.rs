@@ -1302,16 +1302,6 @@ impl<'p> PcMachine<'p> {
         hist
     }
 
-    /// The pc top shared by the most running lanes (ties break toward
-    /// the lowest pc, matching the `EarliestBlock` heuristic). `None`
-    /// when no lane is running.
-    pub fn majority_pc(&self) -> Option<usize> {
-        self.pc_histogram()
-            .into_iter()
-            .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-            .map(|(pc, _)| pc)
-    }
-
     /// `(ticket, pc)` of every **running** lane, in lane order.
     pub fn lane_pcs(&self) -> Vec<(u64, usize)> {
         self.running_lanes()

@@ -9,11 +9,21 @@
 //!               │ TCP_NODELAY on every accepted socket
 //!               ▼
 //! clients ──▶ connection threads ──mpsc──▶ engine thread
-//!    ▲  read into FrameReader's own buffer,   │ collect until the batch
-//!    │  frames taken by cursor, decoded here  │ fills or the oldest
-//!    │                                        │ request's deadline
-//!    │                                        │ expires, then drive the
-//!    │                                        ▼ ShardedServer
+//!    ▲  read into FrameReader's own buffer,   │ one handler for every
+//!    │  frames taken by cursor, decoded here, │ arrival, mid-flight or
+//!    │  shed at the gate when over budget     │ not: request → buffer,
+//!    │                                        │ cancel / disconnect →
+//!    │                                        │ flight, then buffer
+//!    │                                        ▼
+//!    │                          the one waiting decision: launch when
+//!    │                          the buffer fills every lane or its
+//!    │                          oldest request has waited `max_wait`
+//!    │                                        │ submit all, drive to
+//!    │                                        ▼ quiescence
+//!    │                          Supervisor ▶ ShardedServer, whose shards
+//!    │                          admit on a free lane and never wait
+//!    │                                        │ outcomes; one table from
+//!    │                                        ▼ error to reject + counter
 //!    └──── one write per connection ◀──── the flush's replies, framed
 //!          per burst, under one lock      and grouped by connection
 //! ```
@@ -24,13 +34,26 @@
 //!   shutdown poll. After the stop flag flips a connection answers late
 //!   frames with typed `Shutdown` rejects until the wire goes quiet, and
 //!   for a fixed 100 ms at most.
-//! - The **engine thread** owns the program and a [`ShardedServer`]
-//!   configured with
-//!   [`AdmissionPolicy::Deadline`]: it collects arrivals until they can
-//!   fill every lane (`workers × max_batch`) **or** the oldest arrival
-//!   has waited [`IngressConfig::max_wait`] — OpenVINO-style auto-batch
-//!   collection — then stamps the virtual clock from the real clock
-//!   (nanosecond ticks) and runs the batch to completion.
+//! - The **engine thread** owns the program, the supervised fleet and
+//!   the book of every request accepted and not yet answered. It
+//!   collects arrivals until they can fill every lane (`workers ×
+//!   max_batch`) **or** the oldest arrival has waited
+//!   [`IngressConfig::max_wait`] — OpenVINO-style auto-batch collection,
+//!   with its one timeout owned by the layer that batches — then stamps
+//!   the virtual clock from the real clock (nanosecond ticks) and runs
+//!   the batch to completion.
+//! - **Each decision is made once.** *Waiting:* only the engine holds a
+//!   request back for company. The [`ShardedServer`] under it runs
+//!   [`AdmissionPolicy::JoinAtEntry`] with the utilization test off, so
+//!   whatever a flush routes to a shard joins at the entry block as soon
+//!   as a lane is free — the program-counter machine tracks every
+//!   member's program point precisely so that nothing below the batch
+//!   has to wait. *Arrivals:* one handler takes a request, a cancel or a
+//!   disconnect whether the fleet is idle or mid-flight (the
+//!   supervisor's poll hook calls it), and resolves the latter two
+//!   against the flight and the buffer alike. *Verdicts:* one table maps
+//!   a `ServeError` to its reject code, operands and
+//!   [`IngressStats`] counter, wherever the error surfaced.
 //! - **The wire path never waits on the network's timers.** Both ends
 //!   of a connection run with `TCP_NODELAY`, every frame is assembled
 //!   with its length prefix and leaves in one `write`
@@ -72,7 +95,7 @@
 //!   one shard, which is salvaged and respawned while its stranded work
 //!   retries under a bounded budget. Requests that cannot be saved are
 //!   answered with typed reject frames — a client never loses a request
-//!   to a silent hang.
+//!   to a silent hang, not even one whose reply the wire cannot carry.
 //! - **Chaos**: the [`autobatch_chaos::FaultPlan`] inside
 //!   [`IngressConfig::opts`] also drives wire-level fault injection at
 //!   the connection threads (corrupted bytes, truncated frames), keyed
@@ -104,8 +127,8 @@ use autobatch_chaos::{FaultPlan, FaultPoint};
 use autobatch_core::{ExecOptions, KernelRegistry, VmError};
 use autobatch_ir::pcab::Program;
 use autobatch_serve::{
-    AdmissionPolicy, Outcome, Request, RequestBudget, SchedulingPolicy, ServeError, ShardedServer,
-    Supervisor, SupervisorConfig,
+    AdmissionPolicy, Outcome, Request, RequestBudget, ServeError, ShardedServer, Supervisor,
+    SupervisorConfig,
 };
 use autobatch_tensor::Tensor;
 
@@ -191,18 +214,10 @@ pub struct IngressConfig {
     /// [`Overloaded`](wire::RejectCode::Overloaded) reject instead of
     /// queueing unboundedly. `None` disables shedding.
     pub queue_budget: Option<usize>,
-    /// Cost-model backend each shard's trace prices against.
-    pub backend: Backend,
     /// VM execution options for every shard.
     pub opts: ExecOptions,
     /// Kernel registry for the served program.
     pub registry: KernelRegistry,
-    /// How the fleet routes and rebalances work across shards. The
-    /// default is least-loaded; [`SchedulingPolicy::PcAffinity`] packs
-    /// shards by program counter, migrates stragglers, and steals work
-    /// for idle shards — results and response order are unchanged
-    /// either way.
-    pub scheduling: SchedulingPolicy,
     /// Per-request resource ceilings enforced at every superstep
     /// boundary: max supersteps, virtual-clock deadline, peak lane
     /// bytes. An over-budget lane is evicted mid-flight and answered
@@ -224,10 +239,8 @@ impl Default for IngressConfig {
             max_batch: 8,
             max_wait: Duration::from_millis(2),
             queue_budget: None,
-            backend: Backend::hybrid_cpu(),
             opts: ExecOptions::default(),
             registry: KernelRegistry::new(),
-            scheduling: SchedulingPolicy::default(),
             budget: RequestBudget::unlimited(),
             supervisor: SupervisorConfig::default(),
         }
@@ -272,10 +285,11 @@ pub struct IngressStats {
     /// Batches the engine collected and drove to completion. Mean flush
     /// size is `completed / flushes`.
     pub flushes: u64,
-    /// Socket writes that carried the flushes' replies: one per
+    /// Socket writes that carried the engine's replies: one per
     /// connection answered per burst (refusals at submission leave
-    /// before the fleet runs, everything else after it). Replies per
-    /// write is `completed / reply_writes`.
+    /// before the fleet runs, a cancelled buffered request's reject
+    /// when its cancel is handled, everything else after the flight).
+    /// Replies per write is `completed / reply_writes`.
     pub reply_writes: u64,
 }
 
@@ -381,7 +395,7 @@ fn input_bytes(request: &WireRequest) -> usize {
 }
 
 /// The TCP front-end: binds a listener and serves `program` behind
-/// deadline-driven batch admission.
+/// deadline-driven batch collection.
 #[derive(Debug)]
 pub struct IngressServer;
 
@@ -390,7 +404,8 @@ impl IngressServer {
     ///
     /// The returned handle owns three kinds of threads: one acceptor,
     /// one reader per connection, and one engine that owns the program
-    /// and the [`ShardedServer`]. All are joined on shutdown/drop.
+    /// and the supervised [`ShardedServer`]. All are joined on
+    /// shutdown/drop.
     ///
     /// # Errors
     ///
@@ -408,9 +423,9 @@ impl IngressServer {
         if config.max_wait.is_zero() {
             return Err(IngressError::Config("max_wait must be positive".into()));
         }
-        deadline_policy(&config)
-            .validate()
-            .map_err(|e| IngressError::Config(e.to_string()))?;
+        if config.max_batch == 0 {
+            return Err(IngressError::Config("max_batch must be positive".into()));
+        }
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
@@ -420,9 +435,8 @@ impl IngressServer {
                 .map(|b| b.saturating_mul(config.workers).max(1)),
             ..Gate::default()
         });
-        let (tx, rx) = std::sync::mpsc::channel::<Arrival>();
+        let (tx, rx) = std::sync::mpsc::channel::<Arrival<TcpStream>>();
         let fault = config.opts.fault;
-        let engine_cfg = config.clone();
         let engine_gate = Arc::clone(&gate);
         let engine_stop = Arc::clone(&stop);
         let engine = std::thread::spawn(move || {
@@ -430,7 +444,7 @@ impl IngressServer {
             // and its connections forever. Flag the stop so they wind
             // down; clients see closed sockets, not a hang.
             catch_unwind(AssertUnwindSafe(|| {
-                engine_loop(&program, &engine_cfg, &rx, &engine_gate)
+                Engine::new(&program, &config, engine_gate).run(&rx)
             }))
             .unwrap_or_else(|_| {
                 engine_stop.store(true, Ordering::Relaxed);
@@ -449,22 +463,10 @@ impl IngressServer {
     }
 }
 
-fn deadline_policy(config: &IngressConfig) -> AdmissionPolicy {
-    AdmissionPolicy::Deadline {
-        max_batch: config.max_batch,
-        // Real time maps onto the virtual clock as nanosecond ticks.
-        max_wait: u64::try_from(config.max_wait.as_nanos()).unwrap_or(u64::MAX),
-    }
-}
-
 /// One event in flight from a connection thread to the engine.
-enum Arrival {
-    /// A decoded request.
-    Request {
-        conn: Arc<Mutex<TcpStream>>,
-        request: WireRequest,
-        at: Instant,
-    },
+enum Arrival<W> {
+    /// A decoded request, on the record the engine will keep for it.
+    Request(Pending<W>, WireRequest),
     /// A `0x06` cancel frame: stop the named request, if this
     /// connection owns one by that id.
     Cancel { client_id: u64, token: usize },
@@ -478,22 +480,13 @@ enum Arrival {
 /// the requests that arrived on it. The `Arc` is per-connection and
 /// outlives every use of the token (each pending request holds a
 /// clone), so the pointer cannot be reused while a token is live.
-fn conn_token(conn: &Arc<Mutex<TcpStream>>) -> usize {
+fn conn_token<W>(conn: &Arc<Mutex<W>>) -> usize {
     Arc::as_ptr(conn) as usize
-}
-
-/// A request admitted by the gate, waiting in the engine's collection
-/// buffer for the next flush. Cancels and disconnects are resolved on
-/// receipt, so only requests are ever buffered.
-struct Buffered {
-    conn: Arc<Mutex<TcpStream>>,
-    request: WireRequest,
-    at: Instant,
 }
 
 fn listener_loop(
     listener: &TcpListener,
-    tx: &Sender<Arrival>,
+    tx: &Sender<Arrival<TcpStream>>,
     stop: &Arc<AtomicBool>,
     gate: &Arc<Gate>,
     fault: FaultPlan,
@@ -532,7 +525,7 @@ fn listener_loop(
 
 fn connection_loop(
     mut stream: TcpStream,
-    tx: &Sender<Arrival>,
+    tx: &Sender<Arrival<TcpStream>>,
     stop: &Arc<AtomicBool>,
     gate: &Gate,
     fault: FaultPlan,
@@ -563,14 +556,7 @@ fn connection_loop(
     let client_gone = match body {
         Ok(gone) => gone,
         Err(_) => {
-            send_reject(
-                &writer,
-                0,
-                RejectCode::Internal,
-                0,
-                0,
-                "connection handler panicked",
-            );
+            send_reject(&writer, 0, LOST.0, &"connection handler panicked");
             // The socket closes when this thread exits: the client
             // cannot receive anything further, so its pending work is
             // as abandoned as a disconnect's.
@@ -589,7 +575,7 @@ fn connection_loop(
 fn connection_body(
     stream: &mut TcpStream,
     writer: &Arc<Mutex<TcpStream>>,
-    tx: &Sender<Arrival>,
+    tx: &Sender<Arrival<TcpStream>>,
     stop: &Arc<AtomicBool>,
     gate: &Gate,
     fault: FaultPlan,
@@ -624,22 +610,16 @@ fn connection_body(
                         if let Err(depth) = gate.admit(&request) {
                             let budget = gate.budget.unwrap_or(0);
                             let e = ServeError::Overloaded { depth, budget };
-                            send_reject(
-                                writer,
-                                request.id,
-                                RejectCode::Overloaded,
-                                depth as u64,
-                                budget as u64,
-                                &e.to_string(),
-                            );
+                            // Counted by the gate, not through the verdict.
+                            send_reject(writer, request.id, verdict(&e).0, &e);
                             continue;
                         }
-                        let arrival = Arrival::Request {
+                        let pending = Pending {
                             conn: Arc::clone(writer),
-                            request,
+                            client_id: request.id,
                             at: Instant::now(),
                         };
-                        if tx.send(arrival).is_err() {
+                        if tx.send(Arrival::Request(pending, request)).is_err() {
                             return false; // engine is gone; nothing can be served
                         }
                     }
@@ -658,20 +638,14 @@ fn connection_body(
                     }
                     Ok(_) => {
                         gate.bad_frames.fetch_add(1, Ordering::Relaxed);
-                        send_reject(
-                            writer,
-                            0,
-                            RejectCode::BadRequest,
-                            0,
-                            0,
-                            "clients may only send request or cancel frames",
-                        );
+                        let why = "clients may only send request or cancel frames";
+                        send_reject(writer, 0, (RejectCode::BadRequest, 0, 0), &why);
                     }
                     // Framing is intact (the frame decoded as a unit), so
                     // the stream stays usable: refuse and keep reading.
                     Err(e) => {
                         gate.bad_frames.fetch_add(1, Ordering::Relaxed);
-                        send_reject(writer, 0, RejectCode::BadRequest, 0, 0, &e.to_string());
+                        send_reject(writer, 0, (RejectCode::BadRequest, 0, 0), &e);
                     }
                 }
             }
@@ -694,14 +668,8 @@ fn connection_body(
             break;
         };
         if let Ok(Message::Request(request)) = wire::decode(&payload) {
-            send_reject(
-                writer,
-                request.id,
-                RejectCode::Shutdown,
-                0,
-                0,
-                "server stopped before this request could be admitted",
-            );
+            let why = "server stopped before this request could be admitted";
+            send_reject(writer, request.id, (RejectCode::Shutdown, 0, 0), &why);
         }
     }
     // A clean shutdown is the server's choice, not the client's exit:
@@ -709,28 +677,77 @@ fn connection_body(
     false
 }
 
-fn reject_payload(id: u64, code: RejectCode, depth: u64, budget: u64, message: &str) -> Vec<u8> {
+/// What a reject frame says beyond its message: the code and its two
+/// operands.
+type Reject = (RejectCode, u64, u64);
+
+/// The lifetime counter a refusal is recorded under.
+type Counter = fn(&mut IngressStats) -> &mut u64;
+
+/// What a request that gets no response is told, and where that is
+/// counted.
+type Verdict = (Reject, Counter);
+
+/// The verdict on a request the server accepted and then could not
+/// answer, through no fault of the request.
+const LOST: Verdict = ((RejectCode::Internal, 0, 0), |s| &mut s.failed);
+
+/// The one table from a serving error to its wire image and its
+/// counter, wherever the error surfaced: at the gate, at submission, or
+/// as a flight's outcome.
+fn verdict(error: &ServeError) -> Verdict {
+    match error {
+        ServeError::Overloaded { depth, budget } => {
+            let reject = (RejectCode::Overloaded, *depth as u64, *budget as u64);
+            (reject, |s| &mut s.shed)
+        }
+        // The request names itself as the offender: its arity, seen at
+        // submission or only when its batch was admitted.
+        ServeError::BadRequest(_) | ServeError::Vm(VmError::BadInputs { .. }) => {
+            ((RejectCode::BadRequest, 0, 0), |s| &mut s.rejected)
+        }
+        // The frame was well-formed, but the payload can never execute
+        // under the served program's statically inferred signature.
+        ServeError::InvalidRequest(_) => ((RejectCode::Invalid, 0, 0), |s| &mut s.rejected),
+        // Fast-rejected before it could touch the fleet at all.
+        ServeError::Quarantined { .. } => ((RejectCode::Quarantined, 0, 0), |s| &mut s.quarantined),
+        // Governance verdicts carry their spend/limit pair onto the wire.
+        ServeError::BudgetExceeded { spent: a, limit: b }
+        | ServeError::DeadlineExceeded {
+            elapsed: a,
+            deadline: b,
+        }
+        | ServeError::MemoryExceeded { bytes: a, limit: b } => {
+            ((RejectCode::OverBudget, *a, *b), |s| &mut s.over_budget)
+        }
+        ServeError::Cancelled => ((RejectCode::Cancelled, 0, 0), |s| &mut s.cancelled),
+        // Anything else — step-limit exhaustion, a retry budget burned
+        // on panics, execution faults or injected admission faults, a
+        // fleet that cannot be built — is the server's fault.
+        ServeError::Vm(_)
+        | ServeError::BadPolicy(_)
+        | ServeError::InvalidProgram(_)
+        | ServeError::Panicked { .. }
+        | ServeError::RetriesExhausted { .. } => LOST,
+    }
+}
+
+fn reject_payload(id: u64, (code, depth, budget): Reject, why: &dyn fmt::Display) -> Vec<u8> {
+    let message = why.to_string();
     wire::encode_reject(&WireReject {
         id,
         code,
         depth,
         budget,
-        message: message.to_string(),
+        message,
     })
 }
 
-/// Answer one frame outside a flush with a typed reject.
-fn send_reject(
-    conn: &Arc<Mutex<TcpStream>>,
-    id: u64,
-    code: RejectCode,
-    depth: u64,
-    budget: u64,
-    message: &str,
-) {
+/// Answer one frame from its connection thread with a typed reject.
+fn send_reject(conn: &Arc<Mutex<TcpStream>>, id: u64, reject: Reject, why: &dyn fmt::Display) {
     if let Ok(mut w) = conn.lock() {
         // A vanished client is its own problem.
-        let _ = wire::write_frame(&mut *w, &reject_payload(id, code, depth, budget, message));
+        let _ = wire::write_frame(&mut *w, &reject_payload(id, reject, why));
     }
 }
 
@@ -745,15 +762,19 @@ struct Burst<W> {
 }
 
 impl<W: io::Write> Burst<W> {
-    fn push(&mut self, conn: &Arc<Mutex<W>>, payload: &[u8]) {
+    /// Frame `payload` onto `conn`'s burst.
+    ///
+    /// # Errors
+    ///
+    /// As [`wire::put_frame`], for a payload over `MAX_FRAME_LEN`; no
+    /// frame was added for it.
+    fn push(&mut self, conn: &Arc<Mutex<W>>, payload: &[u8]) -> io::Result<()> {
         let known = self.conns.iter().position(|(c, _)| Arc::ptr_eq(c, conn));
         let i = known.unwrap_or_else(|| {
             self.conns.push((Arc::clone(conn), Vec::new()));
             self.conns.len() - 1
         });
-        // A payload over `MAX_FRAME_LEN` is dropped here, as
-        // `write_frame` would refuse it.
-        let _ = wire::put_frame(&mut self.conns[i].1, payload);
+        wire::put_frame(&mut self.conns[i].1, payload)
     }
 
     /// Write every connection's burst and return how many writes that
@@ -770,333 +791,292 @@ impl<W: io::Write> Burst<W> {
     }
 }
 
-/// An accepted request waiting for its batch to complete.
-struct Pending {
-    conn: Arc<Mutex<TcpStream>>,
+/// A request the engine has accepted and not yet answered. One record
+/// serves it in both places it can be: in the collection buffer, beside
+/// its payload, and in flight, under its engine id.
+struct Pending<W> {
+    conn: Arc<Mutex<W>>,
     client_id: u64,
-    /// When the request arrived at its connection thread; the wall-clock
-    /// epoch of the queue wait reported to the client.
+    /// When the request arrived at its connection thread: the collection
+    /// deadline counts from here, and so does the queue wait reported to
+    /// the client.
     at: Instant,
 }
 
-fn engine_loop(
-    program: &Program,
-    config: &IngressConfig,
-    rx: &Receiver<Arrival>,
-    gate: &Gate,
-) -> IngressStats {
-    let mut fleet = ShardedServer::new(
-        program,
-        config.registry.clone(),
-        config.opts,
-        deadline_policy(config),
-        config.workers,
-        config.backend,
-    )
-    .expect("config validated by IngressServer::start");
-    fleet.set_scheduling(config.scheduling);
-    // The supervisor owns fault recovery: worker panics and injected
-    // execution faults poison one shard, which is respawned and its
-    // work retried — the flush below never sees a wedged fleet. It also
-    // owns governance: per-request budgets bound every lane, and the
-    // quarantine breaker fast-rejects programs that keep blowing them.
-    let mut server = Supervisor::new(fleet, config.supervisor);
-    server.set_budget(config.budget);
-    let capacity = config.workers.saturating_mul(config.max_batch);
-    let epoch = Instant::now();
-    let ticks = |t: Instant| {
-        u64::try_from(t.saturating_duration_since(epoch).as_nanos()).unwrap_or(u64::MAX)
-    };
-
-    let mut stats = IngressStats::default();
-    let mut buf: VecDeque<Buffered> = VecDeque::new();
-    let mut next_eid: u64 = 0;
-    let mut disconnected = false;
-    loop {
-        if !disconnected {
-            // Sleep until the next arrival, the head-of-line deadline,
-            // or the poll tick, whichever is first.
-            let timeout = buf
-                .front()
-                .map(|a| {
-                    (a.at + config.max_wait)
-                        .saturating_duration_since(Instant::now())
-                        .min(POLL)
-                })
-                .unwrap_or(POLL);
-            match rx.recv_timeout(timeout) {
-                Ok(a) => accept(a, &mut buf, gate, &mut stats),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => disconnected = true,
-            }
-            while let Ok(a) = rx.try_recv() {
-                accept(a, &mut buf, gate, &mut stats);
-            }
-        }
-        let full = buf.len() >= capacity;
-        let expired = buf
-            .front()
-            .is_some_and(|a| a.at.elapsed() >= config.max_wait);
-        if !buf.is_empty() && (full || expired || disconnected) {
-            flush(
-                &mut server,
-                &mut buf,
-                rx,
-                &mut next_eid,
-                &ticks,
-                gate,
-                &mut stats,
-            );
-        }
-        if disconnected && buf.is_empty() {
-            break;
-        }
-    }
-    stats.shed = gate.shed.load(Ordering::Relaxed);
-    stats.bad_frames = gate.bad_frames.load(Ordering::Relaxed);
-    stats.retried = server.retries();
-    stats.respawned = server.respawns();
-    stats.peak_queue = server.inner().peak_pending();
-    stats
+/// The engine's book-keeping: every request it has accepted and not yet
+/// answered, in the buffer or in flight, and the replies and counters
+/// they turn into. Generic over the connection's writer, like
+/// [`Burst`], so that all of it runs without a socket.
+struct Book<W> {
+    gate: Arc<Gate>,
+    /// Requests collected for the next flush, oldest first. Shedding
+    /// already happened at the connection thread ([`Gate::admit`]), so
+    /// every one of them is within budget.
+    buf: VecDeque<(Pending<W>, WireRequest)>,
+    /// Requests handed to the fleet and not yet answered, by engine id.
+    outstanding: HashMap<u64, Pending<W>>,
+    replies: Burst<W>,
+    stats: IngressStats,
 }
 
-/// Fold one arrival into the collection buffer. Shedding already
-/// happened at the connection thread ([`Gate::admit`]), so every
-/// request that reaches the engine is within budget. Cancels and
-/// disconnects resolve immediately against the buffer: a matched
-/// request is answered with [`RejectCode::Cancelled`] and its gate slot
-/// freed, while a cancel that matches nothing lost its race — the
-/// request already flushed and has been (or will be) answered — and is
-/// dropped. Per-connection channel FIFO guarantees a cancel is never
-/// accepted before the request it names.
-fn accept(arrival: Arrival, buf: &mut VecDeque<Buffered>, gate: &Gate, stats: &mut IngressStats) {
-    match arrival {
-        Arrival::Request { conn, request, at } => {
-            buf.push_back(Buffered { conn, request, at });
-            stats.peak_buffered = stats.peak_buffered.max(buf.len());
+impl<W: io::Write> Book<W> {
+    fn new(gate: Arc<Gate>) -> Book<W> {
+        Book {
+            gate,
+            buf: VecDeque::new(),
+            outstanding: HashMap::new(),
+            replies: Burst { conns: Vec::new() },
+            stats: IngressStats::default(),
         }
-        Arrival::Cancel { client_id, token } => {
-            let hit = buf
-                .iter()
-                .position(|b| b.request.id == client_id && conn_token(&b.conn) == token);
-            if let Some(i) = hit {
-                let b = buf.remove(i).expect("position came from this buffer");
-                gate.release(&b.request);
-                send_reject(
-                    &b.conn,
-                    client_id,
-                    RejectCode::Cancelled,
-                    0,
-                    0,
-                    "cancelled by the caller before admission",
-                );
-                stats.cancelled += 1;
+    }
+
+    /// Take one arrival, between flushes or in the middle of one, and
+    /// return the engine ids of the lanes the fleet should evict for it.
+    /// A request joins the buffer. A cancel or a disconnect is resolved
+    /// against both places a request can be: one in flight is named for
+    /// eviction and answered when the fleet reports it cancelled, one
+    /// still buffered is answered (a disconnect's: dropped) here and its
+    /// gate slot freed. Per-connection channel FIFO guarantees a cancel
+    /// never arrives before the request it names, so a cancel that
+    /// matches nothing lost its race — the request has been answered —
+    /// and is dropped.
+    fn arrive(&mut self, arrival: Arrival<W>) -> Vec<u64> {
+        match arrival {
+            Arrival::Request(pending, request) => {
+                self.buf.push_back((pending, request));
+                self.stats.peak_buffered = self.stats.peak_buffered.max(self.buf.len());
+                Vec::new()
+            }
+            Arrival::Cancel { client_id, token } => {
+                let named =
+                    |p: &Pending<W>| p.client_id == client_id && conn_token(&p.conn) == token;
+                if let Some((&eid, _)) = self.outstanding.iter().find(|(_, p)| named(p)) {
+                    return vec![eid];
+                }
+                if let Some(i) = self.buf.iter().position(|(p, _)| named(p)) {
+                    let (p, request) = self.buf.remove(i).expect("position came from this buffer");
+                    self.gate.release(&request);
+                    let e = ServeError::Cancelled;
+                    self.refuse(&p, verdict(&e), &e);
+                    self.send();
+                }
+                Vec::new()
+            }
+            Arrival::Disconnect { token } => {
+                let gone = |p: &Pending<W>| conn_token(&p.conn) == token;
+                // The client is gone: nobody will read these replies, so
+                // the buffered requests are dropped without an answer.
+                self.buf.retain(|(p, request)| {
+                    let keep = !gone(p);
+                    if !keep {
+                        self.gate.release(request);
+                        self.stats.cancelled += 1;
+                    }
+                    keep
+                });
+                let flying = self.outstanding.iter().filter(|(_, p)| gone(p));
+                flying.map(|(&eid, _)| eid).collect()
             }
         }
-        Arrival::Disconnect { token } => {
-            // The client is gone: nobody will read these replies, so
-            // the buffered requests are dropped without an answer.
-            buf.retain(|b| {
-                let keep = conn_token(&b.conn) != token;
-                if !keep {
-                    gate.release(&b.request);
-                    stats.cancelled += 1;
-                }
-                keep
-            });
+    }
+
+    /// Refuse one accepted request: frame the reject onto its
+    /// connection's burst and count it. Every reject the engine sends
+    /// leaves through here.
+    fn refuse(&mut self, p: &Pending<W>, (reject, counter): Verdict, why: &dyn fmt::Display) {
+        let payload = reject_payload(p.client_id, reject, why);
+        // A reject is a sentence: it always fits a frame.
+        let _ = self.replies.push(&p.conn, &payload);
+        *counter(&mut self.stats) += 1;
+    }
+
+    /// Answer one completed request. `admitted` is the instant its
+    /// flight was handed to the fleet.
+    fn complete(&mut self, p: &Pending<W>, admitted: Instant, outputs: &[Tensor]) {
+        // The queue wait reported to the client is wall-clock: TCP
+        // arrival to the hand-off. The server's own `queued_ticks` is
+        // not used here — its virtual clock is set at the hand-off and
+        // stands still through the flight.
+        let queued =
+            u64::try_from(admitted.saturating_duration_since(p.at).as_nanos()).unwrap_or(u64::MAX);
+        let sent = wire::encode_response(p.client_id, queued, outputs)
+            .is_ok_and(|payload| self.replies.push(&p.conn, &payload).is_ok());
+        if sent {
+            self.stats.completed += 1;
+        } else {
+            // A client never loses a request to a silent hang: outputs
+            // the wire cannot carry (a tensor count or rank over `u16`,
+            // a payload over `MAX_FRAME_LEN`) are a server-side loss.
+            self.refuse(p, LOST, &"response not encodable");
         }
+    }
+
+    /// Write what has been framed so far, one write per connection.
+    fn send(&mut self) {
+        self.stats.reply_writes += self.replies.send();
     }
 }
 
-/// Submit everything collected so far and drive the supervised fleet to
-/// quiescence, answering every request's terminal outcome on its
-/// connection.
-#[allow(clippy::too_many_arguments)]
-fn flush(
-    server: &mut Supervisor<'_>,
-    buf: &mut VecDeque<Buffered>,
-    rx: &Receiver<Arrival>,
-    next_eid: &mut u64,
-    ticks: &dyn Fn(Instant) -> u64,
-    gate: &Gate,
-    stats: &mut IngressStats,
-) {
-    // Requests are renumbered with engine-unique ids so ids chosen by
-    // different connections cannot collide inside the server; the
-    // client's id is restored on the reply.
-    let mut outstanding: HashMap<u64, Pending> = HashMap::new();
-    let mut replies = Burst { conns: Vec::new() };
-    stats.flushes += 1;
-    for Buffered { conn, request, at } in buf.drain(..) {
-        gate.release(&request);
-        let eid = *next_eid;
-        *next_eid += 1;
-        // Stamp the queue entry at its real arrival time so the shards'
-        // deadline admission sees the wait the client actually incurred.
-        server.set_clock(ticks(at));
-        let client_id = request.id;
-        let submitted = server.submit(Request {
-            id: eid,
-            seed: request.seed,
-            inputs: request.inputs,
-        });
-        match submitted {
-            Ok(()) => {
-                outstanding.insert(
-                    eid,
-                    Pending {
-                        conn,
-                        client_id,
-                        at,
-                    },
-                );
-            }
-            Err(e) => {
-                // The submission error is this request's terminal
-                // outcome. Refusals map to their wire image; an
-                // admission fault that outlasted the supervisor's retry
-                // budget is the server's fault, not the request's. A
-                // signature violation gets its own code: the frame was
-                // well-formed, but the payload can never execute under
-                // the served program's statically inferred signature.
-                // A quarantined program is fast-rejected before it can
-                // touch the fleet at all.
-                let code = match &e {
-                    ServeError::RetriesExhausted { .. } => RejectCode::Internal,
-                    ServeError::InvalidRequest(_) => RejectCode::Invalid,
-                    ServeError::Quarantined { .. } => RejectCode::Quarantined,
-                    _ => RejectCode::BadRequest,
-                };
-                replies.push(
-                    &conn,
-                    &reject_payload(client_id, code, 0, 0, &e.to_string()),
-                );
-                match code {
-                    RejectCode::Internal => stats.failed += 1,
-                    RejectCode::Quarantined => stats.quarantined += 1,
-                    _ => stats.rejected += 1,
-                }
-            }
+/// The engine thread's state: the supervised fleet, the book of
+/// requests in front of it, and the one waiting decision.
+struct Engine<'p> {
+    server: Supervisor<'p>,
+    book: Book<TcpStream>,
+    /// Requests are renumbered with engine-unique ids so ids chosen by
+    /// different connections cannot collide inside the server; the
+    /// client's id is restored on the reply.
+    next_eid: u64,
+    /// Lanes in the fleet: a buffer this deep launches without waiting.
+    capacity: usize,
+    max_wait: Duration,
+    /// Real time maps onto the fleet's virtual clock as nanosecond
+    /// ticks since this instant.
+    epoch: Instant,
+}
+
+impl<'p> Engine<'p> {
+    fn new(program: &'p Program, config: &IngressConfig, gate: Arc<Gate>) -> Engine<'p> {
+        // The engine alone decides when a batch launches; the shards
+        // under it admit whatever they are given on a free lane. A
+        // second wait down there would park a shard whose requests are
+        // younger than `max_wait` at the fleet's barrier until its
+        // siblings had run their whole leg.
+        let policy = AdmissionPolicy::JoinAtEntry {
+            max_batch: config.max_batch,
+            min_utilization: 1.0,
+        };
+        let fleet = ShardedServer::new(
+            program,
+            config.registry.clone(),
+            config.opts,
+            policy,
+            config.workers,
+            Backend::hybrid_cpu(),
+        )
+        .expect("config validated by IngressServer::start");
+        // The supervisor owns fault recovery: worker panics and injected
+        // execution faults poison one shard, which is respawned and its
+        // work retried — a flush never sees a wedged fleet. It also
+        // owns governance: per-request budgets bound every lane, and the
+        // quarantine breaker fast-rejects programs that keep blowing them.
+        let mut server = Supervisor::new(fleet, config.supervisor);
+        server.set_budget(config.budget);
+        Engine {
+            server,
+            book: Book::new(gate),
+            next_eid: 0,
+            capacity: config.workers.saturating_mul(config.max_batch),
+            max_wait: config.max_wait,
+            epoch: Instant::now(),
         }
     }
-    // A refusal is final now: it does not wait for the fleet to run.
-    stats.reply_writes += replies.send();
-    server.set_clock(ticks(Instant::now()));
-    // The instant the fleet takes over: the wall-clock end of every
-    // request's queue wait.
-    let admitted = Instant::now();
-    // The supervisor heals as it drives: poisoned shards are respawned,
-    // their stranded and lost work retried under a bounded budget, and
-    // every submitted request resolves to exactly one terminal outcome.
-    // Arrivals landing while the fleet runs are folded in live through
-    // the poll hook: a cancel or disconnect naming an in-flight request
-    // evicts its lane at the next superstep boundary; everything else
-    // is stashed and re-buffered after the run.
-    let mut stash: Vec<Arrival> = Vec::new();
-    let outcomes = {
-        let mut hook =
-            || -> Vec<u64> {
-                let mut evict: Vec<u64> = Vec::new();
+
+    /// When the buffer launches even if it is not full.
+    fn due(&self) -> Option<Instant> {
+        self.book.buf.front().map(|(p, _)| p.at + self.max_wait)
+    }
+
+    /// Collect arrivals and flush until every connection thread is gone
+    /// and the buffer is empty.
+    fn run(mut self, rx: &Receiver<Arrival<TcpStream>>) -> IngressStats {
+        let mut disconnected = false;
+        loop {
+            if !disconnected {
+                // Sleep until the next arrival, the head-of-line
+                // deadline, or the poll tick, whichever is first.
+                let now = Instant::now();
+                let wait = |t: Instant| t.saturating_duration_since(now).min(POLL);
+                let timeout = self.due().map_or(POLL, wait);
+                // Nothing is in flight between flushes, so no arrival
+                // names a lane to evict.
+                match rx.recv_timeout(timeout) {
+                    Ok(a) => drop(self.book.arrive(a)),
+                    Err(RecvTimeoutError::Timeout) => {}
+                    Err(RecvTimeoutError::Disconnected) => disconnected = true,
+                }
                 while let Ok(a) = rx.try_recv() {
-                    match a {
-                        Arrival::Cancel { client_id, token } => {
-                            let hit = outstanding.iter().find(|(_, p)| {
-                                p.client_id == client_id && conn_token(&p.conn) == token
-                            });
-                            match hit {
-                                Some((&eid, _)) => evict.push(eid),
-                                // The named request is not in this flight:
-                                // it may be sitting in the stash, so the
-                                // cancel re-enters admission behind it.
-                                None => stash.push(Arrival::Cancel { client_id, token }),
-                            }
-                        }
-                        Arrival::Disconnect { token } => {
-                            evict.extend(outstanding.iter().filter_map(|(&eid, p)| {
-                                (conn_token(&p.conn) == token).then_some(eid)
-                            }));
-                            // Re-stashed so it also purges any requests the
-                            // dead connection left in the stash.
-                            stash.push(Arrival::Disconnect { token });
-                        }
-                        a @ Arrival::Request { .. } => stash.push(a),
-                    }
+                    self.book.arrive(a);
                 }
-                evict
-            };
-        server.run_until_quiescent_with(&mut hook)
-    };
-    for outcome in outcomes {
-        match outcome {
-            Outcome::Done(r) => {
-                let Some(p) = outstanding.remove(&r.id) else {
-                    continue;
-                };
-                // The queue wait reported to the client is wall-clock:
-                // TCP arrival to the instant this flush handed the batch
-                // to the fleet. The server's own `queued_ticks` is not
-                // used here — its virtual clock can run ahead of real
-                // time after a deadline fast-forward, which would
-                // distort later stamps.
-                let queued = u64::try_from(admitted.saturating_duration_since(p.at).as_nanos())
-                    .unwrap_or(u64::MAX);
-                if let Ok(payload) = wire::encode_response(p.client_id, queued, &r.outputs) {
-                    replies.push(&p.conn, &payload);
-                }
-                stats.completed += 1;
             }
-            Outcome::Failed { id, error } => {
-                let Some(p) = outstanding.remove(&id) else {
-                    continue;
-                };
-                // Admission errors name the request as the offender,
-                // and governance verdicts carry their spend/limit pair
-                // onto the wire; anything else (step-limit exhaustion,
-                // a retry budget burned on panics or exec faults) is
-                // the server's fault, not the request's.
-                let (code, a, b) = match &error {
-                    ServeError::Vm(VmError::BadInputs { .. }) => (RejectCode::BadRequest, 0, 0),
-                    ServeError::BudgetExceeded { spent, limit } => {
-                        (RejectCode::OverBudget, *spent, *limit)
-                    }
-                    ServeError::DeadlineExceeded { elapsed, deadline } => {
-                        (RejectCode::OverBudget, *elapsed, *deadline)
-                    }
-                    ServeError::MemoryExceeded { bytes, limit } => {
-                        (RejectCode::OverBudget, *bytes, *limit)
-                    }
-                    ServeError::Cancelled => (RejectCode::Cancelled, 0, 0),
-                    _ => (RejectCode::Internal, 0, 0),
-                };
-                replies.push(
-                    &p.conn,
-                    &reject_payload(p.client_id, code, a, b, &error.to_string()),
-                );
-                match code {
-                    RejectCode::BadRequest => stats.rejected += 1,
-                    RejectCode::OverBudget => stats.over_budget += 1,
-                    RejectCode::Cancelled => stats.cancelled += 1,
-                    _ => stats.failed += 1,
-                }
+            let full = self.book.buf.len() >= self.capacity;
+            let expired = self.due().is_some_and(|t| t <= Instant::now());
+            if !self.book.buf.is_empty() && (full || expired || disconnected) {
+                self.flush(rx);
+            }
+            if disconnected && self.book.buf.is_empty() {
+                break;
             }
         }
+        let gate = &self.book.gate;
+        let mut stats = self.book.stats;
+        stats.shed = gate.shed.load(Ordering::Relaxed);
+        stats.bad_frames = gate.bad_frames.load(Ordering::Relaxed);
+        stats.retried = self.server.retries();
+        stats.respawned = self.server.respawns();
+        stats.peak_queue = self.server.inner().peak_pending();
+        stats
     }
-    if !outstanding.is_empty() {
+
+    /// Submit everything collected so far and drive the supervised
+    /// fleet to quiescence, answering every request's terminal outcome
+    /// on its connection.
+    fn flush(&mut self, rx: &Receiver<Arrival<TcpStream>>) {
+        let epoch = self.epoch;
+        let ticks = |t: Instant| {
+            u64::try_from(t.saturating_duration_since(epoch).as_nanos()).unwrap_or(u64::MAX)
+        };
+        self.book.stats.flushes += 1;
+        while let Some((p, request)) = self.book.buf.pop_front() {
+            self.book.gate.release(&request);
+            let id = self.next_eid;
+            self.next_eid += 1;
+            // Stamp the queue entry at its real arrival time, so that a
+            // deadline budget counts the wait the client actually
+            // incurred.
+            self.server.set_clock(ticks(p.at));
+            let WireRequest { seed, inputs, .. } = request;
+            match self.server.submit(Request { id, seed, inputs }) {
+                Ok(()) => drop(self.book.outstanding.insert(id, p)),
+                // The submission error is this request's terminal outcome.
+                Err(e) => self.book.refuse(&p, verdict(&e), &e),
+            }
+        }
+        // A refusal is final now: it does not wait for the fleet to run.
+        self.book.send();
+        self.server.set_clock(ticks(Instant::now()));
+        // The instant the fleet takes over: the wall-clock end of every
+        // request's queue wait.
+        let admitted = Instant::now();
+        // The supervisor heals as it drives: poisoned shards are
+        // respawned, their stranded and lost work retried under a
+        // bounded budget, and every submitted request resolves to
+        // exactly one terminal outcome. Arrivals landing while the fleet
+        // runs go through the same handler as any other, from the poll
+        // hook: a lane it names is evicted at the next superstep
+        // boundary, and a request waits in the buffer for the next flush.
+        let book = &mut self.book;
+        let outcomes = self.server.run_until_quiescent_with(&mut || {
+            let mut evict = Vec::new();
+            while let Ok(a) = rx.try_recv() {
+                evict.extend(book.arrive(a));
+            }
+            evict
+        });
+        for outcome in outcomes {
+            let Some(p) = book.outstanding.remove(&outcome.id()) else {
+                continue;
+            };
+            match outcome {
+                Outcome::Done(r) => book.complete(&p, admitted, &r.outputs),
+                Outcome::Failed { error, .. } => book.refuse(&p, verdict(&error), &error),
+            }
+        }
         // Unreachable under the supervisor's exactly-one-outcome
         // contract; answered defensively so no client ever hangs.
-        for (_, p) in outstanding.drain() {
-            let lost = reject_payload(p.client_id, RejectCode::Internal, 0, 0, "request lost");
-            replies.push(&p.conn, &lost);
-            stats.failed += 1;
+        for p in std::mem::take(&mut book.outstanding).into_values() {
+            book.refuse(&p, LOST, &"request lost");
         }
-    }
-    stats.reply_writes += replies.send();
-    // Re-admit what the hook stashed, in arrival order: a stashed
-    // cancel lands after the stashed request it names (per-connection
-    // FIFO), and a disconnect purges whatever its connection left
-    // behind.
-    for a in stash {
-        accept(a, buf, gate, stats);
+        book.send();
     }
 }
 
@@ -1193,8 +1173,15 @@ impl IngressClient {
 mod tests {
     use super::wire::tests::CountingWrite;
     use super::*;
+    use autobatch_ir::IrError;
 
-    fn frames(conn: &Arc<Mutex<CountingWrite>>) -> Vec<Message> {
+    type Conn = Arc<Mutex<CountingWrite>>;
+
+    fn conn() -> Conn {
+        Arc::new(Mutex::new(CountingWrite::default()))
+    }
+
+    fn frames(conn: &Conn) -> Vec<Message> {
         let w = conn.lock().unwrap();
         let mut src = w.bytes.as_slice();
         let mut reader = FrameReader::new();
@@ -1203,19 +1190,307 @@ mod tests {
             .collect()
     }
 
+    fn book() -> Book<CountingWrite> {
+        Book::new(Arc::new(Gate::default()))
+    }
+
+    fn pending(conn: &Conn, client_id: u64) -> Pending<CountingWrite> {
+        Pending {
+            conn: Arc::clone(conn),
+            client_id,
+            at: Instant::now(),
+        }
+    }
+
+    /// A request as its connection thread hands it over: through the
+    /// gate, then onto the channel.
+    fn request(book: &Book<CountingWrite>, conn: &Conn, id: u64) -> Arrival<CountingWrite> {
+        let request = WireRequest {
+            id,
+            seed: id,
+            inputs: vec![Tensor::from_i64(&[9], &[1]).unwrap()],
+        };
+        book.gate.admit(&request).unwrap();
+        Arrival::Request(pending(conn, id), request)
+    }
+
+    fn cancel(conn: &Conn, client_id: u64) -> Arrival<CountingWrite> {
+        Arrival::Cancel {
+            client_id,
+            token: conn_token(conn),
+        }
+    }
+
+    /// Move the oldest buffered request into flight under `eid`, as a
+    /// flush does once the fleet has accepted it.
+    fn launch(book: &mut Book<CountingWrite>, eid: u64) {
+        let (p, request) = book.buf.pop_front().unwrap();
+        book.gate.release(&request);
+        book.outstanding.insert(eid, p);
+    }
+
+    fn queued(book: &Book<CountingWrite>) -> (usize, usize) {
+        let gate = &book.gate;
+        (
+            gate.queued.load(Ordering::SeqCst),
+            gate.queued_bytes.load(Ordering::SeqCst),
+        )
+    }
+
+    fn rejects(conn: &Conn) -> Vec<(u64, RejectCode)> {
+        frames(conn)
+            .into_iter()
+            .map(|m| match m {
+                Message::Reject(r) => (r.id, r.code),
+                other => panic!("expected a reject, got {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_cancel_for_a_buffered_request_answers_it_and_frees_its_slot() {
+        let (mut book, a) = (book(), conn());
+        for id in [1, 2] {
+            let r = request(&book, &a, id);
+            assert!(book.arrive(r).is_empty());
+        }
+        assert_eq!(queued(&book), (2, 16));
+        assert!(book.arrive(cancel(&a, 1)).is_empty());
+        assert_eq!(rejects(&a), [(1, RejectCode::Cancelled)]);
+        assert_eq!(a.lock().unwrap().writes, 1);
+        assert_eq!(queued(&book), (1, 8));
+        assert_eq!(book.buf.len(), 1);
+        assert_eq!(book.buf[0].0.client_id, 2);
+        let want = IngressStats {
+            cancelled: 1,
+            peak_buffered: 2,
+            reply_writes: 1,
+            ..IngressStats::default()
+        };
+        assert_eq!(book.stats, want);
+    }
+
+    #[test]
+    fn a_cancel_for_an_in_flight_request_names_its_lane_and_writes_nothing() {
+        let (mut book, a) = (book(), conn());
+        let r = request(&book, &a, 1);
+        book.arrive(r);
+        launch(&mut book, 40);
+        // The same client id waits again behind the one in flight: the
+        // cancel goes to the older of the two.
+        let r = request(&book, &a, 1);
+        book.arrive(r);
+        assert_eq!(book.arrive(cancel(&a, 1)), [40]);
+        assert_eq!(a.lock().unwrap().writes, 0);
+        assert_eq!(book.stats.cancelled, 0, "counted when the fleet reports it");
+        assert_eq!((book.outstanding.len(), book.buf.len()), (1, 1));
+        assert_eq!(queued(&book), (1, 8));
+    }
+
+    #[test]
+    fn a_cancel_that_names_nothing_this_connection_owns_is_dropped() {
+        let (mut book, a, b) = (book(), conn(), conn());
+        for id in [1, 2] {
+            let r = request(&book, &a, id);
+            book.arrive(r);
+        }
+        launch(&mut book, 40);
+        // An id nobody has, and ids that are `a`'s, not `b`'s.
+        for late in [cancel(&a, 3), cancel(&b, 1), cancel(&b, 2)] {
+            assert!(book.arrive(late).is_empty());
+        }
+        assert_eq!((book.outstanding.len(), book.buf.len()), (1, 1));
+        assert_eq!(queued(&book), (1, 8));
+        assert_eq!(a.lock().unwrap().writes + b.lock().unwrap().writes, 0);
+        assert_eq!(book.stats.cancelled, 0);
+    }
+
+    #[test]
+    fn a_request_and_its_cancel_that_both_land_mid_flight_resolve_at_the_buffer() {
+        let (mut book, a) = (book(), conn());
+        let r = request(&book, &a, 1);
+        book.arrive(r);
+        launch(&mut book, 40);
+        // What the poll hook sees while lane 40 runs.
+        let r = request(&book, &a, 2);
+        assert!(book.arrive(r).is_empty());
+        assert!(book.arrive(cancel(&a, 2)).is_empty());
+        assert_eq!(rejects(&a), [(2, RejectCode::Cancelled)]);
+        assert!(book.buf.is_empty());
+        assert_eq!(queued(&book), (0, 0));
+        assert_eq!(book.stats.cancelled, 1);
+        assert!(
+            book.outstanding.contains_key(&40),
+            "the flight is untouched"
+        );
+    }
+
+    #[test]
+    fn a_disconnect_purges_the_buffer_and_the_flight_and_frees_every_slot() {
+        let (mut book, a, b) = (book(), conn(), conn());
+        for (conn, id) in [(&a, 1), (&b, 1), (&a, 2), (&a, 3), (&b, 2)] {
+            let r = request(&book, conn, id);
+            book.arrive(r);
+        }
+        launch(&mut book, 40); // a's 1
+        launch(&mut book, 41); // b's 1
+        let token = conn_token(&a);
+        assert_eq!(book.arrive(Arrival::Disconnect { token }), [40]);
+        // Nobody is left to read an answer: none is written, and the two
+        // buffered requests are counted now, the lane when it is evicted.
+        assert_eq!(a.lock().unwrap().writes, 0);
+        assert_eq!(book.stats.cancelled, 2);
+        assert_eq!(book.buf.len(), 1);
+        assert!(Arc::ptr_eq(&book.buf[0].0.conn, &b));
+        assert_eq!(queued(&book), (1, 8));
+        assert_eq!(
+            book.outstanding.len(),
+            2,
+            "answered when the fleet reports them"
+        );
+    }
+
+    #[test]
+    fn every_serve_error_has_one_verdict_and_one_counter() {
+        let ir = || IrError::BadArity {
+            what: "inputs".into(),
+            expected: 1,
+            got: 2,
+        };
+        let bad_inputs = VmError::BadInputs {
+            what: "arity".into(),
+        };
+        let errors = [
+            ServeError::Vm(bad_inputs.clone()),
+            ServeError::Vm(VmError::StepLimit { limit: 9 }),
+            ServeError::BadRequest("arity".into()),
+            ServeError::BadPolicy("zero lanes".into()),
+            ServeError::InvalidProgram(ir()),
+            ServeError::InvalidRequest(ir()),
+            ServeError::Overloaded {
+                depth: 7,
+                budget: 4,
+            },
+            ServeError::Panicked {
+                what: "boom".into(),
+            },
+            ServeError::RetriesExhausted {
+                id: 3,
+                attempts: 2,
+                last: Box::new(ServeError::Vm(bad_inputs)),
+            },
+            ServeError::BudgetExceeded {
+                spent: 11,
+                limit: 10,
+            },
+            ServeError::DeadlineExceeded {
+                elapsed: 21,
+                deadline: 20,
+            },
+            ServeError::MemoryExceeded {
+                bytes: 31,
+                limit: 30,
+            },
+            ServeError::Cancelled,
+            ServeError::Quarantined { blowups: 3 },
+        ];
+        let one = |counter: Counter| {
+            let mut stats = IngressStats::default();
+            *counter(&mut stats) += 1;
+            stats
+        };
+        for error in errors {
+            // No wildcard arm: a new `ServeError` variant has to be
+            // given its verdict here before this compiles.
+            let (code, a, b, stats) = match &error {
+                ServeError::Overloaded { .. } => {
+                    (RejectCode::Overloaded, 7, 4, one(|s| &mut s.shed))
+                }
+                ServeError::BadRequest(_) | ServeError::Vm(VmError::BadInputs { .. }) => {
+                    (RejectCode::BadRequest, 0, 0, one(|s| &mut s.rejected))
+                }
+                ServeError::InvalidRequest(_) => {
+                    (RejectCode::Invalid, 0, 0, one(|s| &mut s.rejected))
+                }
+                ServeError::Quarantined { .. } => {
+                    (RejectCode::Quarantined, 0, 0, one(|s| &mut s.quarantined))
+                }
+                ServeError::BudgetExceeded { .. } => {
+                    (RejectCode::OverBudget, 11, 10, one(|s| &mut s.over_budget))
+                }
+                ServeError::DeadlineExceeded { .. } => {
+                    (RejectCode::OverBudget, 21, 20, one(|s| &mut s.over_budget))
+                }
+                ServeError::MemoryExceeded { .. } => {
+                    (RejectCode::OverBudget, 31, 30, one(|s| &mut s.over_budget))
+                }
+                ServeError::Cancelled => (RejectCode::Cancelled, 0, 0, one(|s| &mut s.cancelled)),
+                ServeError::Vm(_)
+                | ServeError::BadPolicy(_)
+                | ServeError::InvalidProgram(_)
+                | ServeError::Panicked { .. }
+                | ServeError::RetriesExhausted { .. } => {
+                    (RejectCode::Internal, 0, 0, one(|s| &mut s.failed))
+                }
+            };
+            let (mut book, conn) = (book(), conn());
+            let p = pending(&conn, 5);
+            book.refuse(&p, verdict(&error), &error);
+            assert_eq!(book.stats, stats, "{error}");
+            book.send();
+            let want = WireReject {
+                id: 5,
+                code,
+                depth: a,
+                budget: b,
+                message: error.to_string(),
+            };
+            assert_eq!(frames(&conn), [Message::Reject(want)]);
+        }
+    }
+
+    #[test]
+    fn a_reply_the_wire_refuses_is_answered_as_a_server_side_loss() {
+        let (mut book, conn) = (book(), conn());
+        let p = pending(&conn, 5);
+        // One element more than a frame can carry.
+        let n = wire::MAX_FRAME_LEN as usize + 1;
+        let wide = Tensor::from_bool(&vec![false; n], &[n]).unwrap();
+        book.complete(&p, Instant::now(), &[wide]);
+        book.send();
+        let want = WireReject {
+            id: 5,
+            code: RejectCode::Internal,
+            depth: 0,
+            budget: 0,
+            message: "response not encodable".into(),
+        };
+        assert_eq!(frames(&conn), [Message::Reject(want)]);
+        assert_eq!((book.stats.completed, book.stats.failed), (0, 1));
+        // One that fits is a response, counted as one.
+        book.complete(
+            &p,
+            Instant::now(),
+            &[Tensor::from_i64(&[55], &[1]).unwrap()],
+        );
+        book.send();
+        assert!(matches!(&frames(&conn)[1], Message::Response(r) if r.id == 5));
+        assert_eq!((book.stats.completed, book.stats.failed), (1, 1));
+    }
+
     #[test]
     fn a_burst_is_one_write_per_connection_in_reply_order() {
-        let a = Arc::new(Mutex::new(CountingWrite::default()));
-        let b = Arc::new(Mutex::new(CountingWrite::default()));
+        let (a, b) = (conn(), conn());
         let done = |id| wire::encode_response(id, 0, &[]).unwrap();
         let mut burst = Burst { conns: Vec::new() };
         // Two connections interleaved, and a refusal in the middle of
         // the first one's replies.
-        burst.push(&a, &done(1));
-        burst.push(&b, &done(1));
-        burst.push(&a, &reject_payload(2, RejectCode::OverBudget, 9, 8, "over"));
-        burst.push(&b, &done(2));
-        burst.push(&a, &done(3));
+        burst.push(&a, &done(1)).unwrap();
+        burst.push(&b, &done(1)).unwrap();
+        let over = reject_payload(2, (RejectCode::OverBudget, 9, 8), &"over");
+        burst.push(&a, &over).unwrap();
+        burst.push(&b, &done(2)).unwrap();
+        burst.push(&a, &done(3)).unwrap();
         assert_eq!(burst.send(), 2);
         assert_eq!(a.lock().unwrap().writes, 1);
         assert_eq!(b.lock().unwrap().writes, 1);

@@ -46,7 +46,6 @@
 #![warn(missing_debug_implementations)]
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
 
 use autobatch_accel::Trace;
 use autobatch_chaos::{FaultPlan, FaultPoint};
@@ -65,7 +64,7 @@ pub mod supervisor;
 
 pub use affinity::{AffinityConfig, SchedulingPolicy};
 pub use nuts_driver::{ChainResponse, NutsServer};
-pub use shard::{ShardHealth, ShardPlan, ShardedServer};
+pub use shard::{ShardHealth, ShardedServer};
 pub use supervisor::{Outcome, QuarantineConfig, QuarantineStatus, Supervisor, SupervisorConfig};
 
 /// Errors from the serving layer.
@@ -515,9 +514,6 @@ pub struct BatchServer<'p> {
     fault_rolls: u64,
     submitted: u64,
     completed: u64,
-    /// The static verification report of the program, computed once —
-    /// by this server, or by the fleet it is a shard of.
-    report: Arc<PcabReport>,
     /// Per-input-spec memo of concrete signature inference: `None` =
     /// accepted, `Some(e)` = rejected with `e`. Traffic repeats a
     /// handful of specs, so each distinct one is inferred once.
@@ -541,8 +537,7 @@ impl<'p> BatchServer<'p> {
         opts: ExecOptions,
         policy: AdmissionPolicy,
     ) -> Result<BatchServer<'p>> {
-        let report = Arc::new(analyze_pcab(program));
-        BatchServer::with_report(program, registry, opts, policy, report)
+        BatchServer::with_report(program, registry, opts, policy, &analyze_pcab(program))
     }
 
     /// [`BatchServer::new`] for a program whose `report` the caller
@@ -553,14 +548,13 @@ impl<'p> BatchServer<'p> {
         registry: KernelRegistry,
         opts: ExecOptions,
         policy: AdmissionPolicy,
-        report: Arc<PcabReport>,
+        report: &PcabReport,
     ) -> Result<BatchServer<'p>> {
         policy.validate()?;
         if let Some(e) = report.diagnostics.first() {
             return Err(ServeError::InvalidProgram(e.clone()));
         }
         Ok(BatchServer {
-            report,
             sig_cache: BTreeMap::new(),
             step_limit: opts.max_supersteps,
             fault: opts.fault,
@@ -670,17 +664,6 @@ impl<'p> BatchServer<'p> {
                 .map(|&(_, stamp)| stamp.saturating_add(max_wait)),
             _ => None,
         }
-    }
-
-    /// The admission policy in force.
-    pub fn policy(&self) -> AdmissionPolicy {
-        self.policy
-    }
-
-    /// The static verification report computed once at construction
-    /// (inferred signature, stack-depth bounds, divergence sites).
-    pub fn report(&self) -> &PcabReport {
-        &self.report
     }
 
     /// Requests waiting in the queue.
@@ -1160,12 +1143,6 @@ impl<'p> BatchServer<'p> {
         self.machine.pc_histogram()
     }
 
-    /// The pc top shared by the most running lanes (ties toward the
-    /// lowest pc), or `None` when nothing is running.
-    pub fn majority_pc(&self) -> Option<usize> {
-        self.machine.majority_pc()
-    }
-
     /// Lanes whose pc top has not yet reached the exit.
     pub fn running(&self) -> usize {
         self.machine.running()
@@ -1632,7 +1609,6 @@ mod tests {
         };
         let mut server =
             BatchServer::new(&pc, KernelRegistry::new(), ExecOptions::default(), policy).unwrap();
-        assert!(server.report().ok());
         // Wrong dtype: fibonacci's input must be an integer.
         let err = server
             .submit(Request {

@@ -20,10 +20,10 @@
 //!   merges the shards' completions back into submission order.
 //! - **Poison/drain**: one shard's execution error must not lose another
 //!   shard's completed work. A failed shard's already-completed
-//!   responses are salvaged into the shared ready buffer, its queued
-//!   requests can be re-routed to healthy shards
-//!   ([`ShardedServer::drain_poisoned`]), and routing skips poisoned
-//!   shards from then on.
+//!   responses are salvaged into the shared ready buffer, and routing
+//!   skips poisoned shards from then on. Its queued requests come back
+//!   from [`ShardedServer::respawn_shard`], which is how a
+//!   [`Supervisor`](crate::Supervisor) re-routes them.
 //! - **One drive, one crew of threads.** Host control per superstep is
 //!   what batching has to amortise, so the runtime must not add to it:
 //!   a call to [`ShardedServer::run_until_idle_with`] starts its worker
@@ -37,15 +37,11 @@
 //!   within one quantum of supersteps; a panicking worker poisons its
 //!   own shard and is always reported. The contract is spelled out on
 //!   [`ShardedServer::run_until_idle_with`].
-//!
-//! Shard sizing is not hardcoded: [`ShardPlan::for_backend`] derives the
-//! worker count and per-shard batch width from the [`Backend`] cost
-//! profile, in the spirit of backend-description-driven retargeting.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use autobatch_accel::{Backend, Trace};
@@ -85,68 +81,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-/// A backend-derived sharding configuration: how many worker threads to
-/// run and how wide each worker's batch should be.
-///
-/// The sizing rule prices the serving trade-off the [`Backend`] profile
-/// exposes: host control per superstep (`superstep_overhead`) serializes
-/// *within* a shard but runs concurrently *across* shards, so
-/// host-control-bound backends want many narrow shards; per-launch
-/// device dispatch (`launch_overhead`) is amortized over however many
-/// members share the fused launch, so launch-bound backends want few
-/// wide shards. The per-shard width floor is their ratio:
-/// `ceil(launch_overhead / superstep_overhead)`.
-///
-/// A backend with no host control loop at all (`superstep_overhead ==
-/// 0`, e.g. the native scalar baseline) has nothing for extra workers to
-/// parallelize away in this model, so it plans a single shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardPlan {
-    /// Worker threads, each owning one `BatchServer`.
-    pub workers: usize,
-    /// Per-shard batch capacity (live members per worker).
-    pub shard_batch: usize,
-}
-
-impl ShardPlan {
-    /// Size a plan for `backend`, expecting `expected_concurrent`
-    /// requests in flight at a time, with at most `max_workers` worker
-    /// threads (typically the host's core budget).
-    ///
-    /// Guarantees: `1 <= workers <= max(max_workers, 1)` and
-    /// `workers * shard_batch >= max(expected_concurrent, 1)`.
-    pub fn for_backend(
-        backend: &Backend,
-        expected_concurrent: usize,
-        max_workers: usize,
-    ) -> ShardPlan {
-        let expected = expected_concurrent.max(1);
-        let max_workers = max_workers.max(1);
-        let width_floor = if backend.superstep_overhead > 0.0 {
-            let f = (backend.launch_overhead / backend.superstep_overhead).ceil();
-            (f as usize).clamp(1, expected)
-        } else {
-            expected
-        };
-        let workers = (expected / width_floor).clamp(1, max_workers);
-        let shard_batch = expected.div_ceil(workers);
-        ShardPlan {
-            workers,
-            shard_batch,
-        }
-    }
-
-    /// The admission policy the plan implies for each shard: join at
-    /// entry whenever the shard has a free lane, bounded by the planned
-    /// per-shard width.
-    pub fn policy(&self) -> AdmissionPolicy {
-        AdmissionPolicy::JoinAtEntry {
-            max_batch: self.shard_batch,
-            min_utilization: 1.0,
-        }
     }
 }
 
@@ -259,7 +193,7 @@ pub struct ShardedServer<'p> {
     program: &'p Program,
     /// The program's static verification report: the fleet analyses the
     /// program once, and every shard, first or respawned, shares it.
-    report: Arc<PcabReport>,
+    report: PcabReport,
     registry: KernelRegistry,
     opts: ExecOptions,
     policy: AdmissionPolicy,
@@ -325,7 +259,7 @@ impl<'p> ShardedServer<'p> {
             ));
         }
         let base_epoch = opts.fault.epoch;
-        let report = Arc::new(analyze_pcab(program));
+        let report = analyze_pcab(program);
         let shards = (0..workers)
             .map(|i| {
                 // Each shard gets its own fault-stream epoch so the
@@ -341,7 +275,7 @@ impl<'p> ShardedServer<'p> {
                         registry.clone(),
                         shard_opts,
                         policy,
-                        Arc::clone(&report),
+                        &report,
                     )?,
                     trace: Trace::new(backend),
                     last_error: None,
@@ -455,28 +389,6 @@ impl<'p> ShardedServer<'p> {
             .max(self.retired_peak)
     }
 
-    /// Create a sharded server sized by a backend-derived [`ShardPlan`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedServer::new`].
-    pub fn with_plan(
-        program: &'p Program,
-        registry: KernelRegistry,
-        opts: ExecOptions,
-        plan: &ShardPlan,
-        backend: Backend,
-    ) -> Result<ShardedServer<'p>> {
-        ShardedServer::new(
-            program,
-            registry,
-            opts,
-            plan.policy(),
-            plan.workers,
-            backend,
-        )
-    }
-
     /// Number of shards (at most this many threads run a drive, the
     /// caller's included).
     pub fn shards(&self) -> usize {
@@ -490,8 +402,8 @@ impl<'p> ShardedServer<'p> {
 
     /// Requests accepted by [`ShardedServer::submit`] over the server's
     /// lifetime. Counted at the router, not by summing the shards'
-    /// counters: [`ShardedServer::drain_poisoned`] re-submits moved
-    /// requests to their new shard, which would double-count them.
+    /// counters: [`ShardedServer::resubmit`] hands moved requests to
+    /// their new shard, which would double-count them.
     pub fn submitted(&self) -> u64 {
         self.next_seq
     }
@@ -523,8 +435,8 @@ impl<'p> ShardedServer<'p> {
     }
 
     /// Indices of shards poisoned by an execution error. A poisoned
-    /// shard refuses to run; its queue can be re-routed with
-    /// [`ShardedServer::drain_poisoned`].
+    /// shard refuses to run until [`ShardedServer::respawn_shard`]
+    /// rebuilds it, which also hands back its queue for re-routing.
     pub fn poisoned_shards(&self) -> Vec<usize> {
         (0..self.shards.len())
             .filter(|&i| self.shards[i].poisoned())
@@ -603,7 +515,7 @@ impl<'p> ShardedServer<'p> {
             self.registry.clone(),
             opts,
             self.policy,
-            Arc::clone(&self.report),
+            &self.report,
         )
         .expect("policy and program were validated when the fleet was built");
         server.set_clock(self.clock);
@@ -744,41 +656,6 @@ impl<'p> ShardedServer<'p> {
             self.shards[shard].last_error = None;
         }
         rejected
-    }
-
-    /// Re-route every request queued on a poisoned shard to the healthy
-    /// shards, preserving each request's original submission sequence
-    /// (aggregation order is unchanged). Returns how many requests
-    /// moved.
-    ///
-    /// # Errors
-    ///
-    /// If no healthy shard exists, nothing is moved and the first
-    /// poison error is returned — the queues stay drainable via
-    /// [`ShardedServer::reject_on`].
-    pub fn drain_poisoned(&mut self) -> Result<usize> {
-        if self.shards.iter().all(|s| s.poisoned()) {
-            return Err(self
-                .shards
-                .iter()
-                .find_map(|s| s.server.poisoned().cloned())
-                .expect("all shards poisoned"));
-        }
-        let mut stranded = Vec::new();
-        for s in &mut self.shards {
-            if s.poisoned() {
-                while let Some(r) = s.server.reject() {
-                    stranded.push(r);
-                }
-            }
-        }
-        let moved = stranded.len();
-        for r in stranded {
-            // Healthy shards exist and no shard refuses for capacity;
-            // arity was validated at the original submission.
-            self.route(r)?;
-        }
-        Ok(moved)
     }
 
     /// Take every completed response aggregated so far, in submission
@@ -1485,10 +1362,11 @@ mod tests {
         };
         // Serial per-shard batches make per-shard completion order
         // deterministic: shard 0 serves ids 0 then 2 (fib(2), then the
-        // overflowing fib(40)); shard 1 serves ids 1 and 3.
+        // overflowing fib(40), with id 4 stranded behind it); shard 1
+        // serves ids 1 and 3.
         let policy = AdmissionPolicy::DrainAndRefill { max_batch: 1 };
         let mut server = sharded(policy, 2, opts, &pc);
-        for (id, n) in [(0u64, 2i64), (1, 5), (2, 40), (3, 7)] {
+        for (id, n) in [(0u64, 2i64), (1, 5), (2, 40), (3, 7), (4, 9)] {
             server.submit(fib_request(id, n)).unwrap();
         }
         let err = server.run_until_idle().unwrap_err();
@@ -1511,7 +1389,7 @@ mod tests {
         // the dead shard's error is not re-raised. (The poisoned shard
         // still carries its never-retired member as load — routing skips
         // it by health, not by load.)
-        server.submit(fib_request(4, 6)).unwrap();
+        server.submit(fib_request(5, 6)).unwrap();
         let done = server.run_until_idle().unwrap();
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].outputs[0].as_i64().unwrap(), &[13]);
@@ -1520,44 +1398,20 @@ mod tests {
             1,
             "shard 0's error stays on record"
         );
-    }
-
-    #[test]
-    fn drain_poisoned_reroutes_stranded_requests() {
-        let (pc, _) = lower(&fibonacci_program(), LoweringOptions::default()).unwrap();
-        let opts = ExecOptions {
-            stack_depth: 16,
-            ..ExecOptions::default()
-        };
-        let policy = AdmissionPolicy::DrainAndRefill { max_batch: 1 };
-        let mut server = sharded(policy, 2, opts, &pc);
-        // Shard 0 receives the poisonous fib(40) first, then fib(9) and
-        // fib(3) queue behind it; shard 1 gets fib(5) and fib(7).
-        for (id, n) in [(0u64, 40i64), (1, 5), (2, 9), (3, 7), (4, 3)] {
-            server.submit(fib_request(id, n)).unwrap();
+        // A respawn hands back what the dead machine held. Re-routing
+        // the stranded request is not a new submission, and it keeps the
+        // place in the response order that its first one gave it.
+        let (stranded, lost) = server.respawn_shard(0);
+        assert_eq!((stranded.len(), lost), (1, vec![2]));
+        server.submit(fib_request(6, 3)).unwrap();
+        for r in stranded {
+            server.resubmit(r).unwrap();
         }
-        let err = server.run_until_idle().unwrap_err();
-        assert!(matches!(err, ServeError::Vm(VmError::StackOverflow { .. })));
-        assert_eq!(server.poisoned_shards(), vec![0]);
-        // fib(9) and fib(3) are stranded behind the dead machine; move
-        // them to the healthy shard and finish serving.
-        let moved = server.drain_poisoned().unwrap();
-        assert_eq!(moved, 2);
-        // Re-routing is not a new submission: the lifetime counter must
-        // not double-count the moved requests.
-        assert_eq!(server.submitted(), 5);
         let done = server.run_until_idle().unwrap();
         let ids: Vec<u64> = done.iter().map(|r| r.id).collect();
-        assert_eq!(
-            ids,
-            vec![1, 2, 3, 4],
-            "original submission order survives re-routing"
-        );
-        let got: Vec<i64> = done
-            .iter()
-            .map(|r| r.outputs[0].as_i64().unwrap()[0])
-            .collect();
-        assert_eq!(got, vec![8, 55, 21, 3]);
+        assert_eq!(ids, vec![4, 6]);
+        assert_eq!(done[0].outputs[0].as_i64().unwrap(), &[55]);
+        assert_eq!(server.submitted(), 7);
     }
 
     #[test]
@@ -1589,64 +1443,6 @@ mod tests {
                 .map(|i| server.shard_trace(i).supersteps())
                 .sum::<u64>()
         );
-    }
-
-    #[test]
-    fn plan_is_parameterized_by_the_backend_profile() {
-        // Host-control-bound profiles shard all the way down.
-        let plan = ShardPlan::for_backend(&Backend::hybrid_cpu(), 16, 4);
-        assert_eq!(plan.workers, 4);
-        assert_eq!(plan.shard_batch, 4);
-        let plan = ShardPlan::for_backend(&Backend::xla_cpu(), 16, 8);
-        assert_eq!(plan.workers, 8);
-        assert_eq!(plan.shard_batch, 2);
-        // A launch-bound profile (dispatch dwarfs host control) keeps
-        // shards wide instead: width floor = launch / superstep = 8.
-        let mut launch_bound = Backend::hybrid_cpu();
-        launch_bound.launch_overhead = 80e-3;
-        launch_bound.superstep_overhead = 10e-3;
-        let plan = ShardPlan::for_backend(&launch_bound, 16, 8);
-        assert_eq!(plan.workers, 2);
-        assert_eq!(plan.shard_batch, 8);
-        // No host control loop at all (native scalar): one shard.
-        let plan = ShardPlan::for_backend(&Backend::native_cpu(), 16, 8);
-        assert_eq!(plan.workers, 1);
-        // Invariants on degenerate inputs.
-        let plan = ShardPlan::for_backend(&Backend::hybrid_cpu(), 0, 0);
-        assert_eq!(plan.workers, 1);
-        assert!(plan.shard_batch >= 1);
-        // Capacity always covers the expected concurrency.
-        for expected in [1usize, 3, 7, 16, 33] {
-            for max_workers in [1usize, 2, 5, 8] {
-                let p = ShardPlan::for_backend(&Backend::hybrid_cpu(), expected, max_workers);
-                assert!(p.workers <= max_workers);
-                assert!(p.workers * p.shard_batch >= expected);
-            }
-        }
-    }
-
-    #[test]
-    fn with_plan_builds_a_working_server() {
-        let (pc, _) = lower(&fibonacci_program(), LoweringOptions::default()).unwrap();
-        let plan = ShardPlan::for_backend(&Backend::hybrid_cpu(), 8, 4);
-        let mut server = ShardedServer::with_plan(
-            &pc,
-            KernelRegistry::new(),
-            ExecOptions::default(),
-            &plan,
-            Backend::hybrid_cpu(),
-        )
-        .unwrap();
-        assert_eq!(server.shards(), 4);
-        for (id, &n) in NS.iter().enumerate() {
-            server.submit(fib_request(id as u64, n)).unwrap();
-        }
-        let done = server.run_until_idle().unwrap();
-        let got: Vec<i64> = done
-            .iter()
-            .map(|r| r.outputs[0].as_i64().unwrap()[0])
-            .collect();
-        assert_eq!(got, FIB);
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //!
 //! [`ShardedServer`] contains faults (a poisoned shard cannot hurt its
 //! siblings) but does not *recover* from them: a poisoned shard stays
-//! out of rotation until an operator calls
-//! [`ShardedServer::drain_poisoned`] by hand, and work that was in
-//! flight on the dead machine is simply gone. [`Supervisor`] closes
-//! that loop:
+//! out of rotation, with whatever was queued on it, until somebody
+//! calls [`ShardedServer::respawn_shard`], and work that was in flight
+//! on the dead machine is simply gone. [`Supervisor`] is that somebody:
 //!
 //! - after every fleet round it **triages** failed shards: recoverable
 //!   admission offenders are answered with their typed error and

@@ -13,7 +13,7 @@ use autobatch::core::Autobatcher;
 use autobatch::lang::compile;
 use autobatch::models::NealsFunnel;
 use autobatch::nuts::{BatchNuts, NutsConfig};
-use autobatch::serve::{AdmissionPolicy, NutsServer, Request, ShardPlan, ShardedServer};
+use autobatch::serve::{AdmissionPolicy, NutsServer, Request, ShardedServer};
 use autobatch::tensor::{CounterRng, Tensor};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -108,16 +108,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- Part 4: sharding the fleet across worker threads -------------
     // One BatchServer saturates one host thread. The ShardedServer
     // partitions the same chains across workers (least-loaded routing),
-    // each worker driving its own PcMachine; the ShardPlan derives the
-    // worker count and per-shard width from the backend's cost profile.
-    let backend = Backend::hybrid_cpu();
-    let plan = ShardPlan::for_backend(&backend, chains, 4);
-    let mut fleet = ShardedServer::with_plan(
+    // each worker driving its own PcMachine: four workers, four lanes
+    // each, and a request joins whenever its worker has a lane free.
+    let (workers, shard_batch) = (4, 4);
+    let mut fleet = ShardedServer::new(
         nuts.lowered(),
         nuts.registry().clone(),
         nuts.exec_options(),
-        &plan,
-        backend,
+        AdmissionPolicy::JoinAtEntry {
+            max_batch: shard_batch,
+            min_utilization: 1.0,
+        },
+        workers,
+        Backend::hybrid_cpu(),
     )?;
     for i in 0..chains as u64 {
         let q = q0.row(i as usize)?;
@@ -133,8 +136,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nsharded the same {} chains over {} workers (batch {} each): \
          fleet wall-clock {:.1}s vs single-server {:.1}s, {} supersteps total",
         sharded.len(),
-        plan.workers,
-        plan.shard_batch,
+        workers,
+        shard_batch,
         agg.sim_time(),
         serve_trace.sim_time(),
         agg.supersteps(),
