@@ -26,7 +26,7 @@
 use std::sync::Arc;
 
 use autobatch_accel::{Backend, Trace};
-use autobatch_bench::{fmt_sig, geometric_batches, print_table, write_csv};
+use autobatch_bench::{fmt_sig, geometric_batches, paper_options, print_table, write_csv};
 use autobatch_models::CorrelatedGaussian;
 use autobatch_nuts::{BatchNuts, NutsConfig};
 use autobatch_tensor::CounterRng;
@@ -110,9 +110,9 @@ fn run(nuts: &BatchNuts, z: usize, strategy: Strategy) -> (u64, f64, f64) {
         Strategy::ProgramCounter => Trace::new(Backend::xla_cpu()),
     };
     match strategy {
-        Strategy::LocalStatic => nuts.run_local(&q0, Some(&mut tr)),
+        Strategy::LocalStatic => nuts.run_local_opts(&q0, Some(&mut tr), paper_options(nuts)),
         Strategy::Dynamic => nuts.run_dynamic(&q0, Some(&mut tr)),
-        Strategy::ProgramCounter => nuts.run_pc(&q0, Some(&mut tr)),
+        Strategy::ProgramCounter => nuts.run_pc_opts(&q0, Some(&mut tr), paper_options(nuts)),
     }
     .expect("nuts runs");
     let stats = tr.logical_stats("grad").expect("gradients launched");

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use autobatch_accel::{Backend, Trace};
-use autobatch_bench::{fmt_sig, geometric_batches, print_table, write_csv};
+use autobatch_bench::{fmt_sig, geometric_batches, paper_options, print_table, write_csv};
 use autobatch_core::BlockHeuristic;
 use autobatch_models::CorrelatedGaussian;
 use autobatch_nuts::{BatchNuts, NutsConfig};
@@ -75,7 +75,7 @@ fn run(nuts: &BatchNuts, z: usize, heuristic: BlockHeuristic) -> (u64, f64, f64)
     let q0 = rng.normal_batch(&(0..z as i64).collect::<Vec<_>>(), &[50]);
     let opts = autobatch_core::ExecOptions {
         heuristic,
-        ..nuts.exec_options()
+        ..paper_options(nuts)
     };
     let mut tr = Trace::new(Backend::xla_cpu());
     nuts.run_pc_opts(&q0, Some(&mut tr), opts)

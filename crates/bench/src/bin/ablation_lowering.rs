@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use autobatch_accel::{Backend, Trace};
 use autobatch_bench::{fmt_sig, print_table, write_csv};
-use autobatch_core::{lower, ExecOptions, LoweringOptions, PcVm};
+use autobatch_core::{lower, ExecOptions, ExecStrategy, LoweringOptions, PcVm};
 use autobatch_models::{model_registry, CorrelatedGaussian};
 use autobatch_nuts::{nuts_program, NutsConfig};
 use autobatch_tensor::{CounterRng, DType, Tensor};
@@ -88,6 +88,8 @@ fn main() {
             seed: cfg.seed,
             stack_depth: cfg.max_depth + 16,
             cache_stack_tops: cache_tops,
+            // The paper's §2 choice, like every figure.
+            strategy: ExecStrategy::Masking,
             ..ExecOptions::default()
         };
         let vm = PcVm::new(&pc, registry.clone(), opts);

@@ -18,7 +18,7 @@
 use std::sync::Arc;
 
 use autobatch_accel::{Backend, Trace};
-use autobatch_bench::{fmt_sig, geometric_batches, print_table, write_csv};
+use autobatch_bench::{fmt_sig, geometric_batches, paper_options, print_table, write_csv};
 use autobatch_models::{LogisticRegression, Model, PricedAs};
 use autobatch_nuts::{BatchNuts, NativeNuts, NutsConfig};
 use autobatch_tensor::{CounterRng, Tensor};
@@ -149,7 +149,7 @@ fn initial_positions(z: usize, d: usize) -> Tensor {
 fn measure_recorded(nuts: &BatchNuts, vm: Vm, backend: Backend, z: usize, d: usize) -> Trace {
     let q0 = initial_positions(z, d);
     let mut trace = Trace::recording(backend);
-    let mut opts = nuts.exec_options();
+    let mut opts = paper_options(nuts);
     // A fully compiled program must size its stacks for the worst case
     // (static shapes): charge the conservative allocation.
     opts.stack_depth = 64;
@@ -169,7 +169,7 @@ fn measure_flat(nuts: &BatchNuts, vm: Vm, backend: Backend, model: &dyn Model) -
             // per-chain throughput, so one member suffices.
             let q0 = initial_positions(1, model.dim());
             let mut trace = Trace::new(backend);
-            nuts.run_local_opts(&q0, Some(&mut trace), nuts.exec_options())
+            nuts.run_local_opts(&q0, Some(&mut trace), paper_options(nuts))
                 .expect("single chain runs");
             trace.useful_count("grad") as f64 / trace.sim_time()
         }

@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use autobatch_accel::{Backend, Trace};
-use autobatch_bench::{fmt_sig, geometric_batches, print_table, write_csv};
+use autobatch_bench::{fmt_sig, geometric_batches, paper_options, print_table, write_csv};
 use autobatch_models::CorrelatedGaussian;
 use autobatch_nuts::{BatchNuts, NutsConfig};
 use autobatch_tensor::{CounterRng, Tensor};
@@ -47,11 +47,13 @@ fn main() {
         let q0 = starts(z, 100);
 
         let mut tr_local = Trace::new(Backend::eager_cpu());
-        nuts.run_local(&q0, Some(&mut tr_local)).expect("lsab runs");
+        nuts.run_local_opts(&q0, Some(&mut tr_local), paper_options(&nuts))
+            .expect("lsab runs");
         let u_local = tr_local.utilization("grad");
 
         let mut tr_pc = Trace::new(Backend::xla_cpu());
-        nuts.run_pc(&q0, Some(&mut tr_pc)).expect("pc runs");
+        nuts.run_pc_opts(&q0, Some(&mut tr_pc), paper_options(&nuts))
+            .expect("pc runs");
         let u_pc = tr_pc.utilization("grad");
 
         println!("batch {z}: local {u_local:.3}  pc {u_pc:.3}");

@@ -3,6 +3,7 @@
 //! Usage: `probe_costs [batch]`
 
 use autobatch_accel::{Backend, DispatchMode, Trace};
+use autobatch_bench::paper_options;
 use autobatch_models::{LogisticRegression, Model, PricedAs};
 use autobatch_nuts::{BatchNuts, NutsConfig};
 use autobatch_tensor::CounterRng;
@@ -37,7 +38,7 @@ fn main() {
         ..Backend::xla_cpu()
     };
     let mut tr = Trace::new(probe);
-    let mut opts = nuts.exec_options();
+    let mut opts = paper_options(&nuts);
     opts.stack_depth = 64;
     nuts.run_pc_opts(&q0, Some(&mut tr), opts).expect("runs");
     println!(
@@ -74,7 +75,8 @@ fn main() {
         ..Backend::hybrid_cpu()
     };
     let mut tr2 = Trace::new(probe2);
-    nuts.run_local(&q0, Some(&mut tr2)).expect("runs");
+    nuts.run_local_opts(&q0, Some(&mut tr2), paper_options(&nuts))
+        .expect("runs");
     println!(
         "--- lsab (zero-overhead) at Z={z}: total {:.4}s",
         tr2.sim_time()

@@ -9,7 +9,8 @@
 //! - `fig6_utilization` — Figure 6: batch gradient utilization vs batch
 //!   size on the correlated Gaussian, local-static vs program-counter;
 //! - `ablation_masking` — §2's first free choice: masking vs
-//!   gather/scatter primitive execution;
+//!   gather/scatter primitive execution, and this repository's default
+//!   that picks one per superstep;
 //! - `ablation_heuristic` — §2's second free choice: block-selection
 //!   heuristics;
 //! - `ablation_lowering` — §3's compiler optimizations on/off;
@@ -19,6 +20,10 @@
 //!   NUTS run (per-kernel times, utilization, stack share);
 //! - `irlint` — the static verification tier over every committed
 //!   program (a CI step).
+//!
+//! Every binary but `ablation_masking` runs under [`paper_options`]:
+//! the figures are the paper's, so they execute the way the paper did
+//! whatever this repository's default strategy is.
 //!
 //! Each figure and ablation binary prints its table to stdout and
 //! writes a CSV under `results/`. Wall-clock microbenchmarks of the
@@ -32,6 +37,18 @@
 use std::fs;
 use std::io::Write as _;
 use std::path::Path;
+
+use autobatch_core::{ExecOptions, ExecStrategy};
+use autobatch_nuts::BatchNuts;
+
+/// The options the paper's experiments run a NUTS program under: the
+/// sampler's own, with the paper's §2 choice of masking pinned.
+pub fn paper_options(nuts: &BatchNuts) -> ExecOptions {
+    ExecOptions {
+        strategy: ExecStrategy::Masking,
+        ..nuts.exec_options()
+    }
+}
 
 /// Batch sizes `1, 2, 4, … ≤ max`.
 pub fn geometric_batches(max: usize) -> Vec<usize> {

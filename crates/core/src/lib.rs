@@ -19,23 +19,26 @@
 //! - [`Autobatcher`] — a one-stop facade tying the pipeline together.
 //!
 //! Execution is parameterized by [`ExecOptions`] (masking vs
-//! gather/scatter, block-selection heuristic — the paper's §2 "free
-//! choices") and priced against simulated accelerator backends via
-//! [`autobatch_accel::Trace`].
+//! gather/scatter — by default chosen per superstep, see
+//! [`ExecStrategy`] and [`gather_pays`] — and the block-selection
+//! heuristic: the paper's §2 "free choices") and priced against
+//! simulated accelerator backends via [`autobatch_accel::Trace`].
 //!
 //! # Performance architecture
 //!
 //! The program-counter interpreter's superstep loop keeps its
 //! bookkeeping allocation-free in the steady state: each machine owns
 //! a scratch arena (active mask, active-index list, member keys, pop
-//! depths, block-local temporaries) that is cleared per superstep,
-//! never reallocated, and tensors are copy-on-write so state reads and
-//! observer snapshots share buffers instead of deep-copying (primitive
-//! results are still fresh tensors). The VMs only execute; what a
-//! superstep costs on a simulated accelerator is decided in one place,
-//! the `pricing` module, which does nothing at all on an untraced run.
-//! On top of that, each basic
-//! block is planned once into **fused elementwise regions** —
+//! depths, block-local temporaries, and the buffers a gathered
+//! superstep copies its operands' active rows into) that is cleared
+//! per superstep, never reallocated, and tensors are copy-on-write so
+//! state reads and observer snapshots share buffers instead of
+//! deep-copying (primitive results are still fresh tensors). The VMs
+//! only execute; what a superstep costs on a simulated accelerator is
+//! decided in one place, the `pricing` module, which does nothing at
+//! all on an untraced run (but for measuring each block once, for the
+//! mask-or-gather choice). On top of that, each basic block is planned
+//! once into **fused elementwise regions** —
 //! straight-line runs of elementwise primitives executed as a single
 //! loop with per-element virtual registers and priced as a single
 //! launch ([`ExecOptions::fuse_elementwise`]; the fused loop applies
@@ -66,6 +69,9 @@ pub use kernels::{eval_prim, ExternalKernel, KernelRegistry};
 pub use lowering::{lower, LoweringStats};
 pub use lsab_vm::{LocalStaticVm, LsabObservation, LsabObserver};
 pub use member_set::LaneState;
-pub use options::{BlockHeuristic, DynSchedule, ExecOptions, ExecStrategy, LoweringOptions};
+pub use options::{
+    gather_pays, BlockCost, BlockHeuristic, DynSchedule, ExecOptions, ExecStrategy,
+    LoweringOptions, GATHER_FLOPS_PER_BYTE,
+};
 pub use pc_vm::{PcMachine, PcObservation, PcObserver, PcVm, Retired, StackSnapshot};
 pub use pricing::{prim_cost, OpCost};

@@ -19,8 +19,8 @@ use autobatch_tensor::{CounterRng, Tensor};
 
 use crate::error::{Result, VmError};
 use crate::kernels::{eval_prim, KernelRegistry};
-use crate::options::{BlockHeuristic, ExecOptions, ExecStrategy};
-use crate::pricing::Pricing;
+use crate::options::{BlockCost, BlockHeuristic, ExecOptions};
+use crate::pricing::{prim_cost, Pricing};
 
 /// A snapshot handed to an observer after every superstep, carrying the
 /// information displayed in the paper's Figure 1.
@@ -73,6 +73,10 @@ struct Ctx<'a, 'o> {
     trace: Option<&'a mut Trace>,
     observer: Option<&'a mut LsabObserver<'o>>,
     steps: u64,
+    /// By function, block and op, what a member's share of the
+    /// primitive costs: measured on its first execution under
+    /// `ExecStrategy::Adaptive`, which runs masked.
+    op_costs: Vec<Vec<Vec<Option<BlockCost>>>>,
 }
 
 impl<'p> LocalStaticVm<'p> {
@@ -141,6 +145,9 @@ impl<'p> LocalStaticVm<'p> {
             trace,
             observer,
             steps: 0,
+            op_costs: (self.program.funcs.iter())
+                .map(|f| f.blocks.iter().map(|b| vec![None; b.ops.len()]).collect())
+                .collect(),
         };
         let active = vec![true; z];
         self.run_function(&mut ctx, self.program.entry, inputs.to_vec(), &active, 0)
@@ -191,7 +198,7 @@ impl<'p> LocalStaticVm<'p> {
             let tag = &self.block_tags[fid.0][i];
             let mut pricing = Pricing::begin(ctx.trace.as_deref_mut(), z, local_idx.len());
             let block = &f.blocks[i];
-            for op in &block.ops {
+            for (k, op) in block.ops.iter().enumerate() {
                 match op {
                     Op::Prim { outs, prim, ins } => self.exec_prim(
                         &ctx.rng,
@@ -202,6 +209,7 @@ impl<'p> LocalStaticVm<'p> {
                         ins,
                         &local,
                         &local_idx,
+                        &mut ctx.op_costs[fid.0][i][k],
                     )?,
                     Op::Call { outs, callee, ins } => {
                         // Close the segment's launch before handing
@@ -253,7 +261,8 @@ impl<'p> LocalStaticVm<'p> {
         f.outputs.iter().map(|o| lookup(&env, o, &f.name)).collect()
     }
 
-    /// Execute one primitive under the configured strategy.
+    /// Execute one primitive under the configured strategy. `cost` is
+    /// the primitive's entry in [`Ctx::op_costs`].
     #[allow(clippy::too_many_arguments)]
     fn exec_prim(
         &self,
@@ -265,9 +274,10 @@ impl<'p> LocalStaticVm<'p> {
         ins: &[Var],
         local: &[bool],
         local_idx: &[usize],
+        cost: &mut Option<BlockCost>,
     ) -> Result<()> {
         let z = local.len();
-        let gather = self.opts.strategy == ExecStrategy::GatherScatter;
+        let gather = self.opts.strategy.gathers(*cost, local_idx.len(), z);
         let (inputs, members): (Vec<Tensor>, Vec<u64>) = if gather {
             let inputs = ins
                 .iter()
@@ -289,6 +299,9 @@ impl<'p> LocalStaticVm<'p> {
         };
         let results = eval_prim(prim, &inputs, &members, rng, &self.registry)?;
         pricing.op(prim, &inputs, &results, &self.registry, gather);
+        if self.opts.strategy.measures(*cost) {
+            *cost = Some(prim_cost(prim, &inputs, &results, &self.registry).per_member(z));
+        }
         for (o, r) in outs.iter().zip(results) {
             if gather {
                 write_scattered(env, o, r, local_idx, z)?;
@@ -426,6 +439,7 @@ fn ensure_batched(t: &Tensor, z: usize) -> Result<Tensor> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::options::ExecStrategy;
     use autobatch_accel::Backend;
     use autobatch_ir::build::{fibonacci_program, ProgramBuilder};
     use autobatch_ir::Prim;

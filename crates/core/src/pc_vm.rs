@@ -21,7 +21,7 @@ use crate::error::{Result, VmError};
 use crate::fusion::{self, FusedRegion};
 use crate::kernels::{eval_prim, KernelRegistry};
 use crate::member_set::{store_rows, LaneState, State};
-use crate::options::{BlockHeuristic, ExecOptions, ExecStrategy};
+use crate::options::{BlockCost, BlockHeuristic, ExecOptions};
 use crate::pricing::Pricing;
 
 /// A point-in-time copy of one stacked variable, for observers (the
@@ -137,8 +137,18 @@ pub(crate) struct Scratch {
     active: Vec<bool>,
     /// Indices of the active members.
     active_idx: Vec<usize>,
-    /// Gathered member keys (gather/scatter strategy).
+    /// Whether the current superstep runs gathered: its primitives see
+    /// one row per *active* member (persistent operands are gathered,
+    /// block-local temporaries stay compacted, results are scattered
+    /// back), instead of all `Z` rows under a mask.
+    gathered: bool,
+    /// RNG keys of the active members (gathered supersteps).
     members: Vec<u64>,
+    /// The gathered copies of the persistent operands a gathered
+    /// superstep reads, in the order it reads them — on loan from the
+    /// block's [`BlockMemo::operands`] — and how many it has read.
+    operands: Vec<Tensor>,
+    next_operand: usize,
     /// Per-member stack depths for pops.
     depths: Vec<usize>,
     /// Per-element virtual registers of the fused fast path.
@@ -153,13 +163,48 @@ pub(crate) struct Scratch {
     inputs: Vec<Tensor>,
     /// Block-local temporary bindings (cleared each superstep).
     temps: Temps,
-    /// Per-block, per-region negative cache: `true` once a fused region
-    /// fell back (mixed runtime shapes or dtypes). Falling back is
-    /// always correct, and a region's shape pattern is fixed by the
-    /// program's variables, so one failed validation disables the
-    /// region for this machine instead of paying the check every
-    /// superstep.
-    fused_off: Vec<Vec<bool>>,
+    /// What this machine has learned about each block by running it.
+    blocks: Vec<BlockMemo>,
+}
+
+/// Facts about one block that are fixed by the shapes of the program's
+/// variables (programs are shape-polymorphic until the first
+/// admission), found out once per machine by executing it.
+#[derive(Debug, Default)]
+struct BlockMemo {
+    /// Per-region negative cache: `true` once a fused region fell back
+    /// (mixed runtime shapes or dtypes). Falling back is always
+    /// correct, so one failed validation disables the region for this
+    /// machine instead of paying the check every superstep.
+    fused_off: Vec<bool>,
+    /// What a member's share of the block costs, measured on its first
+    /// execution under `ExecStrategy::Adaptive`, which runs masked.
+    cost: Option<BlockCost>,
+    /// The buffers the block's gathered supersteps copy their
+    /// persistent operands' active rows into, one per operand read: the
+    /// k-th read of a block always has the same dtype and element
+    /// shape, and nothing outlives the superstep that could share a
+    /// buffer, so once each has grown to the widest gather a gathered
+    /// superstep allocates nothing a masked one would not.
+    operands: Vec<Tensor>,
+}
+
+/// The lanes a superstep's writes land on. `idx` is `Some` when the
+/// values being written hold one row per active member (a gathered
+/// superstep) instead of all `Z` rows.
+#[derive(Debug, Clone, Copy)]
+struct Lanes<'a> {
+    active: &'a [bool],
+    idx: Option<&'a [usize]>,
+}
+
+impl Scratch {
+    fn lanes(&self) -> Lanes<'_> {
+        Lanes {
+            active: &self.active,
+            idx: self.gathered.then_some(&self.active_idx),
+        }
+    }
 }
 
 impl<'p> PcVm<'p> {
@@ -238,11 +283,15 @@ impl<'p> PcVm<'p> {
         // Algorithm 2's "PUSH T onto x": bind the batch inputs.
         let all = vec![true; z];
         for (v, t) in p.inputs.iter().zip(inputs) {
+            let lanes = Lanes {
+                active: &all,
+                idx: None,
+            };
             self.write_var(
                 &mut st,
                 v,
                 t.clone(),
-                &all,
+                lanes,
                 &mut Temps::default(),
                 WriteKind::Update,
                 &mut Pricing::off(),
@@ -319,8 +368,26 @@ impl<'p> PcVm<'p> {
         let n_active = scratch.active_idx.len();
         let mut pricing = Pricing::begin(trace, z, n_active);
 
-        if scratch.fused_off.len() != self.plans.len() {
-            scratch.fused_off = self.plans.iter().map(|b| vec![false; b.len()]).collect();
+        if scratch.blocks.len() != self.plans.len() {
+            scratch.blocks = (self.plans.iter())
+                .map(|regions| BlockMemo {
+                    fused_off: vec![false; regions.len()],
+                    ..BlockMemo::default()
+                })
+                .collect();
+        }
+        let cost = scratch.blocks[i].cost;
+        scratch.gathered = self.opts.strategy.gathers(cost, n_active, z);
+        if self.opts.strategy.measures(cost) {
+            pricing = pricing.profiled();
+        }
+        if scratch.gathered {
+            scratch.members.clear();
+            scratch
+                .members
+                .extend(scratch.active_idx.iter().map(|&b| st.member_keys[b]));
+            scratch.operands = std::mem::take(&mut scratch.blocks[i].operands);
+            scratch.next_operand = 0;
         }
         let mut temps = std::mem::take(&mut scratch.temps);
         temps.clear();
@@ -337,7 +404,7 @@ impl<'p> PcVm<'p> {
                 if let Some(region) = plan.get(next_region).filter(|r| r.start == op_idx) {
                     let region_idx = next_region;
                     next_region += 1;
-                    if !scratch.fused_off[i][region_idx] {
+                    if !scratch.blocks[i].fused_off[region_idx] {
                         if self.try_exec_fused(
                             st,
                             &mut temps,
@@ -348,7 +415,7 @@ impl<'p> PcVm<'p> {
                             op_idx += region.len;
                             continue;
                         }
-                        scratch.fused_off[i][region_idx] = true;
+                        scratch.blocks[i].fused_off[region_idx] = true;
                     }
                 }
             }
@@ -385,9 +452,9 @@ impl<'p> PcVm<'p> {
             Terminator::Branch { cond, then_, else_ } => {
                 let c = self.read_var(st, &temps, cond, "branch")?;
                 let cv = c.as_bool()?;
-                // Under gather/scatter the condition may be a
-                // compacted temp (one row per *active* member).
-                let compacted = cv.len() == active_idx.len() && cv.len() != z;
+                // A gathered superstep's temporaries hold one row per
+                // *active* member.
+                let compacted = scratch.gathered && temps.get(cond).is_some();
                 for (pos, &b) in active_idx.iter().enumerate() {
                     let bit = if compacted { cv[pos] } else { cv[b] };
                     st.pc_top[b] = if bit { then_.0 } else { else_.0 };
@@ -424,6 +491,12 @@ impl<'p> PcVm<'p> {
                 pricing.pc_stack(self.opts.stack_depth);
             }
         }
+        if let Some(cost) = pricing.block_cost() {
+            scratch.blocks[i].cost = Some(cost);
+        }
+        if scratch.gathered {
+            scratch.blocks[i].operands = std::mem::take(&mut scratch.operands);
+        }
         pricing.end_block(&self.block_tags[i]);
         scratch.temps = temps;
         st.scratch = scratch;
@@ -451,145 +524,54 @@ impl<'p> PcVm<'p> {
         if !self.opts.cache_stack_tops {
             return Ok(false);
         }
-        let z = st.z();
-        let n_active = scratch.active_idx.len();
-        let gather = self.opts.strategy == ExecStrategy::GatherScatter;
-        // Read the external inputs (O(1) copy-on-write clones),
-        // gathering to the active rows under gather/scatter exactly
-        // like the per-op path.
-        let mut ext_tensors: Vec<Tensor> = Vec::with_capacity(region.exts.len());
+        // Read the external inputs exactly like the per-op path, into
+        // the same reused buffer.
+        let mut exts = std::mem::take(&mut scratch.inputs);
+        exts.clear();
         for v in &region.exts {
-            let t = self.read_var_mut_temps(st, temps, v)?;
-            let t = if gather {
-                if t.rank() > 0 && t.shape()[0] == n_active && n_active != z {
-                    t
-                } else {
-                    t.gather_rows(&scratch.active_idx).map_err(VmError::from)?
-                }
-            } else {
-                t
-            };
-            ext_tensors.push(t);
+            exts.push(self.operand(st, temps, v, scratch)?);
         }
-        // The fast path requires a single "wide" shape: every external
-        // either matches it exactly or is a member-scalar `[rows]`
-        // broadcast against it, all sharing one numeric dtype (the
-        // per-op kernels' NumPy broadcast, reproduced per element).
-        // Anything else falls back. A materialized def that never reads
-        // a full-width external would come out wider than the per-op
-        // path's member-narrow result, so those only fuse at scalar
-        // element shape.
-        let rows = if gather { n_active } else { z };
-        let (shape, dtype) = match ext_tensors.iter().max_by_key(|t| t.rank()) {
-            Some(t) => (t.shape().to_vec(), t.dtype()),
-            None => {
-                let d = match (&region.f64_exec, &region.i64_exec) {
-                    (Some(_), None) => DType::F64,
-                    (None, Some(_)) => DType::I64,
-                    _ => return Ok(false),
-                };
-                (vec![rows], d)
-            }
+        let rows = if scratch.gathered {
+            scratch.active_idx.len()
+        } else {
+            st.z()
         };
-        if shape.is_empty() || shape[0] != rows {
+        let results = fused_results(region, &exts, rows, scratch, pricing);
+        exts.clear();
+        scratch.inputs = exts;
+        let Some(results) = results? else {
             return Ok(false);
-        }
-        scratch.ext_bcast.clear();
-        for t in &ext_tensors {
-            if t.dtype() != dtype {
-                return Ok(false);
-            }
-            if t.shape() == shape.as_slice() {
-                scratch.ext_bcast.push(false);
-            } else if t.rank() == 1 && t.shape()[0] == rows {
-                scratch.ext_bcast.push(true);
-            } else {
-                return Ok(false);
-            }
-        }
-        let el: usize = shape[1..].iter().product();
-        let n = rows * el;
-        if n == 0 {
-            // Zero-sized tensors: the fused loop would skip member-
-            // narrow materializations entirely (their values exist even
-            // when the element axis is empty). The per-op path handles
-            // the degenerate case; nothing to optimize at zero elements.
-            return Ok(false);
-        }
-        let results: Vec<Tensor> = match dtype {
-            DType::F64 => {
-                let Some(table) = &region.f64_exec else {
-                    return Ok(false);
-                };
-                let exts: Vec<&[f64]> = ext_tensors
-                    .iter()
-                    .map(|t| t.as_f64().expect("dtype checked"))
-                    .collect();
-                materialize_region(
-                    region,
-                    table,
-                    &exts,
-                    &scratch.ext_bcast,
-                    &mut scratch.def_wide,
-                    &shape,
-                    rows,
-                    el,
-                    &mut scratch.regs_f64,
-                    Data::F64,
-                )?
-            }
-            DType::I64 => {
-                let Some(table) = &region.i64_exec else {
-                    return Ok(false);
-                };
-                let exts: Vec<&[i64]> = ext_tensors
-                    .iter()
-                    .map(|t| t.as_i64().expect("dtype checked"))
-                    .collect();
-                materialize_region(
-                    region,
-                    table,
-                    &exts,
-                    &scratch.ext_bcast,
-                    &mut scratch.def_wide,
-                    &shape,
-                    rows,
-                    el,
-                    &mut scratch.regs_i64,
-                    Data::I64,
-                )?
-            }
-            DType::Bool => return Ok(false),
         };
-        drop(ext_tensors);
-        pricing.region(
-            region,
-            &scratch.ext_bcast,
-            &scratch.def_wide,
-            rows,
-            n,
-            gather,
-        );
         // Write back the materialized results through the per-op write
         // path, in op order (so stack pushes error in the same order as
         // unfused execution).
         for (&d, r) in region.mats.iter().zip(results) {
             let (var, kind) = &region.ops[d].out;
-            self.write_result(
-                st,
-                temps,
-                var,
-                *kind,
-                r,
-                &scratch.active,
-                &scratch.active_idx,
-                pricing,
-            )?;
+            self.write_var(st, var, r, scratch.lanes(), temps, *kind, pricing)?;
         }
         Ok(true)
     }
 
-    /// Execute one `Compute` op under the configured strategy.
+    /// One operand of a primitive or fused region as the superstep's
+    /// mode wants it: a block-local temporary as it is (a gathered
+    /// superstep bound it compacted), a persistent variable whole — an
+    /// O(1) copy-on-write share — or, gathered, its active rows copied
+    /// into the block's next operand buffer.
+    fn operand(&self, st: &State, temps: &Temps, v: &Var, scratch: &mut Scratch) -> Result<Tensor> {
+        let t = self.read_var(st, temps, v, "compute")?;
+        if !scratch.gathered || temps.get(v).is_some() {
+            return Ok(t);
+        }
+        let k = scratch.next_operand;
+        scratch.next_operand += 1;
+        match scratch.operands.get_mut(k) {
+            Some(rows) => t.gather_rows_into(&scratch.active_idx, rows)?,
+            None => scratch.operands.push(t.gather_rows(&scratch.active_idx)?),
+        }
+        Ok(scratch.operands[k].clone())
+    }
+
+    /// Execute one `Compute` op in the superstep's mode.
     #[allow(clippy::too_many_arguments)]
     fn exec_compute(
         &self,
@@ -602,10 +584,6 @@ impl<'p> PcVm<'p> {
         rng: &CounterRng,
         pricing: &mut Pricing<'_>,
     ) -> Result<()> {
-        let z = st.z();
-        let active_idx = &scratch.active_idx;
-        let n_active = active_idx.len();
-        let inputs = &mut scratch.inputs;
         // Uncached-top ablation: every read of a stacked variable pays a
         // gather from the stack storage.
         if !self.opts.cache_stack_tops {
@@ -617,89 +595,27 @@ impl<'p> PcVm<'p> {
                 }
             }
         }
+        let mut inputs = std::mem::take(&mut scratch.inputs);
         inputs.clear();
-        let gather = self.opts.strategy == ExecStrategy::GatherScatter;
-        let results = if gather {
-            for v in ins {
-                let t = self.read_var_mut_temps(st, temps, v)?;
-                // Temps are already compacted to the active rows.
-                if t.rank() > 0 && t.shape()[0] == n_active && n_active != z {
-                    inputs.push(t);
-                } else {
-                    inputs.push(t.gather_rows(active_idx).map_err(VmError::from)?);
-                }
-            }
-            scratch.members.clear();
-            scratch
-                .members
-                .extend(active_idx.iter().map(|&b| st.member_keys[b]));
-            eval_prim(prim, inputs, &scratch.members, rng, &self.registry)?
+        for v in ins {
+            inputs.push(self.operand(st, temps, v, scratch)?);
+        }
+        let members = if scratch.gathered {
+            &scratch.members
         } else {
-            for v in ins {
-                inputs.push(self.read_var_mut_temps(st, temps, v)?);
-            }
-            eval_prim(prim, inputs, &st.member_keys, rng, &self.registry)?
+            &st.member_keys
         };
-        pricing.op(prim, inputs, &results, &self.registry, gather);
+        let results = eval_prim(prim, &inputs, members, rng, &self.registry)?;
+        pricing.op(prim, &inputs, &results, &self.registry, scratch.gathered);
         // Release the operand clones before write-back: a surviving
-        // share of the destination buffer would force the masked store
-        // below into a full copy-on-write instead of an in-place write.
+        // share of the destination buffer would force the store below
+        // into a full copy-on-write instead of an in-place write.
         inputs.clear();
-        // Write back (in gather mode, compacted rows expand first).
+        scratch.inputs = inputs;
         for ((var, kind), r) in outs.iter().zip(results) {
-            self.write_result(
-                st,
-                temps,
-                var,
-                *kind,
-                r,
-                &scratch.active,
-                active_idx,
-                pricing,
-            )?;
+            self.write_var(st, var, r, scratch.lanes(), temps, *kind, pricing)?;
         }
         Ok(())
-    }
-
-    /// Land one computed result on its output variable: expand
-    /// compacted rows under gather/scatter (temps stay compacted), then
-    /// write through the masked store / stack push path. Shared
-    /// verbatim by the per-op and fused paths, so fusion cannot change
-    /// write semantics.
-    #[allow(clippy::too_many_arguments)]
-    fn write_result(
-        &self,
-        st: &mut State,
-        temps: &mut Temps,
-        var: &Var,
-        kind: WriteKind,
-        mut r: Tensor,
-        active: &[bool],
-        active_idx: &[usize],
-        pricing: &mut Pricing<'_>,
-    ) -> Result<()> {
-        let z = st.z();
-        if self.opts.strategy == ExecStrategy::GatherScatter && active_idx.len() != z {
-            if self.slot_of.contains_key(var) {
-                // Expand to full width by scattering into the current
-                // value (or zeros when absent).
-                let mut full = match self.peek_var(st, var) {
-                    Some(t) if t.dtype() == r.dtype() && t.shape()[1..] == r.shape()[1..] => t,
-                    _ => {
-                        let mut shape = r.shape().to_vec();
-                        shape[0] = z;
-                        Tensor::zeros(r.dtype(), &shape)
-                    }
-                };
-                full.scatter_rows(active_idx, &r)?;
-                r = full;
-            } else {
-                // Temps stay compacted.
-                temps.insert(var.clone(), r);
-                return Ok(());
-            }
-        }
-        self.write_var(st, var, r, active, temps, kind, pricing)
     }
 
     /// Current full-width value of a persistent variable, if any.
@@ -730,28 +646,29 @@ impl<'p> PcVm<'p> {
         })
     }
 
-    fn read_var_mut_temps(&self, st: &State, temps: &Temps, v: &Var) -> Result<Tensor> {
-        self.read_var(st, temps, v, "compute")
-    }
-
-    /// Write `value` to `var` for the active members.
+    /// Write `value` to `var` for the active members: the one write
+    /// path of the per-op and fused paths in both modes, so neither
+    /// fusion nor the mode can change write semantics. A block-local
+    /// temporary is bound as it comes (compacted in a gathered
+    /// superstep).
     #[allow(clippy::too_many_arguments)]
     fn write_var(
         &self,
         st: &mut State,
         var: &Var,
         value: Tensor,
-        active: &[bool],
+        lanes: Lanes<'_>,
         temps: &mut Temps,
         kind: WriteKind,
         pricing: &mut Pricing<'_>,
     ) -> Result<()> {
         let z = st.z();
+        let active = lanes.active;
         if let Some(&Slot::Stacked(slot)) = self.slot_of.get(var) {
             let s = &mut st.stacked[slot];
             match kind {
                 WriteKind::Update => {
-                    masked_store(&mut s.top, value, active)?;
+                    land(&mut s.top, value, lanes)?;
                     let top = s.top.as_ref().expect("just stored");
                     // Uncached-top ablation: updates scatter to storage.
                     let scattered = if self.opts.cache_stack_tops {
@@ -764,10 +681,9 @@ impl<'p> PcVm<'p> {
                 WriteKind::Push => {
                     // Materialize the old top (zeros for the virgin frame)
                     // into storage, then cache the new value as top.
-                    let elem_shape: Vec<usize> = value.shape()[1..].to_vec();
                     if s.top.is_none() {
-                        let mut shape = vec![z];
-                        shape.extend_from_slice(&elem_shape);
+                        let mut shape = value.shape().to_vec();
+                        shape[0] = z;
                         s.top = Some(Tensor::zeros(value.dtype(), &shape));
                     }
                     for (b, &a) in active.iter().enumerate() {
@@ -796,13 +712,13 @@ impl<'p> PcVm<'p> {
                     }
                     let (store_bytes, frame_bytes) = (store.size_bytes(), row_bytes(&top));
                     s.top = Some(top);
-                    masked_store(&mut s.top, value, active)?;
+                    land(&mut s.top, value, lanes)?;
                     pricing.stack_push(store_bytes, frame_bytes);
                 }
             }
         } else if let Some(&Slot::Register(slot)) = self.slot_of.get(var) {
             debug_assert_eq!(kind, WriteKind::Update, "validated: no push to register");
-            masked_store(&mut st.registers[slot], value, active)?;
+            land(&mut st.registers[slot], value, lanes)?;
         } else {
             // Block-local temporary: plain unmasked binding.
             temps.insert(var.clone(), value);
@@ -928,6 +844,8 @@ pub struct PcMachine<'p> {
     /// lanes' peak bytes (see [`PcMachine::track_peak_bytes`]).
     track_peak_bytes: bool,
     steps: u64,
+    /// How many of `steps` ran gathered.
+    gathered_steps: u64,
     last_active: usize,
 }
 
@@ -942,6 +860,7 @@ impl<'p> PcMachine<'p> {
             rng,
             track_peak_bytes: false,
             steps: 0,
+            gathered_steps: 0,
             last_active: 0,
         }
     }
@@ -975,6 +894,15 @@ impl<'p> PcMachine<'p> {
     /// [`ExecOptions::max_supersteps`]).
     pub fn supersteps(&self) -> u64 {
         self.steps
+    }
+
+    /// How many of those supersteps ran gathered — active rows copied
+    /// out, computed dense, scattered back — instead of masked: all of
+    /// them under `ExecStrategy::GatherScatter`, none under
+    /// `ExecStrategy::Masking`, and under `ExecStrategy::Adaptive`
+    /// the ones [`gather_pays`](crate::gather_pays) chose.
+    pub fn gathered_supersteps(&self) -> u64 {
+        self.gathered_steps
     }
 
     /// Active members in the most recent superstep (0 before any step).
@@ -1147,6 +1075,7 @@ impl<'p> PcMachine<'p> {
             });
         }
         self.last_active = self.vm.run_block(&mut self.st, i, &self.rng, trace)?;
+        self.gathered_steps += u64::from(self.st.scratch.gathered);
         // Chaos hook: a runaway lane never reaches the exit — the
         // moment its pc top would finish, it is reset to the entry
         // block, exactly as a genuinely non-terminating program would
@@ -1422,6 +1351,117 @@ mod send_handoff {
     }
 }
 
+/// The materialized results of one fused elementwise region run as a
+/// single loop over `rows` members of its external inputs `exts`,
+/// priced; or `None`, having done nothing observable, when the region
+/// must fall back to per-op execution (see [`PcVm::try_exec_fused`]).
+fn fused_results(
+    region: &FusedRegion,
+    exts: &[Tensor],
+    rows: usize,
+    scratch: &mut Scratch,
+    pricing: &mut Pricing<'_>,
+) -> Result<Option<Vec<Tensor>>> {
+    // The fast path requires a single "wide" shape: every external
+    // either matches it exactly or is a member-scalar `[rows]`
+    // broadcast against it, all sharing one numeric dtype (the
+    // per-op kernels' NumPy broadcast, reproduced per element).
+    // Anything else falls back. A materialized def that never reads
+    // a full-width external would come out wider than the per-op
+    // path's member-narrow result, so those only fuse at scalar
+    // element shape.
+    let (shape, dtype) = match exts.iter().max_by_key(|t| t.rank()) {
+        Some(t) => (t.shape().to_vec(), t.dtype()),
+        None => {
+            let d = match (&region.f64_exec, &region.i64_exec) {
+                (Some(_), None) => DType::F64,
+                (None, Some(_)) => DType::I64,
+                _ => return Ok(None),
+            };
+            (vec![rows], d)
+        }
+    };
+    if shape.is_empty() || shape[0] != rows {
+        return Ok(None);
+    }
+    scratch.ext_bcast.clear();
+    for t in exts {
+        if t.dtype() != dtype {
+            return Ok(None);
+        }
+        if t.shape() == shape.as_slice() {
+            scratch.ext_bcast.push(false);
+        } else if t.rank() == 1 && t.shape()[0] == rows {
+            scratch.ext_bcast.push(true);
+        } else {
+            return Ok(None);
+        }
+    }
+    let el: usize = shape[1..].iter().product();
+    let n = rows * el;
+    if n == 0 {
+        // Zero-sized tensors: the fused loop would skip member-
+        // narrow materializations entirely (their values exist even
+        // when the element axis is empty). The per-op path handles
+        // the degenerate case; nothing to optimize at zero elements.
+        return Ok(None);
+    }
+    let results: Vec<Tensor> = match dtype {
+        DType::F64 => {
+            let Some(table) = &region.f64_exec else {
+                return Ok(None);
+            };
+            let slices: Vec<&[f64]> = exts
+                .iter()
+                .map(|t| t.as_f64().expect("dtype checked"))
+                .collect();
+            materialize_region(
+                region,
+                table,
+                &slices,
+                &scratch.ext_bcast,
+                &mut scratch.def_wide,
+                &shape,
+                rows,
+                el,
+                &mut scratch.regs_f64,
+                Data::F64,
+            )?
+        }
+        DType::I64 => {
+            let Some(table) = &region.i64_exec else {
+                return Ok(None);
+            };
+            let slices: Vec<&[i64]> = exts
+                .iter()
+                .map(|t| t.as_i64().expect("dtype checked"))
+                .collect();
+            materialize_region(
+                region,
+                table,
+                &slices,
+                &scratch.ext_bcast,
+                &mut scratch.def_wide,
+                &shape,
+                rows,
+                el,
+                &mut scratch.regs_i64,
+                Data::I64,
+            )?
+        }
+        DType::Bool => return Ok(None),
+    };
+    pricing.region(
+        region,
+        &scratch.ext_bcast,
+        &scratch.def_wide,
+        rows,
+        n,
+        scratch.gathered,
+    );
+    Ok(Some(results))
+}
+
 /// Run one fused region for a concrete element type and build the
 /// materialized result tensors (wide defs at the region shape,
 /// member-narrow defs at `[rows]`). Shared by the `f64` and `i64`
@@ -1466,6 +1506,28 @@ fn materialize_region<T: Copy + Default>(
             Tensor::new(wrap(b), sh).map_err(VmError::from)
         })
         .collect()
+}
+
+/// Land a superstep's `value` in a full-width slot: under the mask, or
+/// — compacted rows of a gathered superstep — straight onto the active
+/// lanes, in place. A slot nobody wrote yet, or whose element shape or
+/// dtype the value does not share, starts from zeros either way.
+fn land(slot: &mut Option<Tensor>, value: Tensor, lanes: Lanes<'_>) -> Result<()> {
+    let Some(idx) = lanes.idx else {
+        return masked_store(slot, value, lanes.active);
+    };
+    if value.rank() == 0 {
+        return Err(VmError::BadInputs {
+            what: "gathered write of a value without a member axis".into(),
+        });
+    }
+    if slot
+        .as_ref()
+        .is_some_and(|old| old.dtype() != value.dtype() || old.shape()[1..] != value.shape()[1..])
+    {
+        *slot = None;
+    }
+    store_rows(slot, lanes.active.len(), idx, &value)
 }
 
 /// Masked write into an optional full-width slot.
@@ -1524,7 +1586,7 @@ fn select_block(pc_top: &[usize], n_blocks: usize, heuristic: BlockHeuristic) ->
 mod tests {
     use super::*;
     use crate::lowering::lower;
-    use crate::options::LoweringOptions;
+    use crate::options::{ExecStrategy, LoweringOptions};
     use autobatch_accel::Backend;
     use autobatch_ir::build::fibonacci_program;
 

@@ -8,7 +8,11 @@
 //! [`LaunchRecord`]s lives here, once:
 //!
 //! - **Off is off.** Without a trace every method returns at once: no
-//!   [`prim_cost`], no flop arithmetic, no record.
+//!   [`prim_cost`], no flop arithmetic, no record. The one exception is
+//!   a [`Pricing::profiled`] superstep — the first execution of a block
+//!   under [`ExecStrategy::Adaptive`](crate::ExecStrategy::Adaptive) —
+//!   which also sums what its primitives cost into the block's
+//!   [`BlockCost`], traced or not: once per block per machine.
 //! - **Logical against priced records.** Every primitive execution
 //!   leaves one *logical* record under its own tag whatever the
 //!   dispatch mode, fused or not, so utilization (the paper's Figure 6)
@@ -58,6 +62,7 @@ use autobatch_tensor::Tensor;
 
 use crate::fusion::FusedRegion;
 use crate::kernels::KernelRegistry;
+use crate::options::BlockCost;
 
 /// Flops and streaming bytes of one primitive evaluation, for pricing.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -68,6 +73,16 @@ pub struct OpCost {
     pub bytes: f64,
     /// Independent elements available for parallel execution.
     pub parallel: usize,
+}
+
+impl OpCost {
+    /// One member's share of a cost counted over `z` members.
+    pub(crate) fn per_member(self, z: usize) -> BlockCost {
+        BlockCost {
+            flops_per_member: self.flops / z as f64,
+            bytes_per_member: self.bytes / z as f64,
+        }
+    }
 }
 
 /// Compute the cost of a primitive applied to `inputs` producing `outputs`.
@@ -125,6 +140,9 @@ pub(crate) struct Pricing<'t> {
     /// The block launch accumulated so far (`per_block` only).
     cost: OpCost,
     random_bytes: f64,
+    /// Flops and bytes of every primitive so far, when the superstep
+    /// is [`Pricing::profiled`].
+    profile: Option<OpCost>,
 }
 
 impl<'t> Pricing<'t> {
@@ -155,6 +173,33 @@ impl<'t> Pricing<'t> {
             n_active,
             cost: OpCost::default(),
             random_bytes: 0.0,
+            profile: None,
+        }
+    }
+
+    /// Also measure the superstep for the host's mask-or-gather
+    /// decision; read the result with [`Pricing::block_cost`].
+    pub(crate) fn profiled(mut self) -> Self {
+        self.profile = Some(OpCost::default());
+        self
+    }
+
+    /// A member's share of what the primitives of a
+    /// [`Pricing::profiled`] superstep cost, which ran masked over all
+    /// `z` members.
+    pub(crate) fn block_cost(&self) -> Option<BlockCost> {
+        self.profile.map(|c| c.per_member(self.z))
+    }
+
+    /// Whether anybody wants to know what a primitive costs.
+    fn is_off(&self) -> bool {
+        self.trace.is_none() && self.profile.is_none()
+    }
+
+    fn profile(&mut self, flops: f64, bytes: f64) {
+        if let Some(p) = &mut self.profile {
+            p.flops += flops;
+            p.bytes += bytes;
         }
     }
 
@@ -182,10 +227,14 @@ impl<'t> Pricing<'t> {
         registry: &KernelRegistry,
         gathered: bool,
     ) {
+        if self.is_off() {
+            return;
+        }
+        let cost = prim_cost(prim, inputs, results, registry);
+        self.profile(cost.flops, cost.bytes);
         let Some(t) = self.trace.as_deref_mut() else {
             return;
         };
-        let cost = prim_cost(prim, inputs, results, registry);
         let rec = LaunchRecord {
             kernel: prim.kernel_tag(),
             flops: cost.flops,
@@ -219,9 +268,9 @@ impl<'t> Pricing<'t> {
         n: usize,
         gathered: bool,
     ) {
-        let Some(t) = self.trace.as_deref_mut() else {
+        if self.is_off() {
             return;
-        };
+        }
         let elem = 8.0; // f64 and i64 payloads are both 8 bytes
         let width = |wide: bool| if wide { n } else { rows };
         let mut flops_total = 0.0f64;
@@ -229,6 +278,9 @@ impl<'t> Pricing<'t> {
             let n_op = width(wide);
             let flops = op.prim.flops_per_element() * n_op as f64;
             flops_total += flops;
+            let Some(t) = self.trace.as_deref_mut() else {
+                continue;
+            };
             let bytes = (op.n_ins + 1) as f64 * n_op as f64 * elem;
             t.record_logical(&LaunchRecord {
                 kernel: op.prim.kernel_tag(),
@@ -247,6 +299,7 @@ impl<'t> Pricing<'t> {
             .map(|&d| width(def_wide[d]) as f64 * elem)
             .sum();
         let bytes = ext_bytes + mat_bytes;
+        self.profile(flops_total, bytes);
         self.launch_or_fold(LaunchRecord {
             kernel: &region.kernel_tag,
             flops: flops_total,
@@ -373,7 +426,7 @@ mod tests {
 
     use super::*;
     use crate::kernels::ExternalKernel;
-    use crate::{lower, ExecOptions, LocalStaticVm, LoweringOptions, PcMachine};
+    use crate::{lower, ExecOptions, ExecStrategy, LocalStaticVm, LoweringOptions, PcMachine};
 
     /// Halves its input, counting evaluations and cost-model queries.
     #[derive(Debug, Default)]
@@ -400,9 +453,12 @@ mod tests {
         }
     }
 
-    /// ROADMAP 2(a), for the cost model: an untraced run never asks a
-    /// kernel what it costs; a traced one asks once per evaluation (one
-    /// flops and one parallelism query), and both compute the same bits.
+    /// ROADMAP 2(a), for the cost model: under a fixed strategy an
+    /// untraced run never asks a kernel what it costs and a traced one
+    /// asks once per evaluation (one flops and one parallelism query).
+    /// `Adaptive` asks once more per primitive it has not seen — this
+    /// program has one external call site — and never again, traced or
+    /// not; every run computes the same bits.
     #[test]
     fn an_untraced_run_prices_nothing() {
         // n = number of halvings until x <= 1: divergent trip counts.
@@ -439,37 +495,48 @@ mod tests {
             )
         };
 
-        let vm = LocalStaticVm::new(&program, registry.clone(), ExecOptions::default());
-        let run_machine = |trace: Option<&mut Trace>| {
-            let mut m = PcMachine::new(&lowered, registry.clone(), ExecOptions::default());
-            for b in 0..4 {
-                m.admit(&[x0.gather_rows(&[b]).unwrap()], b as u64, None)
-                    .unwrap();
-            }
-            let mut done = m.run_to_completion(trace).unwrap();
-            done.sort_by_key(|r| r.ticket);
-            let rows: Vec<Tensor> = done.into_iter().map(|r| r.outputs[0].clone()).collect();
-            Tensor::concat_rows(&rows).unwrap()
-        };
+        for (strategy, profiling) in [
+            (ExecStrategy::Masking, 0),
+            (ExecStrategy::GatherScatter, 0),
+            (ExecStrategy::Adaptive, 2),
+        ] {
+            let opts = ExecOptions {
+                strategy,
+                ..ExecOptions::default()
+            };
+            let vm = LocalStaticVm::new(&program, registry.clone(), opts);
+            let run_machine = |trace: Option<&mut Trace>| {
+                let mut m = PcMachine::new(&lowered, registry.clone(), opts);
+                for b in 0..4 {
+                    m.admit(&[x0.gather_rows(&[b]).unwrap()], b as u64, None)
+                        .unwrap();
+                }
+                let mut done = m.run_to_completion(trace).unwrap();
+                done.sort_by_key(|r| r.ticket);
+                let rows: Vec<Tensor> = done.into_iter().map(|r| r.outputs[0].clone()).collect();
+                Tensor::concat_rows(&rows).unwrap()
+            };
 
-        let plain = vm.run(std::slice::from_ref(&x0), None).unwrap();
-        assert_eq!(plain[0].as_i64().unwrap(), &[4, 1, 6, 0]);
-        let (evals, priced) = counts();
-        assert!(evals > 0);
-        assert_eq!(priced, 0, "untraced LocalStaticVm queried the cost model");
-        let mut trace = Trace::new(Backend::hybrid_cpu());
-        let traced = vm.run(std::slice::from_ref(&x0), Some(&mut trace)).unwrap();
-        assert_eq!(traced, plain);
-        assert_eq!(counts(), (evals, 2 * evals));
+            let plain = vm.run(std::slice::from_ref(&x0), None).unwrap();
+            assert_eq!(plain[0].as_i64().unwrap(), &[4, 1, 6, 0]);
+            let (evals, priced) = counts();
+            assert!(evals > 0);
+            assert_eq!(priced, profiling, "untraced LocalStaticVm, {strategy:?}");
+            let mut trace = Trace::new(Backend::hybrid_cpu());
+            let traced = vm.run(std::slice::from_ref(&x0), Some(&mut trace)).unwrap();
+            assert_eq!(traced, plain);
+            assert_eq!(counts(), (evals, 2 * evals + profiling), "{strategy:?}");
 
-        let plain = run_machine(None);
-        assert_eq!(plain.as_i64().unwrap(), &[4, 1, 6, 0]);
-        let (evals, priced) = counts();
-        assert!(evals > 0);
-        assert_eq!(priced, 0, "untraced PcMachine queried the cost model");
-        let mut trace = Trace::new(Backend::hybrid_cpu());
-        assert_eq!(run_machine(Some(&mut trace)), plain);
-        assert_eq!(counts(), (evals, 2 * evals));
-        assert_eq!(trace.useful_count("halve"), 11, "4 + 1 + 6 halvings");
+            let plain = run_machine(None);
+            assert_eq!(plain.as_i64().unwrap(), &[4, 1, 6, 0]);
+            let (evals, priced) = counts();
+            assert!(evals > 0);
+            assert_eq!(priced, profiling, "untraced PcMachine, {strategy:?}");
+            // The machine's profiling superstep shares the trace's query.
+            let mut trace = Trace::new(Backend::hybrid_cpu());
+            assert_eq!(run_machine(Some(&mut trace)), plain);
+            assert_eq!(counts(), (evals, 2 * evals), "{strategy:?}");
+            assert_eq!(trace.useful_count("halve"), 11, "4 + 1 + 6 halvings");
+        }
     }
 }

@@ -2,6 +2,7 @@
 //! deeply divergent control flow, and degenerate batches — run through
 //! the full lowering + both runtimes and checked against solo execution.
 
+use autobatch_accel::{Backend, Trace};
 use autobatch_core::{
     lower, ExecOptions, ExecStrategy, KernelRegistry, LocalStaticVm, LoweringOptions, PcVm,
 };
@@ -9,27 +10,48 @@ use autobatch_ir::build::ProgramBuilder;
 use autobatch_ir::{lsab, Prim, Var};
 use autobatch_tensor::Tensor;
 
+/// Every strategy on both runtimes (and both lowerings) against the
+/// masked local-static run; the program-counter runs must also take the
+/// same supersteps whatever the strategy.
 fn all_runtimes_agree(p: &lsab::Program, inputs: &[Tensor]) -> Vec<Tensor> {
-    let lsab_vm = LocalStaticVm::new(p, KernelRegistry::new(), ExecOptions::default());
-    let reference = lsab_vm.run(inputs, None).expect("lsab runs");
-    for lopts in [LoweringOptions::default(), LoweringOptions::unoptimized()] {
-        let (pc, _) = lower(p, lopts).expect("lowers");
-        let vm = PcVm::new(&pc, KernelRegistry::new(), ExecOptions::default());
-        assert_eq!(
-            vm.run(inputs, None).expect("pc runs"),
-            reference,
-            "{lopts:?}"
-        );
-    }
-    let gs = LocalStaticVm::new(
-        p,
-        KernelRegistry::new(),
-        ExecOptions {
-            strategy: ExecStrategy::GatherScatter,
+    let masked = ExecOptions {
+        strategy: ExecStrategy::Masking,
+        ..ExecOptions::default()
+    };
+    let reference = LocalStaticVm::new(p, KernelRegistry::new(), masked)
+        .run(inputs, None)
+        .expect("lsab runs");
+    let lowered = [LoweringOptions::default(), LoweringOptions::unoptimized()]
+        .map(|lopts| (lopts, lower(p, lopts).expect("lowers").0));
+    let mut supersteps = Vec::new();
+    for strategy in [
+        ExecStrategy::Masking,
+        ExecStrategy::GatherScatter,
+        ExecStrategy::Adaptive,
+    ] {
+        let opts = ExecOptions {
+            strategy,
             ..ExecOptions::default()
-        },
-    );
-    assert_eq!(gs.run(inputs, None).expect("gather runs"), reference);
+        };
+        let lsab_vm = LocalStaticVm::new(p, KernelRegistry::new(), opts);
+        assert_eq!(
+            lsab_vm.run(inputs, None).expect("lsab runs"),
+            reference,
+            "lsab {strategy:?}"
+        );
+        for (lopts, pc) in &lowered {
+            let mut trace = Trace::new(Backend::hybrid_cpu());
+            let out = PcVm::new(pc, KernelRegistry::new(), opts)
+                .run(inputs, Some(&mut trace))
+                .expect("pc runs");
+            assert_eq!(out, reference, "pc {strategy:?} {lopts:?}");
+            supersteps.push((*lopts, trace.supersteps()));
+        }
+    }
+    for (lopts, steps) in &supersteps[2..] {
+        let (_, masked_steps) = supersteps.iter().find(|(l, _)| l == lopts).expect("ran");
+        assert_eq!(steps, masked_steps, "supersteps under {lopts:?}");
+    }
     reference
 }
 

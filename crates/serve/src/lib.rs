@@ -1496,9 +1496,12 @@ mod tests {
             },
             AdmissionPolicy::DrainAndRefill { max_batch: 4 },
         ] {
-            let mut server =
-                BatchServer::new(&pc, KernelRegistry::new(), ExecOptions::default(), policy)
-                    .unwrap();
+            // A simulated-time ordering: priced the way the paper runs.
+            let opts = ExecOptions {
+                strategy: autobatch_core::ExecStrategy::Masking,
+                ..ExecOptions::default()
+            };
+            let mut server = BatchServer::new(&pc, KernelRegistry::new(), opts, policy).unwrap();
             for r in fib_requests(&ns) {
                 server.submit(r).unwrap();
             }

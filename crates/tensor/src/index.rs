@@ -39,6 +39,23 @@ macro_rules! per_dtype {
     };
 }
 
+/// Append the rows of `src` at `indices` (each `rl` elements, indices
+/// already bounds-checked) to `out`, which holds the same dtype.
+fn append_rows(src: &Data, indices: &[usize], rl: usize, out: &mut Data) {
+    fn go<T: Copy>(v: &[T], indices: &[usize], rl: usize, out: &mut Vec<T>) {
+        out.reserve_exact(indices.len() * rl);
+        for &i in indices {
+            out.extend_from_slice(&v[i * rl..(i + 1) * rl]);
+        }
+    }
+    match (src, out) {
+        (Data::F64(v), Data::F64(o)) => go(v, indices, rl, o),
+        (Data::I64(v), Data::I64(o)) => go(v, indices, rl, o),
+        (Data::Bool(v), Data::Bool(o)) => go(v, indices, rl, o),
+        _ => unreachable!("callers pass storage of the source's dtype"),
+    }
+}
+
 impl Tensor {
     /// Overwrite the rows of `self` where `mask` is `true` with the
     /// corresponding rows of `src`.
@@ -115,43 +132,48 @@ impl Tensor {
     ///
     /// Returns an error for rank-0 tensors or out-of-range indices.
     pub fn gather_rows(&self, indices: &[usize]) -> Result<Tensor> {
-        let rl = row_len(self)?;
-        let rows = self.shape()[0];
+        let rl = self.gatherable_row_len(indices)?;
         let mut out_shape = self.shape().to_vec();
         out_shape[0] = indices.len();
-        for &i in indices {
-            if i >= rows {
-                return Err(TensorError::IndexOutOfBounds {
-                    index: i,
-                    len: rows,
-                    op: "gather_rows",
-                });
-            }
-        }
-        let data = match self.data() {
-            Data::F64(v) => {
-                let mut out = Vec::with_capacity(indices.len() * rl);
-                for &i in indices {
-                    out.extend_from_slice(&v[i * rl..(i + 1) * rl]);
-                }
-                Data::F64(out)
-            }
-            Data::I64(v) => {
-                let mut out = Vec::with_capacity(indices.len() * rl);
-                for &i in indices {
-                    out.extend_from_slice(&v[i * rl..(i + 1) * rl]);
-                }
-                Data::I64(out)
-            }
-            Data::Bool(v) => {
-                let mut out = Vec::with_capacity(indices.len() * rl);
-                for &i in indices {
-                    out.extend_from_slice(&v[i * rl..(i + 1) * rl]);
-                }
-                Data::Bool(out)
-            }
-        };
+        let mut data = Data::zeros(self.dtype(), 0);
+        append_rows(self.data(), indices, rl, &mut data);
         Tensor::new(data, &out_shape)
+    }
+
+    /// [`Tensor::gather_rows`] into `out` instead of a fresh tensor: the
+    /// shape and payload allocations `out` already holds are reused
+    /// when nothing shares them, so an interpreter that gathers every
+    /// superstep into the same scratch tensors stops allocating once
+    /// they have grown to the widest gather. Whatever `out` held is
+    /// discarded.
+    ///
+    /// # Errors
+    ///
+    /// As [`Tensor::gather_rows`]; `out` is untouched on error.
+    pub fn gather_rows_into(&self, indices: &[usize], out: &mut Tensor) -> Result<()> {
+        let rl = self.gatherable_row_len(indices)?;
+        append_rows(
+            self.data(),
+            indices,
+            rl,
+            out.reset_rows(indices.len(), self),
+        );
+        Ok(())
+    }
+
+    /// The row length of `self`, once every index is known to name one
+    /// of its rows.
+    fn gatherable_row_len(&self, indices: &[usize]) -> Result<usize> {
+        let rl = row_len(self)?;
+        let rows = self.shape()[0];
+        match indices.iter().find(|&&i| i >= rows) {
+            Some(&index) => Err(TensorError::IndexOutOfBounds {
+                index,
+                len: rows,
+                op: "gather_rows",
+            }),
+            None => Ok(rl),
+        }
     }
 
     /// Scatter the rows of `src` into `self` at the given axis-0 indices:
@@ -638,6 +660,38 @@ mod tests {
             .scatter_at_depth(&[1, 0, 1], &[true, true, false], &src)
             .unwrap();
         assert_eq!(stack.as_f64().unwrap(), &[0.0, 8.0, 2.0, 7.0, 11.0, 12.0]);
+    }
+
+    #[test]
+    fn gather_rows_into_equals_gather_rows_whatever_out_held() {
+        let t = Tensor::from_f64(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[3, 2]).unwrap();
+        let flags = Tensor::from_bool(&[true, false, true], &[3]).unwrap();
+        // Reused across shapes, dtypes and ranks, and while shared.
+        let mut out = Tensor::zeros(crate::DType::I64, &[0]);
+        for (src, idx) in [
+            (&t, &[2usize, 0][..]),
+            (&t, &[1][..]),
+            (&flags, &[0, 0, 1][..]),
+            (&t, &[][..]),
+        ] {
+            src.gather_rows_into(idx, &mut out).unwrap();
+            assert_eq!(out, src.gather_rows(idx).unwrap());
+        }
+        t.gather_rows_into(&[0, 2], &mut out).unwrap();
+        let held = out.clone();
+        t.gather_rows_into(&[1], &mut out).unwrap();
+        assert_eq!(held.as_f64().unwrap(), &[1.0, 2.0, 5.0, 6.0]);
+        assert_eq!(out.as_f64().unwrap(), &[3.0, 4.0]);
+        // An unshared buffer of the right dtype is written in place.
+        let before = out.as_f64().unwrap().as_ptr();
+        t.gather_rows_into(&[2], &mut out).unwrap();
+        assert_eq!(out.as_f64().unwrap().as_ptr(), before);
+        // Errors leave `out` alone.
+        assert!(t.gather_rows_into(&[3], &mut out).is_err());
+        assert!(Tensor::scalar(1.0)
+            .gather_rows_into(&[0], &mut out)
+            .is_err());
+        assert_eq!(out.as_f64().unwrap(), &[5.0, 6.0]);
     }
 
     #[test]

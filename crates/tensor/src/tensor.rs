@@ -229,6 +229,37 @@ impl Tensor {
         }
     }
 
+    /// Turn `self` into an empty-payload tensor that will hold `rows`
+    /// rows shaped like `like`'s, keeping the shape and payload
+    /// allocations when nobody shares them and the dtype matches. The
+    /// caller must append exactly `rows` rows to the returned storage
+    /// before the tensor is read.
+    pub(crate) fn reset_rows(&mut self, rows: usize, like: &Tensor) -> &mut Data {
+        match Arc::get_mut(&mut self.shape) {
+            Some(shape) if shape.len() == like.rank() => {
+                shape.copy_from_slice(like.shape());
+                shape[0] = rows;
+            }
+            _ => {
+                let mut shape = like.shape().to_vec();
+                shape[0] = rows;
+                self.shape = Arc::from(shape);
+            }
+        }
+        let reusable =
+            Arc::get_mut(&mut self.data).is_some_and(|data| data.dtype() == like.dtype());
+        if !reusable {
+            self.data = Arc::new(Data::zeros(like.dtype(), 0));
+        }
+        let data = Arc::get_mut(&mut self.data).expect("unshared: checked or just built");
+        match data {
+            Data::F64(v) => v.clear(),
+            Data::I64(v) => v.clear(),
+            Data::Bool(v) => v.clear(),
+        }
+        data
+    }
+
     /// Borrow the payload as `&[f64]`.
     ///
     /// # Errors

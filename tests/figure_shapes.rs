@@ -6,6 +6,7 @@
 use std::sync::Arc;
 
 use autobatch::accel::{Backend, Trace};
+use autobatch::core::{BlockHeuristic, ExecOptions, ExecStrategy};
 use autobatch::models::{CorrelatedGaussian, LogisticRegression, Model, PricedAs};
 use autobatch::nuts::{BatchNuts, NativeNuts, NutsConfig};
 use autobatch::tensor::CounterRng;
@@ -25,13 +26,24 @@ fn nuts_fixture() -> (BatchNuts, Arc<dyn Model>) {
     (BatchNuts::new(model.clone(), cfg).expect("builds"), model)
 }
 
+/// The paper's figures are reproduced the way the paper ran them:
+/// masked (its §2 choice), whatever this repository's default is — the
+/// default gathers low-occupancy gradient blocks, which by construction
+/// reports no wasted gradient lanes there.
+fn paper_options(nuts: &BatchNuts) -> ExecOptions {
+    ExecOptions {
+        strategy: ExecStrategy::Masking,
+        ..nuts.exec_options()
+    }
+}
+
 fn starts(z: usize, d: usize) -> autobatch::tensor::Tensor {
     CounterRng::new(55).normal_batch(&(0..z as i64).collect::<Vec<_>>(), &[d])
 }
 
 fn pc_rate(nuts: &BatchNuts, backend: Backend, z: usize, d: usize) -> f64 {
     let mut tr = Trace::new(backend);
-    let mut opts = nuts.exec_options();
+    let mut opts = paper_options(nuts);
     opts.stack_depth = 64;
     nuts.run_pc_opts(&starts(z, d), Some(&mut tr), opts)
         .expect("runs");
@@ -40,7 +52,8 @@ fn pc_rate(nuts: &BatchNuts, backend: Backend, z: usize, d: usize) -> f64 {
 
 fn lsab_rate(nuts: &BatchNuts, backend: Backend, z: usize, d: usize) -> f64 {
     let mut tr = Trace::new(backend);
-    nuts.run_local(&starts(z, d), Some(&mut tr)).expect("runs");
+    nuts.run_local_opts(&starts(z, d), Some(&mut tr), paper_options(nuts))
+        .expect("runs");
     tr.useful_count("grad") as f64 / tr.sim_time()
 }
 
@@ -153,12 +166,12 @@ fn fig5_gpu_dominates_at_large_batch_and_hybrid_wins_asymptotically() {
         priced.useful_count("grad") as f64 / priced.sim_time()
     };
     let mut tr_pc = Trace::recording(Backend::xla_cpu());
-    let mut opts = nuts.exec_options();
+    let mut opts = paper_options(&nuts);
     opts.stack_depth = 64;
     nuts.run_pc_opts(&starts(z, d), Some(&mut tr_pc), opts)
         .expect("runs");
     let mut tr_hy = Trace::recording(Backend::hybrid_cpu());
-    nuts.run_local(&starts(z, d), Some(&mut tr_hy))
+    nuts.run_local_opts(&starts(z, d), Some(&mut tr_hy), paper_options(&nuts))
         .expect("runs");
 
     let pc_asym = asymptotic_rate(&tr_pc, Backend::xla_cpu());
@@ -184,9 +197,11 @@ fn fig6_pc_utilization_dominates_lsab() {
     for z in [4usize, 16, 48] {
         let q0 = starts(z, 24);
         let mut tr_local = Trace::new(Backend::eager_cpu());
-        nuts.run_local(&q0, Some(&mut tr_local)).expect("lsab");
+        nuts.run_local_opts(&q0, Some(&mut tr_local), paper_options(&nuts))
+            .expect("lsab");
         let mut tr_pc = Trace::new(Backend::xla_cpu());
-        nuts.run_pc(&q0, Some(&mut tr_pc)).expect("pc");
+        nuts.run_pc_opts(&q0, Some(&mut tr_pc), paper_options(&nuts))
+            .expect("pc");
         let (ul, up) = (tr_local.utilization("grad"), tr_pc.utilization("grad"));
         assert!(
             up > ul,
@@ -217,14 +232,13 @@ fn fig6_long_chain_utilization_depends_on_block_heuristic() {
         let model = Arc::new(CorrelatedGaussian::new(16, 0.8));
         let nuts = BatchNuts::new(model, cfg(n_traj)).expect("builds");
         let mut tr = Trace::new(Backend::xla_cpu());
-        let opts = autobatch::core::ExecOptions {
+        let opts = ExecOptions {
             heuristic,
-            ..nuts.exec_options()
+            ..paper_options(&nuts)
         };
         nuts.run_pc_opts(&q0, Some(&mut tr), opts).expect("pc");
         tr.utilization("grad")
     };
-    use autobatch::core::BlockHeuristic;
     let (e_short, e_long) = (
         util(2, BlockHeuristic::EarliestBlock),
         util(16, BlockHeuristic::EarliestBlock),
@@ -264,7 +278,9 @@ fn ablation_dynamic_recovers_more_batching_than_lsab() {
     let nuts = BatchNuts::new(model, cfg).expect("builds");
     let q0 = starts(16, 25);
     let mut tr_local = Trace::new(Backend::eager_cpu());
-    let out_local = nuts.run_local(&q0, Some(&mut tr_local)).expect("lsab");
+    let out_local = nuts
+        .run_local_opts(&q0, Some(&mut tr_local), paper_options(&nuts))
+        .expect("lsab");
     let mut tr_dyn = Trace::new(Backend::eager_cpu());
     let out_dyn = nuts.run_dynamic(&q0, Some(&mut tr_dyn)).expect("dynamic");
     assert_eq!(out_local, out_dyn, "architectures agree exactly");
@@ -290,7 +306,8 @@ fn fig6_utilization_decays_from_one() {
     let mut last = f64::INFINITY;
     for z in [1usize, 8, 32] {
         let mut tr = Trace::new(Backend::xla_cpu());
-        nuts.run_pc(&starts(z, 24), Some(&mut tr)).expect("pc");
+        nuts.run_pc_opts(&starts(z, 24), Some(&mut tr), paper_options(&nuts))
+            .expect("pc");
         let u = tr.utilization("grad");
         if z == 1 {
             assert!((u - 1.0).abs() < 1e-12, "single member wastes nothing");

@@ -4,7 +4,7 @@
 //! only, so nothing else pins what the accelerator cost model charges. This suite hashes the whole [`Trace`] — simulated
 //! time, launch and superstep counts, and every per-kernel row of both
 //! the priced and the logical table — over three programs × the four
-//! runtimes × both execution strategies × fusion on/off × stack-top
+//! runtimes × both fixed execution strategies × fusion on/off × stack-top
 //! caching on/off × an eager, a compiled and a hybrid backend. A change
 //! that only moves the pricing code around must leave every constant
 //! below untouched, in the dev and the release profile alike (f64
@@ -13,7 +13,8 @@
 //!
 //! Each constant folds the 24 configurations of one (program, runtime)
 //! pair; on a mismatch the per-configuration digests are printed so two
-//! commits can be diffed line by line.
+//! commits can be diffed line by line. The default strategy, which
+//! chooses between the two per superstep, has a second table of its own.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -227,13 +228,17 @@ fn run(w: &Workload, runtime: &str, opts: ExecOptions, trace: &mut Trace) {
     }
 }
 
-/// Per-configuration digests of one (program, runtime) pair, in a fixed
-/// order, and their fold.
-fn pair_digest(w: &Workload, runtime: &str) -> (u64, Vec<(String, u64)>) {
+/// Per-configuration digests of one (program, runtime) pair under the
+/// given strategies, in a fixed order, and their fold.
+fn pair_digest(
+    w: &Workload,
+    runtime: &str,
+    strategies: &[ExecStrategy],
+) -> (u64, Vec<(String, u64)>) {
     let keys = w.logical_keys();
     let mut rows = Vec::new();
     let mut fold = FNV_OFFSET;
-    for strategy in [ExecStrategy::Masking, ExecStrategy::GatherScatter] {
+    for &strategy in strategies {
         for fuse in [true, false] {
             for cache in [true, false] {
                 for backend in [
@@ -287,13 +292,53 @@ const GOLDEN: [[u64; 4]; 3] = [
     ],
 ];
 
+/// The same folds under [`ExecStrategy::Adaptive`] alone (12
+/// configurations each), kept apart so that the default strategy's
+/// prices are pinned without moving a constant above. What is pinned
+/// here beyond the cost model is the *choice*: which supersteps gather
+/// is a comparison of f64 products and must come out the same in the
+/// dev and the release profile. (The dynamic runtime has no strategy;
+/// its row is the masked prices again.)
+const ADAPTIVE_GOLDEN: [[u64; 4]; 3] = [
+    [
+        0x460e_730b_6807_26e8,
+        0xfc55_64ed_8072_7cb3,
+        0xfde8_c644_9c5d_47e5,
+        0x03e9_3a51_c1bf_ee95,
+    ],
+    [
+        0xd194_c3d8_bc63_6e76,
+        0xa58d_bf3c_1ead_8066,
+        0xff11_9f2a_a22c_9ff1,
+        0x4f27_9e68_87de_3cbd,
+    ],
+    [
+        0xb23b_cf23_7b47_2b0c,
+        0x9109_79f1_724a_b7d6,
+        0xd570_b937_2f1b_b1b9,
+        0x0ba5_0ad3_3cf5_2d21,
+    ],
+];
+
 #[test]
 fn prices_are_bit_identical_to_the_characterised_parent() {
+    check(
+        &[ExecStrategy::Masking, ExecStrategy::GatherScatter],
+        GOLDEN,
+    );
+}
+
+#[test]
+fn adaptive_prices_and_choices_are_pinned_apart_from_the_fixed_arms() {
+    check(&[ExecStrategy::Adaptive], ADAPTIVE_GOLDEN);
+}
+
+fn check(strategies: &[ExecStrategy], golden: [[u64; 4]; 3]) {
     let mut report = String::new();
     let mut drifted = Vec::new();
-    for (w, golden) in workloads().iter().zip(GOLDEN) {
+    for (w, golden) in workloads().iter().zip(golden) {
         for (runtime, want) in RUNTIMES.into_iter().zip(golden) {
-            let (got, rows) = pair_digest(w, runtime);
+            let (got, rows) = pair_digest(w, runtime, strategies);
             report.push_str(&format!("{}/{runtime}: {got:#018x}\n", w.name));
             for (label, d) in rows {
                 report.push_str(&format!("    {label}: {d:#018x}\n"));

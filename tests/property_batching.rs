@@ -174,6 +174,13 @@ fn random_program(seed: u64) -> lsab::Program {
     pb.finish(main).expect("generated program is well-formed")
 }
 
+/// The strategy axis; the masked arm first, as the reference.
+const STRATEGIES: [ExecStrategy; 3] = [
+    ExecStrategy::Masking,
+    ExecStrategy::GatherScatter,
+    ExecStrategy::Adaptive,
+];
+
 fn run_lsab(p: &lsab::Program, inputs: &[Tensor], strategy: ExecStrategy) -> Vec<Tensor> {
     let opts = ExecOptions {
         strategy,
@@ -347,7 +354,7 @@ proptest! {
             singles.push(out[0].as_f64().expect("f64 out")[0]);
         }
 
-        // Batch under local static autobatching (both strategies).
+        // Batch under local static autobatching (every strategy).
         let batch = run_lsab(&p, &inputs, ExecStrategy::Masking);
         let batch_v = batch[0].as_f64().expect("f64 out");
         for b in 0..z {
@@ -355,6 +362,8 @@ proptest! {
         }
         let gather = run_lsab(&p, &inputs, ExecStrategy::GatherScatter);
         prop_assert_eq!(&batch, &gather, "gather/scatter strategy agrees");
+        let adaptive = run_lsab(&p, &inputs, ExecStrategy::Adaptive);
+        prop_assert_eq!(&batch, &adaptive, "per-primitive mask-or-gather agrees");
 
         // Program-counter autobatching under every lowering config.
         for lopts in [
@@ -389,8 +398,10 @@ proptest! {
     ) {
         // The paper's §2 claim: any non-starving block-selection
         // heuristic is correct, under either primitive execution
-        // strategy — and not just "correct" but bit-identical, because
-        // each member's per-lane computation is untouched by scheduling.
+        // strategy or a per-superstep mix of the two — and not just
+        // "correct" but bit-identical, because each member's per-lane
+        // computation is untouched by scheduling. The strategy cannot
+        // change the schedule either: same heuristic, same supersteps.
         let z = xs.len().min(ns.len());
         let xs = &xs[..z];
         let ns = &ns[..z];
@@ -402,11 +413,15 @@ proptest! {
         ];
         let mut outs = Vec::new();
         for heuristic in [BlockHeuristic::EarliestBlock, BlockHeuristic::MostActive] {
-            for strategy in [ExecStrategy::Masking, ExecStrategy::GatherScatter] {
+            let mut masked_steps = None;
+            for strategy in STRATEGIES {
                 let opts = ExecOptions { heuristic, strategy, ..ExecOptions::default() };
+                let mut trace = Trace::new(Backend::hybrid_cpu());
                 let out = PcVm::new(&lowered, KernelRegistry::new(), opts)
-                    .run(&inputs, None)
+                    .run(&inputs, Some(&mut trace))
                     .expect("pc runs");
+                let steps = *masked_steps.get_or_insert(trace.supersteps());
+                prop_assert_eq!(trace.supersteps(), steps, "supersteps under {:?}", strategy);
                 outs.push(((heuristic, strategy), out));
             }
         }
@@ -482,7 +497,7 @@ proptest! {
     fn member_set_edits_cannot_perturb_results(
         seed in any::<u64>(),
         schedule_seed in any::<u64>(),
-        gather in any::<bool>(),
+        strategy in 0usize..3,
         cache_stack_tops in any::<bool>(),
     ) {
         // The member set changes four ways — admission, retirement,
@@ -494,7 +509,7 @@ proptest! {
         let p = random_program(seed);
         let (lowered, _) = lower(&p, LoweringOptions::default()).expect("lowers");
         let opts = ExecOptions {
-            strategy: if gather { ExecStrategy::GatherScatter } else { ExecStrategy::Masking },
+            strategy: STRATEGIES[strategy],
             cache_stack_tops,
             ..ExecOptions::default()
         };
@@ -832,7 +847,7 @@ proptest! {
             Tensor::from_i64(&ns[..z], &[z]).expect("n input"),
         ];
         let (lowered, _) = lower(&p, LoweringOptions::default()).expect("lowers");
-        for strategy in [ExecStrategy::Masking, ExecStrategy::GatherScatter] {
+        for strategy in STRATEGIES {
             for heuristic in [BlockHeuristic::EarliestBlock, BlockHeuristic::MostActive] {
                 let run = |fuse: bool| {
                     let opts = ExecOptions {

@@ -120,7 +120,7 @@ proptest! {
         let inputs = materialize(&g.inputs, seed);
         let defaults = ExecOptions::default();
         let mut runs: Vec<(String, Result<Vec<Tensor>, VmError>)> = Vec::new();
-        for strategy in [ExecStrategy::Masking, ExecStrategy::GatherScatter] {
+        for strategy in [ExecStrategy::Masking, ExecStrategy::GatherScatter, ExecStrategy::Adaptive] {
             let opts = ExecOptions { strategy, ..ExecOptions::default() };
             runs.push((
                 format!("lsab/{strategy:?}"),
