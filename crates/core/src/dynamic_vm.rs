@@ -46,6 +46,7 @@ use autobatch_ir::lsab::{Op, Program, Terminator};
 use autobatch_ir::{Prim, Var};
 use autobatch_tensor::{CounterRng, Tensor};
 
+use crate::batch::{batch_size, lookup};
 use crate::error::{Result, VmError};
 use crate::kernels::{eval_prim, KernelRegistry};
 use crate::options::{DynSchedule, ExecOptions};
@@ -324,7 +325,7 @@ impl<'p> DynamicVm<'p> {
                     Op::Prim { outs, prim, ins } => {
                         let ins = ins
                             .iter()
-                            .map(|v| lookup(&frame.env, v, &f.name))
+                            .map(|v| lookup(frame.env.get(v), v, &f.name))
                             .collect::<Result<Vec<_>>>()?;
                         th.pending = Some(PrimRequest {
                             prim: prim.clone(),
@@ -337,7 +338,7 @@ impl<'p> DynamicVm<'p> {
                         let g = &self.program.funcs[callee.0];
                         let mut env = BTreeMap::new();
                         for (p, a) in g.params.iter().zip(ins) {
-                            env.insert(p.clone(), lookup(&frame.env, a, &f.name)?);
+                            env.insert(p.clone(), lookup(frame.env.get(a), a, &f.name)?);
                         }
                         frame.call_outs = Some(outs.clone());
                         if th.frames.len() >= self.opts.max_host_depth {
@@ -361,7 +362,7 @@ impl<'p> DynamicVm<'p> {
                         frame.op = 0;
                     }
                     Terminator::Branch { cond, then_, else_ } => {
-                        let c = lookup(&frame.env, cond, &f.name)?;
+                        let c = lookup(frame.env.get(cond), cond, &f.name)?;
                         let taken = c.as_bool()?[0];
                         frame.block = if taken { then_.0 } else { else_.0 };
                         frame.op = 0;
@@ -370,7 +371,7 @@ impl<'p> DynamicVm<'p> {
                         let rets: Vec<Tensor> = f
                             .outputs
                             .iter()
-                            .map(|o| lookup(&frame.env, o, &f.name))
+                            .map(|o| lookup(frame.env.get(o), o, &f.name))
                             .collect::<Result<_>>()?;
                         th.frames.pop();
                         match th.frames.last_mut() {
@@ -450,33 +451,6 @@ fn signature(prim: &Prim, ins: &[Tensor]) -> String {
         let _ = write!(s, "|{:?}{:?}", t.dtype(), &t.shape()[1..]);
     }
     s
-}
-
-fn batch_size(inputs: &[Tensor]) -> Result<usize> {
-    let first = inputs.first().ok_or_else(|| VmError::BadInputs {
-        what: "no inputs".into(),
-    })?;
-    if first.rank() == 0 {
-        return Err(VmError::BadInputs {
-            what: "inputs must have a leading batch dimension".into(),
-        });
-    }
-    let z = first.shape()[0];
-    for t in inputs {
-        if t.rank() == 0 || t.shape()[0] != z {
-            return Err(VmError::BadInputs {
-                what: format!("inconsistent batch sizes: {} vs {}", z, t.shape()[0]),
-            });
-        }
-    }
-    Ok(z)
-}
-
-fn lookup(env: &BTreeMap<Var, Tensor>, v: &Var, context: &str) -> Result<Tensor> {
-    env.get(v).cloned().ok_or_else(|| VmError::Unbound {
-        var: v.clone(),
-        context: context.to_string(),
-    })
 }
 
 #[cfg(test)]

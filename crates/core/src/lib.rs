@@ -26,8 +26,18 @@
 //!
 //! # Performance architecture
 //!
-//! The program-counter interpreter's superstep loop keeps its
-//! bookkeeping allocation-free in the steady state: each machine owns
+//! Algorithm 2 is one loop, and `pc_vm` holds it once: binding inputs
+//! to fresh lanes, choosing the next block against the superstep
+//! limit, and running a block are three private functions that the
+//! one-shot [`PcVm::run`] and the incremental [`PcMachine`] both drive,
+//! and inside a superstep the member set, the scratch arena and the
+//! price travel as one borrowed context. What the static runtimes
+//! decide alike — block selection, batch-width validation, how a
+//! masked or gathered result lands in a full-width buffer — lives once
+//! in `batch`, which [`LocalStaticVm`] calls too.
+//!
+//! That loop keeps its bookkeeping allocation-free in the steady
+//! state: whoever drives it owns
 //! a scratch arena (active mask, active-index list, member keys, pop
 //! depths, block-local temporaries, and the buffers a gathered
 //! superstep copies its operands' active rows into) that is cleared
@@ -51,6 +61,7 @@
 #![warn(missing_debug_implementations)]
 
 mod api;
+mod batch;
 mod dynamic_vm;
 mod error;
 mod fusion;

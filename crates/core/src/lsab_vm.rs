@@ -14,12 +14,13 @@ use std::collections::BTreeMap;
 
 use autobatch_accel::Trace;
 use autobatch_ir::lsab::{Op, Program, Terminator};
-use autobatch_ir::{FuncId, Var};
+use autobatch_ir::{FuncId, Prim, Var};
 use autobatch_tensor::{CounterRng, Tensor};
 
+use crate::batch::{batch_size, land, lookup, select_block, Lanes};
 use crate::error::{Result, VmError};
 use crate::kernels::{eval_prim, KernelRegistry};
-use crate::options::{BlockCost, BlockHeuristic, ExecOptions};
+use crate::options::{BlockCost, ExecOptions};
 use crate::pricing::{prim_cost, Pricing};
 
 /// A snapshot handed to an observer after every superstep, carrying the
@@ -63,13 +64,14 @@ pub struct LocalStaticVm<'p> {
     program: &'p Program,
     registry: KernelRegistry,
     opts: ExecOptions,
+    /// The counter-based generator every draw goes through.
+    rng: CounterRng,
     /// Kernel tag of each block's launches, `block:{fn}:{i}`, by
     /// function and block.
     block_tags: Vec<Vec<String>>,
 }
 
 struct Ctx<'a, 'o> {
-    rng: CounterRng,
     trace: Option<&'a mut Trace>,
     observer: Option<&'a mut LsabObserver<'o>>,
     steps: u64,
@@ -77,6 +79,78 @@ struct Ctx<'a, 'o> {
     /// primitive costs: measured on its first execution under
     /// `ExecStrategy::Adaptive`, which runs masked.
     op_costs: Vec<Vec<Vec<Option<BlockCost>>>>,
+}
+
+/// Algorithm 1's state of one function invocation over `Z` members:
+/// the environment, the per-member program counters, and the buffers
+/// its supersteps refill — allocated once per invocation (the
+/// host-recursive runtime cannot share one arena across invocations the
+/// way the program-counter machine does, but the inner loop stays
+/// allocation-free).
+struct Invocation {
+    /// Full-width `[Z, elem..]` value of every variable written so far.
+    env: BTreeMap<Var, Option<Tensor>>,
+    pc: Vec<usize>,
+    /// The locally active set A' of the current superstep: the members
+    /// of the invocation's active set waiting at its block.
+    local: Vec<bool>,
+    local_idx: Vec<usize>,
+    /// Lent to the block-selection heuristic.
+    counts: Vec<usize>,
+}
+
+impl Invocation {
+    fn read(&self, v: &Var, context: &str) -> Result<Tensor> {
+        lookup(self.env.get(v).and_then(Option::as_ref), v, context)
+    }
+
+    /// Write `value` for the locally active members: full width under
+    /// their mask, or — `gathered` — one row for each of them.
+    fn write(&mut self, var: &Var, value: Tensor, gathered: bool) -> Result<()> {
+        let lanes = Lanes {
+            active: &self.local,
+            idx: gathered.then_some(&self.local_idx),
+        };
+        land(self.env.entry(var.clone()).or_default(), value, lanes)
+    }
+
+    /// Execute one primitive under the configured strategy. `cost` is
+    /// the primitive's entry in [`Ctx::op_costs`].
+    fn exec_prim(
+        &mut self,
+        vm: &LocalStaticVm<'_>,
+        pricing: &mut Pricing<'_>,
+        prim: &Prim,
+        outs: &[Var],
+        ins: &[Var],
+        cost: &mut Option<BlockCost>,
+    ) -> Result<()> {
+        let z = self.local.len();
+        let gather = vm.opts.strategy.gathers(*cost, self.local_idx.len(), z);
+        let mut inputs = Vec::with_capacity(ins.len());
+        for v in ins {
+            let t = self.read(v, "prim")?;
+            inputs.push(if gather {
+                t.gather_rows(&self.local_idx)?
+            } else {
+                t
+            });
+        }
+        let members: Vec<u64> = if gather {
+            self.local_idx.iter().map(|&b| b as u64).collect()
+        } else {
+            (0..z as u64).collect()
+        };
+        let results = eval_prim(prim, &inputs, &members, &vm.rng, &vm.registry)?;
+        pricing.op(prim, &inputs, &results, &vm.registry, gather);
+        if vm.opts.strategy.measures(*cost) {
+            *cost = Some(prim_cost(prim, &inputs, &results, &vm.registry).per_member(z));
+        }
+        for (o, r) in outs.iter().zip(results) {
+            self.write(o, r, gather)?;
+        }
+        Ok(())
+    }
 }
 
 impl<'p> LocalStaticVm<'p> {
@@ -95,6 +169,7 @@ impl<'p> LocalStaticVm<'p> {
             program,
             registry,
             opts,
+            rng: CounterRng::new(opts.seed),
             block_tags,
         }
     }
@@ -141,7 +216,6 @@ impl<'p> LocalStaticVm<'p> {
         }
         let z = batch_size(inputs)?;
         let mut ctx = Ctx {
-            rng: CounterRng::new(self.opts.seed),
             trace,
             observer,
             steps: 0,
@@ -170,20 +244,21 @@ impl<'p> LocalStaticVm<'p> {
         let f = self.program.func(fid)?;
         let z = active.len();
         let n_blocks = f.blocks.len();
-        let mut env: BTreeMap<Var, Tensor> = BTreeMap::new();
-        for (p, t) in f.params.iter().zip(&inputs) {
-            env.insert(p.clone(), t.clone());
-        }
-        let mut pc = vec![0usize; z];
-        // Per-invocation scratch for the locally active set: refilled
-        // every superstep, allocated once (the host-recursive runtime
-        // cannot share one arena across invocations the way the
-        // program-counter machine does, but the inner loop stays
-        // allocation-free).
-        let mut local: Vec<bool> = Vec::with_capacity(z);
-        let mut local_idx: Vec<usize> = Vec::with_capacity(z);
-
-        while let Some(i) = select_block(&pc, active, n_blocks, self.opts.heuristic) {
+        let mut inv = Invocation {
+            env: (f.params.iter().cloned())
+                .zip(inputs.into_iter().map(Some))
+                .collect(),
+            pc: vec![0usize; z],
+            local: Vec::with_capacity(z),
+            local_idx: Vec::with_capacity(z),
+            counts: Vec::new(),
+        };
+        while let Some(i) = select_block(
+            (inv.pc.iter().zip(active)).filter_map(|(&pc, &a)| a.then_some(pc)),
+            n_blocks,
+            self.opts.heuristic,
+            &mut inv.counts,
+        ) {
             ctx.steps += 1;
             if ctx.steps > self.opts.max_supersteps {
                 return Err(VmError::StepLimit {
@@ -191,24 +266,23 @@ impl<'p> LocalStaticVm<'p> {
                 });
             }
             // Locally active set A' = members of A waiting at block i.
-            local.clear();
-            local.extend((0..z).map(|b| active[b] && pc[b] == i));
-            local_idx.clear();
-            local_idx.extend((0..z).filter(|&b| local[b]));
+            inv.local.clear();
+            inv.local
+                .extend((0..z).map(|b| active[b] && inv.pc[b] == i));
+            inv.local_idx.clear();
+            inv.local_idx.extend((0..z).filter(|&b| inv.local[b]));
+            let n_local = inv.local_idx.len();
             let tag = &self.block_tags[fid.0][i];
-            let mut pricing = Pricing::begin(ctx.trace.as_deref_mut(), z, local_idx.len());
+            let mut pricing = Pricing::begin(ctx.trace.as_deref_mut(), z, n_local);
             let block = &f.blocks[i];
             for (k, op) in block.ops.iter().enumerate() {
                 match op {
-                    Op::Prim { outs, prim, ins } => self.exec_prim(
-                        &ctx.rng,
+                    Op::Prim { outs, prim, ins } => inv.exec_prim(
+                        self,
                         &mut pricing,
-                        &mut env,
                         prim,
                         outs,
                         ins,
-                        &local,
-                        &local_idx,
                         &mut ctx.op_costs[fid.0][i][k],
                     )?,
                     Op::Call { outs, callee, ins } => {
@@ -217,13 +291,13 @@ impl<'p> LocalStaticVm<'p> {
                         pricing.end_segment(tag);
                         let args: Vec<Tensor> = ins
                             .iter()
-                            .map(|v| lookup(&env, v, &f.name))
+                            .map(|v| inv.read(v, &f.name))
                             .collect::<Result<_>>()?;
-                        let rets = self.run_function(ctx, *callee, args, &local, depth + 1)?;
+                        let rets = self.run_function(ctx, *callee, args, &inv.local, depth + 1)?;
                         for (o, r) in outs.iter().zip(rets) {
-                            write_masked(&mut env, o, r, &local)?;
+                            inv.write(o, r, false)?;
                         }
-                        pricing = Pricing::resume(ctx.trace.as_deref_mut(), z, local_idx.len());
+                        pricing = Pricing::resume(ctx.trace.as_deref_mut(), z, n_local);
                     }
                 }
             }
@@ -231,20 +305,20 @@ impl<'p> LocalStaticVm<'p> {
             // Terminator: update the locally active members' pcs.
             match &block.term {
                 Terminator::Jump(t) => {
-                    for &b in &local_idx {
-                        pc[b] = t.0;
+                    for &b in &inv.local_idx {
+                        inv.pc[b] = t.0;
                     }
                 }
                 Terminator::Branch { cond, then_, else_ } => {
-                    let c = lookup(&env, cond, &f.name)?;
+                    let c = inv.read(cond, &f.name)?;
                     let cv = c.as_bool()?;
-                    for &b in &local_idx {
-                        pc[b] = if cv[b] { then_.0 } else { else_.0 };
+                    for &b in &inv.local_idx {
+                        inv.pc[b] = if cv[b] { then_.0 } else { else_.0 };
                     }
                 }
                 Terminator::Return => {
-                    for &b in &local_idx {
-                        pc[b] = n_blocks;
+                    for &b in &inv.local_idx {
+                        inv.pc[b] = n_blocks;
                     }
                 }
             }
@@ -253,193 +327,19 @@ impl<'p> LocalStaticVm<'p> {
                     func: &f.name,
                     block: i,
                     host_depth: depth,
-                    locally_active: &local,
-                    pc: &pc,
+                    locally_active: &inv.local,
+                    pc: &inv.pc,
                 });
             }
         }
-        f.outputs.iter().map(|o| lookup(&env, o, &f.name)).collect()
+        f.outputs.iter().map(|o| inv.read(o, &f.name)).collect()
     }
-
-    /// Execute one primitive under the configured strategy. `cost` is
-    /// the primitive's entry in [`Ctx::op_costs`].
-    #[allow(clippy::too_many_arguments)]
-    fn exec_prim(
-        &self,
-        rng: &CounterRng,
-        pricing: &mut Pricing<'_>,
-        env: &mut BTreeMap<Var, Tensor>,
-        prim: &autobatch_ir::Prim,
-        outs: &[Var],
-        ins: &[Var],
-        local: &[bool],
-        local_idx: &[usize],
-        cost: &mut Option<BlockCost>,
-    ) -> Result<()> {
-        let z = local.len();
-        let gather = self.opts.strategy.gathers(*cost, local_idx.len(), z);
-        let (inputs, members): (Vec<Tensor>, Vec<u64>) = if gather {
-            let inputs = ins
-                .iter()
-                .map(|v| {
-                    lookup(env, v, "prim").and_then(|t| {
-                        ensure_batched(&t, z)?
-                            .gather_rows(local_idx)
-                            .map_err(VmError::from)
-                    })
-                })
-                .collect::<Result<_>>()?;
-            (inputs, local_idx.iter().map(|&b| b as u64).collect())
-        } else {
-            let inputs = ins
-                .iter()
-                .map(|v| lookup(env, v, "prim"))
-                .collect::<Result<_>>()?;
-            (inputs, (0..z as u64).collect())
-        };
-        let results = eval_prim(prim, &inputs, &members, rng, &self.registry)?;
-        pricing.op(prim, &inputs, &results, &self.registry, gather);
-        if self.opts.strategy.measures(*cost) {
-            *cost = Some(prim_cost(prim, &inputs, &results, &self.registry).per_member(z));
-        }
-        for (o, r) in outs.iter().zip(results) {
-            if gather {
-                write_scattered(env, o, r, local_idx, z)?;
-            } else {
-                write_masked(env, o, r, local)?;
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Earliest-block or most-active block selection over the active members.
-fn select_block(
-    pc: &[usize],
-    active: &[bool],
-    n_blocks: usize,
-    heuristic: BlockHeuristic,
-) -> Option<usize> {
-    match heuristic {
-        BlockHeuristic::EarliestBlock => pc
-            .iter()
-            .zip(active)
-            .filter(|(&p, &a)| a && p < n_blocks)
-            .map(|(&p, _)| p)
-            .min(),
-        BlockHeuristic::MostActive => {
-            let mut counts = vec![0usize; n_blocks];
-            for (&p, &a) in pc.iter().zip(active) {
-                if a && p < n_blocks {
-                    counts[p] += 1;
-                }
-            }
-            counts
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c > 0)
-                .max_by(|(i, a), (j, b)| a.cmp(b).then(j.cmp(i)))
-                .map(|(i, _)| i)
-        }
-    }
-}
-
-fn batch_size(inputs: &[Tensor]) -> Result<usize> {
-    let first = inputs.first().ok_or_else(|| VmError::BadInputs {
-        what: "no inputs".into(),
-    })?;
-    if first.rank() == 0 {
-        return Err(VmError::BadInputs {
-            what: "inputs must have a leading batch dimension".into(),
-        });
-    }
-    let z = first.shape()[0];
-    for t in inputs {
-        if t.rank() == 0 || t.shape()[0] != z {
-            return Err(VmError::BadInputs {
-                what: format!("inconsistent batch sizes: {} vs {}", z, t.shape()[0]),
-            });
-        }
-    }
-    Ok(z)
-}
-
-fn lookup(env: &BTreeMap<Var, Tensor>, v: &Var, context: &str) -> Result<Tensor> {
-    env.get(v).cloned().ok_or_else(|| VmError::Unbound {
-        var: v.clone(),
-        context: context.to_string(),
-    })
-}
-
-/// Masked write of a full-width result: active rows take the new value.
-fn write_masked(
-    env: &mut BTreeMap<Var, Tensor>,
-    var: &Var,
-    value: Tensor,
-    mask: &[bool],
-) -> Result<()> {
-    if value.rank() == 0 || value.shape()[0] != mask.len() {
-        // A kernel (or corrupted program) produced a result whose batch
-        // width disagrees with the batch — refusing here prevents silent
-        // lane corruption.
-        return Err(VmError::BadInputs {
-            what: format!(
-                "`{var}` written with batch width {:?}, expected {}",
-                value.shape(),
-                mask.len()
-            ),
-        });
-    }
-    match env.get_mut(var) {
-        Some(old) if old.shape() == value.shape() && old.dtype() == value.dtype() => {
-            old.masked_assign_rows(mask, &value)?;
-        }
-        _ => {
-            // First write (or a shape/dtype change, which only well-typed
-            // programs avoid; inactive lanes then hold junk, which the
-            // masked semantics never exposes).
-            env.insert(var.clone(), value);
-        }
-    }
-    Ok(())
-}
-
-/// Scattered write of a compacted result (gather/scatter strategy).
-fn write_scattered(
-    env: &mut BTreeMap<Var, Tensor>,
-    var: &Var,
-    value: Tensor,
-    local_idx: &[usize],
-    z: usize,
-) -> Result<()> {
-    let needs_alloc = match env.get(var) {
-        Some(old) => old.dtype() != value.dtype() || old.shape()[1..] != value.shape()[1..],
-        None => true,
-    };
-    if needs_alloc {
-        let mut shape = value.shape().to_vec();
-        shape[0] = z;
-        env.insert(var.clone(), Tensor::zeros(value.dtype(), &shape));
-    }
-    env.get_mut(var)
-        .expect("just ensured present")
-        .scatter_rows(local_idx, &value)?;
-    Ok(())
-}
-
-fn ensure_batched(t: &Tensor, z: usize) -> Result<Tensor> {
-    if t.rank() == 0 || t.shape()[0] != z {
-        return Err(VmError::BadInputs {
-            what: format!("variable not batch-shaped: {:?} for batch {z}", t.shape()),
-        });
-    }
-    Ok(t.clone())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::options::ExecStrategy;
+    use crate::options::{BlockHeuristic, ExecStrategy};
     use autobatch_accel::Backend;
     use autobatch_ir::build::{fibonacci_program, ProgramBuilder};
     use autobatch_ir::Prim;
@@ -630,26 +530,26 @@ mod tests {
 
     #[test]
     fn select_block_heuristics() {
+        use BlockHeuristic::{EarliestBlock, MostActive};
+        let mut counts = vec![9; 3];
+        let mut pick = |pcs: &[usize], h| select_block(pcs.iter().copied(), 8, h, &mut counts);
         let pc = [3, 1, 1, 7];
-        let active = [true, true, true, true];
-        assert_eq!(
-            select_block(&pc, &active, 8, BlockHeuristic::EarliestBlock),
-            Some(1)
-        );
-        assert_eq!(
-            select_block(&pc, &active, 8, BlockHeuristic::MostActive),
-            Some(1)
-        );
+        assert_eq!(pick(&pc, EarliestBlock), Some(1));
+        assert_eq!(pick(&pc, MostActive), Some(1));
+        // Ties go to the earliest block, whatever the lent buffer held.
+        assert_eq!(pick(&[7, 5, 5, 7], MostActive), Some(5));
+        assert_eq!(pick(&[6, 2], MostActive), Some(2));
         // Finished members (pc == n_blocks) are excluded.
-        let done = [8, 8, 8, 8];
-        assert_eq!(
-            select_block(&done, &active, 8, BlockHeuristic::EarliestBlock),
-            None
-        );
-        // Inactive members are ignored entirely.
+        for h in [EarliestBlock, MostActive] {
+            assert_eq!(pick(&[8, 8, 8, 8], h), None);
+            assert_eq!(pick(&[], h), None);
+        }
+        // Inactive members are ignored entirely: their pcs are never
+        // offered.
         let masked = [false, true, false, true];
+        let eligible = (pc.iter().zip(masked)).filter_map(|(&p, a)| a.then_some(p));
         assert_eq!(
-            select_block(&pc, &masked, 8, BlockHeuristic::EarliestBlock),
+            select_block(eligible, 8, EarliestBlock, &mut counts),
             Some(1)
         );
     }

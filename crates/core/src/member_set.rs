@@ -30,12 +30,19 @@
 //! rows as a portable [`LaneState`]. Admission, retirement, extraction
 //! and injection ([`PcMachine`](crate::PcMachine)) are validation plus
 //! these four.
+//!
+//! What a superstep needs beyond its members — the `Scratch` arena of
+//! masks, index lists and per-block memos in `pc_vm` — is not member
+//! state and is not kept here: it belongs to whoever drives the loop (a
+//! `PcMachine`, or one `PcVm::run`), which lends it to each superstep
+//! beside the [`State`]. Nothing in it names a lane across a superstep
+//! edge, so the edits above never have to touch it.
 
 use autobatch_ir::pcab::Program;
 use autobatch_tensor::Tensor;
 
+use crate::batch::{store_rows, zeroed};
 use crate::error::{Result, VmError};
-use crate::pc_vm::Scratch;
 
 /// Storage for one stacked variable: frames below the cached top.
 #[derive(Debug, Clone, Default)]
@@ -78,8 +85,6 @@ pub(crate) struct State {
     pub(crate) spent: Vec<u64>,
     /// Lane → peak resident bytes attributed to the lane so far.
     pub(crate) peak_bytes: Vec<u64>,
-    /// Reused per-superstep buffers; dead between supersteps.
-    pub(crate) scratch: Scratch,
 }
 
 /// One stacked variable's slice of a [`LaneState`]: the lane's frames
@@ -166,31 +171,10 @@ fn check_row(what: &str, row: &Tensor, live: &Tensor, skip: usize) -> Result<()>
     Ok(())
 }
 
-/// Write `rows` (`[lanes.len(), elem..]`) into the given lanes of a
-/// `[z, elem..]` buffer, creating it zeroed if nobody has written it
-/// yet.
-pub(crate) fn store_rows(
-    slot: &mut Option<Tensor>,
-    z: usize,
-    lanes: &[usize],
-    rows: &Tensor,
-) -> Result<()> {
-    let buf = slot.get_or_insert_with(|| zeroed(z, rows));
-    buf.scatter_rows(lanes, rows)?;
-    Ok(())
-}
-
-/// A zeroed `[z, elem..]` buffer for rows like `row` (`[_, elem..]`).
-fn zeroed(z: usize, row: &Tensor) -> Tensor {
-    let mut shape = row.shape().to_vec();
-    shape[0] = z;
-    Tensor::zeros(row.dtype(), &shape)
-}
-
 impl State {
-    /// The state of a fresh batch of `z` members, keyed by lane index.
-    pub(crate) fn new(p: &Program, z: usize) -> State {
-        let mut st = State {
+    /// The member set of `p` with nobody in it yet.
+    pub(crate) fn new(p: &Program) -> State {
+        State {
             z: 0,
             entry: p.entry.0,
             exit: p.blocks.len(),
@@ -203,13 +187,7 @@ impl State {
             next_ticket: 0,
             spent: Vec::new(),
             peak_bytes: Vec::new(),
-            scratch: Scratch::default(),
-        };
-        st.grow(z).expect("an empty state has no buffer to pad");
-        for (key, b) in st.member_keys.iter_mut().zip(0..) {
-            *key = b;
         }
-        st
     }
 
     /// The batch width `Z`: live lanes, running or finished.

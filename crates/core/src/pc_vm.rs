@@ -9,6 +9,29 @@
 //! exactly the property that lets the paper compile it with XLA — and
 //! logical threads at *different stack depths* batch together whenever
 //! their pc tops coincide.
+//!
+//! That loop is written once, as three private functions of [`PcVm`]:
+//! `bind` is Algorithm 2's "PUSH T onto x" (fresh lanes, one per input
+//! row, the rows written into them), `next_block` its loop head (the
+//! block-selection heuristic, and the one place a superstep is counted
+//! against [`ExecOptions::max_supersteps`]) and `run_block` its body
+//! (the block's ops, then its terminator). The two drivers add nothing
+//! to it. The one-shot [`PcVm::run`] binds the whole batch under keys
+//! `0..Z`, loops until nobody is runnable and reads the outputs full
+//! width; it never retires, so `Z` is static throughout, as in the
+//! paper's XLA formulation. The incremental [`PcMachine`] binds in
+//! `admit_batch`, and its `step` is one trip round the loop with the
+//! serving work around it: the injected execution fault between head
+//! and body (after the superstep is counted, before anything is
+//! mutated — which is why they are two calls), runaway lanes, per-lane
+//! budgets and peak bytes after.
+//!
+//! Inside `run_block` everything the block touches — the VM, the
+//! member set, the scratch arena, the superstep's price — travels as
+//! one borrowed context, `Superstep`, and each piece of the block's
+//! execution is a method on it. The arena is lent in place, never
+//! taken out of its owner, so a superstep that fails leaves what the
+//! machine has learned about its blocks where it was.
 
 use std::collections::BTreeMap;
 
@@ -17,11 +40,12 @@ use autobatch_ir::pcab::{Op, Program, Terminator, WriteKind};
 use autobatch_ir::{Prim, Var};
 use autobatch_tensor::{CounterRng, DType, Data, Tensor};
 
+use crate::batch::{batch_size, land, lookup, select_block, store_rows, zeroed, Lanes};
 use crate::error::{Result, VmError};
 use crate::fusion::{self, FusedRegion};
 use crate::kernels::{eval_prim, KernelRegistry};
-use crate::member_set::{store_rows, LaneState, State};
-use crate::options::{BlockCost, BlockHeuristic, ExecOptions};
+use crate::member_set::{LaneState, State};
+use crate::options::{BlockCost, ExecOptions};
 use crate::pricing::Pricing;
 
 /// A point-in-time copy of one stacked variable, for observers (the
@@ -81,6 +105,9 @@ pub struct PcVm<'p> {
     program: &'p Program,
     registry: KernelRegistry,
     opts: ExecOptions,
+    /// The counter-based generator every draw goes through, keyed by
+    /// `opts.seed`.
+    rng: CounterRng,
     /// Per-block fused elementwise regions (see [`crate::fusion`]),
     /// planned once at construction.
     plans: Vec<Vec<FusedRegion>>,
@@ -127,27 +154,32 @@ impl Temps {
     }
 }
 
-/// Reused per-superstep buffers: the VM's scratch arena. Everything
-/// here is logically dead between supersteps; keeping the allocations
-/// alive makes the steady-state superstep loop allocation-free for all
-/// bookkeeping (masks, index lists, stack depths, fused-loop registers).
+/// Reused per-superstep buffers: the scratch arena of whoever drives
+/// the loop (a [`PcMachine`] for its lifetime, a one-shot run for the
+/// run). Everything here but `blocks` is logically dead between
+/// supersteps; keeping the allocations alive makes the steady-state
+/// superstep loop allocation-free for all bookkeeping (masks, index
+/// lists, stack depths, fused-loop registers). It is lent to each
+/// superstep in place, never taken, so a superstep that fails leaves
+/// what `blocks` has learned where it was.
 #[derive(Debug, Default)]
-pub(crate) struct Scratch {
+struct Scratch {
+    /// Per-block member counts, lent to
+    /// [`BlockHeuristic::MostActive`](crate::BlockHeuristic::MostActive).
+    counts: Vec<usize>,
     /// Active mask of the current superstep.
     active: Vec<bool>,
     /// Indices of the active members.
     active_idx: Vec<usize>,
     /// Whether the current superstep runs gathered: its primitives see
-    /// one row per *active* member (persistent operands are gathered,
-    /// block-local temporaries stay compacted, results are scattered
-    /// back), instead of all `Z` rows under a mask.
+    /// one row per *active* member (persistent operands are gathered
+    /// into the block's [`BlockMemo::operands`], block-local
+    /// temporaries stay compacted, results are scattered back),
+    /// instead of all `Z` rows under a mask.
     gathered: bool,
     /// RNG keys of the active members (gathered supersteps).
     members: Vec<u64>,
-    /// The gathered copies of the persistent operands a gathered
-    /// superstep reads, in the order it reads them — on loan from the
-    /// block's [`BlockMemo::operands`] — and how many it has read.
-    operands: Vec<Tensor>,
+    /// How many persistent operands a gathered superstep has read.
     next_operand: usize,
     /// Per-member stack depths for pops.
     depths: Vec<usize>,
@@ -159,7 +191,7 @@ pub(crate) struct Scratch {
     ext_bcast: Vec<bool>,
     /// Per-def wideness flags of the fused fast path.
     def_wide: Vec<bool>,
-    /// Reused operand buffer for per-op primitive evaluation.
+    /// Reused operand buffer of a primitive or a fused region.
     inputs: Vec<Tensor>,
     /// Block-local temporary bindings (cleared each superstep).
     temps: Temps,
@@ -189,24 +221,6 @@ struct BlockMemo {
     operands: Vec<Tensor>,
 }
 
-/// The lanes a superstep's writes land on. `idx` is `Some` when the
-/// values being written hold one row per active member (a gathered
-/// superstep) instead of all `Z` rows.
-#[derive(Debug, Clone, Copy)]
-struct Lanes<'a> {
-    active: &'a [bool],
-    idx: Option<&'a [usize]>,
-}
-
-impl Scratch {
-    fn lanes(&self) -> Lanes<'_> {
-        Lanes {
-            active: &self.active,
-            idx: self.gathered.then_some(&self.active_idx),
-        }
-    }
-}
-
 impl<'p> PcVm<'p> {
     /// Create a VM for a lowered program.
     pub fn new(program: &'p Program, registry: KernelRegistry, opts: ExecOptions) -> Self {
@@ -223,6 +237,7 @@ impl<'p> PcVm<'p> {
             program,
             registry,
             opts,
+            rng: CounterRng::new(opts.seed),
             plans: fusion::plan_program(program),
             slot_of,
             stacked_vars,
@@ -258,56 +273,15 @@ impl<'p> PcVm<'p> {
         mut trace: Option<&mut Trace>,
         mut observer: Option<&mut PcObserver<'_>>,
     ) -> Result<Vec<Tensor>> {
-        let p = self.program;
-        if inputs.len() != p.inputs.len() {
-            return Err(VmError::BadInputs {
-                what: format!("expected {} inputs, got {}", p.inputs.len(), inputs.len()),
-            });
-        }
-        let z = inputs
-            .first()
-            .filter(|t| t.rank() > 0)
-            .map(|t| t.shape()[0])
-            .ok_or_else(|| VmError::BadInputs {
-                what: "inputs must have a leading batch dimension".into(),
-            })?;
-        for t in inputs {
-            if t.rank() == 0 || t.shape()[0] != z {
-                return Err(VmError::BadInputs {
-                    what: "inconsistent batch sizes".into(),
-                });
-            }
-        }
-        let n_blocks = p.blocks.len();
-        let mut st = State::new(p, z);
-        // Algorithm 2's "PUSH T onto x": bind the batch inputs.
-        let all = vec![true; z];
-        for (v, t) in p.inputs.iter().zip(inputs) {
-            let lanes = Lanes {
-                active: &all,
-                idx: None,
-            };
-            self.write_var(
-                &mut st,
-                v,
-                t.clone(),
-                lanes,
-                &mut Temps::default(),
-                WriteKind::Update,
-                &mut Pricing::off(),
-            )?;
-        }
-
-        let rng = CounterRng::new(self.opts.seed);
-        let mut steps = 0u64;
-        while let Some(i) = select_block(&st.pc_top, n_blocks, self.opts.heuristic) {
-            steps += 1;
-            if steps > self.opts.max_supersteps {
-                return Err(VmError::StepLimit {
-                    limit: self.opts.max_supersteps,
-                });
-            }
-            self.run_block(&mut st, i, &rng, trace.as_deref_mut())?;
+        self.check_arity(inputs.len())?;
+        let z = batch_size(inputs)?;
+        // Member `b` draws under key `b`, and nobody retires: `Z` is
+        // static for the whole run.
+        let mut st = State::new(self.program);
+        self.bind(&mut st, inputs, (0..z).map(|b| b as u64))?;
+        let (mut scratch, mut steps) = (Scratch::default(), 0);
+        while let Some(i) = self.next_block(&st, &mut scratch, &mut steps)? {
+            self.run_block(&mut st, &mut scratch, i, trace.as_deref_mut())?;
             if let Some(obs) = observer.as_deref_mut() {
                 // Tensor clones here are O(1) copy-on-write shares; the
                 // machine pays a buffer copy only on its next write.
@@ -328,37 +302,107 @@ impl<'p> PcVm<'p> {
                     .collect();
                 obs(&PcObservation {
                     block: i,
-                    active: &st.scratch.active,
+                    active: &scratch.active,
                     pc_top: &st.pc_top,
                     pc_depth: st.pc_stack.iter().map(Vec::len).collect(),
                     stacks,
                 });
             }
         }
-        // Read outputs at their final tops.
-        p.outputs
-            .iter()
-            .map(|o| self.read_var(&st, &Temps::default(), o, "outputs"))
-            .collect()
+        self.outputs(&st)
     }
 
-    /// Execute one superstep on block `i`: all ops and the terminator,
-    /// priced into `trace`. Returns the number of active members; the
-    /// active mask itself stays in the state's scratch arena
-    /// (`st.scratch.active`). Shared between the one-shot [`PcVm::run`]
-    /// loop and the incremental [`PcMachine::step`].
+    /// Refuse a set of inputs that is not one per program input.
+    fn check_arity(&self, got: usize) -> Result<()> {
+        let want = self.program.inputs.len();
+        if got != want {
+            return Err(VmError::BadInputs {
+                what: format!("expected {want} inputs, got {got}"),
+            });
+        }
+        Ok(())
+    }
+
+    /// Algorithm 2's "PUSH T onto x": append one fresh lane per key —
+    /// parked at the entry block, drawing under that key — and write
+    /// row `r` of every input (`[keys.len(), elem..]`, one per program
+    /// input) into the `r`-th of them. Returns the first new lane.
+    ///
+    /// The rows must agree with what the *live* lanes hold: a row of
+    /// another shape or dtype could not be written beside theirs. That
+    /// is checked before the member set is touched.
+    fn bind(
+        &self,
+        st: &mut State,
+        inputs: &[Tensor],
+        keys: impl ExactSizeIterator<Item = u64>,
+    ) -> Result<usize> {
+        let p = self.program;
+        for (v, rows) in p.inputs.iter().zip(inputs) {
+            if let Some(live) = self.peek(st, v) {
+                if rows.shape()[1..] != live.shape()[1..] || rows.dtype() != live.dtype() {
+                    return Err(VmError::BadInputs {
+                        what: format!(
+                            "admitted input {v} rows are {:?} {:?}, but the live \
+                             batch holds {:?} {:?}",
+                            &rows.shape()[1..],
+                            rows.dtype(),
+                            &live.shape()[1..],
+                            live.dtype()
+                        ),
+                    });
+                }
+            }
+        }
+        let (z, k) = (st.z(), keys.len());
+        st.grow(k)?;
+        for (key, k) in st.member_keys[z..].iter_mut().zip(keys) {
+            *key = k;
+        }
+        let new_lanes: Vec<usize> = (z..z + k).collect();
+        for (v, rows) in p.inputs.iter().zip(inputs) {
+            if let Some(slot) = self.slot_mut(st, v) {
+                store_rows(slot, z + k, &new_lanes, rows)?;
+            }
+        }
+        Ok(z)
+    }
+
+    /// Algorithm 2's loop head: the block the next superstep runs,
+    /// counted against [`ExecOptions::max_supersteps`], or `None` (and
+    /// nothing counted) when no member is runnable.
+    fn next_block(
+        &self,
+        st: &State,
+        scratch: &mut Scratch,
+        steps: &mut u64,
+    ) -> Result<Option<usize>> {
+        let pcs = st.pc_top.iter().copied();
+        let n_blocks = self.program.blocks.len();
+        let next = select_block(pcs, n_blocks, self.opts.heuristic, &mut scratch.counts);
+        if next.is_some() {
+            *steps += 1;
+            if *steps > self.opts.max_supersteps {
+                return Err(VmError::StepLimit {
+                    limit: self.opts.max_supersteps,
+                });
+            }
+        }
+        Ok(next)
+    }
+
+    /// Algorithm 2's loop body, one superstep on block `i`: all ops and
+    /// the terminator, priced into `trace`. Returns the number of
+    /// active members; the active mask itself, and whether the
+    /// superstep ran gathered, stay in `scratch`.
     fn run_block(
         &self,
         st: &mut State,
+        scratch: &mut Scratch,
         i: usize,
-        rng: &CounterRng,
         trace: Option<&mut Trace>,
     ) -> Result<usize> {
-        let p = self.program;
         let z = st.z();
-        // Borrow the scratch arena for the superstep; restored on every
-        // successful exit (error paths simply leave fresh buffers).
-        let mut scratch = std::mem::take(&mut st.scratch);
         scratch.active.clear();
         scratch.active.extend(st.pc_top.iter().map(|&pc| pc == i));
         scratch.active_idx.clear();
@@ -386,13 +430,66 @@ impl<'p> PcVm<'p> {
             scratch
                 .members
                 .extend(scratch.active_idx.iter().map(|&b| st.member_keys[b]));
-            scratch.operands = std::mem::take(&mut scratch.blocks[i].operands);
             scratch.next_operand = 0;
         }
-        let mut temps = std::mem::take(&mut scratch.temps);
-        temps.clear();
-        let block = &p.blocks[i];
-        let plan = &self.plans[i];
+        scratch.temps.clear();
+        let step = Superstep {
+            vm: self,
+            st,
+            scratch,
+            block: i,
+            pricing,
+        };
+        step.run()?;
+        Ok(n_active)
+    }
+
+    /// The program's outputs at their current tops, full width.
+    fn outputs(&self, st: &State) -> Result<Vec<Tensor>> {
+        let outputs = self.program.outputs.iter();
+        outputs
+            .map(|o| lookup(self.peek(st, o), o, "outputs"))
+            .collect()
+    }
+
+    /// Current full-width value of a persistent variable, if any.
+    fn peek<'s>(&self, st: &'s State, v: &Var) -> Option<&'s Tensor> {
+        match *self.slot_of.get(v)? {
+            Slot::Stacked(i) => st.stacked[i].top.as_ref(),
+            Slot::Register(i) => st.registers[i].as_ref(),
+        }
+    }
+
+    /// The full-width `[Z, elem..]` buffer of a persistent variable — a
+    /// stacked variable's cached top, or a register — if `v` is one.
+    fn slot_mut<'s>(&self, st: &'s mut State, v: &Var) -> Option<&'s mut Option<Tensor>> {
+        match *self.slot_of.get(v)? {
+            Slot::Stacked(i) => Some(&mut st.stacked[i].top),
+            Slot::Register(i) => Some(&mut st.registers[i]),
+        }
+    }
+}
+
+/// One superstep's working set, borrowed for its duration from whoever
+/// drives the loop: the VM (program, options, kernels, generator), the
+/// member set, the scratch arena, and the superstep's price so far.
+/// Every piece of a block's execution is a method on it.
+struct Superstep<'a, 't> {
+    vm: &'a PcVm<'a>,
+    st: &'a mut State,
+    scratch: &'a mut Scratch,
+    /// The block being run.
+    block: usize,
+    pricing: Pricing<'t>,
+}
+
+impl Superstep<'_, '_> {
+    /// Execute the block's ops, then its terminator, and close the
+    /// block's launch.
+    fn run(mut self) -> Result<()> {
+        let vm = self.vm;
+        let block = &vm.program.blocks[self.block];
+        let plan = &vm.plans[self.block];
         let mut next_region = 0usize;
         let mut op_idx = 0usize;
         while op_idx < block.ops.len() {
@@ -400,61 +497,51 @@ impl<'p> PcVm<'p> {
             // loop when the planner found one here and the runtime
             // shapes allow it; otherwise fall through to per-op
             // execution of the same ops.
-            if self.opts.fuse_elementwise {
+            if vm.opts.fuse_elementwise {
                 if let Some(region) = plan.get(next_region).filter(|r| r.start == op_idx) {
                     let region_idx = next_region;
                     next_region += 1;
-                    if !scratch.blocks[i].fused_off[region_idx] {
-                        if self.try_exec_fused(
-                            st,
-                            &mut temps,
-                            region,
-                            &mut scratch,
-                            &mut pricing,
-                        )? {
+                    if !self.scratch.blocks[self.block].fused_off[region_idx] {
+                        if self.try_exec_fused(region)? {
                             op_idx += region.len;
                             continue;
                         }
-                        scratch.blocks[i].fused_off[region_idx] = true;
+                        self.scratch.blocks[self.block].fused_off[region_idx] = true;
                     }
                 }
             }
             match &block.ops[op_idx] {
-                Op::Compute { outs, prim, ins } => self.exec_compute(
-                    st,
-                    &mut temps,
-                    prim,
-                    outs,
-                    ins,
-                    &mut scratch,
-                    rng,
-                    &mut pricing,
-                )?,
-                Op::Pop { var } => self.pop_var(
-                    st,
-                    var,
-                    &scratch.active,
-                    &scratch.active_idx,
-                    &mut scratch.depths,
-                    &mut pricing,
-                )?,
+                Op::Compute { outs, prim, ins } => self.exec_compute(prim, outs, ins)?,
+                Op::Pop { var } => self.pop_var(var)?,
             }
             op_idx += 1;
         }
-        let active_idx = &scratch.active_idx;
-        // Terminator.
-        match &block.term {
+        self.terminate(&block.term)?;
+        if let Some(cost) = self.pricing.block_cost() {
+            self.scratch.blocks[self.block].cost = Some(cost);
+        }
+        self.pricing.end_block(&vm.block_tags[self.block]);
+        Ok(())
+    }
+
+    /// Move the active members' program counters as `term` says.
+    fn terminate(&mut self, term: &Terminator) -> Result<()> {
+        let st = &mut *self.st;
+        let active_idx = &self.scratch.active_idx;
+        let stack_depth = self.vm.opts.stack_depth;
+        match term {
             Terminator::Jump(t) => {
                 for &b in active_idx {
                     st.pc_top[b] = t.0;
                 }
             }
             Terminator::Branch { cond, then_, else_ } => {
-                let c = self.read_var(st, &temps, cond, "branch")?;
-                let cv = c.as_bool()?;
                 // A gathered superstep's temporaries hold one row per
                 // *active* member.
-                let compacted = scratch.gathered && temps.get(cond).is_some();
+                let local = self.scratch.temps.get(cond);
+                let compacted = self.scratch.gathered && local.is_some();
+                let c = lookup(local.or_else(|| self.vm.peek(st, cond)), cond, "branch")?;
+                let cv = c.as_bool()?;
                 for (pos, &b) in active_idx.iter().enumerate() {
                     let bit = if compacted { cv[pos] } else { cv[b] };
                     st.pc_top[b] = if bit { then_.0 } else { else_.0 };
@@ -466,16 +553,16 @@ impl<'p> PcVm<'p> {
                     // members may hold `stack_depth` return addresses,
                     // matching the data stacks' capacity, so pc and data
                     // stacks overflow at the same recursion depth.
-                    if st.pc_stack[b].len() > self.opts.stack_depth {
+                    if st.pc_stack[b].len() > stack_depth {
                         return Err(VmError::StackOverflow {
                             var: Var::new("%pc"),
-                            limit: self.opts.stack_depth,
+                            limit: stack_depth,
                         });
                     }
                     st.pc_stack[b].push(resume.0);
                     st.pc_top[b] = enter.0;
                 }
-                pricing.pc_stack(self.opts.stack_depth);
+                self.pricing.pc_stack(stack_depth);
             }
             Terminator::Return => {
                 for &b in active_idx {
@@ -488,19 +575,10 @@ impl<'p> PcVm<'p> {
                         }
                     }
                 }
-                pricing.pc_stack(self.opts.stack_depth);
+                self.pricing.pc_stack(stack_depth);
             }
         }
-        if let Some(cost) = pricing.block_cost() {
-            scratch.blocks[i].cost = Some(cost);
-        }
-        if scratch.gathered {
-            scratch.blocks[i].operands = std::mem::take(&mut scratch.operands);
-        }
-        pricing.end_block(&self.block_tags[i]);
-        scratch.temps = temps;
-        st.scratch = scratch;
-        Ok(n_active)
+        Ok(())
     }
 
     /// Execute one fused elementwise region as a single loop over
@@ -513,32 +591,20 @@ impl<'p> PcVm<'p> {
     /// Results are bit-identical to per-op execution: the loop applies
     /// the same `scalar_ops` functions in the same order, and
     /// write-back goes through the exact per-op write path in op order.
-    fn try_exec_fused(
-        &self,
-        st: &mut State,
-        temps: &mut Temps,
-        region: &FusedRegion,
-        scratch: &mut Scratch,
-        pricing: &mut Pricing<'_>,
-    ) -> Result<bool> {
-        if !self.opts.cache_stack_tops {
+    fn try_exec_fused(&mut self, region: &FusedRegion) -> Result<bool> {
+        if !self.vm.opts.cache_stack_tops {
             return Ok(false);
         }
         // Read the external inputs exactly like the per-op path, into
         // the same reused buffer.
-        let mut exts = std::mem::take(&mut scratch.inputs);
-        exts.clear();
-        for v in &region.exts {
-            exts.push(self.operand(st, temps, v, scratch)?);
-        }
-        let rows = if scratch.gathered {
-            scratch.active_idx.len()
+        self.read_operands(&region.exts)?;
+        let rows = if self.scratch.gathered {
+            self.scratch.active_idx.len()
         } else {
-            st.z()
+            self.st.z()
         };
-        let results = fused_results(region, &exts, rows, scratch, pricing);
-        exts.clear();
-        scratch.inputs = exts;
+        let results = fused_results(region, rows, self.scratch, &mut self.pricing);
+        self.scratch.inputs.clear();
         let Some(results) = results? else {
             return Ok(false);
         };
@@ -547,103 +613,76 @@ impl<'p> PcVm<'p> {
         // unfused execution).
         for (&d, r) in region.mats.iter().zip(results) {
             let (var, kind) = &region.ops[d].out;
-            self.write_var(st, var, r, scratch.lanes(), temps, *kind, pricing)?;
+            self.write_var(var, r, *kind)?;
         }
         Ok(true)
     }
 
-    /// One operand of a primitive or fused region as the superstep's
-    /// mode wants it: a block-local temporary as it is (a gathered
-    /// superstep bound it compacted), a persistent variable whole — an
-    /// O(1) copy-on-write share — or, gathered, its active rows copied
-    /// into the block's next operand buffer.
-    fn operand(&self, st: &State, temps: &Temps, v: &Var, scratch: &mut Scratch) -> Result<Tensor> {
-        let t = self.read_var(st, temps, v, "compute")?;
-        if !scratch.gathered || temps.get(v).is_some() {
-            return Ok(t);
-        }
-        let k = scratch.next_operand;
-        scratch.next_operand += 1;
-        match scratch.operands.get_mut(k) {
-            Some(rows) => t.gather_rows_into(&scratch.active_idx, rows)?,
-            None => scratch.operands.push(t.gather_rows(&scratch.active_idx)?),
-        }
-        Ok(scratch.operands[k].clone())
-    }
-
-    /// Execute one `Compute` op in the superstep's mode.
-    #[allow(clippy::too_many_arguments)]
-    fn exec_compute(
-        &self,
-        st: &mut State,
-        temps: &mut Temps,
-        prim: &Prim,
-        outs: &[(Var, WriteKind)],
-        ins: &[Var],
-        scratch: &mut Scratch,
-        rng: &CounterRng,
-        pricing: &mut Pricing<'_>,
-    ) -> Result<()> {
-        // Uncached-top ablation: every read of a stacked variable pays a
-        // gather from the stack storage.
-        if !self.opts.cache_stack_tops {
-            for v in ins {
-                if let Some(&Slot::Stacked(slot)) = self.slot_of.get(v) {
-                    if let Some(top) = &st.stacked[slot].top {
-                        pricing.uncached_read(row_bytes(top));
-                    }
-                }
+    /// Fill `scratch.inputs` with the operands `vars` name, each as the
+    /// superstep's mode wants it: a block-local temporary as it is (a
+    /// gathered superstep bound it compacted), a persistent variable
+    /// whole — an O(1) copy-on-write share — or, gathered, its active
+    /// rows copied into the block's next operand buffer.
+    fn read_operands(&mut self, vars: &[Var]) -> Result<()> {
+        let scratch = &mut *self.scratch;
+        scratch.inputs.clear();
+        for v in vars {
+            let local = scratch.temps.get(v);
+            let gather = scratch.gathered && local.is_none();
+            let t = lookup(local.or_else(|| self.vm.peek(self.st, v)), v, "compute")?;
+            if !gather {
+                scratch.inputs.push(t);
+                continue;
             }
-        }
-        let mut inputs = std::mem::take(&mut scratch.inputs);
-        inputs.clear();
-        for v in ins {
-            inputs.push(self.operand(st, temps, v, scratch)?);
-        }
-        let members = if scratch.gathered {
-            &scratch.members
-        } else {
-            &st.member_keys
-        };
-        let results = eval_prim(prim, &inputs, members, rng, &self.registry)?;
-        pricing.op(prim, &inputs, &results, &self.registry, scratch.gathered);
-        // Release the operand clones before write-back: a surviving
-        // share of the destination buffer would force the store below
-        // into a full copy-on-write instead of an in-place write.
-        inputs.clear();
-        scratch.inputs = inputs;
-        for ((var, kind), r) in outs.iter().zip(results) {
-            self.write_var(st, var, r, scratch.lanes(), temps, *kind, pricing)?;
+            let k = scratch.next_operand;
+            scratch.next_operand += 1;
+            let bufs = &mut scratch.blocks[self.block].operands;
+            match bufs.get_mut(k) {
+                Some(rows) => t.gather_rows_into(&scratch.active_idx, rows)?,
+                None => bufs.push(t.gather_rows(&scratch.active_idx)?),
+            }
+            scratch.inputs.push(bufs[k].clone());
         }
         Ok(())
     }
 
-    /// Current full-width value of a persistent variable, if any.
-    fn peek_var(&self, st: &State, v: &Var) -> Option<Tensor> {
-        match self.slot_of.get(v) {
-            Some(&Slot::Stacked(i)) => st.stacked[i].top.clone(),
-            Some(&Slot::Register(i)) => st.registers[i].clone(),
-            None => None,
+    /// Execute one `Compute` op in the superstep's mode.
+    fn exec_compute(&mut self, prim: &Prim, outs: &[(Var, WriteKind)], ins: &[Var]) -> Result<()> {
+        let vm = self.vm;
+        // Uncached-top ablation: every read of a stacked variable pays a
+        // gather from the stack storage.
+        if !vm.opts.cache_stack_tops {
+            for v in ins {
+                if let Some(&Slot::Stacked(slot)) = vm.slot_of.get(v) {
+                    if let Some(top) = &self.st.stacked[slot].top {
+                        self.pricing.uncached_read(row_bytes(top));
+                    }
+                }
+            }
         }
-    }
-
-    /// The full-width `[Z, elem..]` buffer of a persistent variable — a
-    /// stacked variable's cached top, or a register — if `v` is one.
-    fn slot_mut<'s>(&self, st: &'s mut State, v: &Var) -> Option<&'s mut Option<Tensor>> {
-        match *self.slot_of.get(v)? {
-            Slot::Stacked(i) => Some(&mut st.stacked[i].top),
-            Slot::Register(i) => Some(&mut st.registers[i]),
+        self.read_operands(ins)?;
+        let scratch = &mut *self.scratch;
+        let members = if scratch.gathered {
+            &scratch.members
+        } else {
+            &self.st.member_keys
+        };
+        let results = eval_prim(prim, &scratch.inputs, members, &vm.rng, &vm.registry)?;
+        self.pricing.op(
+            prim,
+            &scratch.inputs,
+            &results,
+            &vm.registry,
+            scratch.gathered,
+        );
+        // Release the operand clones before write-back: a surviving
+        // share of the destination buffer would force the store below
+        // into a full copy-on-write instead of an in-place write.
+        scratch.inputs.clear();
+        for ((var, kind), r) in outs.iter().zip(results) {
+            self.write_var(var, r, *kind)?;
         }
-    }
-
-    fn read_var(&self, st: &State, temps: &Temps, v: &Var, ctx: &str) -> Result<Tensor> {
-        if let Some(t) = temps.get(v) {
-            return Ok(t.clone());
-        }
-        self.peek_var(st, v).ok_or_else(|| VmError::Unbound {
-            var: v.clone(),
-            context: ctx.to_string(),
-        })
+        Ok(())
     }
 
     /// Write `value` to `var` for the active members: the one write
@@ -651,46 +690,38 @@ impl<'p> PcVm<'p> {
     /// fusion nor the mode can change write semantics. A block-local
     /// temporary is bound as it comes (compacted in a gathered
     /// superstep).
-    #[allow(clippy::too_many_arguments)]
-    fn write_var(
-        &self,
-        st: &mut State,
-        var: &Var,
-        value: Tensor,
-        lanes: Lanes<'_>,
-        temps: &mut Temps,
-        kind: WriteKind,
-        pricing: &mut Pricing<'_>,
-    ) -> Result<()> {
-        let z = st.z();
+    fn write_var(&mut self, var: &Var, value: Tensor, kind: WriteKind) -> Result<()> {
+        let (vm, z) = (self.vm, self.st.z());
+        let lanes = Lanes {
+            active: &self.scratch.active,
+            idx: self.scratch.gathered.then_some(&self.scratch.active_idx),
+        };
         let active = lanes.active;
-        if let Some(&Slot::Stacked(slot)) = self.slot_of.get(var) {
-            let s = &mut st.stacked[slot];
+        if let Some(&Slot::Stacked(slot)) = vm.slot_of.get(var) {
+            let s = &mut self.st.stacked[slot];
             match kind {
                 WriteKind::Update => {
                     land(&mut s.top, value, lanes)?;
                     let top = s.top.as_ref().expect("just stored");
                     // Uncached-top ablation: updates scatter to storage.
-                    let scattered = if self.opts.cache_stack_tops {
+                    let scattered = if vm.opts.cache_stack_tops {
                         0
                     } else {
                         row_bytes(top)
                     };
-                    pricing.stack_update(top.size_bytes(), scattered);
+                    self.pricing.stack_update(top.size_bytes(), scattered);
                 }
                 WriteKind::Push => {
                     // Materialize the old top (zeros for the virgin frame)
                     // into storage, then cache the new value as top.
                     if s.top.is_none() {
-                        let mut shape = value.shape().to_vec();
-                        shape[0] = z;
-                        s.top = Some(Tensor::zeros(value.dtype(), &shape));
+                        s.top = Some(zeroed(z, &value));
                     }
                     for (b, &a) in active.iter().enumerate() {
-                        if a && s.sp[b] >= self.opts.stack_depth {
+                        if a && s.sp[b] >= vm.opts.stack_depth {
                             return Err(VmError::StackOverflow {
                                 var: var.clone(),
-                                limit: self.opts.stack_depth,
+                                limit: vm.opts.stack_depth,
                             });
                         }
                     }
@@ -699,7 +730,7 @@ impl<'p> PcVm<'p> {
                     // place (a live clone would force a copy-on-write).
                     let top = s.top.take().expect("ensured above");
                     if s.store.is_none() {
-                        let mut shape = vec![self.opts.stack_depth, z];
+                        let mut shape = vec![vm.opts.stack_depth, z];
                         shape.extend_from_slice(&top.shape()[1..]);
                         s.store = Some(Tensor::zeros(top.dtype(), &shape));
                     }
@@ -713,30 +744,22 @@ impl<'p> PcVm<'p> {
                     let (store_bytes, frame_bytes) = (store.size_bytes(), row_bytes(&top));
                     s.top = Some(top);
                     land(&mut s.top, value, lanes)?;
-                    pricing.stack_push(store_bytes, frame_bytes);
+                    self.pricing.stack_push(store_bytes, frame_bytes);
                 }
             }
-        } else if let Some(&Slot::Register(slot)) = self.slot_of.get(var) {
+        } else if let Some(&Slot::Register(slot)) = vm.slot_of.get(var) {
             debug_assert_eq!(kind, WriteKind::Update, "validated: no push to register");
-            land(&mut st.registers[slot], value, lanes)?;
+            land(&mut self.st.registers[slot], value, lanes)?;
         } else {
             // Block-local temporary: plain unmasked binding.
-            temps.insert(var.clone(), value);
+            self.scratch.temps.insert(var.clone(), value);
         }
         Ok(())
     }
 
     /// Pop a stacked variable for the active members.
-    fn pop_var(
-        &self,
-        st: &mut State,
-        var: &Var,
-        active: &[bool],
-        active_idx: &[usize],
-        depths_buf: &mut Vec<usize>,
-        pricing: &mut Pricing<'_>,
-    ) -> Result<()> {
-        let slot = match self.slot_of.get(var) {
+    fn pop_var(&mut self, var: &Var) -> Result<()> {
+        let slot = match self.vm.slot_of.get(var) {
             Some(&Slot::Stacked(i)) => i,
             _ => {
                 return Err(VmError::Unbound {
@@ -745,29 +768,35 @@ impl<'p> PcVm<'p> {
                 })
             }
         };
-        let s = &mut st.stacked[slot];
+        let s = &mut self.st.stacked[slot];
+        let scratch = &mut *self.scratch;
         let store = s
             .store
             .as_ref()
             .ok_or(VmError::StackUnderflow { var: var.clone() })?;
-        for &b in active_idx {
+        for &b in &scratch.active_idx {
             if s.sp[b] == 0 {
                 return Err(VmError::StackUnderflow { var: var.clone() });
             }
         }
-        depths_buf.clear();
-        depths_buf.extend(
+        scratch.depths.clear();
+        scratch.depths.extend(
             s.sp.iter()
-                .enumerate()
-                .map(|(b, &d)| if active[b] { d - 1 } else { 0 }),
+                .zip(&scratch.active)
+                .map(|(&d, &a)| if a { d - 1 } else { 0 }),
         );
-        let restored = store.gather_at_depth(depths_buf)?;
-        masked_store(&mut s.top, restored, active)?;
-        for &b in active_idx {
+        let restored = store.gather_at_depth(&scratch.depths)?;
+        // The restored frames are full width whatever the mode.
+        let lanes = Lanes {
+            active: &scratch.active,
+            idx: None,
+        };
+        land(&mut s.top, restored, lanes)?;
+        for &b in &scratch.active_idx {
             s.sp[b] -= 1;
         }
         let top = s.top.as_ref().expect("pop restores a value");
-        pricing.stack_pop(store.size_bytes(), row_bytes(top));
+        self.pricing.stack_pop(store.size_bytes(), row_bytes(top));
         Ok(())
     }
 }
@@ -839,7 +868,7 @@ pub struct Retired {
 pub struct PcMachine<'p> {
     vm: PcVm<'p>,
     st: State,
-    rng: CounterRng,
+    scratch: Scratch,
     /// Whether [`PcMachine::step`] folds lane footprints into the
     /// lanes' peak bytes (see [`PcMachine::track_peak_bytes`]).
     track_peak_bytes: bool,
@@ -852,12 +881,10 @@ pub struct PcMachine<'p> {
 impl<'p> PcMachine<'p> {
     /// Create an empty machine (no members) for a lowered program.
     pub fn new(program: &'p Program, registry: KernelRegistry, opts: ExecOptions) -> Self {
-        let rng = CounterRng::new(opts.seed);
-        let st = State::new(program, 0);
         PcMachine {
             vm: PcVm::new(program, registry, opts),
-            st,
-            rng,
+            st: State::new(program),
+            scratch: Scratch::default(),
             track_peak_bytes: false,
             steps: 0,
             gathered_steps: 0,
@@ -976,17 +1003,11 @@ impl<'p> PcMachine<'p> {
         requests: &[(&[Tensor], u64)],
         trace: Option<&mut Trace>,
     ) -> Result<Vec<u64>> {
-        let k = requests.len();
-        if k == 0 {
+        if requests.is_empty() {
             return Ok(Vec::new());
         }
-        let p = self.vm.program;
         for (inputs, _) in requests {
-            if inputs.len() != p.inputs.len() {
-                return Err(VmError::BadInputs {
-                    what: format!("expected {} inputs, got {}", p.inputs.len(), inputs.len()),
-                });
-            }
+            self.vm.check_arity(inputs.len())?;
             for t in *inputs {
                 if t.rank() == 0 || t.shape()[0] != 1 {
                     return Err(VmError::BadInputs {
@@ -1000,45 +1021,16 @@ impl<'p> PcMachine<'p> {
         }
         // Stack the requests' rows per program input — [k, elem..] each —
         // so cross-request shape mismatches surface here.
-        let stacked_inputs: Vec<Tensor> = (0..p.inputs.len())
+        let stacked_inputs: Vec<Tensor> = (0..self.vm.program.inputs.len())
             .map(|j| {
                 let rows: Vec<Tensor> = requests.iter().map(|(ins, _)| ins[j].clone()).collect();
                 Tensor::concat_rows(&rows).map_err(VmError::from)
             })
             .collect::<Result<_>>()?;
-        // The rows must also agree with the *live* lanes' buffers: a
-        // row of another shape or dtype could not be written beside
-        // theirs.
-        for (v, rows) in p.inputs.iter().zip(&stacked_inputs) {
-            if let Some(live) = self.vm.peek_var(&self.st, v) {
-                if rows.shape()[1..] != live.shape()[1..] || rows.dtype() != live.dtype() {
-                    return Err(VmError::BadInputs {
-                        what: format!(
-                            "admitted input {v} rows are {:?} {:?}, but the live \
-                             batch holds {:?} {:?}",
-                            &rows.shape()[1..],
-                            rows.dtype(),
-                            &live.shape()[1..],
-                            live.dtype()
-                        ),
-                    });
-                }
-            }
-        }
-        let z = self.st.z();
-        self.st.grow(k)?;
-        for (key, &(_, k)) in self.st.member_keys[z..].iter_mut().zip(requests) {
-            *key = k;
-        }
-        // Bind the inputs into the new lanes only.
-        let new_lanes: Vec<usize> = (z..z + k).collect();
-        for (v, rows) in p.inputs.iter().zip(&stacked_inputs) {
-            if let Some(slot) = self.vm.slot_mut(&mut self.st, v) {
-                store_rows(slot, z + k, &new_lanes, rows)?;
-            }
-        }
+        let keys = requests.iter().map(|&(_, key)| key);
+        let z = self.vm.bind(&mut self.st, &stacked_inputs, keys)?;
         if let Some(t) = trace {
-            t.membership(k, 0, self.st.z());
+            t.membership(requests.len(), 0, self.st.z());
         }
         Ok(self.st.tickets[z..].to_vec())
     }
@@ -1052,30 +1044,24 @@ impl<'p> PcMachine<'p> {
     /// As [`PcVm::run`]; the superstep count is cumulative over the
     /// machine's lifetime.
     pub fn step(&mut self, trace: Option<&mut Trace>) -> Result<bool> {
-        let n_blocks = self.vm.program.blocks.len();
-        let Some(i) = select_block(&self.st.pc_top, n_blocks, self.vm.opts.heuristic) else {
+        let vm = &self.vm;
+        let Some(i) = vm.next_block(&self.st, &mut self.scratch, &mut self.steps)? else {
             self.last_active = 0;
             return Ok(false);
         };
-        self.steps += 1;
-        if self.steps > self.vm.opts.max_supersteps {
-            return Err(VmError::StepLimit {
-                limit: self.vm.opts.max_supersteps,
-            });
-        }
         // Chaos hook: a scheduled execution fault fires *before* the
         // block runs, so the machine state stays consistent (nothing is
         // half-mutated) and a supervisor can salvage and retry. The
         // default plan never fires.
-        let fault = &self.vm.opts.fault;
+        let fault = vm.opts.fault;
         if fault.fires(autobatch_chaos::FaultPoint::ExecStep, self.steps) {
             return Err(VmError::Injected {
                 point: autobatch_chaos::FaultPoint::ExecStep.name(),
                 counter: self.steps,
             });
         }
-        self.last_active = self.vm.run_block(&mut self.st, i, &self.rng, trace)?;
-        self.gathered_steps += u64::from(self.st.scratch.gathered);
+        self.last_active = vm.run_block(&mut self.st, &mut self.scratch, i, trace)?;
+        self.gathered_steps += u64::from(self.scratch.gathered);
         // Chaos hook: a runaway lane never reaches the exit — the
         // moment its pc top would finish, it is reset to the entry
         // block, exactly as a genuinely non-terminating program would
@@ -1085,9 +1071,8 @@ impl<'p> PcMachine<'p> {
         // untouched — a lane's pc only selects which blocks *it*
         // executes, and masked execution already guarantees results are
         // independent of what other lanes run.
-        let fault = self.vm.opts.fault;
         if fault.runaway != 0 {
-            let entry = self.vm.program.entry.0;
+            let (entry, n_blocks) = (vm.program.entry.0, vm.program.blocks.len());
             for b in 0..self.st.z() {
                 if !self.st.is_running(b)
                     && fault.fires(autobatch_chaos::FaultPoint::Runaway, self.st.member_keys[b])
@@ -1172,13 +1157,7 @@ impl<'p> PcMachine<'p> {
             return Ok(Vec::new());
         }
         let keep: Vec<usize> = self.running_lanes().collect();
-        let outs_full: Vec<Tensor> = self
-            .vm
-            .program
-            .outputs
-            .iter()
-            .map(|o| self.vm.read_var(&self.st, &Temps::default(), o, "outputs"))
-            .collect::<Result<_>>()?;
+        let outs_full = self.vm.outputs(&self.st)?;
         let mut retired = Vec::with_capacity(done);
         for b in (0..self.st.z()).filter(|&b| !self.st.is_running(b)) {
             let outputs: Vec<Tensor> = outs_full
@@ -1213,11 +1192,6 @@ impl<'p> PcMachine<'p> {
                 return Ok(all);
             }
         }
-    }
-
-    /// Per-lane pc tops (`== block count` means the lane is finished).
-    pub fn pc_tops(&self) -> &[usize] {
-        &self.st.pc_top
     }
 
     /// Histogram of **running** lanes per pc top. Finished lanes are
@@ -1352,16 +1326,17 @@ mod send_handoff {
 }
 
 /// The materialized results of one fused elementwise region run as a
-/// single loop over `rows` members of its external inputs `exts`,
-/// priced; or `None`, having done nothing observable, when the region
-/// must fall back to per-op execution (see [`PcVm::try_exec_fused`]).
+/// single loop over `rows` members of its external inputs
+/// (`scratch.inputs`), priced; or `None`, having done nothing
+/// observable, when the region must fall back to per-op execution (see
+/// `Superstep::try_exec_fused`).
 fn fused_results(
     region: &FusedRegion,
-    exts: &[Tensor],
     rows: usize,
     scratch: &mut Scratch,
     pricing: &mut Pricing<'_>,
 ) -> Result<Option<Vec<Tensor>>> {
+    let exts = &scratch.inputs;
     // The fast path requires a single "wide" shape: every external
     // either matches it exactly or is a member-scalar `[rows]`
     // broadcast against it, all sharing one numeric dtype (the
@@ -1397,8 +1372,7 @@ fn fused_results(
             return Ok(None);
         }
     }
-    let el: usize = shape[1..].iter().product();
-    let n = rows * el;
+    let n: usize = shape.iter().product();
     if n == 0 {
         // Zero-sized tensors: the fused loop would skip member-
         // narrow materializations entirely (their values exist even
@@ -1406,7 +1380,13 @@ fn fused_results(
         // the degenerate case; nothing to optimize at zero elements.
         return Ok(None);
     }
-    let results: Vec<Tensor> = match dtype {
+    let mut run = RegionRun {
+        region,
+        shape: &shape,
+        ext_bcast: &scratch.ext_bcast,
+        def_wide: &mut scratch.def_wide,
+    };
+    let results = match dtype {
         DType::F64 => {
             let Some(table) = &region.f64_exec else {
                 return Ok(None);
@@ -1415,18 +1395,7 @@ fn fused_results(
                 .iter()
                 .map(|t| t.as_f64().expect("dtype checked"))
                 .collect();
-            materialize_region(
-                region,
-                table,
-                &slices,
-                &scratch.ext_bcast,
-                &mut scratch.def_wide,
-                &shape,
-                rows,
-                el,
-                &mut scratch.regs_f64,
-                Data::F64,
-            )?
+            run.materialize(table, &slices, &mut scratch.regs_f64, Data::F64)?
         }
         DType::I64 => {
             let Some(table) = &region.i64_exec else {
@@ -1436,18 +1405,7 @@ fn fused_results(
                 .iter()
                 .map(|t| t.as_i64().expect("dtype checked"))
                 .collect();
-            materialize_region(
-                region,
-                table,
-                &slices,
-                &scratch.ext_bcast,
-                &mut scratch.def_wide,
-                &shape,
-                rows,
-                el,
-                &mut scratch.regs_i64,
-                Data::I64,
-            )?
+            run.materialize(table, &slices, &mut scratch.regs_i64, Data::I64)?
         }
         DType::Bool => return Ok(None),
     };
@@ -1462,123 +1420,59 @@ fn fused_results(
     Ok(Some(results))
 }
 
-/// Run one fused region for a concrete element type and build the
-/// materialized result tensors (wide defs at the region shape,
-/// member-narrow defs at `[rows]`). Shared by the `f64` and `i64`
-/// paths so the dtypes cannot diverge.
-#[allow(clippy::too_many_arguments)]
-fn materialize_region<T: Copy + Default>(
-    region: &FusedRegion,
-    table: &[fusion::ExecOp<T>],
-    exts: &[&[T]],
-    ext_bcast: &[bool],
-    def_wide: &mut Vec<bool>,
-    shape: &[usize],
-    rows: usize,
-    el: usize,
-    regs: &mut Vec<T>,
-    wrap: fn(Vec<T>) -> Data,
-) -> Result<Vec<Tensor>> {
-    fusion::def_wideness(table, ext_bcast, def_wide);
-    let n = rows * el;
-    let mut bufs: Vec<Vec<T>> = region
-        .mats
-        .iter()
-        .map(|&d| Vec::with_capacity(if def_wide[d] { n } else { rows }))
-        .collect();
-    fusion::run_region(
-        table,
-        exts,
-        ext_bcast,
-        rows,
-        el,
-        regs,
-        &region.mats,
-        def_wide,
-        &mut bufs,
-    );
-    region
-        .mats
-        .iter()
-        .zip(bufs)
-        .map(|(&d, b)| {
-            let sh: &[usize] = if def_wide[d] { shape } else { &shape[..1] };
-            Tensor::new(wrap(b), sh).map_err(VmError::from)
-        })
-        .collect()
+/// One fused region about to run over operands of one validated wide
+/// `shape` (`[rows, elem..]`): what its two element types share.
+struct RegionRun<'a> {
+    region: &'a FusedRegion,
+    shape: &'a [usize],
+    /// Which external inputs hold one value per member.
+    ext_bcast: &'a [bool],
+    /// Which defs come out at the full shape; filled here.
+    def_wide: &'a mut Vec<bool>,
 }
 
-/// Land a superstep's `value` in a full-width slot: under the mask, or
-/// — compacted rows of a gathered superstep — straight onto the active
-/// lanes, in place. A slot nobody wrote yet, or whose element shape or
-/// dtype the value does not share, starts from zeros either way.
-fn land(slot: &mut Option<Tensor>, value: Tensor, lanes: Lanes<'_>) -> Result<()> {
-    let Some(idx) = lanes.idx else {
-        return masked_store(slot, value, lanes.active);
-    };
-    if value.rank() == 0 {
-        return Err(VmError::BadInputs {
-            what: "gathered write of a value without a member axis".into(),
-        });
-    }
-    if slot
-        .as_ref()
-        .is_some_and(|old| old.dtype() != value.dtype() || old.shape()[1..] != value.shape()[1..])
-    {
-        *slot = None;
-    }
-    store_rows(slot, lanes.active.len(), idx, &value)
-}
-
-/// Masked write into an optional full-width slot.
-fn masked_store(slot: &mut Option<Tensor>, value: Tensor, active: &[bool]) -> Result<()> {
-    if value.rank() == 0 || value.shape()[0] != active.len() {
-        return Err(VmError::BadInputs {
-            what: format!(
-                "masked write with batch width {:?}, expected {}",
-                value.shape(),
-                active.len()
-            ),
-        });
-    }
-    match slot {
-        Some(old) if old.shape() == value.shape() && old.dtype() == value.dtype() => {
-            old.masked_assign_rows(active, &value)?;
-        }
-        Some(_) | None => {
-            if active.iter().all(|&a| a) {
-                *slot = Some(value);
-            } else {
-                // Allocate a fresh buffer and land only the active rows;
-                // the inactive lanes hold zeros, which the masked
-                // semantics never exposes to a well-formed program.
-                let mut fresh = Tensor::zeros(value.dtype(), value.shape());
-                fresh.masked_assign_rows(active, &value)?;
-                *slot = Some(fresh);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Block selection over pc tops (all members still in flight).
-fn select_block(pc_top: &[usize], n_blocks: usize, heuristic: BlockHeuristic) -> Option<usize> {
-    match heuristic {
-        BlockHeuristic::EarliestBlock => pc_top.iter().copied().filter(|&p| p < n_blocks).min(),
-        BlockHeuristic::MostActive => {
-            let mut counts = vec![0usize; n_blocks];
-            for &p in pc_top {
-                if p < n_blocks {
-                    counts[p] += 1;
-                }
-            }
-            counts
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c > 0)
-                .max_by(|(i, a), (j, b)| a.cmp(b).then(j.cmp(i)))
-                .map(|(i, _)| i)
-        }
+impl RegionRun<'_> {
+    /// Run the region for a concrete element type and build the
+    /// materialized result tensors (wide defs at the region shape,
+    /// member-narrow defs at `[rows]`). Shared by the `f64` and `i64`
+    /// paths so the dtypes cannot diverge.
+    fn materialize<T: Copy + Default>(
+        &mut self,
+        table: &[fusion::ExecOp<T>],
+        exts: &[&[T]],
+        regs: &mut Vec<T>,
+        wrap: fn(Vec<T>) -> Data,
+    ) -> Result<Vec<Tensor>> {
+        let (region, shape) = (self.region, self.shape);
+        fusion::def_wideness(table, self.ext_bcast, self.def_wide);
+        let def_wide = &*self.def_wide;
+        let rows = shape[0];
+        let n: usize = shape.iter().product();
+        let mut bufs: Vec<Vec<T>> = region
+            .mats
+            .iter()
+            .map(|&d| Vec::with_capacity(if def_wide[d] { n } else { rows }))
+            .collect();
+        fusion::run_region(
+            table,
+            exts,
+            self.ext_bcast,
+            rows,
+            n / rows,
+            regs,
+            &region.mats,
+            def_wide,
+            &mut bufs,
+        );
+        region
+            .mats
+            .iter()
+            .zip(bufs)
+            .map(|(&d, b)| {
+                let sh: &[usize] = if def_wide[d] { shape } else { &shape[..1] };
+                Tensor::new(wrap(b), sh).map_err(VmError::from)
+            })
+            .collect()
     }
 }
 
@@ -1586,7 +1480,7 @@ fn select_block(pc_top: &[usize], n_blocks: usize, heuristic: BlockHeuristic) ->
 mod tests {
     use super::*;
     use crate::lowering::lower;
-    use crate::options::{ExecStrategy, LoweringOptions};
+    use crate::options::{BlockHeuristic, ExecStrategy, LoweringOptions};
     use autobatch_accel::Backend;
     use autobatch_ir::build::fibonacci_program;
 
@@ -1808,6 +1702,35 @@ mod tests {
             matches!(err, Err(VmError::StackOverflow { limit: 3, .. })),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn a_failed_superstep_keeps_what_the_machine_learned() {
+        // The scratch arena is lent to a superstep, not taken: when one
+        // overflows the stack, the costs the machine measured on the
+        // blocks it had already run are still there afterwards.
+        let (pc, _) = lower(&fibonacci_program(), LoweringOptions::default()).unwrap();
+        let opts = ExecOptions {
+            stack_depth: 4,
+            ..ExecOptions::default()
+        };
+        let mut m = PcMachine::new(&pc, KernelRegistry::new(), opts);
+        m.admit(&[Tensor::from_i64(&[25], &[1]).unwrap()], 0, None)
+            .unwrap();
+        let measured = |m: &PcMachine<'_>| -> Vec<usize> {
+            let memos = m.scratch.blocks.iter().enumerate();
+            memos.filter_map(|(i, b)| b.cost.map(|_| i)).collect()
+        };
+        let mut before = Vec::new();
+        let err = loop {
+            match m.step(None) {
+                Ok(true) => before = measured(&m),
+                other => break other,
+            }
+        };
+        assert!(matches!(err, Err(VmError::StackOverflow { .. })), "{err:?}");
+        assert!(!before.is_empty());
+        assert_eq!(measured(&m), before);
     }
 
     #[test]

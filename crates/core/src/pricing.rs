@@ -203,11 +203,6 @@ impl<'t> Pricing<'t> {
         }
     }
 
-    /// Price nothing: for writes outside any superstep (input binding).
-    pub(crate) fn off() -> Self {
-        Self::resume(None, 0, 0)
-    }
-
     /// Price a group of `rows` members that launches on its own
     /// whatever the dispatch mode, outside any superstep.
     pub(crate) fn per_op(trace: Option<&'t mut Trace>, rows: usize) -> Self {

@@ -161,11 +161,6 @@ impl FunctionBuilder {
         v
     }
 
-    /// The current block.
-    pub fn current_block(&self) -> BlockId {
-        BlockId(self.current)
-    }
-
     /// Create a new, initially empty block (does not switch to it).
     pub fn new_block(&mut self) -> BlockId {
         self.blocks.push((Vec::new(), None));

@@ -218,15 +218,3 @@ pub struct Module {
     /// Functions.
     pub fns: Vec<FnDef>,
 }
-
-impl Module {
-    /// Find a function by name.
-    pub fn fn_by_name(&self, name: &str) -> Option<&FnDef> {
-        self.fns.iter().find(|f| f.name == name)
-    }
-
-    /// Find an extern by name.
-    pub fn extern_by_name(&self, name: &str) -> Option<&ExternDef> {
-        self.externs.iter().find(|e| e.name == name)
-    }
-}

@@ -110,12 +110,6 @@ impl CounterRng {
         self.normal_batch_for(&members, counters, elem)
     }
 
-    /// Batched standard exponential draws; see [`CounterRng::uniform_batch`].
-    pub fn exponential_batch(&self, counters: &[i64], elem: &[usize]) -> Tensor {
-        let members: Vec<u64> = (0..counters.len() as u64).collect();
-        self.exponential_batch_for(&members, counters, elem)
-    }
-
     /// Batched uniform draws with explicit member ids. Row `i` uses
     /// `(members[i], counters[i])`, so a gathered sub-batch draws exactly
     /// what the full batch would have drawn for those members.

@@ -183,12 +183,6 @@ impl Tensor {
         &self.data
     }
 
-    /// Extract the raw storage, consuming the tensor. Copies only when
-    /// the storage is shared with another tensor.
-    pub fn into_data(self) -> Data {
-        Arc::try_unwrap(self.data).unwrap_or_else(|shared| (*shared).clone())
-    }
-
     /// Whether two tensors share one copy-on-write payload. Diagnostic
     /// only: sharing is an optimization, never an observable semantic.
     pub fn shares_storage(&self, other: &Tensor) -> bool {
@@ -421,16 +415,6 @@ impl Tensor {
     pub fn get_i64(&self, index: &[usize]) -> Result<i64> {
         let lin = self.linear_index(index)?;
         self.as_i64().map(|v| v[lin])
-    }
-
-    /// Read one `bool` element.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the index is invalid or the dtype is not `bool`.
-    pub fn get_bool(&self, index: &[usize]) -> Result<bool> {
-        let lin = self.linear_index(index)?;
-        self.as_bool().map(|v| v[lin])
     }
 
     /// Write one element.

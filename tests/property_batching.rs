@@ -22,7 +22,7 @@
 use autobatch::accel::{Backend, Trace};
 use autobatch::core::{
     lower, BlockHeuristic, DynSchedule, DynamicVm, ExecOptions, ExecStrategy, KernelRegistry,
-    LaneState, LocalStaticVm, LoweringOptions, PcMachine, PcVm, VmError,
+    LaneState, LocalStaticVm, LoweringOptions, PcMachine, PcObservation, PcVm, VmError,
 };
 use autobatch::ir::build::{fibonacci_program, ProgramBuilder};
 use autobatch::ir::{lsab, Prim, Var};
@@ -388,6 +388,57 @@ proptest! {
                 .expect("dynamic runs");
             prop_assert_eq!(&batch, &dy, "dynamic agrees under {:?}", schedule);
         }
+
+        // Algorithm 2's loop has two drivers and one body: a machine
+        // that takes the whole batch in one admission under keys 0..Z
+        // and is stepped until nothing is runnable, never retiring on
+        // the way, is the one-shot run superstep for superstep.
+        let (lowered, _) = lower(&p, LoweringOptions::default()).expect("lowers");
+        let rows: Vec<Vec<Tensor>> = (0..z)
+            .map(|b| inputs.iter().map(|t| t.gather_rows(&[b]).expect("row")).collect())
+            .collect();
+        let members: Vec<(&[Tensor], u64)> = rows.iter().map(Vec::as_slice).zip(0..).collect();
+        let mut total = 0;
+        for heuristic in [BlockHeuristic::EarliestBlock, BlockHeuristic::MostActive] {
+            for strategy in STRATEGIES {
+                let opts = ExecOptions { heuristic, strategy, ..ExecOptions::default() };
+                let mut observed = 0u64;
+                let mut count = |_: &PcObservation<'_>| observed += 1;
+                let one_shot = PcVm::new(&lowered, KernelRegistry::new(), opts)
+                    .run_observed(&inputs, None, Some(&mut count))
+                    .expect("pc runs");
+                prop_assert_eq!(&batch, &one_shot, "pc agrees under {:?}", (heuristic, strategy));
+                let mut m = PcMachine::new(&lowered, KernelRegistry::new(), opts);
+                m.admit_batch(&members, None).expect("admits");
+                while m.step(None).expect("steps") {}
+                prop_assert_eq!(m.supersteps(), observed, "under {:?}", (heuristic, strategy));
+                let done = m.retire_finished(None).expect("retires");
+                for (o, full) in one_shot.iter().enumerate() {
+                    let rows: Vec<Tensor> = done.iter().map(|r| r.outputs[o].clone()).collect();
+                    prop_assert_eq!(&Tensor::concat_rows(&rows).expect("stacks"), full);
+                }
+                total = observed;
+            }
+        }
+        // And the one limit stops both after the same superstep.
+        let limit = total / 2;
+        let opts = ExecOptions { max_supersteps: limit, ..ExecOptions::default() };
+        let mut observed = 0u64;
+        let mut count = |_: &PcObservation<'_>| observed += 1;
+        let one_shot = PcVm::new(&lowered, KernelRegistry::new(), opts)
+            .run_observed(&inputs, None, Some(&mut count));
+        prop_assert_eq!(one_shot, Err(VmError::StepLimit { limit }));
+        let mut m = PcMachine::new(&lowered, KernelRegistry::new(), opts);
+        m.admit_batch(&members, None).expect("admits");
+        let mut stepped = 0u64;
+        let stopped = loop {
+            match m.step(None) {
+                Ok(true) => stepped += 1,
+                other => break other,
+            }
+        };
+        prop_assert_eq!(stopped, Err(VmError::StepLimit { limit }));
+        prop_assert_eq!((stepped, observed), (limit, limit));
     }
 
     #[test]
