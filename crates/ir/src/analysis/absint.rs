@@ -44,9 +44,12 @@
 //! [`Constraints`]), refining the program's signature instead of
 //! rejecting the program.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
+use crate::error::IrError;
 use crate::prim::Prim;
+use crate::var::{BlockId, FuncId, Var};
 
 /// Abstract dtype lattice: three concrete points plus top.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -329,7 +332,7 @@ impl Constraints {
 
 /// A failed transfer: the op would raise a dtype/shape error at runtime.
 /// The verifiers wrap this with block/op provenance into
-/// [`IrError::TypeError`](crate::IrError::TypeError).
+/// [`IrError::TypeError`].
 pub type TransferError = String;
 
 fn require_dtype(
@@ -549,6 +552,101 @@ pub fn transfer(
         // kernels honoring their registry contract.
         External(_) => Ok(vec![AbsValue::any(); n_outs]),
     }
+}
+
+/// A verifier's abstract state at a program point: the variables
+/// definitely assigned there, and what is known of each.
+pub(crate) type Env = BTreeMap<Var, AbsValue>;
+
+/// Why abstract execution cannot go past a program point; [`Stuck::at`]
+/// turns it into the verifier's diagnostic.
+pub(crate) enum Stuck {
+    /// A read of a variable that is not definitely assigned.
+    Unassigned(Var),
+    /// The message of a runtime dtype/shape error in waiting.
+    Type(TransferError),
+}
+
+impl Stuck {
+    /// The diagnostic for being stuck in `block` (of `func`, where the IR
+    /// has functions) at op `op`, or at the terminator.
+    pub(crate) fn at(self, func: Option<FuncId>, block: BlockId, op: Option<usize>) -> IrError {
+        match self {
+            Stuck::Unassigned(var) => IrError::UnassignedRead { var, func, block },
+            Stuck::Type(what) => IrError::TypeError {
+                func,
+                block,
+                op,
+                what,
+            },
+        }
+    }
+}
+
+/// `var`'s abstract value where the state is `env`.
+pub(crate) fn lookup(env: &Env, var: &Var) -> Result<AbsValue, Stuck> {
+    env.get(var)
+        .cloned()
+        .ok_or_else(|| Stuck::Unassigned(var.clone()))
+}
+
+/// One primitive, abstractly: read its operands `ins` from `env` and
+/// [`transfer`] them to its `n_outs` outputs, for the verifier to bind.
+pub(crate) fn eval_prim(
+    prim: &Prim,
+    ins: &[Var],
+    n_outs: usize,
+    env: &Env,
+    cons: &mut Constraints,
+) -> Result<Vec<AbsValue>, Stuck> {
+    let vals = ins
+        .iter()
+        .map(|v| lookup(env, v))
+        .collect::<Result<Vec<_>, _>>()?;
+    transfer(prim, &vals, n_outs, cons).map_err(Stuck::Type)
+}
+
+/// What a legal branch condition is, and where the branch can go: `cond`
+/// must be `Bool` (an `Any` flowing from a program input is constrained
+/// to it) and a per-member scalar, since branching indexes it by member.
+/// Returns whether the `then` and the `else` edge are live — a known
+/// constant prunes the other — and whether this is a member-divergent
+/// branch: both edges live under a condition that may differ by member.
+pub(crate) fn branch_edges(
+    cond: &AbsValue,
+    cons: &mut Constraints,
+) -> Result<(bool, bool, bool), Stuck> {
+    match cond.dtype {
+        AbsDType::Bool => {}
+        AbsDType::Any => {
+            if let Some(idx) = cond.origin {
+                cons.require(idx, AbsDType::Bool).map_err(Stuck::Type)?;
+            }
+        }
+        other => {
+            return Err(Stuck::Type(format!(
+                "branch condition must be bool, got {other}"
+            )))
+        }
+    }
+    if let AbsShape::Elem(s) = &cond.shape {
+        if !s.is_empty() {
+            return Err(Stuck::Type(format!(
+                "branch condition must be a per-member scalar, got element shape {}",
+                cond.shape
+            )));
+        }
+    }
+    let (then_live, else_live) = match cond.known_cond {
+        Some(true) => (true, false),
+        Some(false) => (false, true),
+        None => (true, true),
+    };
+    Ok((
+        then_live,
+        else_live,
+        then_live && else_live && cond.divergent,
+    ))
 }
 
 /// A static bound on a stack's depth.

@@ -24,21 +24,20 @@
 //! conditional on `External` kernels honoring their registry contract —
 //! their outputs are assumed well-formed but unknown.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use crate::error::IrError;
 use crate::lsab::{Op, Program, Terminator};
 use crate::var::{BlockId, FuncId, Var};
 
-use super::absint::{transfer, AbsDType, AbsShape, AbsValue, Constraints, DepthBound, TensorSpec};
+use super::absint::{
+    branch_edges, eval_prim, lookup, AbsDType, AbsValue, Constraints, DepthBound, Env, TensorSpec,
+};
 use super::CallGraph;
 
-/// The environment at a program point: every definitely-assigned
-/// variable's abstract value. Joining intersects the key sets (a
-/// variable assigned on only one incoming path is not definitely
-/// assigned) and joins the values pointwise.
-type Env = BTreeMap<Var, AbsValue>;
-
+/// Joining two environments intersects the key sets (a variable assigned
+/// on only one incoming path is not definitely assigned) and joins the
+/// values pointwise.
 fn join_env(a: &Env, b: &Env) -> Env {
     a.iter()
         .filter_map(|(k, va)| b.get(k).map(|vb| (k.clone(), va.join(vb))))
@@ -172,17 +171,9 @@ impl<'p> Engine<'p> {
     }
 
     fn read(&mut self, env: &Env, var: &Var, f: usize, b: usize) -> Option<AbsValue> {
-        match env.get(var) {
-            Some(v) => Some(v.clone()),
-            None => {
-                self.diag(IrError::UnassignedRead {
-                    var: var.clone(),
-                    func: Some(FuncId(f)),
-                    block: BlockId(b),
-                });
-                None
-            }
-        }
+        lookup(env, var)
+            .map_err(|why| self.diag(why.at(Some(FuncId(f)), BlockId(b), None)))
+            .ok()
     }
 
     fn run(&mut self) {
@@ -218,28 +209,13 @@ impl<'p> Engine<'p> {
         for (i, op) in block.ops.iter().enumerate() {
             match op {
                 Op::Prim { outs, prim, ins } => {
-                    let mut vals = Vec::with_capacity(ins.len());
-                    for v in ins {
-                        match self.read(&env, v, f, b) {
-                            Some(av) => vals.push(av),
-                            None => return,
-                        }
-                    }
-                    match transfer(prim, &vals, outs.len(), &mut self.cons) {
+                    match eval_prim(prim, ins, outs.len(), &env, &mut self.cons) {
                         Ok(res) => {
                             for (o, r) in outs.iter().zip(res) {
                                 env.insert(o.clone(), r);
                             }
                         }
-                        Err(what) => {
-                            self.diag(IrError::TypeError {
-                                func: Some(FuncId(f)),
-                                block: BlockId(b),
-                                op: Some(i),
-                                what,
-                            });
-                            return;
-                        }
+                        Err(why) => return self.diag(why.at(Some(FuncId(f)), BlockId(b), Some(i))),
                     }
                 }
                 Op::Call { outs, callee, ins } => {
@@ -287,53 +263,11 @@ impl<'p> Engine<'p> {
                     Some(v) => v,
                     None => return,
                 };
-                match cv.dtype {
-                    AbsDType::Bool => {}
-                    AbsDType::Any => {
-                        if let Some(idx) = cv.origin {
-                            if let Err(what) = self.cons.require(idx, AbsDType::Bool) {
-                                self.diag(IrError::TypeError {
-                                    func: Some(FuncId(f)),
-                                    block: BlockId(b),
-                                    op: None,
-                                    what,
-                                });
-                                return;
-                            }
-                        }
-                    }
-                    other => {
-                        self.diag(IrError::TypeError {
-                            func: Some(FuncId(f)),
-                            block: BlockId(b),
-                            op: None,
-                            what: format!("branch condition must be bool, got {other}"),
-                        });
-                        return;
-                    }
-                }
-                // Per-member branching indexes the condition by member,
-                // so the element must be a scalar.
-                if let AbsShape::Elem(s) = &cv.shape {
-                    if !s.is_empty() {
-                        self.diag(IrError::TypeError {
-                            func: Some(FuncId(f)),
-                            block: BlockId(b),
-                            op: None,
-                            what: format!(
-                                "branch condition must be a per-member scalar, got element shape {}",
-                                cv.shape
-                            ),
-                        });
-                        return;
-                    }
-                }
-                let (then_live, else_live) = match cv.known_cond {
-                    Some(true) => (true, false),
-                    Some(false) => (false, true),
-                    None => (true, true),
+                let (then_live, else_live, splits) = match branch_edges(&cv, &mut self.cons) {
+                    Ok(edges) => edges,
+                    Err(why) => return self.diag(why.at(Some(FuncId(f)), BlockId(b), None)),
                 };
-                if then_live && else_live && cv.divergent {
+                if splits {
                     self.divergent.insert((f, b));
                 }
                 if then_live {

@@ -36,11 +36,11 @@ use crate::error::IrError;
 use crate::pcab::{Op, Program, Terminator, WriteKind};
 use crate::var::{BlockId, Var};
 
-use super::absint::{transfer, AbsDType, AbsValue, Constraints, DepthBound, TensorSpec};
+use super::absint::{
+    branch_edges, eval_prim, lookup, AbsDType, AbsValue, Constraints, DepthBound, Env, TensorSpec,
+};
 use super::callgraph::tarjan;
 use super::verify_lsab::Signature;
-
-type Env = BTreeMap<Var, AbsValue>;
 
 fn join_env(a: &Env, b: &Env) -> Env {
     a.iter()
@@ -450,36 +450,14 @@ impl<'p> Engine<'p> {
         for (i, op) in block.ops.iter().enumerate() {
             match op {
                 Op::Compute { outs, prim, ins } => {
-                    let mut vals = Vec::with_capacity(ins.len());
-                    for v in ins {
-                        match env.get(v) {
-                            Some(av) => vals.push(av.clone()),
-                            None => {
-                                self.diag(IrError::UnassignedRead {
-                                    var: v.clone(),
-                                    func: None,
-                                    block: BlockId(b),
-                                });
-                                return;
-                            }
-                        }
-                    }
-                    match transfer(prim, &vals, outs.len(), &mut self.cons) {
+                    match eval_prim(prim, ins, outs.len(), &env, &mut self.cons) {
                         Ok(res) => {
                             for ((o, _kind), r) in outs.iter().zip(res) {
                                 self.record_write(o, &r);
                                 env.insert(o.clone(), r);
                             }
                         }
-                        Err(what) => {
-                            self.diag(IrError::TypeError {
-                                func: None,
-                                block: BlockId(b),
-                                op: Some(i),
-                                what,
-                            });
-                            return;
-                        }
+                        Err(why) => return self.diag(why.at(None, BlockId(b), Some(i))),
                     }
                 }
                 Op::Pop { var } => {
@@ -495,64 +473,12 @@ impl<'p> Engine<'p> {
         match &block.term {
             Terminator::Jump(t) => self.propagate(t.0, &env),
             Terminator::Branch { cond, then_, else_ } => {
-                let cv = match env.get(cond) {
-                    Some(v) => v.clone(),
-                    None => {
-                        self.diag(IrError::UnassignedRead {
-                            var: cond.clone(),
-                            func: None,
-                            block: BlockId(b),
-                        });
-                        return;
-                    }
+                let edges = lookup(&env, cond).and_then(|cv| branch_edges(&cv, &mut self.cons));
+                let (then_live, else_live, splits) = match edges {
+                    Ok(edges) => edges,
+                    Err(why) => return self.diag(why.at(None, BlockId(b), None)),
                 };
-                match cv.dtype {
-                    AbsDType::Bool => {}
-                    AbsDType::Any => {
-                        if let Some(idx) = cv.origin {
-                            if let Err(what) = self.cons.require(idx, AbsDType::Bool) {
-                                self.diag(IrError::TypeError {
-                                    func: None,
-                                    block: BlockId(b),
-                                    op: None,
-                                    what,
-                                });
-                                return;
-                            }
-                        }
-                    }
-                    other => {
-                        self.diag(IrError::TypeError {
-                            func: None,
-                            block: BlockId(b),
-                            op: None,
-                            what: format!("branch condition must be bool, got {other}"),
-                        });
-                        return;
-                    }
-                }
-                // Per-member branching indexes the condition by member,
-                // so the element must be a scalar.
-                if let super::absint::AbsShape::Elem(s) = &cv.shape {
-                    if !s.is_empty() {
-                        self.diag(IrError::TypeError {
-                            func: None,
-                            block: BlockId(b),
-                            op: None,
-                            what: format!(
-                                "branch condition must be a per-member scalar, got element shape {}",
-                                cv.shape
-                            ),
-                        });
-                        return;
-                    }
-                }
-                let (then_live, else_live) = match cv.known_cond {
-                    Some(true) => (true, false),
-                    Some(false) => (false, true),
-                    None => (true, true),
-                };
-                if then_live && else_live && cv.divergent {
+                if splits {
                     self.divergent.insert(b);
                 }
                 if then_live {

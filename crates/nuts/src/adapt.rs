@@ -14,7 +14,8 @@
 
 use autobatch_tensor::{CounterRng, Tensor};
 
-use crate::native::{ChainState, NativeNuts, TrajectoryInfo};
+use crate::chain::{ChainState, TrajectoryInfo};
+use crate::native::NativeNuts;
 use crate::program::NutsConfig;
 use crate::Result;
 use autobatch_models::Model;

@@ -20,21 +20,30 @@
 //! exactly when no enclosing subtree still needs them, so `j` slots
 //! suffice for a depth-`j` tree.
 
-use autobatch_tensor::{CounterRng, Tensor};
+use autobatch_tensor::Tensor;
 
-use crate::program::NutsConfig;
+use crate::chain::{no_uturn, Ctx, Sampler, Trajectory};
+use crate::native::{slice_trajectory, Doubling};
 use crate::Result;
-use autobatch_models::Model;
 
-/// Statistics of one iterative NUTS run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct IterStats {
-    /// Model gradient evaluations.
-    pub grads: u64,
-    /// Tree leaves built.
-    pub leaves: u64,
-    /// Trajectories stopped by the divergence guard.
-    pub divergences: u64,
+/// The hand-rewritten non-recursive sampler. RNG draws are keyed by
+/// `(member, counter)` like every other sampler here, but the draw
+/// *order* differs from the recursive implementation (reservoir proposal
+/// sampling instead of pairwise subtree swaps), so chains are
+/// distributionally — not bitwise — equivalent to it.
+pub type IterativeNuts<'m> = Sampler<'m, IterativeTree>;
+
+/// The slice-sampling trajectory over the checkpointed leaf loop —
+/// [`IterativeNuts`]'s algorithm.
+#[derive(Debug)]
+pub struct IterativeTree;
+
+impl Trajectory for IterativeTree {
+    fn trajectory(ctx: &mut Ctx<'_>, q: Tensor, eps: f64) -> Result<Tensor> {
+        slice_trajectory(ctx, q, |ctx, q, p, log_u, v, j| {
+            build_iterative(ctx, q, p, log_u, v, j, eps)
+        })
+    }
 }
 
 /// One edge state of the trajectory.
@@ -44,242 +53,100 @@ struct Edge {
     p: Tensor,
 }
 
-/// Result of building one subtree iteratively (mirrors the recursive
-/// `build_tree`'s outputs).
-#[derive(Debug)]
-pub(crate) struct IterTree {
-    pub(crate) q_edge: Tensor,
-    pub(crate) p_edge: Tensor,
-    pub(crate) qprop: Tensor,
-    pub(crate) n: i64,
-    pub(crate) s: bool,
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) leaves: u64,
-}
-
-/// The hand-rewritten non-recursive sampler.
-#[derive(Debug)]
-pub struct IterativeNuts<'m> {
-    model: &'m dyn Model,
-    cfg: NutsConfig,
-}
-
-impl<'m> IterativeNuts<'m> {
-    /// Create a sampler for `model`.
-    pub fn new(model: &'m dyn Model, cfg: NutsConfig) -> Self {
-        IterativeNuts { model, cfg }
-    }
-
-    /// Run one chain from `q0` (shape `[d]`). RNG draws are keyed by
-    /// `(member, counter)` like every other sampler here, but the draw
-    /// *order* differs from the recursive implementation (reservoir
-    /// proposal sampling instead of pairwise subtree swaps), so chains
-    /// are distributionally — not bitwise — equivalent to it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tensor errors from the model kernels.
-    pub fn run_chain(&self, q0: &Tensor, member: u64) -> Result<(Tensor, IterStats)> {
-        let d = self.model.dim();
-        let rng = CounterRng::new(self.cfg.seed);
-        let mut counter: i64 = 0;
-        let mut stats = IterStats::default();
-        let mut q = q0.reshape(&[1, d])?;
-        for _ in 0..self.cfg.n_trajectories {
-            // Momentum + slice variable.
-            let p0 = rng.normal_batch_for(&[member], &[counter], &[d]);
-            counter += 1;
-            let e0 = rng
-                .exponential_batch_for(&[member], &[counter], &[])
-                .as_f64()?[0];
-            counter += 1;
-            let joint0 = self.logp(&q, &mut stats)? - 0.5 * p0.dot_last_axis(&p0)?.as_f64()?[0];
-            let log_u = joint0 - e0;
-
-            let mut minus = Edge {
-                q: q.clone(),
-                p: p0.clone(),
-            };
-            let mut plus = Edge {
-                q: q.clone(),
-                p: p0,
-            };
-            let mut n: i64 = 1;
-            let mut s = true;
-            let mut j = 0i64;
-            while s && j < self.cfg.max_depth as i64 {
-                let uv = rng.uniform_batch_for(&[member], &[counter], &[]).as_f64()?[0];
-                counter += 1;
-                let v = if uv < 0.5 { -1.0 } else { 1.0 };
-                let edge = if v < 0.0 { minus.clone() } else { plus.clone() };
-                let tree = self.build_iterative(
-                    &edge.q,
-                    &edge.p,
-                    log_u,
-                    v,
-                    j,
-                    &rng,
-                    member,
-                    &mut counter,
-                    &mut stats,
-                )?;
-                if v < 0.0 {
-                    minus = Edge {
-                        q: tree.q_edge.clone(),
-                        p: tree.p_edge.clone(),
-                    };
+/// Build a depth-`j` subtree in direction `v`, leaf by leaf, with
+/// `O(j)` checkpoint memory instead of recursion.
+pub(crate) fn build_iterative(
+    ctx: &mut Ctx<'_>,
+    q0: &Tensor,
+    p0: &Tensor,
+    log_u: f64,
+    v: f64,
+    j: i64,
+    eps: f64,
+) -> Result<Doubling> {
+    let total: u64 = 1 << j;
+    let mut checkpoints: Vec<Option<Edge>> = vec![None; (j as usize) + 1];
+    let mut cur = Edge {
+        q: q0.clone(),
+        p: p0.clone(),
+    };
+    let mut qprop: Option<Tensor> = None;
+    let mut n: i64 = 0;
+    let mut s = true;
+    let mut alpha = 0.0;
+    let mut n_alpha: i64 = 0;
+    for leaf in 0..total {
+        // One leaf = one (multi-step) leapfrog from the current edge.
+        let (q1, p1) = ctx.leapfrog(&cur.q, &cur.p, v * eps)?;
+        cur = Edge { q: q1, p: p1 };
+        ctx.stats.leaves += 1;
+        let joint = ctx.joint(&cur.q, &cur.p)?;
+        alpha += (joint - ctx.joint0).exp().min(1.0);
+        n_alpha += 1;
+        if log_u <= joint {
+            n += 1;
+            // Reservoir sampling: uniform among admissible leaves —
+            // distributionally the same proposal as the recursive
+            // pairwise swaps.
+            if ctx.draw_uniform() * (n as f64) < 1.0 {
+                qprop = Some(cur.q.clone());
+            }
+        }
+        if log_u >= joint + 1000.0 {
+            ctx.stats.divergences += 1;
+            s = false;
+            break;
+        }
+        if leaf % 2 == 0 {
+            // Even leaf: left edge of one or more dyadic subtrees.
+            let slot = (leaf.count_ones()) as usize;
+            checkpoints[slot] = Some(cur.clone());
+        } else {
+            // Odd leaf: every dyadic subtree whose right edge this is
+            // completes now; check each against its saved left edge.
+            let mut k = 1u32;
+            while (leaf + 1) % (1 << k) == 0 && s {
+                let a = leaf + 1 - (1 << k);
+                let slot = (a.count_ones()) as usize;
+                let start = checkpoints[slot]
+                    .as_ref()
+                    .expect("checkpoint saved when leaf a was built");
+                // Orient the check by trajectory direction.
+                let ok = if v < 0.0 {
+                    no_uturn(&cur.q, &start.q, &cur.p, &start.p)?
                 } else {
-                    plus = Edge {
-                        q: tree.q_edge.clone(),
-                        p: tree.p_edge.clone(),
-                    };
+                    no_uturn(&start.q, &cur.q, &start.p, &cur.p)?
+                };
+                if !ok {
+                    s = false;
                 }
-                let ua = rng.uniform_batch_for(&[member], &[counter], &[]).as_f64()?[0];
-                counter += 1;
-                if tree.s && ua * (n as f64) < (tree.n as f64) {
-                    q = tree.qprop.clone();
-                }
-                n += tree.n;
-                s = tree.s && no_uturn(&minus.q, &plus.q, &minus.p, &plus.p)?;
-                j += 1;
-            }
-        }
-        Ok((q.reshape(&[d])?, stats))
-    }
-
-    fn logp(&self, q: &Tensor, stats: &mut IterStats) -> Result<f64> {
-        let _ = stats;
-        Ok(self.model.logp(q)?.as_f64()?[0])
-    }
-
-    fn leapfrog(
-        &self,
-        q: &Tensor,
-        p: &Tensor,
-        dt: f64,
-        stats: &mut IterStats,
-    ) -> Result<(Tensor, Tensor)> {
-        let mut q2 = q.clone();
-        let mut p2 = p.clone();
-        let half = Tensor::scalar(0.5 * dt);
-        let full = Tensor::scalar(dt);
-        for _ in 0..self.cfg.leapfrog_steps {
-            stats.grads += 2;
-            let g = self.model.grad(&q2)?;
-            p2 = p2.add(&half.mul(&g)?)?;
-            q2 = q2.add(&full.mul(&p2)?)?;
-            let g = self.model.grad(&q2)?;
-            p2 = p2.add(&half.mul(&g)?)?;
-        }
-        Ok((q2, p2))
-    }
-
-    /// Build a depth-`j` subtree in direction `v`, leaf by leaf, with
-    /// `O(j)` checkpoint memory instead of recursion.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn build_iterative(
-        &self,
-        q0: &Tensor,
-        p0: &Tensor,
-        log_u: f64,
-        v: f64,
-        j: i64,
-        rng: &CounterRng,
-        member: u64,
-        counter: &mut i64,
-        stats: &mut IterStats,
-    ) -> Result<IterTree> {
-        let total: u64 = 1 << j;
-        let mut checkpoints: Vec<Option<Edge>> = vec![None; (j as usize) + 1];
-        let mut cur = Edge {
-            q: q0.clone(),
-            p: p0.clone(),
-        };
-        let mut qprop: Option<Tensor> = None;
-        let mut n: i64 = 0;
-        let mut s = true;
-        let mut leaves = 0u64;
-        for leaf in 0..total {
-            // One leaf = one (multi-step) leapfrog from the current edge.
-            let (q1, p1) = self.leapfrog(&cur.q, &cur.p, v * self.cfg.step_size, stats)?;
-            cur = Edge { q: q1, p: p1 };
-            leaves += 1;
-            stats.leaves += 1;
-            let joint = self.logp(&cur.q, stats)? - 0.5 * cur.p.dot_last_axis(&cur.p)?.as_f64()?[0];
-            if log_u <= joint {
-                n += 1;
-                // Reservoir sampling: uniform among admissible leaves —
-                // distributionally the same proposal as the recursive
-                // pairwise swaps.
-                let u = rng
-                    .uniform_batch_for(&[member], &[*counter], &[])
-                    .as_f64()?[0];
-                *counter += 1;
-                if u * (n as f64) < 1.0 {
-                    qprop = Some(cur.q.clone());
-                }
-            }
-            if log_u >= joint + 1000.0 {
-                stats.divergences += 1;
-                s = false;
-                break;
-            }
-            if leaf % 2 == 0 {
-                // Even leaf: left edge of one or more dyadic subtrees.
-                let slot = (leaf.count_ones()) as usize;
-                checkpoints[slot] = Some(cur.clone());
-            } else {
-                // Odd leaf: every dyadic subtree whose right edge this is
-                // completes now; check each against its saved left edge.
-                let mut k = 1u32;
-                while (leaf + 1) % (1 << k) == 0 && s {
-                    let a = leaf + 1 - (1 << k);
-                    let slot = (a.count_ones()) as usize;
-                    let start = checkpoints[slot]
-                        .as_ref()
-                        .expect("checkpoint saved when leaf a was built");
-                    // Orient the check by trajectory direction.
-                    let ok = if v < 0.0 {
-                        no_uturn(&cur.q, &start.q, &cur.p, &start.p)?
-                    } else {
-                        no_uturn(&start.q, &cur.q, &start.p, &cur.p)?
-                    };
-                    if !ok {
-                        s = false;
-                    }
-                    k += 1;
-                    if k > j as u32 {
-                        break;
-                    }
-                }
-                if !s {
+                k += 1;
+                if k > j as u32 {
                     break;
                 }
             }
+            if !s {
+                break;
+            }
         }
-        Ok(IterTree {
-            q_edge: cur.q,
-            p_edge: cur.p,
-            qprop: qprop.unwrap_or_else(|| q0.clone()),
-            n,
-            s,
-            leaves,
-        })
     }
-}
-
-fn no_uturn(qm: &Tensor, qp: &Tensor, pm: &Tensor, pp: &Tensor) -> Result<bool> {
-    let dq = qp.sub(qm)?;
-    let a = dq.dot_last_axis(pm)?.as_f64()?[0];
-    let b = dq.dot_last_axis(pp)?.as_f64()?[0];
-    Ok(a >= 0.0 && b >= 0.0)
+    Ok(Doubling {
+        q_edge: cur.q,
+        p_edge: cur.p,
+        qprop: qprop.unwrap_or_else(|| q0.clone()),
+        n,
+        s,
+        alpha,
+        n_alpha,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autobatch_models::{CorrelatedGaussian, StdNormal};
-    use autobatch_tensor::DType;
+    use crate::NutsConfig;
+    use autobatch_models::{CorrelatedGaussian, Model, StdNormal};
+    use autobatch_tensor::{CounterRng, DType};
 
     fn cfg() -> NutsConfig {
         NutsConfig {
@@ -358,7 +225,6 @@ mod tests {
         // depths and slice levels.
         let model = CorrelatedGaussian::new(6, 0.8);
         let c = cfg();
-        let it = IterativeNuts::new(&model, c);
         let rng = CounterRng::new(7);
         let q0 = rng.normal_batch(&[0], &[6]);
         let p0 = rng.normal_batch(&[1], &[6]);
@@ -368,11 +234,9 @@ mod tests {
             for j in 0..5i64 {
                 for slack in [0.5, 5.0, 50.0] {
                     let log_u = base_joint - slack;
-                    let mut stats = IterStats::default();
-                    let mut counter = 1000;
-                    let tree = it
-                        .build_iterative(&q0, &p0, log_u, v, j, &rng, 0, &mut counter, &mut stats)
-                        .unwrap();
+                    let mut ctx = Ctx::new(&model, &c, 0, 1000, None);
+                    let eps = c.step_size;
+                    let tree = build_iterative(&mut ctx, &q0, &p0, log_u, v, j, eps).unwrap();
                     let mut rec = RecRef {
                         model: &model,
                         cfg: c,
@@ -384,7 +248,7 @@ mod tests {
                     if s {
                         // With no early stop the leaf counts and far edges
                         // must agree exactly.
-                        assert_eq!(tree.leaves, rec.leaves, "leaves (v={v}, j={j})");
+                        assert_eq!(ctx.stats.leaves, rec.leaves, "leaves (v={v}, j={j})");
                         assert_eq!(tree.q_edge, qp, "far edge q (v={v}, j={j})");
                         assert_eq!(tree.p_edge, pp, "far edge p (v={v}, j={j})");
                     }
@@ -401,7 +265,8 @@ mod tests {
         let it = IterativeNuts::new(&model, c);
         let mut all = Vec::new();
         for m in 0..30u64 {
-            let (qf, stats) = it.run_chain(&Tensor::zeros(DType::F64, &[2]), m).unwrap();
+            let q0 = Tensor::zeros(DType::F64, &[2]);
+            let (qf, stats) = it.run_chain(&q0, m, None).unwrap();
             assert!(stats.grads > 0);
             all.extend_from_slice(qf.as_f64().unwrap());
         }
@@ -426,7 +291,7 @@ mod tests {
         let mut var_rec = 0.0;
         for m in 0..chains {
             let q0 = Tensor::zeros(DType::F64, &[3]);
-            let (a, _) = it.run_chain(&q0, m).unwrap();
+            let (a, _) = it.run_chain(&q0, m, None).unwrap();
             let (b, _) = rec.run_chain(&q0, m, None).unwrap();
             var_it += a.dot_last_axis(&a).unwrap().as_f64().unwrap()[0];
             var_rec += b.dot_last_axis(&b).unwrap().as_f64().unwrap()[0];

@@ -33,6 +33,7 @@
 use std::fmt;
 
 pub mod adapt;
+mod chain;
 pub mod iterative;
 pub mod multinomial;
 pub mod native;
@@ -40,9 +41,10 @@ pub mod program;
 mod sampler;
 
 pub use adapt::{find_reasonable_epsilon, AdaptedChain, AdaptiveNuts, DualAveraging};
-pub use iterative::{IterStats, IterativeNuts};
-pub use multinomial::{MultinomialNuts, MultinomialStats};
-pub use native::{ChainState, NativeNuts, NutsStats, TrajectoryInfo};
+pub use chain::{ChainState, NutsStats, Sampler, TrajectoryInfo};
+pub use iterative::IterativeNuts;
+pub use multinomial::MultinomialNuts;
+pub use native::NativeNuts;
 pub use program::{nuts_program, nuts_source, NutsConfig};
 pub use sampler::BatchNuts;
 

@@ -18,74 +18,17 @@
 //! guard, and counter-based RNG discipline as the slice variant, so the
 //! two are directly comparable.
 
-use autobatch_accel::{LaunchRecord, Trace};
-use autobatch_tensor::{CounterRng, Tensor};
+use autobatch_tensor::Tensor;
 
-use crate::native::TrajectoryInfo;
-use crate::program::NutsConfig;
+use crate::chain::{no_uturn, Ctx, Sampler, Trajectory};
 use crate::Result;
-use autobatch_models::Model;
-
-/// Statistics of one multinomial-NUTS run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MultinomialStats {
-    /// Model gradient evaluations.
-    pub grads: u64,
-    /// Model log-density evaluations.
-    pub logps: u64,
-    /// Tree leaves built.
-    pub leaves: u64,
-    /// Trajectories that stopped on the divergence guard.
-    pub divergences: u64,
-    /// Final tree depth of each trajectory.
-    pub depths: Vec<u32>,
-    /// Mean acceptance statistic of each trajectory.
-    pub accept_stats: Vec<f64>,
-}
-
-/// Resumable chain state for the multinomial sampler.
-#[derive(Debug, Clone)]
-pub struct MultinomialChain {
-    q: Tensor,
-    member: u64,
-    counter: i64,
-}
-
-impl MultinomialChain {
-    /// The current position, shape `[d]`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tensor reshape errors (cannot happen for well-formed
-    /// state).
-    pub fn position(&self) -> Result<Tensor> {
-        let d = self.q.len();
-        Ok(self.q.reshape(&[d])?)
-    }
-
-    /// The next RNG counter.
-    pub fn counter(&self) -> i64 {
-        self.counter
-    }
-}
 
 /// The multinomial No-U-Turn sampler.
-#[derive(Debug)]
-pub struct MultinomialNuts<'m> {
-    model: &'m dyn Model,
-    cfg: NutsConfig,
-}
+pub type MultinomialNuts<'m> = Sampler<'m, MultinomialTree>;
 
-struct Ctx<'a> {
-    model: &'a dyn Model,
-    cfg: &'a NutsConfig,
-    rng: CounterRng,
-    member: u64,
-    counter: i64,
-    stats: MultinomialStats,
-    trace: Option<&'a mut Trace>,
-    joint0: f64,
-}
+/// Betancourt's multinomial trajectory — [`MultinomialNuts`]'s algorithm.
+#[derive(Debug)]
+pub struct MultinomialTree;
 
 struct Tree {
     qm: Tensor,
@@ -110,227 +53,61 @@ fn log_add_exp(a: f64, b: f64) -> f64 {
     }
 }
 
-impl<'m> MultinomialNuts<'m> {
-    /// Create a sampler for `model` with the given configuration.
-    pub fn new(model: &'m dyn Model, cfg: NutsConfig) -> Self {
-        MultinomialNuts { model, cfg }
-    }
-
-    /// Run one chain from `q0` (shape `[d]`), identified as batch member
-    /// `member` for RNG purposes. Returns the final position and stats.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tensor errors from the model kernels.
-    pub fn run_chain(
-        &self,
-        q0: &Tensor,
-        member: u64,
-        trace: Option<&mut Trace>,
-    ) -> Result<(Tensor, MultinomialStats)> {
-        let d = self.model.dim();
-        let mut ctx = Ctx {
-            model: self.model,
-            cfg: &self.cfg,
-            rng: CounterRng::new(self.cfg.seed),
-            member,
-            counter: 0,
-            stats: MultinomialStats::default(),
-            trace,
-            joint0: 0.0,
-        };
-        let mut q = q0.reshape(&[1, d])?;
-        for _ in 0..self.cfg.n_trajectories {
-            q = ctx.trajectory(q, self.cfg.step_size)?;
+fn build_tree(ctx: &mut Ctx<'_>, q: &Tensor, p: &Tensor, v: f64, j: i64, eps: f64) -> Result<Tree> {
+    if j == 0 {
+        ctx.stats.leaves += 1;
+        let (q1, p1) = ctx.leapfrog(q, p, v * eps)?;
+        let log_w = ctx.joint(&q1, &p1)? - ctx.joint0;
+        // Stan's divergence guard: the energy error exceeds Δ_max.
+        let s = log_w > -1000.0;
+        if !s {
+            ctx.stats.divergences += 1;
         }
-        let stats = ctx.stats;
-        Ok((q.reshape(&[d])?, stats))
+        return Ok(Tree {
+            qm: q1.clone(),
+            pm: p1.clone(),
+            qp: q1.clone(),
+            pp: p1.clone(),
+            qprop: q1,
+            log_sum_w: log_w,
+            s,
+            alpha: log_w.exp().min(1.0),
+            n_alpha: 1,
+        });
     }
-
-    /// Run `z` chains sequentially; `q0` has shape `[z, d]`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tensor errors from the model kernels.
-    pub fn run_chains(
-        &self,
-        q0: &Tensor,
-        mut trace: Option<&mut Trace>,
-    ) -> Result<(Tensor, MultinomialStats)> {
-        let z = q0.shape()[0];
-        let mut rows = Vec::with_capacity(z);
-        let mut total = MultinomialStats::default();
-        for b in 0..z {
-            let (qf, st) = self.run_chain(&q0.row(b)?, b as u64, trace.as_deref_mut())?;
-            rows.push(qf.reshape(&[1, self.model.dim()])?);
-            total.grads += st.grads;
-            total.logps += st.logps;
-            total.leaves += st.leaves;
-            total.divergences += st.divergences;
-            total.depths.extend(st.depths);
-            total.accept_stats.extend(st.accept_stats);
-        }
-        Ok((Tensor::concat_rows(&rows)?, total))
-    }
-
-    /// Start a resumable chain at `q0` (shape `[d]`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if `q0` is not a `[d]` vector.
-    pub fn init_chain(&self, q0: &Tensor, member: u64) -> Result<MultinomialChain> {
-        let d = self.model.dim();
-        Ok(MultinomialChain {
-            q: q0.reshape(&[1, d])?,
-            member,
-            counter: 0,
-        })
-    }
-
-    /// Advance `state` by one trajectory with step size `eps` (for
-    /// step-size adaptation).
-    ///
-    /// # Errors
-    ///
-    /// Propagates tensor errors from the model kernels.
-    pub fn step_trajectory(
-        &self,
-        state: &mut MultinomialChain,
-        eps: f64,
-        trace: Option<&mut Trace>,
-    ) -> Result<TrajectoryInfo> {
-        let mut ctx = Ctx {
-            model: self.model,
-            cfg: &self.cfg,
-            rng: CounterRng::new(self.cfg.seed),
-            member: state.member,
-            counter: state.counter,
-            stats: MultinomialStats::default(),
-            trace,
-            joint0: 0.0,
+    let mut t = build_tree(ctx, q, p, v, j - 1, eps)?;
+    if t.s {
+        let sub = if v < 0.0 {
+            build_tree(ctx, &t.qm, &t.pm, v, j - 1, eps)?
+        } else {
+            build_tree(ctx, &t.qp, &t.pp, v, j - 1, eps)?
         };
-        state.q = ctx.trajectory(state.q.clone(), eps)?;
-        state.counter = ctx.counter;
-        Ok(TrajectoryInfo {
-            accept_mean: *ctx.stats.accept_stats.last().expect("one trajectory ran"),
-            depth: *ctx.stats.depths.last().expect("one trajectory ran"),
-            grads: ctx.stats.grads,
-            divergent: ctx.stats.divergences > 0,
-        })
+        if v < 0.0 {
+            t.qm = sub.qm;
+            t.pm = sub.pm;
+        } else {
+            t.qp = sub.qp;
+            t.pp = sub.pp;
+        }
+        // Inner merge: unbiased multinomial choice between halves.
+        let total = log_add_exp(t.log_sum_w, sub.log_sum_w);
+        let p_new = (sub.log_sum_w - total).exp();
+        if ctx.draw_uniform() < p_new {
+            t.qprop = sub.qprop;
+        }
+        t.log_sum_w = total;
+        t.alpha += sub.alpha;
+        t.n_alpha += sub.n_alpha;
+        t.s = sub.s && no_uturn(&t.qm, &t.qp, &t.pm, &t.pp)?;
     }
+    Ok(t)
 }
 
-impl Ctx<'_> {
-    fn draw_normal_like(&mut self, template: &Tensor) -> Tensor {
-        let elem = &template.shape()[1..];
-        let t = self
-            .rng
-            .normal_batch_for(&[self.member], &[self.counter], elem);
-        self.counter += 1;
-        t
-    }
-
-    fn draw_uniform(&mut self) -> f64 {
-        let t = self
-            .rng
-            .uniform_batch_for(&[self.member], &[self.counter], &[]);
-        self.counter += 1;
-        t.as_f64().expect("f64 draw")[0]
-    }
-
-    fn grad(&mut self, q: &Tensor) -> Result<Tensor> {
-        self.stats.grads += 1;
-        if let Some(t) = self.trace.as_deref_mut() {
-            t.launch(&LaunchRecord::compute("grad", self.model.grad_flops(), 1));
-        }
-        Ok(self.model.grad(q)?)
-    }
-
-    fn logp(&mut self, q: &Tensor) -> Result<f64> {
-        self.stats.logps += 1;
-        if let Some(t) = self.trace.as_deref_mut() {
-            t.launch(&LaunchRecord::compute("logp", self.model.logp_flops(), 1));
-        }
-        Ok(self.model.logp(q)?.as_f64()?[0])
-    }
-
-    fn leapfrog(&mut self, q: &Tensor, p: &Tensor, dt: f64) -> Result<(Tensor, Tensor)> {
-        let mut q2 = q.clone();
-        let mut p2 = p.clone();
-        let half = Tensor::scalar(0.5 * dt);
-        let full = Tensor::scalar(dt);
-        for _ in 0..self.cfg.leapfrog_steps {
-            let g = self.grad(&q2)?;
-            p2 = p2.add(&half.mul(&g)?)?;
-            q2 = q2.add(&full.mul(&p2)?)?;
-            let g = self.grad(&q2)?;
-            p2 = p2.add(&half.mul(&g)?)?;
-        }
-        Ok((q2, p2))
-    }
-
-    fn no_uturn(&self, qm: &Tensor, qp: &Tensor, pm: &Tensor, pp: &Tensor) -> Result<bool> {
-        let dq = qp.sub(qm)?;
-        let a = dq.dot_last_axis(pm)?.as_f64()?[0];
-        let b = dq.dot_last_axis(pp)?.as_f64()?[0];
-        Ok(a >= 0.0 && b >= 0.0)
-    }
-
-    fn build_tree(&mut self, q: &Tensor, p: &Tensor, v: f64, j: i64, eps: f64) -> Result<Tree> {
-        if j == 0 {
-            self.stats.leaves += 1;
-            let (q1, p1) = self.leapfrog(q, p, v * eps)?;
-            let joint = self.logp(&q1)? - 0.5 * p1.dot_last_axis(&p1)?.as_f64()?[0];
-            let log_w = joint - self.joint0;
-            // Stan's divergence guard: the energy error exceeds Δ_max.
-            let s = log_w > -1000.0;
-            if !s {
-                self.stats.divergences += 1;
-            }
-            return Ok(Tree {
-                qm: q1.clone(),
-                pm: p1.clone(),
-                qp: q1.clone(),
-                pp: p1.clone(),
-                qprop: q1,
-                log_sum_w: log_w,
-                s,
-                alpha: log_w.exp().min(1.0),
-                n_alpha: 1,
-            });
-        }
-        let mut t = self.build_tree(q, p, v, j - 1, eps)?;
-        if t.s {
-            let sub = if v < 0.0 {
-                let sub = self.build_tree(&t.qm.clone(), &t.pm.clone(), v, j - 1, eps)?;
-                t.qm = sub.qm.clone();
-                t.pm = sub.pm.clone();
-                sub
-            } else {
-                let sub = self.build_tree(&t.qp.clone(), &t.pp.clone(), v, j - 1, eps)?;
-                t.qp = sub.qp.clone();
-                t.pp = sub.pp.clone();
-                sub
-            };
-            // Inner merge: unbiased multinomial choice between halves.
-            let total = log_add_exp(t.log_sum_w, sub.log_sum_w);
-            let p_new = (sub.log_sum_w - total).exp();
-            if self.draw_uniform() < p_new {
-                t.qprop = sub.qprop;
-            }
-            t.log_sum_w = total;
-            t.alpha += sub.alpha;
-            t.n_alpha += sub.n_alpha;
-            t.s = sub.s && self.no_uturn(&t.qm, &t.qp, &t.pm, &t.pp)?;
-        }
-        Ok(t)
-    }
-
-    fn trajectory(&mut self, q: Tensor, eps: f64) -> Result<Tensor> {
+impl Trajectory for MultinomialTree {
+    fn trajectory(ctx: &mut Ctx<'_>, q: Tensor, eps: f64) -> Result<Tensor> {
         let mut q_out = q;
-        let p0 = self.draw_normal_like(&q_out);
-        let joint0 = self.logp(&q_out)? - 0.5 * p0.dot_last_axis(&p0)?.as_f64()?[0];
-        self.joint0 = joint0;
+        let p0 = ctx.draw_normal_like(&q_out);
+        ctx.joint0 = ctx.joint(&q_out, &p0)?;
         let mut qm = q_out.clone();
         let mut qp = q_out.clone();
         let mut pm = p0.clone();
@@ -341,40 +118,34 @@ impl Ctx<'_> {
         let mut s = true;
         let mut alpha = 0.0;
         let mut n_alpha: i64 = 0;
-        while s && j < self.cfg.max_depth as i64 {
-            let uv = self.draw_uniform();
+        while s && j < ctx.cfg.max_depth as i64 {
+            let uv = ctx.draw_uniform();
             let v = if uv < 0.5 { -1.0 } else { 1.0 };
             let sub = if v < 0.0 {
-                let sub = self.build_tree(&qm.clone(), &pm.clone(), v, j, eps)?;
-                qm = sub.qm.clone();
-                pm = sub.pm.clone();
-                sub
+                build_tree(ctx, &qm, &pm, v, j, eps)?
             } else {
-                let sub = self.build_tree(&qp.clone(), &pp.clone(), v, j, eps)?;
-                qp = sub.qp.clone();
-                pp = sub.pp.clone();
-                sub
+                build_tree(ctx, &qp, &pp, v, j, eps)?
             };
+            if v < 0.0 {
+                (qm, pm) = (sub.qm, sub.pm);
+            } else {
+                (qp, pp) = (sub.qp, sub.pp);
+            }
             alpha += sub.alpha;
             n_alpha += sub.n_alpha;
             if sub.s {
                 // Top-level merge is *biased* toward the new subtree:
                 // accept with probability min(1, W_new / W_old).
                 let p_accept = (sub.log_sum_w - log_sum_w).exp().min(1.0);
-                if self.draw_uniform() < p_accept {
+                if ctx.draw_uniform() < p_accept {
                     q_out = sub.qprop;
                 }
             }
             log_sum_w = log_add_exp(log_sum_w, sub.log_sum_w);
-            s = sub.s && self.no_uturn(&qm, &qp, &pm, &pp)?;
+            s = sub.s && no_uturn(&qm, &qp, &pm, &pp)?;
             j += 1;
         }
-        self.stats.depths.push(j as u32);
-        self.stats.accept_stats.push(if n_alpha > 0 {
-            alpha / n_alpha as f64
-        } else {
-            0.0
-        });
+        ctx.record_trajectory(j, alpha, n_alpha);
         Ok(q_out)
     }
 }
@@ -383,6 +154,7 @@ impl Ctx<'_> {
 mod tests {
     use super::*;
     use crate::native::NativeNuts;
+    use crate::NutsConfig;
     use autobatch_models::{CorrelatedGaussian, StdNormal};
     use autobatch_tensor::DType;
 

@@ -8,50 +8,35 @@
 //! member `b` of an autobatched run produce *identical* samples — the
 //! strongest possible cross-validation of the batching runtimes.
 
-use autobatch_accel::{LaunchRecord, Trace};
-use autobatch_tensor::{CounterRng, Tensor};
+use autobatch_tensor::Tensor;
 
-use crate::program::NutsConfig;
+use crate::chain::{no_uturn, Ctx, Sampler, Trajectory};
 use crate::Result;
-use autobatch_models::Model;
-
-/// Statistics of one native NUTS run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct NutsStats {
-    /// Model gradient evaluations.
-    pub grads: u64,
-    /// Model log-density evaluations.
-    pub logps: u64,
-    /// Tree leaves built.
-    pub leaves: u64,
-    /// Trajectories that stopped on the divergence guard.
-    pub divergences: u64,
-    /// Final tree depth of each trajectory.
-    pub depths: Vec<u32>,
-    /// Mean Metropolis acceptance statistic of each trajectory (the
-    /// `α/n_α` of Hoffman & Gelman Algorithm 6, driving dual-averaging
-    /// step-size adaptation).
-    pub accept_stats: Vec<f64>,
-}
 
 /// The native recursive sampler.
-#[derive(Debug)]
-pub struct NativeNuts<'m> {
-    model: &'m dyn Model,
-    cfg: NutsConfig,
-}
+pub type NativeNuts<'m> = Sampler<'m, SliceTree>;
 
-struct Ctx<'a> {
-    model: &'a dyn Model,
-    cfg: &'a NutsConfig,
-    rng: CounterRng,
-    member: u64,
-    counter: i64,
-    stats: NutsStats,
-    trace: Option<&'a mut Trace>,
-    /// Initial Hamiltonian of the current trajectory, the reference point
-    /// for acceptance statistics.
-    joint0: f64,
+/// Hoffman & Gelman's slice-sampling trajectory over the recursive
+/// `build_tree` — [`NativeNuts`]'s algorithm.
+#[derive(Debug)]
+pub struct SliceTree;
+
+impl Trajectory for SliceTree {
+    fn trajectory(ctx: &mut Ctx<'_>, q: Tensor, eps: f64) -> Result<Tensor> {
+        slice_trajectory(ctx, q, |ctx, q, p, log_u, v, j| {
+            let t = build_tree(ctx, q, p, log_u, v, j, eps)?;
+            let (q_edge, p_edge) = if v < 0.0 { (t.qm, t.pm) } else { (t.qp, t.pp) };
+            Ok(Doubling {
+                q_edge,
+                p_edge,
+                qprop: t.qprop,
+                n: t.n,
+                s: t.s,
+                alpha: t.alpha,
+                n_alpha: t.n_alpha,
+            })
+        })
+    }
 }
 
 struct Tree {
@@ -68,370 +53,131 @@ struct Tree {
     n_alpha: i64,
 }
 
-/// Summary of one trajectory taken via [`NativeNuts::step_trajectory`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TrajectoryInfo {
-    /// Mean acceptance statistic `α/n_α` (Hoffman & Gelman Alg. 6).
-    pub accept_mean: f64,
-    /// Final tree depth.
-    pub depth: u32,
-    /// Gradient evaluations consumed.
-    pub grads: u64,
-    /// Whether the trajectory stopped on the divergence guard.
-    pub divergent: bool,
+/// What one doubling hands the trajectory: the subtree's far edge, its
+/// proposal, its admissible count and stop flag, and the acceptance
+/// accumulated over its leaves.
+pub(crate) struct Doubling {
+    pub(crate) q_edge: Tensor,
+    pub(crate) p_edge: Tensor,
+    pub(crate) qprop: Tensor,
+    pub(crate) n: i64,
+    pub(crate) s: bool,
+    pub(crate) alpha: f64,
+    pub(crate) n_alpha: i64,
 }
 
-/// Resumable per-chain state for trajectory-at-a-time driving (used by
-/// step-size adaptation, which changes `ε` between trajectories).
-#[derive(Debug, Clone)]
-pub struct ChainState {
-    /// Current position, shape `[1, d]`.
+/// One slice-sampling trajectory, mirroring program.rs: `grow(ctx, q, p,
+/// log_u, v, j)` builds the depth-`j` subtree that extends the edge
+/// `(q, p)` in direction `v`.
+pub(crate) fn slice_trajectory(
+    ctx: &mut Ctx<'_>,
     q: Tensor,
-    /// Batch-member id (RNG stream selector).
-    member: u64,
-    /// Next RNG counter (continues the draw sequence across calls).
-    counter: i64,
-}
-
-impl ChainState {
-    /// The current position, shape `[d]`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tensor reshape errors (cannot happen for well-formed
-    /// state).
-    pub fn position(&self) -> Result<Tensor> {
-        let d = self.q.len();
-        Ok(self.q.reshape(&[d])?)
-    }
-
-    /// The batch-member id of this chain.
-    pub fn member(&self) -> u64 {
-        self.member
-    }
-
-    /// The next RNG counter (how many draws the chain has consumed).
-    pub fn counter(&self) -> i64 {
-        self.counter
-    }
-}
-
-impl<'m> NativeNuts<'m> {
-    /// Create a sampler for `model` with the given configuration.
-    pub fn new(model: &'m dyn Model, cfg: NutsConfig) -> Self {
-        NativeNuts { model, cfg }
-    }
-
-    /// Run one chain from `q0` (shape `[d]`), identified as batch member
-    /// `member` for RNG purposes. Returns the final position and stats.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tensor errors from the model kernels.
-    pub fn run_chain(
-        &self,
-        q0: &Tensor,
-        member: u64,
-        trace: Option<&mut Trace>,
-    ) -> Result<(Tensor, NutsStats)> {
-        let d = self.model.dim();
-        let mut ctx = Ctx {
-            model: self.model,
-            cfg: &self.cfg,
-            rng: CounterRng::new(self.cfg.seed),
-            member,
-            counter: 0,
-            stats: NutsStats::default(),
-            trace,
-            joint0: 0.0,
-        };
-        let mut q = q0.reshape(&[1, d])?;
-        for _ in 0..self.cfg.n_trajectories {
-            q = ctx.trajectory(q, self.cfg.step_size)?;
-        }
-        let stats = ctx.stats;
-        Ok((q.reshape(&[d])?, stats))
-    }
-
-    /// Start a resumable chain at `q0` (shape `[d]`), identified as batch
-    /// member `member` for RNG purposes.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if `q0` is not a `[d]` vector.
-    pub fn init_chain(&self, q0: &Tensor, member: u64) -> Result<ChainState> {
-        let d = self.model.dim();
-        Ok(ChainState {
-            q: q0.reshape(&[1, d])?,
-            member,
-            counter: 0,
-        })
-    }
-
-    /// Advance `state` by one NUTS trajectory with step size `eps`,
-    /// continuing the chain's RNG stream. Used by step-size adaptation,
-    /// which varies `eps` between trajectories; with `eps` fixed at the
-    /// configured step size the draw sequence is identical to
-    /// [`NativeNuts::run_chain`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates tensor errors from the model kernels.
-    pub fn step_trajectory(
-        &self,
-        state: &mut ChainState,
-        eps: f64,
-        trace: Option<&mut Trace>,
-    ) -> Result<TrajectoryInfo> {
-        let mut ctx = Ctx {
-            model: self.model,
-            cfg: &self.cfg,
-            rng: CounterRng::new(self.cfg.seed),
-            member: state.member,
-            counter: state.counter,
-            stats: NutsStats::default(),
-            trace,
-            joint0: 0.0,
-        };
-        state.q = ctx.trajectory(state.q.clone(), eps)?;
-        state.counter = ctx.counter;
-        Ok(TrajectoryInfo {
-            accept_mean: *ctx.stats.accept_stats.last().expect("one trajectory ran"),
-            depth: *ctx.stats.depths.last().expect("one trajectory ran"),
-            grads: ctx.stats.grads,
-            divergent: ctx.stats.divergences > 0,
-        })
-    }
-
-    /// Run `z` chains sequentially (the baseline processes one chain at a
-    /// time). `q0` has shape `[z, d]`; returns final positions `[z, d]`
-    /// and merged stats.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tensor errors from the model kernels.
-    pub fn run_chains(
-        &self,
-        q0: &Tensor,
-        mut trace: Option<&mut Trace>,
-    ) -> Result<(Tensor, NutsStats)> {
-        let z = q0.shape()[0];
-        let mut rows = Vec::with_capacity(z);
-        let mut total = NutsStats::default();
-        for b in 0..z {
-            let (qf, st) = self.run_chain(&q0.row(b)?, b as u64, trace.as_deref_mut())?;
-            rows.push(qf.reshape(&[1, self.model.dim()])?);
-            total.grads += st.grads;
-            total.logps += st.logps;
-            total.leaves += st.leaves;
-            total.divergences += st.divergences;
-            total.depths.extend(st.depths);
-        }
-        Ok((Tensor::concat_rows(&rows)?, total))
-    }
-}
-
-impl Ctx<'_> {
-    // ---- RNG draws, mirroring the VM's counter discipline exactly -----
-
-    fn draw_normal_like(&mut self, template: &Tensor) -> Tensor {
-        let elem = &template.shape()[1..];
-        let t = self
-            .rng
-            .normal_batch_for(&[self.member], &[self.counter], elem);
-        self.counter += 1;
-        t
-    }
-
-    fn draw_exponential(&mut self) -> f64 {
-        let t = self
-            .rng
-            .exponential_batch_for(&[self.member], &[self.counter], &[]);
-        self.counter += 1;
-        t.as_f64().expect("f64 draw")[0]
-    }
-
-    fn draw_uniform(&mut self) -> f64 {
-        let t = self
-            .rng
-            .uniform_batch_for(&[self.member], &[self.counter], &[]);
-        self.counter += 1;
-        t.as_f64().expect("f64 draw")[0]
-    }
-
-    // ---- model kernels with pricing ------------------------------------
-
-    fn grad(&mut self, q: &Tensor) -> Result<Tensor> {
-        self.stats.grads += 1;
-        if let Some(t) = self.trace.as_deref_mut() {
-            t.launch(&LaunchRecord::compute("grad", self.model.grad_flops(), 1));
-        }
-        Ok(self.model.grad(q)?)
-    }
-
-    fn logp(&mut self, q: &Tensor) -> Result<f64> {
-        self.stats.logps += 1;
-        if let Some(t) = self.trace.as_deref_mut() {
-            t.launch(&LaunchRecord::compute("logp", self.model.logp_flops(), 1));
-        }
-        Ok(self.model.logp(q)?.as_f64()?[0])
-    }
-
-    fn record_axpy(&mut self) {
-        if let Some(t) = self.trace.as_deref_mut() {
-            let d = self.model.dim() as f64;
-            t.launch(&LaunchRecord::compute("axpy", 6.0 * d, 1));
-        }
-    }
-
-    // ---- the algorithm, mirroring program.rs ---------------------------
-
-    fn leapfrog(&mut self, q: &Tensor, p: &Tensor, dt: f64) -> Result<(Tensor, Tensor)> {
-        let mut q2 = q.clone();
-        let mut p2 = p.clone();
-        let half = Tensor::scalar(0.5 * dt);
-        let full = Tensor::scalar(dt);
-        for _ in 0..self.cfg.leapfrog_steps {
-            let g = self.grad(&q2)?;
-            p2 = p2.add(&half.mul(&g)?)?;
-            q2 = q2.add(&full.mul(&p2)?)?;
-            let g = self.grad(&q2)?;
-            p2 = p2.add(&half.mul(&g)?)?;
-            self.record_axpy();
-        }
-        Ok((q2, p2))
-    }
-
-    fn no_uturn(&self, qm: &Tensor, qp: &Tensor, pm: &Tensor, pp: &Tensor) -> Result<bool> {
-        let dq = qp.sub(qm)?;
-        let a = dq.dot_last_axis(pm)?.as_f64()?[0];
-        let b = dq.dot_last_axis(pp)?.as_f64()?[0];
-        Ok(a >= 0.0 && b >= 0.0)
-    }
-
-    fn build_tree(
-        &mut self,
-        q: &Tensor,
-        p: &Tensor,
-        log_u: f64,
-        v: f64,
-        j: i64,
-        eps: f64,
-    ) -> Result<Tree> {
-        if j == 0 {
-            self.stats.leaves += 1;
-            let (q1, p1) = self.leapfrog(q, p, v * eps)?;
-            let joint = self.logp(&q1)? - 0.5 * p1.dot_last_axis(&p1)?.as_f64()?[0];
-            let n = i64::from(log_u <= joint);
-            let s = log_u < joint + 1000.0;
-            if !s {
-                self.stats.divergences += 1;
-            }
-            return Ok(Tree {
-                qm: q1.clone(),
-                pm: p1.clone(),
-                qp: q1.clone(),
-                pp: p1.clone(),
-                qprop: q1,
-                n,
-                s,
-                alpha: (joint - self.joint0).exp().min(1.0),
-                n_alpha: 1,
-            });
-        }
-        let mut t = self.build_tree(q, p, log_u, v, j - 1, eps)?;
-        if t.s {
-            let (qprop2, n2, s2);
-            if v < 0.0 {
-                let sub = self.build_tree(&t.qm.clone(), &t.pm.clone(), log_u, v, j - 1, eps)?;
-                t.qm = sub.qm;
-                t.pm = sub.pm;
-                qprop2 = sub.qprop;
-                n2 = sub.n;
-                s2 = sub.s;
-                t.alpha += sub.alpha;
-                t.n_alpha += sub.n_alpha;
-            } else {
-                let sub = self.build_tree(&t.qp.clone(), &t.pp.clone(), log_u, v, j - 1, eps)?;
-                t.qp = sub.qp;
-                t.pp = sub.pp;
-                qprop2 = sub.qprop;
-                n2 = sub.n;
-                s2 = sub.s;
-                t.alpha += sub.alpha;
-                t.n_alpha += sub.n_alpha;
-            }
-            let usel = self.draw_uniform();
-            let ntot = (t.n + n2) as f64;
-            if ntot > 0.0 && usel * ntot < n2 as f64 {
-                t.qprop = qprop2;
-            }
-            t.s = s2 && self.no_uturn(&t.qm, &t.qp, &t.pm, &t.pp)?;
-            t.n += n2;
-        }
-        Ok(t)
-    }
-
-    fn trajectory(&mut self, q: Tensor, eps: f64) -> Result<Tensor> {
-        let mut q_out = q;
-        let p0 = self.draw_normal_like(&q_out);
-        let e0 = self.draw_exponential();
-        let joint0 = self.logp(&q_out)? - 0.5 * p0.dot_last_axis(&p0)?.as_f64()?[0];
-        self.joint0 = joint0;
-        let log_u = joint0 - e0;
-        let mut qm = q_out.clone();
-        let mut qp = q_out.clone();
-        let mut pm = p0.clone();
-        let mut pp = p0;
-        let mut j: i64 = 0;
-        let mut n: i64 = 1;
-        let mut s = true;
-        let mut alpha = 0.0;
-        let mut n_alpha: i64 = 0;
-        while s && j < self.cfg.max_depth as i64 {
-            let uv = self.draw_uniform();
-            let v = if uv < 0.5 { -1.0 } else { 1.0 };
-            let (qprop, n2, s2);
-            if v < 0.0 {
-                let sub = self.build_tree(&qm.clone(), &pm.clone(), log_u, v, j, eps)?;
-                qm = sub.qm;
-                pm = sub.pm;
-                qprop = sub.qprop;
-                n2 = sub.n;
-                s2 = sub.s;
-                alpha += sub.alpha;
-                n_alpha += sub.n_alpha;
-            } else {
-                let sub = self.build_tree(&qp.clone(), &pp.clone(), log_u, v, j, eps)?;
-                qp = sub.qp;
-                pp = sub.pp;
-                qprop = sub.qprop;
-                n2 = sub.n;
-                s2 = sub.s;
-                alpha += sub.alpha;
-                n_alpha += sub.n_alpha;
-            }
-            let ua = self.draw_uniform();
-            if s2 && ua * (n as f64) < (n2 as f64) {
-                q_out = qprop;
-            }
-            n += n2;
-            s = s2 && self.no_uturn(&qm, &qp, &pm, &pp)?;
-            j += 1;
-        }
-        self.stats.depths.push(j as u32);
-        self.stats.accept_stats.push(if n_alpha > 0 {
-            alpha / n_alpha as f64
+    mut grow: impl FnMut(&mut Ctx<'_>, &Tensor, &Tensor, f64, f64, i64) -> Result<Doubling>,
+) -> Result<Tensor> {
+    let mut q_out = q;
+    let p0 = ctx.draw_normal_like(&q_out);
+    let e0 = ctx.draw_exponential();
+    let joint0 = ctx.joint(&q_out, &p0)?;
+    ctx.joint0 = joint0;
+    let log_u = joint0 - e0;
+    let mut qm = q_out.clone();
+    let mut qp = q_out.clone();
+    let mut pm = p0.clone();
+    let mut pp = p0;
+    let mut j: i64 = 0;
+    let mut n: i64 = 1;
+    let mut s = true;
+    let mut alpha = 0.0;
+    let mut n_alpha: i64 = 0;
+    while s && j < ctx.cfg.max_depth as i64 {
+        let uv = ctx.draw_uniform();
+        let v = if uv < 0.5 { -1.0 } else { 1.0 };
+        let sub = if v < 0.0 {
+            grow(ctx, &qm, &pm, log_u, v, j)?
         } else {
-            0.0
-        });
-        Ok(q_out)
+            grow(ctx, &qp, &pp, log_u, v, j)?
+        };
+        if v < 0.0 {
+            (qm, pm) = (sub.q_edge, sub.p_edge);
+        } else {
+            (qp, pp) = (sub.q_edge, sub.p_edge);
+        }
+        alpha += sub.alpha;
+        n_alpha += sub.n_alpha;
+        let ua = ctx.draw_uniform();
+        if sub.s && ua * (n as f64) < (sub.n as f64) {
+            q_out = sub.qprop;
+        }
+        n += sub.n;
+        s = sub.s && no_uturn(&qm, &qp, &pm, &pp)?;
+        j += 1;
     }
+    ctx.record_trajectory(j, alpha, n_alpha);
+    Ok(q_out)
+}
+
+fn build_tree(
+    ctx: &mut Ctx<'_>,
+    q: &Tensor,
+    p: &Tensor,
+    log_u: f64,
+    v: f64,
+    j: i64,
+    eps: f64,
+) -> Result<Tree> {
+    if j == 0 {
+        ctx.stats.leaves += 1;
+        let (q1, p1) = ctx.leapfrog(q, p, v * eps)?;
+        let joint = ctx.joint(&q1, &p1)?;
+        let n = i64::from(log_u <= joint);
+        let s = log_u < joint + 1000.0;
+        if !s {
+            ctx.stats.divergences += 1;
+        }
+        return Ok(Tree {
+            qm: q1.clone(),
+            pm: p1.clone(),
+            qp: q1.clone(),
+            pp: p1.clone(),
+            qprop: q1,
+            n,
+            s,
+            alpha: (joint - ctx.joint0).exp().min(1.0),
+            n_alpha: 1,
+        });
+    }
+    let mut t = build_tree(ctx, q, p, log_u, v, j - 1, eps)?;
+    if t.s {
+        let sub = if v < 0.0 {
+            build_tree(ctx, &t.qm, &t.pm, log_u, v, j - 1, eps)?
+        } else {
+            build_tree(ctx, &t.qp, &t.pp, log_u, v, j - 1, eps)?
+        };
+        if v < 0.0 {
+            t.qm = sub.qm;
+            t.pm = sub.pm;
+        } else {
+            t.qp = sub.qp;
+            t.pp = sub.pp;
+        }
+        t.alpha += sub.alpha;
+        t.n_alpha += sub.n_alpha;
+        let usel = ctx.draw_uniform();
+        let ntot = (t.n + sub.n) as f64;
+        if ntot > 0.0 && usel * ntot < sub.n as f64 {
+            t.qprop = sub.qprop;
+        }
+        t.s = sub.s && no_uturn(&t.qm, &t.qp, &t.pm, &t.pp)?;
+        t.n += sub.n;
+    }
+    Ok(t)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NutsConfig;
+    use autobatch_accel::Trace;
     use autobatch_models::{CorrelatedGaussian, StdNormal};
     use autobatch_tensor::DType;
 

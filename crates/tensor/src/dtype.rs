@@ -87,6 +87,44 @@ impl Data {
     }
 }
 
+/// Dispatch site 1 of 2: a fresh payload of its sources' element type.
+///
+/// `$body` is evaluated with each `$v` bound to its source's `Vec<T>` and
+/// yields the `Vec<T>` the new payload holds, so it is written once, as a
+/// call to a function generic over `T`. Two sources must agree on their
+/// dtype; `$mismatch` is the error the enclosing function returns when
+/// they do not.
+macro_rules! fresh_like {
+    ($($src:expr),+ => |$($v:ident),+| $body:expr $(, else $mismatch:expr)?) => {
+        match ($($src,)+) {
+            ($(Data::F64($v),)+) => Data::F64($body),
+            ($(Data::I64($v),)+) => Data::I64($body),
+            ($(Data::Bool($v),)+) => Data::Bool($body),
+            $(_ => return Err($mismatch),)?
+        }
+    };
+}
+pub(crate) use fresh_like;
+
+/// Dispatch site 2 of 2: a write into payload `$dst` from a source of the
+/// same element type, `$body` seeing both as `Vec<T>`s of one `T`.
+///
+/// The caller has compared the dtypes already: a destination tensor hands
+/// out its payload through `Tensor::payload_like`, which refuses a
+/// mismatch under the calling kernel's name *before* it unshares the
+/// buffer.
+macro_rules! write_like {
+    ($dst:expr, $src:expr => |$d:ident, $s:ident| $body:expr) => {
+        match ($dst, $src) {
+            (Data::F64($d), Data::F64($s)) => $body,
+            (Data::I64($d), Data::I64($s)) => $body,
+            (Data::Bool($d), Data::Bool($s)) => $body,
+            _ => unreachable!("the destination was built or checked to hold the source's dtype"),
+        }
+    };
+}
+pub(crate) use write_like;
+
 /// A single scalar element of any supported dtype.
 ///
 /// Used for `full`-style constructors and for extracting individual

@@ -5,7 +5,7 @@
 //! one of them processes whole arrays at a time, which is exactly the
 //! SIMD contract the autobatching transformation relies on.
 
-use crate::dtype::{DType, Data};
+use crate::dtype::{fresh_like, Data};
 use crate::error::{Result, TensorError};
 use crate::shape::{broadcast_shapes, volume, BroadcastMap};
 use crate::tensor::Tensor;
@@ -128,6 +128,18 @@ struct BinPlan {
     n: usize,
 }
 
+impl BinPlan {
+    /// The result tensor holding `out`, sharing `lhs`'s shape allocation
+    /// when broadcasting did not change it.
+    fn finish(&self, lhs: &Tensor, out: Data) -> Result<Tensor> {
+        if lhs.shape() == self.out_shape {
+            lhs.like(out)
+        } else {
+            Tensor::new(out, &self.out_shape)
+        }
+    }
+}
+
 fn plan(lhs: &Tensor, rhs: &Tensor, op: &'static str) -> Result<BinPlan> {
     let out_shape = broadcast_shapes(lhs.shape(), rhs.shape(), op)?;
     let lmap = BroadcastMap::new(lhs.shape(), &out_shape)?;
@@ -152,31 +164,24 @@ macro_rules! binary_arith {
         /// Returns an error on dtype disagreement or non-broadcastable shapes.
         pub fn $name(&self, rhs: &Tensor) -> Result<Tensor> {
             let p = plan(self, rhs, stringify!($name))?;
-            match (self.data(), rhs.data()) {
+            let out = match (self.data(), rhs.data()) {
                 (Data::F64(a), Data::F64(b)) => {
                     let ff: fn(f64, f64) -> f64 = $ff;
-                    let out = Data::F64(binary_zip(a, b, &p.lmap, &p.rmap, p.n, ff));
-                    if self.shape() == p.out_shape {
-                        self.like(out)
-                    } else {
-                        Tensor::new(out, &p.out_shape)
-                    }
+                    Data::F64(binary_zip(a, b, &p.lmap, &p.rmap, p.n, ff))
                 }
                 (Data::I64(a), Data::I64(b)) => {
                     let fi: fn(i64, i64) -> i64 = $fi;
-                    let out = Data::I64(binary_zip(a, b, &p.lmap, &p.rmap, p.n, fi));
-                    if self.shape() == p.out_shape {
-                        self.like(out)
-                    } else {
-                        Tensor::new(out, &p.out_shape)
-                    }
+                    Data::I64(binary_zip(a, b, &p.lmap, &p.rmap, p.n, fi))
                 }
-                _ => Err(TensorError::DTypeMismatch {
-                    got: rhs.dtype(),
-                    expected: "both operands f64 or both i64",
-                    op: stringify!($name),
-                }),
-            }
+                _ => {
+                    return Err(TensorError::DTypeMismatch {
+                        got: rhs.dtype(),
+                        expected: "both operands f64 or both i64",
+                        op: stringify!($name),
+                    })
+                }
+            };
+            p.finish(self, out)
         }
     };
 }
@@ -192,31 +197,24 @@ macro_rules! binary_cmp {
         /// Returns an error on dtype disagreement or non-broadcastable shapes.
         pub fn $name(&self, rhs: &Tensor) -> Result<Tensor> {
             let p = plan(self, rhs, stringify!($name))?;
-            match (self.data(), rhs.data()) {
+            let out = match (self.data(), rhs.data()) {
                 (Data::F64(a), Data::F64(b)) => {
                     let ff: fn(f64, f64) -> bool = $ff;
-                    let out = Data::Bool(binary_zip(a, b, &p.lmap, &p.rmap, p.n, ff));
-                    if self.shape() == p.out_shape {
-                        self.like(out)
-                    } else {
-                        Tensor::new(out, &p.out_shape)
-                    }
+                    Data::Bool(binary_zip(a, b, &p.lmap, &p.rmap, p.n, ff))
                 }
                 (Data::I64(a), Data::I64(b)) => {
                     let fi: fn(i64, i64) -> bool = $fi;
-                    let out = Data::Bool(binary_zip(a, b, &p.lmap, &p.rmap, p.n, fi));
-                    if self.shape() == p.out_shape {
-                        self.like(out)
-                    } else {
-                        Tensor::new(out, &p.out_shape)
-                    }
+                    Data::Bool(binary_zip(a, b, &p.lmap, &p.rmap, p.n, fi))
                 }
-                _ => Err(TensorError::DTypeMismatch {
-                    got: rhs.dtype(),
-                    expected: "both operands f64 or both i64",
-                    op: stringify!($name),
-                }),
-            }
+                _ => {
+                    return Err(TensorError::DTypeMismatch {
+                        got: rhs.dtype(),
+                        expected: "both operands f64 or both i64",
+                        op: stringify!($name),
+                    })
+                }
+            };
+            p.finish(self, out)
         }
     };
 }
@@ -328,6 +326,18 @@ impl Tensor {
     ///
     /// Returns an error on dtype or broadcast failure.
     pub fn select(&self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
+        fn go<T: Copy>(c: &[bool], a: &[T], b: &[T], maps: [&BroadcastMap; 3], n: usize) -> Vec<T> {
+            let [cmap, amap, bmap] = maps;
+            let mut out = Vec::with_capacity(n);
+            for i in 0..n {
+                out.push(if c[cmap.map(i)] {
+                    a[amap.map(i)]
+                } else {
+                    b[bmap.map(i)]
+                });
+            }
+            out
+        }
         let cond = self.as_bool()?;
         let ab_shape = broadcast_shapes(a.shape(), b.shape(), "select")?;
         let out_shape = broadcast_shapes(self.shape(), &ab_shape, "select")?;
@@ -335,50 +345,19 @@ impl Tensor {
         let amap = BroadcastMap::new(a.shape(), &out_shape)?;
         let bmap = BroadcastMap::new(b.shape(), &out_shape)?;
         let n = volume(&out_shape);
-        match (a.data(), b.data()) {
-            (Data::F64(av), Data::F64(bv)) => {
-                let mut out = Vec::with_capacity(n);
-                for i in 0..n {
-                    out.push(if cond[cmap.map(i)] {
-                        av[amap.map(i)]
-                    } else {
-                        bv[bmap.map(i)]
-                    });
-                }
-                Tensor::new(Data::F64(out), &out_shape)
-            }
-            (Data::I64(av), Data::I64(bv)) => {
-                let mut out = Vec::with_capacity(n);
-                for i in 0..n {
-                    out.push(if cond[cmap.map(i)] {
-                        av[amap.map(i)]
-                    } else {
-                        bv[bmap.map(i)]
-                    });
-                }
-                Tensor::new(Data::I64(out), &out_shape)
-            }
-            (Data::Bool(av), Data::Bool(bv)) => {
-                let mut out = Vec::with_capacity(n);
-                for i in 0..n {
-                    out.push(if cond[cmap.map(i)] {
-                        av[amap.map(i)]
-                    } else {
-                        bv[bmap.map(i)]
-                    });
-                }
-                Tensor::new(Data::Bool(out), &out_shape)
-            }
-            _ => Err(TensorError::DTypeMismatch {
+        let maps = [&cmap, &amap, &bmap];
+        let out = fresh_like!(a.data(), b.data() => |av, bv| go(cond, av, bv, maps, n), else {
+            TensorError::DTypeMismatch {
                 got: b.dtype(),
                 expected: "branches of select share a dtype",
                 op: "select",
-            }),
-        }
+            }
+        });
+        Tensor::new(out, &out_shape)
     }
 
     // -----------------------------------------------------------------------
-    // In-place, into-buffer, and fused kernels (the hot-loop variants)
+    // In-place and into-buffer kernels (the hot-loop variants)
     // -----------------------------------------------------------------------
 
     /// Apply a scalar function to every element, allocating the result.
@@ -409,18 +388,6 @@ impl Tensor {
         Ok(())
     }
 
-    /// Integer sibling of [`Tensor::map_f64_inplace`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::DTypeMismatch`] unless the dtype is `i64`.
-    pub fn map_i64_inplace<F: Fn(i64) -> i64>(&mut self, f: F) -> Result<()> {
-        for x in self.as_i64_mut()? {
-            *x = f(*x);
-        }
-        Ok(())
-    }
-
     /// Broadcasting binary combine **into a caller-provided buffer**:
     /// `out = f(self, rhs)` elementwise, reusing `out`'s storage when it
     /// is an unshared `f64` buffer (whatever its previous shape). This
@@ -445,51 +412,6 @@ impl Tensor {
         let o = out.as_f64_mut()?;
         for (i, slot) in o.iter_mut().enumerate() {
             *slot = f(a[p.lmap.map(i)], b[p.rmap.map(i)]);
-        }
-        Ok(())
-    }
-
-    /// Fused elementwise `self × b + c` in a single pass, with
-    /// broadcasting. Bit-identical to `self.mul(b)?.add(c)?` — each
-    /// element computes the same two-operation expression (this is *not*
-    /// a hardware FMA with single rounding) — but never materializes the
-    /// product.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless all operands are `f64` and broadcastable.
-    pub fn mul_add(&self, b: &Tensor, c: &Tensor) -> Result<Tensor> {
-        let ab_shape = broadcast_shapes(self.shape(), b.shape(), "mul_add")?;
-        let out_shape = broadcast_shapes(&ab_shape, c.shape(), "mul_add")?;
-        let amap = BroadcastMap::new(self.shape(), &out_shape)?;
-        let bmap = BroadcastMap::new(b.shape(), &out_shape)?;
-        let cmap = BroadcastMap::new(c.shape(), &out_shape)?;
-        let (av, bv, cv) = (self.as_f64()?, b.as_f64()?, c.as_f64()?);
-        let n = volume(&out_shape);
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            out.push(av[amap.map(i)] * bv[bmap.map(i)] + cv[cmap.map(i)]);
-        }
-        Tensor::new(Data::F64(out), &out_shape)
-    }
-
-    /// Fused in-place `self ← self + alpha × x` (BLAS `axpy`) in a
-    /// single pass. Both tensors must share a shape exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on dtype or shape mismatch.
-    pub fn axpy_inplace(&mut self, alpha: f64, x: &Tensor) -> Result<()> {
-        if self.shape() != x.shape() {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.shape().to_vec(),
-                rhs: x.shape().to_vec(),
-                op: "axpy_inplace",
-            });
-        }
-        let xv = x.as_f64()?;
-        for (s, &v) in self.as_f64_mut()?.iter_mut().zip(xv) {
-            *s += alpha * v;
         }
         Ok(())
     }
@@ -526,15 +448,6 @@ impl Tensor {
             Data::Bool(v) => v.clone(),
         };
         self.like(Data::Bool(v)).expect("cast preserves volume")
-    }
-
-    /// Cast to an arbitrary dtype.
-    pub fn cast(&self, dtype: DType) -> Tensor {
-        match dtype {
-            DType::F64 => self.to_f64(),
-            DType::I64 => self.to_i64(),
-            DType::Bool => self.to_bool(),
-        }
     }
 }
 
@@ -651,6 +564,6 @@ mod tests {
         assert_eq!(a.to_bool().as_bool().unwrap(), &[true, false]);
         let b = Tensor::from_bool(&[true, false], &[2]).unwrap();
         assert_eq!(b.to_f64().as_f64().unwrap(), &[1.0, 0.0]);
-        assert_eq!(b.cast(DType::I64).as_i64().unwrap(), &[1, 0]);
+        assert_eq!(b.to_i64().as_i64().unwrap(), &[1, 0]);
     }
 }

@@ -9,8 +9,15 @@
 //! - *gather/scatter at depth* implement the per-variable stack reads and
 //!   writes of program-counter autobatching (Algorithm 2), where each
 //!   batch member may sit at a different stack depth.
+//!
+//! Every kernel here is validation, index arithmetic, and one loop
+//! generic over the element type. The type is chosen in two places, both
+//! in `dtype.rs`: `fresh_like!` builds a new payload of its source's
+//! dtype, and `write_like!` writes into a payload from a source of the
+//! same dtype (`Tensor::payload_like` compares the two before it unshares
+//! a destination tensor's buffer, so a refused write copies nothing).
 
-use crate::dtype::Data;
+use crate::dtype::{fresh_like, write_like, Data};
 use crate::error::{Result, TensorError};
 use crate::tensor::Tensor;
 
@@ -22,21 +29,25 @@ fn row_len(t: &Tensor) -> Result<usize> {
     Ok(t.len() / t.shape()[0].max(1))
 }
 
-macro_rules! per_dtype {
-    ($lhs:expr, $rhs:expr, $op:literal, |$a:ident, $b:ident| $body:expr) => {
-        match ($lhs, $rhs) {
-            (Data::F64($a), Data::F64($b)) => $body,
-            (Data::I64($a), Data::I64($b)) => $body,
-            (Data::Bool($a), Data::Bool($b)) => $body,
-            (_, other) => {
-                return Err(TensorError::DTypeMismatch {
-                    got: other.dtype(),
-                    expected: "matching dtypes",
-                    op: $op,
-                })
-            }
-        }
-    };
+/// `(D, Z, elements per lane)` of a stack-storage tensor `[D, Z, ..]`.
+fn stack_dims(t: &Tensor) -> Result<(usize, usize, usize)> {
+    if t.rank() < 2 {
+        return Err(TensorError::InvalidAxis {
+            axis: 1,
+            rank: t.rank(),
+        });
+    }
+    let el = t.shape()[2..].iter().product();
+    Ok((t.shape()[0], t.shape()[1], el))
+}
+
+/// The first of `indices` that does not name one of `len` positions, as
+/// kernel `op`'s error.
+fn check_indices(indices: &[usize], len: usize, op: &'static str) -> Result<()> {
+    match indices.iter().find(|&&i| i >= len) {
+        Some(&index) => Err(TensorError::IndexOutOfBounds { index, len, op }),
+        None => Ok(()),
+    }
 }
 
 /// Append the rows of `src` at `indices` (each `rl` elements, indices
@@ -48,12 +59,7 @@ fn append_rows(src: &Data, indices: &[usize], rl: usize, out: &mut Data) {
             out.extend_from_slice(&v[i * rl..(i + 1) * rl]);
         }
     }
-    match (src, out) {
-        (Data::F64(v), Data::F64(o)) => go(v, indices, rl, o),
-        (Data::I64(v), Data::I64(o)) => go(v, indices, rl, o),
-        (Data::Bool(v), Data::Bool(o)) => go(v, indices, rl, o),
-        _ => unreachable!("callers pass storage of the source's dtype"),
-    }
+    write_like!(out, src => |o, v| go(v, indices, rl, o))
 }
 
 impl Tensor {
@@ -68,6 +74,13 @@ impl Tensor {
     ///
     /// Returns an error on shape, dtype, or mask-length mismatch.
     pub fn masked_assign_rows(&mut self, mask: &[bool], src: &Tensor) -> Result<()> {
+        fn go<T: Copy>(d: &mut [T], s: &[T], mask: &[bool], rl: usize) {
+            for (r, &m) in mask.iter().enumerate() {
+                if m {
+                    d[r * rl..(r + 1) * rl].copy_from_slice(&s[r * rl..(r + 1) * rl]);
+                }
+            }
+        }
         if self.shape() != src.shape() {
             return Err(TensorError::ShapeMismatch {
                 lhs: self.shape().to_vec(),
@@ -83,45 +96,8 @@ impl Tensor {
             });
         }
         let rl = if self.rank() == 0 { 1 } else { row_len(self)? };
-        let dst = matches!(
-            (self.data(), src.data()),
-            (Data::F64(_), Data::F64(_))
-                | (Data::I64(_), Data::I64(_))
-                | (Data::Bool(_), Data::Bool(_))
-        );
-        if !dst {
-            return Err(TensorError::DTypeMismatch {
-                got: src.dtype(),
-                expected: "matching dtypes",
-                op: "masked_assign_rows",
-            });
-        }
-        match (self.dtype(), src.data()) {
-            (_, Data::F64(s)) => {
-                let d = self.as_f64_mut()?;
-                for (r, &m) in mask.iter().enumerate() {
-                    if m {
-                        d[r * rl..(r + 1) * rl].copy_from_slice(&s[r * rl..(r + 1) * rl]);
-                    }
-                }
-            }
-            (_, Data::I64(s)) => {
-                let d = self.as_i64_mut()?;
-                for (r, &m) in mask.iter().enumerate() {
-                    if m {
-                        d[r * rl..(r + 1) * rl].copy_from_slice(&s[r * rl..(r + 1) * rl]);
-                    }
-                }
-            }
-            (_, Data::Bool(s)) => {
-                let d = self.as_bool_mut()?;
-                for (r, &m) in mask.iter().enumerate() {
-                    if m {
-                        d[r * rl..(r + 1) * rl].copy_from_slice(&s[r * rl..(r + 1) * rl]);
-                    }
-                }
-            }
-        }
+        let dst = self.payload_like(src, "masked_assign_rows")?;
+        write_like!(dst, src.data() => |d, s| go(d, s, mask, rl));
         Ok(())
     }
 
@@ -165,15 +141,8 @@ impl Tensor {
     /// of its rows.
     fn gatherable_row_len(&self, indices: &[usize]) -> Result<usize> {
         let rl = row_len(self)?;
-        let rows = self.shape()[0];
-        match indices.iter().find(|&&i| i >= rows) {
-            Some(&index) => Err(TensorError::IndexOutOfBounds {
-                index,
-                len: rows,
-                op: "gather_rows",
-            }),
-            None => Ok(rl),
-        }
+        check_indices(indices, self.shape()[0], "gather_rows")?;
+        Ok(rl)
     }
 
     /// Scatter the rows of `src` into `self` at the given axis-0 indices:
@@ -185,6 +154,11 @@ impl Tensor {
     ///
     /// Returns an error on shape/dtype mismatch or out-of-range indices.
     pub fn scatter_rows(&mut self, indices: &[usize], src: &Tensor) -> Result<()> {
+        fn go<T: Copy>(d: &mut [T], s: &[T], indices: &[usize], rl: usize) {
+            for (j, &i) in indices.iter().enumerate() {
+                d[i * rl..(i + 1) * rl].copy_from_slice(&s[j * rl..(j + 1) * rl]);
+            }
+        }
         let rl = row_len(self)?;
         if src.rank() == 0
             || src.shape()[0] != indices.len()
@@ -196,36 +170,9 @@ impl Tensor {
                 op: "scatter_rows",
             });
         }
-        let rows = self.shape()[0];
-        for &i in indices {
-            if i >= rows {
-                return Err(TensorError::IndexOutOfBounds {
-                    index: i,
-                    len: rows,
-                    op: "scatter_rows",
-                });
-            }
-        }
-        match (self.dtype(), src.data()) {
-            (_, Data::F64(s)) => {
-                let d = self.as_f64_mut()?;
-                for (j, &i) in indices.iter().enumerate() {
-                    d[i * rl..(i + 1) * rl].copy_from_slice(&s[j * rl..(j + 1) * rl]);
-                }
-            }
-            (_, Data::I64(s)) => {
-                let d = self.as_i64_mut()?;
-                for (j, &i) in indices.iter().enumerate() {
-                    d[i * rl..(i + 1) * rl].copy_from_slice(&s[j * rl..(j + 1) * rl]);
-                }
-            }
-            (_, Data::Bool(s)) => {
-                let d = self.as_bool_mut()?;
-                for (j, &i) in indices.iter().enumerate() {
-                    d[i * rl..(i + 1) * rl].copy_from_slice(&s[j * rl..(j + 1) * rl]);
-                }
-            }
-        }
+        check_indices(indices, self.shape()[0], "scatter_rows")?;
+        let dst = self.payload_like(src, "scatter_rows")?;
+        write_like!(dst, src.data() => |d, s| go(d, s, indices, rl));
         Ok(())
     }
 
@@ -240,59 +187,26 @@ impl Tensor {
     /// Returns an error if the tensor has rank < 2, `depths.len() != Z`,
     /// or any depth is out of range.
     pub fn gather_at_depth(&self, depths: &[usize]) -> Result<Tensor> {
-        if self.rank() < 2 {
-            return Err(TensorError::InvalidAxis {
-                axis: 1,
-                rank: self.rank(),
-            });
+        fn go<T: Copy>(v: &[T], depths: &[usize], z: usize, el: usize) -> Vec<T> {
+            let mut out = Vec::with_capacity(z * el);
+            for (b, &d) in depths.iter().enumerate() {
+                let base = (d * z + b) * el;
+                out.extend_from_slice(&v[base..base + el]);
+            }
+            out
         }
-        let d_max = self.shape()[0];
-        let z = self.shape()[1];
+        let (d_max, z, el) = stack_dims(self)?;
         if depths.len() != z {
             return Err(TensorError::MaskLength {
                 expected: z,
                 got: depths.len(),
             });
         }
-        let el: usize = self.shape()[2..].iter().product();
         let out_shape: Vec<usize> = std::iter::once(z)
             .chain(self.shape()[2..].iter().copied())
             .collect();
-        for &d in depths {
-            if d >= d_max {
-                return Err(TensorError::IndexOutOfBounds {
-                    index: d,
-                    len: d_max,
-                    op: "gather_at_depth",
-                });
-            }
-        }
-        let data = match self.data() {
-            Data::F64(v) => {
-                let mut out = Vec::with_capacity(z * el);
-                for (b, &d) in depths.iter().enumerate() {
-                    let base = (d * z + b) * el;
-                    out.extend_from_slice(&v[base..base + el]);
-                }
-                Data::F64(out)
-            }
-            Data::I64(v) => {
-                let mut out = Vec::with_capacity(z * el);
-                for (b, &d) in depths.iter().enumerate() {
-                    let base = (d * z + b) * el;
-                    out.extend_from_slice(&v[base..base + el]);
-                }
-                Data::I64(out)
-            }
-            Data::Bool(v) => {
-                let mut out = Vec::with_capacity(z * el);
-                for (b, &d) in depths.iter().enumerate() {
-                    let base = (d * z + b) * el;
-                    out.extend_from_slice(&v[base..base + el]);
-                }
-                Data::Bool(out)
-            }
-        };
+        check_indices(depths, d_max, "gather_at_depth")?;
+        let data = fresh_like!(self.data() => |v| go(v, depths, z, el));
         Tensor::new(data, &out_shape)
     }
 
@@ -311,19 +225,23 @@ impl Tensor {
         mask: &[bool],
         src: &Tensor,
     ) -> Result<()> {
-        if self.rank() < 2 {
-            return Err(TensorError::InvalidAxis {
-                axis: 1,
-                rank: self.rank(),
-            });
+        fn go<T: Copy>(dst: &mut [T], s: &[T], depths: &[usize], mask: &[bool], el: usize) {
+            let z = depths.len();
+            for (b, (&d, &m)) in depths.iter().zip(mask).enumerate() {
+                if m {
+                    let base = (d * z + b) * el;
+                    dst[base..base + el].copy_from_slice(&s[b * el..(b + 1) * el]);
+                }
+            }
         }
-        let d_max = self.shape()[0];
-        let z = self.shape()[1];
-        if depths.len() != z || mask.len() != z {
-            return Err(TensorError::MaskLength {
-                expected: z,
-                got: depths.len(),
-            });
+        let (d_max, z, el) = stack_dims(self)?;
+        for len in [depths.len(), mask.len()] {
+            if len != z {
+                return Err(TensorError::MaskLength {
+                    expected: z,
+                    got: len,
+                });
+            }
         }
         if src.rank() == 0 || src.shape()[0] != z || src.shape()[1..] != self.shape()[2..] {
             return Err(TensorError::ShapeMismatch {
@@ -332,9 +250,8 @@ impl Tensor {
                 op: "scatter_at_depth",
             });
         }
-        let el: usize = self.shape()[2..].iter().product();
-        for (b, &d) in depths.iter().enumerate() {
-            if mask[b] && d >= d_max {
+        for (&d, &m) in depths.iter().zip(mask) {
+            if m && d >= d_max {
                 return Err(TensorError::IndexOutOfBounds {
                     index: d,
                     len: d_max,
@@ -342,35 +259,8 @@ impl Tensor {
                 });
             }
         }
-        match (self.dtype(), src.data()) {
-            (_, Data::F64(s)) => {
-                let dst = self.as_f64_mut()?;
-                for (b, (&d, &m)) in depths.iter().zip(mask).enumerate() {
-                    if m {
-                        let base = (d * z + b) * el;
-                        dst[base..base + el].copy_from_slice(&s[b * el..(b + 1) * el]);
-                    }
-                }
-            }
-            (_, Data::I64(s)) => {
-                let dst = self.as_i64_mut()?;
-                for (b, (&d, &m)) in depths.iter().zip(mask).enumerate() {
-                    if m {
-                        let base = (d * z + b) * el;
-                        dst[base..base + el].copy_from_slice(&s[b * el..(b + 1) * el]);
-                    }
-                }
-            }
-            (_, Data::Bool(s)) => {
-                let dst = self.as_bool_mut()?;
-                for (b, (&d, &m)) in depths.iter().zip(mask).enumerate() {
-                    if m {
-                        let base = (d * z + b) * el;
-                        dst[base..base + el].copy_from_slice(&s[b * el..(b + 1) * el]);
-                    }
-                }
-            }
-        }
+        let dst = self.payload_like(src, "scatter_at_depth")?;
+        write_like!(dst, src.data() => |d, s| go(d, s, depths, mask, el));
         Ok(())
     }
 
@@ -383,37 +273,6 @@ impl Tensor {
         let gathered = self.gather_rows(&[index])?;
         let shape = gathered.shape()[1..].to_vec();
         gathered.reshape(&shape)
-    }
-
-    /// Stack `n` copies of `self` along a new leading axis.
-    pub fn broadcast_rows(&self, n: usize) -> Tensor {
-        let mut out_shape = Vec::with_capacity(self.rank() + 1);
-        out_shape.push(n);
-        out_shape.extend_from_slice(self.shape());
-        let data = match self.data() {
-            Data::F64(v) => {
-                let mut out = Vec::with_capacity(n * v.len());
-                for _ in 0..n {
-                    out.extend_from_slice(v);
-                }
-                Data::F64(out)
-            }
-            Data::I64(v) => {
-                let mut out = Vec::with_capacity(n * v.len());
-                for _ in 0..n {
-                    out.extend_from_slice(v);
-                }
-                Data::I64(out)
-            }
-            Data::Bool(v) => {
-                let mut out = Vec::with_capacity(n * v.len());
-                for _ in 0..n {
-                    out.extend_from_slice(v);
-                }
-                Data::Bool(out)
-            }
-        };
-        Tensor::new(data, &out_shape).expect("volume matches by construction")
     }
 
     /// Append `extra` zero rows along axis 0: `[Z, ..] -> [Z + extra, ..]`.
@@ -444,43 +303,19 @@ impl Tensor {
     ///
     /// Returns an error for tensors of rank < 2.
     pub fn pad_axis1(&self, extra: usize) -> Result<Tensor> {
-        if self.rank() < 2 {
-            return Err(TensorError::InvalidAxis {
-                axis: 1,
-                rank: self.rank(),
-            });
+        /// `old` / `new`: elements per depth level before and after.
+        fn go<T: Copy + Default>(v: &[T], d: usize, old: usize, new: usize) -> Vec<T> {
+            let mut out = vec![T::default(); d * new];
+            for depth in 0..d {
+                out[depth * new..depth * new + old]
+                    .copy_from_slice(&v[depth * old..(depth + 1) * old]);
+            }
+            out
         }
-        let d = self.shape()[0];
-        let z = self.shape()[1];
-        let el: usize = self.shape()[2..].iter().product();
+        let (d, z, el) = stack_dims(self)?;
         let mut out_shape = self.shape().to_vec();
         out_shape[1] = z + extra;
-        let data = match self.data() {
-            Data::F64(v) => {
-                let mut out = vec![0.0; d * (z + extra) * el];
-                for depth in 0..d {
-                    out[depth * (z + extra) * el..depth * (z + extra) * el + z * el]
-                        .copy_from_slice(&v[depth * z * el..(depth + 1) * z * el]);
-                }
-                Data::F64(out)
-            }
-            Data::I64(v) => {
-                let mut out = vec![0; d * (z + extra) * el];
-                for depth in 0..d {
-                    out[depth * (z + extra) * el..depth * (z + extra) * el + z * el]
-                        .copy_from_slice(&v[depth * z * el..(depth + 1) * z * el]);
-                }
-                Data::I64(out)
-            }
-            Data::Bool(v) => {
-                let mut out = vec![false; d * (z + extra) * el];
-                for depth in 0..d {
-                    out[depth * (z + extra) * el..depth * (z + extra) * el + z * el]
-                        .copy_from_slice(&v[depth * z * el..(depth + 1) * z * el]);
-                }
-                Data::Bool(out)
-            }
-        };
+        let data = fresh_like!(self.data() => |v| go(v, d, z * el, (z + extra) * el));
         Tensor::new(data, &out_shape)
     }
 
@@ -494,58 +329,21 @@ impl Tensor {
     ///
     /// Returns an error for tensors of rank < 2 or out-of-range indices.
     pub fn select_axis1(&self, indices: &[usize]) -> Result<Tensor> {
-        if self.rank() < 2 {
-            return Err(TensorError::InvalidAxis {
-                axis: 1,
-                rank: self.rank(),
-            });
-        }
-        let d = self.shape()[0];
-        let z = self.shape()[1];
-        let el: usize = self.shape()[2..].iter().product();
-        for &i in indices {
-            if i >= z {
-                return Err(TensorError::IndexOutOfBounds {
-                    index: i,
-                    len: z,
-                    op: "select_axis1",
-                });
+        fn go<T: Copy>(v: &[T], indices: &[usize], d: usize, z: usize, el: usize) -> Vec<T> {
+            let mut out = Vec::with_capacity(d * indices.len() * el);
+            for depth in 0..d {
+                for &i in indices {
+                    let base = (depth * z + i) * el;
+                    out.extend_from_slice(&v[base..base + el]);
+                }
             }
+            out
         }
+        let (d, z, el) = stack_dims(self)?;
+        check_indices(indices, z, "select_axis1")?;
         let mut out_shape = self.shape().to_vec();
         out_shape[1] = indices.len();
-        let data = match self.data() {
-            Data::F64(v) => {
-                let mut out = Vec::with_capacity(d * indices.len() * el);
-                for depth in 0..d {
-                    for &i in indices {
-                        let base = (depth * z + i) * el;
-                        out.extend_from_slice(&v[base..base + el]);
-                    }
-                }
-                Data::F64(out)
-            }
-            Data::I64(v) => {
-                let mut out = Vec::with_capacity(d * indices.len() * el);
-                for depth in 0..d {
-                    for &i in indices {
-                        let base = (depth * z + i) * el;
-                        out.extend_from_slice(&v[base..base + el]);
-                    }
-                }
-                Data::I64(out)
-            }
-            Data::Bool(v) => {
-                let mut out = Vec::with_capacity(d * indices.len() * el);
-                for depth in 0..d {
-                    for &i in indices {
-                        let base = (depth * z + i) * el;
-                        out.extend_from_slice(&v[base..base + el]);
-                    }
-                }
-                Data::Bool(out)
-            }
-        };
+        let data = fresh_like!(self.data() => |v| go(v, indices, d, z, el));
         Tensor::new(data, &out_shape)
     }
 
@@ -576,32 +374,11 @@ impl Tensor {
         }
         let mut out_shape = first.shape().to_vec();
         out_shape[0] = total;
-        let data = match first.data() {
-            Data::F64(_) => {
-                let mut out = Vec::new();
-                for p in parts {
-                    per_dtype!(p.data(), p.data(), "concat_rows", |a, _b| {
-                        let _ = a;
-                    });
-                    out.extend_from_slice(p.as_f64()?);
-                }
-                Data::F64(out)
-            }
-            Data::I64(_) => {
-                let mut out = Vec::new();
-                for p in parts {
-                    out.extend_from_slice(p.as_i64()?);
-                }
-                Data::I64(out)
-            }
-            Data::Bool(_) => {
-                let mut out = Vec::new();
-                for p in parts {
-                    out.extend_from_slice(p.as_bool()?);
-                }
-                Data::Bool(out)
-            }
-        };
+        let len = total * first.shape()[1..].iter().product::<usize>();
+        let mut data = fresh_like!(first.data() => |_first| Vec::with_capacity(len));
+        for p in parts {
+            write_like!(&mut data, p.data() => |o, v| o.extend_from_slice(v));
+        }
         Tensor::new(data, &out_shape)
     }
 }
@@ -719,14 +496,55 @@ mod tests {
     }
 
     #[test]
-    fn row_and_broadcast_rows() {
+    fn a_refused_write_leaves_the_destination_shared_and_names_its_kernel() {
+        let refused = |op| {
+            Err(TensorError::DTypeMismatch {
+                got: crate::DType::I64,
+                expected: "matching dtypes",
+                op,
+            })
+        };
+        let src = Tensor::from_i64(&[7, 8], &[2]).unwrap();
+        let rows = Tensor::zeros(crate::DType::F64, &[2]);
+        let mut t = rows.clone();
+        let masked = t.masked_assign_rows(&[true, true], &src);
+        assert_eq!(masked, refused("masked_assign_rows"));
+        assert_eq!(t.scatter_rows(&[0, 1], &src), refused("scatter_rows"));
+        assert!(t.shares_storage(&rows));
+        let stack = Tensor::zeros(crate::DType::F64, &[1, 2]);
+        let mut t = stack.clone();
+        let pushed = t.scatter_at_depth(&[0, 0], &[true, true], &src);
+        assert_eq!(pushed, refused("scatter_at_depth"));
+        assert!(t.shares_storage(&stack));
+    }
+
+    #[test]
+    fn scatter_at_depth_reports_the_length_that_is_wrong() {
+        let mut stack = Tensor::zeros(crate::DType::F64, &[1, 2]);
+        let src = Tensor::zeros(crate::DType::F64, &[2]);
+        let short = |got| Err(TensorError::MaskLength { expected: 2, got });
+        assert_eq!(stack.scatter_at_depth(&[0, 0], &[true], &src), short(1));
+        let long = [0, 0, 0];
+        assert_eq!(stack.scatter_at_depth(&long, &[true, true], &src), short(3));
+    }
+
+    #[test]
+    fn concat_rows_reserves_its_payload_once() {
+        // Doubling from the first part's five would end at twenty.
+        let part = Tensor::full(&[5, 1], 1.0);
+        let joined = Tensor::concat_rows(&[part.clone(), part.clone(), part]).unwrap();
+        let Data::F64(v) = joined.data() else {
+            panic!("f64 parts concatenate to f64");
+        };
+        assert_eq!((v.len(), v.capacity()), (15, 15));
+    }
+
+    #[test]
+    fn row_drops_axis() {
         let t = Tensor::from_f64(&[1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
         let r = t.row(1).unwrap();
         assert_eq!(r.shape(), &[2]);
         assert_eq!(r.as_f64().unwrap(), &[3.0, 4.0]);
-        let b = r.broadcast_rows(3);
-        assert_eq!(b.shape(), &[3, 2]);
-        assert_eq!(b.as_f64().unwrap(), &[3.0, 4.0, 3.0, 4.0, 3.0, 4.0]);
     }
 
     #[test]

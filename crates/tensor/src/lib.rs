@@ -10,7 +10,8 @@
 //! - elementwise kernels with NumPy-style broadcasting
 //!   ([`Tensor::add`], [`Tensor::select`], comparisons, …);
 //! - reductions ([`Tensor::sum_last_axis`], [`Tensor::any`], …);
-//! - small linear algebra ([`Tensor::matvec_batched`], [`Tensor::matmul`]);
+//! - small linear algebra ([`Tensor::matvec_batched`],
+//!   [`Tensor::dot_last_axis`]);
 //! - the gather/scatter/mask kernels the autobatching virtual machines
 //!   are built on ([`Tensor::masked_assign_rows`],
 //!   [`Tensor::gather_at_depth`], [`Tensor::scatter_at_depth`]);
@@ -22,13 +23,12 @@
 //! [`Tensor`] storage is **copy-on-write**: the payload sits behind an
 //! `Arc`, `clone()` is O(1), and every mutating accessor copies the
 //! buffer first if it is shared (see the type-level docs for the full
-//! contract). On top of the allocating kernels, the hot paths get
-//! **in-place and into-buffer variants** ([`Tensor::map_f64_inplace`],
-//! [`Tensor::binary_f64_into`]) plus **fused elementwise ops**
-//! ([`Tensor::mul_add`], [`Tensor::axpy_inplace`]) that traverse the
-//! data once. The scalar functions behind every elementwise kernel are
-//! shared through [`scalar_ops`], so fused and per-kernel execution are
-//! bit-identical by construction.
+//! contract). On top of the allocating kernels sit **in-place and
+//! into-buffer variants** ([`Tensor::map_f64_inplace`],
+//! [`Tensor::binary_f64_into`]). The scalar functions behind every
+//! elementwise kernel are shared through [`scalar_ops`], so a caller
+//! that fuses a chain of them into one pass (`autobatch-core` does) is
+//! bit-identical to per-kernel execution by construction.
 //!
 //! Everything operates on whole arrays at once — the SIMD contract that
 //! batching exploits — and every fallible operation returns

@@ -1,5 +1,5 @@
-//! Small linear-algebra kernels: batched dot products, matrix-vector and
-//! matrix-matrix products.
+//! Small linear-algebra kernels: batched dot products, matrix-vector
+//! products and the transpose.
 //!
 //! These model the heavyweight "leaf kernels" of the paper's workloads —
 //! the Bayesian logistic-regression gradient is dominated by `X·β` and
@@ -113,37 +113,6 @@ impl Tensor {
         Tensor::from_f64(&out, &[z, k])
     }
 
-    /// Matrix–matrix product: `[m, k] × [k, n] → [m, n]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless both are `f64` with conforming shapes.
-    pub fn matmul(&self, rhs: &Tensor) -> Result<Tensor> {
-        let a = self.as_f64()?;
-        let b = rhs.as_f64()?;
-        if self.rank() != 2 || rhs.rank() != 2 || self.shape()[1] != rhs.shape()[0] {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.shape().to_vec(),
-                rhs: rhs.shape().to_vec(),
-                op: "matmul",
-            });
-        }
-        let (m, k) = (self.shape()[0], self.shape()[1]);
-        let n = rhs.shape()[1];
-        let mut out = vec![0.0; m * n];
-        for i in 0..m {
-            for p in 0..k {
-                let aip = a[i * k + p];
-                let brow = &b[p * n..(p + 1) * n];
-                let orow = &mut out[i * n..(i + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += aip * bv;
-                }
-            }
-        }
-        Tensor::from_f64(&out, &[m, n])
-    }
-
     /// Transpose a rank-2 tensor.
     ///
     /// # Errors
@@ -206,10 +175,8 @@ mod tests {
     }
 
     #[test]
-    fn matmul_and_transpose() {
+    fn transpose_small() {
         let a = Tensor::from_f64(&[1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
-        let i = Tensor::from_f64(&[1.0, 0.0, 0.0, 1.0], &[2, 2]).unwrap();
-        assert_eq!(a.matmul(&i).unwrap(), a);
         let at = a.transpose().unwrap();
         assert_eq!(at.as_f64().unwrap(), &[1.0, 3.0, 2.0, 4.0]);
     }
@@ -219,6 +186,5 @@ mod tests {
         let a = Tensor::from_f64(&[1.0, 2.0], &[2]).unwrap();
         let m = Tensor::from_f64(&[1.0, 2.0, 3.0], &[3, 1]).unwrap();
         assert!(m.matvec(&a).is_err());
-        assert!(m.matmul(&m).is_err());
     }
 }

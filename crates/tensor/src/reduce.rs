@@ -1,6 +1,6 @@
-//! Reduction kernels: full and per-axis sums, extrema, and boolean
-//! any/all, plus reductions over the trailing axis (the per-batch-member
-//! element axis in the autobatching runtimes).
+//! Reduction kernels: the full sum, boolean any/all, and the sum over
+//! the trailing axis (the per-batch-member element axis in the
+//! autobatching runtimes).
 
 use crate::dtype::Data;
 use crate::error::{Result, TensorError};
@@ -22,42 +22,6 @@ impl Tensor {
                 op: "sum_all",
             }),
         }
-    }
-
-    /// Maximum of all elements of an `f64` tensor (`-inf` when empty).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::DTypeMismatch`] unless the dtype is `f64`.
-    pub fn max_all(&self) -> Result<f64> {
-        let v = self.as_f64()?;
-        Ok(v.iter().copied().fold(f64::NEG_INFINITY, f64::max))
-    }
-
-    /// Minimum of all elements of an `f64` tensor (`+inf` when empty).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::DTypeMismatch`] unless the dtype is `f64`.
-    pub fn min_all(&self) -> Result<f64> {
-        let v = self.as_f64()?;
-        Ok(v.iter().copied().fold(f64::INFINITY, f64::min))
-    }
-
-    /// Arithmetic mean of all elements of an `f64` tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::DTypeMismatch`] unless the dtype is `f64`,
-    /// or [`TensorError::DataLength`] when empty.
-    pub fn mean_all(&self) -> Result<f64> {
-        if self.is_empty() {
-            return Err(TensorError::DataLength {
-                expected: 1,
-                got: 0,
-            });
-        }
-        Ok(self.sum_all()? / self.len() as f64)
     }
 
     /// Whether any element of a `bool` tensor is `true`.
@@ -106,61 +70,6 @@ impl Tensor {
         }
         Tensor::from_f64(&out, out_shape)
     }
-
-    /// Logical AND over the trailing axis (for `bool` tensors).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for non-`bool` dtypes or rank-0 tensors.
-    pub fn all_last_axis(&self) -> Result<Tensor> {
-        let v = self.as_bool()?;
-        let rank = self.rank();
-        if rank == 0 {
-            return Err(TensorError::InvalidAxis { axis: 0, rank: 0 });
-        }
-        let k = self.shape()[rank - 1];
-        let out_shape = &self.shape()[..rank - 1];
-        let rows = self.len() / k.max(1);
-        let mut out = Vec::with_capacity(rows);
-        for r in 0..rows {
-            out.push(if k == 0 {
-                true
-            } else {
-                v[r * k..(r + 1) * k].iter().all(|&x| x)
-            });
-        }
-        Tensor::from_bool(&out, out_shape)
-    }
-
-    /// Sum along `axis`, removing it from the shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for non-`f64` dtypes or an out-of-range axis.
-    pub fn sum_axis(&self, axis: usize) -> Result<Tensor> {
-        let v = self.as_f64()?;
-        let rank = self.rank();
-        if axis >= rank {
-            return Err(TensorError::InvalidAxis { axis, rank });
-        }
-        let shape = self.shape();
-        let outer: usize = shape[..axis].iter().product();
-        let mid = shape[axis];
-        let inner: usize = shape[axis + 1..].iter().product();
-        let mut out = vec![0.0; outer * inner];
-        for o in 0..outer {
-            for m in 0..mid {
-                let base = (o * mid + m) * inner;
-                let obase = o * inner;
-                for i in 0..inner {
-                    out[obase + i] += v[base + i];
-                }
-            }
-        }
-        let mut out_shape: Vec<usize> = shape[..axis].to_vec();
-        out_shape.extend_from_slice(&shape[axis + 1..]);
-        Tensor::from_f64(&out, &out_shape)
-    }
 }
 
 #[cfg(test)]
@@ -171,9 +80,6 @@ mod tests {
     fn full_reductions() {
         let t = Tensor::from_f64(&[1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
         assert_eq!(t.sum_all().unwrap(), 10.0);
-        assert_eq!(t.max_all().unwrap(), 4.0);
-        assert_eq!(t.min_all().unwrap(), 1.0);
-        assert_eq!(t.mean_all().unwrap(), 2.5);
     }
 
     #[test]
@@ -200,30 +106,6 @@ mod tests {
         let s = t.sum_last_axis().unwrap();
         assert_eq!(s.rank(), 0);
         assert_eq!(s.item().unwrap().as_f64(), Some(3.0));
-    }
-
-    #[test]
-    fn all_last_axis() {
-        let t = Tensor::from_bool(&[true, true, true, false], &[2, 2]).unwrap();
-        let s = t.all_last_axis().unwrap();
-        assert_eq!(s.as_bool().unwrap(), &[true, false]);
-    }
-
-    #[test]
-    fn sum_axis_middle() {
-        // Shape [2, 3, 2]; sum over axis 1.
-        let v: Vec<f64> = (0..12).map(|x| x as f64).collect();
-        let t = Tensor::from_f64(&v, &[2, 3, 2]).unwrap();
-        let s = t.sum_axis(1).unwrap();
-        assert_eq!(s.shape(), &[2, 2]);
-        // Row 0: (0+2+4, 1+3+5) = (6, 9); row 1: (6+8+10, 7+9+11) = (24, 27).
-        assert_eq!(s.as_f64().unwrap(), &[6.0, 9.0, 24.0, 27.0]);
-    }
-
-    #[test]
-    fn sum_axis_bad_axis() {
-        let t = Tensor::from_f64(&[1.0], &[1]).unwrap();
-        assert!(t.sum_axis(1).is_err());
     }
 
     #[test]

@@ -254,6 +254,20 @@ impl Tensor {
         data
     }
 
+    /// The payload, unshared, for kernel `op` to write elements of `src`
+    /// into. The dtypes are compared first, so a refused write leaves
+    /// `self` sharing whatever buffer it shared.
+    pub(crate) fn payload_like(&mut self, src: &Tensor, op: &'static str) -> Result<&mut Data> {
+        if self.dtype() != src.dtype() {
+            return Err(TensorError::DTypeMismatch {
+                got: src.dtype(),
+                expected: "matching dtypes",
+                op,
+            });
+        }
+        Ok(Arc::make_mut(&mut self.data))
+    }
+
     /// Borrow the payload as `&[f64]`.
     ///
     /// # Errors

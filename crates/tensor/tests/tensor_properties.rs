@@ -1,11 +1,60 @@
 //! Property tests of the tensor substrate's algebraic invariants — the
 //! kernels both autobatching runtimes are built on.
+//!
+//! The row-movement kernels are each held, on all three dtypes and on
+//! zero-length element shapes, to a reference written one `get` / `set`
+//! at a time ([`build`]).
 
-use autobatch_tensor::{scalar_ops, DType, Tensor};
+use autobatch_tensor::{scalar_ops, DType, Scalar, Tensor};
 use proptest::prelude::*;
 
 fn vec_f64(len: usize) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(-100.0f64..100.0, len..=len)
+}
+
+fn vec_i64(len: usize) -> impl Strategy<Value = Vec<i64>> {
+    proptest::collection::vec(-100i64..100, len..=len)
+}
+
+fn vec_bool(len: usize) -> impl Strategy<Value = Vec<bool>> {
+    proptest::collection::vec(any::<bool>(), len..=len)
+}
+
+const DTYPES: [DType; 3] = [DType::F64, DType::I64, DType::Bool];
+
+/// A `dtype` tensor of `shape` holding the leading elements of `raw`:
+/// halved as `f64` (so fractions occur), as they are, or their parity.
+fn tensor_of(dtype: DType, raw: &[i64], shape: &[usize]) -> Tensor {
+    let raw = &raw[..shape.iter().product()];
+    match dtype {
+        DType::F64 => {
+            let v: Vec<f64> = raw.iter().map(|&x| x as f64 / 2.0).collect();
+            Tensor::from_f64(&v, shape)
+        }
+        DType::I64 => Tensor::from_i64(raw, shape),
+        DType::Bool => {
+            let v: Vec<bool> = raw.iter().map(|&x| x % 2 != 0).collect();
+            Tensor::from_bool(&v, shape)
+        }
+    }
+    .unwrap()
+}
+
+/// The reference: a `dtype` tensor of `shape` filled one [`Tensor::set`]
+/// at a time with `at(index)`; `None` leaves the zero it started as.
+fn build(dtype: DType, shape: &[usize], at: impl Fn(&[usize]) -> Option<Scalar>) -> Tensor {
+    let mut t = Tensor::zeros(dtype, shape);
+    let mut index = vec![0; shape.len()];
+    for mut lin in 0..t.len() {
+        for (i, &dim) in index.iter_mut().zip(shape).rev() {
+            *i = lin % dim;
+            lin /= dim;
+        }
+        if let Some(value) = at(&index) {
+            t.set(&index, value).unwrap();
+        }
+    }
+    t
 }
 
 proptest! {
@@ -53,63 +102,193 @@ proptest! {
 
     #[test]
     fn masked_assign_touches_only_active_rows(
-        a in vec_f64(12),
-        b in vec_f64(12),
-        mask in proptest::collection::vec(any::<bool>(), 3..=3),
+        a in vec_i64(6),
+        b in vec_i64(6),
+        el in 0usize..3,
+        mask in vec_bool(3),
     ) {
-        let mut t = Tensor::from_f64(&a, &[3, 4]).unwrap();
-        let src = Tensor::from_f64(&b, &[3, 4]).unwrap();
-        t.masked_assign_rows(&mask, &src).unwrap();
-        let v = t.as_f64().unwrap();
-        for r in 0..3 {
-            for c in 0..4 {
-                let expect = if mask[r] { b[r * 4 + c] } else { a[r * 4 + c] };
-                prop_assert_eq!(v[r * 4 + c], expect);
-            }
+        for dtype in DTYPES {
+            let shape = [3, el];
+            let mut t = tensor_of(dtype, &a, &shape);
+            let sibling = t.clone();
+            let src = tensor_of(dtype, &b, &shape);
+            t.masked_assign_rows(&mask, &src).unwrap();
+            let want = build(dtype, &shape, |ix| {
+                (if mask[ix[0]] { &src } else { &sibling }).get(ix).ok()
+            });
+            prop_assert_eq!(&t, &want, "{}", dtype);
+            prop_assert_eq!(&sibling, &tensor_of(dtype, &a, &shape));
         }
     }
 
     #[test]
     fn gather_scatter_rows_roundtrip(
-        a in vec_f64(20),
-        idx in proptest::collection::vec(0usize..5, 1..5),
+        a in vec_i64(10),
+        b in vec_i64(8),
+        el in 0usize..3,
+        idx in proptest::collection::vec(0usize..5, 0..5),
     ) {
-        // Gathering rows then scattering them back to the same indices
-        // leaves the tensor unchanged.
-        let t = Tensor::from_f64(&a, &[5, 4]).unwrap();
-        let g = t.gather_rows(&idx).unwrap();
-        let mut back = t.clone();
-        back.scatter_rows(&idx, &g).unwrap();
-        prop_assert_eq!(back, t);
+        for dtype in DTYPES {
+            let t = tensor_of(dtype, &a, &[5, el]);
+            let g = t.gather_rows(&idx).unwrap();
+            let want = build(dtype, &[idx.len(), el], |ix| t.get(&[idx[ix[0]], ix[1]]).ok());
+            prop_assert_eq!(&g, &want, "gather_rows on {}", dtype);
+            // Scattering the gathered rows back to the same indices
+            // leaves the tensor unchanged.
+            let mut back = t.clone();
+            back.scatter_rows(&idx, &g).unwrap();
+            prop_assert_eq!(&back, &t);
+            // Scattering other rows writes them in order: the later of
+            // two rows sent to one index wins.
+            let src = tensor_of(dtype, &b, &[idx.len(), el]);
+            let mut scattered = t.clone();
+            scattered.scatter_rows(&idx, &src).unwrap();
+            let mut want = build(dtype, &[5, el], |ix| t.get(ix).ok());
+            for (j, &i) in idx.iter().enumerate() {
+                for e in 0..el {
+                    want.set(&[i, e], src.get(&[j, e]).unwrap()).unwrap();
+                }
+            }
+            prop_assert_eq!(&scattered, &want, "scatter_rows on {}", dtype);
+            prop_assert_eq!(&t, &tensor_of(dtype, &a, &[5, el]));
+        }
+    }
+
+    #[test]
+    fn gather_rows_into_discards_whatever_out_held(
+        a in vec_i64(10),
+        el in 0usize..3,
+        idx in proptest::collection::vec(0usize..5, 0..5),
+    ) {
+        // `out` arrives holding each dtype in turn, shared with a sibling.
+        let mut out = Tensor::arange(4);
+        for dtype in DTYPES {
+            let held = out.clone();
+            let sibling = held.clone();
+            let t = tensor_of(dtype, &a, &[5, el]);
+            t.gather_rows_into(&idx, &mut out).unwrap();
+            let want = build(dtype, &[idx.len(), el], |ix| t.get(&[idx[ix[0]], ix[1]]).ok());
+            prop_assert_eq!(&out, &want, "{}", dtype);
+            prop_assert_eq!(&held, &sibling);
+            prop_assert_eq!(&t, &tensor_of(dtype, &a, &[5, el]));
+        }
     }
 
     #[test]
     fn depth_scatter_then_gather_reads_back(
-        vals in vec_f64(6),
+        a in vec_i64(24),
+        b in vec_i64(6),
+        el in 0usize..3,
         depths in proptest::collection::vec(0usize..4, 3..=3),
+        mask in vec_bool(3),
     ) {
-        // Writing each member's row at its own depth then gathering at
-        // those depths recovers the written rows (active members only).
-        let mut stack = Tensor::zeros(DType::F64, &[4, 3, 2]);
-        let src = Tensor::from_f64(&vals, &[3, 2]).unwrap();
-        let mask = [true, true, true];
-        stack.scatter_at_depth(&depths, &mask, &src).unwrap();
-        let read = stack.gather_at_depth(&depths).unwrap();
-        prop_assert_eq!(read, src);
+        for dtype in DTYPES {
+            let mut stack = tensor_of(dtype, &a, &[4, 3, el]);
+            let sibling = stack.clone();
+            let src = tensor_of(dtype, &b, &[3, el]);
+            // Each active member's row lands at its own depth.
+            stack.scatter_at_depth(&depths, &mask, &src).unwrap();
+            let want = build(dtype, &[4, 3, el], |ix| {
+                if mask[ix[1]] && depths[ix[1]] == ix[0] {
+                    src.get(&[ix[1], ix[2]]).ok()
+                } else {
+                    sibling.get(ix).ok()
+                }
+            });
+            prop_assert_eq!(&stack, &want, "scatter_at_depth on {}", dtype);
+            prop_assert_eq!(&sibling, &tensor_of(dtype, &a, &[4, 3, el]));
+            // Reading at those depths recovers the written rows, and the
+            // old tops of the members that sat out.
+            let read = stack.gather_at_depth(&depths).unwrap();
+            let want = build(dtype, &[3, el], |ix| stack.get(&[depths[ix[0]], ix[0], ix[1]]).ok());
+            prop_assert_eq!(&read, &want, "gather_at_depth on {}", dtype);
+            let tops = build(dtype, &[3, el], |ix| {
+                (if mask[ix[0]] { src.get(ix) } else { sibling.get(&[depths[ix[0]], ix[0], ix[1]]) }).ok()
+            });
+            prop_assert_eq!(&read, &tops);
+        }
+    }
+
+    #[test]
+    fn pad_rows_appends_zero_rows(a in vec_i64(6), el in 0usize..3, extra in 0usize..3) {
+        for dtype in DTYPES {
+            let t = tensor_of(dtype, &a, &[3, el]);
+            let want = build(dtype, &[3 + extra, el], |ix| t.get(ix).ok());
+            prop_assert_eq!(&t.pad_rows(extra).unwrap(), &want, "{}", dtype);
+            prop_assert_eq!(&t, &tensor_of(dtype, &a, &[3, el]));
+        }
+    }
+
+    #[test]
+    fn pad_axis1_appends_zero_lanes_at_every_depth(
+        a in vec_i64(12),
+        el in 0usize..3,
+        extra in 0usize..3,
+    ) {
+        for dtype in DTYPES {
+            let t = tensor_of(dtype, &a, &[2, 3, el]);
+            let want = build(dtype, &[2, 3 + extra, el], |ix| t.get(ix).ok());
+            prop_assert_eq!(&t.pad_axis1(extra).unwrap(), &want, "{}", dtype);
+            prop_assert_eq!(&t, &tensor_of(dtype, &a, &[2, 3, el]));
+        }
+    }
+
+    #[test]
+    fn select_axis1_picks_lanes_at_every_depth(
+        a in vec_i64(12),
+        el in 0usize..3,
+        idx in proptest::collection::vec(0usize..3, 0..5),
+    ) {
+        for dtype in DTYPES {
+            let t = tensor_of(dtype, &a, &[2, 3, el]);
+            let want = build(dtype, &[2, idx.len(), el], |ix| t.get(&[ix[0], idx[ix[1]], ix[2]]).ok());
+            prop_assert_eq!(&t.select_axis1(&idx).unwrap(), &want, "{}", dtype);
+            prop_assert_eq!(&t, &tensor_of(dtype, &a, &[2, 3, el]));
+        }
+    }
+
+    #[test]
+    fn concat_rows_stacks_its_parts_in_order(
+        a in vec_i64(18),
+        el in 0usize..3,
+        rows in proptest::collection::vec(0usize..4, 1..4),
+    ) {
+        for dtype in DTYPES {
+            // The parts are consecutive runs of `whole`'s rows.
+            let total: usize = rows.iter().sum();
+            let whole = tensor_of(dtype, &a, &[total, el]);
+            let mut start = 0;
+            let parts: Vec<Tensor> = rows
+                .iter()
+                .map(|&n| {
+                    let part = build(dtype, &[n, el], |ix| whole.get(&[start + ix[0], ix[1]]).ok());
+                    start += n;
+                    part
+                })
+                .collect();
+            let siblings = parts.clone();
+            prop_assert_eq!(&Tensor::concat_rows(&parts).unwrap(), &whole, "{}", dtype);
+            prop_assert_eq!(&parts, &siblings);
+        }
     }
 
     #[test]
     fn select_agrees_with_scalar_semantics(
-        a in vec_f64(8),
-        b in vec_f64(8),
-        c in proptest::collection::vec(any::<bool>(), 8..=8),
+        a in vec_i64(8),
+        b in vec_i64(8),
+        c in vec_bool(4),
+        el in 0usize..3,
     ) {
-        let ta = Tensor::from_f64(&a, &[8]).unwrap();
-        let tb = Tensor::from_f64(&b, &[8]).unwrap();
-        let tc = Tensor::from_bool(&c, &[8]).unwrap();
-        let out = tc.select(&ta, &tb).unwrap();
-        for i in 0..8 {
-            prop_assert_eq!(out.as_f64().unwrap()[i], if c[i] { a[i] } else { b[i] });
+        for dtype in DTYPES {
+            // A per-row condition broadcast over the element axis.
+            let shape = [4, el];
+            let ta = tensor_of(dtype, &a, &shape);
+            let tb = tensor_of(dtype, &b, &shape);
+            let tc = Tensor::from_bool(&c, &[4, 1]).unwrap();
+            let out = tc.select(&ta, &tb).unwrap();
+            let want = build(dtype, &shape, |ix| (if c[ix[0]] { &ta } else { &tb }).get(ix).ok());
+            prop_assert_eq!(&out, &want, "{}", dtype);
+            prop_assert_eq!(&ta, &tensor_of(dtype, &a, &shape));
         }
     }
 
@@ -178,7 +357,7 @@ proptest! {
         prop_assert_eq!(t.to_f64().to_i64(), t);
     }
 
-    // --- Copy-on-write and the in-place / into-buffer / fused kernels ---
+    // --- Copy-on-write and the in-place / into-buffer kernels ---
 
     #[test]
     fn cow_mutation_never_leaks_into_the_sibling(
@@ -271,31 +450,5 @@ proptest! {
         ta.binary_f64_into(&tb, scalar_ops::add_f64, &mut out).unwrap();
         prop_assert_eq!(&out, &ta.add(&tb).unwrap());
         prop_assert_eq!(ta.as_f64().unwrap(), &a[..]);
-    }
-
-    #[test]
-    fn fused_mul_add_and_axpy_match_composed_kernels(
-        a in vec_f64(12),
-        b in vec_f64(12),
-        v in vec_f64(4),
-        alpha in -10.0f64..10.0,
-    ) {
-        let ta = Tensor::from_f64(&a, &[3, 4]).unwrap();
-        let tb = Tensor::from_f64(&b, &[3, 4]).unwrap();
-        let tv = Tensor::from_f64(&v, &[4]).unwrap();
-        // mul_add over equal shapes and over a broadcast operand.
-        prop_assert_eq!(
-            &ta.mul_add(&tb, &ta).unwrap(),
-            &ta.mul(&tb).unwrap().add(&ta).unwrap()
-        );
-        prop_assert_eq!(
-            &ta.mul_add(&tv, &tb).unwrap(),
-            &ta.mul(&tv).unwrap().add(&tb).unwrap()
-        );
-        // axpy: self + alpha·x, composed as the same expression.
-        let mut y = ta.clone();
-        y.axpy_inplace(alpha, &tb).unwrap();
-        let composed = ta.add(&tb.mul(&Tensor::scalar(alpha)).unwrap()).unwrap();
-        prop_assert_eq!(&y, &composed);
     }
 }
