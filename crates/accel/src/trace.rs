@@ -350,10 +350,9 @@ impl Trace {
     }
 
     /// Members currently live according to membership accounting:
-    /// admitted plus migrated-in, minus retired and migrated-out. Shard
-    /// routers key their least-loaded decision on this (together with
-    /// the queue depth), so the load signal comes from the same
-    /// accounting that prices launches.
+    /// admitted plus migrated-in, minus retired and migrated-out. When
+    /// every lane edit of a machine is traced, this is the machine's
+    /// live lane count.
     pub fn live_members(&self) -> u64 {
         (self.members_admitted + self.members_migrated_in)
             .saturating_sub(self.members_retired + self.members_migrated_out)

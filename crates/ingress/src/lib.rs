@@ -142,7 +142,7 @@ use std::time::{Duration, Instant};
 
 use autobatch_accel::Backend;
 use autobatch_chaos::{FaultPlan, FaultPoint};
-use autobatch_core::{ExecOptions, KernelRegistry, VmError};
+use autobatch_core::{ExecOptions, KernelRegistry};
 use autobatch_ir::pcab::Program;
 use autobatch_serve::{
     AdmissionPolicy, Bell, Intake, Outcome, Request, RequestBudget, ServeError, ShardedServer,
@@ -320,9 +320,9 @@ pub struct IngressStats {
     /// cancelled buffered request's reject when its cancel is handled.
     /// Replies per write is `completed / reply_writes`.
     pub reply_writes: u64,
-    /// Fleet supersteps over the server's life, read from the shards'
-    /// traces at shutdown (a respawned shard's trace starts over).
-    /// Supersteps per completed request is `supersteps / completed`.
+    /// Fleet supersteps over the server's life, respawned shards'
+    /// included, read at shutdown. Supersteps per completed request is
+    /// `supersteps / completed`.
     pub supersteps: u64,
 }
 
@@ -746,11 +746,10 @@ fn verdict(error: &ServeError) -> Verdict {
             let reject = (RejectCode::Overloaded, *depth as u64, *budget as u64);
             (reject, |s| &mut s.shed)
         }
-        // The request names itself as the offender: its arity, seen at
-        // submission or only when its batch was admitted.
-        ServeError::BadRequest(_) | ServeError::Vm(VmError::BadInputs { .. }) => {
-            ((RejectCode::BadRequest, 0, 0), |s| &mut s.rejected)
-        }
+        // The request names itself as the offender, at submission: its
+        // arity, a non-row input, or a spec the server's requests differ
+        // from.
+        ServeError::BadRequest(_) => ((RejectCode::BadRequest, 0, 0), |s| &mut s.rejected),
         // The frame was well-formed, but the payload can never execute
         // under the served program's statically inferred signature.
         ServeError::InvalidRequest(_) => ((RejectCode::Invalid, 0, 0), |s| &mut s.rejected),
@@ -1088,7 +1087,7 @@ impl<'p> Engine<'p> {
         stats.retried = self.server.retries();
         stats.respawned = self.server.respawns();
         stats.peak_queue = self.server.inner().peak_pending();
-        stats.supersteps = self.server.inner().aggregated_trace().supersteps();
+        stats.supersteps = self.server.inner().supersteps();
         stats
     }
 
@@ -1250,6 +1249,7 @@ impl IngressClient {
 mod tests {
     use super::wire::tests::CountingWrite;
     use super::*;
+    use autobatch_core::VmError;
     use autobatch_ir::IrError;
 
     type Conn = Arc<Mutex<CountingWrite>>;
@@ -1523,7 +1523,7 @@ mod tests {
                 ServeError::Overloaded { .. } => {
                     (RejectCode::Overloaded, 7, 4, one(|s| &mut s.shed))
                 }
-                ServeError::BadRequest(_) | ServeError::Vm(VmError::BadInputs { .. }) => {
+                ServeError::BadRequest(_) => {
                     (RejectCode::BadRequest, 0, 0, one(|s| &mut s.rejected))
                 }
                 ServeError::InvalidRequest(_) => {

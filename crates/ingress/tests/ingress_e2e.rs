@@ -226,12 +226,11 @@ fn statically_invalid_requests_get_an_invalid_reject_on_the_wire() {
 fn admission_shape_conflict_rejects_the_offender_without_wedging_the_shard() {
     // A shape-*polymorphic* program admits requests of any element
     // shape through static verification; a payload whose shape
-    // conflicts with the buffers established by the shard's first
-    // admission fails at *batch admission* — a recoverable error on a
-    // healthy shard. The engine must drop exactly the offender
-    // (answering it with a typed reject) and keep serving: left at the
-    // queue head, the offender would fail admission again on every
-    // later flush and permanently wedge the only worker.
+    // conflicts with the spec the shard's first accepted request fixed
+    // (the spec its machine's buffers hold) is refused at *submission*
+    // with a typed `BadRequest`, before it touches the machine. The
+    // engine answers exactly the offender with a typed reject and keeps
+    // serving: the only worker is neither poisoned nor wedged.
     use autobatch_ir::build::ProgramBuilder;
     use autobatch_ir::Prim;
     // `y = x; repeat n times { y = y + 1 }` — the branch condition only
@@ -275,12 +274,13 @@ fn admission_shape_conflict_rejects_the_offender_without_wedging_the_shard() {
         ]
     };
     let mut client = IngressClient::connect(handle.addr()).unwrap();
-    // First admission fixes the served payload spec to scalar rows.
+    // The first accepted request fixes the served payload spec to
+    // scalar rows.
     let r = client.call(0, 0, &scalar(9)).unwrap();
     assert_eq!(r.outputs[0].as_f64().unwrap(), &[9.0]);
     // Statically valid (the program is shape-polymorphic), but in
-    // conflict with the established buffers: refused per-request at
-    // admission.
+    // conflict with the established spec: refused per-request at
+    // submission.
     let offender = vec![
         Tensor::from_i64(&[3], &[1]).unwrap(),
         Tensor::from_f64(&[0.0, 0.0], &[1, 2]).unwrap(),

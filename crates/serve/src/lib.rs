@@ -419,14 +419,25 @@ pub struct Response {
 /// A lane evicted mid-flight from one [`BatchServer`] for re-admission
 /// on another — the unit of cross-shard straggler migration: the lane's
 /// complete portable execution state, and the request's record, whole,
-/// so the destination produces an unchanged [`Response`] and a
-/// per-request deadline keeps counting across the move. Produced by
+/// so the destination produces an unchanged [`Response`] in its place in
+/// submission order, and a per-request deadline keeps counting across
+/// the move. Produced by
 /// [`BatchServer::evict_lanes`], consumed by
 /// [`BatchServer::admit_migrant`].
 #[derive(Debug)]
 pub struct Migrant {
     lane: LaneState,
     flight: InFlight,
+}
+
+/// A request accepted by [`BatchServer::submit`] and not yet admitted.
+#[derive(Debug)]
+struct Queued {
+    request: Request,
+    /// The clock at submission.
+    stamp: u64,
+    /// The submission sequence its response carries back.
+    seq: u64,
 }
 
 /// A request's record while a lane computes it. It is filed at
@@ -437,6 +448,8 @@ struct InFlight {
     ticket: u64,
     /// The request id the lane is computing.
     id: u64,
+    /// The request's submission sequence.
+    seq: u64,
     /// Superstep at admission, on the request's first machine (for
     /// [`Response::admitted_at`]).
     admitted_at: u64,
@@ -472,8 +485,8 @@ struct InFlight {
 pub struct BatchServer<'p> {
     machine: PcMachine<'p>,
     policy: AdmissionPolicy,
-    /// Pending requests, each stamped with the clock at submission.
-    queue: VecDeque<(Request, u64)>,
+    /// Pending requests, in submission order.
+    queue: VecDeque<Queued>,
     /// Monotonic virtual clock in abstract ticks, advanced by the
     /// caller. Deadline admission and queue-latency accounting read it.
     clock: u64,
@@ -493,10 +506,11 @@ pub struct BatchServer<'p> {
     failed: Vec<(u64, ServeError)>,
     /// Lanes evicted by governance over the server's lifetime.
     evictions: u64,
-    /// Completed responses not yet handed to the caller. Buffered on the
-    /// server so work finished before a mid-run error is not dropped with
-    /// it — the next successful [`BatchServer::run_until_idle`] returns it.
-    ready: Vec<Response>,
+    /// Completed responses not yet handed to the caller, each with its
+    /// submission sequence. Buffered on the server so work finished
+    /// before a mid-run error is not dropped with it — the next
+    /// successful [`BatchServer::run_until_idle`] returns it.
+    ready: Vec<(u64, Response)>,
     /// Set when a superstep failed mid-execution. Per-member state may be
     /// half-mutated at that point (some lanes executed the block's ops
     /// before the error surfaced), so driving the machine further would
@@ -512,11 +526,16 @@ pub struct BatchServer<'p> {
     /// Counts every [`BatchServer::submit`] call, so a retried request
     /// re-rolls instead of deterministically re-failing.
     fault_rolls: u64,
-    submitted: u64,
+    /// The submission sequence [`BatchServer::submit`] gives next.
+    next_seq: u64,
     completed: u64,
-    /// Per-input-spec memo of concrete signature inference: `None` =
-    /// accepted, `Some(e)` = rejected with `e`. Traffic repeats a
-    /// handful of specs, so each distinct one is inferred once.
+    /// The dtype and element shape of each input, fixed by the first
+    /// request this server accepted: the machine's buffers take that
+    /// spec at its first admission, so every later request must share it.
+    spec: Option<Vec<TensorSpec>>,
+    /// Per-input-spec memo of concrete signature inference for the specs
+    /// that are not `spec`: `None` = accepted, `Some(e)` = rejected with
+    /// `e`. Each distinct one is inferred once.
     sig_cache: BTreeMap<Vec<TensorSpec>, Option<IrError>>,
 }
 
@@ -555,6 +574,7 @@ impl<'p> BatchServer<'p> {
             return Err(ServeError::InvalidProgram(e.clone()));
         }
         Ok(BatchServer {
+            spec: None,
             sig_cache: BTreeMap::new(),
             step_limit: opts.max_supersteps,
             fault: opts.fault,
@@ -571,7 +591,7 @@ impl<'p> BatchServer<'p> {
             evictions: 0,
             ready: Vec::new(),
             poisoned: None,
-            submitted: 0,
+            next_seq: 0,
             completed: 0,
         })
     }
@@ -611,7 +631,7 @@ impl<'p> BatchServer<'p> {
     /// submitted) — a completed request cannot be cancelled, so a
     /// cancel racing completion yields the normal response.
     pub fn cancel(&mut self, id: u64) -> bool {
-        if let Some(pos) = self.queue.iter().position(|(r, _)| r.id == id) {
+        if let Some(pos) = self.queue.iter().position(|q| q.request.id == id) {
             self.queue.remove(pos);
             self.failed.push((id, ServeError::Cancelled));
             return true;
@@ -658,10 +678,9 @@ impl<'p> BatchServer<'p> {
     /// use it to sleep until the next actionable instant.
     pub fn next_deadline(&self) -> Option<u64> {
         match self.policy {
-            AdmissionPolicy::Deadline { max_wait, .. } => self
-                .queue
-                .front()
-                .map(|&(_, stamp)| stamp.saturating_add(max_wait)),
+            AdmissionPolicy::Deadline { max_wait, .. } => {
+                self.queue.front().map(|q| q.stamp.saturating_add(max_wait))
+            }
             _ => None,
         }
     }
@@ -676,11 +695,6 @@ impl<'p> BatchServer<'p> {
         self.machine.live()
     }
 
-    /// Requests submitted over the server's lifetime.
-    pub fn submitted(&self) -> u64 {
-        self.submitted
-    }
-
     /// Requests completed over the server's lifetime.
     pub fn completed(&self) -> u64 {
         self.completed
@@ -691,17 +705,59 @@ impl<'p> BatchServer<'p> {
         self.machine.supersteps()
     }
 
-    /// Enqueue a request, stamped with the current clock. The request's
-    /// inputs are checked against the program's statically inferred
-    /// signature (arity, dtype, and element shape) before anything is
-    /// enqueued, so invalid traffic never touches machine state.
+    /// Enqueue a request, stamped with the current clock. This is the one
+    /// place a request is judged, before anything is enqueued: its inputs
+    /// must be one `[1, elem..]` row per program input, fit the program's
+    /// statically inferred signature (dtype and element shape), and share
+    /// the dtype and element shape of the first request this server
+    /// accepted — the spec the machine's buffers take at its first
+    /// admission. Invalid traffic never touches machine state, and an
+    /// accepted request cannot fail admission.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::BadRequest`] on input arity mismatch,
-    /// or [`ServeError::InvalidRequest`] when an input's dtype or
-    /// element shape violates the inferred signature.
+    /// Returns [`ServeError::InvalidRequest`] when an input's dtype or
+    /// element shape violates the inferred signature, or
+    /// [`ServeError::BadRequest`] on input arity mismatch, on an input
+    /// that is not a `[1, elem..]` row, or on a spec that differs from
+    /// the one the server fixed.
     pub fn submit(&mut self, request: Request) -> Result<()> {
+        self.submit_as(self.next_seq, request)?;
+        self.next_seq += 1;
+        Ok(())
+    }
+
+    /// [`BatchServer::submit`] under submission sequence `seq`, which the
+    /// request's response carries back: a fleet numbers its requests
+    /// across every shard.
+    pub(crate) fn submit_as(&mut self, seq: u64, request: Request) -> Result<()> {
+        let specs = self.judge(&request)?;
+        // Chaos hook: an injected admission failure refuses a request
+        // that would otherwise have been enqueued (it was judged fit).
+        // Every call rolls a fresh counter, so a supervised retry
+        // re-rolls instead of deterministically re-failing.
+        self.fault_rolls += 1;
+        if self.fault.fires(FaultPoint::Admission, self.fault_rolls) {
+            return Err(ServeError::Vm(VmError::Injected {
+                point: FaultPoint::Admission.name(),
+                counter: self.fault_rolls,
+            }));
+        }
+        self.spec.get_or_insert(specs);
+        self.queue.push_back(Queued {
+            request,
+            stamp: self.clock,
+            seq,
+        });
+        self.peak_pending = self.peak_pending.max(self.queue.len());
+        Ok(())
+    }
+
+    /// Judge a request's inputs, returning their spec: see
+    /// [`BatchServer::submit`]. Concrete signature inference runs once
+    /// per distinct spec other than the fixed one, which passed it when
+    /// it was fixed.
+    fn judge(&mut self, request: &Request) -> Result<Vec<TensorSpec>> {
         let want = self.machine.program().inputs.len();
         if request.inputs.len() != want {
             return Err(ServeError::BadRequest(format!(
@@ -711,34 +767,13 @@ impl<'p> BatchServer<'p> {
                 request.inputs.len()
             )));
         }
-        self.check_signature(&request)?;
-        // Chaos hook: an injected admission failure refuses a request
-        // that would otherwise have been enqueued (arity and signature
-        // passed). Every call rolls a fresh counter, so a supervised
-        // retry re-rolls instead of deterministically re-failing.
-        self.fault_rolls += 1;
-        if self.fault.fires(FaultPoint::Admission, self.fault_rolls) {
-            return Err(ServeError::Vm(VmError::Injected {
-                point: FaultPoint::Admission.name(),
-                counter: self.fault_rolls,
-            }));
-        }
-        self.queue.push_back((request, self.clock));
-        self.peak_pending = self.peak_pending.max(self.queue.len());
-        self.submitted += 1;
-        Ok(())
-    }
-
-    /// Check a request's inputs against the inferred program signature,
-    /// memoizing concrete inference per distinct spec vector.
-    fn check_signature(&mut self, request: &Request) -> Result<()> {
-        let mut specs = Vec::with_capacity(request.inputs.len());
+        let mut specs = Vec::with_capacity(want);
         for (i, t) in request.inputs.iter().enumerate() {
             let shape = t.shape();
-            if shape.is_empty() {
+            if shape.first() != Some(&1) {
                 return Err(ServeError::BadRequest(format!(
-                    "request {} input {} is rank-0; per-request inputs are [1, elem..]",
-                    request.id, i
+                    "request {} input {} has shape {:?}; per-request inputs are [1, elem..] rows",
+                    request.id, i, shape
                 )));
             }
             let dtype = match t.dtype() {
@@ -748,15 +783,39 @@ impl<'p> BatchServer<'p> {
             };
             specs.push(TensorSpec::new(dtype, &shape[1..]));
         }
+        if self.spec.as_ref() == Some(&specs) {
+            return Ok(specs);
+        }
         let program = self.machine.program();
         let verdict = self
             .sig_cache
-            .entry(specs)
+            .entry(specs.clone())
             .or_insert_with_key(|specs| infer_pcab_signature(program, specs).err());
-        match verdict {
-            None => Ok(()),
-            Some(e) => Err(ServeError::InvalidRequest(e.clone())),
+        if let Some(e) = verdict {
+            return Err(ServeError::InvalidRequest(e.clone()));
         }
+        match &self.spec {
+            None => Ok(specs),
+            Some(fixed) => {
+                let i = (0..want).find(|&i| specs[i] != fixed[i]).unwrap_or(0);
+                Err(ServeError::BadRequest(format!(
+                    "request {} input {i} is {}, but this server's requests carry {}",
+                    request.id, specs[i], fixed[i]
+                )))
+            }
+        }
+    }
+
+    /// Whether work `donor` accepted may move to this server: yes when
+    /// both fixed the same input spec, or when this one has fixed none
+    /// yet — it then takes the donor's, as its machine takes the moved
+    /// work's buffers. Moving work between servers so cannot make an
+    /// admission fail.
+    pub(crate) fn takes_work_from(&mut self, donor: &BatchServer<'_>) -> bool {
+        if self.spec.is_none() {
+            self.spec.clone_from(&donor.spec);
+        }
+        self.spec == donor.spec
     }
 
     /// Admit pending requests according to the policy.
@@ -783,7 +842,7 @@ impl<'p> BatchServer<'p> {
         // the clock, so progress is still guaranteed.
         let admit = match self.policy {
             AdmissionPolicy::Deadline { max_wait, .. } => {
-                let oldest = self.queue.front().map(|&(_, stamp)| stamp);
+                let oldest = self.queue.front().map(|q| q.stamp);
                 self.queue.len() >= free
                     || oldest.is_some_and(|stamp| self.clock.saturating_sub(stamp) >= max_wait)
             }
@@ -802,72 +861,41 @@ impl<'p> BatchServer<'p> {
         if !admit {
             return Ok(());
         }
-        let batch: Vec<(Request, u64)> = (0..free.min(self.queue.len()))
-            .map(|_| self.queue.pop_front().expect("checked non-empty"))
-            .collect();
+        let batch: Vec<Queued> = self.queue.drain(..free.min(self.queue.len())).collect();
         let admitted = {
             let reqs: Vec<(&[Tensor], u64)> = batch
                 .iter()
-                .map(|(r, _)| (r.inputs.as_slice(), r.seed))
+                .map(|q| (q.request.inputs.as_slice(), q.request.seed))
                 .collect();
             self.machine.admit_batch(&reqs, trace.as_deref_mut())
         };
-        let tickets = match admitted {
-            Ok(tickets) => tickets,
-            Err(_) => {
-                // Admission validates before touching the machine, so
-                // in-flight members are intact — but the batch error does
-                // not say *which* request is bad. Retry one at a time:
-                // innocent requests are admitted, and the first offender
-                // goes back to the queue head (followed, in their
-                // original FIFO order, by the requests popped behind it),
-                // where [`BatchServer::reject`] can drop it. Nothing is
-                // lost silently and nothing is reordered.
-                let mut offender: Option<((Request, u64), ServeError)> = None;
-                let mut rest = Vec::new();
-                for (r, stamp) in batch {
-                    if offender.is_some() {
-                        rest.push((r, stamp));
-                    } else {
-                        match self.machine.admit(&r.inputs, r.seed, trace.as_deref_mut()) {
-                            Ok(ticket) => self.admitted(ticket, r.id, stamp),
-                            Err(e) => offender = Some(((r, stamp), e.into())),
-                        }
-                    }
+        match admitted {
+            Ok(tickets) => {
+                for (ticket, q) in tickets.into_iter().zip(&batch) {
+                    self.in_flight.push(InFlight {
+                        ticket,
+                        id: q.request.id,
+                        seq: q.seq,
+                        admitted_at: self.machine.supersteps(),
+                        queued_ticks: self.clock.saturating_sub(q.stamp),
+                        admitted_clock: self.clock,
+                    });
                 }
-                return match offender {
-                    Some((r, e)) => {
-                        // Re-queue with original stamps: a re-queued
-                        // request's deadline still dates from its first
-                        // submission.
-                        for r in rest.into_iter().rev() {
-                            self.queue.push_front(r);
-                        }
-                        self.queue.push_front(r);
-                        Err(e)
-                    }
-                    // Defensive: every request fit individually after
-                    // all — everything admitted, nothing to report.
-                    None => Ok(()),
-                };
+                Ok(())
             }
-        };
-        for (ticket, (req, stamp)) in tickets.into_iter().zip(&batch) {
-            self.admitted(ticket, req.id, *stamp);
+            Err(e) => {
+                // `submit` judged every request fit, so this is the
+                // machine failing, not a request: handled as a failed
+                // superstep is. The batch goes back to the queue head in
+                // its order, and the server is poisoned.
+                for q in batch.into_iter().rev() {
+                    self.queue.push_front(q);
+                }
+                let e = ServeError::from(e);
+                self.poisoned = Some(e.clone());
+                Err(e)
+            }
         }
-        Ok(())
-    }
-
-    /// File the record of a request just admitted under `ticket`, having
-    /// queued since `stamp`.
-    fn admitted(&mut self, ticket: u64, id: u64, stamp: u64) {
-        self.in_flight.push(InFlight {
-            ticket,
-            id,
-            admitted_at: self.machine.supersteps(),
-            queued_ticks: self.clock.saturating_sub(stamp),
-            admitted_clock: self.clock,
-        });
     }
 
     /// Where the in-flight table holds the record of the lane under
@@ -886,13 +914,14 @@ impl<'p> BatchServer<'p> {
             let f = self.in_flight.swap_remove(self.flight(r.ticket));
             self.cancel_requested.remove(&f.id);
             self.completed += 1;
-            self.ready.push(Response {
+            let response = Response {
                 id: f.id,
                 outputs: r.outputs,
                 admitted_at: f.admitted_at,
                 retired_at: self.machine.supersteps(),
                 queued_ticks: f.queued_ticks,
-            });
+            };
+            self.ready.push((f.seq, response));
         }
         Ok(())
     }
@@ -948,18 +977,23 @@ impl<'p> BatchServer<'p> {
         Ok(())
     }
 
-    /// Drop and return the request at the head of the queue — the one a
-    /// failed admission names. Lets a caller unblock the server after
-    /// [`BatchServer::run_until_idle`] returns an admission error without
-    /// losing the requests queued behind it.
+    /// Drop and return the request at the head of the queue: how the
+    /// queue of a server that cannot run (poisoned, or out of steps) is
+    /// drained for serving elsewhere.
     pub fn reject(&mut self) -> Option<Request> {
-        self.queue.pop_front().map(|(r, _)| r)
+        self.queue.pop_front().map(|q| q.request)
     }
 
     /// Take the responses completed so far without driving the machine —
     /// the way to salvage finished work after an unrecoverable execution
     /// error has [poisoned](BatchServer::poisoned) the server.
     pub fn take_ready(&mut self) -> Vec<Response> {
+        self.ready.drain(..).map(|(_, r)| r).collect()
+    }
+
+    /// [`BatchServer::take_ready`], each response with its submission
+    /// sequence.
+    pub(crate) fn take_numbered(&mut self) -> Vec<(u64, Response)> {
         std::mem::take(&mut self.ready)
     }
 
@@ -980,6 +1014,14 @@ impl<'p> BatchServer<'p> {
         self.poisoned = Some(error);
     }
 
+    /// Poison the server with `error` over a migrant that could be put
+    /// back nowhere, keeping its request on the in-flight record: the
+    /// request is then among the ids a respawn reports lost.
+    pub(crate) fn lose(&mut self, m: Migrant, error: ServeError) {
+        self.in_flight.push(m.flight);
+        self.poison(error);
+    }
+
     /// Ids of requests admitted into the machine but not yet retired.
     /// After a poisoning fault these are the requests whose work is
     /// unrecoverable from this machine — the set a supervisor must
@@ -994,20 +1036,9 @@ impl<'p> BatchServer<'p> {
     ///
     /// # Errors
     ///
-    /// Three failure classes, with different recovery stories:
+    /// A request [`BatchServer::submit`] accepted cannot fail admission,
+    /// so there are two failure classes, with different recovery stories:
     ///
-    /// - **Admission errors** ([`ServeError::Vm`] with
-    ///   [`VmError::BadInputs`]) are recoverable: in-flight members are
-    ///   intact, innocent requests popped alongside the offender are
-    ///   admitted anyway, and the offender itself is back at the queue
-    ///   head, where [`BatchServer::reject`] can drop it. Responses
-    ///   already completed stay buffered for the next successful call.
-    ///   Nothing is silently lost. ("Offender" means mismatched against
-    ///   the batch's established input spec: programs are
-    ///   shape-polymorphic, so the server's *first* admission fixes each
-    ///   input's element shape and dtype for its lifetime — submitters
-    ///   must agree on request shapes up front, as a malformed first
-    ///   request would define the spec the rest are judged by.)
     /// - **The step limit** ([`VmError::StepLimit`], cumulative over the
     ///   machine's lifetime) fires *before* a block executes, so state
     ///   stays consistent: the server is not poisoned, and later calls
@@ -1019,7 +1050,10 @@ impl<'p> BatchServer<'p> {
     ///   the machine's state is half-mutated and re-driving it would
     ///   corrupt innocent members. The server is *poisoned*: this and
     ///   every later call return the error. Salvage completed work with
-    ///   [`BatchServer::take_ready`] and rebuild the server.
+    ///   [`BatchServer::take_ready`], drain the queue with
+    ///   [`BatchServer::reject`], and rebuild the server. A machine
+    ///   that fails to admit a batch poisons the server the same way,
+    ///   with the batch back at the queue head.
     pub fn run_until_idle(&mut self, mut trace: Option<&mut Trace>) -> Result<Vec<Response>> {
         self.check_poisoned()?;
         loop {
@@ -1028,7 +1062,7 @@ impl<'p> BatchServer<'p> {
             }
             self.settle(&mut trace)?;
             if self.queue.is_empty() && self.machine.live() == 0 {
-                return Ok(std::mem::take(&mut self.ready));
+                return Ok(self.take_ready());
             }
             // Nothing stepped and requests remain: either the step
             // budget is exhausted (surface it rather than spinning on
@@ -1087,8 +1121,8 @@ impl<'p> BatchServer<'p> {
     ///
     /// # Errors
     ///
-    /// As [`BatchServer::run_until_idle`] — admission errors are
-    /// recoverable, execution errors poison the server.
+    /// As [`BatchServer::run_until_idle`] — the step limit leaves the
+    /// server consistent, execution errors poison it.
     pub fn poll(&mut self, mut trace: Option<&mut Trace>) -> Result<bool> {
         self.check_poisoned()?;
         let stepped = self.turn(&mut trace)?;
@@ -1212,16 +1246,16 @@ impl<'p> BatchServer<'p> {
     }
 
     /// Take up to `n` requests off the **back** of the queue (the newest
-    /// ones), preserving their submission stamps and relative order —
-    /// the donor half of work stealing.
-    pub(crate) fn steal_queued(&mut self, n: usize) -> Vec<(Request, u64)> {
+    /// ones), preserving their submission stamps and sequences and their
+    /// relative order — the donor half of work stealing.
+    pub(crate) fn steal_queued(&mut self, n: usize) -> Vec<Queued> {
         let take = n.min(self.queue.len());
         self.queue.split_off(self.queue.len() - take).into()
     }
 
-    /// Append stolen requests (with their original stamps) to this
+    /// Append stolen requests (stamps and sequences unchanged) to this
     /// server's queue — the thief half of work stealing.
-    pub(crate) fn enqueue_stolen(&mut self, batch: Vec<(Request, u64)>) {
+    pub(crate) fn enqueue_stolen(&mut self, batch: Vec<Queued>) {
         self.queue.extend(batch);
         self.peak_pending = self.peak_pending.max(self.queue.len());
     }
@@ -1265,9 +1299,9 @@ mod tests {
     /// A shape-polymorphic looping program: `y = x; repeat n times
     /// { y = y + 1 }`. The branch condition only ever sees the scalar
     /// counter, so the payload `x` may be any element shape — requests
-    /// with different `x` shapes all pass static verification, and a
-    /// shape that disagrees with the machine's established buffers is
-    /// only caught at admission. Runtime grows with `n`, staggering
+    /// with different `x` shapes all pass static verification, and only
+    /// the spec the server's first accepted request fixed tells a
+    /// conflicting one apart. Runtime grows with `n`, staggering
     /// retirements like the recursive fibonacci does. The exit block is
     /// laid out *before* the loop blocks so the default `EarliestBlock`
     /// scheduler retires finished members while slower ones still loop
@@ -1322,8 +1356,7 @@ mod tests {
 
     /// A request for `countup_program` whose payload element shape is
     /// `[2]`: statically valid (the program is shape-polymorphic in
-    /// `x`), but in conflict with buffers established by scalar
-    /// requests — an admission-time offender.
+    /// `x`), but in conflict with the spec scalar requests fixed.
     fn countup_vec_request(id: u64, n: i64) -> Request {
         Request {
             id,
@@ -1333,6 +1366,19 @@ mod tests {
             ],
             seed: id,
         }
+    }
+
+    /// Queue `request` past [`BatchServer::submit`]'s judgement. A request
+    /// that conflicts with the machine's buffers then makes the machine's
+    /// own admission fail — the failure `submit` rules out for every
+    /// request it accepts, and so the only way to reach that path.
+    fn enqueue_unjudged(server: &mut BatchServer<'_>, request: Request) {
+        server.queue.push_back(Queued {
+            request,
+            stamp: server.clock,
+            seq: server.next_seq,
+        });
+        server.next_seq += 1;
     }
 
     fn serve(ns: &[i64], policy: AdmissionPolicy) -> (Vec<Response>, u64) {
@@ -1519,88 +1565,6 @@ mod tests {
     }
 
     #[test]
-    fn failed_admission_requeues_requests_and_loses_nothing() {
-        // A request whose payload shape conflicts with the machine's
-        // established buffers (statically valid — the program is
-        // shape-polymorphic — so submit admits it) errors at admission;
-        // the requests popped alongside it go back into the queue,
-        // in-flight members stay intact, and responses completed before
-        // the error are returned by the next successful run — nothing
-        // is silently lost.
-        let pc = {
-            let (pc, _) = lower(&countup_program(), LoweringOptions::default()).unwrap();
-            pc
-        };
-        let policy = AdmissionPolicy::JoinAtEntry {
-            max_batch: 2,
-            min_utilization: 1.0,
-        };
-        let mut server =
-            BatchServer::new(&pc, KernelRegistry::new(), ExecOptions::default(), policy).unwrap();
-        // Two long requests fill the machine; a short one retires first
-        // and frees a lane for the poisoned request.
-        for r in countup_requests(&[12, 2]) {
-            server.submit(r).unwrap();
-        }
-        server.submit(countup_vec_request(2, 3)).unwrap();
-        for mut r in countup_requests(&[5]) {
-            r.id = 3;
-            server.submit(r).unwrap();
-        }
-        let err = server.run_until_idle(None);
-        assert!(matches!(err, Err(ServeError::Vm(_))), "got {err:?}");
-        // The poisoned request is back at the queue head with the good
-        // one behind it; the long member is still in flight.
-        assert_eq!(server.pending(), 2);
-        assert_eq!(server.in_flight(), 1);
-        // Drop the poisoned request and finish: every good request's
-        // response arrives, including the one completed before the error.
-        let rejected = server.reject().unwrap();
-        assert_eq!(rejected.id, 2);
-        let mut out = server.run_until_idle(None).unwrap();
-        out.sort_by_key(|r| r.id);
-        let ids: Vec<u64> = out.iter().map(|r| r.id).collect();
-        assert_eq!(ids, vec![0, 1, 3]);
-        let got: Vec<f64> = out
-            .iter()
-            .map(|r| r.outputs[0].as_f64().unwrap()[0])
-            .collect();
-        assert_eq!(
-            got,
-            vec![12.0, 2.0, 5.0],
-            "countup(12), countup(2), countup(5)"
-        );
-    }
-
-    #[test]
-    fn failed_batch_admission_admits_innocents_and_heads_the_offender() {
-        // When the offender is popped *behind* innocent requests, the
-        // innocents must be admitted (not re-queued behind a recovery
-        // that would drop them) and the offender must end up at the
-        // queue head, where `reject` removes exactly the bad request.
-        let (pc, _) = lower(&countup_program(), LoweringOptions::default()).unwrap();
-        let policy = AdmissionPolicy::JoinAtEntry {
-            max_batch: 2,
-            min_utilization: 1.0,
-        };
-        let mut server =
-            BatchServer::new(&pc, KernelRegistry::new(), ExecOptions::default(), policy).unwrap();
-        for r in countup_requests(&[9]) {
-            server.submit(r).unwrap();
-        }
-        server.submit(countup_vec_request(1, 4)).unwrap();
-        let err = server.run_until_idle(None);
-        assert!(matches!(err, Err(ServeError::Vm(_))), "got {err:?}");
-        assert_eq!(server.in_flight(), 1, "the good request was admitted");
-        assert_eq!(server.pending(), 1, "only the offender is queued");
-        assert_eq!(server.reject().unwrap().id, 1, "offender at the head");
-        let out = server.run_until_idle(None).unwrap();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].id, 0);
-        assert_eq!(out[0].outputs[0].as_f64().unwrap(), &[9.0]);
-    }
-
-    #[test]
     fn statically_invalid_traffic_is_rejected_at_submit() {
         // Requests violating the inferred signature never touch machine
         // state: rejected with a typed error at submission, not at
@@ -1632,7 +1596,6 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, ServeError::InvalidRequest(_)), "{err:?}");
         assert_eq!(server.pending(), 0, "nothing was enqueued");
-        assert_eq!(server.submitted(), 0);
         // Valid traffic still flows on the same server.
         for r in fib_requests(&[6]) {
             server.submit(r).unwrap();
@@ -1925,14 +1888,120 @@ mod tests {
     }
 
     #[test]
-    fn failed_admission_requeues_in_original_fifo_order() {
-        // Satellite regression: when a batch admission fails, the
-        // offender must land back at the queue *head* with every request
-        // popped behind it following in the original FIFO order — and
-        // `reject()` must then drop exactly the offender.
+    fn a_spec_conflict_is_refused_at_submit_and_nothing_queues() {
+        // The first accepted request fixes the served input spec, so a
+        // request whose payload shape conflicts with it — statically
+        // valid, the program being shape-polymorphic — is refused with a
+        // typed error at submission, as is an input that is not one row,
+        // and nothing of either is queued. Admission then never fails,
+        // and every good request completes.
         let (pc, _) = lower(&countup_program(), LoweringOptions::default()).unwrap();
-        // max_batch 4 pops the offender and both requests behind it in
-        // one admission attempt.
+        let policy = AdmissionPolicy::JoinAtEntry {
+            max_batch: 2,
+            min_utilization: 1.0,
+        };
+        let mut server =
+            BatchServer::new(&pc, KernelRegistry::new(), ExecOptions::default(), policy).unwrap();
+        for r in countup_requests(&[12, 2]) {
+            server.submit(r).unwrap();
+        }
+        let two_rows = Request {
+            id: 9,
+            inputs: vec![
+                Tensor::from_i64(&[3, 4], &[2]).unwrap(),
+                Tensor::from_f64(&[0.0, 0.0], &[2]).unwrap(),
+            ],
+            seed: 9,
+        };
+        for bad in [countup_vec_request(2, 3), two_rows] {
+            let err = server.submit(bad).unwrap_err();
+            assert!(matches!(err, ServeError::BadRequest(_)), "{err:?}");
+        }
+        assert_eq!(server.pending(), 2, "nothing was queued");
+        for mut r in countup_requests(&[5]) {
+            r.id = 3;
+            server.submit(r).unwrap();
+        }
+        let mut out = server.run_until_idle(None).unwrap();
+        assert!(server.poisoned().is_none());
+        out.sort_by_key(|r| r.id);
+        let got: Vec<(u64, f64)> = out
+            .iter()
+            .map(|r| (r.id, r.outputs[0].as_f64().unwrap()[0]))
+            .collect();
+        assert_eq!(got, vec![(0, 12.0), (1, 2.0), (3, 5.0)]);
+        // The spec holds for the server's lifetime, idle or not.
+        let err = server.submit(countup_vec_request(4, 1)).unwrap_err();
+        assert!(matches!(err, ServeError::BadRequest(_)), "{err:?}");
+        // Work moves only between servers that fixed the same spec; a
+        // server that fixed none takes the donor's with the work.
+        let new = || {
+            BatchServer::new(&pc, KernelRegistry::new(), ExecOptions::default(), policy).unwrap()
+        };
+        let mut vec_server = new();
+        vec_server.submit(countup_vec_request(5, 1)).unwrap();
+        assert!(!vec_server.takes_work_from(&server));
+        let mut fresh = new();
+        assert!(fresh.takes_work_from(&server));
+        let err = fresh.submit(countup_vec_request(6, 1)).unwrap_err();
+        assert!(matches!(err, ServeError::BadRequest(_)), "{err:?}");
+    }
+
+    #[test]
+    fn failed_admission_requeues_requests_and_loses_nothing() {
+        // A machine that fails to admit a batch is handled as a failed
+        // superstep is: the popped requests go back to the queue, the
+        // member in flight stays on the record, the response completed
+        // before the error stays salvageable, and the server is
+        // poisoned. Every request is accounted for — nothing is lost.
+        let (pc, _) = lower(&countup_program(), LoweringOptions::default()).unwrap();
+        let policy = AdmissionPolicy::JoinAtEntry {
+            max_batch: 2,
+            min_utilization: 1.0,
+        };
+        let mut server =
+            BatchServer::new(&pc, KernelRegistry::new(), ExecOptions::default(), policy).unwrap();
+        // Two requests fill the machine; the short one retires first and
+        // frees a lane for the one the machine cannot take.
+        for r in countup_requests(&[12, 2]) {
+            server.submit(r).unwrap();
+        }
+        enqueue_unjudged(&mut server, countup_vec_request(2, 3));
+        for mut r in countup_requests(&[5]) {
+            r.id = 3;
+            server.submit(r).unwrap();
+        }
+        let err = server.run_until_idle(None);
+        assert!(matches!(err, Err(ServeError::Vm(_))), "got {err:?}");
+        assert!(server.poisoned().is_some());
+        assert_eq!(server.pending(), 2, "the popped request is back");
+        assert_eq!(server.in_flight_ids(), vec![0], "the long member stays");
+        let ready = server.take_ready();
+        let got: Vec<(u64, f64)> = ready
+            .iter()
+            .map(|r| (r.id, r.outputs[0].as_f64().unwrap()[0]))
+            .collect();
+        assert_eq!(got, vec![(1, 2.0)], "countup(2) completed before the error");
+        // The poisoned server refuses to run again; its queue drains.
+        assert!(matches!(
+            server.run_until_idle(None),
+            Err(ServeError::Vm(_))
+        ));
+        let mut seen: Vec<u64> = std::iter::from_fn(|| server.reject().map(|r| r.id)).collect();
+        seen.extend(server.in_flight_ids());
+        seen.extend(ready.iter().map(|r| r.id));
+        seen.sort_unstable();
+        assert_eq!(seen, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn failed_admission_requeues_in_original_fifo_order() {
+        // When a batch admission fails in the machine, every request it
+        // popped lands back at the queue *head* in the original FIFO
+        // order, so `reject()` drains them first to last.
+        let (pc, _) = lower(&countup_program(), LoweringOptions::default()).unwrap();
+        // max_batch 4 pops the conflicting request and both requests
+        // behind it in one admission attempt.
         let policy = AdmissionPolicy::JoinAtEntry {
             max_batch: 4,
             min_utilization: 1.0,
@@ -1942,44 +2011,21 @@ mod tests {
         for r in countup_requests(&[9]) {
             server.submit(r).unwrap();
         }
-        server.submit(countup_vec_request(1, 4)).unwrap();
-        let late = |id: u64, n: i64| {
+        // The first request fixes the machine's buffers.
+        assert!(server.poll(None).unwrap());
+        enqueue_unjudged(&mut server, countup_vec_request(1, 4));
+        for (id, n) in [(2u64, 5i64), (3, 7)] {
             let mut r = countup_requests(&[n]).remove(0);
             r.id = id;
             r.seed = 1000 + id;
-            r
-        };
-        for (id, n) in [(2u64, 5i64), (3, 7)] {
-            server.submit(late(id, n)).unwrap();
+            server.submit(r).unwrap();
         }
         let err = server.run_until_idle(None);
         assert!(matches!(err, Err(ServeError::Vm(_))), "got {err:?}");
-        // The innocent request ahead of the offender was admitted; the
-        // offender and both requests behind it were re-queued.
         assert_eq!(server.in_flight(), 1);
         assert_eq!(server.pending(), 3);
-        // `reject()` drops exactly the offender…
-        assert_eq!(server.reject().map(|r| r.id), Some(1));
-        // …and the queue behind it is still in original FIFO order
-        // (witnessed destructively, then re-submitted).
-        assert_eq!(server.reject().map(|r| r.id), Some(2));
-        assert_eq!(server.reject().map(|r| r.id), Some(3));
-        for (id, n) in [(2u64, 5i64), (3, 7)] {
-            server.submit(late(id, n)).unwrap();
-        }
-        let mut out = server.run_until_idle(None).unwrap();
-        out.sort_by_key(|r| r.id);
-        let ids: Vec<u64> = out.iter().map(|r| r.id).collect();
-        assert_eq!(ids, vec![0, 2, 3]);
-        let got: Vec<f64> = out
-            .iter()
-            .map(|r| r.outputs[0].as_f64().unwrap()[0])
-            .collect();
-        assert_eq!(
-            got,
-            vec![9.0, 5.0, 7.0],
-            "countup(9), countup(5), countup(7)"
-        );
+        let order: Vec<u64> = std::iter::from_fn(|| server.reject().map(|r| r.id)).collect();
+        assert_eq!(order, vec![1, 2, 3]);
     }
 
     #[test]

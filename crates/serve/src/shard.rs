@@ -10,20 +10,25 @@
 //!
 //! Four design points:
 //!
-//! - **Routing** is least-loaded: each shard's load is its live member
-//!   count from [`Trace`] membership accounting plus its queue depth, so
-//!   the routing signal comes from the same accounting that prices
-//!   launches. Ties break toward the lowest shard index, which makes
-//!   routing — and therefore the whole sharded run — deterministic.
+//! - **Routing** is least-loaded: each shard's load is the requests it
+//!   holds, in flight on its machine plus queued — the count a running
+//!   drive's router keeps too. Ties break toward the lowest shard index,
+//!   which makes routing — and therefore the whole sharded run —
+//!   deterministic.
 //! - **Aggregation** preserves per-request ordering: every submission
-//!   gets a global sequence number, and [`ShardedServer::take_ready`]
-//!   merges the shards' completions back into submission order.
-//! - **Poison/drain**: one shard's execution error must not lose another
-//!   shard's completed work. A failed shard's already-completed
-//!   responses are salvaged into the shared ready buffer, and routing
-//!   skips poisoned shards from then on. Its queued requests come back
-//!   from [`ShardedServer::respawn_shard`], which is how a
-//!   [`Supervisor`](crate::Supervisor) re-routes them.
+//!   gets a global sequence number, which travels with the request —
+//!   queued, in flight, stolen or migrated — and comes back with its
+//!   response, and [`ShardedServer::take_ready`] merges the shards'
+//!   completions back into submission order.
+//! - **Poison/drain**: a shard's only error is its poison. Any error a
+//!   shard surfaces — an execution error, a caught panic, step-limit
+//!   exhaustion — poisons it, and no shard error loses another shard's
+//!   completed work: a poisoned shard's already-completed responses are
+//!   salvaged into the shared ready buffer, and routing skips it from
+//!   then on. Its queued and in-flight requests come back from
+//!   [`ShardedServer::respawn_shard`], which is how a
+//!   [`Supervisor`](crate::Supervisor) re-routes them. A bad request
+//!   never gets this far: [`BatchServer::submit`] refuses it.
 //! - **One continuous drive, one crew of threads.** Host control per
 //!   superstep is what batching has to amortise, so the runtime must not
 //!   add to it: a drive ([`ShardedServer::drive`]; every other entry
@@ -42,7 +47,6 @@
 //!   panicking worker poisons its own shard and is always reported. The
 //!   contract is spelled out on [`ShardedServer::drive`].
 
-use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -162,16 +166,14 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// One worker's state: its server, its private trace, and the last error
-/// it surfaced (poisoning or recoverable).
+/// One worker's state: its server and its private trace.
 #[derive(Debug)]
 struct Shard<'p> {
     server: BatchServer<'p>,
     trace: Trace,
-    last_error: Option<ServeError>,
-    /// Sticky copy of the most recent error ever surfaced — unlike
-    /// `last_error` it survives later successful runs and respawns, so
-    /// health reporting can say *why* a shard was last respawned.
+    /// The most recent error the slot ever surfaced — unlike the
+    /// server's poison it survives respawns, so health reporting can say
+    /// *why* a shard was last respawned.
     fault_record: Option<ServeError>,
     /// How many times this slot's server has been rebuilt.
     respawns: u64,
@@ -206,19 +208,18 @@ pub struct ShardHealth {
 }
 
 impl Shard<'_> {
-    /// Routing load: live members per membership accounting + queued.
+    /// Routing load: the requests the shard holds that have not reached
+    /// a terminal outcome, in flight or queued.
     fn load(&self) -> usize {
-        self.trace.live_members() as usize + self.server.pending()
+        self.server.in_flight() + self.server.pending()
     }
 
     fn poisoned(&self) -> bool {
         self.server.poisoned().is_some()
     }
 
-    /// Whether the shard holds a request that has not reached a
-    /// terminal outcome (queued or in flight).
     fn has_work(&self) -> bool {
-        self.server.pending() > 0 || self.server.in_flight() > 0
+        self.load() > 0
     }
 }
 
@@ -296,6 +297,8 @@ pub struct ShardedServer<'p> {
     retired_peak: usize,
     /// Governance evictions on servers that were since respawned.
     retired_evictions: u64,
+    /// Supersteps run by servers that were since respawned.
+    retired_supersteps: u64,
     /// Governance failures salvaged from respawned shards, awaiting
     /// [`ShardedServer::take_failed`].
     failed: Vec<(u64, ServeError)>,
@@ -303,17 +306,10 @@ pub struct ShardedServer<'p> {
     /// [`BatchServer::set_budget`]); kept here so a respawned shard
     /// re-enforces the same budget.
     budget: RequestBudget,
-    /// Next global submission sequence number.
+    /// Next global submission sequence number. A request carries its
+    /// number through its shard and back with its response, so even
+    /// requests that share an id come back in submission order.
     next_seq: u64,
-    /// Requests routed mid-drive that their shard then refused: they
-    /// took a sequence number but were never accepted.
-    refused: u64,
-    /// Request id → submission sequence numbers, FIFO per id. Unique
-    /// ids give strict per-request ordering; duplicate in-flight ids
-    /// occupy that id's submission slots in completion order (the
-    /// server cannot tell twin requests apart), so callers that need
-    /// strict request↔response pairing must use unique ids.
-    order: BTreeMap<u64, VecDeque<u64>>,
     /// Completed responses awaiting [`ShardedServer::take_ready`],
     /// tagged with their submission sequence.
     ready: Vec<(u64, Response)>,
@@ -361,7 +357,6 @@ impl<'p> ShardedServer<'p> {
                         &report,
                     )?,
                     trace: Trace::new(backend),
-                    last_error: None,
                     fault_record: None,
                     respawns: 0,
                     steals: 0,
@@ -383,11 +378,10 @@ impl<'p> ShardedServer<'p> {
             retired_completed: 0,
             retired_peak: 0,
             retired_evictions: 0,
+            retired_supersteps: 0,
             failed: Vec::new(),
             budget: RequestBudget::unlimited(),
             next_seq: 0,
-            refused: 0,
-            order: BTreeMap::new(),
             ready: Vec::new(),
         })
     }
@@ -423,23 +417,12 @@ impl<'p> ShardedServer<'p> {
     /// fleet (budget evictions and cancellations, and refusals of
     /// requests routed mid-drive), in the order they were reported,
     /// including failures salvaged from shards that were since
-    /// respawned. Each drained id's submission sequence is released —
-    /// the request will never produce a response, so holding its slot
-    /// would mis-order a later reuse of the id.
+    /// respawned.
     pub fn take_failed(&mut self) -> Vec<(u64, ServeError)> {
-        for i in 0..self.shards.len() {
-            self.salvage_failed(i);
+        for s in &mut self.shards {
+            self.failed.extend(s.server.take_failed());
         }
         std::mem::take(&mut self.failed)
-    }
-
-    /// Move shard `i`'s governance failures into the fleet buffer,
-    /// releasing each id's submission sequence as it lands.
-    fn salvage_failed(&mut self, i: usize) {
-        for (id, e) in self.shards[i].server.take_failed() {
-            Self::pop_seq(&mut self.order, id);
-            self.failed.push((id, e));
-        }
     }
 
     /// Lanes evicted under governance over the fleet's lifetime
@@ -485,15 +468,6 @@ impl<'p> ShardedServer<'p> {
         self.shards.iter().map(|s| s.server.pending()).sum()
     }
 
-    /// Requests accepted by [`ShardedServer::submit`] or through a
-    /// drive's [`Intake`] over the server's lifetime. Counted at the
-    /// router, not by summing the shards' counters:
-    /// [`ShardedServer::resubmit`] hands moved requests to their new
-    /// shard, which would double-count them.
-    pub fn submitted(&self) -> u64 {
-        self.next_seq - self.refused
-    }
-
     /// Requests completed over the server's lifetime (including on
     /// servers since respawned).
     pub fn completed(&self) -> u64 {
@@ -509,10 +483,14 @@ impl<'p> ShardedServer<'p> {
         self.shards.iter().map(|s| s.server.in_flight()).sum()
     }
 
-    /// The routing load of shard `i`: live members (per [`Trace`]
-    /// membership accounting) plus queue depth.
-    pub fn shard_load(&self, i: usize) -> usize {
-        self.shards[i].load()
+    /// Supersteps the fleet's machines have run over its lifetime,
+    /// including on servers since respawned.
+    pub fn supersteps(&self) -> u64 {
+        self.shards
+            .iter()
+            .map(|s| s.server.supersteps())
+            .sum::<u64>()
+            + self.retired_supersteps
     }
 
     /// The private execution trace of shard `i`.
@@ -529,14 +507,9 @@ impl<'p> ShardedServer<'p> {
             .collect()
     }
 
-    /// The last error each shard surfaced, if any (poisoning or
-    /// recoverable), by shard index.
-    pub fn shard_errors(&self) -> Vec<(usize, ServeError)> {
-        self.shards
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.last_error.clone().map(|e| (i, e)))
-            .collect()
+    /// The error that poisoned shard `i`, if any.
+    pub(crate) fn poison(&self, i: usize) -> Option<&ServeError> {
+        self.shards[i].server.poisoned()
     }
 
     /// Per-slot health snapshot: respawn count, the most recent error
@@ -565,26 +538,24 @@ impl<'p> ShardedServer<'p> {
     /// options, policy and verification report; fleet clock and request
     /// budget restored; a fresh
     /// fault-stream epoch so a deterministic fault plan does not re-kill
-    /// the replacement on schedule). The recovery move for a shard
-    /// poisoned by an execution error or panic, or wedged by step-limit
-    /// exhaustion.
+    /// the replacement on schedule). The recovery move for a poisoned
+    /// shard.
     ///
-    /// Work the old server had is triaged, never silently dropped:
+    /// Work the old server had is handed on, never silently dropped:
     ///
     /// - **completed** responses are salvaged into the shared ready
     ///   buffer ([`ShardedServer::take_ready`] returns them);
     /// - **queued** requests (never admitted) are returned in
-    ///   `(stranded, _)`, still holding their original submission
-    ///   sequence — re-route them with [`ShardedServer::resubmit`];
+    ///   `(stranded, _)`, to be submitted again;
     /// - **in-flight** requests (admitted, not retired) died with the
     ///   machine; their ids are returned in `(_, lost)` so a supervisor
     ///   can retry them from its own copies.
     pub fn respawn_shard(&mut self, i: usize) -> (Vec<Request>, Vec<u64>) {
-        Self::harvest(&mut self.shards[i].server, &mut self.order, &mut self.ready);
+        self.ready.extend(self.shards[i].server.take_numbered());
         // Governance verdicts already reached are salvaged too: a
         // budget-evicted request's terminal failure must not be lost
         // (and then retried) just because its shard later died.
-        self.salvage_failed(i);
+        self.failed.extend(self.shards[i].server.take_failed());
         let lost = self.shards[i].server.in_flight_ids();
         let mut stranded = Vec::new();
         while let Some(r) = self.shards[i].server.reject() {
@@ -609,34 +580,15 @@ impl<'p> ShardedServer<'p> {
         self.retired_completed += self.shards[i].server.completed();
         self.retired_peak = self.retired_peak.max(self.shards[i].server.peak_pending());
         self.retired_evictions += self.shards[i].server.evictions();
+        self.retired_supersteps += self.shards[i].server.supersteps();
         self.shards[i] = Shard {
             server,
             trace: Trace::new(self.backend),
-            last_error: None,
             fault_record: self.shards[i].fault_record.take(),
             respawns: self.shards[i].respawns + 1,
             steals: self.shards[i].steals,
         };
         (stranded, lost)
-    }
-
-    /// Re-route a request that was already accepted once (its original
-    /// submission sequence is still on file, so aggregation order and
-    /// the lifetime [`ShardedServer::submitted`] count are unchanged).
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedServer::submit`].
-    pub fn resubmit(&mut self, request: Request) -> Result<()> {
-        self.route(request)
-    }
-
-    /// Forget the pending submission sequence of one `id` whose request
-    /// reached a terminal failure outside a shard (e.g. its retry
-    /// budget ran out) — without this, a later reuse of the id would
-    /// pop the dead request's slot and mis-order its response.
-    pub(crate) fn abandon_seq(&mut self, id: u64) {
-        Self::pop_seq(&mut self.order, id);
     }
 
     /// The fleet-wide trace: per-shard traces folded with
@@ -651,26 +603,17 @@ impl<'p> ShardedServer<'p> {
         out
     }
 
-    /// Enqueue a request on the least-loaded healthy shard.
+    /// Number a request and enqueue it per the scheduling policy: on the
+    /// least-loaded healthy shard (lowest index on ties), or by
+    /// PC-affinity packing.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::BadRequest`] on arity mismatch; if every
-    /// shard is poisoned, the first shard's poison error.
+    /// The refusals of [`BatchServer::submit`] on the chosen shard; if
+    /// every shard is poisoned, the first shard's poison error.
     pub fn submit(&mut self, request: Request) -> Result<()> {
         let seq = self.next_seq;
-        let id = request.id;
-        self.route(request)?;
-        // Only a successful enqueue consumes a sequence number.
         self.next_seq += 1;
-        self.order.entry(id).or_default().push_back(seq);
-        Ok(())
-    }
-
-    /// Route per the scheduling policy — least-loaded healthy shard
-    /// (lowest index on ties), or PC-affinity packing
-    /// ([`ShardedServer::affinity_target`]).
-    fn route(&mut self, request: Request) -> Result<()> {
         let candidates: Vec<usize> = (0..self.shards.len())
             .filter(|&i| !self.shards[i].poisoned())
             .collect();
@@ -682,7 +625,7 @@ impl<'p> ShardedServer<'p> {
             SchedulingPolicy::PcAffinity(cfg) => self.affinity_target(&candidates, cfg),
         };
         match target {
-            Some(i) => self.shards[i].server.submit(request),
+            Some(i) => self.shards[i].server.submit_as(seq, request),
             None => Err(self
                 .shards
                 .iter()
@@ -731,59 +674,19 @@ impl<'p> ShardedServer<'p> {
             })
     }
 
-    /// Drop and return the request at the head of shard `i`'s queue —
-    /// the one a failed admission on that shard names. On a healthy
-    /// shard this consumes the recorded error (the offender was the
-    /// error), so [`ShardedServer::shard_errors`] stops reporting it;
-    /// the sticky health record ([`ShardHealth::last_error`]) survives.
-    pub fn reject_on(&mut self, shard: usize) -> Option<Request> {
-        let rejected = self.shards[shard].server.reject();
-        if rejected.is_some() && !self.shards[shard].poisoned() {
-            self.shards[shard].last_error = None;
-        }
-        rejected
-    }
-
     /// Take every completed response aggregated so far, in submission
     /// order — including responses salvaged from shards that later
     /// failed. The way to recover finished work after
     /// [`ShardedServer::run_until_idle`] reports a shard error.
     pub fn take_ready(&mut self) -> Vec<Response> {
         for shard in &mut self.shards {
-            Self::harvest(&mut shard.server, &mut self.order, &mut self.ready);
+            self.ready.extend(shard.server.take_numbered());
         }
         self.ready.sort_by_key(|&(seq, _)| seq);
         std::mem::take(&mut self.ready)
             .into_iter()
             .map(|(_, r)| r)
             .collect()
-    }
-
-    /// Move a shard's completed responses into the fleet's ready
-    /// buffer, tagged with their submission sequence. Never drives the
-    /// machine, so it is safe on a poisoned shard too.
-    fn harvest(
-        server: &mut BatchServer<'p>,
-        order: &mut BTreeMap<u64, VecDeque<u64>>,
-        ready: &mut Vec<(u64, Response)>,
-    ) {
-        for r in server.take_ready() {
-            ready.push((Self::pop_seq(order, r.id), r));
-        }
-    }
-
-    fn pop_seq(order: &mut BTreeMap<u64, VecDeque<u64>>, id: u64) -> u64 {
-        match order.get_mut(&id) {
-            Some(q) => {
-                let seq = q.pop_front().unwrap_or(u64::MAX);
-                if q.is_empty() {
-                    order.remove(&id);
-                }
-                seq
-            }
-            // Defensive: an id this server never assigned sorts last.
-            None => u64::MAX,
-        }
     }
 
     /// Drive every shard until the fleet is idle and return all
@@ -838,8 +741,9 @@ impl<'p> ShardedServer<'p> {
     /// something new, or without a bell every `COORDINATOR_WAKE` (1 ms).
     /// Each call gets the outcomes retired since the last one —
     /// completions in submission order, then governance verdicts and
-    /// refusals (a request its shard refused at submission is
-    /// [`Outcome::Failed`] with the refusal) — and returns an
+    /// refusals (a request its shard refused at submission, a bad
+    /// payload say, is [`Outcome::Failed`] with the refusal) — and
+    /// returns an
     /// [`Intake`]: its clock is applied first, its requests are routed
     /// to the healthy shard holding the fewest requests (lowest index on
     /// ties) through that shard's inbox, and its cancels are broadcast.
@@ -891,19 +795,18 @@ impl<'p> ShardedServer<'p> {
     ///
     /// # Errors
     ///
-    /// If any shard errors this call, it leaves the drive and the drive
-    /// *closes*: `feed` is not called again, the healthy remainder
-    /// drains, and the first such error (by report) is returned — but no
-    /// work is lost: every response finished by any shard, including
-    /// work a failing shard completed before its error, and every
-    /// verdict not yet handed out stays buffered for
-    /// [`ShardedServer::take_ready`] and [`ShardedServer::take_failed`].
-    /// Recoverable per-shard errors (failed admissions, step-limit
-    /// exhaustion) follow the [`BatchServer::run_until_idle`] contract
-    /// shard-locally: [`ShardedServer::reject_on`] unblocks the named
-    /// shard. If only errored shards still hold work, or no shard names
-    /// a deadline to advance to, the drive stops — the recorded
-    /// per-shard errors say why.
+    /// A refused request is an outcome, not an error. A shard that
+    /// errors this call — an execution error, a panic, step-limit
+    /// exhaustion — is poisoned with the error and leaves the drive, and
+    /// the drive *closes*: `feed` is not called again, the healthy
+    /// remainder drains, and the first such error (by report) is
+    /// returned — but no work is lost: every response finished by any
+    /// shard, including work a failing shard completed before its error,
+    /// and every verdict not yet handed out stays buffered for
+    /// [`ShardedServer::take_ready`] and [`ShardedServer::take_failed`],
+    /// and [`ShardedServer::respawn_shard`] hands back what the poisoned
+    /// shard still held. If only poisoned shards still hold work, or no
+    /// shard names a deadline to advance to, the drive stops.
     pub fn drive(
         &mut self,
         bell: Option<&Bell>,
@@ -951,12 +854,6 @@ impl<'p> ShardedServer<'p> {
                                 || fault.fires(FaultPoint::WorkerPanic, counter))))
             })
             .collect();
-        for (s, &enlisted) in self.shards.iter_mut().zip(&crew) {
-            // A healthy shard with nothing to do has nothing to report.
-            if !enlisted && !s.poisoned() {
-                s.last_error = None;
-            }
-        }
         // Shards poisoned before this drive take no part in it, and no
         // request is routed to them.
         let sick: Vec<bool> = self.shards.iter().map(Shard::poisoned).collect();
@@ -964,25 +861,19 @@ impl<'p> ShardedServer<'p> {
             .shards
             .iter()
             .find_map(|s| s.server.poisoned().cloned());
-        // Requests each shard holds, as the coordinator counts them while
-        // it cannot look: routed in, retired out.
-        let mut held: Vec<usize> = self
-            .shards
-            .iter()
-            .map(|s| s.server.pending() + s.server.in_flight())
-            .collect();
+        // Each shard's load, as the coordinator counts it while it
+        // cannot look: routed in, retired out.
+        let mut held: Vec<usize> = self.shards.iter().map(Shard::load).collect();
         let private = Bell::default();
         let tick = bell.is_none().then_some(COORDINATOR_WAKE);
 
         let ShardedServer {
             shards,
-            order,
             ready,
             failed,
             clock,
             fault_round: next_fault_round,
             next_seq,
-            refused,
             ..
         } = self;
         let drive = Drive {
@@ -1040,7 +931,7 @@ impl<'p> ShardedServer<'p> {
                 ended.extend(report_rx.try_iter());
                 for (i, outcome) in ended.drain(..) {
                     out[i] = false;
-                    match Self::settle(&mut lock(&drive.slots[i]), outcome, order, ready) {
+                    match Self::settle(&mut lock(&drive.slots[i]), outcome, ready) {
                         Ok(steps) => steps_total += steps,
                         Err(e) => {
                             dead[i] = true;
@@ -1050,7 +941,7 @@ impl<'p> ShardedServer<'p> {
                 }
                 for (i, retired) in std::mem::take(&mut *lock(&drive.retired)) {
                     held[i] = held[i].saturating_sub(1);
-                    Self::file(order, ready, failed, refused, retired);
+                    retired.file(ready, failed);
                 }
 
                 // The hook: outcomes out, work in. A closing drive takes
@@ -1074,10 +965,9 @@ impl<'p> ShardedServer<'p> {
                             failed.push((request.id, e));
                             continue;
                         };
-                        order.entry(request.id).or_default().push_back(*next_seq);
-                        *next_seq += 1;
                         held[i] += 1;
-                        lock(&drive.inboxes[i]).requests.push(request);
+                        lock(&drive.inboxes[i]).requests.push((*next_seq, request));
+                        *next_seq += 1;
                     }
                     drive.post(intake.cancels);
                 }
@@ -1215,7 +1105,7 @@ impl<'p> ShardedServer<'p> {
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner)
         {
-            Self::file(order, ready, failed, refused, retired);
+            retired.file(ready, failed);
         }
         match first_error {
             Some(e) => Err(e),
@@ -1223,63 +1113,40 @@ impl<'p> ShardedServer<'p> {
         }
     }
 
-    /// File one retirement in the fleet's buffers, releasing its
-    /// submission sequence.
-    fn file(
-        order: &mut BTreeMap<u64, VecDeque<u64>>,
-        ready: &mut Vec<(u64, Response)>,
-        failed: &mut Vec<(u64, ServeError)>,
-        refused: &mut u64,
-        retired: Retired,
-    ) {
-        match retired {
-            Retired::Done(r) => ready.push((Self::pop_seq(order, r.id), r)),
-            Retired::Failed(id, e) => {
-                Self::pop_seq(order, id);
-                failed.push((id, e));
-            }
-            Retired::Refused(id, e) => {
-                Self::pop_seq(order, id);
-                *refused += 1;
-                failed.push((id, e));
-            }
-        }
-    }
-
-    /// Book one finished leg on its shard: record or clear the shard's
-    /// error and move its completed responses into the fleet's ready
+    /// Book one finished leg on its shard: poison the shard if the leg
+    /// failed, and move its completed responses into the fleet's ready
     /// buffer. Returns the supersteps the leg ran, or the error that
     /// takes the shard out of the drive.
     fn settle(
         shard: &mut Shard<'p>,
         outcome: LegOutcome,
-        order: &mut BTreeMap<u64, VecDeque<u64>>,
         ready: &mut Vec<(u64, Response)>,
     ) -> LegOutcome {
-        match &outcome {
-            Ok(_) => shard.last_error = None,
-            Err(e) => {
-                // A worker that died outside its containment still has
-                // to poison its shard: the machine may be mid-superstep.
-                if matches!(e, ServeError::Panicked { .. }) && !shard.poisoned() {
-                    shard.server.poison(e.clone());
-                }
-                shard.last_error = Some(e.clone());
-                shard.fault_record = Some(e.clone());
+        if let Err(e) = &outcome {
+            // Whatever ended the leg takes the shard out until a
+            // respawn: a worker that died outside its containment may
+            // have left the machine mid-superstep, and one out of steps
+            // can never run again. A shard that poisoned itself keeps
+            // its own poison.
+            if !shard.poisoned() {
+                shard.server.poison(e.clone());
             }
+            shard.fault_record = Some(e.clone());
         }
         // Completed work is salvaged either way.
-        Self::harvest(&mut shard.server, order, ready);
+        ready.extend(shard.server.take_numbered());
         outcome
     }
 
     /// One rebalance pass between quantum rounds: straggler migrations
     /// first, then work stealing, both planned against one consistent
     /// snapshot of the (quiesced) fleet. Returns how many lanes and
-    /// requests moved. A migration whose eviction or injection fails is
-    /// skipped (the plan raced a retirement), and a lane that cannot be
-    /// injected is put back on its donor — rebalancing never loses
-    /// work.
+    /// requests moved. A move between shards whose servers fixed
+    /// different input specs is skipped, and so is a migration whose
+    /// eviction or injection fails (the plan raced a retirement); a lane
+    /// that cannot be injected is put back on its donor, and one that
+    /// cannot be put back either poisons the donor, which then reports
+    /// the request lost — rebalancing never drops work silently.
     fn rebalance(
         shards: &mut [&mut Shard<'p>],
         cap: usize,
@@ -1311,6 +1178,9 @@ impl<'p> ShardedServer<'p> {
         lane_moves.extend(plan_splits(&views, cap, cfg));
         for m in lane_moves {
             let (donor, recipient) = Self::shard_pair(shards, m.from, m.to);
+            if !recipient.server.takes_work_from(&donor.server) {
+                continue;
+            }
             let migrants = match donor
                 .server
                 .evict_lanes(&[m.ticket], Some(&mut donor.trace))
@@ -1327,15 +1197,16 @@ impl<'p> ShardedServer<'p> {
                     Err(bounce) => {
                         // Hand the lane back to its donor; the donor
                         // held it a moment ago, so re-injection cannot
-                        // fail structurally. If it somehow does, record
-                        // the fault rather than panic the fleet.
+                        // fail structurally. If it somehow does, the
+                        // lane is nowhere: the donor is poisoned and
+                        // reports its request lost at the respawn.
                         let (migrant, _) = *bounce;
                         if let Err(bounce) =
                             donor.server.admit_migrant(migrant, Some(&mut donor.trace))
                         {
-                            let e = bounce.1;
-                            donor.last_error = Some(e.clone());
-                            donor.fault_record = Some(e);
+                            let (migrant, e) = *bounce;
+                            donor.fault_record = Some(e.clone());
+                            donor.server.lose(migrant, e);
                         }
                     }
                 }
@@ -1343,6 +1214,9 @@ impl<'p> ShardedServer<'p> {
         }
         for s in plan_steals(&views, cap, cfg) {
             let (donor, thief) = Self::shard_pair(shards, s.from, s.to);
+            if !thief.server.takes_work_from(&donor.server) {
+                continue;
+            }
             let batch = donor.server.steal_queued(s.n);
             moved += batch.len();
             thief.steals += batch.len() as u64;
@@ -1383,7 +1257,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// yet taken.
 #[derive(Debug, Default)]
 struct Inbox {
-    requests: Vec<Request>,
+    /// Requests routed here, each with its submission sequence.
+    requests: Vec<(u64, Request)>,
     cancels: Vec<u64>,
     /// The fleet clock as of the latest post (taken by a shard's every
     /// look, work or not).
@@ -1400,11 +1275,21 @@ impl Inbox {
 /// What a shard hands the coordinator: one request's terminal outcome.
 #[derive(Debug)]
 enum Retired {
-    Done(Response),
-    /// A governance verdict: a budget eviction or a cancellation.
+    /// A response, with its submission sequence.
+    Done(u64, Response),
+    /// A governance verdict (a budget eviction or a cancellation), or
+    /// the refusal of a request routed mid-drive.
     Failed(u64, ServeError),
-    /// A request routed mid-drive that its shard refused at submission.
-    Refused(u64, ServeError),
+}
+
+impl Retired {
+    /// File the outcome in the fleet's buffers.
+    fn file(self, ready: &mut Vec<(u64, Response)>, failed: &mut Vec<(u64, ServeError)>) {
+        match self {
+            Retired::Done(seq, r) => ready.push((seq, r)),
+            Retired::Failed(id, e) => failed.push((id, e)),
+        }
+    }
 }
 
 /// What the coordinator and the workers of one drive share. A *leg* is
@@ -1455,10 +1340,10 @@ impl<'p> Drive<'_, 'p> {
         let fed = !requests.is_empty();
         server.set_clock(clock);
         let mut refused = Vec::new();
-        for r in requests {
+        for (seq, r) in requests {
             let id = r.id;
-            if let Err(e) = server.submit(r) {
-                refused.push(Retired::Refused(id, e));
+            if let Err(e) = server.submit_as(seq, r) {
+                refused.push(Retired::Failed(id, e));
             }
         }
         for id in cancels {
@@ -1472,7 +1357,8 @@ impl<'p> Drive<'_, 'p> {
     fn hand_over(&self, i: usize, server: &mut BatchServer<'p>, mut retired: Vec<Retired>) {
         let failed = server.take_failed();
         retired.extend(failed.into_iter().map(|(id, e)| Retired::Failed(id, e)));
-        retired.extend(server.take_ready().into_iter().map(Retired::Done));
+        let done = server.take_numbered().into_iter();
+        retired.extend(done.map(|(seq, r)| Retired::Done(seq, r)));
         if retired.is_empty() {
             return;
         }
@@ -1677,8 +1563,8 @@ mod tests {
         for id in 0..8u64 {
             server.submit(fib_request(id, 5)).unwrap();
         }
-        for i in 0..4 {
-            assert_eq!(server.shard_load(i), 2, "shard {i} unbalanced");
+        for (i, s) in server.shards.iter().enumerate() {
+            assert_eq!(s.load(), 2, "shard {i} unbalanced");
         }
         assert_eq!(server.pending(), 8);
     }
@@ -1705,6 +1591,17 @@ mod tests {
             "{err:?}"
         );
         assert_eq!(server.poisoned_shards(), vec![0]);
+        // Routing reads the machine's live lanes, which every traced
+        // lane edit on the served path keeps equal to the trace's
+        // membership count — the dead shard's stranded member included.
+        for s in &server.shards {
+            assert_eq!(s.trace.live_members() as usize, s.server.in_flight());
+        }
+        assert_eq!(
+            server.shards[0].load(),
+            2,
+            "fib(40) in flight, fib(9) queued"
+        );
         // Every completed response survives — including shard 0's own
         // pre-error completion — in submission order.
         let ready = server.take_ready();
@@ -1723,25 +1620,23 @@ mod tests {
         let done = server.run_until_idle().unwrap();
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].outputs[0].as_i64().unwrap(), &[13]);
-        assert_eq!(
-            server.shard_errors().len(),
-            1,
-            "shard 0's error stays on record"
-        );
-        // A respawn hands back what the dead machine held. Re-routing
-        // the stranded request is not a new submission, and it keeps the
-        // place in the response order that its first one gave it.
+        assert_eq!(server.poisoned_shards(), vec![0], "shard 0 stays poisoned");
+        // A respawn hands back what the dead machine held; the stranded
+        // request is submitted again, under a new number.
         let (stranded, lost) = server.respawn_shard(0);
         assert_eq!((stranded.len(), lost), (1, vec![2]));
-        server.submit(fib_request(6, 3)).unwrap();
+        assert!(matches!(
+            server.health()[0].last_error,
+            Some(ServeError::Vm(VmError::StackOverflow { .. }))
+        ));
         for r in stranded {
-            server.resubmit(r).unwrap();
+            server.submit(r).unwrap();
         }
+        server.submit(fib_request(6, 3)).unwrap();
         let done = server.run_until_idle().unwrap();
         let ids: Vec<u64> = done.iter().map(|r| r.id).collect();
         assert_eq!(ids, vec![4, 6]);
         assert_eq!(done[0].outputs[0].as_i64().unwrap(), &[55]);
-        assert_eq!(server.submitted(), 7);
     }
 
     #[test]
@@ -1773,6 +1668,50 @@ mod tests {
                 .map(|i| server.shard_trace(i).supersteps())
                 .sum::<u64>()
         );
+    }
+
+    #[test]
+    fn a_respawn_keeps_the_fleets_superstep_count() {
+        let (pc, _) = lower(&fibonacci_program(), LoweringOptions::default()).unwrap();
+        let policy = AdmissionPolicy::JoinAtEntry {
+            max_batch: 2,
+            min_utilization: 1.0,
+        };
+        let mut server = sharded(policy, 2, ExecOptions::default(), &pc);
+        for (id, &n) in NS.iter().enumerate() {
+            server.submit(fib_request(id as u64, n)).unwrap();
+        }
+        server.run_until_idle().unwrap();
+        let ran = server.supersteps();
+        assert_eq!(ran, server.aggregated_trace().supersteps());
+        server.respawn_shard(0);
+        assert!(
+            server.aggregated_trace().supersteps() < ran,
+            "the respawned shard's trace starts over"
+        );
+        assert_eq!(server.supersteps(), ran, "the fleet's count does not");
+    }
+
+    #[test]
+    fn twin_ids_in_flight_come_back_in_submission_order() {
+        // Two requests share an id; the later one, on the other shard,
+        // retires long before the earlier one. Each carries its own
+        // submission number, so neither takes the other's place.
+        let (pc, _) = lower(&fibonacci_program(), LoweringOptions::default()).unwrap();
+        let policy = AdmissionPolicy::JoinAtEntry {
+            max_batch: 2,
+            min_utilization: 1.0,
+        };
+        let mut server = sharded(policy, 2, ExecOptions::default(), &pc);
+        server.submit(fib_request(7, 20)).unwrap();
+        server.submit(fib_request(7, 3)).unwrap();
+        assert_eq!((server.shards[0].load(), server.shards[1].load()), (1, 1));
+        let done = server.run_until_idle().unwrap();
+        let got: Vec<(u64, i64)> = done
+            .iter()
+            .map(|r| (r.id, r.outputs[0].as_i64().unwrap()[0]))
+            .collect();
+        assert_eq!(got, vec![(7, 10946), (7, 3)], "fib(20), then fib(3)");
     }
 
     #[test]
@@ -2121,7 +2060,7 @@ mod tests {
                     })
                     .unwrap();
             }
-            assert_eq!(server.shard_load(1), 1, "the runaway is the worker's");
+            assert_eq!(server.shards[1].load(), 1, "the runaway is the worker's");
             let mut calls = 0u64;
             let mut posted = None;
             let done = server

@@ -6,11 +6,11 @@
 //! calls [`ShardedServer::respawn_shard`], and work that was in flight
 //! on the dead machine is simply gone. [`Supervisor`] is that somebody:
 //!
-//! - after every fleet round it **triages** failed shards: recoverable
-//!   admission offenders are answered with their typed error and
-//!   dropped; poisoned (execution error, caught panic) and
-//!   step-limit-exhausted shards are **respawned in place** with a
-//!   fresh `BatchServer` + `PcMachine`;
+//! - after every fleet drive it **respawns in place**, with a fresh
+//!   `BatchServer` + `PcMachine`, every shard an error poisoned (an
+//!   execution error, a caught panic, step-limit exhaustion) — a bad
+//!   request never poisons one, because submission refuses it with a
+//!   typed error;
 //! - work the dead machine stranded (queued) or lost (in flight) is
 //!   **retried** under a bounded per-request retry budget with
 //!   round-based backoff, from the supervisor's own copy of each
@@ -40,6 +40,11 @@ use autobatch_core::VmError;
 use crate::shard::ShardHealth;
 use crate::{Bell, Intake, Request, Response, Result, ServeError, ShardedServer};
 
+/// Backoff slope, in fleet rounds per accumulated attempt: a request on
+/// its `n`-th retry is parked for `BACKOFF_ROUNDS * n` rounds before
+/// re-entering the fleet.
+const BACKOFF_ROUNDS: u64 = 1;
+
 /// Retry discipline of a [`Supervisor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisorConfig {
@@ -47,10 +52,6 @@ pub struct SupervisorConfig {
     /// attempt) before it is answered with
     /// [`ServeError::RetriesExhausted`].
     pub retry_budget: u32,
-    /// Backoff slope, in fleet rounds per accumulated attempt: a
-    /// request on its `n`-th retry is parked for `backoff_rounds * n`
-    /// rounds before re-entering the queue. Values below 1 behave as 1.
-    pub backoff_rounds: u64,
     /// When the supervised program's requests repeatedly blow their
     /// resource budgets, trip a circuit breaker that fast-rejects at
     /// admission (see [`QuarantineConfig`]).
@@ -61,7 +62,6 @@ impl Default for SupervisorConfig {
     fn default() -> Self {
         SupervisorConfig {
             retry_budget: 3,
-            backoff_rounds: 1,
             quarantine: QuarantineConfig::default(),
         }
     }
@@ -254,8 +254,9 @@ pub enum Outcome {
     /// The request completed; the response is bit-identical to what a
     /// fault-free run would have produced.
     Done(Response),
-    /// The request failed for good: a typed error after triage (bad
-    /// admission) or after its retry budget ran out.
+    /// The request failed for good: a typed refusal or governance
+    /// verdict, or [`ServeError::RetriesExhausted`] once its retry
+    /// budget ran out.
     Failed {
         /// The request id.
         id: u64,
@@ -433,7 +434,7 @@ impl Books {
                 },
             });
         } else {
-            let release = self.round + self.config.backoff_rounds.max(1) * attempts as u64;
+            let release = self.round + BACKOFF_ROUNDS * attempts as u64;
             self.parked.push((request, release));
         }
     }
@@ -464,8 +465,7 @@ impl Books {
     /// quarantine breaker. Governance verdicts are terminal, never
     /// retried: a budget blowup would blow the same budget again on
     /// re-execution (same program, same inputs, deterministic VM), and a
-    /// cancelled request has nobody waiting for it. (The fleet-side
-    /// submission sequence is assumed already released.)
+    /// cancelled request has nobody waiting for it.
     fn resolve_failure(&mut self, id: u64, error: ServeError) {
         self.tracked.remove(&id);
         let blowup = matches!(
@@ -599,8 +599,9 @@ impl<'p> Supervisor<'p> {
 
     /// Submit a request for supervised execution. An injected admission
     /// fault is retried inline, charged to the request's retry budget;
-    /// real refusals (bad arity, a bad signature) pass straight through —
-    /// the caller owns that terminal outcome.
+    /// real refusals (a request [`BatchServer::submit`](crate::BatchServer::submit)
+    /// judges unfit) pass straight through — the caller owns that
+    /// terminal outcome.
     ///
     /// # Errors
     ///
@@ -614,9 +615,7 @@ impl<'p> Supervisor<'p> {
         self.books.gate(request.id)?;
         // A fleet left sick by a previous drive (or a panic mid-run)
         // must not refuse new work: heal before routing.
-        if !self.inner.poisoned_shards().is_empty() {
-            self.heal();
-        }
+        self.heal();
         self.books.tracked.insert(request.id, (request.clone(), 0));
         loop {
             match self.inner.submit(request.clone()) {
@@ -669,11 +668,10 @@ impl<'p> Supervisor<'p> {
     /// passed out as the fleet reports it. A call that hands in work is
     /// a round, so retries whose backoff expires while a fed drive runs
     /// join it then. A shard error closes the drive: the fleet drains,
-    /// and between drives recoverable admission offenders are answered,
-    /// dead shards are salvaged and respawned, and the work they
-    /// stranded or lost is retried (with backoff). The supervisor
-    /// returns when a drive ends with the fleet idle and nothing parked
-    /// or left to hand out.
+    /// and between drives the poisoned shards are salvaged and
+    /// respawned, and the work they stranded or lost is retried (with
+    /// backoff). The supervisor returns when a drive ends with the fleet
+    /// idle and nothing parked or left to hand out.
     ///
     /// Quiescence is guaranteed once the hook stops feeding: every
     /// failing round burns retry attempts from a bounded per-request
@@ -684,13 +682,12 @@ impl<'p> Supervisor<'p> {
         loop {
             self.books.round += 1;
             let Supervisor { inner, books } = self;
-            // An error is recorded per shard; triage and heal act on it
-            // below. Completed work is salvaged either way.
+            // An error poisons its shard; heal acts on it below.
+            // Completed work is salvaged either way.
             let _ = inner.drive(bell, &mut |retired| books.exchange(retired, hook));
-            self.triage();
             self.heal();
-            // Salvaged completions from triage and heal, and whatever a
-            // closed drive left behind.
+            // Salvaged completions from heal, and whatever a closed
+            // drive left behind.
             for r in self.inner.take_ready() {
                 self.books.done(r);
             }
@@ -726,49 +723,18 @@ impl<'p> Supervisor<'p> {
         }
     }
 
-    /// Answer recoverable admission offenders with their typed error.
-    /// (A failed batch admission leaves the offender at its shard's
-    /// queue head; left there it would wedge the shard forever.)
-    fn triage(&mut self) {
-        let poisoned = self.inner.poisoned_shards();
-        for (i, e) in self.inner.shard_errors() {
-            if poisoned.contains(&i) || matches!(e, ServeError::Vm(VmError::StepLimit { .. })) {
-                continue; // heal() owns these
-            }
-            if let Some(r) = self.inner.reject_on(i) {
-                self.inner.abandon_seq(r.id);
-                self.books.resolve_failure(r.id, e);
-            }
-        }
-    }
-
-    /// Respawn every dead shard (poisoned or step-limit-exhausted) and
-    /// requeue the work it stranded or lost. Neither keeps its place in
+    /// Respawn every poisoned shard and requeue the work it stranded or
+    /// lost, charged to the shard's poison. Neither keeps its place in
     /// the fleet's submission order: a retry re-enters as a fresh
     /// submission.
     fn heal(&mut self) {
-        let errors: HashMap<usize, ServeError> = self.inner.shard_errors().into_iter().collect();
-        let mut sick = self.inner.poisoned_shards();
-        for (&i, e) in &errors {
-            if matches!(e, ServeError::Vm(VmError::StepLimit { .. })) && !sick.contains(&i) {
-                sick.push(i);
-            }
-        }
-        sick.sort_unstable();
-        for i in sick {
-            let cause = errors
-                .get(&i)
-                .cloned()
-                .unwrap_or_else(|| ServeError::Panicked {
-                    what: "shard died without a recorded error".into(),
-                });
+        for i in self.inner.poisoned_shards() {
+            let cause = self.inner.poison(i).cloned().expect("a poisoned shard");
             let (stranded, lost) = self.inner.respawn_shard(i);
             for r in stranded {
-                self.inner.abandon_seq(r.id);
                 self.books.requeue(r, cause.clone());
             }
             for id in lost {
-                self.inner.abandon_seq(id);
                 // Retried from the supervisor's copy; an id no longer
                 // tracked already completed (salvaged) — nothing lost.
                 if let Some(r) = self.books.tracked.get(&id).map(|(r, _)| r.clone()) {

@@ -5,7 +5,8 @@
 //! count, admission policy and arrival pattern, and both must compute
 //! what a single unsharded `BatchServer` computes. The same loop fed
 //! through its hook while it runs, cancels mixed in, must answer every
-//! request exactly once with what that one server computes.
+//! request exactly once with what that one server computes; a payload
+//! its shard refuses is one of those answers, not the end of the drive.
 
 use autobatch_accel::Backend;
 use autobatch_core::{lower, ExecOptions, KernelRegistry, LoweringOptions};
@@ -203,7 +204,6 @@ proptest! {
             prop_assert!(server.take_ready().is_empty(), "an Ok drive hands out every response");
             prop_assert!(server.take_failed().is_empty(), "an Ok drive hands out every verdict");
         }
-        prop_assert_eq!(server.submitted(), arrivals.len() as u64);
         prop_assert_eq!(server.pending() + server.in_flight(), 0);
 
         // Exactly one terminal outcome per request, and what completed
@@ -233,4 +233,91 @@ proptest! {
             }
         }
     }
+}
+
+#[test]
+fn a_bad_payload_fed_to_a_running_drive_is_refused_and_the_drive_runs_on() {
+    use autobatch_ir::build::ProgramBuilder;
+    use autobatch_ir::Prim;
+    // `y = x; repeat n times { y = y + 1 }`: the branch condition sees
+    // only the scalar counter, so `x` may be any element shape, and only
+    // the spec a shard's first accepted request fixed tells a payload
+    // that conflicts with its machine's buffers apart.
+    let mut pb = ProgramBuilder::new();
+    let f = pb.declare("countup", &["n", "x"], &["y"]);
+    pb.define(f, |fb| {
+        let n = fb.param(0);
+        let x = fb.param(1);
+        let y = fb.output(0);
+        fb.assign(&y, Prim::Id, &[x]);
+        let zero = fb.const_i64(0);
+        let i = fb.emit(Prim::Id, &[zero]);
+        fb.while_loop(
+            |fb| fb.emit(Prim::Lt, &[i.clone(), n.clone()]),
+            |fb| {
+                let one_f = fb.const_f64(1.0);
+                fb.assign(&y, Prim::Add, &[y.clone(), one_f]);
+                let one_i = fb.const_i64(1);
+                fb.assign(&i, Prim::Add, &[i.clone(), one_i]);
+            },
+        );
+        fb.ret();
+    });
+    let (program, _) =
+        lower(&pb.finish(f).expect("program"), LoweringOptions::default()).expect("lower");
+    let countup = |id: u64, n: i64, x: &[f64]| Request {
+        id,
+        seed: id,
+        inputs: vec![
+            Tensor::from_i64(&[n], &[1]).expect("n"),
+            Tensor::from_f64(x, &[1, x.len()]).expect("x"),
+        ],
+    };
+    let policy = AdmissionPolicy::JoinAtEntry {
+        max_batch: 2,
+        min_utilization: 1.0,
+    };
+    let mut server = ShardedServer::new(
+        &program,
+        KernelRegistry::new(),
+        ExecOptions::default(),
+        policy,
+        2,
+        Backend::hybrid_cpu(),
+    )
+    .expect("fleet");
+    // One long scalar request per shard fixes both shards' spec.
+    for id in 0..2 {
+        server.submit(countup(id, 300, &[0.0])).expect("submit");
+    }
+    let mut outcomes = Vec::new();
+    let mut feed = vec![countup(2, 4, &[0.0, 0.0]), countup(3, 5, &[0.0])];
+    server
+        .drive(None, &mut |retired| {
+            outcomes.extend(retired);
+            Intake {
+                requests: std::mem::take(&mut feed),
+                ..Intake::default()
+            }
+        })
+        .expect("a bad payload does not close the drive");
+    assert!(server.poisoned_shards().is_empty());
+    outcomes.sort_by_key(Outcome::id);
+    let got: Vec<_> = outcomes
+        .iter()
+        .map(|o| match o {
+            Outcome::Done(r) => (r.id, Ok(r.outputs[0].as_f64().expect("y")[0])),
+            Outcome::Failed { id, error } => (*id, Err(error.clone())),
+        })
+        .collect();
+    assert_eq!(got.len(), 4, "{got:?}");
+    assert!(
+        matches!(got[2], (2, Err(ServeError::BadRequest(_)))),
+        "{:?}",
+        got[2]
+    );
+    assert_eq!(
+        [&got[0], &got[1], &got[3]],
+        [&(0, Ok(300.0)), &(1, Ok(300.0)), &(3, Ok(5.0))]
+    );
 }
