@@ -3,11 +3,15 @@
 //!
 //! These are the "primitive kernels" of the simulated accelerator: every
 //! one of them processes whole arrays at a time, which is exactly the
-//! SIMD contract the autobatching transformation relies on.
+//! SIMD contract the autobatching transformation relies on. Every
+//! broadcasting kernel plans its operands once (`shape::Broadcast`) and
+//! runs one loop per run of the output.
+
+use std::sync::Arc;
 
 use crate::dtype::{fresh_like, Data};
 use crate::error::{Result, TensorError};
-use crate::shape::{broadcast_shapes, volume, BroadcastMap};
+use crate::shape::{broadcast_shapes, Broadcast, Run};
 use crate::tensor::Tensor;
 
 // ---------------------------------------------------------------------------
@@ -22,8 +26,7 @@ macro_rules! unary_f64 {
         ///
         /// Returns [`TensorError::DTypeMismatch`] unless the dtype is `f64`.
         pub fn $name(&self) -> Result<Tensor> {
-            let f: fn(f64) -> f64 = $f;
-            self.map_f64(f)
+            self.map_f64($f)
         }
     };
 }
@@ -105,52 +108,69 @@ impl Tensor {
 // Binary ops with broadcasting
 // ---------------------------------------------------------------------------
 
-fn binary_zip<T: Copy, U, F: Fn(T, T) -> U>(
-    lhs: &[T],
-    rhs: &[T],
-    lmap: &BroadcastMap,
-    rmap: &BroadcastMap,
-    n: usize,
-    f: F,
+/// The one elementwise loop: append `f(lhs[i'], rhs[j'])` to `out` for
+/// each output element in order, `i'` and `j'` the operands' broadcast
+/// elements. Over each run the loop reads slices and splatted values, so
+/// with `f` a fn item it inlines and vectorizes.
+fn zip<A: Copy, B: Copy, U>(
+    lhs: &[A],
+    rhs: &[B],
+    plan: &Broadcast<'_, 2>,
+    out: &mut Vec<U>,
+    f: impl Fn(A, B) -> U,
+) {
+    plan.for_each_run(|runs, len| match runs {
+        [Run::Seg(i), Run::Seg(j)] => {
+            out.extend(
+                lhs[i..i + len]
+                    .iter()
+                    .zip(&rhs[j..j + len])
+                    .map(|(&a, &b)| f(a, b)),
+            );
+        }
+        [Run::Seg(i), Run::Splat(j)] => {
+            let b = rhs[j];
+            out.extend(lhs[i..i + len].iter().map(|&a| f(a, b)));
+        }
+        [Run::Splat(i), Run::Seg(j)] => {
+            let a = lhs[i];
+            out.extend(rhs[j..j + len].iter().map(|&b| f(a, b)));
+        }
+        [Run::Splat(i), Run::Splat(j)] => {
+            let (a, b) = (lhs[i], rhs[j]);
+            out.extend((0..len).map(|_| f(a, b)));
+        }
+    });
+}
+
+/// [`zip`] into a fresh buffer of exactly the output's length.
+fn zipped<A: Copy, B: Copy, U>(
+    lhs: &[A],
+    rhs: &[B],
+    plan: &Broadcast<'_, 2>,
+    f: impl Fn(A, B) -> U,
 ) -> Vec<U> {
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        out.push(f(lhs[lmap.map(i)], rhs[rmap.map(i)]));
-    }
+    let mut out = Vec::with_capacity(plan.len());
+    zip(lhs, rhs, plan, &mut out, f);
     out
 }
 
-/// Dispatch table entry describing how to combine two tensors elementwise.
-struct BinPlan {
-    out_shape: Vec<usize>,
-    lmap: BroadcastMap,
-    rmap: BroadcastMap,
-    n: usize,
-}
-
-impl BinPlan {
-    /// The result tensor holding `out`, sharing `lhs`'s shape allocation
-    /// when broadcasting did not change it.
-    fn finish(&self, lhs: &Tensor, out: Data) -> Result<Tensor> {
-        if lhs.shape() == self.out_shape {
-            lhs.like(out)
-        } else {
-            Tensor::new(out, &self.out_shape)
-        }
-    }
-}
-
-fn plan(lhs: &Tensor, rhs: &Tensor, op: &'static str) -> Result<BinPlan> {
-    let out_shape = broadcast_shapes(lhs.shape(), rhs.shape(), op)?;
-    let lmap = BroadcastMap::new(lhs.shape(), &out_shape)?;
-    let rmap = BroadcastMap::new(rhs.shape(), &out_shape)?;
-    let n = volume(&out_shape);
-    Ok(BinPlan {
-        out_shape,
-        lmap,
-        rmap,
-        n,
+/// The broadcast of a binary op's operands.
+fn plan<'a>(lhs: &'a Tensor, rhs: &'a Tensor, op: &'static str) -> Result<Broadcast<'a, 2>> {
+    Broadcast::new([lhs.shape(), rhs.shape()]).ok_or_else(|| TensorError::ShapeMismatch {
+        lhs: lhs.shape().to_vec(),
+        rhs: rhs.shape().to_vec(),
+        op,
     })
+}
+
+/// The output's shape allocation: the first operand's that has that
+/// shape, else one built from the plan.
+fn out_shape<const K: usize>(plan: &Broadcast<'_, K>, operands: [&Tensor; K]) -> Arc<[usize]> {
+    match operands.iter().find(|t| plan.is_out_shape(t.shape())) {
+        Some(t) => Arc::clone(t.shape_handle()),
+        None => plan.out_shape().collect(),
+    }
 }
 
 macro_rules! binary_arith {
@@ -165,14 +185,8 @@ macro_rules! binary_arith {
         pub fn $name(&self, rhs: &Tensor) -> Result<Tensor> {
             let p = plan(self, rhs, stringify!($name))?;
             let out = match (self.data(), rhs.data()) {
-                (Data::F64(a), Data::F64(b)) => {
-                    let ff: fn(f64, f64) -> f64 = $ff;
-                    Data::F64(binary_zip(a, b, &p.lmap, &p.rmap, p.n, ff))
-                }
-                (Data::I64(a), Data::I64(b)) => {
-                    let fi: fn(i64, i64) -> i64 = $fi;
-                    Data::I64(binary_zip(a, b, &p.lmap, &p.rmap, p.n, fi))
-                }
+                (Data::F64(a), Data::F64(b)) => Data::F64(zipped(a, b, &p, $ff)),
+                (Data::I64(a), Data::I64(b)) => Data::I64(zipped(a, b, &p, $fi)),
                 _ => {
                     return Err(TensorError::DTypeMismatch {
                         got: rhs.dtype(),
@@ -181,7 +195,7 @@ macro_rules! binary_arith {
                     })
                 }
             };
-            p.finish(self, out)
+            Ok(Tensor::from_parts(out_shape(&p, [self, rhs]), out))
         }
     };
 }
@@ -198,14 +212,8 @@ macro_rules! binary_cmp {
         pub fn $name(&self, rhs: &Tensor) -> Result<Tensor> {
             let p = plan(self, rhs, stringify!($name))?;
             let out = match (self.data(), rhs.data()) {
-                (Data::F64(a), Data::F64(b)) => {
-                    let ff: fn(f64, f64) -> bool = $ff;
-                    Data::Bool(binary_zip(a, b, &p.lmap, &p.rmap, p.n, ff))
-                }
-                (Data::I64(a), Data::I64(b)) => {
-                    let fi: fn(i64, i64) -> bool = $fi;
-                    Data::Bool(binary_zip(a, b, &p.lmap, &p.rmap, p.n, fi))
-                }
+                (Data::F64(a), Data::F64(b)) => zipped(a, b, &p, $ff),
+                (Data::I64(a), Data::I64(b)) => zipped(a, b, &p, $fi),
                 _ => {
                     return Err(TensorError::DTypeMismatch {
                         got: rhs.dtype(),
@@ -214,7 +222,7 @@ macro_rules! binary_cmp {
                     })
                 }
             };
-            p.finish(self, out)
+            Ok(Tensor::from_parts(out_shape(&p, [self, rhs]), Data::Bool(out)))
         }
     };
 }
@@ -232,11 +240,8 @@ macro_rules! binary_logic {
             let p = plan(self, rhs, stringify!($name))?;
             match (self.data(), rhs.data()) {
                 (Data::Bool(a), Data::Bool(b)) => {
-                    let f: fn(bool, bool) -> bool = $f;
-                    Tensor::new(
-                        Data::Bool(binary_zip(a, b, &p.lmap, &p.rmap, p.n, f)),
-                        &p.out_shape,
-                    )
+                    let out = Data::Bool(zipped(a, b, &p, $f));
+                    Ok(Tensor::from_parts(out_shape(&p, [self, rhs]), out))
                 }
                 _ => Err(TensorError::DTypeMismatch {
                     got: rhs.dtype(),
@@ -326,34 +331,34 @@ impl Tensor {
     ///
     /// Returns an error on dtype or broadcast failure.
     pub fn select(&self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        fn go<T: Copy>(c: &[bool], a: &[T], b: &[T], maps: [&BroadcastMap; 3], n: usize) -> Vec<T> {
-            let [cmap, amap, bmap] = maps;
-            let mut out = Vec::with_capacity(n);
-            for i in 0..n {
-                out.push(if c[cmap.map(i)] {
-                    a[amap.map(i)]
-                } else {
-                    b[bmap.map(i)]
-                });
-            }
+        fn go<T: Copy>(c: &[bool], a: &[T], b: &[T], plan: &Broadcast<'_, 3>) -> Vec<T> {
+            let mut out = Vec::with_capacity(plan.len());
+            plan.for_each_run(|[rc, ra, rb], len| {
+                out.extend((0..len).map(|j| {
+                    if c[rc.at(j)] {
+                        a[ra.at(j)]
+                    } else {
+                        b[rb.at(j)]
+                    }
+                }));
+            });
             out
         }
         let cond = self.as_bool()?;
-        let ab_shape = broadcast_shapes(a.shape(), b.shape(), "select")?;
-        let out_shape = broadcast_shapes(self.shape(), &ab_shape, "select")?;
-        let cmap = BroadcastMap::new(self.shape(), &out_shape)?;
-        let amap = BroadcastMap::new(a.shape(), &out_shape)?;
-        let bmap = BroadcastMap::new(b.shape(), &out_shape)?;
-        let n = volume(&out_shape);
-        let maps = [&cmap, &amap, &bmap];
-        let out = fresh_like!(a.data(), b.data() => |av, bv| go(cond, av, bv, maps, n), else {
+        let Some(p) = Broadcast::new([self.shape(), a.shape(), b.shape()]) else {
+            // The error the branches' broadcast, then the condition's, reports.
+            let ab = broadcast_shapes(a.shape(), b.shape(), "select")?;
+            return Err(broadcast_shapes(self.shape(), &ab, "select")
+                .expect_err("the three shapes do not broadcast"));
+        };
+        let out = fresh_like!(a.data(), b.data() => |av, bv| go(cond, av, bv, &p), else {
             TensorError::DTypeMismatch {
                 got: b.dtype(),
                 expected: "branches of select share a dtype",
                 op: "select",
             }
         });
-        Tensor::new(out, &out_shape)
+        Ok(Tensor::from_parts(out_shape(&p, [self, a, b]), out))
     }
 
     // -----------------------------------------------------------------------
@@ -408,11 +413,7 @@ impl Tensor {
     ) -> Result<()> {
         let p = plan(self, rhs, "binary_f64_into")?;
         let (a, b) = (self.as_f64()?, rhs.as_f64()?);
-        out.reset_f64(&p.out_shape);
-        let o = out.as_f64_mut()?;
-        for (i, slot) in o.iter_mut().enumerate() {
-            *slot = f(a[p.lmap.map(i)], b[p.rmap.map(i)]);
-        }
+        zip(a, b, &p, out.refill_f64(out_shape(&p, [self, rhs])), f);
         Ok(())
     }
 

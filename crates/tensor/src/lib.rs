@@ -30,6 +30,21 @@
 //! that fuses a chain of them into one pass (`autobatch-core` does) is
 //! bit-identical to per-kernel execution by construction.
 //!
+//! A broadcasting kernel classifies each operand **once per call**, from
+//! the shapes alone and without allocating: *whole* (the operand is the
+//! output), *tile* (element `i % len`: `[N]` over `[Z, N]`, a scalar),
+//! *repeat* (element `i / len`: `[Z, 1]` over `[Z, N]`) or *general*
+//! (anything else, walked by an odometer that carries instead of
+//! dividing). The output is then walked in runs over which every operand
+//! is a slice or one repeated value, so the inner loop is a plain loop.
+//! Each kernel receives its [`scalar_ops`] function as a **fn item**,
+//! not a `fn` pointer, so every op gets its own loop with the scalar
+//! function inlined and, where it can be, vectorized. Each output
+//! element is still `f(a[i'], b[j'])` with the same function, so the
+//! bits do not depend on the class or the run, with one exception Rust
+//! itself makes: when both operands are NaNs with different payloads,
+//! which payload the result carries is unspecified.
+//!
 //! Everything operates on whole arrays at once — the SIMD contract that
 //! batching exploits — and every fallible operation returns
 //! [`TensorError`] instead of panicking, so shape bugs in user programs

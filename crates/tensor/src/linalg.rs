@@ -5,7 +5,10 @@
 //! the Bayesian logistic-regression gradient is dominated by `X·β` and
 //! `Xᵀ·r` products with a `10,000 × 100` design matrix.
 
+use crate::dtype::Data;
 use crate::error::{Result, TensorError};
+use crate::scalar_ops::mul_f64;
+use crate::shape::{Broadcast, Run};
 use crate::tensor::Tensor;
 
 impl Tensor {
@@ -19,7 +22,32 @@ impl Tensor {
     ///
     /// Returns an error on dtype or shape mismatch.
     pub fn dot_last_axis(&self, rhs: &Tensor) -> Result<Tensor> {
-        self.mul(rhs)?.sum_last_axis()
+        let plan =
+            Broadcast::new([self.shape(), rhs.shape()]).filter(|p| p.rank() > 0 && p.len() > 0);
+        let (Some(p), Data::F64(a), Data::F64(b)) = (plan, self.data(), rhs.data()) else {
+            // Errors and empty rows: what the product, then the sum, gives.
+            return self.mul(rhs)?.sum_last_axis();
+        };
+        // One pass: each row folds the products `mul` would build with the
+        // `Iterator::sum` that `sum_last_axis` applies. Every run length is
+        // a multiple of the last axis, so runs hold whole rows.
+        let k = p.out_dim(0);
+        let mut out = Vec::with_capacity(p.len() / k);
+        p.for_each_run(|runs, len| {
+            for row in (0..len).step_by(k) {
+                out.push(match runs {
+                    [Run::Seg(i), Run::Seg(j)] => {
+                        let (x, y) = (&a[i + row..i + row + k], &b[j + row..j + row + k]);
+                        x.iter().zip(y).map(|(&x, &y)| mul_f64(x, y)).sum()
+                    }
+                    [ra, rb] => (row..row + k)
+                        .map(|j| mul_f64(a[ra.at(j)], b[rb.at(j)]))
+                        .sum(),
+                });
+            }
+        });
+        let shape = p.out_shape().take(p.rank() - 1).collect();
+        Ok(Tensor::from_parts(shape, Data::F64(out)))
     }
 
     /// Matrix–vector product: `self` of shape `[m, k]`, `v` of shape `[k]`,
@@ -44,7 +72,7 @@ impl Tensor {
             let row = &a[i * k..(i + 1) * k];
             out[i] = row.iter().zip(x).map(|(&r, &xx)| r * xx).sum();
         }
-        Tensor::from_f64(&out, &[m])
+        Tensor::new(Data::F64(out), &[m])
     }
 
     /// Batched matrix–vector product: `self` of shape `[m, k]` applied to
@@ -76,7 +104,7 @@ impl Tensor {
                 out[b * m + i] = row.iter().zip(vb).map(|(&r, &xx)| r * xx).sum();
             }
         }
-        Tensor::from_f64(&out, &[z, m])
+        Tensor::new(Data::F64(out), &[z, m])
     }
 
     /// Batched transposed matrix–vector product: `selfᵀ` (`self` of shape
@@ -110,7 +138,7 @@ impl Tensor {
                 }
             }
         }
-        Tensor::from_f64(&out, &[z, k])
+        Tensor::new(Data::F64(out), &[z, k])
     }
 
     /// Transpose a rank-2 tensor.
@@ -133,7 +161,7 @@ impl Tensor {
                 out[j * m + i] = a[i * n + j];
             }
         }
-        Tensor::from_f64(&out, &[n, m])
+        Tensor::new(Data::F64(out), &[n, m])
     }
 }
 

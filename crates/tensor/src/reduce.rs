@@ -68,7 +68,7 @@ impl Tensor {
                 out.push(v[r * k..(r + 1) * k].iter().sum());
             }
         }
-        Tensor::from_f64(&out, out_shape)
+        Tensor::new(Data::F64(out), out_shape)
     }
 }
 

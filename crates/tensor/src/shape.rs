@@ -59,78 +59,225 @@ fn dim_from_end(shape: &[usize], i: usize) -> usize {
     }
 }
 
-/// An iterator-free mapping from output linear indices to input linear
-/// indices under broadcasting.
-///
-/// Precomputes, for an input shape broadcast to an output shape, the
-/// "effective strides": stride 0 wherever the input dimension is 1 (or
-/// missing), so that walking the output in row-major order can locate the
-/// corresponding input element with one dot product.
-#[derive(Debug, Clone)]
-pub struct BroadcastMap {
-    out_shape: Vec<usize>,
-    eff_strides: Vec<usize>,
+/// How one operand's elements line up with the broadcast output's,
+/// classified once per call from the shapes alone. Output axes of length
+/// 1 do not count; on the others an operand either *keeps* the axis (its
+/// dimension is the output's) or *broadcasts* it (its dimension is 1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Class {
+    /// Every axis kept: output element `i` reads element `i`.
+    Whole,
+    /// Inner axes kept, outer ones broadcast: element `i % len`, as `[N]`
+    /// over `[Z, N]`. Every axis broadcast (a scalar) is `Tile(1)`.
+    Tile(usize),
+    /// Inner axes broadcast, outer ones kept: element `i / len`, as
+    /// `[Z, 1]` over `[Z, N]`.
+    Repeat(usize),
+    /// Anything else, as `[3, 1, 4]` over `[3, 2, 4]`: walked by an
+    /// [`Odometer`].
+    General,
 }
 
-impl BroadcastMap {
-    /// Build the map taking `in_shape` to `out_shape`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if `in_shape` does not
-    /// broadcast to `out_shape`.
-    pub fn new(in_shape: &[usize], out_shape: &[usize]) -> Result<BroadcastMap> {
-        if in_shape.len() > out_shape.len() {
-            return Err(TensorError::ShapeMismatch {
-                lhs: in_shape.to_vec(),
-                rhs: out_shape.to_vec(),
-                op: "broadcast",
-            });
+/// Where one operand's elements sit over one run of the output.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Run {
+    /// Consecutive elements from this offset.
+    Seg(usize),
+    /// The element at this offset, repeated.
+    Splat(usize),
+}
+
+impl Run {
+    /// The operand offset of the run's `j`th element.
+    #[inline]
+    pub(crate) fn at(self, j: usize) -> usize {
+        match self {
+            Run::Seg(i) => i + j,
+            Run::Splat(i) => i,
         }
-        let in_strides = strides(in_shape);
-        let rank = out_shape.len();
-        let mut eff = vec![0usize; rank];
-        for i in 0..rank {
-            let od = out_shape[rank - 1 - i];
-            let id = dim_from_end(in_shape, i);
-            if id == od {
-                if i < in_shape.len() {
-                    eff[rank - 1 - i] = in_strides[in_shape.len() - 1 - i];
-                }
-            } else if id == 1 {
-                eff[rank - 1 - i] = 0;
-            } else {
-                return Err(TensorError::ShapeMismatch {
-                    lhs: in_shape.to_vec(),
-                    rhs: out_shape.to_vec(),
-                    op: "broadcast",
-                });
+    }
+}
+
+/// One elementwise call's broadcast of `K` operand shapes, planned without
+/// allocating. [`Broadcast::for_each_run`] walks the output in runs over
+/// which every operand is one [`Run`], so a kernel's inner loop is a plain
+/// loop over slices and splatted values.
+#[derive(Debug)]
+pub(crate) struct Broadcast<'a, const K: usize> {
+    shapes: [&'a [usize]; K],
+    rank: usize,
+    len: usize,
+    classes: [Class; K],
+    /// The run length: it divides `len` and every `Tile` and `Repeat`
+    /// period, so no run straddles a period.
+    run: usize,
+}
+
+impl<'a, const K: usize> Broadcast<'a, K> {
+    /// The broadcast of `shapes`, or `None` when they do not broadcast
+    /// together (aligned at their trailing axes, each axis's dimensions
+    /// must be one value or 1).
+    pub(crate) fn new(shapes: [&'a [usize]; K]) -> Option<Self> {
+        let rank = shapes.iter().map(|s| s.len()).max().unwrap_or(0);
+        let mut b = Broadcast {
+            shapes,
+            rank,
+            len: 1,
+            classes: [Class::Whole; K],
+            run: 1,
+        };
+        for axis in 0..rank {
+            let d = b.out_dim(axis);
+            let clash = |s: &&[usize]| ![1, d].contains(&dim_from_end(s, axis));
+            if shapes.iter().any(clash) {
+                return None;
+            }
+            b.len *= d;
+        }
+        let classes = shapes.map(|s| b.classify(s));
+        b.classes = classes;
+        b.run = if b.classes.contains(&Class::General) {
+            // Every period is a multiple of the innermost axis.
+            b.out_dim(0)
+        } else {
+            let periods = b.classes.iter().filter_map(|c| match *c {
+                Class::Tile(len) if len > 1 => Some(len),
+                Class::Repeat(len) => Some(len),
+                _ => None,
+            });
+            // Periods are products of the output's innermost axes, so the
+            // shortest divides the others.
+            periods.min().unwrap_or(b.len)
+        };
+        Some(b)
+    }
+
+    /// The number of output elements.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The output's rank.
+    pub(crate) fn rank(&self) -> usize {
+        self.rank
+    }
+
+    /// The output's dimension `axis` places from the end.
+    pub(crate) fn out_dim(&self, axis: usize) -> usize {
+        let mut dims = self.shapes.iter().map(|s| dim_from_end(s, axis));
+        dims.find(|&d| d != 1).unwrap_or(1)
+    }
+
+    /// The output's shape, outermost axis first.
+    pub(crate) fn out_shape(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.rank).rev().map(|axis| self.out_dim(axis))
+    }
+
+    /// Whether `shape` is the output's shape.
+    pub(crate) fn is_out_shape(&self, shape: &[usize]) -> bool {
+        shape.len() == self.rank && shape.iter().copied().eq(self.out_shape())
+    }
+
+    fn classify(&self, shape: &[usize]) -> Class {
+        // The axes that count, innermost first: kept or not, and length.
+        let mut axes = (0..self.rank).filter_map(|axis| {
+            let d = self.out_dim(axis);
+            (d != 1).then(|| (dim_from_end(shape, axis) == d, d))
+        });
+        let Some((innermost_kept, mut stretch)) = axes.next() else {
+            return Class::Whole;
+        };
+        // How often keeping and broadcasting alternate going outward, and
+        // the length of the innermost stretch before the first switch.
+        let (mut last, mut switches) = (innermost_kept, 0);
+        for (kept, d) in axes {
+            if kept != last {
+                (last, switches) = (kept, switches + 1);
+            }
+            if switches == 0 {
+                stretch *= d;
             }
         }
-        Ok(BroadcastMap {
-            out_shape: out_shape.to_vec(),
-            eff_strides: eff,
-        })
-    }
-
-    /// Whether the mapping is the identity (no actual broadcasting).
-    pub fn is_identity(&self) -> bool {
-        self.eff_strides == strides(&self.out_shape)
-    }
-
-    /// Map an output linear index to the corresponding input linear index.
-    #[inline]
-    pub fn map(&self, mut out_linear: usize) -> usize {
-        let mut in_linear = 0;
-        // Walk dimensions from the last to the first, peeling off
-        // coordinates of the output index.
-        for d in (0..self.out_shape.len()).rev() {
-            let dim = self.out_shape[d];
-            let coord = out_linear % dim;
-            out_linear /= dim;
-            in_linear += coord * self.eff_strides[d];
+        match (innermost_kept, switches) {
+            (true, 0) => Class::Whole,
+            (false, 0) => Class::Tile(1),
+            (true, 1) => Class::Tile(stretch),
+            (false, 1) => Class::Repeat(stretch),
+            _ => Class::General,
         }
-        in_linear
+    }
+
+    /// Walk the output in order, one run at a time: `f` gets where each
+    /// operand's elements sit and how many output elements the run holds.
+    pub(crate) fn for_each_run(&self, mut f: impl FnMut([Run; K], usize)) {
+        if self.len == 0 {
+            return;
+        }
+        let mut odometers: [Option<Odometer>; K] = std::array::from_fn(|k| {
+            (self.classes[k] == Class::General).then(|| Odometer::new(self.shapes[k], self))
+        });
+        for start in (0..self.len).step_by(self.run) {
+            let runs = std::array::from_fn(|k| match self.classes[k] {
+                Class::Whole => Run::Seg(start),
+                Class::Tile(1) => Run::Splat(0),
+                Class::Tile(len) => Run::Seg(start % len),
+                Class::Repeat(len) => Run::Splat(start / len),
+                Class::General => odometers[k]
+                    .as_mut()
+                    .expect("built for every general operand")
+                    .next(),
+            });
+            f(runs, self.run);
+        }
+    }
+}
+
+/// A general operand's offset at the start of each run, walked over the
+/// output's outer axes by carrying instead of dividing.
+#[derive(Debug)]
+struct Odometer {
+    at: usize,
+    /// Whether the operand keeps the innermost axis (else it broadcasts it).
+    seg: bool,
+    /// Per outer axis, innermost first: output dimension, the operand's
+    /// stride along it (0 where it broadcasts), and the coordinate.
+    axes: Vec<[usize; 3]>,
+}
+
+impl Odometer {
+    fn new<const K: usize>(shape: &[usize], b: &Broadcast<'_, K>) -> Odometer {
+        let mut stride = dim_from_end(shape, 0);
+        let axes = (1..b.rank)
+            .map(|axis| {
+                let d = dim_from_end(shape, axis);
+                let step = if d == 1 { 0 } else { stride };
+                stride *= d;
+                [b.out_dim(axis), step, 0]
+            })
+            .collect();
+        Odometer {
+            at: 0,
+            seg: dim_from_end(shape, 0) == b.out_dim(0),
+            axes,
+        }
+    }
+
+    fn next(&mut self) -> Run {
+        let run = if self.seg {
+            Run::Seg(self.at)
+        } else {
+            Run::Splat(self.at)
+        };
+        for [dim, step, coord] in &mut self.axes {
+            self.at += *step;
+            *coord += 1;
+            if *coord < *dim {
+                break;
+            }
+            self.at -= *dim * *step;
+            *coord = 0;
+        }
+        run
     }
 }
 
@@ -164,46 +311,68 @@ mod tests {
         assert!(broadcast_shapes(&[2, 3], &[3, 2], "t").is_err());
     }
 
+    /// The class of `shape` broadcast against `other`, and the offset
+    /// into `shape`'s elements that each output element reads.
+    fn walk(shape: &[usize], other: &[usize]) -> (Class, Vec<usize>) {
+        let b = Broadcast::new([shape, other]).unwrap();
+        let mut offsets = Vec::new();
+        b.for_each_run(|[run, _], len| offsets.extend((0..len).map(|j| run.at(j))));
+        (b.classes[0], offsets)
+    }
+
     #[test]
     fn broadcast_map_identity() {
-        let m = BroadcastMap::new(&[2, 3], &[2, 3]).unwrap();
-        assert!(m.is_identity());
-        for i in 0..6 {
-            assert_eq!(m.map(i), i);
-        }
+        assert_eq!(walk(&[2, 3], &[2, 3]), (Class::Whole, (0..6).collect()));
+        // Axes of length 1 do not count.
+        assert_eq!(
+            walk(&[1, 3], &[2, 1, 3]),
+            (Class::Tile(3), vec![0, 1, 2, 0, 1, 2])
+        );
+        assert_eq!(walk(&[2, 1, 3], &[1, 3]), (Class::Whole, (0..6).collect()));
     }
 
     #[test]
     fn broadcast_map_scalar() {
-        let m = BroadcastMap::new(&[], &[2, 2]).unwrap();
-        for i in 0..4 {
-            assert_eq!(m.map(i), 0);
-        }
+        assert_eq!(walk(&[], &[2, 2]), (Class::Tile(1), vec![0; 4]));
+        assert_eq!(walk(&[1, 1], &[2, 2]), (Class::Tile(1), vec![0; 4]));
+        assert_eq!(walk(&[], &[]), (Class::Whole, vec![0]));
     }
 
     #[test]
     fn broadcast_map_column() {
         // Shape [2, 1] broadcast to [2, 3]: rows repeat along columns.
-        let m = BroadcastMap::new(&[2, 1], &[2, 3]).unwrap();
         assert_eq!(
-            (0..6).map(|i| m.map(i)).collect::<Vec<_>>(),
-            vec![0, 0, 0, 1, 1, 1]
+            walk(&[2, 1], &[2, 3]),
+            (Class::Repeat(3), vec![0, 0, 0, 1, 1, 1])
         );
     }
 
     #[test]
     fn broadcast_map_missing_leading_dim() {
         // Shape [3] broadcast to [2, 3]: whole vector repeats per row.
-        let m = BroadcastMap::new(&[3], &[2, 3]).unwrap();
         assert_eq!(
-            (0..6).map(|i| m.map(i)).collect::<Vec<_>>(),
-            vec![0, 1, 2, 0, 1, 2]
+            walk(&[3], &[2, 3]),
+            (Class::Tile(3), vec![0, 1, 2, 0, 1, 2])
         );
     }
 
     #[test]
+    fn broadcast_map_general_carries_instead_of_dividing() {
+        // [3, 1, 2] against [2, 1]: the output is [3, 2, 2], each operand
+        // keeps and broadcasts axes in turn.
+        let (class, offsets) = walk(&[3, 1, 2], &[2, 1]);
+        assert_eq!(class, Class::General);
+        assert_eq!(offsets, vec![0, 1, 0, 1, 2, 3, 2, 3, 4, 5, 4, 5]);
+        let (class, offsets) = walk(&[2, 1], &[3, 1, 2]);
+        assert_eq!(class, Class::General);
+        assert_eq!(offsets, vec![0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1]);
+    }
+
+    #[test]
     fn broadcast_map_rejects_bad_shapes() {
-        assert!(BroadcastMap::new(&[4], &[2, 3]).is_err());
-        assert!(BroadcastMap::new(&[2, 3], &[3]).is_err());
+        assert!(Broadcast::new([&[4][..], &[2, 3]]).is_none());
+        assert!(Broadcast::new([&[2, 3][..], &[3, 2]]).is_none());
+        assert!(Broadcast::new([&[0][..], &[3]]).is_none());
+        assert!(Broadcast::new([&[0][..], &[1], &[2, 0]]).is_some());
     }
 }

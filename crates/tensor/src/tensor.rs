@@ -210,16 +210,38 @@ impl Tensor {
         })
     }
 
-    /// Turn `self` into an `f64` tensor of `shape` whose contents are
-    /// unspecified (zero-filled where freshly grown), reusing the current
-    /// allocation when it is an unshared `f64` buffer. Callers overwrite
-    /// every element before reading.
-    pub(crate) fn reset_f64(&mut self, shape: &[usize]) {
-        let n = volume(shape);
-        self.shape = Arc::from(shape);
+    /// A tensor of `shape` holding `data`, for a kernel that already holds
+    /// the shape allocation: an operand's, or one it built once.
+    pub(crate) fn from_parts(shape: Arc<[usize]>, data: Data) -> Tensor {
+        debug_assert_eq!(volume(&shape), data.len());
+        Tensor {
+            shape,
+            data: Arc::new(data),
+        }
+    }
+
+    /// The shape allocation, for a same-shaped kernel result to share.
+    pub(crate) fn shape_handle(&self) -> &Arc<[usize]> {
+        &self.shape
+    }
+
+    /// Turn `self` into an `f64` tensor of `shape` whose payload is empty
+    /// with room for the shape's elements, reusing the current allocation
+    /// when it is an unshared `f64` buffer. The caller must push exactly
+    /// the shape's volume of elements before the tensor is read.
+    pub(crate) fn refill_f64(&mut self, shape: Arc<[usize]>) -> &mut Vec<f64> {
+        let n = volume(&shape);
+        self.shape = shape;
+        if !matches!(Arc::get_mut(&mut self.data), Some(Data::F64(_))) {
+            self.data = Arc::new(Data::F64(Vec::with_capacity(n)));
+        }
         match Arc::get_mut(&mut self.data) {
-            Some(Data::F64(v)) => v.resize(n, 0.0),
-            _ => self.data = Arc::new(Data::zeros(DType::F64, n)),
+            Some(Data::F64(v)) => {
+                v.clear();
+                v.reserve(n);
+                v
+            }
+            _ => unreachable!("unshared f64: checked or just built"),
         }
     }
 

@@ -3,9 +3,13 @@
 //!
 //! The row-movement kernels are each held, on all three dtypes and on
 //! zero-length element shapes, to a reference written one `get` / `set`
-//! at a time ([`build`]).
+//! at a time ([`build`]). The broadcasting kernels are held, bit for bit,
+//! to a reference that reads each operand through its own coordinates
+//! ([`reference`]), over drawn shapes that cover every way an operand can
+//! line up with the output ([`operand_shape`]).
 
-use autobatch_tensor::{scalar_ops, DType, Scalar, Tensor};
+use autobatch_tensor::shape::{broadcast_shapes, volume};
+use autobatch_tensor::{scalar_ops, DType, Data, Result, Scalar, Tensor};
 use proptest::prelude::*;
 
 fn vec_f64(len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -450,5 +454,349 @@ proptest! {
         ta.binary_f64_into(&tb, scalar_ops::add_f64, &mut out).unwrap();
         prop_assert_eq!(&out, &ta.add(&tb).unwrap());
         prop_assert_eq!(ta.as_f64().unwrap(), &a[..]);
+    }
+}
+
+// --- Broadcasting kernels against a reference that indexes coordinates ---
+
+/// An output shape from raw draws: each axis mostly 2 or 3, a quarter of
+/// the time 1 and now and then 0.
+fn out_shape(raw: &[usize]) -> Vec<usize> {
+    raw.iter()
+        .map(|&v| [0, 1, 1, 1, 2, 3, 2, 3, 2, 3, 2, 3][v % 12])
+        .collect()
+}
+
+/// An operand shape that broadcasts to `out`: its trailing axes (all of
+/// them unless `drop` is 1 or 2), each `out`'s dimension where `keep` says
+/// so and 1 elsewhere. Over an output of rank up to 4 this draws every way
+/// an operand lines up with it: the output itself, a trailing block (`[N]`
+/// over `[Z, N]`, a scalar), each element repeated (`[Z, 1]` over
+/// `[Z, N]`), alternations (`[3, 1, 4]` against `[2, 1]`) and rank 0.
+fn operand_shape(out: &[usize], drop: usize, keep: &[bool]) -> Vec<usize> {
+    let drop = if drop <= 2 { drop.min(out.len()) } else { 0 };
+    out[drop..]
+        .iter()
+        .zip(keep)
+        .map(|(&d, &k)| if k { d } else { 1 })
+        .collect()
+}
+
+/// A `dtype` operand of `shape` from raw draws. Floats are mostly small
+/// halves, so ties and both signed zeros occur, and sometimes infinities,
+/// a subnormal, a huge value and a NaN whose sign and payload must come
+/// through; integers include 0, -1 and the extremes (division by zero,
+/// wrapping). There is one NaN bit pattern: when two different NaNs meet
+/// in one operation, Rust leaves unspecified which payload the result
+/// carries, and a vectorized loop may commute the operands.
+fn operand(dtype: DType, raw: &[u64], shape: &[usize]) -> Tensor {
+    const F: [f64; 8] = [
+        -0.0,
+        0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::from_bits(0xfff8_0000_0000_0bad),
+        1e300,
+        -1.5e-300,
+        f64::MIN_POSITIVE / 4.0,
+    ];
+    const I: [i64; 4] = [0, -1, i64::MIN, i64::MAX];
+    let raw = &raw[..volume(shape)];
+    let data = match dtype {
+        DType::F64 => Data::F64(
+            raw.iter()
+                .map(|&x| {
+                    if x % 4 == 0 {
+                        F[(x / 4 % 8) as usize]
+                    } else {
+                        ((x % 9) as f64 - 4.0) / 2.0
+                    }
+                })
+                .collect(),
+        ),
+        DType::I64 => Data::I64(
+            raw.iter()
+                .map(|&x| {
+                    if x % 4 == 0 {
+                        I[(x / 4 % 4) as usize]
+                    } else {
+                        (x % 9) as i64 - 4
+                    }
+                })
+                .collect(),
+        ),
+        DType::Bool => Data::Bool(raw.iter().map(|&x| x % 2 == 1).collect()),
+    };
+    Tensor::new(data, shape).unwrap()
+}
+
+/// A tensor's shape, dtype and elements as bits: equal exactly when each
+/// element is the same bit pattern, NaN payloads and signed zeros included.
+fn bits(t: &Tensor) -> (Vec<usize>, DType, Vec<u64>) {
+    let v = match t.data() {
+        Data::F64(v) => v.iter().map(|x| x.to_bits()).collect(),
+        Data::I64(v) => v.iter().map(|&x| x as u64).collect(),
+        Data::Bool(v) => v.iter().map(|&x| u64::from(x)).collect(),
+    };
+    (t.shape().to_vec(), t.dtype(), v)
+}
+
+/// The coordinates of the element of an operand of `shape` that output
+/// coordinates `ix` read: its own trailing axes, 0 on a broadcast one.
+fn pad(shape: &[usize], ix: &[usize]) -> Vec<usize> {
+    let ix = &ix[ix.len() - shape.len()..];
+    shape
+        .iter()
+        .zip(ix)
+        .map(|(&d, &i)| if d == 1 { 0 } else { i })
+        .collect()
+}
+
+/// The row-major linear index of that element.
+fn source(shape: &[usize], ix: &[usize]) -> usize {
+    let index = pad(shape, ix);
+    shape.iter().zip(index).fold(0, |lin, (&d, i)| lin * d + i)
+}
+
+/// Every coordinate of `shape`, row-major.
+fn coordinates(shape: &[usize]) -> impl Iterator<Item = Vec<usize>> + '_ {
+    (0..volume(shape)).map(move |mut lin| {
+        let mut index = vec![0; shape.len()];
+        for (i, &d) in index.iter_mut().zip(shape).rev() {
+            *i = lin % d;
+            lin /= d;
+        }
+        index
+    })
+}
+
+/// The reference: at each output coordinate, `f` of the elements each
+/// operand holds there.
+fn reference<T: Copy, U>(
+    a: (&[T], &[usize]),
+    b: (&[T], &[usize]),
+    f: impl Fn(T, T) -> U,
+    wrap: fn(Vec<U>) -> Data,
+) -> Tensor {
+    let out = broadcast_shapes(a.1, b.1, "reference").unwrap();
+    let v = coordinates(&out).map(|ix| f(a.0[source(a.1, &ix)], b.0[source(b.1, &ix)]));
+    Tensor::new(wrap(v.collect()), &out).unwrap()
+}
+
+/// A kernel, named, and the scalar function its reference applies.
+type Case<T, U> = (
+    &'static str,
+    fn(&Tensor, &Tensor) -> Result<Tensor>,
+    fn(T, T) -> U,
+);
+
+fn comparisons<T: PartialOrd>() -> [Case<T, bool>; 6] {
+    [
+        ("lt", Tensor::lt, |x, y| x < y),
+        ("le", Tensor::le, |x, y| x <= y),
+        ("gt", Tensor::gt, |x, y| x > y),
+        ("ge", Tensor::ge, |x, y| x >= y),
+        ("eq_elem", Tensor::eq_elem, |x, y| x == y),
+        ("ne_elem", Tensor::ne_elem, |x, y| x != y),
+    ]
+}
+
+/// Each kernel of `cases` on `lhs` × `rhs`, whose payloads are `a` and
+/// `b`, against the reference.
+fn check_cases<T: Copy, U>(
+    cases: &[Case<T, U>],
+    (lhs, a): (&Tensor, &[T]),
+    (rhs, b): (&Tensor, &[T]),
+    wrap: fn(Vec<U>) -> Data,
+) {
+    for &(name, kernel, f) in cases {
+        let want = reference((a, lhs.shape()), (b, rhs.shape()), f, wrap);
+        let at = format!("{} {:?} x {:?}", lhs.dtype(), lhs.shape(), rhs.shape());
+        assert_eq!(
+            bits(&kernel(lhs, rhs).unwrap()),
+            bits(&want),
+            "{name} on {at}"
+        );
+    }
+}
+
+/// Every binary kernel against the reference on `lhs` × `rhs`, of one
+/// dtype, and `binary_f64_into` into a reused scratch tensor.
+fn check_binary(lhs: &Tensor, rhs: &Tensor, scratch: &mut Tensor) {
+    match (lhs.data(), rhs.data()) {
+        (Data::F64(a), Data::F64(b)) => {
+            let arith: [Case<f64, f64>; 7] = [
+                ("add", Tensor::add, scalar_ops::add_f64),
+                ("sub", Tensor::sub, scalar_ops::sub_f64),
+                ("mul", Tensor::mul, scalar_ops::mul_f64),
+                ("div", Tensor::div, scalar_ops::div_f64),
+                ("max2", Tensor::max2, scalar_ops::max2_f64),
+                ("min2", Tensor::min2, scalar_ops::min2_f64),
+                ("pow", Tensor::pow, scalar_ops::pow_f64),
+            ];
+            check_cases(&arith, (lhs, a), (rhs, b), Data::F64);
+            check_cases(&comparisons(), (lhs, a), (rhs, b), Data::Bool);
+            for (name, _, f) in arith {
+                lhs.binary_f64_into(rhs, f, scratch).unwrap();
+                let want = reference((a, lhs.shape()), (b, rhs.shape()), f, Data::F64);
+                let at = format!("{:?} x {:?}", lhs.shape(), rhs.shape());
+                assert_eq!(bits(scratch), bits(&want), "binary_f64_into {name} on {at}");
+            }
+        }
+        (Data::I64(a), Data::I64(b)) => {
+            let arith: [Case<i64, i64>; 7] = [
+                ("add", Tensor::add, scalar_ops::add_i64),
+                ("sub", Tensor::sub, scalar_ops::sub_i64),
+                ("mul", Tensor::mul, scalar_ops::mul_i64),
+                ("div", Tensor::div, scalar_ops::div_i64),
+                ("max2", Tensor::max2, scalar_ops::max2_i64),
+                ("min2", Tensor::min2, scalar_ops::min2_i64),
+                ("pow", Tensor::pow, scalar_ops::pow_i64),
+            ];
+            check_cases(&arith, (lhs, a), (rhs, b), Data::I64);
+            check_cases(&comparisons(), (lhs, a), (rhs, b), Data::Bool);
+        }
+        (Data::Bool(a), Data::Bool(b)) => {
+            let logic: [Case<bool, bool>; 3] = [
+                ("and", Tensor::and, |x, y| x && y),
+                ("or", Tensor::or, |x, y| x || y),
+                ("xor", Tensor::xor, |x, y| x ^ y),
+            ];
+            check_cases(&logic, (lhs, a), (rhs, b), Data::Bool);
+        }
+        _ => unreachable!("both operands are drawn as one dtype"),
+    }
+}
+
+/// `cond.select(a, b)` against the reference on three broadcast shapes.
+fn check_select(cond: &Tensor, a: &Tensor, b: &Tensor) {
+    let (c, cs, as_, bs) = (cond.as_bool().unwrap(), cond.shape(), a.shape(), b.shape());
+    let out = broadcast_shapes(
+        cs,
+        &broadcast_shapes(as_, bs, "reference").unwrap(),
+        "reference",
+    )
+    .unwrap();
+    let pick = |ix: &[usize]| {
+        if c[source(cs, ix)] {
+            a.get(&pad(as_, ix))
+        } else {
+            b.get(&pad(bs, ix))
+        }
+    };
+    let want = build(a.dtype(), &out, |ix| pick(ix).ok());
+    let at = format!("{} {cs:?} ? {as_:?} : {bs:?}", a.dtype());
+    assert_eq!(
+        bits(&cond.select(a, b).unwrap()),
+        bits(&want),
+        "select on {at}"
+    );
+}
+
+/// `a.dot_last_axis(b)`: where the broadcast has rows, each is the
+/// `Iterator::sum` of the products at its coordinates; elsewhere (rank 0,
+/// no elements) it is whatever `mul` then `sum_last_axis` gives.
+fn check_dot(a: &Tensor, b: &Tensor) {
+    let got = a.dot_last_axis(b);
+    let at = format!("{:?} . {:?}", a.shape(), b.shape());
+    let out = broadcast_shapes(a.shape(), b.shape(), "reference").unwrap();
+    if out.is_empty() || volume(&out) == 0 {
+        let two_pass = a.mul(b).and_then(|p| p.sum_last_axis());
+        assert_eq!(
+            got.map(|t| bits(&t)),
+            two_pass.map(|t| bits(&t)),
+            "dot on {at}"
+        );
+        return;
+    }
+    let (x, y) = (a.as_f64().unwrap(), b.as_f64().unwrap());
+    let (rows, k) = (&out[..out.len() - 1], out[out.len() - 1]);
+    let want: Vec<f64> = coordinates(rows)
+        .map(|row| {
+            (0..k)
+                .map(|j| {
+                    let ix: Vec<usize> = row.iter().copied().chain([j]).collect();
+                    x[source(a.shape(), &ix)] * y[source(b.shape(), &ix)]
+                })
+                .sum()
+        })
+        .collect();
+    let want = Tensor::from_f64(&want, rows).unwrap();
+    assert_eq!(bits(&got.unwrap()), bits(&want), "dot on {at}");
+}
+
+/// Draw three operand shapes over an output drawn from `dims` and hold
+/// every broadcasting kernel to the reference.
+fn check_broadcasts(dims: &[usize], drops: &[usize], keep: &[bool], raw: &[u64]) {
+    let out = out_shape(dims);
+    let shapes: Vec<Vec<usize>> = (0..3)
+        .map(|k| operand_shape(&out, drops[k], &keep[4 * k..]))
+        .collect();
+    let [s0, s1, s2] = [&shapes[0], &shapes[1], &shapes[2]];
+    let mut scratch = Tensor::arange(5);
+    for dtype in DTYPES {
+        let (lhs, rhs) = (operand(dtype, raw, s0), operand(dtype, &raw[81..], s1));
+        check_binary(&lhs, &rhs, &mut scratch);
+        check_select(&operand(DType::Bool, &raw[162..], s2), &lhs, &rhs);
+        check_select(
+            &operand(DType::Bool, &raw[162..], s0),
+            &operand(dtype, &raw[81..], s2),
+            &rhs,
+        );
+    }
+    let (a, b) = (
+        operand(DType::F64, raw, s0),
+        operand(DType::F64, &raw[81..], s1),
+    );
+    check_dot(&a, &b);
+    check_dot(&a, &a);
+}
+
+#[test]
+fn broadcasting_kernels_match_the_reference_on_named_shapes() {
+    // Whole, tile, scalar, repeat, general, rank 0 and zero-length cases
+    // written out, so each is checked whatever the draws below hit.
+    let cases: [(&[usize], &[usize]); 11] = [
+        (&[2, 3], &[2, 3]),
+        (&[2, 3], &[3]),
+        (&[3], &[2, 3]),
+        (&[2, 3], &[]),
+        (&[], &[]),
+        (&[2, 1], &[2, 3]),
+        (&[2, 3], &[2, 2, 1]),
+        (&[3, 1, 4], &[2, 1]),
+        (&[2, 1, 3], &[1, 2, 1]),
+        (&[2, 0], &[2, 1]),
+        (&[0], &[1]),
+    ];
+    let raw: Vec<u64> = (0..243u64)
+        .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 7)
+        .collect();
+    let mut scratch = Tensor::arange(5);
+    for (l, r) in cases {
+        for dtype in DTYPES {
+            let (lhs, rhs) = (operand(dtype, &raw, l), operand(dtype, &raw[81..], r));
+            check_binary(&lhs, &rhs, &mut scratch);
+            check_binary(&rhs, &lhs, &mut scratch);
+            check_select(&operand(DType::Bool, &raw[162..], r), &lhs, &rhs);
+        }
+        check_dot(
+            &operand(DType::F64, &raw, l),
+            &operand(DType::F64, &raw[81..], r),
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn broadcasting_kernels_match_the_reference_bit_for_bit(
+        dims in proptest::collection::vec(0usize..12, 0..=4),
+        drops in proptest::collection::vec(0usize..6, 3..=3),
+        keep in proptest::collection::vec(any::<bool>(), 12..=12),
+        raw in proptest::collection::vec(any::<u64>(), 243..=243),
+    ) {
+        check_broadcasts(&dims, &drops, &keep, &raw);
     }
 }

@@ -100,7 +100,7 @@ fn divergent_binom_stays_under_11_646_and_14_551_allocations_per_superstep() {
     let requests: Vec<Vec<Tensor>> = (0..12)
         .map(|i| vec![scalar(10 + i * 5 % 7), scalar(2 + i * 3 % 5)])
         .collect();
-    let pins = [(true, 1_271_006, 283_455), (false, 1_628_141, 509_129)];
+    let pins = [(true, 971_378, 283_455), (false, 1_011_868, 509_129)];
     let opts = ExecOptions::default();
     check(&pc, &KernelRegistry::new(), opts, &requests, 111_892, pins);
 }
@@ -120,7 +120,7 @@ fn funnel_nuts_stays_under_32_613_and_37_369_allocations_per_superstep() {
         .map(|i| rng.normal_batch(&[i], &[nuts.dim()]).row(0).expect("row"))
         .map(|q| nuts.request_inputs(&q).expect("inputs"))
         .collect();
-    let pins = [(true, 127_408, 30_128), (false, 148_215, 37_669)];
+    let pins = [(true, 89_719, 30_128), (false, 88_011, 37_669)];
     let (program, opts) = (nuts.lowered(), nuts.exec_options());
     check(program, nuts.registry(), opts, &requests, 3_975, pins);
 }
