@@ -358,57 +358,6 @@ impl Trace {
             .saturating_sub(self.members_retired + self.members_migrated_out)
     }
 
-    /// Fold another trace, assumed to have run **concurrently** on its
-    /// own host thread, into this one:
-    ///
-    /// - `sim_time` becomes the *maximum* of the two (parallel shards
-    ///   overlap in wall-clock time, they do not serialize);
-    /// - launches, supersteps, membership counters, and per-kernel
-    ///   statistics (timed and logical) are summed, so aggregate
-    ///   utilization over the whole fleet stays truthful;
-    /// - `peak_members` is summed — an upper bound on the simultaneous
-    ///   live members across shards (per-shard peaks need not coincide
-    ///   in time, but capacity planning wants the bound).
-    ///
-    /// The merged trace does not carry a replayable event stream: the
-    /// interleaving of concurrent shards is not a single recorded run,
-    /// so event recording is dropped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two traces price against different backends —
-    /// summed statistics would be meaningless across cost models.
-    pub fn merge_parallel(&mut self, other: &Trace) {
-        assert_eq!(
-            self.backend, other.backend,
-            "merge_parallel requires a shared backend"
-        );
-        self.sim_time = self.sim_time.max(other.sim_time);
-        self.launches += other.launches;
-        self.supersteps += other.supersteps;
-        self.members_admitted += other.members_admitted;
-        self.members_retired += other.members_retired;
-        self.members_migrated_in += other.members_migrated_in;
-        self.members_migrated_out += other.members_migrated_out;
-        self.peak_members += other.peak_members;
-        for (k, s) in &other.per_kernel {
-            let dst = self.per_kernel.entry(k.clone()).or_default();
-            dst.launches += s.launches;
-            dst.flops += s.flops;
-            dst.time += s.time;
-            dst.active_members += s.active_members;
-            dst.total_members += s.total_members;
-        }
-        for (k, s) in &other.logical {
-            let dst = self.logical.entry(k.clone()).or_default();
-            dst.launches += s.launches;
-            dst.flops += s.flops;
-            dst.active_members += s.active_members;
-            dst.total_members += s.total_members;
-        }
-        self.events = None;
-    }
-
     /// Record one runtime superstep (block selection + host control).
     pub fn superstep(&mut self) {
         if let Some(ev) = self.events.as_mut() {
@@ -474,25 +423,6 @@ impl Trace {
     /// Whether stack updates on this backend copy the whole buffer.
     pub fn functional_stack_updates(&self) -> bool {
         self.backend.functional_stack_updates
-    }
-
-    /// Reset all counters, keeping the backend. Used to exclude warm-up
-    /// (compilation, graph construction) from measurements, as the paper
-    /// does ("the measured time counts only a warm run").
-    pub fn reset(&mut self) {
-        self.sim_time = 0.0;
-        self.launches = 0;
-        self.supersteps = 0;
-        self.members_admitted = 0;
-        self.members_retired = 0;
-        self.members_migrated_in = 0;
-        self.members_migrated_out = 0;
-        self.peak_members = 0;
-        self.per_kernel.clear();
-        self.logical.clear();
-        if let Some(ev) = self.events.as_mut() {
-            ev.clear();
-        }
     }
 }
 
@@ -609,15 +539,12 @@ mod tests {
     }
 
     #[test]
-    fn superstep_and_reset() {
+    fn supersteps_are_counted_and_priced() {
         let mut tr = Trace::new(Backend::hybrid_cpu());
         tr.superstep();
         tr.superstep();
         assert_eq!(tr.supersteps(), 2);
-        assert!(tr.sim_time() > 0.0);
-        tr.reset();
-        assert_eq!(tr.supersteps(), 0);
-        assert_eq!(tr.sim_time(), 0.0);
+        assert_eq!(tr.sim_time(), 2.0 * tr.backend().superstep_overhead);
     }
 
     #[test]
@@ -646,13 +573,10 @@ mod tests {
         assert_eq!(tr.members_admitted(), 6);
         assert_eq!(tr.members_retired(), 6);
         assert_eq!(tr.peak_members(), 5);
-        // Membership survives replay and is cleared by reset.
+        // Membership survives replay.
         let re = tr.replay_as(Backend::hybrid_cpu());
         assert_eq!(re.members_admitted(), 6);
         assert_eq!(re.peak_members(), 5);
-        tr.reset();
-        assert_eq!(tr.members_admitted(), 0);
-        assert_eq!(tr.peak_members(), 0);
     }
 
     #[test]
@@ -679,70 +603,10 @@ mod tests {
         assert_eq!(tr.members_migrated_out(), 2);
         assert_eq!(tr.live_members(), 3);
         assert_eq!(tr.peak_members(), 4);
-        // Migration survives replay, merges additively, and resets.
+        // Migration survives replay.
         let re = tr.replay_as(Backend::hybrid_cpu());
         assert_eq!(re.members_migrated_in(), 1);
         assert_eq!(re.members_migrated_out(), 2);
-        let mut sum = Trace::new(Backend::hybrid_cpu());
-        sum.merge_parallel(&tr);
-        sum.merge_parallel(&tr);
-        assert_eq!(sum.members_migrated_in(), 2);
-        assert_eq!(sum.members_migrated_out(), 4);
-        tr.reset();
-        assert_eq!(tr.members_migrated_in(), 0);
-        assert_eq!(tr.members_migrated_out(), 0);
-    }
-
-    #[test]
-    fn merge_parallel_overlaps_time_and_sums_stats() {
-        let mut a = Trace::new(Backend::hybrid_cpu());
-        let mut b = Trace::new(Backend::hybrid_cpu());
-        a.superstep();
-        a.launch(&LaunchRecord {
-            kernel: "grad",
-            flops: 100.0,
-            bytes: 0.0,
-            random_bytes: 0.0,
-            parallel: 4,
-            active_members: 2,
-            total_members: 4,
-        });
-        a.membership(4, 0, 4);
-        for _ in 0..3 {
-            b.superstep();
-        }
-        b.launch(&LaunchRecord {
-            kernel: "grad",
-            flops: 100.0,
-            bytes: 0.0,
-            random_bytes: 0.0,
-            parallel: 4,
-            active_members: 4,
-            total_members: 4,
-        });
-        b.membership(2, 2, 0);
-        let (ta, tb) = (a.sim_time(), b.sim_time());
-        a.merge_parallel(&b);
-        // Concurrent shards overlap: wall-clock is the max, not the sum.
-        assert_eq!(a.sim_time(), ta.max(tb));
-        assert_eq!(a.supersteps(), 4);
-        assert_eq!(a.launches(), 2);
-        assert_eq!(a.members_admitted(), 6);
-        assert_eq!(a.members_retired(), 2);
-        assert_eq!(a.peak_members(), 4);
-        // Utilization aggregates across shards: (2 + 4) / (4 + 4).
-        assert_eq!(a.utilization("grad"), 0.75);
-        let g = a.kernel_stats("grad").unwrap();
-        assert_eq!(g.launches, 2);
-        assert_eq!(g.flops, 200.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "shared backend")]
-    fn merge_parallel_rejects_mismatched_backends() {
-        let mut a = Trace::new(Backend::hybrid_cpu());
-        let b = Trace::new(Backend::xla_cpu());
-        a.merge_parallel(&b);
     }
 
     #[test]

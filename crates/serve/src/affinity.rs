@@ -106,9 +106,9 @@ pub(crate) struct ShardView {
     pub live: usize,
     /// Queue depth.
     pub pending: usize,
-    /// Supersteps this shard has executed so far — a deterministic
-    /// accumulated-load signal (simulated cost, not host time), used to
-    /// steer consolidation toward the least-loaded recipient.
+    /// Supersteps this shard's machine has executed so far — a
+    /// deterministic accumulated-load signal (a count, not host time),
+    /// used to steer consolidation toward the least-loaded recipient.
     pub steps: u64,
 }
 

@@ -64,7 +64,7 @@ pub mod supervisor;
 
 pub use affinity::{AffinityConfig, SchedulingPolicy};
 pub use nuts_driver::{ChainResponse, NutsServer};
-pub use shard::{Bell, Intake, ShardHealth, ShardedServer};
+pub use shard::{Bell, FleetCounts, Intake, ShardHealth, ShardedServer};
 pub use supervisor::{Outcome, QuarantineConfig, QuarantineStatus, Supervisor, SupervisorConfig};
 
 /// Errors from the serving layer.
@@ -1142,13 +1142,14 @@ impl<'p> BatchServer<'p> {
     /// deadline policy is holding a partial batch. Unlike
     /// `run_until_idle` this never fast-forwards the clock — the fleet
     /// drive owns fleet-wide time and decides whether everyone is
-    /// blocked.
+    /// blocked. The fleet prices nothing, so neither does this.
     ///
     /// # Errors
     ///
     /// As [`BatchServer::run_until_idle`].
-    pub(crate) fn run_for(&mut self, budget: u64, mut trace: Option<&mut Trace>) -> Result<u64> {
+    pub(crate) fn run_for(&mut self, budget: u64) -> Result<u64> {
         self.check_poisoned()?;
+        let mut trace = None;
         for steps in 0..budget {
             if self.turn(&mut trace)? {
                 continue;
@@ -1200,13 +1201,9 @@ impl<'p> BatchServer<'p> {
     /// The poisoning error if this server is poisoned, or
     /// [`VmError::BadInputs`] for a ticket that is not a running lane
     /// (validation happens before any mutation).
-    pub fn evict_lanes(
-        &mut self,
-        tickets: &[u64],
-        trace: Option<&mut Trace>,
-    ) -> Result<Vec<Migrant>> {
+    pub fn evict_lanes(&mut self, tickets: &[u64]) -> Result<Vec<Migrant>> {
         self.check_poisoned()?;
-        let lanes = self.machine.extract_lanes(tickets, trace)?;
+        let lanes = self.machine.extract_lanes(tickets, None)?;
         Ok(lanes
             .into_iter()
             .map(|(ticket, lane)| Migrant {
@@ -1232,12 +1229,11 @@ impl<'p> BatchServer<'p> {
     pub fn admit_migrant(
         &mut self,
         m: Migrant,
-        trace: Option<&mut Trace>,
     ) -> std::result::Result<(), Box<(Migrant, ServeError)>> {
         if let Err(e) = self.check_poisoned() {
             return Err(Box::new((m, e)));
         }
-        let ticket = match self.machine.inject_lane(&m.lane, trace) {
+        let ticket = match self.machine.inject_lane(&m.lane, None) {
             Ok(ticket) => ticket,
             Err(e) => return Err(Box::new((m, ServeError::from(e)))),
         };

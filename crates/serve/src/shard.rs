@@ -52,7 +52,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use autobatch_accel::{Backend, Trace};
+use autobatch_accel::Backend;
 use autobatch_chaos::{FaultPlan, FaultPoint};
 use autobatch_core::{ExecOptions, KernelRegistry};
 use autobatch_ir::analysis::{analyze_pcab, PcabReport};
@@ -166,11 +166,10 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// One worker's state: its server and its private trace.
+/// One worker's state: its server and the slot's lifetime records.
 #[derive(Debug)]
 struct Shard<'p> {
     server: BatchServer<'p>,
-    trace: Trace,
     /// The most recent error the slot ever surfaced — unlike the
     /// server's poison it survives respawns, so health reporting can say
     /// *why* a shard was last respawned.
@@ -180,6 +179,9 @@ struct Shard<'p> {
     /// Queued requests this slot took from a deeper queue (work
     /// stealing), over the slot's lifetime.
     steals: u64,
+    /// Running lanes a rebalance moved onto this slot (straggler
+    /// migration and batch splits), over the slot's lifetime.
+    migrated_in: u64,
 }
 
 /// Observability snapshot of one shard slot, for fleet health reporting
@@ -202,9 +204,31 @@ pub struct ShardHealth {
     pub spent_supersteps: u64,
     /// Queued requests this slot stole from deeper queues under
     /// [`SchedulingPolicy::PcAffinity`], over the slot's lifetime
-    /// (respawns included). Lane migrations are counted by the shard's
-    /// [`Trace`] (`members_migrated_in` / `_out`).
+    /// (respawns included). Lane migrations are counted fleet-wide
+    /// ([`FleetCounts::members_migrated_in`]).
     pub steals: u64,
+}
+
+/// What a fleet has run, counted where it happened (see
+/// [`ShardedServer::aggregated_trace`]). A count, not a price: the
+/// served path runs no cost model.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FleetCounts {
+    supersteps: u64,
+    members_migrated_in: u64,
+}
+
+impl FleetCounts {
+    /// Supersteps the fleet's machines ran:
+    /// [`ShardedServer::supersteps`].
+    pub fn supersteps(&self) -> u64 {
+        self.supersteps
+    }
+
+    /// Running lanes a PC-affinity rebalance moved onto another shard.
+    pub fn members_migrated_in(&self) -> u64 {
+        self.members_migrated_in
+    }
 }
 
 impl Shard<'_> {
@@ -265,7 +289,6 @@ impl Shard<'_> {
 #[derive(Debug)]
 pub struct ShardedServer<'p> {
     shards: Vec<Shard<'p>>,
-    backend: Backend,
     /// Construction inputs, kept so a dead shard can be rebuilt in
     /// place ([`ShardedServer::respawn_shard`]) with a fresh
     /// `BatchServer` + `PcMachine`.
@@ -317,8 +340,9 @@ pub struct ShardedServer<'p> {
 
 impl<'p> ShardedServer<'p> {
     /// Create a sharded server: `workers` shards, each a [`BatchServer`]
-    /// under `policy`, each priced against its own [`Trace`] of
-    /// `backend`.
+    /// under `policy`. The fleet prices nothing, so `_backend` is unused;
+    /// the parameter stays because `benchmark/` passes it (ROADMAP item
+    /// 1(e)).
     ///
     /// # Errors
     ///
@@ -330,7 +354,7 @@ impl<'p> ShardedServer<'p> {
         opts: ExecOptions,
         policy: AdmissionPolicy,
         workers: usize,
-        backend: Backend,
+        _backend: Backend,
     ) -> Result<ShardedServer<'p>> {
         if workers == 0 {
             return Err(ServeError::BadPolicy(
@@ -356,16 +380,15 @@ impl<'p> ShardedServer<'p> {
                         policy,
                         &report,
                     )?,
-                    trace: Trace::new(backend),
                     fault_record: None,
                     respawns: 0,
                     steals: 0,
+                    migrated_in: 0,
                 })
             })
             .collect::<Result<Vec<_>>>()?;
         Ok(ShardedServer {
             shards,
-            backend,
             program,
             report,
             registry,
@@ -457,12 +480,6 @@ impl<'p> ShardedServer<'p> {
             .max(self.retired_peak)
     }
 
-    /// Number of shards (at most this many threads run a drive, the
-    /// caller's included).
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Queued requests across all shards.
     pub fn pending(&self) -> usize {
         self.shards.iter().map(|s| s.server.pending()).sum()
@@ -491,11 +508,6 @@ impl<'p> ShardedServer<'p> {
             .map(|s| s.server.supersteps())
             .sum::<u64>()
             + self.retired_supersteps
-    }
-
-    /// The private execution trace of shard `i`.
-    pub fn shard_trace(&self, i: usize) -> &Trace {
-        &self.shards[i].trace
     }
 
     /// Indices of shards poisoned by an execution error. A poisoned
@@ -581,26 +593,24 @@ impl<'p> ShardedServer<'p> {
         self.retired_peak = self.retired_peak.max(self.shards[i].server.peak_pending());
         self.retired_evictions += self.shards[i].server.evictions();
         self.retired_supersteps += self.shards[i].server.supersteps();
+        let old = &mut self.shards[i];
         self.shards[i] = Shard {
             server,
-            trace: Trace::new(self.backend),
-            fault_record: self.shards[i].fault_record.take(),
-            respawns: self.shards[i].respawns + 1,
-            steals: self.shards[i].steals,
+            fault_record: old.fault_record.take(),
+            respawns: old.respawns + 1,
+            ..*old
         };
         (stranded, lost)
     }
 
-    /// The fleet-wide trace: per-shard traces folded with
-    /// [`Trace::merge_parallel`] — wall-clock is the slowest shard
-    /// (shards overlap), launches/supersteps/membership/utilization are
-    /// summed across the fleet.
-    pub fn aggregated_trace(&self) -> Trace {
-        let mut out = Trace::new(self.backend);
-        for s in &self.shards {
-            out.merge_parallel(&s.trace);
+    /// What the fleet has run over its lifetime, respawned servers
+    /// included: counts kept where the work happens, no price. The name
+    /// stays because `benchmark/` calls it.
+    pub fn aggregated_trace(&self) -> FleetCounts {
+        FleetCounts {
+            supersteps: self.supersteps(),
+            members_migrated_in: self.shards.iter().map(|s| s.migrated_in).sum(),
         }
-        out
     }
 
     /// Number a request and enqueue it per the scheduling policy: on the
@@ -1166,7 +1176,7 @@ impl<'p> ShardedServer<'p> {
                     .collect(),
                 live: s.server.in_flight(),
                 pending: s.server.pending(),
-                steps: s.trace.supersteps(),
+                steps: s.server.supersteps(),
             })
             .collect();
         let mut moved = 0;
@@ -1181,19 +1191,15 @@ impl<'p> ShardedServer<'p> {
             if !recipient.server.takes_work_from(&donor.server) {
                 continue;
             }
-            let migrants = match donor
-                .server
-                .evict_lanes(&[m.ticket], Some(&mut donor.trace))
-            {
-                Ok(migrants) => migrants,
-                Err(_) => continue,
+            let Ok(migrants) = donor.server.evict_lanes(&[m.ticket]) else {
+                continue;
             };
             for migrant in migrants {
-                match recipient
-                    .server
-                    .admit_migrant(migrant, Some(&mut recipient.trace))
-                {
-                    Ok(()) => moved += 1,
+                match recipient.server.admit_migrant(migrant) {
+                    Ok(()) => {
+                        moved += 1;
+                        recipient.migrated_in += 1;
+                    }
                     Err(bounce) => {
                         // Hand the lane back to its donor; the donor
                         // held it a moment ago, so re-injection cannot
@@ -1201,9 +1207,7 @@ impl<'p> ShardedServer<'p> {
                         // lane is nowhere: the donor is poisoned and
                         // reports its request lost at the respawn.
                         let (migrant, _) = *bounce;
-                        if let Err(bounce) =
-                            donor.server.admit_migrant(migrant, Some(&mut donor.trace))
-                        {
+                        if let Err(bounce) = donor.server.admit_migrant(migrant) {
                             let (migrant, e) = *bounce;
                             donor.fault_record = Some(e.clone());
                             donor.server.lose(migrant, e);
@@ -1391,7 +1395,7 @@ impl<'p> Drive<'_, 'p> {
                     FaultPoint::WorkerPanic.name()
                 );
             }
-            shard.server.run_for(self.quantum, Some(&mut shard.trace))
+            shard.server.run_for(self.quantum)
         }))
         .unwrap_or_else(|payload| {
             // The machine may be mid-superstep: poison the shard so
@@ -1464,6 +1468,8 @@ impl Drop for Report<'_> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
     use super::*;
     use autobatch_core::{lower, LoweringOptions, VmError};
     use autobatch_ir::build::fibonacci_program;
@@ -1591,12 +1597,6 @@ mod tests {
             "{err:?}"
         );
         assert_eq!(server.poisoned_shards(), vec![0]);
-        // Routing reads the machine's live lanes, which every traced
-        // lane edit on the served path keeps equal to the trace's
-        // membership count — the dead shard's stranded member included.
-        for s in &server.shards {
-            assert_eq!(s.trace.live_members() as usize, s.server.in_flight());
-        }
         assert_eq!(
             server.shards[0].load(),
             2,
@@ -1640,7 +1640,7 @@ mod tests {
     }
 
     #[test]
-    fn aggregated_trace_sums_membership_and_overlaps_time() {
+    fn aggregated_trace_sums_the_shards_supersteps() {
         let (pc, _) = lower(&fibonacci_program(), LoweringOptions::default()).unwrap();
         let policy = AdmissionPolicy::JoinAtEntry {
             max_batch: 4,
@@ -1652,22 +1652,14 @@ mod tests {
         }
         server.run_until_idle().unwrap();
         let agg = server.aggregated_trace();
-        assert_eq!(agg.members_admitted(), NS.len() as u64);
-        assert_eq!(agg.members_retired(), NS.len() as u64);
-        let per_shard_time = (0..2)
-            .map(|i| server.shard_trace(i).sim_time())
-            .collect::<Vec<_>>();
-        assert_eq!(
-            agg.sim_time(),
-            per_shard_time.iter().cloned().fold(0.0, f64::max),
-            "fleet wall-clock is the slowest shard"
-        );
-        assert_eq!(
-            agg.supersteps(),
-            (0..2)
-                .map(|i| server.shard_trace(i).supersteps())
-                .sum::<u64>()
-        );
+        let per_shard: Vec<u64> = server
+            .shards
+            .iter()
+            .map(|s| s.server.supersteps())
+            .collect();
+        assert!(per_shard.iter().all(|&n| n > 0), "both shards ran");
+        assert_eq!(agg.supersteps(), per_shard.iter().sum::<u64>());
+        assert_eq!(agg.members_migrated_in(), 0, "least-loaded moves no lane");
     }
 
     #[test]
@@ -1685,11 +1677,103 @@ mod tests {
         let ran = server.supersteps();
         assert_eq!(ran, server.aggregated_trace().supersteps());
         server.respawn_shard(0);
-        assert!(
-            server.aggregated_trace().supersteps() < ran,
-            "the respawned shard's trace starts over"
+        assert_eq!(server.shards[0].server.supersteps(), 0, "a fresh machine");
+        assert_eq!(server.supersteps(), ran, "the fleet's count is kept");
+        assert_eq!(server.aggregated_trace().supersteps(), ran);
+    }
+
+    /// Halves its input, counting evaluations and cost-model queries.
+    #[derive(Debug, Default)]
+    struct Halve {
+        evals: AtomicUsize,
+        priced: AtomicUsize,
+    }
+
+    impl autobatch_core::ExternalKernel for Halve {
+        fn arity(&self) -> autobatch_ir::Arity {
+            autobatch_ir::Arity { ins: 1, outs: 1 }
+        }
+        fn eval(&self, inputs: &[Tensor]) -> autobatch_tensor::Result<Vec<Tensor>> {
+            self.evals.fetch_add(1, Ordering::Relaxed);
+            Ok(vec![inputs[0].mul(&Tensor::scalar(0.5))?])
+        }
+        fn flops_per_member(&self, _: &[Tensor]) -> f64 {
+            self.priced.fetch_add(1, Ordering::Relaxed);
+            1.0
+        }
+        fn parallel_per_member(&self, _: &[Tensor]) -> usize {
+            self.priced.fetch_add(1, Ordering::Relaxed);
+            1
+        }
+    }
+
+    /// The served path runs no cost model: a fleet drive evaluates the
+    /// kernel and never asks what it costs (a priced run asks twice per
+    /// evaluation, one flops and one parallelism query).
+    #[test]
+    fn a_served_drive_prices_nothing() {
+        use autobatch_core::ExecStrategy;
+        use autobatch_ir::build::ProgramBuilder;
+        use autobatch_ir::{Prim, Var};
+        // n = number of halvings until x <= 1: divergent trip counts.
+        let mut pb = ProgramBuilder::new();
+        let f = pb.declare("halvings", &["x0"], &["n"]);
+        pb.define(f, |fb| {
+            let (x, n) = (Var::new("x"), fb.output(0));
+            fb.copy(&x, &fb.param(0));
+            let zero = fb.const_i64(0);
+            fb.copy(&n, &zero);
+            fb.while_loop(
+                |fb| {
+                    let one = fb.const_f64(1.0);
+                    fb.emit(Prim::Gt, &[Var::new("x"), one])
+                },
+                |fb| {
+                    fb.assign(&Var::new("x"), Prim::external("halve"), &[Var::new("x")]);
+                    let one = fb.const_i64(1);
+                    fb.assign(&fb.output(0), Prim::Add, &[fb.output(0), one]);
+                },
+            );
+            fb.ret();
+        });
+        let (pc, _) = lower(&pb.finish(f).unwrap(), LoweringOptions::default()).unwrap();
+        let kernel = Arc::new(Halve::default());
+        let mut registry = KernelRegistry::new();
+        registry.register("halve", kernel.clone());
+        let opts = ExecOptions {
+            strategy: ExecStrategy::Masking,
+            ..ExecOptions::default()
+        };
+        let policy = AdmissionPolicy::JoinAtEntry {
+            max_batch: 2,
+            min_utilization: 1.0,
+        };
+        let mut server =
+            ShardedServer::new(&pc, registry, opts, policy, 2, Backend::hybrid_cpu()).unwrap();
+        for (id, x) in [9.0, 1.5, 40.0, 0.5].into_iter().enumerate() {
+            let inputs = vec![Tensor::from_f64(&[x], &[1]).unwrap()];
+            server
+                .submit(Request {
+                    id: id as u64,
+                    inputs,
+                    seed: 0,
+                })
+                .unwrap();
+        }
+        let done = server.run_until_idle().unwrap();
+        let halvings: Vec<i64> = done
+            .iter()
+            .map(|r| r.outputs[0].as_i64().unwrap()[0])
+            .collect();
+        assert_eq!(halvings, vec![4, 1, 6, 0]);
+        // Masked, shard 0 (9 and 40) halves six times, shard 1 (1.5
+        // and 0.5) once.
+        assert_eq!(kernel.evals.load(Ordering::Relaxed), 7);
+        assert_eq!(
+            kernel.priced.load(Ordering::Relaxed),
+            0,
+            "the drive priced a kernel"
         );
-        assert_eq!(server.supersteps(), ran, "the fleet's count does not");
     }
 
     #[test]
@@ -1823,7 +1907,7 @@ mod tests {
             });
             for i in 0..2 {
                 assert!(
-                    server.shard_trace(i).supersteps() >= 100 * CANCEL_QUANTUM,
+                    server.shards[i].server.supersteps() >= 100 * CANCEL_QUANTUM,
                     "each shard must have run at least 100 quanta"
                 );
             }
@@ -2026,7 +2110,7 @@ mod tests {
         assert!(done.is_empty());
         assert_eq!(server.take_failed(), vec![(7, ServeError::Cancelled)]);
         // Posted after the third quantum; not one superstep more.
-        let ran = server.shard_trace(0).supersteps();
+        let ran = server.shards[0].server.supersteps();
         assert!(
             (3 * CANCEL_QUANTUM..4 * CANCEL_QUANTUM).contains(&ran),
             "evicted after {ran} supersteps"
@@ -2174,7 +2258,7 @@ mod tests {
         // Two budget blowups inside the window trip the breaker.
         sup.submit(request(0, doomed.next().unwrap())).unwrap();
         sup.submit(request(1, doomed.next().unwrap())).unwrap();
-        let outcomes = sup.run_until_quiescent();
+        let outcomes = sup.run_until_quiescent_with(&mut Vec::new);
         assert_eq!(outcomes.len(), 2);
         for o in &outcomes {
             assert!(
@@ -2220,7 +2304,7 @@ mod tests {
 
         // The clean probe terminates normally: breaker closes, record
         // resets, and traffic flows again.
-        let outcomes = sup.run_until_quiescent();
+        let outcomes = sup.run_until_quiescent_with(&mut Vec::new);
         assert!(
             outcomes
                 .iter()
@@ -2232,7 +2316,7 @@ mod tests {
             crate::QuarantineStatus::Closed { recent_blowups: 0 }
         ));
         sup.submit(request(200, clean)).unwrap();
-        let outcomes = sup.run_until_quiescent();
+        let outcomes = sup.run_until_quiescent_with(&mut Vec::new);
         assert_eq!(outcomes.len(), 1);
         assert!(matches!(outcomes[0], crate::Outcome::Done(_)));
     }
@@ -2278,7 +2362,7 @@ mod tests {
             ..crate::RequestBudget::unlimited()
         });
         sup.submit(request(0, doomed.next().unwrap())).unwrap();
-        sup.run_until_quiescent();
+        sup.run_until_quiescent_with(&mut Vec::new);
         assert!(matches!(
             sup.quarantine(),
             crate::QuarantineStatus::Open { .. }
@@ -2294,7 +2378,7 @@ mod tests {
             assert!(refusals <= 2, "cooldown must elapse within cooldown_rounds");
         }
         // The probe itself runs away: straight back to quarantine.
-        sup.run_until_quiescent();
+        sup.run_until_quiescent_with(&mut Vec::new);
         assert!(
             matches!(sup.quarantine(), crate::QuarantineStatus::Open { .. }),
             "a blown probe must re-open the breaker, got {:?}",

@@ -305,7 +305,7 @@ impl Outcome {
 /// for (id, n) in [(0u64, 6i64), (1, 9)] {
 ///     sup.submit(Request { id, inputs: vec![Tensor::from_i64(&[n], &[1])?], seed: id })?;
 /// }
-/// let outcomes = sup.run_until_quiescent();
+/// let outcomes = sup.run_until_quiescent_with(&mut Vec::new);
 /// assert!(outcomes.iter().all(|o| o.is_done()));
 /// assert!(sup.inner().poisoned_shards().is_empty());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -545,7 +545,8 @@ impl<'p> Supervisor<'p> {
     }
 
     /// The supervised fleet, for observability
-    /// ([`ShardedServer::health`], traces, counters).
+    /// ([`ShardedServer::health`], [`ShardedServer::aggregated_trace`],
+    /// counters).
     pub fn inner(&self) -> &ShardedServer<'p> {
         &self.inner
     }
@@ -623,13 +624,6 @@ impl<'p> Supervisor<'p> {
                 Err(e) => self.books.refused(request.id, e)?,
             }
         }
-    }
-
-    /// Drive the fleet until every tracked request has a terminal
-    /// outcome: [`Supervisor::run_until_quiescent_with`] under a hook
-    /// that never cancels anything.
-    pub fn run_until_quiescent(&mut self) -> Vec<Outcome> {
-        self.run_until_quiescent_with(&mut Vec::new)
     }
 
     /// [`Supervisor::drive`] under a hook that feeds nothing and only

@@ -120,8 +120,9 @@ proptest! {
 }
 
 /// Deterministic end-to-end check that the affinity machinery actually
-/// fires on a divergent workload — migrations happen, the trace
-/// accounting balances, and nothing is lost or reordered.
+/// fires on a divergent workload — migrations happen, the fleet ends
+/// with no lane left, and nothing is lost or reordered (every response
+/// is bit-identical to the unsharded run's).
 #[test]
 fn migrations_fire_and_trace_accounting_balances() {
     let program = fib_program();
@@ -144,19 +145,11 @@ fn migrations_fire_and_trace_accounting_balances() {
         assert_eq!(g.outputs, w.outputs);
     }
 
-    let mut migrated_in = 0;
-    let mut migrated_out = 0;
-    for i in 0..server.shards() {
-        let t = server.shard_trace(i);
-        migrated_in += t.members_migrated_in();
-        migrated_out += t.members_migrated_out();
-        // Per-shard membership accounting must close out: everything
-        // that entered (admitted or migrated in) also left (retired or
-        // migrated out).
-        assert_eq!(t.live_members(), 0, "shard {i} leaked members");
-    }
-    assert!(migrated_in > 0, "divergent workload must trigger migration");
-    assert_eq!(migrated_in, migrated_out, "no lane teleports or vanishes");
+    assert!(
+        server.aggregated_trace().members_migrated_in() > 0,
+        "divergent workload must trigger migration"
+    );
+    assert_eq!(server.in_flight(), 0, "a lane was left behind");
 }
 
 /// Work stealing preserves the global submission-order guarantee even
@@ -184,11 +177,11 @@ fn stealing_from_a_deep_queue_preserves_order_and_results() {
         assert_eq!(g.id, w.id, "stolen work broke submission order");
         assert_eq!(g.outputs, w.outputs);
     }
-    // At least one other shard must actually have run something.
-    let busy = (1..server.shards())
-        .filter(|&i| server.shard_trace(i).supersteps() > 0)
-        .count();
-    assert!(busy > 0, "nothing was stolen from the packed shard");
+    // At least one other shard must actually have stolen something.
+    assert!(
+        server.health()[1..].iter().any(|h| h.steals > 0),
+        "nothing was stolen from the packed shard"
+    );
 }
 
 /// Chaos interplay: straggler migration keeps firing while shards are
@@ -233,7 +226,7 @@ fn migration_survives_shard_respawns_mid_flight() {
     for r in &reqs {
         sup.submit(r.clone()).expect("submit");
     }
-    let outcomes = sup.run_until_quiescent();
+    let outcomes = sup.run_until_quiescent_with(&mut Vec::new);
 
     // Every request gets exactly one terminal outcome, and everything
     // that completed matches the unsharded fault-free run bit for bit.

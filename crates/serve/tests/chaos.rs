@@ -89,7 +89,7 @@ fn reference(program: &Program, workers: usize, reqs: &[Request]) -> HashMap<u64
     for r in reqs {
         sup.submit(r.clone()).expect("fault-free submit");
     }
-    sup.run_until_quiescent()
+    sup.run_until_quiescent_with(&mut Vec::new)
         .into_iter()
         .map(|o| match o {
             Outcome::Done(r) => (r.id, r.outputs),
@@ -138,7 +138,7 @@ proptest! {
                 outcomes.push(Outcome::Failed { id: r.id, error: e });
             }
         }
-        outcomes.extend(sup.run_until_quiescent());
+        outcomes.extend(sup.run_until_quiescent_with(&mut Vec::new));
 
         // Exactly one terminal outcome per submitted request.
         let mut seen: Vec<u64> = outcomes.iter().map(Outcome::id).collect();
@@ -173,7 +173,7 @@ proptest! {
     /// terminal outcome (a response, or a typed governance/retry
     /// verdict), every survivor is bit-identical to an unbudgeted
     /// fault-free run, and the fleet ends healthy and idle — no budget
-    /// blowup, however placed, can wedge `run_until_quiescent`.
+    /// blowup, however placed, can wedge `run_until_quiescent_with`.
     #[test]
     fn budget_eviction_cannot_perturb_survivors(
         seed in any::<u64>(),
@@ -235,7 +235,7 @@ proptest! {
                 outcomes.push(Outcome::Failed { id: r.id, error: e });
             }
         }
-        outcomes.extend(sup.run_until_quiescent());
+        outcomes.extend(sup.run_until_quiescent_with(&mut Vec::new));
 
         // Exactly one terminal outcome per submitted request.
         let mut seen: Vec<u64> = outcomes.iter().map(Outcome::id).collect();
@@ -521,7 +521,7 @@ fn worker_panic_is_contained_and_the_shard_respawns() {
         sup.submit(r.clone())
             .expect("panics cannot refuse admission");
     }
-    let outcomes = sup.run_until_quiescent();
+    let outcomes = sup.run_until_quiescent_with(&mut Vec::new);
     assert_eq!(outcomes.len(), reqs.len());
     assert!(
         sup.respawns() > 0,
@@ -554,7 +554,7 @@ fn retry_budget_exhaustion_terminates_with_typed_errors() {
     for r in &reqs {
         sup.submit(r.clone()).expect("submit is unaffected");
     }
-    let outcomes = sup.run_until_quiescent();
+    let outcomes = sup.run_until_quiescent_with(&mut Vec::new);
     assert_eq!(outcomes.len(), reqs.len());
     for o in outcomes {
         match o {
@@ -613,7 +613,7 @@ fn exec_faults_poison_heal_and_preserve_results() {
     for r in &reqs {
         sup.submit(r.clone()).expect("submit");
     }
-    let outcomes = sup.run_until_quiescent();
+    let outcomes = sup.run_until_quiescent_with(&mut Vec::new);
     assert_eq!(outcomes.len(), reqs.len());
     let done = outcomes.iter().filter(|o| o.is_done()).count();
     assert!(done > 0, "a ~1.6% exec fault rate cannot kill everything");

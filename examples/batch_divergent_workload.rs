@@ -7,6 +7,7 @@
 //! Run with: `cargo run --release --example batch_divergent_workload`
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use autobatch::accel::{Backend, Trace};
 use autobatch::core::Autobatcher;
@@ -85,7 +86,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         server.submit(i, &q, i)?;
     }
     let mut serve_trace = Trace::new(Backend::hybrid_cpu());
+    let started = Instant::now();
     let served = server.run_until_idle(Some(&mut serve_trace))?;
+    let single_wall = started.elapsed();
     let joined_mid_flight = served.iter().filter(|r| r.admitted_at > 0).count();
     println!(
         "\nserved {} chains with batch capacity 8: {} joined mid-flight, \
@@ -109,7 +112,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One BatchServer saturates one host thread. The ShardedServer
     // partitions the same chains across workers (least-loaded routing),
     // each worker driving its own PcMachine: four workers, four lanes
-    // each, and a request joins whenever its worker has a lane free.
+    // each, and a request joins whenever its worker has a lane free. The
+    // fleet runs no cost model, so what it reports is host time (the
+    // single server above priced its run as well).
     let (workers, shard_batch) = (4, 4);
     let mut fleet = ShardedServer::new(
         nuts.lowered(),
@@ -130,17 +135,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             seed: i,
         })?;
     }
+    let started = Instant::now();
     let sharded = fleet.run_until_idle()?;
-    let agg = fleet.aggregated_trace();
+    let fleet_wall = started.elapsed();
     println!(
         "\nsharded the same {} chains over {} workers (batch {} each): \
-         fleet wall-clock {:.1}s vs single-server {:.1}s, {} supersteps total",
+         host wall-clock {:.1} ms vs single-server {:.1} ms, {} supersteps total",
         sharded.len(),
         workers,
         shard_batch,
-        agg.sim_time(),
-        serve_trace.sim_time(),
-        agg.supersteps(),
+        fleet_wall.as_secs_f64() * 1e3,
+        single_wall.as_secs_f64() * 1e3,
+        fleet.supersteps(),
     );
     assert_eq!(sharded.len(), chains);
     // Aggregation preserves submission order across shards.
@@ -155,9 +161,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             r.id
         );
     }
-    assert!(
-        agg.sim_time() < serve_trace.sim_time(),
-        "the sharded fleet should beat one worker on wall-clock"
-    );
     Ok(())
 }

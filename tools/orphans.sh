@@ -6,7 +6,8 @@
 # not indented), bare `name(` -- outside that crate's own test modules and
 # `tests/` directory. Names are matched as text, so a method that shares its
 # name with one that is called is not reported. Report only: what is kept on
-# purpose stays listed. `tools/orphans.sh [checkout]` reads another checkout.
+# purpose stays listed. The last line is `N total`, the number listed.
+# `tools/orphans.sh [checkout]` reads another checkout.
 cd "${1:-$(dirname "$0")/..}" || exit 1
 find crates src tests examples benchmark -name '*.rs' -not -path '*/target/*' | sort | xargs awk '
     FNR == 1 {
@@ -44,6 +45,7 @@ find crates src tests examples benchmark -name '*.rs' -not -path '*/target/*' | 
             c = fn_crate[i]; f = fn_name[i]
             calls = seen[f, "path"] - own_tests[c, f, "path"]
             if (fn_free[i]) calls += seen[f, "bare"] - own_tests[c, f, "bare"]
-            if (calls == 0) print c, fn_file[i], f
+            if (calls == 0) { print c, fn_file[i], f; orphans++ }
         }
+        printf "%6d total\n", orphans
     }'
