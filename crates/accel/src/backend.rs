@@ -31,11 +31,6 @@ pub enum DispatchMode {
 }
 
 /// A fully specified execution backend for the cost model.
-///
-/// Like [`DispatchMode`], `Backend` is `Eq + Hash` so serving code can
-/// key caches and admission tables by backend: the float overhead fields
-/// compare by bit pattern (with `-0.0` normalized to `0.0`). Backends are
-/// built from finite constants; NaN fields are outside the contract.
 #[derive(Debug, Clone, Copy)]
 pub struct Backend {
     /// Display name, e.g. `"pc-xla-gpu"`.
@@ -57,36 +52,6 @@ pub struct Backend {
     pub gather_penalty: f64,
     /// Whether compute is priced at scalar (non-SIMD) throughput.
     pub scalar_compute: bool,
-}
-
-impl PartialEq for Backend {
-    fn eq(&self, other: &Backend) -> bool {
-        use crate::device::f64_key;
-        self.name == other.name
-            && self.device == other.device
-            && self.mode == other.mode
-            && f64_key(self.launch_overhead) == f64_key(other.launch_overhead)
-            && f64_key(self.superstep_overhead) == f64_key(other.superstep_overhead)
-            && self.functional_stack_updates == other.functional_stack_updates
-            && f64_key(self.gather_penalty) == f64_key(other.gather_penalty)
-            && self.scalar_compute == other.scalar_compute
-    }
-}
-
-impl Eq for Backend {}
-
-impl std::hash::Hash for Backend {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        use crate::device::f64_key;
-        self.name.hash(state);
-        self.device.hash(state);
-        self.mode.hash(state);
-        f64_key(self.launch_overhead).hash(state);
-        f64_key(self.superstep_overhead).hash(state);
-        self.functional_stack_updates.hash(state);
-        f64_key(self.gather_penalty).hash(state);
-        self.scalar_compute.hash(state);
-    }
 }
 
 impl Backend {
@@ -203,26 +168,6 @@ mod tests {
         assert!(Backend::xla_cpu().functional_stack_updates);
         assert!(!Backend::hybrid_cpu().functional_stack_updates);
         assert!(!Backend::eager_cpu().functional_stack_updates);
-    }
-
-    #[test]
-    fn backend_is_hashable_and_eq_like_dispatch_mode() {
-        use std::collections::HashMap;
-        let mut costs: HashMap<Backend, f64> = HashMap::new();
-        costs.insert(Backend::xla_cpu(), 1.0);
-        costs.insert(Backend::hybrid_cpu(), 2.0);
-        assert_eq!(costs[&Backend::xla_cpu()], 1.0);
-        assert_eq!(Backend::xla_cpu(), Backend::xla_cpu());
-        assert_ne!(Backend::xla_cpu(), Backend::xla_gpu());
-        // -0.0 and 0.0 hash and compare identically.
-        let mut a = Backend::native_cpu();
-        let mut b = Backend::native_cpu();
-        a.superstep_overhead = 0.0;
-        b.superstep_overhead = -0.0;
-        assert_eq!(a, b);
-        let mut m: HashMap<Backend, u8> = HashMap::new();
-        m.insert(a, 1);
-        assert_eq!(m[&b], 1);
     }
 
     #[test]

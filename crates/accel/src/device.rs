@@ -13,10 +13,6 @@
 /// `flops_per_element / lane_flops` seconds. Throughput therefore scales
 /// linearly with batch size until the lanes saturate and is flat
 /// afterwards — precisely the behaviour Figure 5 reports.
-/// Equality and hashing compare the throughput fields by bit pattern
-/// (with `-0.0` normalized to `0.0`), so `Device` can key hash maps just
-/// like [`DispatchMode`](crate::DispatchMode). Device parameters are
-/// plain finite constants; NaN fields are outside the contract.
 #[derive(Debug, Clone, Copy)]
 pub struct Device {
     /// Human-readable device name.
@@ -31,34 +27,6 @@ pub struct Device {
     pub scalar_flops: f64,
     /// Main-memory bandwidth in bytes/s.
     pub mem_bw: f64,
-}
-
-/// Normalize a float for bitwise equality/hashing: `-0.0` and `0.0`
-/// collapse to the same bit pattern.
-pub(crate) fn f64_key(x: f64) -> u64 {
-    (x + 0.0).to_bits()
-}
-
-impl PartialEq for Device {
-    fn eq(&self, other: &Device) -> bool {
-        self.name == other.name
-            && self.lanes == other.lanes
-            && f64_key(self.lane_flops) == f64_key(other.lane_flops)
-            && f64_key(self.scalar_flops) == f64_key(other.scalar_flops)
-            && f64_key(self.mem_bw) == f64_key(other.mem_bw)
-    }
-}
-
-impl Eq for Device {}
-
-impl std::hash::Hash for Device {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.name.hash(state);
-        self.lanes.hash(state);
-        f64_key(self.lane_flops).hash(state);
-        f64_key(self.scalar_flops).hash(state);
-        f64_key(self.mem_bw).hash(state);
-    }
 }
 
 impl Device {

@@ -838,8 +838,9 @@ impl<'p> BatchServer<'p> {
         // baseline rather than a serial one). The deadline policy is the
         // exception: it deliberately holds requests back from an idle
         // machine until the batch can fill or the head-of-line deadline
-        // expires — run_until_idle models the wait by fast-forwarding
-        // the clock, so progress is still guaranteed.
+        // expires — the drive loop behind run_until_idle and run_for
+        // models the wait by fast-forwarding the clock, so progress is
+        // still guaranteed.
         let admit = match self.policy {
             AdmissionPolicy::Deadline { max_wait, .. } => {
                 let oldest = self.queue.front().map(|q| q.stamp);
@@ -1055,14 +1056,24 @@ impl<'p> BatchServer<'p> {
     ///   that fails to admit a batch poisons the server the same way,
     ///   with the batch back at the queue head.
     pub fn run_until_idle(&mut self, mut trace: Option<&mut Trace>) -> Result<Vec<Response>> {
+        self.drive_for(u64::MAX, &mut trace)?;
+        Ok(self.take_ready())
+    }
+
+    /// The one drive loop behind [`BatchServer::run_until_idle`] and
+    /// [`BatchServer::run_for`]: turn until `budget` supersteps have run
+    /// or the server is idle, and return the supersteps run.
+    fn drive_for(&mut self, budget: u64, trace: &mut Option<&mut Trace>) -> Result<u64> {
         self.check_poisoned()?;
-        loop {
-            if self.turn(&mut trace)? {
+        let mut steps = 0;
+        while steps < budget {
+            if self.turn(trace)? {
+                steps += 1;
                 continue;
             }
-            self.settle(&mut trace)?;
+            self.settle(trace)?;
             if self.queue.is_empty() && self.machine.live() == 0 {
-                return Ok(self.take_ready());
+                return Ok(steps);
             }
             // Nothing stepped and requests remain: either the step
             // budget is exhausted (surface it rather than spinning on
@@ -1085,6 +1096,11 @@ impl<'p> BatchServer<'p> {
                 }
             }
         }
+        // The budget is spent: leave the last superstep's edge settled
+        // and the free lanes refilled for whoever reads the server next.
+        self.settle(trace)?;
+        self.admit_pending(trace)?;
+        Ok(budget)
     }
 
     /// The error that poisoned this server, as the refusal every driver
@@ -1111,13 +1127,13 @@ impl<'p> BatchServer<'p> {
 
     /// One scheduling iteration: retire finished members, admit pending
     /// requests per the policy, and run **at most one** superstep.
-    /// Returns whether a superstep ran. Unlike
-    /// [`BatchServer::run_until_idle`] this never fast-forwards the
-    /// clock: event loops interleave `poll` with [`BatchServer::submit`]
-    /// and [`BatchServer::set_clock`] to model real arrival processes
-    /// (sleep until [`BatchServer::next_deadline`] when it returns
-    /// `false` with work pending), and drain completions with
-    /// [`BatchServer::take_ready`].
+    /// Returns whether a superstep ran. Unlike the drive loop of
+    /// [`BatchServer::run_until_idle`] this is one turn and never
+    /// fast-forwards the clock: event loops interleave `poll` with
+    /// [`BatchServer::submit`] and [`BatchServer::set_clock`] to model
+    /// real arrival processes (sleep until
+    /// [`BatchServer::next_deadline`] when it returns `false` with work
+    /// pending), and drain completions with [`BatchServer::take_ready`].
     ///
     /// # Errors
     ///
@@ -1134,41 +1150,18 @@ impl<'p> BatchServer<'p> {
         Ok(stepped)
     }
 
-    /// Drive the server for **at most** `budget` supersteps, retiring and
-    /// admitting as [`BatchServer::run_until_idle`] does, and return the
-    /// number of supersteps actually run; completed responses stay
-    /// buffered for [`BatchServer::take_ready`]. Fewer than `budget`
-    /// means the server cannot run further for now: it is idle, or the
-    /// deadline policy is holding a partial batch. Unlike
-    /// `run_until_idle` this never fast-forwards the clock — the fleet
-    /// drive owns fleet-wide time and decides whether everyone is
-    /// blocked. The fleet prices nothing, so neither does this.
+    /// Drive the server for **at most** `budget` supersteps in the loop
+    /// of [`BatchServer::run_until_idle`], deadline fast-forward
+    /// included, and return the number of supersteps actually run;
+    /// completed responses stay buffered for [`BatchServer::take_ready`].
+    /// Fewer than `budget` means the server is idle. The fleet prices
+    /// nothing, so neither does this.
     ///
     /// # Errors
     ///
     /// As [`BatchServer::run_until_idle`].
     pub(crate) fn run_for(&mut self, budget: u64) -> Result<u64> {
-        self.check_poisoned()?;
-        let mut trace = None;
-        for steps in 0..budget {
-            if self.turn(&mut trace)? {
-                continue;
-            }
-            self.settle(&mut trace)?;
-            if (!self.queue.is_empty() || self.machine.live() > 0)
-                && self.machine.step_budget_remaining() == 0
-            {
-                return Err(ServeError::Vm(VmError::StepLimit {
-                    limit: self.step_limit,
-                }));
-            }
-            return Ok(steps);
-        }
-        // The budget is spent: leave the last superstep's edge settled
-        // and the free lanes refilled for whoever reads the shard next.
-        self.settle(&mut trace)?;
-        self.admit_pending(&mut trace)?;
-        Ok(budget)
+        self.drive_for(budget, &mut None)
     }
 
     /// Histogram of **running** lanes per pc top — the affinity signal
@@ -1863,6 +1856,28 @@ mod tests {
         server.submit(fib_requests(&[5]).remove(0)).unwrap();
         let late = server.run_until_idle(None).unwrap();
         assert_eq!((late[0].queued_ticks, server.clock()), (300, 2_300));
+    }
+
+    #[test]
+    fn run_for_fast_forwards_a_blocked_deadline_queue_too() {
+        // The fleet's quanta are the same loop as run_until_idle: a
+        // server idle but for a partial batch the deadline holds serves
+        // it within the quantum instead of reporting itself blocked.
+        let (pc, _) = lower(&fibonacci_program(), LoweringOptions::default()).unwrap();
+        let policy = AdmissionPolicy::Deadline {
+            max_batch: 2,
+            max_wait: 40,
+        };
+        let mut server =
+            BatchServer::new(&pc, KernelRegistry::new(), ExecOptions::default(), policy).unwrap();
+        server.submit(fib_requests(&[3]).remove(0)).unwrap();
+        let ran = server.run_for(1_000).unwrap();
+        assert!((1..1_000).contains(&ran), "ran {ran} supersteps");
+        assert_eq!((server.pending(), server.in_flight()), (0, 0));
+        let done = server.take_ready();
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].outputs[0].as_i64().unwrap(), &[3]);
+        assert_eq!((done[0].queued_ticks, server.clock()), (40, 40));
     }
 
     #[test]

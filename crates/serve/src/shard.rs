@@ -41,11 +41,12 @@
 //!   back to the caller after the quantum it happened in, so a request
 //!   that joins a running fleet at the entry block — the program-counter
 //!   runtime's whole point — is answered when it retires, not when the
-//!   deepest of its batchmates does. The fleet meets at a parked barrier
-//!   only to advance the virtual clock past a deadline or, under
-//!   [`SchedulingPolicy::PcAffinity`], to rebalance between quanta; a
-//!   panicking worker poisons its own shard and is always reported. The
-//!   contract is spelled out on [`ShardedServer::drive`].
+//!   deepest of its batchmates does. Each shard moves its own virtual
+//!   clock to a deadline it waits on, so the fleet meets at a parked
+//!   barrier only under [`SchedulingPolicy::PcAffinity`], to rebalance
+//!   between quanta; a panicking worker poisons its own shard and is
+//!   always reported. The contract is spelled out on
+//!   [`ShardedServer::drive`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -302,7 +303,8 @@ pub struct ShardedServer<'p> {
     /// How requests are routed and whether work moves between shards
     /// once placed ([`ShardedServer::set_scheduling`]).
     scheduling: SchedulingPolicy,
-    /// The fleet clock high-water mark, replayed onto respawned shards.
+    /// The high-water mark of the clock callers set, replayed onto
+    /// respawned shards.
     clock: u64,
     /// Next fault-stream epoch handed to a respawned shard, so a
     /// deterministic [`FaultPlan`](autobatch_chaos::FaultPlan) does not
@@ -547,11 +549,11 @@ impl<'p> ShardedServer<'p> {
 
     /// Tear down shard `i`'s server and rebuild it in place with a
     /// fresh `BatchServer` + `PcMachine` (same program, registry,
-    /// options, policy and verification report; fleet clock and request
-    /// budget restored; a fresh
-    /// fault-stream epoch so a deterministic fault plan does not re-kill
-    /// the replacement on schedule). The recovery move for a poisoned
-    /// shard.
+    /// options, policy and verification report; the later of the fleet's
+    /// and the old server's clock, and the request budget, restored; a
+    /// fresh fault-stream epoch so a deterministic fault plan does not
+    /// re-kill the replacement on schedule). The recovery move for a
+    /// poisoned shard.
     ///
     /// Work the old server had is handed on, never silently dropped:
     ///
@@ -587,7 +589,9 @@ impl<'p> ShardedServer<'p> {
             &self.report,
         )
         .expect("policy and program were validated when the fleet was built");
-        server.set_clock(self.clock);
+        // A deadline fast-forward moves only its own shard's clock, so
+        // the slot's clock may be ahead of the fleet's: it never goes back.
+        server.set_clock(self.clock.max(self.shards[i].server.clock()));
         server.set_budget(self.budget);
         self.retired_completed += self.shards[i].server.completed();
         self.retired_peak = self.retired_peak.max(self.shards[i].server.peak_pending());
@@ -774,13 +778,12 @@ impl<'p> ShardedServer<'p> {
     ///
     /// Under [`SchedulingPolicy::LeastLoaded`] (the default) no shard
     /// ever needs another: a worker runs its shard quantum after quantum
-    /// until the shard is idle or deadline-blocked, and then parks until
-    /// its inbox gets work. The fleet meets at a barrier for one
-    /// decision alone: when no shard can run and some are
-    /// deadline-blocked, the fleet clock advances to the earliest
-    /// pending deadline (the single-server fast-forward, taken
-    /// fleet-wide) and the blocked shards are released again. Under
-    /// [`SchedulingPolicy::PcAffinity`] the workers park at that barrier
+    /// until the shard is idle, and then parks until its inbox gets
+    /// work. A shard whose [`AdmissionPolicy::Deadline`] holds a partial
+    /// batch moves its own clock to the deadline within its quantum, as
+    /// [`BatchServer::run_until_idle`] does, so the fleet meets at no
+    /// barrier and the drive ends when nothing runs. Under
+    /// [`SchedulingPolicy::PcAffinity`] the workers park at a barrier
     /// after every quantum (`AffinityConfig::quantum` supersteps),
     /// because the rebalance between quanta — straggler migration, work
     /// stealing, batch splits (see [`crate::affinity`]) — plans against
@@ -815,8 +818,8 @@ impl<'p> ShardedServer<'p> {
     /// and every verdict not yet handed out stays buffered for
     /// [`ShardedServer::take_ready`] and [`ShardedServer::take_failed`],
     /// and [`ShardedServer::respawn_shard`] hands back what the poisoned
-    /// shard still held. If only poisoned shards still hold work, or no
-    /// shard names a deadline to advance to, the drive stops.
+    /// shard still held. If only poisoned shards still hold work, the
+    /// drive stops.
     pub fn drive(
         &mut self,
         bell: Option<&Bell>,
@@ -917,9 +920,9 @@ impl<'p> ShardedServer<'p> {
             let mut legs: Vec<Option<Sender<Option<u64>>>> = (0..n)
                 .map(|i| (crew[i] && Some(i) != mine).then(|| spawn(i)))
                 .collect();
-            // The caller's own leg, while it runs one: supersteps so far
-            // and its injected panic, if one is due.
-            let mut my_leg: Option<(u64, Option<u64>)> = None;
+            // The caller's own leg, while it runs one: its injected
+            // panic, if one is due.
+            let mut my_leg: Option<Option<u64>> = None;
             // Per shard: a worker is out on a leg; errored this drive;
             // has new work to run; has drawn its chaos this drive.
             let mut out = vec![false; n];
@@ -928,10 +931,6 @@ impl<'p> ShardedServer<'p> {
             let mut drew = vec![false; n];
             let mut first = true;
             let mut round = Some(first_round);
-            let mut steps_total = 0u64;
-            // Whether work came in since the last barrier: a quantum
-            // round that only took work in has not stalled.
-            let mut fresh = false;
             // How many buffered retirements the hook had been shown at
             // its last call.
             let mut heard = 0;
@@ -941,12 +940,9 @@ impl<'p> ShardedServer<'p> {
                 ended.extend(report_rx.try_iter());
                 for (i, outcome) in ended.drain(..) {
                     out[i] = false;
-                    match Self::settle(&mut lock(&drive.slots[i]), outcome, ready) {
-                        Ok(steps) => steps_total += steps,
-                        Err(e) => {
-                            dead[i] = true;
-                            first_error.get_or_insert(e);
-                        }
+                    if let Err(e) = Self::settle(&mut lock(&drive.slots[i]), outcome, ready) {
+                        dead[i] = true;
+                        first_error.get_or_insert(e);
                     }
                 }
                 for (i, retired) in std::mem::take(&mut *lock(&drive.retired)) {
@@ -988,7 +984,6 @@ impl<'p> ShardedServer<'p> {
                         continue;
                     }
                     let fed = drive.tend(i, &mut lock(&drive.slots[i]).server);
-                    fresh |= fed;
                     wake[i] |= fed && !lockstep;
                 }
 
@@ -1008,7 +1003,7 @@ impl<'p> ShardedServer<'p> {
                     drew[i] = true;
                     let m = *mine.get_or_insert(i);
                     if m == i {
-                        my_leg = Some((0, drive.start(i, leg_round)));
+                        my_leg = Some(drive.start(i, leg_round));
                         continue;
                     }
                     let leg = legs[i].get_or_insert_with(|| spawn(i));
@@ -1029,15 +1024,10 @@ impl<'p> ShardedServer<'p> {
                 first = false;
 
                 // Run a quantum of the caller's own shard, or wait.
-                if let Some((steps, panic_at)) = my_leg.as_mut() {
+                if let Some(panic_at) = my_leg.as_mut() {
                     let m = mine.expect("the caller's leg has a shard");
-                    let ran = drive.quantum(m, &mut lock(&drive.slots[m]), panic_at);
-                    let done = match ran {
-                        Ok(ran) => {
-                            *steps += ran;
-                            let idle = ran < quantum && lock(&drive.inboxes[m]).is_empty();
-                            (lockstep || idle).then_some(Ok(*steps))
-                        }
+                    let done = match drive.quantum(m, &mut lock(&drive.slots[m]), panic_at) {
+                        Ok(ran) => drive.leg_ends(m, ran).then_some(Ok(())),
                         Err(e) => Some(Err(e)),
                     };
                     if let Some(outcome) = done {
@@ -1054,59 +1044,38 @@ impl<'p> ShardedServer<'p> {
                     continue;
                 }
 
-                // The barrier: nothing runs, so the whole fleet is the
-                // coordinator's until the next release.
-                let mut guards: Vec<_> = drive.slots.iter().map(lock).collect();
-                let mut shards: Vec<&mut Shard<'p>> =
-                    guards.iter_mut().map(|g| &mut ***g).collect();
-                let live: Vec<usize> = (0..n)
-                    .filter(|&i| !dead[i] && !shards[i].poisoned())
-                    .collect();
-                if !live.iter().any(|&i| shards[i].has_work()) {
-                    // Nothing left to run. A hook not yet shown every
-                    // retirement is shown the rest, and may bring more,
-                    // first.
-                    let unheard =
-                        ready.len() + failed.len() > heard || !lock(&drive.retired).is_empty();
-                    if first_error.is_none() && unheard {
+                // Nothing runs. Under default scheduling a leg ends only
+                // when its shard is idle, so the fleet is. Under
+                // PC-affinity this is the barrier between quantum rounds:
+                // while a live shard holds work, the quiesced fleet is
+                // the coordinator's to rebalance, then the next round
+                // draws its chaos and every live shard is released.
+                if let Some(cfg) = &affinity {
+                    let mut guards: Vec<_> = drive.slots.iter().map(lock).collect();
+                    let mut shards: Vec<&mut Shard<'p>> =
+                        guards.iter_mut().map(|g| &mut ***g).collect();
+                    let live: Vec<usize> = (0..n)
+                        .filter(|&i| !dead[i] && !shards[i].poisoned())
+                        .collect();
+                    if live.iter().any(|&i| shards[i].has_work()) {
+                        Self::rebalance(&mut shards, cap, cfg, &dead);
+                        round = Some(*next_fault_round);
+                        *next_fault_round += 1;
+                        for &i in &live {
+                            wake[i] = true;
+                        }
                         continue;
                     }
-                    break;
                 }
-                let moved = match &affinity {
-                    Some(cfg) => Self::rebalance(&mut shards, cap, cfg, &dead),
-                    None => 0,
-                };
-                // A leg under default scheduling ends only when its
-                // shard cannot run, and a quantum round stalls when
-                // nothing stepped and nothing moved: either way every
-                // live shard still holding work is deadline-blocked.
-                // Advance the fleet clock to the earliest pending
-                // deadline (mirroring the single-server fast-forward),
-                // or stop if no shard names one — the fleet is wedged,
-                // and the per-shard errors say why.
-                if !lockstep || (steps_total == 0 && moved == 0 && !fresh) {
-                    let next = live
-                        .iter()
-                        .filter_map(|&i| shards[i].server.next_deadline())
-                        .min();
-                    let Some(t) = next else {
-                        break;
-                    };
-                    *clock = (*clock).max(t);
-                    for s in shards.iter_mut() {
-                        s.server.set_clock(t);
-                    }
+                // Nothing left to run. A hook not yet shown every
+                // retirement is shown the rest, and may bring more,
+                // first.
+                let unheard =
+                    ready.len() + failed.len() > heard || !lock(&drive.retired).is_empty();
+                if first_error.is_none() && unheard {
+                    continue;
                 }
-                (steps_total, fresh) = (0, false);
-                if lockstep {
-                    // Only a quantum round draws chaos again.
-                    round = Some(*next_fault_round);
-                    *next_fault_round += 1;
-                }
-                for &i in &live {
-                    wake[i] = lockstep || shards[i].has_work();
-                }
+                break;
             }
         });
         // What was tended in the last round and never handed out.
@@ -1125,8 +1094,8 @@ impl<'p> ShardedServer<'p> {
 
     /// Book one finished leg on its shard: poison the shard if the leg
     /// failed, and move its completed responses into the fleet's ready
-    /// buffer. Returns the supersteps the leg ran, or the error that
-    /// takes the shard out of the drive.
+    /// buffer. Returns the error that takes the shard out of the drive,
+    /// if the leg failed.
     fn settle(
         shard: &mut Shard<'p>,
         outcome: LegOutcome,
@@ -1150,19 +1119,14 @@ impl<'p> ShardedServer<'p> {
 
     /// One rebalance pass between quantum rounds: straggler migrations
     /// first, then work stealing, both planned against one consistent
-    /// snapshot of the (quiesced) fleet. Returns how many lanes and
-    /// requests moved. A move between shards whose servers fixed
-    /// different input specs is skipped, and so is a migration whose
-    /// eviction or injection fails (the plan raced a retirement); a lane
-    /// that cannot be injected is put back on its donor, and one that
-    /// cannot be put back either poisons the donor, which then reports
-    /// the request lost — rebalancing never drops work silently.
-    fn rebalance(
-        shards: &mut [&mut Shard<'p>],
-        cap: usize,
-        cfg: &AffinityConfig,
-        dead: &[bool],
-    ) -> usize {
+    /// snapshot of the (quiesced) fleet. A move between shards whose
+    /// servers fixed different input specs is skipped, and so is a
+    /// migration whose eviction or injection fails (the plan raced a
+    /// retirement); a lane that cannot be injected is put back on its
+    /// donor, and one that cannot be put back either poisons the donor,
+    /// which then reports the request lost — rebalancing never drops
+    /// work silently.
+    fn rebalance(shards: &mut [&mut Shard<'p>], cap: usize, cfg: &AffinityConfig, dead: &[bool]) {
         let views: Vec<ShardView> = shards
             .iter()
             .enumerate()
@@ -1179,7 +1143,6 @@ impl<'p> ShardedServer<'p> {
                 steps: s.server.supersteps(),
             })
             .collect();
-        let mut moved = 0;
         // Straggler/consolidation migrations first, then queue steals,
         // then batch splits for shards still idle (the splits planner
         // no-ops whenever any queue is non-empty, so a thief never gets
@@ -1196,10 +1159,7 @@ impl<'p> ShardedServer<'p> {
             };
             for migrant in migrants {
                 match recipient.server.admit_migrant(migrant) {
-                    Ok(()) => {
-                        moved += 1;
-                        recipient.migrated_in += 1;
-                    }
+                    Ok(()) => recipient.migrated_in += 1,
                     Err(bounce) => {
                         // Hand the lane back to its donor; the donor
                         // held it a moment ago, so re-injection cannot
@@ -1222,11 +1182,9 @@ impl<'p> ShardedServer<'p> {
                 continue;
             }
             let batch = donor.server.steal_queued(s.n);
-            moved += batch.len();
             thief.steals += batch.len() as u64;
             thief.server.enqueue_stolen(batch);
         }
-        moved
     }
 
     /// Borrow two distinct shards mutably at once.
@@ -1246,9 +1204,9 @@ impl<'p> ShardedServer<'p> {
     }
 }
 
-/// How a leg ended for one shard: the supersteps it ran, or the error
-/// that takes the shard out of the drive.
-type LegOutcome = Result<u64>;
+/// How a leg ended for one shard: the error that takes the shard out of
+/// the drive, if one did.
+type LegOutcome = Result<()>;
 
 /// Lock a drive mutex, poisoned or not: every value these guard stays
 /// valid at every step. (A *shard* left half-mutated by a panic is
@@ -1298,8 +1256,7 @@ impl Retired {
 
 /// What the coordinator and the workers of one drive share. A *leg* is
 /// what a shard runs between two releases: under default scheduling,
-/// quanta until it is idle or deadline-blocked; under PC-affinity, one
-/// quantum.
+/// quanta until it is idle; under PC-affinity, one quantum.
 struct Drive<'a, 'p> {
     /// Every shard of the fleet. A worker holds its shard's lock for
     /// the length of a leg, the caller its own for one quantum; the
@@ -1314,7 +1271,7 @@ struct Drive<'a, 'p> {
     /// Supersteps per [`BatchServer::run_for`] call.
     quantum: u64,
     /// Whether a leg is a single quantum (PC-affinity) or runs until
-    /// the shard cannot (default scheduling).
+    /// the shard is idle (default scheduling).
     one_quantum_legs: bool,
     fault: FaultPlan,
 }
@@ -1386,7 +1343,7 @@ impl<'p> Drive<'_, 'p> {
 
     /// One quantum on shard `i`: take its inbox, run up to `quantum`
     /// supersteps, hand over what retired. Returns the supersteps run.
-    fn quantum(&self, i: usize, shard: &mut Shard<'p>, panic_at: &mut Option<u64>) -> LegOutcome {
+    fn quantum(&self, i: usize, shard: &mut Shard<'p>, panic_at: &mut Option<u64>) -> Result<u64> {
         self.tend(i, &mut shard.server);
         let ran = catch_unwind(AssertUnwindSafe(|| {
             if let Some(c) = panic_at.take() {
@@ -1410,17 +1367,21 @@ impl<'p> Drive<'_, 'p> {
         ran
     }
 
-    /// Run one leg on shard `i`: quanta until the shard cannot run and
-    /// its inbox is empty (one quantum under PC-affinity).
+    /// Whether a leg on shard `i` ends after a quantum that ran `ran`
+    /// supersteps: under PC-affinity after every quantum, otherwise once
+    /// the shard is idle and its inbox empty.
+    fn leg_ends(&self, i: usize, ran: u64) -> bool {
+        self.one_quantum_legs || (ran < self.quantum && lock(&self.inboxes[i]).is_empty())
+    }
+
+    /// Run one leg on shard `i`: quanta until [`Drive::leg_ends`].
     fn leg(&self, i: usize, fault_round: Option<u64>) -> LegOutcome {
         let mut panic_at = self.start(i, fault_round);
         let mut slot = lock(&self.slots[i]);
-        let mut steps = 0u64;
         loop {
             let ran = self.quantum(i, &mut slot, &mut panic_at)?;
-            steps += ran;
-            if self.one_quantum_legs || (ran < self.quantum && lock(&self.inboxes[i]).is_empty()) {
-                return Ok(steps);
+            if self.leg_ends(i, ran) {
+                return Ok(());
             }
         }
     }

@@ -37,7 +37,6 @@ use std::collections::{HashMap, VecDeque};
 
 use autobatch_core::VmError;
 
-use crate::shard::ShardHealth;
 use crate::{Bell, Intake, Request, Response, Result, ServeError, ShardedServer};
 
 /// Backoff slope, in fleet rounds per accumulated attempt: a request on
@@ -551,11 +550,6 @@ impl<'p> Supervisor<'p> {
         &self.inner
     }
 
-    /// Advance the fleet's virtual clock. See [`ShardedServer::set_clock`].
-    pub fn set_clock(&mut self, now: u64) {
-        self.inner.set_clock(now);
-    }
-
     /// Set the per-request resource ceilings every shard enforces. See
     /// [`ShardedServer::set_budget`].
     pub fn set_budget(&mut self, budget: crate::RequestBudget) {
@@ -586,11 +580,6 @@ impl<'p> Supervisor<'p> {
     /// requeues of stranded/lost work).
     pub fn retries(&self) -> u64 {
         self.books.retries
-    }
-
-    /// Per-shard health: respawn count, last recorded error, liveness.
-    pub fn health(&self) -> Vec<ShardHealth> {
-        self.inner.health()
     }
 
     /// Requests tracked but not yet resolved to a terminal outcome.

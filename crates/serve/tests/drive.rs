@@ -7,6 +7,8 @@
 //! through its hook while it runs, cancels mixed in, must answer every
 //! request exactly once with what that one server computes; a payload
 //! its shard refuses is one of those answers, not the end of the drive.
+//! A shard whose deadline holds a partial batch starts it on its own
+//! clock, never after its siblings are through.
 
 use autobatch_accel::Backend;
 use autobatch_core::{lower, ExecOptions, KernelRegistry, LoweringOptions};
@@ -233,6 +235,40 @@ proptest! {
             }
         }
     }
+}
+
+#[test]
+fn a_deadline_held_shard_does_not_wait_for_its_siblings() {
+    // Least-loaded routing gives shard 0 fib(22) twice, a full batch,
+    // and shard 1 the lone fib(3), which its deadline holds back. Shard
+    // 1 moves its own clock to the deadline and answers fib(3) long
+    // before shard 0 is through: it is not held until the fleet is idle.
+    let (program, _) = lower(&fibonacci_program(), LoweringOptions::default()).expect("lower");
+    let policy = AdmissionPolicy::Deadline {
+        max_batch: 2,
+        max_wait: 40,
+    };
+    let mut server = ShardedServer::new(
+        &program,
+        KernelRegistry::new(),
+        ExecOptions::default(),
+        policy,
+        2,
+        Backend::hybrid_cpu(),
+    )
+    .expect("fleet");
+    for (id, n) in [22, 3, 22].into_iter().enumerate() {
+        server.submit(request(id, n)).expect("submit");
+    }
+    let mut answered = Vec::new();
+    server
+        .drive(None, &mut |retired| {
+            answered.extend(retired.iter().map(Outcome::id));
+            Intake::default()
+        })
+        .expect("serve");
+    assert_eq!(answered.len(), 3, "{answered:?}");
+    assert_ne!(answered.last(), Some(&1), "fib(3) was answered last");
 }
 
 #[test]
