@@ -46,11 +46,9 @@ enum Op {
     Mul(NodeId, NodeId),
     Neg(NodeId),
     Scale(NodeId, f64),
-    AddConst(NodeId),
     Dot(NodeId, NodeId),
     Sum(NodeId),
     MatVec(usize, NodeId),
-    MatTVec(usize, NodeId),
     Exp(NodeId),
     Ln(NodeId),
     Sigmoid(NodeId),
@@ -92,7 +90,7 @@ impl Tape {
         self.push(Op::Input, value)
     }
 
-    /// Register a constant matrix for [`Tape::matvec`]/[`Tape::matvec_t`].
+    /// Register a constant matrix for [`Tape::matvec`].
     pub fn constant_matrix(&mut self, m: Tensor) -> usize {
         self.consts.push(m);
         self.consts.len() - 1
@@ -148,16 +146,6 @@ impl Tape {
         Ok(self.push(Op::Scale(a, c), v))
     }
 
-    /// `a + c` for a scalar constant `c`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates dtype errors.
-    pub fn add_const(&mut self, a: NodeId, c: f64) -> Result<NodeId> {
-        let v = self.value(a).add(&Tensor::scalar(c))?;
-        Ok(self.push(Op::AddConst(a), v))
-    }
-
     /// Dot product over the whole vector: `[d] × [d] → []`.
     ///
     /// # Errors
@@ -186,16 +174,6 @@ impl Tape {
     pub fn matvec(&mut self, m: usize, a: NodeId) -> Result<NodeId> {
         let v = self.consts[m].matvec(self.value(a))?;
         Ok(self.push(Op::MatVec(m, a), v))
-    }
-
-    /// `Mᵀ · a` for a registered constant matrix.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape mismatches.
-    pub fn matvec_t(&mut self, m: usize, a: NodeId) -> Result<NodeId> {
-        let v = self.consts[m].transpose()?.matvec(self.value(a))?;
-        Ok(self.push(Op::MatTVec(m, a), v))
     }
 
     /// Elementwise exponential.
@@ -286,7 +264,6 @@ impl Tape {
                 Op::Scale(a, c) => {
                     accumulate(&mut adj, *a, g.mul(&Tensor::scalar(*c))?)?;
                 }
-                Op::AddConst(a) => accumulate(&mut adj, *a, g)?,
                 Op::Dot(a, b) => {
                     let ga = self.value(*b).mul(&g)?;
                     let gb = self.value(*a).mul(&g)?;
@@ -299,10 +276,6 @@ impl Tape {
                 }
                 Op::MatVec(m, a) => {
                     let ga = self.consts[*m].transpose()?.matvec(&g)?;
-                    accumulate(&mut adj, *a, ga)?;
-                }
-                Op::MatTVec(m, a) => {
-                    let ga = self.consts[*m].matvec(&g)?;
                     accumulate(&mut adj, *a, ga)?;
                 }
                 Op::Exp(a) => {
@@ -503,7 +476,8 @@ mod tests {
         let x0 = vec3();
         let mut t = Tape::new();
         let x = t.input(x0.clone());
-        let p = t.add_const(x, 1.0).unwrap();
+        let one = t.input(Tensor::scalar(1.0));
+        let p = t.add(x, one).unwrap();
         let sq = t.square(p).unwrap();
         let y = t.sum(sq).unwrap();
         let g = t.backward(y).unwrap();

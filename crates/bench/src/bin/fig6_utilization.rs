@@ -30,8 +30,7 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(10);
 
-    // The paper's §4.2 target: 100-dimensional correlated Gaussian.
-    let model = Arc::new(CorrelatedGaussian::new(100, 0.9));
+    let model = Arc::new(CorrelatedGaussian::paper());
     let cfg = NutsConfig {
         step_size: 0.12,
         n_trajectories: n_traj,

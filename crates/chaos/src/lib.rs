@@ -166,17 +166,6 @@ impl FaultPlan {
         }
     }
 
-    /// True if any site has a nonzero rate.
-    pub fn is_active(&self) -> bool {
-        self.exec_error != 0
-            || self.admit_error != 0
-            || self.worker_panic != 0
-            || self.worker_slow != 0
-            || self.wire_corrupt != 0
-            || self.wire_truncate != 0
-            || self.runaway != 0
-    }
-
     /// The same plan on a different stream epoch.
     pub fn with_epoch(self, epoch: u64) -> Self {
         FaultPlan { epoch, ..self }
@@ -270,7 +259,7 @@ mod tests {
     #[test]
     fn default_plan_never_fires() {
         let plan = FaultPlan::default();
-        assert!(!plan.is_active());
+        assert_eq!(plan, FaultPlan::none());
         for p in POINTS {
             for c in 0..1000 {
                 assert!(!plan.fires(p, c));

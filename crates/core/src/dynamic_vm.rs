@@ -526,7 +526,10 @@ mod tests {
         });
         let p = pb.finish(f).unwrap();
         let inputs = vec![Tensor::from_i64(&[0, 0, 0], &[3]).unwrap()];
-        let o = ExecOptions::with_seed(42);
+        let o = ExecOptions {
+            seed: 42,
+            ..ExecOptions::default()
+        };
         let dynamic = DynamicVm::new(&p, KernelRegistry::new(), o)
             .run(&inputs, None)
             .unwrap();

@@ -79,11 +79,6 @@ impl KernelRegistry {
                 name: name.to_string(),
             })
     }
-
-    /// Names of all registered kernels.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.kernels.keys().map(String::as_str)
-    }
 }
 
 /// Pad the lower-rank operand with singleton element dimensions so that

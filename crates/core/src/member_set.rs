@@ -131,16 +131,6 @@ pub struct LaneState {
 }
 
 impl LaneState {
-    /// The block index the lane is about to execute.
-    pub fn pc(&self) -> usize {
-        self.pc_top
-    }
-
-    /// The RNG member key the lane draws under.
-    pub fn key(&self) -> u64 {
-        self.key
-    }
-
     /// Supersteps charged to the lane so far.
     pub fn spent(&self) -> u64 {
         self.spent

@@ -189,16 +189,6 @@ impl Default for ExecOptions {
     }
 }
 
-impl ExecOptions {
-    /// Options with a specific RNG seed.
-    pub fn with_seed(seed: u64) -> ExecOptions {
-        ExecOptions {
-            seed,
-            ..ExecOptions::default()
-        }
-    }
-}
-
 /// Options of the `lsab → pcab` lowering (paper §3 optimizations 1–3, 5;
 /// optimization 4 is a runtime knob, [`ExecOptions::cache_stack_tops`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -254,7 +244,6 @@ mod tests {
         assert_eq!(o.strategy, ExecStrategy::Adaptive);
         assert_eq!(o.heuristic, BlockHeuristic::EarliestBlock);
         assert!(o.cache_stack_tops);
-        assert_eq!(ExecOptions::with_seed(7).seed, 7);
     }
 
     /// The decision, on the costs the benchmark's blocks really have.

@@ -1882,7 +1882,6 @@ mod tests {
         let lanes = src.extract_lanes(&[mover], None).unwrap();
         assert_eq!(lanes.len(), 1);
         assert_eq!(lanes[0].0, mover);
-        assert_eq!(lanes[0].1.key(), 7);
         assert_eq!(src.live(), 1, "extraction compacts the lane out");
 
         let mut dst = PcMachine::new(&pc, KernelRegistry::new(), opts);

@@ -50,7 +50,7 @@ mod summary;
 
 pub use chains::{pooled_quantile, split_in_half, validate};
 pub use ess::{autocovariance, bulk_ess, ess, tail_ess};
-pub use normal::{inverse_normal_cdf, normal_cdf, rank_normalize};
+pub use normal::{inverse_normal_cdf, rank_normalize};
 pub use rhat::{rank_normalized_rhat, split_rhat};
 pub use summary::{summarize, ParameterSummary};
 

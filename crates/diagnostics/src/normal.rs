@@ -1,25 +1,5 @@
-//! Standard-normal CDF, its inverse, and rank normalization — the
+//! The inverse standard-normal CDF and rank normalization — the
 //! numerical underpinnings of the rank-normalized diagnostics.
-
-/// The standard normal cumulative distribution function `Φ(x)`.
-///
-/// Uses the Abramowitz & Stegun 7.1.26 rational approximation of `erf`
-/// (absolute error < 1.5 × 10⁻⁷), which is ample for rank statistics.
-pub fn normal_cdf(x: f64) -> f64 {
-    let t = x / std::f64::consts::SQRT_2;
-    0.5 * (1.0 + erf(t))
-}
-
-fn erf(x: f64) -> f64 {
-    let sign = if x < 0.0 { -1.0 } else { 1.0 };
-    let x = x.abs();
-    let t = 1.0 / (1.0 + 0.327_591_1 * x);
-    let poly = t
-        * (0.254_829_592
-            + t * (-0.284_496_736
-                + t * (1.421_413_741 + t * (-1.453_152_027 + t * 1.061_405_429))));
-    sign * (1.0 - poly * (-x * x).exp())
-}
 
 /// The inverse standard normal CDF `Φ⁻¹(p)` (Acklam's rational
 /// approximation, relative error < 1.15 × 10⁻⁹).
@@ -123,6 +103,27 @@ pub fn rank_normalize<C: AsRef<[f64]>>(chains: &[C]) -> Vec<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The standard normal cumulative distribution function `Φ(x)`,
+    /// which the round-trip test inverts.
+    ///
+    /// Uses the Abramowitz & Stegun 7.1.26 rational approximation of `erf`
+    /// (absolute error < 1.5 × 10⁻⁷), which is ample for rank statistics.
+    fn normal_cdf(x: f64) -> f64 {
+        let t = x / std::f64::consts::SQRT_2;
+        0.5 * (1.0 + erf(t))
+    }
+
+    fn erf(x: f64) -> f64 {
+        let sign = if x < 0.0 { -1.0 } else { 1.0 };
+        let x = x.abs();
+        let t = 1.0 / (1.0 + 0.327_591_1 * x);
+        let poly = t
+            * (0.254_829_592
+                + t * (-0.284_496_736
+                    + t * (1.421_413_741 + t * (-1.453_152_027 + t * 1.061_405_429))));
+        sign * (1.0 - poly * (-x * x).exp())
+    }
 
     #[test]
     fn inverse_matches_known_quantiles() {

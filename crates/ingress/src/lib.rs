@@ -62,9 +62,9 @@
 //!   takes new work instead of parking until its sibling is done too.
 //! - **Each decision is made once.** *Waiting:* only the engine holds a
 //!   request back for company, and only while the fleet is idle. The
-//!   [`ShardedServer`] under it runs [`AdmissionPolicy::JoinAtEntry`]
-//!   with the utilization test off, so whatever reaches a shard joins
-//!   at the entry block as soon as a lane is free. *Arrivals:* one
+//!   [`ShardedServer`] under it runs [`AdmissionPolicy::JoinAtEntry`],
+//!   so whatever reaches a shard joins at the entry block as soon as a
+//!   lane is free. *Arrivals:* one
 //!   handler takes a request, a cancel or a disconnect whether the
 //!   fleet is idle or running (the drive's hook calls it), and resolves
 //!   the latter two against the fleet and the buffer alike. *Verdicts:*
@@ -1016,7 +1016,6 @@ impl<'p> Engine<'p> {
         // that could already be running.
         let policy = AdmissionPolicy::JoinAtEntry {
             max_batch: config.max_batch,
-            min_utilization: 1.0,
         };
         let fleet = ShardedServer::new(
             program,

@@ -73,11 +73,6 @@ impl AbsDType {
             AbsDType::Any
         }
     }
-
-    /// True when this dtype is a concrete point (not `Any`).
-    pub fn is_concrete(self) -> bool {
-        self != AbsDType::Any
-    }
 }
 
 impl fmt::Display for AbsDType {
@@ -675,14 +670,6 @@ impl DepthBound {
             _ => DepthBound::Unbounded,
         }
     }
-
-    /// Add a known increment (saturating on `Unbounded`).
-    pub fn plus(self, n: usize) -> DepthBound {
-        match self {
-            DepthBound::Bounded(a) => DepthBound::Bounded(a + n),
-            DepthBound::Unbounded => DepthBound::Unbounded,
-        }
-    }
 }
 
 impl fmt::Display for DepthBound {
@@ -805,7 +792,7 @@ mod tests {
         assert!(!DepthBound::Bounded(4).fits(3));
         assert!(!DepthBound::Unbounded.fits(usize::MAX));
         assert_eq!(
-            DepthBound::Bounded(2).plus(1).max(DepthBound::Bounded(1)),
+            DepthBound::Bounded(3).max(DepthBound::Bounded(1)),
             DepthBound::Bounded(3)
         );
     }

@@ -63,11 +63,6 @@ impl CallGraph {
         self.in_cycle[func.0]
     }
 
-    /// SCC index of a function.
-    pub fn scc_of(&self, func: FuncId) -> usize {
-        self.scc_of[func.0]
-    }
-
     /// Direct callees of a function.
     pub fn callees(&self, func: FuncId) -> impl Iterator<Item = FuncId> + '_ {
         self.edges[func.0].iter().map(|&c| FuncId(c))
@@ -195,7 +190,7 @@ mod tests {
         assert!(!cg.is_recursive_call(FuncId(1), FuncId(0)));
         assert!(!cg.is_recursive_func(FuncId(0)));
         assert!(!cg.is_recursive_func(FuncId(1)));
-        assert_ne!(cg.scc_of(FuncId(0)), cg.scc_of(FuncId(1)));
+        assert_ne!(cg.scc_of[0], cg.scc_of[1]);
         assert_eq!(cg.callees(FuncId(1)).collect::<Vec<_>>(), vec![FuncId(0)]);
     }
 
@@ -227,7 +222,7 @@ mod tests {
         }
         let p = pb.finish(even).unwrap();
         let cg = CallGraph::new(&p);
-        assert_eq!(cg.scc_of(FuncId(0)), cg.scc_of(FuncId(1)));
+        assert_eq!(cg.scc_of[0], cg.scc_of[1]);
         assert!(cg.is_recursive_call(FuncId(0), FuncId(1)));
         assert!(cg.is_recursive_call(FuncId(1), FuncId(0)));
     }

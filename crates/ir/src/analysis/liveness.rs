@@ -21,9 +21,6 @@ use crate::var::Var;
 pub struct Liveness {
     /// `live_in[b]`: variables live at entry of block `b`.
     live_in: Vec<BTreeSet<Var>>,
-    /// `live_out[b]`: variables live at exit of block `b` (before the
-    /// terminator's own reads are added back in).
-    live_out: Vec<BTreeSet<Var>>,
     /// `live_after[b][i]`: variables live immediately after op `i` of
     /// block `b`, precomputed so call-site save-set queries are O(1)
     /// borrows instead of a backward re-walk per query.
@@ -104,19 +101,8 @@ impl Liveness {
         }
         Liveness {
             live_in,
-            live_out,
             live_after,
         }
-    }
-
-    /// Variables live at entry of block `b`.
-    pub fn live_in(&self, b: usize) -> &BTreeSet<Var> {
-        &self.live_in[b]
-    }
-
-    /// Variables live at exit of block `b` (successors' needs only).
-    pub fn live_out(&self, b: usize) -> &BTreeSet<Var> {
-        &self.live_out[b]
     }
 
     /// Variables live immediately *after* op `op_index` of block `b`
@@ -178,7 +164,13 @@ mod tests {
     fn precomputed_live_after_matches_rewalk() {
         fn rewalk(lv: &Liveness, f: &Function, b: usize, op_index: usize) -> BTreeSet<Var> {
             let block = &f.blocks[b];
-            let mut cur = lv.live_out(b).clone();
+            // Live out: the union of the successors' live-in sets.
+            let mut cur: BTreeSet<Var> = block
+                .term
+                .successors()
+                .into_iter()
+                .flat_map(|s| lv.live_in[s.0].iter().cloned())
+                .collect();
             match &block.term {
                 Terminator::Branch { cond, .. } => {
                     cur.insert(cond.clone());
@@ -229,8 +221,8 @@ mod tests {
         let p = pb.finish(f).unwrap();
         let lv = Liveness::new(&p.funcs[0]);
         // x is live at entry (read by the op); y is not (written first).
-        assert!(lv.live_in(0).contains(&Var::new("x")));
-        assert!(!lv.live_in(0).contains(&Var::new("y")));
+        assert!(lv.live_in[0].contains(&Var::new("x")));
+        assert!(!lv.live_in[0].contains(&Var::new("y")));
     }
 
     #[test]
@@ -254,8 +246,8 @@ mod tests {
         let i = Var::new("i");
         let n = Var::new("n");
         // Header block (index 1) must see both i and n live at entry.
-        assert!(lv.live_in(1).contains(&i));
-        assert!(lv.live_in(1).contains(&n));
+        assert!(lv.live_in[1].contains(&i));
+        assert!(lv.live_in[1].contains(&n));
         assert!(lv.cross_block_vars().contains(&i));
     }
 

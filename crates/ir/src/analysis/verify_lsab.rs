@@ -55,13 +55,6 @@ pub struct Signature {
     pub outputs: Vec<AbsValue>,
 }
 
-impl Signature {
-    /// True when output `i` has a fully-concrete dtype and shape.
-    pub fn output_concrete(&self, i: usize) -> bool {
-        self.outputs[i].dtype.is_concrete() && self.outputs[i].shape.as_elem().is_some()
-    }
-}
-
 /// The result of program-level verification of an lsab program.
 #[derive(Debug, Clone)]
 pub struct LsabReport {

@@ -77,12 +77,6 @@ impl ProgramBuilder {
         self.funcs[id.0] = Some(fb.into_function());
     }
 
-    /// Signature of a declared function: `(params, outputs)` counts.
-    pub fn signature(&self, id: FuncId) -> (usize, usize) {
-        let (_, p, o) = &self.sigs[id.0];
-        (p.len(), o.len())
-    }
-
     /// Assemble and validate the program.
     ///
     /// # Errors

@@ -151,26 +151,6 @@ impl Program {
             .collect()
     }
 
-    /// Total op count across blocks (for compile statistics).
-    pub fn op_count(&self) -> usize {
-        self.blocks.iter().map(|b| b.ops.len()).sum()
-    }
-
-    /// Count of stack-touching operations: pushes plus pops. The
-    /// lowering-ablation bench uses this to quantify optimization 5.
-    pub fn stack_op_count(&self) -> usize {
-        self.blocks
-            .iter()
-            .flat_map(|b| &b.ops)
-            .map(|op| match op {
-                Op::Pop { .. } => 1,
-                Op::Compute { outs, .. } => {
-                    outs.iter().filter(|(_, k)| *k == WriteKind::Push).count()
-                }
-            })
-            .sum()
-    }
-
     /// Validate structural well-formedness:
     ///
     /// - entry and all block targets are in range;
@@ -397,30 +377,5 @@ mod tests {
             resume: BlockId(0),
         };
         assert!(matches!(p.validate(), Err(IrError::BadBlock { .. })));
-    }
-
-    #[test]
-    fn stack_op_count_counts_push_and_pop() {
-        let mut classes = BTreeMap::new();
-        classes.insert(v("s"), VarClass::Stacked);
-        let p = Program {
-            blocks: vec![Block {
-                ops: vec![
-                    Op::Compute {
-                        outs: vec![(v("s"), WriteKind::Push)],
-                        prim: Prim::ConstF64(0.0),
-                        ins: vec![],
-                    },
-                    Op::Pop { var: v("s") },
-                ],
-                term: Terminator::Return,
-            }],
-            entry: BlockId(0),
-            inputs: vec![v("s")],
-            outputs: vec![v("s")],
-            classes,
-        };
-        assert_eq!(p.stack_op_count(), 2);
-        assert_eq!(p.op_count(), 2);
     }
 }

@@ -1,4 +1,4 @@
-//! Human-readable listings and Graphviz DOT export for both IRs.
+//! Human-readable listings for both IRs.
 
 use std::fmt::Write as _;
 
@@ -107,95 +107,6 @@ pub fn pcab_listing(p: &pcab::Program) -> String {
     s
 }
 
-/// Render an [`lsab::Program`]'s control-flow graphs as Graphviz DOT.
-pub fn lsab_dot(p: &lsab::Program) -> String {
-    let mut s = String::from("digraph lsab {\n  node [shape=box fontname=monospace];\n");
-    for (fi, f) in p.funcs.iter().enumerate() {
-        let _ = writeln!(s, "  subgraph cluster_{fi} {{ label=\"{}\";", f.name);
-        for (bi, b) in f.blocks.iter().enumerate() {
-            let mut label = format!("{}:b{bi}\\n", f.name);
-            for op in &b.ops {
-                match op {
-                    lsab::Op::Prim { outs, prim, ins } => {
-                        let _ = write!(label, "{} = {prim}({})\\l", join(outs), join(ins));
-                    }
-                    lsab::Op::Call { outs, callee, ins } => {
-                        let _ = write!(
-                            label,
-                            "{} = call {}({})\\l",
-                            join(outs),
-                            p.funcs[callee.0].name,
-                            join(ins)
-                        );
-                    }
-                }
-            }
-            let _ = writeln!(s, "    n{fi}_{bi} [label=\"{label}\"];");
-        }
-        for (bi, b) in f.blocks.iter().enumerate() {
-            match &b.term {
-                lsab::Terminator::Jump(t) => {
-                    let _ = writeln!(s, "    n{fi}_{bi} -> n{fi}_{};", t.0);
-                }
-                lsab::Terminator::Branch { then_, else_, .. } => {
-                    let _ = writeln!(s, "    n{fi}_{bi} -> n{fi}_{} [label=T];", then_.0);
-                    let _ = writeln!(s, "    n{fi}_{bi} -> n{fi}_{} [label=F];", else_.0);
-                }
-                lsab::Terminator::Return => {}
-            }
-        }
-        let _ = writeln!(s, "  }}");
-    }
-    s.push_str("}\n");
-    s
-}
-
-/// Render a [`pcab::Program`]'s merged control-flow graph as Graphviz
-/// DOT. `PushJump` edges show the call edge solid and the resume edge
-/// dashed, which makes the materialized call structure visible.
-pub fn pcab_dot(p: &pcab::Program) -> String {
-    let mut s = String::from("digraph pcab {\n  node [shape=box fontname=monospace];\n");
-    for (bi, b) in p.blocks.iter().enumerate() {
-        let mut label = format!("b{bi}\\n");
-        for op in &b.ops {
-            match op {
-                pcab::Op::Compute { outs, prim, ins } => {
-                    let outs_s: Vec<String> = outs
-                        .iter()
-                        .map(|(v, k)| match k {
-                            pcab::WriteKind::Push => format!("push {v}"),
-                            pcab::WriteKind::Update => v.to_string(),
-                        })
-                        .collect();
-                    let _ = write!(label, "{} = {prim}({})\\l", outs_s.join(", "), join(ins));
-                }
-                pcab::Op::Pop { var } => {
-                    let _ = write!(label, "pop {var}\\l");
-                }
-            }
-        }
-        let _ = writeln!(s, "  n{bi} [label=\"{label}\"];");
-    }
-    for (bi, b) in p.blocks.iter().enumerate() {
-        match &b.term {
-            pcab::Terminator::Jump(t) => {
-                let _ = writeln!(s, "  n{bi} -> n{};", t.0);
-            }
-            pcab::Terminator::Branch { then_, else_, .. } => {
-                let _ = writeln!(s, "  n{bi} -> n{} [label=T];", then_.0);
-                let _ = writeln!(s, "  n{bi} -> n{} [label=F];", else_.0);
-            }
-            pcab::Terminator::PushJump { enter, resume } => {
-                let _ = writeln!(s, "  n{bi} -> n{} [label=call];", enter.0);
-                let _ = writeln!(s, "  n{bi} -> n{} [style=dashed label=resume];", resume.0);
-            }
-            pcab::Terminator::Return => {}
-        }
-    }
-    s.push_str("}\n");
-    s
-}
-
 fn join(vars: &[crate::var::Var]) -> String {
     vars.iter()
         .map(|v| v.to_string())
@@ -216,53 +127,5 @@ mod tests {
         assert!(s.contains("call fibonacci"));
         assert!(s.contains("branch"));
         assert!(s.contains("return"));
-    }
-
-    #[test]
-    fn dot_is_structurally_plausible() {
-        let p = fibonacci_program();
-        let d = lsab_dot(&p);
-        assert!(d.starts_with("digraph"));
-        assert!(d.contains("cluster_0"));
-        assert!(d.trim_end().ends_with('}'));
-    }
-
-    #[test]
-    fn pcab_dot_shows_call_edges() {
-        use crate::pcab;
-        use crate::var::BlockId;
-        use std::collections::BTreeMap;
-        let mut classes = BTreeMap::new();
-        classes.insert(crate::var::Var::new("x"), pcab::VarClass::Stacked);
-        let p = pcab::Program {
-            blocks: vec![
-                pcab::Block {
-                    ops: vec![pcab::Op::Compute {
-                        outs: vec![(crate::var::Var::new("x"), pcab::WriteKind::Push)],
-                        prim: crate::prim::Prim::ConstF64(1.0),
-                        ins: vec![],
-                    }],
-                    term: pcab::Terminator::PushJump {
-                        enter: BlockId(1),
-                        resume: BlockId(1),
-                    },
-                },
-                pcab::Block {
-                    ops: vec![pcab::Op::Pop {
-                        var: crate::var::Var::new("x"),
-                    }],
-                    term: pcab::Terminator::Return,
-                },
-            ],
-            entry: BlockId(0),
-            inputs: vec![crate::var::Var::new("x")],
-            outputs: vec![crate::var::Var::new("x")],
-            classes,
-        };
-        let d = pcab_dot(&p);
-        assert!(d.contains("label=call"));
-        assert!(d.contains("label=resume"));
-        assert!(d.contains("push x"));
-        assert!(d.contains("pop x"));
     }
 }

@@ -13,7 +13,6 @@ use crate::Model;
 #[derive(Debug, Clone)]
 pub struct CorrelatedGaussian {
     dim: usize,
-    rho: f64,
     /// Precision-matrix coefficients: interior diagonal, endpoint
     /// diagonal, off-diagonal.
     diag_mid: f64,
@@ -33,7 +32,6 @@ impl CorrelatedGaussian {
         let s = 1.0 / (1.0 - rho * rho);
         CorrelatedGaussian {
             dim,
-            rho,
             diag_mid: (1.0 + rho * rho) * s,
             diag_end: s,
             off: -rho * s,
@@ -43,11 +41,6 @@ impl CorrelatedGaussian {
     /// The paper's §4.2 configuration: 100 dimensions, strong correlation.
     pub fn paper() -> CorrelatedGaussian {
         CorrelatedGaussian::new(100, 0.9)
-    }
-
-    /// The correlation parameter.
-    pub fn rho(&self) -> f64 {
-        self.rho
     }
 
     /// Precision–vector product `P·q` per batch member, `O(d)`.

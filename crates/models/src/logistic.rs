@@ -69,11 +69,6 @@ impl LogisticRegression {
         }
     }
 
-    /// The paper's §4.1 configuration: 10,000 points, 100 regressors.
-    pub fn paper(seed: u64) -> LogisticRegression {
-        LogisticRegression::synthetic(10_000, 100, seed)
-    }
-
     /// Number of data points.
     pub fn n_data(&self) -> usize {
         self.n

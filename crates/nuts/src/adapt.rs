@@ -90,12 +90,6 @@ impl DualAveraging {
         self.log_eps.exp()
     }
 
-    /// The step size a next trajectory should use (the non-averaged
-    /// iterate; equals `eps0` before any update).
-    pub fn current_step_size(&self) -> f64 {
-        self.log_eps.exp()
-    }
-
     /// The averaged step size to freeze for the sampling phase.
     pub fn adapted_step_size(&self) -> f64 {
         if self.m == 0 {
@@ -103,16 +97,6 @@ impl DualAveraging {
         } else {
             self.log_eps_bar.exp()
         }
-    }
-
-    /// Number of updates incorporated so far.
-    pub fn iterations(&self) -> u64 {
-        self.m
-    }
-
-    /// The target acceptance statistic `δ`.
-    pub fn target_accept(&self) -> f64 {
-        self.delta
     }
 }
 
@@ -325,12 +309,12 @@ mod tests {
     #[test]
     fn accessors_report_state() {
         let mut da = DualAveraging::new(0.25, 0.7);
-        assert_eq!(da.iterations(), 0);
-        assert!((da.current_step_size() - 0.25).abs() < 1e-12);
+        assert_eq!(da.m, 0);
+        assert!((da.log_eps.exp() - 0.25).abs() < 1e-12);
         assert!((da.adapted_step_size() - 0.25).abs() < 1e-12);
-        assert_eq!(da.target_accept(), 0.7);
+        assert_eq!(da.delta, 0.7);
         da.update(0.9);
-        assert_eq!(da.iterations(), 1);
+        assert_eq!(da.m, 1);
     }
 
     #[test]

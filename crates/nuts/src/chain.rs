@@ -81,11 +81,6 @@ impl ChainState {
         Ok(self.q.reshape(&[d])?)
     }
 
-    /// The batch-member id of this chain.
-    pub fn member(&self) -> u64 {
-        self.member
-    }
-
     /// The next RNG counter (how many draws the chain has consumed).
     pub fn counter(&self) -> i64 {
         self.counter

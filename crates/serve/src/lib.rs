@@ -10,9 +10,7 @@
 //! The three policies contrast the classic serving trade-offs:
 //!
 //! - [`AdmissionPolicy::JoinAtEntry`] — pending requests join the live
-//!   batch at the program entry block whenever a lane is free *and*
-//!   utilization has dropped below a threshold (thresholds `>= 1.0`
-//!   disable the utilization test, so a free lane alone admits).
+//!   batch at the program entry block whenever a lane is free.
 //!   Stragglers no longer serialize the queue: fresh requests ride
 //!   along in the same supersteps, and the paper's pc batching lets
 //!   them share block launches with members deep in recursion.
@@ -65,7 +63,7 @@ pub mod supervisor;
 pub use affinity::{AffinityConfig, SchedulingPolicy};
 pub use nuts_driver::{ChainResponse, NutsServer};
 pub use shard::{Bell, FleetCounts, Intake, ShardHealth, ShardedServer};
-pub use supervisor::{Outcome, QuarantineConfig, QuarantineStatus, Supervisor, SupervisorConfig};
+pub use supervisor::{Outcome, QuarantineConfig, Supervisor, SupervisorConfig};
 
 /// Errors from the serving layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -244,33 +242,20 @@ pub type Result<T> = std::result::Result<T, ServeError>;
 /// ([`AdmissionPolicy::validate`], called by [`BatchServer::new`] and
 /// everything built on it), never silently patched at admission time:
 ///
-/// - `max_batch` must be positive — a zero-capacity server could never
-///   admit anything;
-/// - `min_utilization` must be finite and non-negative. `NaN` makes
-///   *both* arms of the `util < min_utilization` comparison false, which
-///   would leave a non-empty queue waiting on a busy machine forever;
-///   negative values can never be undercut by a real utilization, which
-///   silently degrades `JoinAtEntry` into drain-and-refill. Values
-///   `>= 1.0` are allowed and meaningful: they disable the utilization
-///   test, so pending requests are admitted whenever a lane is free.
+/// `max_batch` must be positive — a zero-capacity server could never
+/// admit anything.
 ///
 /// Invalid parameters are a typed [`ServeError::BadPolicy`], so
-/// misconfiguration fails loudly at startup instead of deadlocking or
-/// quietly changing the scheduling discipline under traffic.
+/// misconfiguration fails loudly at startup instead of deadlocking under
+/// traffic.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AdmissionPolicy {
-    /// Join the live batch at the entry block whenever a lane is free and
-    /// batch utilization (fraction of live members active in the last
-    /// superstep) has dropped below `min_utilization`. Thresholds
-    /// `>= 1.0` disable the utilization test entirely: a free lane alone
-    /// admits, even out of a perfect-lockstep batch. `max_batch` bounds
-    /// the live member count.
+    /// Join the live batch at the entry block whenever a lane is free,
+    /// even out of a perfect-lockstep batch. `max_batch` bounds the live
+    /// member count.
     JoinAtEntry {
         /// Maximum live members.
         max_batch: usize,
-        /// Utilization threshold below which pending requests join.
-        /// Must be finite and `>= 0.0`; see the validation contract.
-        min_utilization: f64,
     },
     /// Admit only into an empty machine, `max_batch` requests at a time —
     /// the sequential fixed-batch baseline.
@@ -298,7 +283,7 @@ pub enum AdmissionPolicy {
 impl AdmissionPolicy {
     fn max_batch(&self) -> usize {
         match *self {
-            AdmissionPolicy::JoinAtEntry { max_batch, .. }
+            AdmissionPolicy::JoinAtEntry { max_batch }
             | AdmissionPolicy::DrainAndRefill { max_batch }
             | AdmissionPolicy::Deadline { max_batch, .. } => max_batch,
         }
@@ -313,20 +298,6 @@ impl AdmissionPolicy {
     pub fn validate(&self) -> Result<()> {
         if self.max_batch() == 0 {
             return Err(ServeError::BadPolicy("max_batch must be positive".into()));
-        }
-        if let AdmissionPolicy::JoinAtEntry {
-            min_utilization, ..
-        } = *self
-        {
-            if !min_utilization.is_finite() || min_utilization < 0.0 {
-                return Err(ServeError::BadPolicy(format!(
-                    "min_utilization must be finite and non-negative, got \
-                     {min_utilization} (NaN never compares below any \
-                     utilization, so a non-empty queue would wait on a busy \
-                     machine forever; negative thresholds silently degrade \
-                     join-at-entry into drain-and-refill)"
-                )));
-            }
         }
         Ok(())
     }
@@ -471,7 +442,7 @@ struct InFlight {
 /// use autobatch_tensor::Tensor;
 ///
 /// let (program, _) = lower(&fibonacci_program(), LoweringOptions::default())?;
-/// let policy = AdmissionPolicy::JoinAtEntry { max_batch: 4, min_utilization: 1.0 };
+/// let policy = AdmissionPolicy::JoinAtEntry { max_batch: 4 };
 /// let mut server = BatchServer::new(&program, KernelRegistry::new(), ExecOptions::default(), policy)?;
 /// for (id, n) in [(0u64, 6i64), (1, 9), (2, 3)] {
 ///     server.submit(Request { id, inputs: vec![Tensor::from_i64(&[n], &[1])?], seed: id })?;
@@ -546,8 +517,7 @@ impl<'p> BatchServer<'p> {
     ///
     /// Returns [`ServeError::BadPolicy`] if the policy violates the
     /// [validation contract](AdmissionPolicy#validation-contract)
-    /// (zero capacity, or a NaN/negative/non-finite utilization
-    /// threshold), or [`ServeError::InvalidProgram`] if the program
+    /// (zero capacity), or [`ServeError::InvalidProgram`] if the program
     /// fails static verification — in that case no [`PcMachine`] is
     /// ever constructed.
     pub fn new(
@@ -832,32 +802,22 @@ impl<'p> BatchServer<'p> {
             return Ok(());
         }
         // The refill decision is made once, against the state *before*
-        // any admission: an empty machine always refills to capacity
-        // under the utilization policies (both must guarantee progress —
-        // and this is exactly what makes DrainAndRefill a fixed-batch
-        // baseline rather than a serial one). The deadline policy is the
-        // exception: it deliberately holds requests back from an idle
-        // machine until the batch can fill or the head-of-line deadline
-        // expires — the drive loop behind run_until_idle and run_for
-        // models the wait by fast-forwarding the clock, so progress is
-        // still guaranteed.
+        // any admission: JoinAtEntry admits into any free lane, and
+        // DrainAndRefill only into an empty machine, which it refills to
+        // capacity (what makes it a fixed-batch baseline rather than a
+        // serial one). The deadline policy deliberately holds requests
+        // back from an idle machine until the batch can fill or the
+        // head-of-line deadline expires — the drive loop behind
+        // run_until_idle and run_for models the wait by fast-forwarding
+        // the clock, so progress is still guaranteed.
         let admit = match self.policy {
             AdmissionPolicy::Deadline { max_wait, .. } => {
                 let oldest = self.queue.front().map(|q| q.stamp);
                 self.queue.len() >= free
                     || oldest.is_some_and(|stamp| self.clock.saturating_sub(stamp) >= max_wait)
             }
-            _ if self.machine.live() == 0 => true,
-            AdmissionPolicy::JoinAtEntry {
-                min_utilization, ..
-            } => {
-                // `min_utilization >= 1.0` disables the utilization test:
-                // full lockstep (util == 1.0) must not block admission
-                // under that setting — a free lane alone admits.
-                let util = self.machine.last_active() as f64 / self.machine.live() as f64;
-                min_utilization >= 1.0 || util < min_utilization
-            }
-            AdmissionPolicy::DrainAndRefill { .. } => false,
+            AdmissionPolicy::JoinAtEntry { .. } => true,
+            AdmissionPolicy::DrainAndRefill { .. } => self.machine.live() == 0,
         };
         if !admit {
             return Ok(());
@@ -1387,10 +1347,7 @@ mod tests {
 
     #[test]
     fn join_at_entry_serves_all_requests_correctly() {
-        let policy = AdmissionPolicy::JoinAtEntry {
-            max_batch: 3,
-            min_utilization: 1.0,
-        };
+        let policy = AdmissionPolicy::JoinAtEntry { max_batch: 3 };
         let (out, _) = serve(&NS, policy);
         let got: Vec<i64> = out
             .iter()
@@ -1424,14 +1381,8 @@ mod tests {
     #[test]
     fn policies_and_admission_orders_agree_bitwise() {
         let policies = [
-            AdmissionPolicy::JoinAtEntry {
-                max_batch: 2,
-                min_utilization: 1.0,
-            },
-            AdmissionPolicy::JoinAtEntry {
-                max_batch: 8,
-                min_utilization: 0.5,
-            },
+            AdmissionPolicy::JoinAtEntry { max_batch: 2 },
+            AdmissionPolicy::JoinAtEntry { max_batch: 8 },
             AdmissionPolicy::DrainAndRefill { max_batch: 4 },
             AdmissionPolicy::DrainAndRefill { max_batch: 1 },
         ];
@@ -1491,14 +1442,11 @@ mod tests {
 
     #[test]
     fn join_at_entry_admits_into_lockstep_batch_with_free_lane() {
-        // Regression: `min_utilization: 1.0` means "admit whenever there
-        // is capacity". Members running in lockstep hold utilization at
-        // exactly 1.0, which must not block a pending request from
-        // taking a freed lane.
-        let policy = AdmissionPolicy::JoinAtEntry {
-            max_batch: 3,
-            min_utilization: 1.0,
-        };
+        // Regression: join-at-entry admits whenever there is capacity.
+        // Members running in lockstep hold utilization at exactly 1.0,
+        // which must not block a pending request from taking a freed
+        // lane.
+        let policy = AdmissionPolicy::JoinAtEntry { max_batch: 3 };
         // Request 0 retires early; 1 and 2 are identical, so the
         // survivors run in perfect lockstep while 3 waits.
         let (out, _) = serve(&[2, 9, 9, 9], policy);
@@ -1525,10 +1473,7 @@ mod tests {
             .collect();
         let mut times = Vec::new();
         for policy in [
-            AdmissionPolicy::JoinAtEntry {
-                max_batch: 4,
-                min_utilization: 1.0,
-            },
+            AdmissionPolicy::JoinAtEntry { max_batch: 4 },
             AdmissionPolicy::DrainAndRefill { max_batch: 4 },
         ] {
             // A simulated-time ordering: priced the way the paper runs.
@@ -1559,10 +1504,7 @@ mod tests {
         // state: rejected with a typed error at submission, not at
         // admission.
         let (pc, _) = lower(&fibonacci_program(), LoweringOptions::default()).unwrap();
-        let policy = AdmissionPolicy::JoinAtEntry {
-            max_batch: 2,
-            min_utilization: 1.0,
-        };
+        let policy = AdmissionPolicy::JoinAtEntry { max_batch: 2 };
         let mut server =
             BatchServer::new(&pc, KernelRegistry::new(), ExecOptions::default(), policy).unwrap();
         // Wrong dtype: fibonacci's input must be an integer.
@@ -1629,10 +1571,7 @@ mod tests {
             outputs: vec![z.clone()],
             classes: [(z, VarClass::Register)].into_iter().collect(),
         };
-        let policy = AdmissionPolicy::JoinAtEntry {
-            max_batch: 2,
-            min_utilization: 1.0,
-        };
+        let policy = AdmissionPolicy::JoinAtEntry { max_batch: 2 };
         let err = BatchServer::new(
             &program,
             KernelRegistry::new(),
@@ -1882,10 +1821,7 @@ mod tests {
 
     #[test]
     fn deadline_results_match_join_at_entry_bitwise() {
-        let join = AdmissionPolicy::JoinAtEntry {
-            max_batch: 4,
-            min_utilization: 1.0,
-        };
+        let join = AdmissionPolicy::JoinAtEntry { max_batch: 4 };
         let deadline = AdmissionPolicy::Deadline {
             max_batch: 4,
             max_wait: 17,
@@ -1907,10 +1843,7 @@ mod tests {
         // and nothing of either is queued. Admission then never fails,
         // and every good request completes.
         let (pc, _) = lower(&countup_program(), LoweringOptions::default()).unwrap();
-        let policy = AdmissionPolicy::JoinAtEntry {
-            max_batch: 2,
-            min_utilization: 1.0,
-        };
+        let policy = AdmissionPolicy::JoinAtEntry { max_batch: 2 };
         let mut server =
             BatchServer::new(&pc, KernelRegistry::new(), ExecOptions::default(), policy).unwrap();
         for r in countup_requests(&[12, 2]) {
@@ -1966,10 +1899,7 @@ mod tests {
         // before the error stays salvageable, and the server is
         // poisoned. Every request is accounted for — nothing is lost.
         let (pc, _) = lower(&countup_program(), LoweringOptions::default()).unwrap();
-        let policy = AdmissionPolicy::JoinAtEntry {
-            max_batch: 2,
-            min_utilization: 1.0,
-        };
+        let policy = AdmissionPolicy::JoinAtEntry { max_batch: 2 };
         let mut server =
             BatchServer::new(&pc, KernelRegistry::new(), ExecOptions::default(), policy).unwrap();
         // Two requests fill the machine; the short one retires first and
@@ -2013,10 +1943,7 @@ mod tests {
         let (pc, _) = lower(&countup_program(), LoweringOptions::default()).unwrap();
         // max_batch 4 pops the conflicting request and both requests
         // behind it in one admission attempt.
-        let policy = AdmissionPolicy::JoinAtEntry {
-            max_batch: 4,
-            min_utilization: 1.0,
-        };
+        let policy = AdmissionPolicy::JoinAtEntry { max_batch: 4 };
         let mut server =
             BatchServer::new(&pc, KernelRegistry::new(), ExecOptions::default(), policy).unwrap();
         for r in countup_requests(&[9]) {
@@ -2043,22 +1970,7 @@ mod tests {
     fn nonsense_policy_parameters_are_rejected_at_construction() {
         let (pc, _) = lower(&fibonacci_program(), LoweringOptions::default()).unwrap();
         let bad = [
-            AdmissionPolicy::JoinAtEntry {
-                max_batch: 0,
-                min_utilization: 1.0,
-            },
-            AdmissionPolicy::JoinAtEntry {
-                max_batch: 4,
-                min_utilization: f64::NAN,
-            },
-            AdmissionPolicy::JoinAtEntry {
-                max_batch: 4,
-                min_utilization: -0.5,
-            },
-            AdmissionPolicy::JoinAtEntry {
-                max_batch: 4,
-                min_utilization: f64::INFINITY,
-            },
+            AdmissionPolicy::JoinAtEntry { max_batch: 0 },
             AdmissionPolicy::DrainAndRefill { max_batch: 0 },
             AdmissionPolicy::Deadline {
                 max_batch: 0,
@@ -2079,14 +1991,9 @@ mod tests {
             );
         }
         // The documented boundary values stay valid.
-        for ok in [0.0, 0.5, 1.0, 2.0] {
-            AdmissionPolicy::JoinAtEntry {
-                max_batch: 1,
-                min_utilization: ok,
-            }
+        AdmissionPolicy::JoinAtEntry { max_batch: 1 }
             .validate()
             .unwrap();
-        }
         AdmissionPolicy::Deadline {
             max_batch: 1,
             max_wait: 0,
@@ -2172,10 +2079,7 @@ mod tests {
     #[test]
     fn runaway_lane_is_evicted_within_the_budget_contract() {
         let (pc, _) = lower(&runaway_program(), LoweringOptions::default()).unwrap();
-        let policy = AdmissionPolicy::JoinAtEntry {
-            max_batch: 4,
-            min_utilization: 1.0,
-        };
+        let policy = AdmissionPolicy::JoinAtEntry { max_batch: 4 };
         // Baseline: the normal traffic alone, unbudgeted and fault-free.
         let mut baseline =
             BatchServer::new(&pc, KernelRegistry::new(), ExecOptions::default(), policy).unwrap();
@@ -2243,10 +2147,7 @@ mod tests {
     #[test]
     fn deadline_budget_evicts_a_lane_that_overstays() {
         let (pc, _) = lower(&runaway_program(), LoweringOptions::default()).unwrap();
-        let policy = AdmissionPolicy::JoinAtEntry {
-            max_batch: 2,
-            min_utilization: 0.0,
-        };
+        let policy = AdmissionPolicy::DrainAndRefill { max_batch: 2 };
         let mut server =
             BatchServer::new(&pc, KernelRegistry::new(), ExecOptions::default(), policy).unwrap();
         server.set_budget(RequestBudget {
@@ -2280,10 +2181,7 @@ mod tests {
     #[test]
     fn memory_budget_evicts_a_lane_over_its_byte_ceiling() {
         let (pc, _) = lower(&runaway_program(), LoweringOptions::default()).unwrap();
-        let policy = AdmissionPolicy::JoinAtEntry {
-            max_batch: 2,
-            min_utilization: 0.0,
-        };
+        let policy = AdmissionPolicy::DrainAndRefill { max_batch: 2 };
         let mut server =
             BatchServer::new(&pc, KernelRegistry::new(), ExecOptions::default(), policy).unwrap();
         // Any real lane holds more than one byte of registers.

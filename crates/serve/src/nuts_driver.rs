@@ -42,7 +42,7 @@ pub struct ChainResponse {
 ///
 /// let cfg = NutsConfig { n_trajectories: 2, ..NutsConfig::default() };
 /// let nuts = BatchNuts::new(Arc::new(StdNormal::new(2)), cfg)?;
-/// let policy = AdmissionPolicy::JoinAtEntry { max_batch: 4, min_utilization: 1.0 };
+/// let policy = AdmissionPolicy::JoinAtEntry { max_batch: 4 };
 /// let mut server = NutsServer::new(&nuts, policy)?;
 /// server.submit(0, &Tensor::zeros(DType::F64, &[2]), 7)?;
 /// let done = server.run_until_idle(None)?;
@@ -148,10 +148,7 @@ mod tests {
         let q_late = q_late.row(0).unwrap();
 
         // Alone.
-        let policy = AdmissionPolicy::JoinAtEntry {
-            max_batch: 8,
-            min_utilization: 1.0,
-        };
+        let policy = AdmissionPolicy::JoinAtEntry { max_batch: 8 };
         let mut alone = NutsServer::new(&nuts, policy).unwrap();
         alone.submit(0, &q_late, 42).unwrap();
         let solo = alone.run_until_idle(None).unwrap();
@@ -202,10 +199,7 @@ mod tests {
     fn throughput_statistics_are_reported() {
         use autobatch_accel::Backend;
         let nuts = BatchNuts::new(Arc::new(CorrelatedGaussian::new(3, 0.5)), cfg()).unwrap();
-        let policy = AdmissionPolicy::JoinAtEntry {
-            max_batch: 2,
-            min_utilization: 1.0,
-        };
+        let policy = AdmissionPolicy::JoinAtEntry { max_batch: 2 };
         let mut server = NutsServer::new(&nuts, policy).unwrap();
         let rng = CounterRng::new(3);
         for i in 0..5u64 {

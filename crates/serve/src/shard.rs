@@ -268,7 +268,7 @@ impl Shard<'_> {
 /// use autobatch_tensor::Tensor;
 ///
 /// let (program, _) = lower(&fibonacci_program(), LoweringOptions::default())?;
-/// let policy = AdmissionPolicy::JoinAtEntry { max_batch: 2, min_utilization: 1.0 };
+/// let policy = AdmissionPolicy::JoinAtEntry { max_batch: 2 };
 /// let mut server = ShardedServer::new(
 ///     &program,
 ///     KernelRegistry::new(),
@@ -1468,10 +1468,7 @@ mod tests {
     fn sharded_serving_is_correct_and_submission_ordered() {
         let (pc, _) = lower(&fibonacci_program(), LoweringOptions::default()).unwrap();
         for workers in [1, 2, 3, 4] {
-            let policy = AdmissionPolicy::JoinAtEntry {
-                max_batch: 3,
-                min_utilization: 1.0,
-            };
+            let policy = AdmissionPolicy::JoinAtEntry { max_batch: 3 };
             let mut server = sharded(policy, workers, ExecOptions::default(), &pc);
             for (id, &n) in NS.iter().enumerate() {
                 server.submit(fib_request(id as u64, n)).unwrap();
@@ -1495,10 +1492,7 @@ mod tests {
         // Placement cannot perturb results: lanes draw under the request
         // seed, not the shard or lane index.
         let (pc, _) = lower(&fibonacci_program(), LoweringOptions::default()).unwrap();
-        let policy = AdmissionPolicy::JoinAtEntry {
-            max_batch: 2,
-            min_utilization: 1.0,
-        };
+        let policy = AdmissionPolicy::JoinAtEntry { max_batch: 2 };
         let mut single =
             BatchServer::new(&pc, KernelRegistry::new(), ExecOptions::default(), policy).unwrap();
         for (id, &n) in NS.iter().enumerate() {
@@ -1522,10 +1516,7 @@ mod tests {
     #[test]
     fn router_balances_queue_depth_across_shards() {
         let (pc, _) = lower(&fibonacci_program(), LoweringOptions::default()).unwrap();
-        let policy = AdmissionPolicy::JoinAtEntry {
-            max_batch: 4,
-            min_utilization: 1.0,
-        };
+        let policy = AdmissionPolicy::JoinAtEntry { max_batch: 4 };
         let mut server = sharded(policy, 4, ExecOptions::default(), &pc);
         for id in 0..8u64 {
             server.submit(fib_request(id, 5)).unwrap();
@@ -1603,10 +1594,7 @@ mod tests {
     #[test]
     fn aggregated_trace_sums_the_shards_supersteps() {
         let (pc, _) = lower(&fibonacci_program(), LoweringOptions::default()).unwrap();
-        let policy = AdmissionPolicy::JoinAtEntry {
-            max_batch: 4,
-            min_utilization: 1.0,
-        };
+        let policy = AdmissionPolicy::JoinAtEntry { max_batch: 4 };
         let mut server = sharded(policy, 2, ExecOptions::default(), &pc);
         for (id, &n) in NS.iter().enumerate() {
             server.submit(fib_request(id as u64, n)).unwrap();
@@ -1626,10 +1614,7 @@ mod tests {
     #[test]
     fn a_respawn_keeps_the_fleets_superstep_count() {
         let (pc, _) = lower(&fibonacci_program(), LoweringOptions::default()).unwrap();
-        let policy = AdmissionPolicy::JoinAtEntry {
-            max_batch: 2,
-            min_utilization: 1.0,
-        };
+        let policy = AdmissionPolicy::JoinAtEntry { max_batch: 2 };
         let mut server = sharded(policy, 2, ExecOptions::default(), &pc);
         for (id, &n) in NS.iter().enumerate() {
             server.submit(fib_request(id as u64, n)).unwrap();
@@ -1705,10 +1690,7 @@ mod tests {
             strategy: ExecStrategy::Masking,
             ..ExecOptions::default()
         };
-        let policy = AdmissionPolicy::JoinAtEntry {
-            max_batch: 2,
-            min_utilization: 1.0,
-        };
+        let policy = AdmissionPolicy::JoinAtEntry { max_batch: 2 };
         let mut server =
             ShardedServer::new(&pc, registry, opts, policy, 2, Backend::hybrid_cpu()).unwrap();
         for (id, x) in [9.0, 1.5, 40.0, 0.5].into_iter().enumerate() {
@@ -1743,10 +1725,7 @@ mod tests {
         // retires long before the earlier one. Each carries its own
         // submission number, so neither takes the other's place.
         let (pc, _) = lower(&fibonacci_program(), LoweringOptions::default()).unwrap();
-        let policy = AdmissionPolicy::JoinAtEntry {
-            max_batch: 2,
-            min_utilization: 1.0,
-        };
+        let policy = AdmissionPolicy::JoinAtEntry { max_batch: 2 };
         let mut server = sharded(policy, 2, ExecOptions::default(), &pc);
         server.submit(fib_request(7, 20)).unwrap();
         server.submit(fib_request(7, 3)).unwrap();
@@ -1853,10 +1832,7 @@ mod tests {
     #[test]
     fn a_drive_starts_its_threads_once_and_an_idle_drive_starts_none() {
         let (pc, _) = lower(&fibonacci_program(), LoweringOptions::default()).unwrap();
-        let policy = AdmissionPolicy::JoinAtEntry {
-            max_batch: 2,
-            min_utilization: 1.0,
-        };
+        let policy = AdmissionPolicy::JoinAtEntry { max_batch: 2 };
         for scheduling in [SchedulingPolicy::LeastLoaded, affinity(12)] {
             let mut server = sharded(policy, 2, ExecOptions::default(), &pc);
             server.set_scheduling(scheduling);
@@ -1912,10 +1888,7 @@ mod tests {
                     },
                     ..ExecOptions::default()
                 };
-                let policy = AdmissionPolicy::JoinAtEntry {
-                    max_batch: 2,
-                    min_utilization: 1.0,
-                };
+                let policy = AdmissionPolicy::JoinAtEntry { max_batch: 2 };
                 let mut server = sharded(policy, 4, opts, &pc);
                 server.set_scheduling(scheduling);
                 for (id, &n) in NS.iter().enumerate() {
@@ -1962,10 +1935,7 @@ mod tests {
         use autobatch_chaos::FaultPlan;
         silence_injected_panics();
         let (pc, _) = lower(&fibonacci_program(), LoweringOptions::default()).unwrap();
-        let policy = AdmissionPolicy::JoinAtEntry {
-            max_batch: 2,
-            min_utilization: 1.0,
-        };
+        let policy = AdmissionPolicy::JoinAtEntry { max_batch: 2 };
         // The fault-free answers, by id.
         let mut clean = sharded(policy, 4, ExecOptions::default(), &pc);
         for (id, &n) in NS.iter().enumerate() {
@@ -2045,10 +2015,7 @@ mod tests {
             ..ExecOptions::default()
         };
         let (pc, _) = lower(&fibonacci_program(), LoweringOptions::default()).unwrap();
-        let policy = AdmissionPolicy::JoinAtEntry {
-            max_batch: 2,
-            min_utilization: 1.0,
-        };
+        let policy = AdmissionPolicy::JoinAtEntry { max_batch: 2 };
         let mut server = sharded(policy, 1, opts, &pc);
         server
             .submit(Request {
@@ -2091,10 +2058,7 @@ mod tests {
                 ..ExecOptions::default()
             };
             let (pc, _) = lower(&fibonacci_program(), LoweringOptions::default()).unwrap();
-            let policy = AdmissionPolicy::JoinAtEntry {
-                max_batch: 2,
-                min_utilization: 1.0,
-            };
+            let policy = AdmissionPolicy::JoinAtEntry { max_batch: 2 };
             let mut server = sharded(policy, 2, opts, &pc);
             for (id, seed) in [(0u64, clean), (1, doomed)] {
                 server
@@ -2144,10 +2108,7 @@ mod tests {
             ..ExecOptions::default()
         };
         let (pc, _) = lower(&fibonacci_program(), LoweringOptions::default()).unwrap();
-        let policy = AdmissionPolicy::JoinAtEntry {
-            max_batch: 2,
-            min_utilization: 0.0,
-        };
+        let policy = AdmissionPolicy::DrainAndRefill { max_batch: 2 };
         let mut server = sharded(policy, 4, opts, &pc);
         server.set_budget(crate::RequestBudget {
             max_supersteps: Some(8),
@@ -2233,38 +2194,31 @@ mod tests {
                 "expected budget blowups, got {o:?}"
             );
         }
-        assert!(
-            matches!(
-                sup.quarantine(),
-                crate::QuarantineStatus::Open { blowups: 2, .. }
-            ),
-            "breaker must be open, got {:?}",
-            sup.quarantine()
-        );
 
-        // Open: fast-rejects, each advancing the cooldown clock, until
-        // the half-open probe slot admits one request.
+        // Open: fast-rejects with the two blowups on record, each
+        // advancing the cooldown clock, until the half-open probe slot
+        // admits one request.
         let mut refusals = 0u64;
         loop {
             match sup.submit(request(100 + refusals, clean)) {
-                Err(ServeError::Quarantined { .. }) => refusals += 1,
+                Err(ServeError::Quarantined { blowups }) => {
+                    assert_eq!(blowups, 2);
+                    refusals += 1;
+                }
                 Ok(()) => break,
                 Err(e) => panic!("unexpected refusal: {e}"),
             }
             assert!(refusals <= 3, "cooldown must elapse within cooldown_rounds");
         }
-        assert!(matches!(
-            sup.quarantine(),
-            crate::QuarantineStatus::HalfOpen { probing: true }
-        ));
+        assert!(refusals >= 1, "the breaker must be open");
         // A second request cannot share the probe slot.
         assert!(matches!(
             sup.submit(request(999, clean)),
             Err(ServeError::Quarantined { .. })
         ));
 
-        // The clean probe terminates normally: breaker closes, record
-        // resets, and traffic flows again.
+        // The clean probe terminates normally: the breaker closes and
+        // traffic flows again.
         let outcomes = sup.run_until_quiescent_with(&mut Vec::new);
         assert!(
             outcomes
@@ -2272,14 +2226,26 @@ mod tests {
                 .any(|o| matches!(o, crate::Outcome::Done(_))),
             "the probe must complete, got {outcomes:?}"
         );
-        assert!(matches!(
-            sup.quarantine(),
-            crate::QuarantineStatus::Closed { recent_blowups: 0 }
-        ));
         sup.submit(request(200, clean)).unwrap();
         let outcomes = sup.run_until_quiescent_with(&mut Vec::new);
         assert_eq!(outcomes.len(), 1);
         assert!(matches!(outcomes[0], crate::Outcome::Done(_)));
+
+        // The probe also reset the record: one more blowup stays under
+        // the threshold (kept, the two old ones would make it a third
+        // and trip the breaker), and the next trips it with two on
+        // record, not four.
+        sup.submit(request(300, doomed.next().unwrap())).unwrap();
+        sup.run_until_quiescent_with(&mut Vec::new);
+        sup.submit(request(301, clean))
+            .expect("one blowup since the reset must not trip the breaker");
+        sup.run_until_quiescent_with(&mut Vec::new);
+        sup.submit(request(302, doomed.next().unwrap())).unwrap();
+        sup.run_until_quiescent_with(&mut Vec::new);
+        assert!(matches!(
+            sup.submit(request(303, clean)),
+            Err(ServeError::Quarantined { blowups: 2 })
+        ));
     }
 
     #[test]
@@ -2324,10 +2290,6 @@ mod tests {
         });
         sup.submit(request(0, doomed.next().unwrap())).unwrap();
         sup.run_until_quiescent_with(&mut Vec::new);
-        assert!(matches!(
-            sup.quarantine(),
-            crate::QuarantineStatus::Open { .. }
-        ));
         let mut refusals = 0u64;
         let probe_seed = doomed.next().unwrap();
         loop {
@@ -2338,12 +2300,13 @@ mod tests {
             }
             assert!(refusals <= 2, "cooldown must elapse within cooldown_rounds");
         }
+        assert!(refusals >= 1, "one blowup must open the breaker");
         // The probe itself runs away: straight back to quarantine.
         sup.run_until_quiescent_with(&mut Vec::new);
+        let after = sup.submit(request(999, probe_seed));
         assert!(
-            matches!(sup.quarantine(), crate::QuarantineStatus::Open { .. }),
-            "a blown probe must re-open the breaker, got {:?}",
-            sup.quarantine()
+            matches!(after, Err(ServeError::Quarantined { .. })),
+            "a blown probe must re-open the breaker, got {after:?}"
         );
     }
 }

@@ -106,30 +106,6 @@ impl Default for QuarantineConfig {
     }
 }
 
-/// Observable state of the per-program quarantine breaker
-/// ([`Supervisor::quarantine`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QuarantineStatus {
-    /// Admitting normally; `recent_blowups` are on the sliding-window
-    /// record.
-    Closed {
-        /// Budget blowups still inside the decay window.
-        recent_blowups: u32,
-    },
-    /// Fast-rejecting all submissions until `until_round`.
-    Open {
-        /// First fleet round at which half-open probing begins.
-        until_round: u64,
-        /// Blowups on record when the breaker tripped.
-        blowups: u32,
-    },
-    /// Cooldown elapsed: one probe request may be admitted.
-    HalfOpen {
-        /// Whether the single probe slot is currently occupied.
-        probing: bool,
-    },
-}
-
 /// The breaker itself: a windowed blowup log plus the open/half-open
 /// state machine described on [`QuarantineConfig`].
 #[derive(Debug)]
@@ -230,21 +206,6 @@ impl Breaker {
             };
         }
     }
-
-    fn status(&self) -> QuarantineStatus {
-        match self.state {
-            BreakerState::Closed => QuarantineStatus::Closed {
-                recent_blowups: self.blowups.len() as u32,
-            },
-            BreakerState::Open { until_round } => QuarantineStatus::Open {
-                until_round,
-                blowups: self.blowups.len() as u32,
-            },
-            BreakerState::HalfOpen { probe } => QuarantineStatus::HalfOpen {
-                probing: probe.is_some(),
-            },
-        }
-    }
 }
 
 /// The terminal outcome of one supervised request.
@@ -295,7 +256,7 @@ impl Outcome {
 /// use autobatch_tensor::Tensor;
 ///
 /// let (program, _) = lower(&fibonacci_program(), LoweringOptions::default())?;
-/// let policy = AdmissionPolicy::JoinAtEntry { max_batch: 2, min_utilization: 1.0 };
+/// let policy = AdmissionPolicy::JoinAtEntry { max_batch: 2 };
 /// let fleet = ShardedServer::new(
 ///     &program, KernelRegistry::new(), ExecOptions::default(), policy, 2,
 ///     Backend::hybrid_cpu(),
@@ -554,11 +515,6 @@ impl<'p> Supervisor<'p> {
     /// [`ShardedServer::set_budget`].
     pub fn set_budget(&mut self, budget: crate::RequestBudget) {
         self.inner.set_budget(budget);
-    }
-
-    /// The per-program quarantine breaker's observable state.
-    pub fn quarantine(&self) -> QuarantineStatus {
-        self.books.breaker.status()
     }
 
     /// Request cooperative cancellation of a tracked request: a parked

@@ -45,10 +45,7 @@ fn fleet<'p>(
     batch: usize,
     scheduling: SchedulingPolicy,
 ) -> ShardedServer<'p> {
-    let policy = AdmissionPolicy::JoinAtEntry {
-        max_batch: batch,
-        min_utilization: 1.0,
-    };
+    let policy = AdmissionPolicy::JoinAtEntry { max_batch: batch };
     let mut server = ShardedServer::new(
         program,
         KernelRegistry::new(),
@@ -208,10 +205,7 @@ fn migration_survives_shard_respawns_mid_flight() {
         fault: plan,
         ..ExecOptions::default()
     };
-    let policy = AdmissionPolicy::JoinAtEntry {
-        max_batch: 3,
-        min_utilization: 1.0,
-    };
+    let policy = AdmissionPolicy::JoinAtEntry { max_batch: 3 };
     let mut inner = ShardedServer::new(
         &program,
         KernelRegistry::new(),

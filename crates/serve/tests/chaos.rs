@@ -56,10 +56,7 @@ fn fleet(program: &Program, workers: usize, fault: FaultPlan) -> Supervisor<'_> 
         fault,
         ..ExecOptions::default()
     };
-    let policy = AdmissionPolicy::JoinAtEntry {
-        max_batch: 2,
-        min_utilization: 1.0,
-    };
+    let policy = AdmissionPolicy::JoinAtEntry { max_batch: 2 };
     let inner = ShardedServer::new(
         program,
         KernelRegistry::new(),
@@ -203,7 +200,6 @@ proptest! {
         };
         let policy = AdmissionPolicy::JoinAtEntry {
             max_batch: 2,
-            min_utilization: 1.0,
         };
         let mut inner = ShardedServer::new(
             &program,
@@ -390,10 +386,7 @@ fn work_fed_mid_drive_is_retried_when_its_shard_dies() {
         fault: plan,
         ..ExecOptions::default()
     };
-    let policy = AdmissionPolicy::JoinAtEntry {
-        max_batch: 2,
-        min_utilization: 1.0,
-    };
+    let policy = AdmissionPolicy::JoinAtEntry { max_batch: 2 };
     let backend = Backend::hybrid_cpu();
     let inner = ShardedServer::new(&program, KernelRegistry::new(), opts, policy, 2, backend);
     let config = SupervisorConfig {
@@ -448,10 +441,7 @@ fn a_retry_is_answered_while_the_hook_keeps_feeding() {
         fault: plan,
         ..ExecOptions::default()
     };
-    let policy = AdmissionPolicy::JoinAtEntry {
-        max_batch: 2,
-        min_utilization: 1.0,
-    };
+    let policy = AdmissionPolicy::JoinAtEntry { max_batch: 2 };
     let backend = Backend::hybrid_cpu();
     let inner = ShardedServer::new(&program, KernelRegistry::new(), opts, policy, 2, backend);
     let config = SupervisorConfig {
@@ -639,10 +629,7 @@ fn respawn_salvages_completed_work_and_reports_health() {
         fault: plan,
         ..ExecOptions::default()
     };
-    let policy = AdmissionPolicy::JoinAtEntry {
-        max_batch: 2,
-        min_utilization: 1.0,
-    };
+    let policy = AdmissionPolicy::JoinAtEntry { max_batch: 2 };
     let mut fleet = ShardedServer::new(
         &program,
         KernelRegistry::new(),
@@ -724,10 +711,7 @@ fn fixed_seeds_end_exactly_as_pinned() {
             fault,
             ..ExecOptions::default()
         };
-        let policy = AdmissionPolicy::JoinAtEntry {
-            max_batch: 4,
-            min_utilization: 1.0,
-        };
+        let policy = AdmissionPolicy::JoinAtEntry { max_batch: 4 };
         let backend = Backend::hybrid_cpu();
         let inner = ShardedServer::new(&pc, KernelRegistry::new(), opts, policy, workers, backend);
         // Quarantine off: every doomed lane must burn its own budget,

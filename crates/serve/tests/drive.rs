@@ -72,7 +72,7 @@ proptest! {
         let policy = if deadline {
             AdmissionPolicy::Deadline { max_batch: 3, max_wait }
         } else {
-            AdmissionPolicy::JoinAtEntry { max_batch: 3, min_utilization: 1.0 }
+            AdmissionPolicy::JoinAtEntry { max_batch: 3 }
         };
         let arrivals = decode(&draws);
 
@@ -151,7 +151,7 @@ proptest! {
         let policy = if deadline {
             AdmissionPolicy::Deadline { max_batch: 3, max_wait: 40 }
         } else {
-            AdmissionPolicy::JoinAtEntry { max_batch: 3, min_utilization: 1.0 }
+            AdmissionPolicy::JoinAtEntry { max_batch: 3 }
         };
         // Request `id` is fed at hook call `at[id]` (0, 1 or 2 calls
         // after the one before it); one in four is cancelled a drawn
@@ -309,10 +309,7 @@ fn a_bad_payload_fed_to_a_running_drive_is_refused_and_the_drive_runs_on() {
             Tensor::from_f64(x, &[1, x.len()]).expect("x"),
         ],
     };
-    let policy = AdmissionPolicy::JoinAtEntry {
-        max_batch: 2,
-        min_utilization: 1.0,
-    };
+    let policy = AdmissionPolicy::JoinAtEntry { max_batch: 2 };
     let mut server = ShardedServer::new(
         &program,
         KernelRegistry::new(),

@@ -70,10 +70,7 @@ fn digest(responses: &[Response]) -> u64 {
     h
 }
 
-const JOIN_AT_ENTRY: AdmissionPolicy = AdmissionPolicy::JoinAtEntry {
-    max_batch: 4,
-    min_utilization: 1.0,
-};
+const JOIN_AT_ENTRY: AdmissionPolicy = AdmissionPolicy::JoinAtEntry { max_batch: 4 };
 
 /// `(workers, scheduling, pinned supersteps)` of every run of a sweep.
 fn sweep(affinity: [u64; 3], least_loaded: [u64; 3]) -> Vec<(usize, SchedulingPolicy, u64)> {

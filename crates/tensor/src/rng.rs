@@ -48,11 +48,6 @@ impl CounterRng {
         CounterRng { seed }
     }
 
-    /// The seed this source was created with.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     #[inline]
     fn mix(&self, member: u64, counter: i64, salt: u64) -> u64 {
         // Three rounds of mixing decorrelate the structured inputs.
@@ -94,17 +89,11 @@ impl CounterRng {
         -u.ln()
     }
 
-    /// Batched uniform draws: element `[b, ..]` uses member `b` and the
-    /// counter `counters[b]`, with trailing element index folded into the
-    /// counter stream.
+    /// Batched standard normal draws: element `[b, ..]` uses member `b`
+    /// and the counter `counters[b]`, with trailing element index folded
+    /// into the counter stream.
     ///
     /// `counters` has length `Z`; the result has shape `[Z, elem..]`.
-    pub fn uniform_batch(&self, counters: &[i64], elem: &[usize]) -> Tensor {
-        let members: Vec<u64> = (0..counters.len() as u64).collect();
-        self.uniform_batch_for(&members, counters, elem)
-    }
-
-    /// Batched standard normal draws; see [`CounterRng::uniform_batch`].
     pub fn normal_batch(&self, counters: &[i64], elem: &[usize]) -> Tensor {
         let members: Vec<u64> = (0..counters.len() as u64).collect();
         self.normal_batch_for(&members, counters, elem)
@@ -214,7 +203,7 @@ mod tests {
     #[test]
     fn batch_matches_scalar_draws() {
         let rng = CounterRng::new(21);
-        let t = rng.uniform_batch(&[5, 9], &[]);
+        let t = rng.uniform_batch_for(&[0, 1], &[5, 9], &[]);
         assert_eq!(t.shape(), &[2]);
         let v = t.as_f64().unwrap();
         assert_eq!(v[0], rng.uniform(0, 5_000_015)); // 5 * 1_000_003 + 0

@@ -7,17 +7,6 @@ pub fn volume(shape: &[usize]) -> usize {
     shape.iter().product()
 }
 
-/// Row-major strides for a shape.
-///
-/// `strides(&[2, 3, 4]) == [12, 4, 1]`.
-pub fn strides(shape: &[usize]) -> Vec<usize> {
-    let mut out = vec![1; shape.len()];
-    for i in (0..shape.len().saturating_sub(1)).rev() {
-        out[i] = out[i + 1] * shape[i + 1];
-    }
-    out
-}
-
 /// Compute the NumPy-style broadcast of two shapes.
 ///
 /// Shapes are aligned at their trailing dimensions; each pair of aligned
@@ -289,9 +278,6 @@ mod tests {
     fn volume_and_strides() {
         assert_eq!(volume(&[2, 3, 4]), 24);
         assert_eq!(volume(&[]), 1);
-        assert_eq!(strides(&[2, 3, 4]), vec![12, 4, 1]);
-        assert_eq!(strides(&[5]), vec![1]);
-        assert_eq!(strides(&[]), Vec::<usize>::new());
     }
 
     #[test]

@@ -30,18 +30,18 @@ use crate::shape::volume;
 /// # Examples
 ///
 /// ```
-/// use autobatch_tensor::Tensor;
+/// use autobatch_tensor::{Scalar, Tensor};
 ///
 /// let t = Tensor::from_f64(&[1.0, 2.0, 3.0, 4.0], &[2, 2])?;
 /// assert_eq!(t.shape(), &[2, 2]);
-/// assert_eq!(t.get_f64(&[1, 0])?, 3.0);
+/// assert_eq!(t.get(&[1, 0])?, Scalar::F64(3.0));
 ///
 /// // Clones are O(1) and share storage until mutated.
 /// let mut u = t.clone();
 /// assert!(t.shares_storage(&u));
 /// u.set(&[0, 0], 9.0)?;
 /// assert!(!t.shares_storage(&u));
-/// assert_eq!(t.get_f64(&[0, 0])?, 1.0); // the sibling is untouched
+/// assert_eq!(t.get(&[0, 0])?, Scalar::F64(1.0)); // the sibling is untouched
 /// # Ok::<(), autobatch_tensor::TensorError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -345,44 +345,6 @@ impl Tensor {
         }
     }
 
-    /// Mutably borrow the payload as `&mut [i64]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::DTypeMismatch`] if the dtype is not `i64`.
-    pub fn as_i64_mut(&mut self) -> Result<&mut [i64]> {
-        match Arc::make_mut(&mut self.data) {
-            Data::I64(v) => Ok(v),
-            d => {
-                let got = d.dtype();
-                Err(TensorError::DTypeMismatch {
-                    got,
-                    expected: "i64",
-                    op: "as_i64_mut",
-                })
-            }
-        }
-    }
-
-    /// Mutably borrow the payload as `&mut [bool]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::DTypeMismatch`] if the dtype is not `bool`.
-    pub fn as_bool_mut(&mut self) -> Result<&mut [bool]> {
-        match Arc::make_mut(&mut self.data) {
-            Data::Bool(v) => Ok(v),
-            d => {
-                let got = d.dtype();
-                Err(TensorError::DTypeMismatch {
-                    got,
-                    expected: "bool",
-                    op: "as_bool_mut",
-                })
-            }
-        }
-    }
-
     fn dtype_err(&self, expected: &'static str, op: &'static str) -> TensorError {
         TensorError::DTypeMismatch {
             got: self.dtype(),
@@ -431,26 +393,6 @@ impl Tensor {
             Data::I64(v) => Scalar::I64(v[lin]),
             Data::Bool(v) => Scalar::Bool(v[lin]),
         })
-    }
-
-    /// Read one `f64` element.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the index is invalid or the dtype is not `f64`.
-    pub fn get_f64(&self, index: &[usize]) -> Result<f64> {
-        let lin = self.linear_index(index)?;
-        self.as_f64().map(|v| v[lin])
-    }
-
-    /// Read one `i64` element.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the index is invalid or the dtype is not `i64`.
-    pub fn get_i64(&self, index: &[usize]) -> Result<i64> {
-        let lin = self.linear_index(index)?;
-        self.as_i64().map(|v| v[lin])
     }
 
     /// Write one element.
@@ -567,8 +509,8 @@ mod tests {
     fn get_set_roundtrip() {
         let mut t = Tensor::zeros(DType::F64, &[2, 2]);
         t.set(&[1, 1], 9.0).unwrap();
-        assert_eq!(t.get_f64(&[1, 1]).unwrap(), 9.0);
-        assert_eq!(t.get_f64(&[0, 1]).unwrap(), 0.0);
+        assert_eq!(t.get(&[1, 1]).unwrap(), Scalar::F64(9.0));
+        assert_eq!(t.get(&[0, 1]).unwrap(), Scalar::F64(0.0));
         assert!(t.set(&[2, 0], 1.0).is_err());
         assert!(t.set(&[0, 0], 1i64).is_err());
     }
@@ -576,7 +518,7 @@ mod tests {
     #[test]
     fn reshape_preserves_data() {
         let t = Tensor::arange(6).reshape(&[2, 3]).unwrap();
-        assert_eq!(t.get_i64(&[1, 2]).unwrap(), 5);
+        assert_eq!(t.get(&[1, 2]).unwrap(), Scalar::I64(5));
         assert!(t.reshape(&[4]).is_err());
     }
 

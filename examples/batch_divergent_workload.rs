@@ -76,10 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Chains arrive as requests and join the in-flight batch whenever a
     // lane frees up; per-request RNG seeds make each chain's draws
     // independent of whatever batch it lands in.
-    let policy = AdmissionPolicy::JoinAtEntry {
-        max_batch: 8,
-        min_utilization: 1.0,
-    };
+    let policy = AdmissionPolicy::JoinAtEntry { max_batch: 8 };
     let mut server = NutsServer::new(&nuts, policy)?;
     for i in 0..chains as u64 {
         let q = q0.row(i as usize)?.reshape(&[1, dim])?;
@@ -122,7 +119,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         nuts.exec_options(),
         AdmissionPolicy::JoinAtEntry {
             max_batch: shard_batch,
-            min_utilization: 1.0,
         },
         workers,
         Backend::hybrid_cpu(),

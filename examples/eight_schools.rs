@@ -79,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let row = &v[b * dim..(b + 1) * dim];
             mu[b].push(row[0]);
             tau[b].push(row[1].exp());
-            theta1[b].push(row[0] + row[1].exp() * row[2]);
+            theta1[b].push(model.effects(&Tensor::from_f64(row, &[dim])?)?.as_f64()?[0]);
         }
     }
 

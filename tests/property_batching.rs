@@ -514,7 +514,7 @@ proptest! {
         for i in (1..z).rev() {
             order.swap(i, orng.gen_range(0..i + 1));
         }
-        let policy = AdmissionPolicy::JoinAtEntry { max_batch: 2, min_utilization: 1.0 };
+        let policy = AdmissionPolicy::JoinAtEntry { max_batch: 2 };
         let mut server =
             BatchServer::new(&lowered, KernelRegistry::new(), ExecOptions::default(), policy)
                 .expect("server");
@@ -745,7 +745,7 @@ proptest! {
         };
 
         // Reference: the single-server run, in submission order.
-        let policy = AdmissionPolicy::JoinAtEntry { max_batch: 2, min_utilization: 1.0 };
+        let policy = AdmissionPolicy::JoinAtEntry { max_batch: 2 };
         let mut single =
             BatchServer::new(&lowered, KernelRegistry::new(), ExecOptions::default(), policy)
                 .expect("server");
@@ -763,7 +763,6 @@ proptest! {
         }
         let policy = AdmissionPolicy::JoinAtEntry {
             max_batch: shard_batch,
-            min_utilization: 1.0,
         };
         let mut sharded = ShardedServer::new(
             &lowered,
@@ -828,7 +827,7 @@ proptest! {
         };
 
         // Reference: utilization-driven admission, all queued up front.
-        let policy = AdmissionPolicy::JoinAtEntry { max_batch, min_utilization: 1.0 };
+        let policy = AdmissionPolicy::JoinAtEntry { max_batch };
         let mut single =
             BatchServer::new(&lowered, KernelRegistry::new(), ExecOptions::default(), policy)
                 .expect("server");
