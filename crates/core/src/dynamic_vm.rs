@@ -422,7 +422,8 @@ impl<'p> DynamicVm<'p> {
             stacked.push(Tensor::concat_rows(&rows)?);
         }
         let ids: Vec<u64> = members.iter().map(|&ti| threads[ti].member).collect();
-        let results = eval_prim(&prim, &stacked, &ids, rng, &self.registry)?;
+        let mut results = Vec::new();
+        eval_prim(&prim, &stacked, &ids, rng, &self.registry, &mut results)?;
 
         Pricing::per_op(trace, members.len()).op(&prim, &stacked, &results, &self.registry, false);
 

@@ -106,19 +106,23 @@ fn align_pair(a: &Tensor, b: &Tensor) -> Result<(Tensor, Tensor)> {
 /// - `members`: original batch-member id of each row (RNG independence).
 /// - `rng`: the counter-based random source.
 /// - `registry`: external kernels.
-///
-/// Returns one tensor per primitive output.
+/// - `out`: cleared, then given one tensor per primitive output. A
+///   caller that keeps it across calls evaluates a primitive without
+///   allocating a vector for its results.
 ///
 /// # Errors
 ///
-/// Returns arity, dtype, shape, or unknown-kernel errors.
+/// Returns arity, dtype, shape, or unknown-kernel errors; `out` then
+/// holds no complete set of results.
 pub fn eval_prim(
     prim: &Prim,
     inputs: &[Tensor],
     members: &[u64],
     rng: &CounterRng,
     registry: &KernelRegistry,
-) -> Result<Vec<Tensor>> {
+    out: &mut Vec<Tensor>,
+) -> Result<()> {
+    out.clear();
     let rows = members.len();
     if let Some(a) = prim.arity() {
         if inputs.len() != a.ins {
@@ -129,7 +133,10 @@ pub fn eval_prim(
             });
         }
     }
-    let one = |t: Tensor| -> Result<Vec<Tensor>> { Ok(vec![t]) };
+    let mut one = |t: Tensor| {
+        out.push(t);
+        Ok(())
+    };
     match prim {
         Prim::ConstF64(c) => one(Tensor::full(&[rows], *c)),
         Prim::ConstI64(c) => one(Tensor::full(&[rows], *c)),
@@ -208,14 +215,16 @@ pub fn eval_prim(
                 _ => unreachable!(),
             };
             let next = inputs[0].add(&Tensor::scalar(1i64))?;
-            Ok(vec![sample, next])
+            out.extend([sample, next]);
+            Ok(())
         }
         Prim::RandNormalLike => {
             let counters = inputs[0].as_i64()?;
             let elem = &inputs[1].shape()[1..];
             let sample = rng.normal_batch_for(members, counters, elem);
             let next = inputs[0].add(&Tensor::scalar(1i64))?;
-            Ok(vec![sample, next])
+            out.extend([sample, next]);
+            Ok(())
         }
         Prim::External(name) => {
             let k = registry.get(name)?;
@@ -235,7 +244,8 @@ pub fn eval_prim(
                     got: (inputs.len(), outs.len()),
                 });
             }
-            Ok(outs)
+            out.extend(outs);
+            Ok(())
         }
     }
 }
@@ -250,10 +260,42 @@ mod tests {
         (CounterRng::new(1), KernelRegistry::new())
     }
 
+    /// [`eval_prim`] into a fresh result buffer.
+    fn eval(
+        prim: &Prim,
+        inputs: &[Tensor],
+        members: &[u64],
+        rng: &CounterRng,
+        reg: &KernelRegistry,
+    ) -> Result<Vec<Tensor>> {
+        let mut out = Vec::new();
+        eval_prim(prim, inputs, members, rng, reg, &mut out).map(|()| out)
+    }
+
+    #[test]
+    fn a_reused_result_buffer_holds_only_the_last_results() {
+        let (rng, reg) = env();
+        let counters = Tensor::from_i64(&[5, 5], &[2]).unwrap();
+        let mut out = Vec::new();
+        eval_prim(
+            &Prim::RandUniform,
+            &[counters],
+            &[0, 1],
+            &rng,
+            &reg,
+            &mut out,
+        )
+        .unwrap();
+        assert_eq!(out.len(), 2);
+        let x = Tensor::from_f64(&[1.0, -2.0], &[2]).unwrap();
+        eval_prim(&Prim::Neg, &[x], &[0, 1], &rng, &reg, &mut out).unwrap();
+        assert_eq!(out, vec![Tensor::from_f64(&[-1.0, 2.0], &[2]).unwrap()]);
+    }
+
     #[test]
     fn const_produces_batch_width() {
         let (rng, reg) = env();
-        let out = eval_prim(&Prim::ConstF64(2.5), &[], &[0, 1, 2], &rng, &reg).unwrap();
+        let out = eval(&Prim::ConstF64(2.5), &[], &[0, 1, 2], &rng, &reg).unwrap();
         assert_eq!(out[0].shape(), &[3]);
         assert_eq!(out[0].as_f64().unwrap(), &[2.5; 3]);
     }
@@ -263,7 +305,7 @@ mod tests {
         let (rng, reg) = env();
         let s = Tensor::from_f64(&[2.0, 3.0], &[2]).unwrap();
         let v = Tensor::from_f64(&[1.0, 1.0, 1.0, 1.0], &[2, 2]).unwrap();
-        let out = eval_prim(&Prim::Mul, &[s, v], &[0, 1], &rng, &reg).unwrap();
+        let out = eval(&Prim::Mul, &[s, v], &[0, 1], &rng, &reg).unwrap();
         assert_eq!(out[0].shape(), &[2, 2]);
         assert_eq!(out[0].as_f64().unwrap(), &[2.0, 2.0, 3.0, 3.0]);
     }
@@ -274,7 +316,7 @@ mod tests {
         let c = Tensor::from_bool(&[true, false], &[2]).unwrap();
         let a = Tensor::full(&[2, 3], 1.0);
         let b = Tensor::full(&[2, 3], 9.0);
-        let out = eval_prim(&Prim::Select, &[c, a, b], &[0, 1], &rng, &reg).unwrap();
+        let out = eval(&Prim::Select, &[c, a, b], &[0, 1], &rng, &reg).unwrap();
         assert_eq!(out[0].as_f64().unwrap(), &[1.0, 1.0, 1.0, 9.0, 9.0, 9.0]);
     }
 
@@ -282,7 +324,7 @@ mod tests {
     fn rng_prims_advance_counter_and_depend_on_member() {
         let (rng, reg) = env();
         let counters = Tensor::from_i64(&[5, 5], &[2]).unwrap();
-        let out = eval_prim(
+        let out = eval(
             &Prim::RandUniform,
             std::slice::from_ref(&counters),
             &[0, 1],
@@ -294,7 +336,7 @@ mod tests {
         assert_ne!(u[0], u[1], "different members draw differently");
         assert_eq!(out[1].as_i64().unwrap(), &[6, 6]);
         // Same member/counter reproduces.
-        let again = eval_prim(&Prim::RandUniform, &[counters], &[0, 1], &rng, &reg).unwrap();
+        let again = eval(&Prim::RandUniform, &[counters], &[0, 1], &rng, &reg).unwrap();
         assert_eq!(again[0].as_f64().unwrap(), u);
     }
 
@@ -303,7 +345,7 @@ mod tests {
         let (rng, reg) = env();
         let counters = Tensor::from_i64(&[0, 1], &[2]).unwrap();
         let template = Tensor::zeros(DType::F64, &[2, 4]);
-        let out = eval_prim(
+        let out = eval(
             &Prim::RandNormalLike,
             &[counters, template],
             &[0, 1],
@@ -318,7 +360,7 @@ mod tests {
     fn unknown_external_kernel_errors() {
         let (rng, reg) = env();
         let q = Tensor::zeros(DType::F64, &[2, 3]);
-        let err = eval_prim(&Prim::external("grad"), &[q], &[0, 1], &rng, &reg);
+        let err = eval(&Prim::external("grad"), &[q], &[0, 1], &rng, &reg);
         assert!(matches!(err, Err(VmError::UnknownKernel { .. })));
     }
 
@@ -341,7 +383,7 @@ mod tests {
         let (rng, mut reg) = env();
         reg.register("double", Arc::new(Doubler));
         let x = Tensor::from_f64(&[1.0, 2.0], &[2, 1]).unwrap();
-        let out = eval_prim(
+        let out = eval(
             &Prim::external("double"),
             std::slice::from_ref(&x),
             &[0, 1],
@@ -370,7 +412,7 @@ mod tests {
         let (rng, reg) = env();
         let x = Tensor::zeros(DType::F64, &[1]);
         assert!(matches!(
-            eval_prim(&Prim::Add, &[x], &[0], &rng, &reg),
+            eval(&Prim::Add, &[x], &[0], &rng, &reg),
             Err(VmError::KernelArity { .. })
         ));
     }

@@ -141,7 +141,8 @@ impl Invocation {
         } else {
             (0..z as u64).collect()
         };
-        let results = eval_prim(prim, &inputs, &members, &vm.rng, &vm.registry)?;
+        let mut results = Vec::with_capacity(outs.len());
+        eval_prim(prim, &inputs, &members, &vm.rng, &vm.registry, &mut results)?;
         pricing.op(prim, &inputs, &results, &vm.registry, gather);
         if vm.opts.strategy.measures(*cost) {
             *cost = Some(prim_cost(prim, &inputs, &results, &vm.registry).per_member(z));

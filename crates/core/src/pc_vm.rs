@@ -32,11 +32,19 @@
 //! execution is a method on it. The arena is lent in place, never
 //! taken out of its owner, so a superstep that fails leaves what the
 //! machine has learned about its blocks where it was.
+//!
+//! Nothing on that path looks a variable up by name. [`PcVm::new`]
+//! resolves every block once: each operand of each op, the branch
+//! condition and each fused region's inputs and results become a
+//! `Slot` — stacked variable `i`, register `i` or block temporary `i`,
+//! dense indices into the member set's vectors and the superstep's
+//! temporaries. The program's `Var`s are read only to name an error or
+//! to label an observer's snapshot.
 
 use std::collections::BTreeMap;
 
 use autobatch_accel::Trace;
-use autobatch_ir::pcab::{Op, Program, Terminator, WriteKind};
+use autobatch_ir::pcab::{Block, Op, Program, Terminator, WriteKind};
 use autobatch_ir::{Prim, Var};
 use autobatch_tensor::{CounterRng, DType, Data, Tensor};
 
@@ -111,45 +119,99 @@ pub struct PcVm<'p> {
     /// Per-block fused elementwise regions (see [`crate::fusion`]),
     /// planned once at construction.
     plans: Vec<Vec<FusedRegion>>,
-    /// Variable → storage slot, resolved once at construction so the
-    /// superstep loop indexes dense vectors instead of walking
-    /// string-keyed maps per operand.
-    slot_of: BTreeMap<Var, Slot>,
+    /// Per block, where each of its operands lives, resolved once at
+    /// construction: a superstep indexes dense vectors and never
+    /// compares a variable's name.
+    resolved: Vec<Resolved>,
+    /// The most temporaries one block binds: the length of a
+    /// superstep's temporaries, sized once per scratch arena.
+    max_temps: usize,
+    /// The slot of each program input and output, `None` for one that
+    /// is not a persistent variable (a program that does not validate).
+    input_slots: Vec<Option<Slot>>,
+    output_slots: Vec<Option<Slot>>,
     /// Stacked variables in slot order (the program's sorted order).
     stacked_vars: Vec<Var>,
     /// Kernel tag of each block's launch, `block:{i}`.
     block_tags: Vec<String>,
 }
 
-/// Storage slot of a persistent variable: an index into the state's
-/// stacked or register vector. Variables without a slot are block-local
-/// temporaries.
+/// Where a variable lives: an index into the state's stacked or
+/// register vector (a persistent variable), or into the superstep's
+/// temporaries (a block-local one, numbered per block in order of first
+/// mention).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Slot {
     Stacked(usize),
     Register(usize),
+    Temp(usize),
 }
 
-/// Block-local temporary bindings of one superstep. A plain vector
-/// with linear lookup: blocks bind at most a handful of temporaries,
-/// so this beats a tree map and — living in the scratch arena — keeps
-/// its capacity across supersteps instead of reallocating nodes.
-#[derive(Debug, Default)]
-struct Temps(Vec<(Var, Tensor)>);
+/// The slots an op reads and writes, parallel to its `Var`s: a
+/// `Compute`'s inputs and outputs, a `Pop`'s variable as its one
+/// output, a fused region's external inputs and its materialized
+/// results (in `mats` order).
+#[derive(Debug)]
+struct Operands {
+    ins: Vec<Slot>,
+    outs: Vec<Slot>,
+}
 
-impl Temps {
-    fn clear(&mut self) {
-        self.0.clear();
-    }
+/// One block with every operand resolved to its slot.
+#[derive(Debug)]
+struct Resolved {
+    /// Per op of the block, in op order.
+    ops: Vec<Operands>,
+    /// Per fused region of the block's plan, in plan order.
+    regions: Vec<Operands>,
+    /// The condition of a `Branch` terminator.
+    cond: Option<Slot>,
+    /// How many temporaries the block binds.
+    temps: usize,
+}
 
-    fn get(&self, v: &Var) -> Option<&Tensor> {
-        self.0.iter().find(|(k, _)| k == v).map(|(_, t)| t)
-    }
-
-    fn insert(&mut self, v: Var, t: Tensor) {
-        match self.0.iter_mut().find(|(k, _)| *k == v) {
-            Some(slot) => slot.1 = t,
-            None => self.0.push((v, t)),
+impl Resolved {
+    /// Resolve `block`: persistent variables through `persistent`,
+    /// every other name to the next free temporary.
+    fn new(persistent: &BTreeMap<Var, Slot>, block: &Block, plan: &[FusedRegion]) -> Self {
+        let mut temps: Vec<&Var> = Vec::new();
+        let mut slot = |v| {
+            if let Some(&s) = persistent.get(v) {
+                return s;
+            }
+            let t = temps.iter().position(|&w| w == v).unwrap_or_else(|| {
+                temps.push(v);
+                temps.len() - 1
+            });
+            Slot::Temp(t)
+        };
+        let ops = (block.ops.iter())
+            .map(|op| match op {
+                Op::Compute { outs, ins, .. } => Operands {
+                    ins: ins.iter().map(&mut slot).collect(),
+                    outs: outs.iter().map(|(v, _)| slot(v)).collect(),
+                },
+                Op::Pop { var } => Operands {
+                    ins: Vec::new(),
+                    outs: vec![slot(var)],
+                },
+            })
+            .collect();
+        let regions = (plan.iter())
+            .map(|r| Operands {
+                ins: r.exts.iter().map(&mut slot).collect(),
+                outs: r.mats.iter().map(|&d| slot(&r.ops[d].out.0)).collect(),
+            })
+            .collect();
+        let cond = match &block.term {
+            Terminator::Branch { cond, .. } => Some(slot(cond)),
+            _ => None,
+        };
+        Resolved {
+            ops,
+            regions,
+            cond,
+            temps: temps.len(),
         }
     }
 }
@@ -193,10 +255,30 @@ struct Scratch {
     def_wide: Vec<bool>,
     /// Reused operand buffer of a primitive or a fused region.
     inputs: Vec<Tensor>,
-    /// Block-local temporary bindings (cleared each superstep).
-    temps: Temps,
+    /// Reused result buffer of a primitive or a fused region.
+    results: Vec<Tensor>,
+    /// The superstep's block-local temporaries, indexed by
+    /// [`Slot::Temp`]; all unbound when a superstep begins.
+    temps: Vec<Option<Tensor>>,
     /// What this machine has learned about each block by running it.
     blocks: Vec<BlockMemo>,
+}
+
+impl Scratch {
+    /// An arena for `vm`'s supersteps: a memo per block, and room for
+    /// the temporaries of its largest block.
+    fn new(vm: &PcVm<'_>) -> Self {
+        Scratch {
+            temps: vec![None; vm.max_temps],
+            blocks: (vm.plans.iter())
+                .map(|regions| BlockMemo {
+                    fused_off: vec![false; regions.len()],
+                    ..BlockMemo::default()
+                })
+                .collect(),
+            ..Scratch::default()
+        }
+    }
 }
 
 /// Facts about one block that are fixed by the shapes of the program's
@@ -233,13 +315,21 @@ impl<'p> PcVm<'p> {
         for (i, v) in program.register_vars().into_iter().enumerate() {
             slot_of.insert(v, Slot::Register(i));
         }
+        let plans = fusion::plan_program(program);
+        let resolved: Vec<Resolved> = (program.blocks.iter().zip(&plans))
+            .map(|(block, plan)| Resolved::new(&slot_of, block, plan))
+            .collect();
+        let slots = |vars: &[Var]| vars.iter().map(|v| slot_of.get(v).copied()).collect();
         PcVm {
             program,
             registry,
             opts,
             rng: CounterRng::new(opts.seed),
-            plans: fusion::plan_program(program),
-            slot_of,
+            plans,
+            max_temps: resolved.iter().map(|r| r.temps).max().unwrap_or(0),
+            resolved,
+            input_slots: slots(&program.inputs),
+            output_slots: slots(&program.outputs),
             stacked_vars,
             block_tags: (0..program.blocks.len())
                 .map(|i| format!("block:{i}"))
@@ -279,7 +369,7 @@ impl<'p> PcVm<'p> {
         // static for the whole run.
         let mut st = State::new(self.program);
         self.bind(&mut st, inputs, (0..z).map(|b| b as u64))?;
-        let (mut scratch, mut steps) = (Scratch::default(), 0);
+        let (mut scratch, mut steps) = (Scratch::new(self), 0);
         while let Some(i) = self.next_block(&st, &mut scratch, &mut steps)? {
             self.run_block(&mut st, &mut scratch, i, trace.as_deref_mut())?;
             if let Some(obs) = observer.as_deref_mut() {
@@ -338,8 +428,8 @@ impl<'p> PcVm<'p> {
         keys: impl ExactSizeIterator<Item = u64>,
     ) -> Result<usize> {
         let p = self.program;
-        for (v, rows) in p.inputs.iter().zip(inputs) {
-            if let Some(live) = self.peek(st, v) {
+        for ((v, &slot), rows) in p.inputs.iter().zip(&self.input_slots).zip(inputs) {
+            if let Some(live) = slot.and_then(|s| peek(st, s)) {
                 if rows.shape()[1..] != live.shape()[1..] || rows.dtype() != live.dtype() {
                     return Err(VmError::BadInputs {
                         what: format!(
@@ -360,10 +450,13 @@ impl<'p> PcVm<'p> {
             *key = k;
         }
         let new_lanes: Vec<usize> = (z..z + k).collect();
-        for (v, rows) in p.inputs.iter().zip(inputs) {
-            if let Some(slot) = self.slot_mut(st, v) {
-                store_rows(slot, z + k, &new_lanes, rows)?;
-            }
+        for (&slot, rows) in self.input_slots.iter().zip(inputs) {
+            let buf = match slot {
+                Some(Slot::Stacked(i)) => &mut st.stacked[i].top,
+                Some(Slot::Register(i)) => &mut st.registers[i],
+                _ => continue,
+            };
+            store_rows(buf, z + k, &new_lanes, rows)?;
         }
         Ok(z)
     }
@@ -411,15 +504,6 @@ impl<'p> PcVm<'p> {
             .extend((0..z).filter(|&b| scratch.active[b]));
         let n_active = scratch.active_idx.len();
         let mut pricing = Pricing::begin(trace, z, n_active);
-
-        if scratch.blocks.len() != self.plans.len() {
-            scratch.blocks = (self.plans.iter())
-                .map(|regions| BlockMemo {
-                    fused_off: vec![false; regions.len()],
-                    ..BlockMemo::default()
-                })
-                .collect();
-        }
         let cost = scratch.blocks[i].cost;
         scratch.gathered = self.opts.strategy.gathers(cost, n_active, z);
         if self.opts.strategy.measures(cost) {
@@ -432,7 +516,7 @@ impl<'p> PcVm<'p> {
                 .extend(scratch.active_idx.iter().map(|&b| st.member_keys[b]));
             scratch.next_operand = 0;
         }
-        scratch.temps.clear();
+        scratch.temps.fill(None);
         let step = Superstep {
             vm: self,
             st,
@@ -446,27 +530,30 @@ impl<'p> PcVm<'p> {
 
     /// The program's outputs at their current tops, full width.
     fn outputs(&self, st: &State) -> Result<Vec<Tensor>> {
-        let outputs = self.program.outputs.iter();
+        let outputs = self.program.outputs.iter().zip(&self.output_slots);
         outputs
-            .map(|o| lookup(self.peek(st, o), o, "outputs"))
+            .map(|(o, &slot)| lookup(slot.and_then(|s| peek(st, s)), o, "outputs"))
             .collect()
     }
+}
 
-    /// Current full-width value of a persistent variable, if any.
-    fn peek<'s>(&self, st: &'s State, v: &Var) -> Option<&'s Tensor> {
-        match *self.slot_of.get(v)? {
-            Slot::Stacked(i) => st.stacked[i].top.as_ref(),
-            Slot::Register(i) => st.registers[i].as_ref(),
-        }
+/// The current full-width value in a persistent slot — a stacked
+/// variable's cached top, or a register — if it has one. A temporary
+/// belongs to a superstep, not to the member set: `None`.
+fn peek(st: &State, slot: Slot) -> Option<&Tensor> {
+    match slot {
+        Slot::Stacked(i) => st.stacked[i].top.as_ref(),
+        Slot::Register(i) => st.registers[i].as_ref(),
+        Slot::Temp(_) => None,
     }
+}
 
-    /// The full-width `[Z, elem..]` buffer of a persistent variable — a
-    /// stacked variable's cached top, or a register — if `v` is one.
-    fn slot_mut<'s>(&self, st: &'s mut State, v: &Var) -> Option<&'s mut Option<Tensor>> {
-        match *self.slot_of.get(v)? {
-            Slot::Stacked(i) => Some(&mut st.stacked[i].top),
-            Slot::Register(i) => Some(&mut st.registers[i]),
-        }
+/// The current value in any slot: a persistent one's full-width buffer,
+/// or the temporary the running superstep bound, if any.
+fn read<'s>(st: &'s State, temps: &'s [Option<Tensor>], slot: Slot) -> Option<&'s Tensor> {
+    match slot {
+        Slot::Temp(i) => temps[i].as_ref(),
+        _ => peek(st, slot),
     }
 }
 
@@ -490,6 +577,7 @@ impl Superstep<'_, '_> {
         let vm = self.vm;
         let block = &vm.program.blocks[self.block];
         let plan = &vm.plans[self.block];
+        let resolved = &vm.resolved[self.block];
         let mut next_region = 0usize;
         let mut op_idx = 0usize;
         while op_idx < block.ops.len() {
@@ -502,7 +590,7 @@ impl Superstep<'_, '_> {
                     let region_idx = next_region;
                     next_region += 1;
                     if !self.scratch.blocks[self.block].fused_off[region_idx] {
-                        if self.try_exec_fused(region)? {
+                        if self.try_exec_fused(region, &resolved.regions[region_idx])? {
                             op_idx += region.len;
                             continue;
                         }
@@ -510,13 +598,14 @@ impl Superstep<'_, '_> {
                     }
                 }
             }
+            let slots = &resolved.ops[op_idx];
             match &block.ops[op_idx] {
-                Op::Compute { outs, prim, ins } => self.exec_compute(prim, outs, ins)?,
-                Op::Pop { var } => self.pop_var(var)?,
+                Op::Compute { outs, prim, ins } => self.exec_compute(prim, slots, ins, outs)?,
+                Op::Pop { var } => self.pop_var(slots.outs[0], var)?,
             }
             op_idx += 1;
         }
-        self.terminate(&block.term)?;
+        self.terminate(&block.term, resolved.cond)?;
         if let Some(cost) = self.pricing.block_cost() {
             self.scratch.blocks[self.block].cost = Some(cost);
         }
@@ -524,8 +613,9 @@ impl Superstep<'_, '_> {
         Ok(())
     }
 
-    /// Move the active members' program counters as `term` says.
-    fn terminate(&mut self, term: &Terminator) -> Result<()> {
+    /// Move the active members' program counters as `term` says;
+    /// `cond_slot` is where a `Branch`'s condition lives.
+    fn terminate(&mut self, term: &Terminator, cond_slot: Option<Slot>) -> Result<()> {
         let st = &mut *self.st;
         let active_idx = &self.scratch.active_idx;
         let stack_depth = self.vm.opts.stack_depth;
@@ -536,11 +626,11 @@ impl Superstep<'_, '_> {
                 }
             }
             Terminator::Branch { cond, then_, else_ } => {
+                let slot = cond_slot.expect("a branch's condition is resolved");
                 // A gathered superstep's temporaries hold one row per
                 // *active* member.
-                let local = self.scratch.temps.get(cond);
-                let compacted = self.scratch.gathered && local.is_some();
-                let c = lookup(local.or_else(|| self.vm.peek(st, cond)), cond, "branch")?;
+                let compacted = self.scratch.gathered && matches!(slot, Slot::Temp(_));
+                let c = lookup(read(st, &self.scratch.temps, slot), cond, "branch")?;
                 let cv = c.as_bool()?;
                 for (pos, &b) in active_idx.iter().enumerate() {
                     let bit = if compacted { cv[pos] } else { cv[b] };
@@ -591,46 +681,43 @@ impl Superstep<'_, '_> {
     /// Results are bit-identical to per-op execution: the loop applies
     /// the same `scalar_ops` functions in the same order, and
     /// write-back goes through the exact per-op write path in op order.
-    fn try_exec_fused(&mut self, region: &FusedRegion) -> Result<bool> {
+    fn try_exec_fused(&mut self, region: &FusedRegion, slots: &Operands) -> Result<bool> {
         if !self.vm.opts.cache_stack_tops {
             return Ok(false);
         }
         // Read the external inputs exactly like the per-op path, into
         // the same reused buffer.
-        self.read_operands(&region.exts)?;
+        self.read_operands(&slots.ins, &region.exts)?;
         let rows = if self.scratch.gathered {
             self.scratch.active_idx.len()
         } else {
             self.st.z()
         };
-        let results = fused_results(region, rows, self.scratch, &mut self.pricing);
+        let fused = fused_results(region, rows, self.scratch, &mut self.pricing);
         self.scratch.inputs.clear();
-        let Some(results) = results? else {
+        if !fused? {
             return Ok(false);
-        };
+        }
         // Write back the materialized results through the per-op write
         // path, in op order (so stack pushes error in the same order as
         // unfused execution).
-        for (&d, r) in region.mats.iter().zip(results) {
-            let (var, kind) = &region.ops[d].out;
-            self.write_var(var, r, *kind)?;
-        }
+        let outs = region.mats.iter().map(|&d| &region.ops[d].out);
+        self.write_results(&slots.outs, outs)?;
         Ok(true)
     }
 
-    /// Fill `scratch.inputs` with the operands `vars` name, each as the
-    /// superstep's mode wants it: a block-local temporary as it is (a
-    /// gathered superstep bound it compacted), a persistent variable
-    /// whole — an O(1) copy-on-write share — or, gathered, its active
-    /// rows copied into the block's next operand buffer.
-    fn read_operands(&mut self, vars: &[Var]) -> Result<()> {
+    /// Fill `scratch.inputs` with the operands in `slots` (named `vars`,
+    /// for errors), each as the superstep's mode wants it: a block-local
+    /// temporary as it is (a gathered superstep bound it compacted), a
+    /// persistent variable whole — an O(1) copy-on-write share — or,
+    /// gathered, its active rows copied into the block's next operand
+    /// buffer.
+    fn read_operands(&mut self, slots: &[Slot], vars: &[Var]) -> Result<()> {
         let scratch = &mut *self.scratch;
         scratch.inputs.clear();
-        for v in vars {
-            let local = scratch.temps.get(v);
-            let gather = scratch.gathered && local.is_none();
-            let t = lookup(local.or_else(|| self.vm.peek(self.st, v)), v, "compute")?;
-            if !gather {
+        for (&slot, v) in slots.iter().zip(vars) {
+            let t = lookup(read(self.st, &scratch.temps, slot), v, "compute")?;
+            if !scratch.gathered || matches!(slot, Slot::Temp(_)) {
                 scratch.inputs.push(t);
                 continue;
             }
@@ -646,129 +733,144 @@ impl Superstep<'_, '_> {
         Ok(())
     }
 
-    /// Execute one `Compute` op in the superstep's mode.
-    fn exec_compute(&mut self, prim: &Prim, outs: &[(Var, WriteKind)], ins: &[Var]) -> Result<()> {
+    /// Execute one `Compute` op in the superstep's mode: `slots` are
+    /// where its inputs `ins` and outputs `outs` live.
+    fn exec_compute(
+        &mut self,
+        prim: &Prim,
+        slots: &Operands,
+        ins: &[Var],
+        outs: &[(Var, WriteKind)],
+    ) -> Result<()> {
         let vm = self.vm;
         // Uncached-top ablation: every read of a stacked variable pays a
         // gather from the stack storage.
         if !vm.opts.cache_stack_tops {
-            for v in ins {
-                if let Some(&Slot::Stacked(slot)) = vm.slot_of.get(v) {
-                    if let Some(top) = &self.st.stacked[slot].top {
+            for &slot in &slots.ins {
+                if let Slot::Stacked(i) = slot {
+                    if let Some(top) = &self.st.stacked[i].top {
                         self.pricing.uncached_read(row_bytes(top));
                     }
                 }
             }
         }
-        self.read_operands(ins)?;
+        self.read_operands(&slots.ins, ins)?;
         let scratch = &mut *self.scratch;
         let members = if scratch.gathered {
             &scratch.members
         } else {
             &self.st.member_keys
         };
-        let results = eval_prim(prim, &scratch.inputs, members, &vm.rng, &vm.registry)?;
-        self.pricing.op(
-            prim,
-            &scratch.inputs,
-            &results,
-            &vm.registry,
-            scratch.gathered,
-        );
+        let (inputs, results) = (&scratch.inputs, &mut scratch.results);
+        eval_prim(prim, inputs, members, &vm.rng, &vm.registry, results)?;
+        self.pricing
+            .op(prim, inputs, results, &vm.registry, scratch.gathered);
         // Release the operand clones before write-back: a surviving
         // share of the destination buffer would force the store below
         // into a full copy-on-write instead of an in-place write.
         scratch.inputs.clear();
-        for ((var, kind), r) in outs.iter().zip(results) {
-            self.write_var(var, r, *kind)?;
+        self.write_results(&slots.outs, outs.iter())
+    }
+
+    /// Write the tensors in `scratch.results`, in order, to `slots`
+    /// (`outs` names them, for errors, and says how each is written).
+    fn write_results<'v>(
+        &mut self,
+        slots: &[Slot],
+        outs: impl Iterator<Item = &'v (Var, WriteKind)>,
+    ) -> Result<()> {
+        let mut results = std::mem::take(&mut self.scratch.results);
+        for ((&slot, (var, kind)), r) in slots.iter().zip(outs).zip(results.drain(..)) {
+            self.write_var(slot, var, r, *kind)?;
         }
+        self.scratch.results = results;
         Ok(())
     }
 
-    /// Write `value` to `var` for the active members: the one write
-    /// path of the per-op and fused paths in both modes, so neither
-    /// fusion nor the mode can change write semantics. A block-local
-    /// temporary is bound as it comes (compacted in a gathered
-    /// superstep).
-    fn write_var(&mut self, var: &Var, value: Tensor, kind: WriteKind) -> Result<()> {
+    /// Write `value` to `slot` (`var`, for errors) for the active
+    /// members: the one write path of the per-op and fused paths in
+    /// both modes, so neither fusion nor the mode can change write
+    /// semantics. A block-local temporary is bound as it comes
+    /// (compacted in a gathered superstep).
+    fn write_var(&mut self, slot: Slot, var: &Var, value: Tensor, kind: WriteKind) -> Result<()> {
         let (vm, z) = (self.vm, self.st.z());
         let lanes = Lanes {
             active: &self.scratch.active,
             idx: self.scratch.gathered.then_some(&self.scratch.active_idx),
         };
         let active = lanes.active;
-        if let Some(&Slot::Stacked(slot)) = vm.slot_of.get(var) {
-            let s = &mut self.st.stacked[slot];
-            match kind {
-                WriteKind::Update => {
-                    land(&mut s.top, value, lanes)?;
-                    let top = s.top.as_ref().expect("just stored");
-                    // Uncached-top ablation: updates scatter to storage.
-                    let scattered = if vm.opts.cache_stack_tops {
-                        0
-                    } else {
-                        row_bytes(top)
-                    };
-                    self.pricing.stack_update(top.size_bytes(), scattered);
-                }
-                WriteKind::Push => {
-                    // Materialize the old top (zeros for the virgin frame)
-                    // into storage, then cache the new value as top.
-                    if s.top.is_none() {
-                        s.top = Some(zeroed(z, &value));
+        match slot {
+            Slot::Stacked(i) => {
+                let s = &mut self.st.stacked[i];
+                match kind {
+                    WriteKind::Update => {
+                        land(&mut s.top, value, lanes)?;
+                        let top = s.top.as_ref().expect("just stored");
+                        // Uncached-top ablation: updates scatter to storage.
+                        let scattered = if vm.opts.cache_stack_tops {
+                            0
+                        } else {
+                            row_bytes(top)
+                        };
+                        self.pricing.stack_update(top.size_bytes(), scattered);
                     }
-                    for (b, &a) in active.iter().enumerate() {
-                        if a && s.sp[b] >= vm.opts.stack_depth {
-                            return Err(VmError::StackOverflow {
-                                var: var.clone(),
-                                limit: vm.opts.stack_depth,
-                            });
+                    WriteKind::Push => {
+                        // Materialize the old top (zeros for the virgin frame)
+                        // into storage, then cache the new value as top.
+                        if s.top.is_none() {
+                            s.top = Some(zeroed(z, &value));
                         }
-                    }
-                    // Move the top out instead of cloning it so the
-                    // masked store below mutates a unique buffer in
-                    // place (a live clone would force a copy-on-write).
-                    let top = s.top.take().expect("ensured above");
-                    if s.store.is_none() {
-                        let mut shape = vec![vm.opts.stack_depth, z];
-                        shape.extend_from_slice(&top.shape()[1..]);
-                        s.store = Some(Tensor::zeros(top.dtype(), &shape));
-                    }
-                    let store = s.store.as_mut().expect("ensured above");
-                    store.scatter_at_depth(&s.sp, active, &top)?;
-                    for (b, &a) in active.iter().enumerate() {
-                        if a {
-                            s.sp[b] += 1;
+                        for (b, &a) in active.iter().enumerate() {
+                            if a && s.sp[b] >= vm.opts.stack_depth {
+                                return Err(VmError::StackOverflow {
+                                    var: var.clone(),
+                                    limit: vm.opts.stack_depth,
+                                });
+                            }
                         }
+                        // Move the top out instead of cloning it so the
+                        // masked store below mutates a unique buffer in
+                        // place (a live clone would force a copy-on-write).
+                        let top = s.top.take().expect("ensured above");
+                        if s.store.is_none() {
+                            let mut shape = vec![vm.opts.stack_depth, z];
+                            shape.extend_from_slice(&top.shape()[1..]);
+                            s.store = Some(Tensor::zeros(top.dtype(), &shape));
+                        }
+                        let store = s.store.as_mut().expect("ensured above");
+                        store.scatter_at_depth(&s.sp, active, &top)?;
+                        for (b, &a) in active.iter().enumerate() {
+                            if a {
+                                s.sp[b] += 1;
+                            }
+                        }
+                        let (store_bytes, frame_bytes) = (store.size_bytes(), row_bytes(&top));
+                        s.top = Some(top);
+                        land(&mut s.top, value, lanes)?;
+                        self.pricing.stack_push(store_bytes, frame_bytes);
                     }
-                    let (store_bytes, frame_bytes) = (store.size_bytes(), row_bytes(&top));
-                    s.top = Some(top);
-                    land(&mut s.top, value, lanes)?;
-                    self.pricing.stack_push(store_bytes, frame_bytes);
                 }
             }
-        } else if let Some(&Slot::Register(slot)) = vm.slot_of.get(var) {
-            debug_assert_eq!(kind, WriteKind::Update, "validated: no push to register");
-            land(&mut self.st.registers[slot], value, lanes)?;
-        } else {
+            Slot::Register(i) => {
+                debug_assert_eq!(kind, WriteKind::Update, "validated: no push to register");
+                land(&mut self.st.registers[i], value, lanes)?;
+            }
             // Block-local temporary: plain unmasked binding.
-            self.scratch.temps.insert(var.clone(), value);
+            Slot::Temp(i) => self.scratch.temps[i] = Some(value),
         }
         Ok(())
     }
 
-    /// Pop a stacked variable for the active members.
-    fn pop_var(&mut self, var: &Var) -> Result<()> {
-        let slot = match self.vm.slot_of.get(var) {
-            Some(&Slot::Stacked(i)) => i,
-            _ => {
-                return Err(VmError::Unbound {
-                    var: var.clone(),
-                    context: "pop of unknown stacked variable".into(),
-                })
-            }
+    /// Pop the stacked variable in `slot` (`var`, for errors) for the
+    /// active members.
+    fn pop_var(&mut self, slot: Slot, var: &Var) -> Result<()> {
+        let Slot::Stacked(i) = slot else {
+            return Err(VmError::Unbound {
+                var: var.clone(),
+                context: "pop of unknown stacked variable".into(),
+            });
         };
-        let s = &mut self.st.stacked[slot];
+        let s = &mut self.st.stacked[i];
         let scratch = &mut *self.scratch;
         let store = s
             .store
@@ -881,10 +983,11 @@ pub struct PcMachine<'p> {
 impl<'p> PcMachine<'p> {
     /// Create an empty machine (no members) for a lowered program.
     pub fn new(program: &'p Program, registry: KernelRegistry, opts: ExecOptions) -> Self {
+        let vm = PcVm::new(program, registry, opts);
         PcMachine {
-            vm: PcVm::new(program, registry, opts),
+            scratch: Scratch::new(&vm),
+            vm,
             st: State::new(program),
-            scratch: Scratch::default(),
             track_peak_bytes: false,
             steps: 0,
             gathered_steps: 0,
@@ -1325,17 +1428,17 @@ mod send_handoff {
     }
 }
 
-/// The materialized results of one fused elementwise region run as a
-/// single loop over `rows` members of its external inputs
-/// (`scratch.inputs`), priced; or `None`, having done nothing
-/// observable, when the region must fall back to per-op execution (see
-/// `Superstep::try_exec_fused`).
+/// Run one fused elementwise region as a single loop over `rows`
+/// members of its external inputs (`scratch.inputs`), priced, its
+/// materialized results in `scratch.results`; or return `false`, having
+/// done nothing observable, when the region must fall back to per-op
+/// execution (see `Superstep::try_exec_fused`).
 fn fused_results(
     region: &FusedRegion,
     rows: usize,
     scratch: &mut Scratch,
     pricing: &mut Pricing<'_>,
-) -> Result<Option<Vec<Tensor>>> {
+) -> Result<bool> {
     let exts = &scratch.inputs;
     // The fast path requires a single "wide" shape: every external
     // either matches it exactly or is a member-scalar `[rows]`
@@ -1351,25 +1454,25 @@ fn fused_results(
             let d = match (&region.f64_exec, &region.i64_exec) {
                 (Some(_), None) => DType::F64,
                 (None, Some(_)) => DType::I64,
-                _ => return Ok(None),
+                _ => return Ok(false),
             };
             (vec![rows], d)
         }
     };
     if shape.is_empty() || shape[0] != rows {
-        return Ok(None);
+        return Ok(false);
     }
     scratch.ext_bcast.clear();
     for t in exts {
         if t.dtype() != dtype {
-            return Ok(None);
+            return Ok(false);
         }
         if t.shape() == shape.as_slice() {
             scratch.ext_bcast.push(false);
         } else if t.rank() == 1 && t.shape()[0] == rows {
             scratch.ext_bcast.push(true);
         } else {
-            return Ok(None);
+            return Ok(false);
         }
     }
     let n: usize = shape.iter().product();
@@ -1378,7 +1481,7 @@ fn fused_results(
         // narrow materializations entirely (their values exist even
         // when the element axis is empty). The per-op path handles
         // the degenerate case; nothing to optimize at zero elements.
-        return Ok(None);
+        return Ok(false);
     }
     let mut run = RegionRun {
         region,
@@ -1386,28 +1489,30 @@ fn fused_results(
         ext_bcast: &scratch.ext_bcast,
         def_wide: &mut scratch.def_wide,
     };
-    let results = match dtype {
+    let out = &mut scratch.results;
+    out.clear();
+    match dtype {
         DType::F64 => {
             let Some(table) = &region.f64_exec else {
-                return Ok(None);
+                return Ok(false);
             };
             let slices: Vec<&[f64]> = exts
                 .iter()
                 .map(|t| t.as_f64().expect("dtype checked"))
                 .collect();
-            run.materialize(table, &slices, &mut scratch.regs_f64, Data::F64)?
+            run.materialize(table, &slices, &mut scratch.regs_f64, Data::F64, out)?;
         }
         DType::I64 => {
             let Some(table) = &region.i64_exec else {
-                return Ok(None);
+                return Ok(false);
             };
             let slices: Vec<&[i64]> = exts
                 .iter()
                 .map(|t| t.as_i64().expect("dtype checked"))
                 .collect();
-            run.materialize(table, &slices, &mut scratch.regs_i64, Data::I64)?
+            run.materialize(table, &slices, &mut scratch.regs_i64, Data::I64, out)?;
         }
-        DType::Bool => return Ok(None),
+        DType::Bool => return Ok(false),
     };
     pricing.region(
         region,
@@ -1417,7 +1522,7 @@ fn fused_results(
         n,
         scratch.gathered,
     );
-    Ok(Some(results))
+    Ok(true)
 }
 
 /// One fused region about to run over operands of one validated wide
@@ -1432,17 +1537,18 @@ struct RegionRun<'a> {
 }
 
 impl RegionRun<'_> {
-    /// Run the region for a concrete element type and build the
-    /// materialized result tensors (wide defs at the region shape,
-    /// member-narrow defs at `[rows]`). Shared by the `f64` and `i64`
-    /// paths so the dtypes cannot diverge.
+    /// Run the region for a concrete element type and push the
+    /// materialized result tensors onto `out` (wide defs at the region
+    /// shape, member-narrow defs at `[rows]`). Shared by the `f64` and
+    /// `i64` paths so the dtypes cannot diverge.
     fn materialize<T: Copy + Default>(
         &mut self,
         table: &[fusion::ExecOp<T>],
         exts: &[&[T]],
         regs: &mut Vec<T>,
         wrap: fn(Vec<T>) -> Data,
-    ) -> Result<Vec<Tensor>> {
+        out: &mut Vec<Tensor>,
+    ) -> Result<()> {
         let (region, shape) = (self.region, self.shape);
         fusion::def_wideness(table, self.ext_bcast, self.def_wide);
         let def_wide = &*self.def_wide;
@@ -1464,15 +1570,11 @@ impl RegionRun<'_> {
             def_wide,
             &mut bufs,
         );
-        region
-            .mats
-            .iter()
-            .zip(bufs)
-            .map(|(&d, b)| {
-                let sh: &[usize] = if def_wide[d] { shape } else { &shape[..1] };
-                Tensor::new(wrap(b), sh).map_err(VmError::from)
-            })
-            .collect()
+        for (&d, b) in region.mats.iter().zip(bufs) {
+            let sh: &[usize] = if def_wide[d] { shape } else { &shape[..1] };
+            out.push(Tensor::new(wrap(b), sh)?);
+        }
+        Ok(())
     }
 }
 
@@ -1678,6 +1780,102 @@ mod tests {
             .collect();
         assert_eq!(errs[0], VmError::StackUnderflow { var: x });
         assert_eq!(errs[0], errs[1]);
+    }
+
+    #[test]
+    fn a_temporary_bound_in_an_earlier_superstep_reads_as_unbound_by_name() {
+        // Block 0 binds the temporary `t`, block 1 reads a `t` it never
+        // binds: both are their block's temporary 0, so only clearing
+        // the temporaries between supersteps keeps block 1 from reading
+        // block 0's value. The error still names the variable.
+        use autobatch_ir::pcab::VarClass;
+        use autobatch_ir::BlockId;
+        let (x, y, t) = (Var::new("x"), Var::new("y"), Var::new("t"));
+        let compute = |out: &Var, prim, ins: &[&Var]| Op::Compute {
+            outs: vec![(out.clone(), WriteKind::Update)],
+            prim,
+            ins: ins.iter().map(|&v| v.clone()).collect(),
+        };
+        let prog = Program {
+            blocks: vec![
+                Block {
+                    ops: vec![compute(&t, Prim::Neg, &[&x])],
+                    term: Terminator::Jump(BlockId(1)),
+                },
+                Block {
+                    ops: vec![compute(&y, Prim::Neg, &[&t])],
+                    term: Terminator::Return,
+                },
+            ],
+            entry: BlockId(0),
+            inputs: vec![x.clone()],
+            outputs: vec![y.clone()],
+            classes: [(x, VarClass::Register), (y, VarClass::Register)]
+                .into_iter()
+                .collect(),
+        };
+        let input = Tensor::from_f64(&[1.0, 2.0], &[2]).unwrap();
+        for strategy in [ExecStrategy::Masking, ExecStrategy::GatherScatter] {
+            for fuse_elementwise in [true, false] {
+                let opts = ExecOptions {
+                    strategy,
+                    fuse_elementwise,
+                    ..ExecOptions::default()
+                };
+                let vm = PcVm::new(&prog, KernelRegistry::new(), opts);
+                let err = vm.run(std::slice::from_ref(&input), None).unwrap_err();
+                assert_eq!(
+                    err,
+                    VmError::Unbound {
+                        var: t.clone(),
+                        context: "compute".into()
+                    }
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_push_past_the_stack_depth_names_the_stacked_variable() {
+        // One block pushes `s` and jumps back to itself: the push after
+        // `stack_depth` frames overflows, and says which variable did.
+        use autobatch_ir::pcab::VarClass;
+        use autobatch_ir::BlockId;
+        let (x, s) = (Var::new("x"), Var::new("s"));
+        let prog = Program {
+            blocks: vec![Block {
+                ops: vec![Op::Compute {
+                    outs: vec![(s.clone(), WriteKind::Push)],
+                    prim: Prim::Neg,
+                    ins: vec![x.clone()],
+                }],
+                term: Terminator::Jump(BlockId(0)),
+            }],
+            entry: BlockId(0),
+            inputs: vec![x.clone()],
+            outputs: vec![x.clone()],
+            classes: [(x, VarClass::Register), (s.clone(), VarClass::Stacked)]
+                .into_iter()
+                .collect(),
+        };
+        prog.validate().unwrap();
+        let input = Tensor::from_f64(&[1.0, 2.0], &[2]).unwrap();
+        for fuse_elementwise in [true, false] {
+            let opts = ExecOptions {
+                stack_depth: 3,
+                fuse_elementwise,
+                ..ExecOptions::default()
+            };
+            let vm = PcVm::new(&prog, KernelRegistry::new(), opts);
+            let err = vm.run(std::slice::from_ref(&input), None).unwrap_err();
+            assert_eq!(
+                err,
+                VmError::StackOverflow {
+                    var: s.clone(),
+                    limit: 3
+                }
+            );
+        }
     }
 
     #[test]

@@ -367,21 +367,27 @@ fn work_fed_mid_drive_is_retried_when_its_shard_dies() {
     silence_injected_panics();
     let program = fib_program();
     // Panics on about half of all worker legs and an execution error
-    // every few hundred supersteps: shards die under work that was fed
+    // every few thousand supersteps: shards die under work that was fed
     // into the running fleet, and the supervisor must heal them and
     // retry that work to the same answers.
     let plan = FaultPlan {
         seed: 4,
         worker_panic: FaultPlan::ALWAYS / 2,
-        exec_error: FaultPlan::ALWAYS / 256,
+        exec_error: FaultPlan::ALWAYS / 4096,
         ..FaultPlan::none()
     };
     let ns = [9, 6, 10, 7, 8, 5, 9, 6, 10, 7];
     let reqs = requests(&ns);
     let want = reference(&program, 2, &reqs);
     // Where a request fed mid-drive lands depends on when the hook is
-    // called, and with it which faults it meets: a retry budget no run
-    // comes near makes every answer a completion.
+    // called, and with it which faults it meets. The worst case is a
+    // fib(10) retried alone late in the run: an attempt survives only
+    // if its leg draws no panic (1/2) and none of its ~600 supersteps
+    // draws an execution fault, so with probability about
+    // 1/2 * (4095/4096)^600 = 0.43. Failing 65 attempts in a row, and
+    // so exhausting a 64-retry budget, has probability 0.57^65, about
+    // 1e-16 per request. (At 1/256 per superstep an attempt survived
+    // 5% of the time, and about one run in twelve lost a request.)
     let opts = ExecOptions {
         fault: plan,
         ..ExecOptions::default()
