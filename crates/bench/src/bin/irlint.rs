@@ -5,17 +5,17 @@
 //! For each program, runs the full static verification tier — the lsab
 //! abstract interpreter, lowering, and the pcab abstract interpreter —
 //! and prints the inferred signature, stack-depth bounds, divergence
-//! facts, and fusion spans. Any diagnostic from either verifier fails
-//! the lint (exit code 1), so an ill-typed program cannot land in the
-//! tree: CI runs this binary over exactly the set of programs the
-//! tests and examples execute.
+//! facts, and the fusion spans of the runtime's own planner. Any
+//! diagnostic from either verifier fails the lint (exit code 1), so an
+//! ill-typed program cannot land in the tree: CI runs this binary over
+//! exactly the set of programs the tests and examples execute.
 //!
 //! Usage: `cargo run --release -p autobatch-bench --bin irlint`
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use autobatch_core::{lower, LoweringOptions};
+use autobatch_core::{fused_spans, lower, LoweringOptions};
 use autobatch_ir::analysis::{analyze_lsab, analyze_pcab};
 use autobatch_ir::build::fibonacci_program;
 use autobatch_ir::lsab;
@@ -50,12 +50,7 @@ fn lint(name: &str, program: &lsab::Program) -> usize {
         }
     };
     let report = analyze_pcab(&pc);
-    let fused: usize = report
-        .elementwise_spans
-        .iter()
-        .flatten()
-        .filter(|(_, len)| *len > 1)
-        .count();
+    let fused: usize = fused_spans(&pc).iter().map(Vec::len).sum();
     println!(
         "  pcab: pc depth {}, data depth {}, {} divergent, {} fused spans",
         report.pc_depth,

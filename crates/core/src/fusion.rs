@@ -2,10 +2,9 @@
 //! program-counter VM's allocation-free fast path.
 //!
 //! A **fused region** is a maximal run of consecutive [`Op::Compute`]
-//! ops in one basic block whose primitives are all single-output
-//! elementwise arithmetic (see [`Prim::is_elementwise`] for the legality
-//! condition; this planner restricts further to the same-dtype
-//! arithmetic subset it can compile to scalar function tables). The VM
+//! ops in one basic block whose primitives are all single-output and
+//! *fusable*: their row of the primitive table carries a scalar kernel
+//! ([`Prim::scalar_kernels`]) on a dtype every op of the run shares. The VM
 //! executes a region as **one loop over elements**, keeping every
 //! intermediate in a per-element virtual register instead of a
 //! materialized tensor, and reports it to the [`Trace`] cost model as a
@@ -28,8 +27,7 @@
 use std::collections::BTreeMap;
 
 use autobatch_ir::pcab::{Block, Op, Program, Terminator, WriteKind};
-use autobatch_ir::{Prim, Var};
-use autobatch_tensor::scalar_ops as so;
+use autobatch_ir::{Prim, ScalarKernel, Var};
 
 /// Where a fused op reads an operand: an earlier def in the region, or
 /// one of the region's external input tensors.
@@ -41,21 +39,10 @@ pub(crate) enum Src {
     Ext(usize),
 }
 
-/// A compiled scalar kernel over one element type.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Kernel<T> {
-    /// Broadcast a constant.
-    Const(T),
-    /// Unary map of `a`.
-    Un(fn(T) -> T),
-    /// Binary combine of `a` and `b`.
-    Bin(fn(T, T) -> T),
-}
-
 /// One executable link of a region, for a concrete element type.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ExecOp<T> {
-    pub kernel: Kernel<T>,
+    pub kernel: ScalarKernel<T>,
     pub a: Src,
     pub b: Src,
 }
@@ -96,93 +83,33 @@ pub(crate) struct FusedRegion {
     pub kernel_tag: String,
 }
 
-/// Candidate kernels of one primitive, per element type. `None` on a
-/// side means the primitive cannot run on that dtype — mirroring the
-/// allocating kernel's dtype errors, so a region that would take the
-/// wrong-dtype fast path falls back and fails exactly like the
-/// per-kernel interpreter.
-struct Kernels {
-    f: Option<Kernel<f64>>,
-    i: Option<Kernel<i64>>,
-}
+/// Candidate kernels of one primitive, per element type
+/// ([`Prim::scalar_kernels`]). `None` on a side means the primitive
+/// cannot run on that dtype — mirroring the allocating kernel's dtype
+/// errors, so a region that would take the wrong-dtype fast path falls
+/// back and fails exactly like the per-kernel interpreter.
+type Kernels = (Option<ScalarKernel<f64>>, Option<ScalarKernel<i64>>);
 
 /// One candidate op while a region is being grown: primitive, inputs,
 /// output, and the per-dtype kernels.
 type OpSpec<'a> = (&'a Prim, &'a [Var], &'a (Var, WriteKind), Kernels);
-
-/// The planner's compiled op set must stay a subset of the IR-level
-/// [`Prim::is_elementwise`] classification: `is_elementwise` is the
-/// legality condition, `kernels_of` the (narrower) subset this planner
-/// can compile to scalar tables. The debug assertion and the
-/// `every_compiled_kernel_is_classified_elementwise` test keep the two
-/// lists from drifting as primitives are added.
-fn kernels_of(prim: &Prim) -> Option<Kernels> {
-    let kernels = kernels_of_inner(prim);
-    debug_assert!(
-        kernels.is_none() || prim.is_elementwise(),
-        "fusable primitive {prim:?} is not classified elementwise"
-    );
-    kernels
-}
-
-fn kernels_of_inner(prim: &Prim) -> Option<Kernels> {
-    let both = |f: fn(f64, f64) -> f64, i: fn(i64, i64) -> i64| {
-        Some(Kernels {
-            f: Some(Kernel::Bin(f)),
-            i: Some(Kernel::Bin(i)),
-        })
-    };
-    let f_only = |f: fn(f64) -> f64| {
-        Some(Kernels {
-            f: Some(Kernel::Un(f)),
-            i: None,
-        })
-    };
-    match prim {
-        Prim::ConstF64(c) => Some(Kernels {
-            f: Some(Kernel::Const(*c)),
-            i: None,
-        }),
-        Prim::ConstI64(c) => Some(Kernels {
-            f: None,
-            i: Some(Kernel::Const(*c)),
-        }),
-        Prim::Id => Some(Kernels {
-            f: Some(Kernel::Un(so::id_f64)),
-            i: Some(Kernel::Un(so::id_i64)),
-        }),
-        Prim::Neg => f_only(so::neg_f64),
-        Prim::Abs => f_only(so::abs_f64),
-        Prim::Exp => f_only(so::exp_f64),
-        Prim::Ln => f_only(so::ln_f64),
-        Prim::Sqrt => f_only(so::sqrt_f64),
-        Prim::Square => f_only(so::square_f64),
-        Prim::Sigmoid => f_only(so::sigmoid_f64),
-        Prim::Softplus => f_only(so::softplus_f64),
-        Prim::Floor => f_only(so::floor_f64),
-        Prim::Sin => f_only(so::sin_f64),
-        Prim::Cos => f_only(so::cos_f64),
-        Prim::Tanh => f_only(so::tanh_f64),
-        Prim::NegI => Some(Kernels {
-            f: None,
-            i: Some(Kernel::Un(so::neg_i64)),
-        }),
-        Prim::Add => both(so::add_f64, so::add_i64),
-        Prim::Sub => both(so::sub_f64, so::sub_i64),
-        Prim::Mul => both(so::mul_f64, so::mul_i64),
-        Prim::Div => both(so::div_f64, so::div_i64),
-        Prim::Min2 => both(so::min2_f64, so::min2_i64),
-        Prim::Max2 => both(so::max2_f64, so::max2_i64),
-        Prim::Pow => both(so::pow_f64, so::pow_i64),
-        _ => None,
-    }
-}
 
 /// Plan every block of a lowered program. Index 0 of the result is the
 /// region list of block 0, and so on; each list is sorted by `start`
 /// and regions never overlap.
 pub(crate) fn plan_program(p: &Program) -> Vec<Vec<FusedRegion>> {
     p.blocks.iter().map(|b| plan_block(p, b)).collect()
+}
+
+/// Each block's fused regions as `(start, len)` op-index runs: index
+/// `b` of the result describes block `b`, each list is sorted and
+/// non-overlapping, and every `len` is at least 2. This is the plan the
+/// program-counter VM executes, for static reports (`irlint`).
+pub fn fused_spans(p: &Program) -> Vec<Vec<(usize, usize)>> {
+    plan_program(p)
+        .iter()
+        .map(|regions| regions.iter().map(|r| (r.start, r.len)).collect())
+        .collect()
 }
 
 fn plan_block(p: &Program, block: &Block) -> Vec<FusedRegion> {
@@ -203,9 +130,9 @@ fn plan_block(p: &Program, block: &Block) -> Vec<FusedRegion> {
             if outs.len() != 1 {
                 break;
             }
-            let Some(k) = kernels_of(prim) else { break };
-            let nf = f_ok && k.f.is_some();
-            let ni = i_ok && k.i.is_some();
+            let k = prim.scalar_kernels();
+            let nf = f_ok && k.0.is_some();
+            let ni = i_ok && k.1.is_some();
             if !nf && !ni {
                 break;
             }
@@ -298,7 +225,7 @@ fn finalize(
             .iter()
             .zip(&srcs)
             .map(|((_, _, _, k), &(a, b))| ExecOp {
-                kernel: k.f.expect("f64 table viable"),
+                kernel: k.0.expect("f64 table viable"),
                 a,
                 b,
             })
@@ -309,7 +236,7 @@ fn finalize(
             .iter()
             .zip(&srcs)
             .map(|((_, _, _, k), &(a, b))| ExecOp {
-                kernel: k.i.expect("i64 table viable"),
+                kernel: k.1.expect("i64 table viable"),
                 a,
                 b,
             })
@@ -368,9 +295,9 @@ pub(crate) fn run_region<T: Copy + Default>(
                     }
                 };
                 regs[d] = match op.kernel {
-                    Kernel::Const(c) => c,
-                    Kernel::Un(f) => f(read(op.a, regs)),
-                    Kernel::Bin(f) => f(read(op.a, regs), read(op.b, regs)),
+                    ScalarKernel::Const(c) => c,
+                    ScalarKernel::Un(f) => f(read(op.a, regs)),
+                    ScalarKernel::Bin(f) => f(read(op.a, regs), read(op.b, regs)),
                 };
             }
             for (buf, &d) in out_bufs.iter_mut().zip(mats) {
@@ -398,9 +325,9 @@ pub(crate) fn def_wideness<T: Copy>(table: &[ExecOp<T>], ext_bcast: &[bool], wid
             Src::Def(dd) => dd < d && wide[dd],
         };
         let w = match op.kernel {
-            Kernel::Const(_) => false,
-            Kernel::Un(_) => src_wide(op.a, wide),
-            Kernel::Bin(_) => src_wide(op.a, wide) || src_wide(op.b, wide),
+            ScalarKernel::Const(_) => false,
+            ScalarKernel::Un(_) => src_wide(op.a, wide),
+            ScalarKernel::Bin(_) => src_wide(op.a, wide) || src_wide(op.b, wide),
         };
         wide.push(w);
     }
@@ -409,7 +336,10 @@ pub(crate) fn def_wideness<T: Copy>(table: &[ExecOp<T>], ext_bcast: &[bool], wid
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autobatch_ir::BlockId;
+    use crate::kernels::{eval_prim, KernelRegistry};
+    use autobatch_ir::{Arity, BlockId};
+    use autobatch_tensor::scalar_ops as so;
+    use autobatch_tensor::{CounterRng, Tensor};
 
     fn v(name: &str) -> Var {
         Var::new(name)
@@ -518,46 +448,125 @@ mod tests {
         assert_eq!((regions[0].start, regions[0].len), (0, 2));
     }
 
+    /// Bit-compare a primitive's scalar kernel, run as a one-op fused
+    /// region, with its batched kernel through `eval_prim`, over every
+    /// edge value (every ordered pair of them for a binary kernel).
+    fn fused_matches_batched<T: Copy + Default>(
+        prim: &Prim,
+        kernel: ScalarKernel<T>,
+        edges: &[T],
+        tensor: fn(&[T]) -> Tensor,
+        read: fn(&Tensor) -> Vec<T>,
+        bits: fn(T) -> u64,
+    ) {
+        let (a, b): (Vec<T>, Vec<T>) = match kernel {
+            ScalarKernel::Bin(_) => edges
+                .iter()
+                .flat_map(|&x| edges.iter().map(move |&y| (x, y)))
+                .unzip(),
+            _ => (edges.to_vec(), edges.to_vec()),
+        };
+        let n_ins = prim.arity().expect("a row has an arity").ins;
+        let inputs: Vec<Tensor> = [&a, &b][..n_ins].iter().map(|x| tensor(x)).collect();
+        let members: Vec<u64> = (0..a.len() as u64).collect();
+        let (rng, registry) = (CounterRng::new(0), KernelRegistry::new());
+        let mut batched = Vec::new();
+        eval_prim(prim, &inputs, &members, &rng, &registry, &mut batched).unwrap();
+        let table = [ExecOp {
+            kernel,
+            a: Src::Ext(0),
+            b: Src::Ext(1),
+        }];
+        let mut fused = vec![Vec::new()];
+        let (n, mut regs) = (a.len(), Vec::new());
+        run_region(
+            &table,
+            &[&a, &b],
+            &[false, false],
+            n,
+            1,
+            &mut regs,
+            &[0],
+            &[true],
+            &mut fused,
+        );
+        let want: Vec<u64> = read(&batched[0]).into_iter().map(bits).collect();
+        let got: Vec<u64> = fused[0].iter().map(|&x| bits(x)).collect();
+        assert_eq!(got, want, "{prim:?}: fused and batched kernels disagree");
+    }
+
     #[test]
-    fn every_compiled_kernel_is_classified_elementwise() {
-        // `kernels_of` ⊆ `Prim::is_elementwise`: the fused fast path
-        // must never compile a primitive the IR does not certify as a
-        // pure elementwise map.
-        for prim in [
-            Prim::ConstF64(1.5),
-            Prim::ConstI64(2),
-            Prim::Id,
-            Prim::Neg,
-            Prim::Abs,
-            Prim::Exp,
-            Prim::Ln,
-            Prim::Sqrt,
-            Prim::Square,
-            Prim::Sigmoid,
-            Prim::Softplus,
-            Prim::Floor,
-            Prim::Sin,
-            Prim::Cos,
-            Prim::Tanh,
-            Prim::NegI,
-            Prim::Add,
-            Prim::Sub,
-            Prim::Mul,
-            Prim::Div,
-            Prim::Min2,
-            Prim::Max2,
-            Prim::Pow,
-        ] {
-            assert!(kernels_of(&prim).is_some(), "{prim:?} should compile");
-            assert!(prim.is_elementwise(), "{prim:?} must be elementwise");
-        }
-        for prim in [
-            Prim::SumElems,
-            Prim::Dot,
-            Prim::RandNormal,
-            Prim::external("grad"),
-        ] {
-            assert!(kernels_of(&prim).is_none(), "{prim:?} must not compile");
+    fn every_row_fuses_bit_identically_or_not_at_all() {
+        let subnormal = f64::MIN_POSITIVE / 4.0;
+        let f64_edges = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            2.5,
+            -2.0,
+            -0.5,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            subnormal,
+            -subnormal,
+            f64::MAX,
+            f64::MIN,
+        ];
+        let i64_edges = [0, 1, -1, 2, -3, 7, 63, 64, i64::MIN, i64::MAX];
+        for prim in Prim::ROWS.iter().chain([&Prim::external("grad")]) {
+            match prim.scalar_kernels() {
+                (None, None) => {
+                    // An op without a kernel cuts a run: a block of
+                    // `id, prim, id` plans no region.
+                    let arity = prim.arity().unwrap_or(Arity { ins: 1, outs: 1 });
+                    let op = Op::Compute {
+                        outs: (0..arity.outs)
+                            .map(|k| (v(&format!("o{k}")), WriteKind::Update))
+                            .collect(),
+                        prim: prim.clone(),
+                        ins: vec![v("t0"); arity.ins],
+                    };
+                    let block = Block {
+                        ops: vec![
+                            compute("t0", Prim::Id, &["x"]),
+                            op,
+                            compute("x", Prim::Id, &["o0"]),
+                        ],
+                        term: Terminator::Return,
+                    };
+                    let p = program_with(block);
+                    assert!(plan_block(&p, &p.blocks[0]).is_empty(), "{prim:?} planned");
+                    // `eval_prim` has an arm for it: it evaluates or
+                    // refuses these operands, and does not panic.
+                    let ins = vec![Tensor::from_f64(&[1.0], &[1]).unwrap(); arity.ins];
+                    let (rng, registry) = (CounterRng::new(0), KernelRegistry::new());
+                    let _ = eval_prim(prim, &ins, &[0], &rng, &registry, &mut Vec::new());
+                }
+                (f, i) => {
+                    if let Some(k) = f {
+                        fused_matches_batched(
+                            prim,
+                            k,
+                            &f64_edges,
+                            |x| Tensor::from_f64(x, &[x.len()]).unwrap(),
+                            |t| t.as_f64().unwrap().to_vec(),
+                            f64::to_bits,
+                        );
+                    }
+                    if let Some(k) = i {
+                        fused_matches_batched(
+                            prim,
+                            k,
+                            &i64_edges,
+                            |x| Tensor::from_i64(x, &[x.len()]).unwrap(),
+                            |t| t.as_i64().unwrap().to_vec(),
+                            |x| x as u64,
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -566,17 +575,17 @@ mod tests {
         // y = (x + 1) * x over 3 elements.
         let table = vec![
             ExecOp {
-                kernel: Kernel::Const(1.0),
+                kernel: ScalarKernel::Const(1.0),
                 a: Src::Def(0),
                 b: Src::Def(0),
             },
             ExecOp {
-                kernel: Kernel::Bin(so::add_f64),
+                kernel: ScalarKernel::Bin(so::add_f64),
                 a: Src::Ext(0),
                 b: Src::Def(0),
             },
             ExecOp {
-                kernel: Kernel::Bin(so::mul_f64),
+                kernel: ScalarKernel::Bin(so::mul_f64),
                 a: Src::Def(1),
                 b: Src::Ext(0),
             },
@@ -602,7 +611,7 @@ mod tests {
     fn run_region_broadcasts_member_scalars() {
         // y = x_wide * s_member over 2 members × 3 elements.
         let table = vec![ExecOp {
-            kernel: Kernel::Bin(so::mul_f64),
+            kernel: ScalarKernel::Bin(so::mul_f64),
             a: Src::Ext(0),
             b: Src::Ext(1),
         }];
@@ -622,41 +631,5 @@ mod tests {
             &mut bufs,
         );
         assert_eq!(bufs[0], vec![10.0, 20.0, 30.0, 400.0, 500.0, 600.0]);
-    }
-
-    /// The static analyzer's `elementwise_spans` must agree, span for
-    /// span, with the runtime planner on every block of real lowered
-    /// programs and on the synthetic cases above. This is the contract
-    /// that lets `irlint` report fusion legality without executing.
-    #[test]
-    fn static_spans_match_runtime_plan() {
-        use crate::lowering::lower;
-        use crate::options::LoweringOptions;
-        use autobatch_ir::analysis::elementwise_spans;
-        use autobatch_ir::build::fibonacci_program;
-
-        let check = |p: &Program| {
-            let planned: Vec<Vec<(usize, usize)>> = plan_program(p)
-                .iter()
-                .map(|regs| regs.iter().map(|r| (r.start, r.len)).collect())
-                .collect();
-            assert_eq!(elementwise_spans(p), planned);
-        };
-
-        let (fib, _) = lower(&fibonacci_program(), LoweringOptions::default()).unwrap();
-        check(&fib);
-
-        // A block mixing f64-only, i64-only, and unfusable ops.
-        let block = Block {
-            ops: vec![
-                compute("t0", Prim::Exp, &["x"]),
-                compute("t1", Prim::Mul, &["t0", "x"]),
-                compute("t2", Prim::NegI, &["n"]),
-                compute("t3", Prim::Id, &["t2"]),
-                compute("x", Prim::SumElems, &["t1"]),
-            ],
-            term: Terminator::Return,
-        };
-        check(&program_with(block));
     }
 }

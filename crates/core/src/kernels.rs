@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use autobatch_ir::{Arity, Prim};
+use autobatch_ir::{Arity, Prim, ScalarKernel};
 use autobatch_tensor::{CounterRng, Tensor};
 
 use crate::error::{Result, VmError};
@@ -143,18 +143,6 @@ pub fn eval_prim(
         Prim::ConstBool(c) => one(Tensor::full(&[rows], *c)),
         Prim::FillLike(c) => one(Tensor::full(inputs[0].shape(), *c)),
         Prim::Id => one(inputs[0].clone()),
-        Prim::Neg => one(inputs[0].neg()?),
-        Prim::Abs => one(inputs[0].abs()?),
-        Prim::Exp => one(inputs[0].exp()?),
-        Prim::Ln => one(inputs[0].ln()?),
-        Prim::Sqrt => one(inputs[0].sqrt()?),
-        Prim::Square => one(inputs[0].square()?),
-        Prim::Sigmoid => one(inputs[0].sigmoid()?),
-        Prim::Softplus => one(inputs[0].softplus()?),
-        Prim::Floor => one(inputs[0].floor()?),
-        Prim::Sin => one(inputs[0].sin()?),
-        Prim::Cos => one(inputs[0].cos()?),
-        Prim::Tanh => one(inputs[0].tanh()?),
         Prim::NegI => one(inputs[0].neg_i64()?),
         Prim::Not => one(inputs[0].not()?),
         Prim::Add
@@ -247,6 +235,13 @@ pub fn eval_prim(
             out.extend(outs);
             Ok(())
         }
+        // The rest are the unary float maps (`exp`, `softplus`, …): the
+        // batched kernel maps the row's scalar kernel over the tensor,
+        // as `Tensor::exp` and the others do.
+        _ => match prim.scalar_kernels() {
+            (Some(ScalarKernel::Un(f)), None) => one(inputs[0].map_f64(f)?),
+            _ => unreachable!("{prim:?} has an arm of its own"),
+        },
     }
 }
 

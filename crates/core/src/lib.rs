@@ -76,6 +76,7 @@ mod pricing;
 pub use api::{vmap, Autobatcher, BatchedFn};
 pub use dynamic_vm::{DynObservation, DynObserver, DynamicVm};
 pub use error::{Result, VmError};
+pub use fusion::fused_spans;
 pub use kernels::{eval_prim, ExternalKernel, KernelRegistry};
 pub use lowering::{lower, LoweringStats};
 pub use lsab_vm::{LocalStaticVm, LsabObservation, LsabObserver};

@@ -14,9 +14,7 @@
 //! - **definite initialization** and **unreachable blocks** along
 //!   statically-feasible edges;
 //! - **member divergence**: which branches can split batch members
-//!   (the static signal for PC-affinity scheduling);
-//! - the **elementwise fusion plan** ([`elementwise_spans`]) that the
-//!   runtime otherwise derives per execution.
+//!   (the static signal for PC-affinity scheduling).
 //!
 //! # Soundness invariant
 //!
@@ -33,7 +31,6 @@
 pub mod absint;
 mod callgraph;
 mod liveness;
-mod spans;
 mod verified;
 mod verify_lsab;
 mod verify_pcab;
@@ -41,7 +38,6 @@ mod verify_pcab;
 pub use absint::{AbsDType, AbsShape, AbsValue, DepthBound, TensorSpec};
 pub use callgraph::CallGraph;
 pub use liveness::Liveness;
-pub use spans::elementwise_spans;
 pub use verified::{Verifiable, Verified};
 pub use verify_lsab::{analyze_lsab, infer_lsab_signature, LsabReport, Signature};
 pub use verify_pcab::{analyze_pcab, infer_pcab_signature, PcabReport};

@@ -229,9 +229,6 @@ pub struct PcabReport {
     pub unreachable: Vec<BlockId>,
     /// Branches whose condition may differ across batch members.
     pub divergent_branches: Vec<BlockId>,
-    /// Per-block elementwise fusion runs (see
-    /// [`elementwise_spans`](super::elementwise_spans)).
-    pub elementwise_spans: Vec<Vec<(usize, usize)>>,
     /// Verification failures. Empty means the program is accepted.
     pub diagnostics: Vec<IrError>,
 }
@@ -596,7 +593,6 @@ fn finish(p: &Program, sub: &Subroutines, mut eng: Engine<'_>) -> PcabReport {
             .map(BlockId)
             .collect(),
         divergent_branches: eng.divergent.iter().map(|&b| BlockId(b)).collect(),
-        elementwise_spans: super::spans::elementwise_spans(p),
         diagnostics: diags,
     }
 }
@@ -612,7 +608,6 @@ pub fn analyze_pcab(p: &Program) -> PcabReport {
             data_depth: DepthBound::Unbounded,
             unreachable: Vec::new(),
             divergent_branches: Vec::new(),
-            elementwise_spans: Vec::new(),
             diagnostics: vec![e],
         };
     }

@@ -47,5 +47,5 @@ mod prim;
 mod var;
 
 pub use error::{IrError, Result};
-pub use prim::{Arity, Prim};
+pub use prim::{Arity, Prim, ScalarKernel};
 pub use var::{BlockId, FuncId, Var};

@@ -7,133 +7,29 @@
 //! NUTS evaluation needs (per-member reductions, counter-based RNG, and
 //! externally registered model kernels such as the target-density
 //! gradient).
+//!
+//! Everything a runtime reads about a primitive (its kernel tag, arity,
+//! flop estimate and per-dtype scalar kernel) is written once, in the
+//! primitive's row of the `prims!` table below.
 
 use std::fmt;
 use std::sync::Arc;
 
-/// A primitive operation.
-///
-/// Each primitive has a fixed number of input and output operands
-/// (see [`Prim::arity`]), except [`Prim::External`], whose arity is
-/// declared by the kernel registered under that name in the runtime.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Prim {
-    // --- constants (per batch member scalars) ---------------------------
-    /// Constant `f64` scalar.
-    ConstF64(f64),
-    /// Constant `i64` scalar.
-    ConstI64(i64),
-    /// Constant `bool` scalar.
-    ConstBool(bool),
-    /// Unary: a tensor shaped like the input, filled with the constant.
-    FillLike(f64),
+use autobatch_tensor::scalar_ops as so;
+use ScalarKernel::{Bin, Const, Un};
 
-    // --- data movement ---------------------------------------------------
-    /// Unary identity (copy).
-    Id,
-
-    // --- unary float math ------------------------------------------------
-    /// Negation.
-    Neg,
-    /// Absolute value.
-    Abs,
-    /// Exponential.
-    Exp,
-    /// Natural logarithm.
-    Ln,
-    /// Square root.
-    Sqrt,
-    /// Square.
-    Square,
-    /// Logistic sigmoid.
-    Sigmoid,
-    /// Stable `log(1+exp(x))`.
-    Softplus,
-    /// Floor.
-    Floor,
-    /// Sine.
-    Sin,
-    /// Cosine.
-    Cos,
-    /// Hyperbolic tangent.
-    Tanh,
-    /// Integer negation.
-    NegI,
-    /// Boolean NOT.
-    Not,
-
-    // --- binary math (same-dtype, broadcasting) --------------------------
-    /// Addition.
-    Add,
-    /// Subtraction.
-    Sub,
-    /// Multiplication.
-    Mul,
-    /// Division.
-    Div,
-    /// Power.
-    Pow,
-    /// Elementwise minimum.
-    Min2,
-    /// Elementwise maximum.
-    Max2,
-
-    // --- comparisons (result bool) ----------------------------------------
-    /// Less-than.
-    Lt,
-    /// Less-or-equal.
-    Le,
-    /// Greater-than.
-    Gt,
-    /// Greater-or-equal.
-    Ge,
-    /// Equality.
-    EqE,
-    /// Inequality.
-    NeE,
-
-    // --- boolean ----------------------------------------------------------
-    /// Logical AND.
-    And,
-    /// Logical OR.
-    Or,
-    /// Logical XOR.
-    Xor,
-
-    // --- ternary ----------------------------------------------------------
-    /// `select(cond, a, b)`.
-    Select,
-
-    // --- casts ------------------------------------------------------------
-    /// Cast to `f64`.
-    ToF64,
-    /// Cast to `i64`.
-    ToI64,
-    /// Cast to `bool`.
-    ToBool,
-
-    // --- per-member reductions over the element axis ----------------------
-    /// `[Z, d] → [Z]` sum of each member's elements.
-    SumElems,
-    /// Binary dot product over the element axis: `[Z, d] × [Z, d] → [Z]`.
-    Dot,
-
-    // --- counter-based RNG -------------------------------------------------
-    /// `(rng: i64) → (u: f64, rng': i64)` with `u ~ Uniform[0, 1)`.
-    RandUniform,
-    /// `(rng: i64) → (x: f64, rng': i64)` with `x ~ Normal(0, 1)`.
-    RandNormal,
-    /// `(rng: i64) → (e: f64, rng': i64)` with `e ~ Exponential(1)`.
-    RandExponential,
-    /// `(rng: i64, template) → (x, rng': i64)` with `x` shaped like
-    /// `template`, i.i.d. standard normal entries.
-    RandNormalLike,
-
-    // --- externally registered kernels --------------------------------------
-    /// A kernel registered in the runtime's kernel registry under this
-    /// name (e.g. the model gradient `"grad"`). The registry declares its
-    /// arity and flop cost.
-    External(Arc<str>),
+/// What a primitive computes at one element of one element type: the
+/// [`scalar_ops`](autobatch_tensor::scalar_ops) function its batched
+/// kernel maps over the tensor. A runtime that chains these in one loop
+/// is bit-identical to running the batched kernels one by one.
+#[derive(Debug, Clone, Copy)]
+pub enum ScalarKernel<T> {
+    /// Every element is this constant.
+    Const(T),
+    /// `f(a)`.
+    Un(fn(T) -> T),
+    /// `f(a, b)`.
+    Bin(fn(T, T) -> T),
 }
 
 /// Input/output arity of a primitive.
@@ -145,158 +41,206 @@ pub struct Arity {
     pub outs: usize,
 }
 
+/// Declares [`Prim`] and everything the runtimes read about a primitive
+/// from one row per payload-free primitive; each accessor expands to a
+/// `match`, so reading a row costs a jump, not a search. The five
+/// primitives with a payload are written out by hand.
+macro_rules! prims {
+    ($(
+        $(#[$doc:meta])*
+        $name:ident = $tag:literal, ($ins:literal, $outs:literal), $flops:literal, $f:expr, $i:expr;
+    )*) => {
+        /// A primitive operation.
+        ///
+        /// Each primitive has a fixed number of input and output operands
+        /// (see [`Prim::arity`]), except [`Prim::External`], whose arity is
+        /// declared by the kernel registered under that name in the runtime.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Prim {
+            /// Constant `f64` scalar.
+            ConstF64(f64),
+            /// Constant `i64` scalar.
+            ConstI64(i64),
+            /// Constant `bool` scalar.
+            ConstBool(bool),
+            /// Unary: a tensor shaped like the input, filled with the constant.
+            FillLike(f64),
+            $($(#[$doc])* $name,)*
+            /// A kernel registered in the runtime's kernel registry under this
+            /// name (e.g. the model gradient `"grad"`). The registry declares its
+            /// arity and flop cost.
+            External(Arc<str>),
+        }
+
+        impl Prim {
+            /// Every payload-free primitive, one per row of the table, in
+            /// declaration order.
+            pub const ROWS: &'static [Prim] = &[$(Prim::$name),*];
+
+            /// The fixed arity of the primitive, or `None` for
+            /// [`Prim::External`] (whose arity the kernel registry declares).
+            pub fn arity(&self) -> Option<Arity> {
+                let (ins, outs) = match self {
+                    Prim::ConstF64(_) | Prim::ConstI64(_) | Prim::ConstBool(_) => (0, 1),
+                    Prim::FillLike(_) => (1, 1),
+                    Prim::External(_) => return None,
+                    $(Prim::$name => ($ins, $outs),)*
+                };
+                Some(Arity { ins, outs })
+            }
+
+            /// A short kernel tag for tracing (externals use their registry name,
+            /// so e.g. gradient utilization can be measured under `"grad"`).
+            /// Borrowed, so a runtime can tag every launch of its hot loop
+            /// without formatting a string.
+            pub fn kernel_tag(&self) -> &str {
+                match self {
+                    Prim::ConstF64(_) | Prim::ConstI64(_) | Prim::ConstBool(_) => "const",
+                    Prim::FillLike(_) => "fill",
+                    Prim::External(name) => name,
+                    $(Prim::$name => $tag,)*
+                }
+            }
+
+            /// Approximate floating-point cost per output element, used by the
+            /// cost model for non-external kernels. Transcendentals are priced
+            /// as a handful of flops, matching throughput-optimized vector math
+            /// libraries.
+            pub fn flops_per_element(&self) -> f64 {
+                match self {
+                    Prim::ConstF64(_) | Prim::ConstI64(_) | Prim::ConstBool(_) => 0.0,
+                    Prim::FillLike(_) => 0.0,
+                    Prim::External(_) => 0.0, // priced by the registered kernel instead
+                    $(Prim::$name => $flops,)*
+                }
+            }
+
+            /// The primitive's scalar kernel on `f64` and on `i64` elements;
+            /// `None` on a side whose batched kernel refuses that dtype or
+            /// is no per-element map. A primitive with a kernel is
+            /// *fusable*: a straight-line run of them may execute as one
+            /// loop over elements without changing a bit of any output.
+            pub fn scalar_kernels(&self) -> (Option<ScalarKernel<f64>>, Option<ScalarKernel<i64>>) {
+                match self {
+                    Prim::ConstF64(c) => (Some(Const(*c)), None),
+                    Prim::ConstI64(c) => (None, Some(Const(*c))),
+                    Prim::ConstBool(_) | Prim::FillLike(_) | Prim::External(_) => (None, None),
+                    $(Prim::$name => ($f, $i),)*
+                }
+            }
+        }
+    };
+}
+
+prims! {
+    // variant = tag, (ins, outs), flops per element, f64 kernel, i64 kernel;
+
+    // --- data movement ---------------------------------------------------
+    /// Unary identity (copy).
+    Id = "id", (1, 1), 0.0, Some(Un(so::id_f64)), Some(Un(so::id_i64));
+
+    // --- unary float math ------------------------------------------------
+    /// Negation.
+    Neg = "neg", (1, 1), 1.0, Some(Un(so::neg_f64)), None;
+    /// Absolute value.
+    Abs = "abs", (1, 1), 1.0, Some(Un(so::abs_f64)), None;
+    /// Exponential.
+    Exp = "exp", (1, 1), 10.0, Some(Un(so::exp_f64)), None;
+    /// Natural logarithm.
+    Ln = "ln", (1, 1), 10.0, Some(Un(so::ln_f64)), None;
+    /// Square root.
+    Sqrt = "sqrt", (1, 1), 6.0, Some(Un(so::sqrt_f64)), None;
+    /// Square.
+    Square = "square", (1, 1), 1.0, Some(Un(so::square_f64)), None;
+    /// Logistic sigmoid.
+    Sigmoid = "sigmoid", (1, 1), 10.0, Some(Un(so::sigmoid_f64)), None;
+    /// Stable `log(1+exp(x))`.
+    Softplus = "softplus", (1, 1), 10.0, Some(Un(so::softplus_f64)), None;
+    /// Floor.
+    Floor = "floor", (1, 1), 1.0, Some(Un(so::floor_f64)), None;
+    /// Sine.
+    Sin = "sin", (1, 1), 10.0, Some(Un(so::sin_f64)), None;
+    /// Cosine.
+    Cos = "cos", (1, 1), 10.0, Some(Un(so::cos_f64)), None;
+    /// Hyperbolic tangent.
+    Tanh = "tanh", (1, 1), 10.0, Some(Un(so::tanh_f64)), None;
+    /// Integer negation.
+    NegI = "negi", (1, 1), 1.0, None, Some(Un(so::neg_i64));
+    /// Boolean NOT.
+    Not = "not", (1, 1), 1.0, None, None;
+
+    // --- binary math (same-dtype, broadcasting) --------------------------
+    /// Addition.
+    Add = "add", (2, 1), 1.0, Some(Bin(so::add_f64)), Some(Bin(so::add_i64));
+    /// Subtraction.
+    Sub = "sub", (2, 1), 1.0, Some(Bin(so::sub_f64)), Some(Bin(so::sub_i64));
+    /// Multiplication.
+    Mul = "mul", (2, 1), 1.0, Some(Bin(so::mul_f64)), Some(Bin(so::mul_i64));
+    /// Division.
+    Div = "div", (2, 1), 4.0, Some(Bin(so::div_f64)), Some(Bin(so::div_i64));
+    /// Power.
+    Pow = "pow", (2, 1), 10.0, Some(Bin(so::pow_f64)), Some(Bin(so::pow_i64));
+    /// Elementwise minimum.
+    Min2 = "min2", (2, 1), 1.0, Some(Bin(so::min2_f64)), Some(Bin(so::min2_i64));
+    /// Elementwise maximum.
+    Max2 = "max2", (2, 1), 1.0, Some(Bin(so::max2_f64)), Some(Bin(so::max2_i64));
+
+    // --- comparisons (result bool) ----------------------------------------
+    /// Less-than.
+    Lt = "lt", (2, 1), 1.0, None, None;
+    /// Less-or-equal.
+    Le = "le", (2, 1), 1.0, None, None;
+    /// Greater-than.
+    Gt = "gt", (2, 1), 1.0, None, None;
+    /// Greater-or-equal.
+    Ge = "ge", (2, 1), 1.0, None, None;
+    /// Equality.
+    EqE = "eqe", (2, 1), 1.0, None, None;
+    /// Inequality.
+    NeE = "nee", (2, 1), 1.0, None, None;
+
+    // --- boolean ----------------------------------------------------------
+    /// Logical AND.
+    And = "and", (2, 1), 1.0, None, None;
+    /// Logical OR.
+    Or = "or", (2, 1), 1.0, None, None;
+    /// Logical XOR.
+    Xor = "xor", (2, 1), 1.0, None, None;
+
+    // --- ternary ----------------------------------------------------------
+    /// `select(cond, a, b)`.
+    Select = "select", (3, 1), 1.0, None, None;
+
+    // --- casts ------------------------------------------------------------
+    /// Cast to `f64`.
+    ToF64 = "tof64", (1, 1), 0.0, None, None;
+    /// Cast to `i64`.
+    ToI64 = "toi64", (1, 1), 0.0, None, None;
+    /// Cast to `bool`.
+    ToBool = "tobool", (1, 1), 0.0, None, None;
+
+    // --- per-member reductions over the element axis ----------------------
+    /// `[Z, d] → [Z]` sum of each member's elements.
+    SumElems = "sumelems", (1, 1), 2.0, None, None;
+    /// Binary dot product over the element axis: `[Z, d] × [Z, d] → [Z]`.
+    Dot = "dot", (2, 1), 2.0, None, None;
+
+    // --- counter-based RNG -------------------------------------------------
+    /// `(rng: i64) → (u: f64, rng': i64)` with `u ~ Uniform[0, 1)`.
+    RandUniform = "randuniform", (1, 2), 10.0, None, None;
+    /// `(rng: i64) → (x: f64, rng': i64)` with `x ~ Normal(0, 1)`.
+    RandNormal = "randnormal", (1, 2), 30.0, None, None;
+    /// `(rng: i64) → (e: f64, rng': i64)` with `e ~ Exponential(1)`.
+    RandExponential = "randexponential", (1, 2), 30.0, None, None;
+    /// `(rng: i64, template) → (x, rng': i64)` with `x` shaped like
+    /// `template`, i.i.d. standard normal entries.
+    RandNormalLike = "randnormallike", (2, 2), 30.0, None, None;
+}
+
 impl Prim {
     /// An [`Prim::External`] primitive by kernel name.
     pub fn external(name: impl AsRef<str>) -> Prim {
         Prim::External(Arc::from(name.as_ref()))
-    }
-
-    /// The fixed arity of the primitive, or `None` for
-    /// [`Prim::External`] (whose arity the kernel registry declares).
-    pub fn arity(&self) -> Option<Arity> {
-        use Prim::*;
-        let (i, o) = match self {
-            ConstF64(_) | ConstI64(_) | ConstBool(_) => (0, 1),
-            FillLike(_) | Id | Neg | Abs | Exp | Ln | Sqrt | Square | Sigmoid | Softplus
-            | Floor | Sin | Cos | Tanh | NegI | Not | ToF64 | ToI64 | ToBool | SumElems => (1, 1),
-            Add | Sub | Mul | Div | Pow | Min2 | Max2 | Lt | Le | Gt | Ge | EqE | NeE | And
-            | Or | Xor | Dot => (2, 1),
-            Select => (3, 1),
-            RandUniform | RandNormal | RandExponential => (1, 2),
-            RandNormalLike => (2, 2),
-            External(_) => return None,
-        };
-        Some(Arity { ins: i, outs: o })
-    }
-
-    /// A short kernel tag for tracing (externals use their registry name,
-    /// so e.g. gradient utilization can be measured under `"grad"`).
-    /// Borrowed, so a runtime can tag every launch of its hot loop
-    /// without formatting a string.
-    pub fn kernel_tag(&self) -> &str {
-        use Prim::*;
-        match self {
-            External(name) => name,
-            ConstF64(_) | ConstI64(_) | ConstBool(_) => "const",
-            FillLike(_) => "fill",
-            Id => "id",
-            Neg => "neg",
-            Abs => "abs",
-            Exp => "exp",
-            Ln => "ln",
-            Sqrt => "sqrt",
-            Square => "square",
-            Sigmoid => "sigmoid",
-            Softplus => "softplus",
-            Floor => "floor",
-            Sin => "sin",
-            Cos => "cos",
-            Tanh => "tanh",
-            NegI => "negi",
-            Not => "not",
-            Add => "add",
-            Sub => "sub",
-            Mul => "mul",
-            Div => "div",
-            Pow => "pow",
-            Min2 => "min2",
-            Max2 => "max2",
-            Lt => "lt",
-            Le => "le",
-            Gt => "gt",
-            Ge => "ge",
-            EqE => "eqe",
-            NeE => "nee",
-            And => "and",
-            Or => "or",
-            Xor => "xor",
-            Select => "select",
-            ToF64 => "tof64",
-            ToI64 => "toi64",
-            ToBool => "tobool",
-            SumElems => "sumelems",
-            Dot => "dot",
-            RandUniform => "randuniform",
-            RandNormal => "randnormal",
-            RandExponential => "randexponential",
-            RandNormalLike => "randnormallike",
-        }
-    }
-
-    /// True when the primitive is a pure elementwise map: every output
-    /// element depends only on the same-index input elements (after
-    /// broadcasting), with no internal state, randomness, or
-    /// cross-element reduction. Constants count — they broadcast one
-    /// scalar over the batch. This is the legality condition for the
-    /// runtime's fused fast path: any straight-line run of elementwise
-    /// primitives may execute as a single loop without changing a bit
-    /// of any output.
-    pub fn is_elementwise(&self) -> bool {
-        use Prim::*;
-        matches!(
-            self,
-            ConstF64(_)
-                | ConstI64(_)
-                | ConstBool(_)
-                | FillLike(_)
-                | Id
-                | Neg
-                | Abs
-                | Exp
-                | Ln
-                | Sqrt
-                | Square
-                | Sigmoid
-                | Softplus
-                | Floor
-                | Sin
-                | Cos
-                | Tanh
-                | NegI
-                | Not
-                | Add
-                | Sub
-                | Mul
-                | Div
-                | Pow
-                | Min2
-                | Max2
-                | Lt
-                | Le
-                | Gt
-                | Ge
-                | EqE
-                | NeE
-                | And
-                | Or
-                | Xor
-                | Select
-                | ToF64
-                | ToI64
-                | ToBool
-        )
-    }
-
-    /// Approximate floating-point cost per output element, used by the
-    /// cost model for non-external kernels. Transcendentals are priced
-    /// as a handful of flops, matching throughput-optimized vector math
-    /// libraries.
-    pub fn flops_per_element(&self) -> f64 {
-        use Prim::*;
-        match self {
-            ConstF64(_) | ConstI64(_) | ConstBool(_) | FillLike(_) | Id | ToF64 | ToI64
-            | ToBool => 0.0,
-            Neg | Abs | NegI | Not | Floor | Square => 1.0,
-            Add | Sub | Mul | Min2 | Max2 | Lt | Le | Gt | Ge | EqE | NeE | And | Or | Xor
-            | Select => 1.0,
-            Div => 4.0,
-            Sqrt => 6.0,
-            Exp | Ln | Sigmoid | Softplus | Sin | Cos | Tanh | Pow => 10.0,
-            SumElems | Dot => 2.0,
-            RandUniform => 10.0,
-            RandNormal | RandExponential | RandNormalLike => 30.0,
-            External(_) => 0.0, // priced by the registered kernel instead
-        }
     }
 }
 
@@ -334,64 +278,15 @@ mod tests {
         assert_eq!(Prim::external("grad").kernel_tag(), "grad");
         assert_eq!(Prim::ConstI64(1).kernel_tag(), "const");
         // Every payload-free primitive is tagged by its lowercased name.
-        use Prim::*;
-        for p in [
-            Id,
-            Neg,
-            Abs,
-            Exp,
-            Ln,
-            Sqrt,
-            Square,
-            Sigmoid,
-            Softplus,
-            Floor,
-            Sin,
-            Cos,
-            Tanh,
-            NegI,
-            Not,
-            Add,
-            Sub,
-            Mul,
-            Div,
-            Pow,
-            Min2,
-            Max2,
-            Lt,
-            Le,
-            Gt,
-            Ge,
-            EqE,
-            NeE,
-            And,
-            Or,
-            Xor,
-            Select,
-            ToF64,
-            ToI64,
-            ToBool,
-            SumElems,
-            Dot,
-            RandUniform,
-            RandNormal,
-            RandExponential,
-            RandNormalLike,
-        ] {
+        for p in Prim::ROWS {
             assert_eq!(p.kernel_tag(), format!("{p:?}").to_ascii_lowercase());
         }
     }
 
     #[test]
     fn flop_costs_are_nonnegative() {
-        for p in [
-            Prim::Add,
-            Prim::Exp,
-            Prim::Dot,
-            Prim::RandNormal,
-            Prim::external("x"),
-        ] {
-            assert!(p.flops_per_element() >= 0.0);
+        for p in Prim::ROWS.iter().chain([&Prim::external("x")]) {
+            assert!(p.flops_per_element() >= 0.0, "{p:?}");
         }
     }
 

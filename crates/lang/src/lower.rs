@@ -296,20 +296,8 @@ fn lower_expr(
 /// Map a single-output builtin to its primitive.
 fn builtin_prim(name: &str, args: &[Ty]) -> Option<Prim> {
     if UNARY_MATH.contains(&name) {
-        return Some(match name {
-            "exp" => Prim::Exp,
-            "ln" => Prim::Ln,
-            "sqrt" => Prim::Sqrt,
-            "abs" => Prim::Abs,
-            "sigmoid" => Prim::Sigmoid,
-            "softplus" => Prim::Softplus,
-            "floor" => Prim::Floor,
-            "square" => Prim::Square,
-            "sin" => Prim::Sin,
-            "cos" => Prim::Cos,
-            "tanh" => Prim::Tanh,
-            _ => unreachable!("UNARY_MATH covered"),
-        });
+        // A unary math builtin is named by its primitive's kernel tag.
+        return Prim::ROWS.iter().find(|p| p.kernel_tag() == name).cloned();
     }
     if RNG_SCALAR.contains(&name) || name == "normal_like" {
         return None; // multi-valued; handled at statement level
@@ -391,6 +379,18 @@ mod tests {
         let p = compile(src, "main").unwrap();
         p.validate().unwrap();
         assert_eq!(p.funcs.len(), 2);
+    }
+
+    #[test]
+    fn every_unary_math_builtin_is_a_unary_float_map() {
+        use autobatch_ir::ScalarKernel;
+        for name in UNARY_MATH {
+            let prim = builtin_prim(name, &[Ty::Float]).expect("a row is tagged by the name");
+            assert!(
+                matches!(prim.scalar_kernels(), (Some(ScalarKernel::Un(_)), None)),
+                "{name}"
+            );
+        }
     }
 
     #[test]

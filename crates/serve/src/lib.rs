@@ -56,12 +56,10 @@ use autobatch_ir::IrError;
 use autobatch_tensor::{DType, Tensor};
 
 pub mod affinity;
-pub mod nuts_driver;
 pub mod shard;
 pub mod supervisor;
 
 pub use affinity::{AffinityConfig, SchedulingPolicy};
-pub use nuts_driver::{ChainResponse, NutsServer};
 pub use shard::{Bell, FleetCounts, Intake, ShardHealth, ShardedServer};
 pub use supervisor::{Outcome, QuarantineConfig, Supervisor, SupervisorConfig};
 

@@ -99,9 +99,9 @@ pub fn pow_f64(a: f64, b: f64) -> f64 {
     a.powf(b)
 }
 
-/// Integer negation.
+/// Wrapping integer negation (`i64::MIN` stays `i64::MIN`).
 pub fn neg_i64(x: i64) -> i64 {
-    -x
+    x.wrapping_neg()
 }
 /// Identity.
 pub fn id_i64(x: i64) -> i64 {

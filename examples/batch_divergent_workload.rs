@@ -14,7 +14,7 @@ use autobatch::core::Autobatcher;
 use autobatch::lang::compile;
 use autobatch::models::NealsFunnel;
 use autobatch::nuts::{BatchNuts, NutsConfig};
-use autobatch::serve::{AdmissionPolicy, NutsServer, Request, ShardedServer};
+use autobatch::serve::{AdmissionPolicy, BatchServer, Request, ShardedServer};
 use autobatch::tensor::{CounterRng, Tensor};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -76,11 +76,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Chains arrive as requests and join the in-flight batch whenever a
     // lane frees up; per-request RNG seeds make each chain's draws
     // independent of whatever batch it lands in.
-    let policy = AdmissionPolicy::JoinAtEntry { max_batch: 8 };
-    let mut server = NutsServer::new(&nuts, policy)?;
+    let mut server = BatchServer::new(
+        nuts.lowered(),
+        nuts.registry().clone(),
+        nuts.exec_options(),
+        AdmissionPolicy::JoinAtEntry { max_batch: 8 },
+    )?;
     for i in 0..chains as u64 {
-        let q = q0.row(i as usize)?.reshape(&[1, dim])?;
-        server.submit(i, &q, i)?;
+        let q = q0.row(i as usize)?;
+        server.submit(Request {
+            id: i,
+            inputs: nuts.request_inputs(&q)?,
+            seed: i,
+        })?;
     }
     let mut serve_trace = Trace::new(Backend::hybrid_cpu());
     let started = Instant::now();
@@ -150,12 +158,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Per-chain results are placement-independent: the sharded fleet
     // reproduces the single server's positions bit for bit.
     for (r, s) in served.iter().zip(&sharded) {
-        assert_eq!(
-            r.position,
-            s.outputs[0].reshape(&[dim])?,
-            "sharding perturbed chain {}",
-            r.id
-        );
+        assert_eq!(r.outputs, s.outputs, "sharding perturbed chain {}", r.id);
     }
     Ok(())
 }
