@@ -1,25 +1,29 @@
-//! Fused elementwise regions: the compile-side half of the
-//! program-counter VM's allocation-free fast path.
+//! Fused elementwise regions of the program-counter VM: how a block's
+//! runs of elementwise primitives are planned, which operands a region
+//! accepts at run time, and the loop that executes it.
 //!
 //! A **fused region** is a maximal run of consecutive [`Op::Compute`]
 //! ops in one basic block whose primitives are all single-output and
 //! *fusable*: their row of the primitive table carries a scalar kernel
-//! ([`Prim::scalar_kernels`]) on a dtype every op of the run shares. The VM
-//! executes a region as **one loop over elements**, keeping every
-//! intermediate in a per-element virtual register instead of a
-//! materialized tensor, and reports it to the [`Trace`] cost model as a
-//! **single launch** whose memory traffic counts only the region's
-//! external inputs and live outputs — exactly how a fusing compiler
-//! (XLA, ACRoBat) prices the chain.
+//! ([`Prim::scalar_kernels`]) on a dtype every op of the run shares.
+//! [`PcVm::new`](crate::PcVm::new) plans each block once
+//! ([`plan_block`]); a superstep hands a region's external inputs to
+//! one entry point, [`FusedRegion::run`], which executes it as **one
+//! loop over elements**, keeping every intermediate in a per-element
+//! virtual register instead of a materialized tensor, and returns what
+//! the [`Trace`] cost model prices it by: a **single launch** whose
+//! memory traffic counts only the region's external inputs and live
+//! outputs — exactly how a fusing compiler (XLA, ACRoBat) prices the
+//! chain.
 //!
 //! Bit-identity is by construction: every link applies the *same*
 //! [`autobatch_tensor::scalar_ops`] function the allocating kernel
 //! applies, in the same op order, so a fused region and its per-kernel
 //! expansion produce identical bits. Shapes are only known at run time,
-//! so each region carries *candidate* function tables per dtype; the VM
-//! validates (uniform external shape + dtype) before taking the fast
-//! path and otherwise falls back to per-op execution, which also keeps
-//! error behavior (dtype mismatches, stack overflow on a fused `Push`)
+//! so each region carries *candidate* function tables per dtype;
+//! [`FusedRegion::run`] refuses operands of mixed shapes or dtypes, and
+//! the VM then executes the same ops one by one, which also keeps error
+//! behavior (dtype mismatches, stack overflow on a fused `Push`)
 //! identical to the unfused interpreter.
 //!
 //! [`Trace`]: autobatch_accel::Trace
@@ -28,6 +32,9 @@ use std::collections::BTreeMap;
 
 use autobatch_ir::pcab::{Block, Op, Program, Terminator, WriteKind};
 use autobatch_ir::{Prim, ScalarKernel, Var};
+use autobatch_tensor::{DType, Data, Tensor};
+
+use crate::error::Result;
 
 /// Where a fused op reads an operand: an earlier def in the region, or
 /// one of the region's external input tensors.
@@ -94,25 +101,19 @@ type Kernels = (Option<ScalarKernel<f64>>, Option<ScalarKernel<i64>>);
 /// output, and the per-dtype kernels.
 type OpSpec<'a> = (&'a Prim, &'a [Var], &'a (Var, WriteKind), Kernels);
 
-/// Plan every block of a lowered program. Index 0 of the result is the
-/// region list of block 0, and so on; each list is sorted by `start`
-/// and regions never overlap.
-pub(crate) fn plan_program(p: &Program) -> Vec<Vec<FusedRegion>> {
-    p.blocks.iter().map(|b| plan_block(p, b)).collect()
-}
-
 /// Each block's fused regions as `(start, len)` op-index runs: index
 /// `b` of the result describes block `b`, each list is sorted and
 /// non-overlapping, and every `len` is at least 2. This is the plan the
 /// program-counter VM executes, for static reports (`irlint`).
 pub fn fused_spans(p: &Program) -> Vec<Vec<(usize, usize)>> {
-    plan_program(p)
-        .iter()
-        .map(|regions| regions.iter().map(|r| (r.start, r.len)).collect())
+    (p.blocks.iter())
+        .map(|b| plan_block(p, b).iter().map(|r| (r.start, r.len)).collect())
         .collect()
 }
 
-fn plan_block(p: &Program, block: &Block) -> Vec<FusedRegion> {
+/// Plan one block of `p`: its fused regions, sorted by `start` and
+/// never overlapping.
+pub(crate) fn plan_block(p: &Program, block: &Block) -> Vec<FusedRegion> {
     let ops = &block.ops;
     let mut regions = Vec::new();
     let mut i = 0;
@@ -142,7 +143,7 @@ fn plan_block(p: &Program, block: &Block) -> Vec<FusedRegion> {
             j += 1;
         }
         if j - i >= 2 {
-            regions.push(finalize(p, block, i, j, f_ok, i_ok, &specs));
+            regions.push(finalize(p, block, i, j, &specs));
             i = j;
         } else {
             i += 1;
@@ -156,8 +157,6 @@ fn finalize(
     block: &Block,
     start: usize,
     end: usize,
-    f_ok: bool,
-    i_ok: bool,
     specs: &[OpSpec<'_>],
 ) -> FusedRegion {
     // Resolve operand sources in op order: a var defined earlier in the
@@ -220,28 +219,10 @@ fn finalize(
         });
     }
 
-    let f64_exec = f_ok.then(|| {
-        specs
-            .iter()
-            .zip(&srcs)
-            .map(|((_, _, _, k), &(a, b))| ExecOp {
-                kernel: k.0.expect("f64 table viable"),
-                a,
-                b,
-            })
-            .collect()
-    });
-    let i64_exec = i_ok.then(|| {
-        specs
-            .iter()
-            .zip(&srcs)
-            .map(|((_, _, _, k), &(a, b))| ExecOp {
-                kernel: k.1.expect("i64 table viable"),
-                a,
-                b,
-            })
-            .collect()
-    });
+    // A dtype's table, if every op has a kernel on it.
+    let ops = || specs.iter().zip(&srcs);
+    let f64_exec = ops().map(|(&(.., (f, _)), &(a, b))| Some(ExecOp { kernel: f?, a, b }));
+    let i64_exec = ops().map(|(&(.., (_, i)), &(a, b))| Some(ExecOp { kernel: i?, a, b }));
     let tags: Vec<&str> = specs.iter().map(|(prim, ..)| prim.kernel_tag()).collect();
     FusedRegion {
         start,
@@ -249,87 +230,233 @@ fn finalize(
         exts,
         ops: ops_meta,
         mats,
-        f64_exec,
-        i64_exec,
+        f64_exec: f64_exec.collect(),
+        i64_exec: i64_exec.collect(),
         kernel_tag: format!("fused[{}]", tags.join("+")),
     }
 }
 
-/// Evaluate one region over `members × el` elements: `regs` holds the
-/// per-element virtual registers (one per op), `exts` the external
-/// input slices, and each materialized def appends its value to the
-/// matching buffer in `out_bufs` (parallel to `mats`).
-///
-/// An external flagged in `ext_bcast` holds one value per *member*
-/// (`[Z]` against a `[Z, el]` region); it is read at the member index,
-/// exactly reproducing the NumPy-style broadcast the per-op kernels
-/// apply. All other slices hold `members × el` values.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_region<T: Copy + Default>(
-    table: &[ExecOp<T>],
-    exts: &[&[T]],
-    ext_bcast: &[bool],
-    members: usize,
-    el: usize,
-    regs: &mut Vec<T>,
-    mats: &[usize],
-    def_wide: &[bool],
-    out_bufs: &mut [Vec<T>],
-) {
-    regs.clear();
-    regs.resize(table.len(), T::default());
-    for r in 0..members {
-        for c in 0..el {
-            let e = r * el + c;
-            for (d, op) in table.iter().enumerate() {
-                let read = |s: Src, regs: &[T]| -> T {
-                    match s {
-                        Src::Def(dd) => regs[dd],
-                        Src::Ext(x) => {
-                            if ext_bcast[x] {
-                                exts[x][r]
-                            } else {
-                                exts[x][e]
-                            }
-                        }
-                    }
-                };
-                regs[d] = match op.kernel {
-                    ScalarKernel::Const(c) => c,
-                    ScalarKernel::Un(f) => f(read(op.a, regs)),
-                    ScalarKernel::Bin(f) => f(read(op.a, regs), read(op.b, regs)),
-                };
-            }
-            for (buf, &d) in out_bufs.iter_mut().zip(mats) {
-                // Member-narrow defs materialize one value per member
-                // (their value is constant across the element axis),
-                // matching the `[rows]` tensors the per-op path builds.
-                if def_wide[d] || c == 0 {
-                    buf.push(regs[d]);
-                }
-            }
+/// What one execution of a region tells the cost model
+/// (`Pricing::region`).
+#[derive(Debug)]
+pub(crate) struct Ran<'a> {
+    /// The region that ran.
+    pub(crate) region: &'a FusedRegion,
+    /// Per external input: whether it held one value per member.
+    pub(crate) ext_bcast: &'a [bool],
+    /// Per op: whether its result spans the full shape, or holds one
+    /// value per member.
+    pub(crate) def_wide: &'a [bool],
+    /// Members the loop ran over.
+    pub(crate) rows: usize,
+    /// Elements the loop ran over, `rows` times the element volume.
+    pub(crate) n: usize,
+}
+
+/// The buffers a machine's region executions reuse, one set per element
+/// type with a loop, so that an execution allocates nothing but its
+/// result tensors.
+#[derive(Debug, Default)]
+pub(crate) struct RegionScratch {
+    f64: Buffers<f64>,
+    i64: Buffers<i64>,
+}
+
+/// One element type's share of [`RegionScratch`].
+#[derive(Debug, Default)]
+struct Buffers<T: 'static> {
+    /// Per-element virtual registers, one per op.
+    regs: Vec<T>,
+    /// See [`Ran::ext_bcast`].
+    ext_bcast: Vec<bool>,
+    /// See [`Ran::def_wide`].
+    def_wide: Vec<bool>,
+    /// The external inputs' payloads while a region runs, empty in
+    /// between: the `'static` only keeps the allocation (see
+    /// [`recycle`]).
+    exts: Vec<&'static [T]>,
+    /// The materialized results' buffers while a region runs, empty in
+    /// between.
+    mats: Vec<Vec<T>>,
+}
+
+/// An element type a region's loop runs on.
+trait Elem: Copy + Default + 'static {
+    const DTYPE: DType;
+    /// The payload of a tensor of dtype [`Elem::DTYPE`].
+    fn payload(t: &Tensor) -> &[Self];
+    fn wrap(values: Vec<Self>) -> Data;
+}
+
+impl Elem for f64 {
+    const DTYPE: DType = DType::F64;
+    fn payload(t: &Tensor) -> &[f64] {
+        t.as_f64().expect("dtype checked")
+    }
+    fn wrap(values: Vec<f64>) -> Data {
+        Data::F64(values)
+    }
+}
+
+impl Elem for i64 {
+    const DTYPE: DType = DType::I64;
+    fn payload(t: &Tensor) -> &[i64] {
+        t.as_i64().expect("dtype checked")
+    }
+    fn wrap(values: Vec<i64>) -> Data {
+        Data::I64(values)
+    }
+}
+
+/// `v`, emptied, as a vector of slices of another lifetime. Collecting a
+/// mapped `vec::IntoIter` into elements of the same layout reuses its
+/// allocation, so this allocates nothing (`tests/alloc_ceiling.rs`
+/// counts it).
+fn recycle<'b, T>(mut v: Vec<&[T]>) -> Vec<&'b [T]> {
+    v.clear();
+    v.into_iter().map(|_| unreachable!("emptied")).collect()
+}
+
+impl FusedRegion {
+    /// Execute the region as one loop over `rows` members of its
+    /// external inputs `exts` (in [`FusedRegion::exts`] order), its
+    /// materialized results replacing the contents of `out` in `mats`
+    /// order: a wide def at the region's shape, a member-narrow one —
+    /// which reads no full-width operand, so its value does not vary
+    /// along the element axes — at `[rows]`, each the shape the per-op
+    /// kernels give it. Returns what the cost model prices the
+    /// execution by.
+    ///
+    /// Returns `None`, having changed nothing but scratch, when the loop
+    /// would not reproduce the per-op kernels: the externals must share
+    /// one wide shape `[rows, elem..]`, each at it or a member-scalar
+    /// `[rows]` broadcast against it (the per-op kernels' NumPy
+    /// broadcast, reproduced per element), and one dtype the region has
+    /// a table for, and the shape must hold an element. At zero elements
+    /// the loop would skip the member-narrow results, whose values exist
+    /// even then; the per-op path handles that case.
+    pub(crate) fn run<'s>(
+        &'s self,
+        exts: &[Tensor],
+        rows: usize,
+        scratch: &'s mut RegionScratch,
+        out: &mut Vec<Tensor>,
+    ) -> Result<Option<Ran<'s>>> {
+        let member_scalar = [rows];
+        let (shape, dtype) = match exts.iter().max_by_key(|t| t.rank()) {
+            Some(t) => (t.shape(), t.dtype()),
+            // A region of constants runs at `[rows]`, on its one table.
+            None => match (&self.f64_exec, &self.i64_exec) {
+                (Some(_), None) => (&member_scalar[..], DType::F64),
+                (None, Some(_)) => (&member_scalar[..], DType::I64),
+                _ => return Ok(None),
+            },
+        };
+        if shape.first() != Some(&rows) {
+            return Ok(None);
+        }
+        let RegionScratch { f64, i64 } = scratch;
+        match dtype {
+            DType::F64 => f64.run(self, self.f64_exec.as_deref(), exts, shape, out),
+            DType::I64 => i64.run(self, self.i64_exec.as_deref(), exts, shape, out),
+            DType::Bool => Ok(None),
         }
     }
 }
 
-/// Per-def wideness: whether each def's per-op result spans the full
-/// element shape (vs one value per member). A def is wide when any
-/// source is a full-width external or a wide def; constant-only and
-/// member-broadcast-only defs stay member-narrow, matching the shapes
-/// the per-op kernels would produce.
-pub(crate) fn def_wideness<T: Copy>(table: &[ExecOp<T>], ext_bcast: &[bool], wide: &mut Vec<bool>) {
-    wide.clear();
-    for (d, op) in table.iter().enumerate() {
-        let src_wide = |s: Src, wide: &Vec<bool>| match s {
-            Src::Ext(x) => !ext_bcast[x],
-            Src::Def(dd) => dd < d && wide[dd],
+impl<T: Elem> Buffers<T> {
+    /// [`FusedRegion::run`] once the wide `shape` and its dtype, `T`, are
+    /// known; `table` is the region's table for `T`, if it has one.
+    fn run<'s>(
+        &'s mut self,
+        region: &'s FusedRegion,
+        table: Option<&[ExecOp<T>]>,
+        exts: &[Tensor],
+        shape: &[usize],
+        out: &mut Vec<Tensor>,
+    ) -> Result<Option<Ran<'s>>> {
+        let rows = shape[0];
+        self.ext_bcast.clear();
+        for t in exts {
+            if t.dtype() != T::DTYPE {
+                return Ok(None);
+            }
+            if t.shape() == shape {
+                self.ext_bcast.push(false);
+            } else if t.shape() == [rows] {
+                self.ext_bcast.push(true);
+            } else {
+                return Ok(None);
+            }
+        }
+        let n: usize = shape.iter().product();
+        let Some(table) = table.filter(|_| n > 0) else {
+            return Ok(None);
         };
-        let w = match op.kernel {
-            ScalarKernel::Const(_) => false,
-            ScalarKernel::Un(_) => src_wide(op.a, wide),
-            ScalarKernel::Bin(_) => src_wide(op.a, wide) || src_wide(op.b, wide),
-        };
-        wide.push(w);
+        // A def is wide when it reads a full-width external or a wide
+        // def; one of constants and member broadcasts holds one value
+        // per member, as its per-op kernel's result does.
+        let (ext_bcast, wide) = (&self.ext_bcast, &mut self.def_wide);
+        wide.clear();
+        for op in table {
+            let src_wide = |s: Src| match s {
+                Src::Ext(x) => !ext_bcast[x],
+                Src::Def(d) => wide[d],
+            };
+            wide.push(match op.kernel {
+                ScalarKernel::Const(_) => false,
+                ScalarKernel::Un(_) => src_wide(op.a),
+                ScalarKernel::Bin(_) => src_wide(op.a) || src_wide(op.b),
+            });
+        }
+        let mut slices = recycle(std::mem::take(&mut self.exts));
+        slices.extend(exts.iter().map(T::payload));
+        let (def_wide, regs, bufs) = (&self.def_wide, &mut self.regs, &mut self.mats);
+        bufs.extend(
+            (region.mats.iter()).map(|&d| Vec::with_capacity(if def_wide[d] { n } else { rows })),
+        );
+        regs.clear();
+        regs.resize(table.len(), T::default());
+        let el = n / rows;
+        for r in 0..rows {
+            for c in 0..el {
+                let e = r * el + c;
+                for (d, op) in table.iter().enumerate() {
+                    // An external flagged in `ext_bcast` holds one value
+                    // per member, read at the member index.
+                    let read = |s: Src, regs: &[T]| match s {
+                        Src::Def(dd) => regs[dd],
+                        Src::Ext(x) if ext_bcast[x] => slices[x][r],
+                        Src::Ext(x) => slices[x][e],
+                    };
+                    regs[d] = match op.kernel {
+                        ScalarKernel::Const(k) => k,
+                        ScalarKernel::Un(f) => f(read(op.a, regs)),
+                        ScalarKernel::Bin(f) => f(read(op.a, regs), read(op.b, regs)),
+                    };
+                }
+                for (buf, &d) in bufs.iter_mut().zip(&region.mats) {
+                    // A member-narrow def materializes one value per
+                    // member (the first element's).
+                    if def_wide[d] || c == 0 {
+                        buf.push(regs[d]);
+                    }
+                }
+            }
+        }
+        self.exts = recycle(slices);
+        out.clear();
+        for (&d, values) in region.mats.iter().zip(bufs.drain(..)) {
+            let sh = if def_wide[d] { shape } else { &shape[..1] };
+            out.push(Tensor::new(T::wrap(values), sh)?);
+        }
+        Ok(Some(Ran {
+            region,
+            ext_bcast,
+            def_wide,
+            rows,
+            n,
+        }))
     }
 }
 
@@ -448,23 +575,50 @@ mod tests {
         assert_eq!((regions[0].start, regions[0].len), (0, 2));
     }
 
+    /// A region of the ops of `f64_exec` and `i64_exec` that
+    /// materializes the defs `mats`.
+    fn region(
+        f64_exec: Option<Vec<ExecOp<f64>>>,
+        i64_exec: Option<Vec<ExecOp<i64>>>,
+        mats: Vec<usize>,
+    ) -> FusedRegion {
+        FusedRegion {
+            start: 0,
+            len: f64_exec.as_ref().map_or(0, Vec::len),
+            exts: Vec::new(),
+            ops: Vec::new(),
+            mats,
+            f64_exec,
+            i64_exec,
+            kernel_tag: String::new(),
+        }
+    }
+
+    /// `region` run over `rows` members of `exts`: its results, or
+    /// `None` if it refused them.
+    fn run(region: &FusedRegion, exts: &[Tensor], rows: usize) -> Option<Vec<Tensor>> {
+        let (mut scratch, mut out) = (RegionScratch::default(), Vec::new());
+        let ran = region.run(exts, rows, &mut scratch, &mut out).unwrap();
+        ran.map(|_| out)
+    }
+
     /// Bit-compare a primitive's scalar kernel, run as a one-op fused
     /// region, with its batched kernel through `eval_prim`, over every
     /// edge value (every ordered pair of them for a binary kernel).
     fn fused_matches_batched<T: Copy + Default>(
         prim: &Prim,
-        kernel: ScalarKernel<T>,
+        binary: bool,
         edges: &[T],
         tensor: fn(&[T]) -> Tensor,
         read: fn(&Tensor) -> Vec<T>,
         bits: fn(T) -> u64,
     ) {
-        let (a, b): (Vec<T>, Vec<T>) = match kernel {
-            ScalarKernel::Bin(_) => edges
-                .iter()
+        let (a, b): (Vec<T>, Vec<T>) = if binary {
+            (edges.iter())
                 .flat_map(|&x| edges.iter().map(move |&y| (x, y)))
-                .unzip(),
-            _ => (edges.to_vec(), edges.to_vec()),
+                .unzip()
+        } else {
+            (edges.to_vec(), edges.to_vec())
         };
         let n_ins = prim.arity().expect("a row has an arity").ins;
         let inputs: Vec<Tensor> = [&a, &b][..n_ins].iter().map(|x| tensor(x)).collect();
@@ -472,26 +626,26 @@ mod tests {
         let (rng, registry) = (CounterRng::new(0), KernelRegistry::new());
         let mut batched = Vec::new();
         eval_prim(prim, &inputs, &members, &rng, &registry, &mut batched).unwrap();
-        let table = [ExecOp {
-            kernel,
-            a: Src::Ext(0),
-            b: Src::Ext(1),
-        }];
-        let mut fused = vec![Vec::new()];
-        let (n, mut regs) = (a.len(), Vec::new());
-        run_region(
-            &table,
-            &[&a, &b],
-            &[false, false],
-            n,
-            1,
-            &mut regs,
-            &[0],
-            &[true],
-            &mut fused,
-        );
+        let (f, i) = prim.scalar_kernels();
+        let (a_, b_) = (Src::Ext(0), Src::Ext(1));
+        let f = f.map(|kernel| {
+            vec![ExecOp {
+                kernel,
+                a: a_,
+                b: b_,
+            }]
+        });
+        let i = i.map(|kernel| {
+            vec![ExecOp {
+                kernel,
+                a: a_,
+                b: b_,
+            }]
+        });
+        let fused = run(&region(f, i, vec![0]), &inputs, a.len()).expect("accepted");
+        assert_eq!(fused[0].shape(), batched[0].shape(), "{prim:?}");
         let want: Vec<u64> = read(&batched[0]).into_iter().map(bits).collect();
-        let got: Vec<u64> = fused[0].iter().map(|&x| bits(x)).collect();
+        let got: Vec<u64> = read(&fused[0]).into_iter().map(bits).collect();
         assert_eq!(got, want, "{prim:?}: fused and batched kernels disagree");
     }
 
@@ -548,7 +702,7 @@ mod tests {
                     if let Some(k) = f {
                         fused_matches_batched(
                             prim,
-                            k,
+                            matches!(k, ScalarKernel::Bin(_)),
                             &f64_edges,
                             |x| Tensor::from_f64(x, &[x.len()]).unwrap(),
                             |t| t.as_f64().unwrap().to_vec(),
@@ -558,7 +712,7 @@ mod tests {
                     if let Some(k) = i {
                         fused_matches_batched(
                             prim,
-                            k,
+                            matches!(k, ScalarKernel::Bin(_)),
                             &i64_edges,
                             |x| Tensor::from_i64(x, &[x.len()]).unwrap(),
                             |t| t.as_i64().unwrap().to_vec(),
@@ -590,46 +744,83 @@ mod tests {
                 b: Src::Ext(0),
             },
         ];
-        let x = [1.0f64, 2.0, 3.0];
-        let mut regs = Vec::new();
-        let mut bufs = vec![Vec::new()];
-        run_region(
-            &table,
-            &[&x],
-            &[false],
-            3,
-            1,
-            &mut regs,
-            &[2],
-            &[false, true, true],
-            &mut bufs,
+        let x = Tensor::from_f64(&[1.0, 2.0, 3.0], &[3]).unwrap();
+        let out = run(&region(Some(table), None, vec![2]), &[x], 3).unwrap();
+        assert_eq!(
+            out,
+            vec![Tensor::from_f64(&[2.0, 6.0, 12.0], &[3]).unwrap()]
         );
-        assert_eq!(bufs[0], vec![2.0, 6.0, 12.0]);
     }
 
     #[test]
     fn run_region_broadcasts_member_scalars() {
-        // y = x_wide * s_member over 2 members × 3 elements.
-        let table = vec![ExecOp {
-            kernel: ScalarKernel::Bin(so::mul_f64),
+        // y = x_wide * s_member over 2 members × 3 elements, and
+        // t = s_member + 1, which reads no full-width operand: one value
+        // per member, at `[2]`, whatever the wide shape.
+        let table = vec![
+            ExecOp {
+                kernel: ScalarKernel::Bin(so::mul_f64),
+                a: Src::Ext(0),
+                b: Src::Ext(1),
+            },
+            ExecOp {
+                kernel: ScalarKernel::Const(1.0),
+                a: Src::Def(0),
+                b: Src::Def(0),
+            },
+            ExecOp {
+                kernel: ScalarKernel::Bin(so::add_f64),
+                a: Src::Ext(1),
+                b: Src::Def(1),
+            },
+        ];
+        let r = region(Some(table), None, vec![0, 2]);
+        let xw = Tensor::from_f64(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]).unwrap();
+        let sm = Tensor::from_f64(&[10.0, 100.0], &[2]).unwrap();
+        let out = run(&r, &[xw, sm], 2).unwrap();
+        let y = [10.0, 20.0, 30.0, 400.0, 500.0, 600.0];
+        assert_eq!(out[0], Tensor::from_f64(&y, &[2, 3]).unwrap());
+        assert_eq!(out[1], Tensor::from_f64(&[11.0, 101.0], &[2]).unwrap());
+    }
+
+    #[test]
+    fn a_region_refuses_operands_its_loop_would_not_reproduce() {
+        // x + y over f64, and the same over i64.
+        let f = vec![ExecOp {
+            kernel: ScalarKernel::Bin(so::add_f64),
             a: Src::Ext(0),
             b: Src::Ext(1),
         }];
-        let xw = [1.0f64, 2.0, 3.0, 4.0, 5.0, 6.0]; // [2, 3]
-        let sm = [10.0f64, 100.0]; // [2]
-        let mut regs = Vec::new();
-        let mut bufs = vec![Vec::new()];
-        run_region(
-            &table,
-            &[&xw, &sm],
-            &[false, true],
-            2,
-            3,
-            &mut regs,
-            &[0],
-            &[true],
-            &mut bufs,
-        );
-        assert_eq!(bufs[0], vec![10.0, 20.0, 30.0, 400.0, 500.0, 600.0]);
+        let r = region(Some(f), None, vec![0]);
+        let f64s = |shape: &[usize]| Tensor::zeros(DType::F64, shape);
+        let (wide, member) = (f64s(&[2, 3]), f64s(&[2]));
+        assert!(run(&r, &[wide.clone(), member.clone()], 2).is_some());
+        assert!(run(&r, &[member.clone(), member.clone()], 2).is_some());
+        let refused = [
+            // Another wide shape, or a broadcast other than `[rows]`.
+            vec![wide.clone(), f64s(&[2, 4])],
+            vec![wide.clone(), f64s(&[1, 3])],
+            vec![wide.clone(), f64s(&[3])],
+            // The wide shape's rows are not the superstep's.
+            vec![f64s(&[3, 3]), f64s(&[3, 3])],
+            // No element.
+            vec![f64s(&[2, 0]), f64s(&[2])],
+            // Mixed dtypes, a dtype without a table, `bool`.
+            vec![wide.clone(), Tensor::zeros(DType::I64, &[2])],
+            vec![Tensor::zeros(DType::I64, &[2]); 2],
+            vec![Tensor::zeros(DType::Bool, &[2]); 2],
+        ];
+        for exts in refused {
+            let shapes: Vec<&[usize]> = exts.iter().map(Tensor::shape).collect();
+            assert!(run(&r, &exts, 2).is_none(), "{shapes:?} accepted");
+        }
+        // A region of constants alone runs on its one table at `[rows]`.
+        let c = vec![ExecOp {
+            kernel: ScalarKernel::Const(7),
+            a: Src::Def(0),
+            b: Src::Def(0),
+        }];
+        let out = run(&region(None, Some(c), vec![0]), &[], 2).unwrap();
+        assert_eq!(out, vec![Tensor::from_i64(&[7, 7], &[2]).unwrap()]);
     }
 }

@@ -31,31 +31,40 @@
 //! limit, and running a block are three private functions that the
 //! one-shot [`PcVm::run`] and the incremental [`PcMachine`] both drive,
 //! and inside a superstep the member set, the scratch arena and the
-//! price travel as one borrowed context. What the static runtimes
-//! decide alike — block selection, batch-width validation, how a
-//! masked or gathered result lands in a full-width buffer — lives once
-//! in `batch`, which [`LocalStaticVm`] calls too.
+//! price travel as one borrowed context. What the loop runs is compiled
+//! before any batch does: [`PcVm::new`] turns each block into one
+//! record — its ops' operand slots, its fused regions with theirs, its
+//! branch condition, its temporary count and its launch's kernel tag —
+//! and the options that shape that record are read there and nowhere
+//! on the superstep path. What the static runtimes decide alike —
+//! block selection, batch-width validation, how a masked or gathered
+//! result lands in a full-width buffer — lives once in `batch`, which
+//! [`LocalStaticVm`] calls too.
 //!
 //! That loop keeps its bookkeeping allocation-free in the steady
 //! state: whoever drives it owns
 //! a scratch arena (active mask, active-index list, member keys, pop
-//! depths, block-local temporaries, and the buffers a gathered
-//! superstep copies its operands' active rows into) that is cleared
-//! per superstep, never reallocated, and tensors are copy-on-write so
-//! state reads and observer snapshots share buffers instead of
-//! deep-copying (primitive results are still fresh tensors). The VMs
-//! only execute; what a superstep costs on a simulated accelerator is
-//! decided in one place, the `pricing` module, which does nothing at
-//! all on an untraced run (but for measuring each block once, for the
-//! mask-or-gather choice). On top of that, each basic block is planned
-//! once into **fused elementwise regions** —
-//! straight-line runs of elementwise primitives executed as a single
-//! loop with per-element virtual registers and priced as a single
-//! launch ([`ExecOptions::fuse_elementwise`]; the fused loop applies
-//! the exact scalar functions of the allocating kernels, so results
-//! are bit-identical, and any runtime shape/dtype surprise falls back
-//! to per-op execution). See the repository README's "Performance
-//! architecture" section for the measured effect.
+//! depths, block-local temporaries, the fused loops' registers and
+//! lists, and the buffers a gathered superstep copies its operands'
+//! active rows into) that is cleared per superstep, never reallocated,
+//! and tensors are copy-on-write so state reads and observer snapshots
+//! share buffers instead of deep-copying (primitive and region results
+//! are still fresh tensors). The VMs only execute; what a superstep
+//! costs on a simulated accelerator is decided in one place, the
+//! `pricing` module, which does nothing at all on an untraced run (but
+//! for measuring each block once, for the mask-or-gather choice). On
+//! top of that, each basic block is planned once into **fused
+//! elementwise regions** — straight-line runs of elementwise
+//! primitives executed as a single loop with per-element virtual
+//! registers and priced as a single launch
+//! ([`ExecOptions::fuse_elementwise`]). One entry point in `fusion`
+//! decides at run time whether a region's operands are what the loop
+//! reproduces the per-op kernels on, runs it, and returns what
+//! `pricing` needs; the loop applies the exact scalar functions of the
+//! allocating kernels, so results are bit-identical, and a refused
+//! region runs op by op (refused once, it is not tried again on that
+//! machine). See the repository README's "Performance architecture"
+//! section for the measured effect.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -153,7 +153,11 @@ pub struct ExecOptions {
     pub stack_depth: usize,
     /// Whether the program-counter runtime caches stack tops (paper §3,
     /// optimization 4). Turning this off only changes the *priced* stack
-    /// traffic (every read re-gathers), not the results.
+    /// traffic (every read re-gathers), not the results. Read when the
+    /// VM is constructed, like [`ExecOptions::fuse_elementwise`]: with
+    /// it off no fused region is planned, since a fused launch would
+    /// not price the re-gathers; the per-op pricing of each stacked
+    /// read and update then follows it.
     pub cache_stack_tops: bool,
     /// Agenda policy of the dynamic-batching runtime (ignored by the
     /// static runtimes).
@@ -166,6 +170,9 @@ pub struct ExecOptions {
     /// model). Fusion is bit-identical to per-primitive execution — the
     /// fused loop applies the exact same scalar functions in the same
     /// order — so this knob only exists for ablation and benchmarking.
+    /// Read once, when the VM is constructed: it plans fused regions
+    /// only when this and [`ExecOptions::cache_stack_tops`] are on, and
+    /// a superstep never tests either.
     pub fuse_elementwise: bool,
     /// Deterministic fault-injection schedule (chaos testing). The
     /// default plan is inert; see [`autobatch_chaos`].

@@ -33,24 +33,32 @@
 //! taken out of its owner, so a superstep that fails leaves what the
 //! machine has learned about its blocks where it was.
 //!
-//! Nothing on that path looks a variable up by name. [`PcVm::new`]
-//! resolves every block once: each operand of each op, the branch
-//! condition and each fused region's inputs and results become a
-//! `Slot` — stacked variable `i`, register `i` or block temporary `i`,
-//! dense indices into the member set's vectors and the superstep's
-//! temporaries. The program's `Var`s are read only to name an error or
-//! to label an observer's snapshot.
+//! Nothing on that path is decided twice. [`PcVm::new`] compiles every
+//! block once into one record, `CompiledBlock`: each operand of each op
+//! and the branch condition become a `Slot` — stacked variable `i`,
+//! register `i` or block temporary `i`, dense indices into the member
+//! set's vectors and the superstep's temporaries — and so do the
+//! external inputs and materialized results of each of the block's
+//! fused regions, beside the temporaries it binds and its launch's
+//! kernel tag. Regions are planned only when
+//! [`ExecOptions::fuse_elementwise`] and
+//! [`ExecOptions::cache_stack_tops`] are both on, so a superstep tests
+//! neither: it runs a region when one starts at the current op and this
+//! machine has not seen it refused, through the one entry point of
+//! [`crate::fusion`], which says whether the operands are what its loop
+//! reproduces the per-op kernels on. The program's `Var`s are read only
+//! to name an error or to label an observer's snapshot.
 
 use std::collections::BTreeMap;
 
 use autobatch_accel::Trace;
 use autobatch_ir::pcab::{Block, Op, Program, Terminator, WriteKind};
 use autobatch_ir::{Prim, Var};
-use autobatch_tensor::{CounterRng, DType, Data, Tensor};
+use autobatch_tensor::{CounterRng, DType, Tensor};
 
 use crate::batch::{batch_size, land, lookup, select_block, store_rows, zeroed, Lanes};
 use crate::error::{Result, VmError};
-use crate::fusion::{self, FusedRegion};
+use crate::fusion::{self, FusedRegion, RegionScratch};
 use crate::kernels::{eval_prim, KernelRegistry};
 use crate::member_set::{LaneState, State};
 use crate::options::{BlockCost, ExecOptions};
@@ -116,13 +124,8 @@ pub struct PcVm<'p> {
     /// The counter-based generator every draw goes through, keyed by
     /// `opts.seed`.
     rng: CounterRng,
-    /// Per-block fused elementwise regions (see [`crate::fusion`]),
-    /// planned once at construction.
-    plans: Vec<Vec<FusedRegion>>,
-    /// Per block, where each of its operands lives, resolved once at
-    /// construction: a superstep indexes dense vectors and never
-    /// compares a variable's name.
-    resolved: Vec<Resolved>,
+    /// Each block as a superstep runs it, compiled once at construction.
+    blocks: Vec<CompiledBlock>,
     /// The most temporaries one block binds: the length of a
     /// superstep's temporaries, sized once per scratch arena.
     max_temps: usize,
@@ -132,8 +135,6 @@ pub struct PcVm<'p> {
     output_slots: Vec<Option<Slot>>,
     /// Stacked variables in slot order (the program's sorted order).
     stacked_vars: Vec<Var>,
-    /// Kernel tag of each block's launch, `block:{i}`.
-    block_tags: Vec<String>,
 }
 
 /// Where a variable lives: an index into the state's stacked or
@@ -157,30 +158,39 @@ struct Operands {
     outs: Vec<Slot>,
 }
 
-/// One block with every operand resolved to its slot.
+/// One block as a superstep runs it: a superstep indexes dense vectors
+/// and never compares a variable's name.
 #[derive(Debug)]
-struct Resolved {
+struct CompiledBlock {
     /// Per op of the block, in op order.
     ops: Vec<Operands>,
-    /// Per fused region of the block's plan, in plan order.
-    regions: Vec<Operands>,
+    /// The block's fused regions in op order, each with its operands.
+    regions: Vec<(FusedRegion, Operands)>,
     /// The condition of a `Branch` terminator.
     cond: Option<Slot>,
     /// How many temporaries the block binds.
     temps: usize,
+    /// Kernel tag of the block's launch, `block:{i}`.
+    tag: String,
 }
 
-impl Resolved {
-    /// Resolve `block`: persistent variables through `persistent`,
-    /// every other name to the next free temporary.
-    fn new(persistent: &BTreeMap<Var, Slot>, block: &Block, plan: &[FusedRegion]) -> Self {
-        let mut temps: Vec<&Var> = Vec::new();
-        let mut slot = |v| {
+impl CompiledBlock {
+    /// Compile `block`, the `i`-th, with the fused regions of `plan`:
+    /// persistent variables resolve through `persistent`, every other
+    /// name to the next free temporary.
+    fn new(
+        block: &Block,
+        i: usize,
+        persistent: &BTreeMap<Var, Slot>,
+        plan: Vec<FusedRegion>,
+    ) -> Self {
+        let mut temps: Vec<Var> = Vec::new();
+        let mut slot = |v: &Var| {
             if let Some(&s) = persistent.get(v) {
                 return s;
             }
-            let t = temps.iter().position(|&w| w == v).unwrap_or_else(|| {
-                temps.push(v);
+            let t = temps.iter().position(|w| w == v).unwrap_or_else(|| {
+                temps.push(v.clone());
                 temps.len() - 1
             });
             Slot::Temp(t)
@@ -197,21 +207,23 @@ impl Resolved {
                 },
             })
             .collect();
-        let regions = (plan.iter())
-            .map(|r| Operands {
-                ins: r.exts.iter().map(&mut slot).collect(),
-                outs: r.mats.iter().map(|&d| slot(&r.ops[d].out.0)).collect(),
+        let regions = (plan.into_iter())
+            .map(|r| {
+                let ins = r.exts.iter().map(&mut slot).collect();
+                let outs = r.mats.iter().map(|&d| slot(&r.ops[d].out.0)).collect();
+                (r, Operands { ins, outs })
             })
             .collect();
         let cond = match &block.term {
             Terminator::Branch { cond, .. } => Some(slot(cond)),
             _ => None,
         };
-        Resolved {
+        CompiledBlock {
             ops,
             regions,
             cond,
             temps: temps.len(),
+            tag: format!("block:{i}"),
         }
     }
 }
@@ -245,14 +257,8 @@ struct Scratch {
     next_operand: usize,
     /// Per-member stack depths for pops.
     depths: Vec<usize>,
-    /// Per-element virtual registers of the fused fast path.
-    regs_f64: Vec<f64>,
-    /// Integer sibling of `regs_f64`.
-    regs_i64: Vec<i64>,
-    /// Per-external member-broadcast flags of the fused fast path.
-    ext_bcast: Vec<bool>,
-    /// Per-def wideness flags of the fused fast path.
-    def_wide: Vec<bool>,
+    /// What the fused regions' loops reuse.
+    fused: RegionScratch,
     /// Reused operand buffer of a primitive or a fused region.
     inputs: Vec<Tensor>,
     /// Reused result buffer of a primitive or a fused region.
@@ -270,9 +276,9 @@ impl Scratch {
     fn new(vm: &PcVm<'_>) -> Self {
         Scratch {
             temps: vec![None; vm.max_temps],
-            blocks: (vm.plans.iter())
-                .map(|regions| BlockMemo {
-                    fused_off: vec![false; regions.len()],
+            blocks: (vm.blocks.iter())
+                .map(|b| BlockMemo {
+                    fused_off: vec![false; b.regions.len()],
                     ..BlockMemo::default()
                 })
                 .collect(),
@@ -315,9 +321,14 @@ impl<'p> PcVm<'p> {
         for (i, v) in program.register_vars().into_iter().enumerate() {
             slot_of.insert(v, Slot::Register(i));
         }
-        let plans = fusion::plan_program(program);
-        let resolved: Vec<Resolved> = (program.blocks.iter().zip(&plans))
-            .map(|(block, plan)| Resolved::new(&slot_of, block, plan))
+        // The uncached-top ablation prices every read of a stacked
+        // operand, which only per-op execution does: it plans no region.
+        let fuse = opts.fuse_elementwise && opts.cache_stack_tops;
+        let blocks: Vec<CompiledBlock> = (program.blocks.iter().enumerate())
+            .map(|(i, block)| {
+                let plan = fuse.then(|| fusion::plan_block(program, block));
+                CompiledBlock::new(block, i, &slot_of, plan.unwrap_or_default())
+            })
             .collect();
         let slots = |vars: &[Var]| vars.iter().map(|v| slot_of.get(v).copied()).collect();
         PcVm {
@@ -325,15 +336,11 @@ impl<'p> PcVm<'p> {
             registry,
             opts,
             rng: CounterRng::new(opts.seed),
-            plans,
-            max_temps: resolved.iter().map(|r| r.temps).max().unwrap_or(0),
-            resolved,
+            max_temps: blocks.iter().map(|b| b.temps).max().unwrap_or(0),
+            blocks,
             input_slots: slots(&program.inputs),
             output_slots: slots(&program.outputs),
             stacked_vars,
-            block_tags: (0..program.blocks.len())
-                .map(|i| format!("block:{i}"))
-                .collect(),
         }
     }
 
@@ -575,41 +582,37 @@ impl Superstep<'_, '_> {
     /// block's launch.
     fn run(mut self) -> Result<()> {
         let vm = self.vm;
-        let block = &vm.program.blocks[self.block];
-        let plan = &vm.plans[self.block];
-        let resolved = &vm.resolved[self.block];
-        let mut next_region = 0usize;
+        let (ir, block) = (&vm.program.blocks[self.block], &vm.blocks[self.block]);
+        let mut regions = block.regions.iter().enumerate().peekable();
         let mut op_idx = 0usize;
-        while op_idx < block.ops.len() {
+        while op_idx < ir.ops.len() {
             // Fused fast path: execute a whole elementwise region as one
-            // loop when the planner found one here and the runtime
-            // shapes allow it; otherwise fall through to per-op
-            // execution of the same ops.
-            if vm.opts.fuse_elementwise {
-                if let Some(region) = plan.get(next_region).filter(|r| r.start == op_idx) {
-                    let region_idx = next_region;
-                    next_region += 1;
-                    if !self.scratch.blocks[self.block].fused_off[region_idx] {
-                        if self.try_exec_fused(region, &resolved.regions[region_idx])? {
-                            op_idx += region.len;
-                            continue;
-                        }
-                        self.scratch.blocks[self.block].fused_off[region_idx] = true;
+            // loop when one starts here and the runtime operands allow
+            // it; otherwise fall through to per-op execution of the
+            // same ops.
+            if let Some((r, (region, slots))) =
+                regions.next_if(|(_, (next, _))| next.start == op_idx)
+            {
+                if !self.scratch.blocks[self.block].fused_off[r] {
+                    if self.try_exec_fused(region, slots)? {
+                        op_idx += region.len;
+                        continue;
                     }
+                    self.scratch.blocks[self.block].fused_off[r] = true;
                 }
             }
-            let slots = &resolved.ops[op_idx];
-            match &block.ops[op_idx] {
+            let slots = &block.ops[op_idx];
+            match &ir.ops[op_idx] {
                 Op::Compute { outs, prim, ins } => self.exec_compute(prim, slots, ins, outs)?,
                 Op::Pop { var } => self.pop_var(slots.outs[0], var)?,
             }
             op_idx += 1;
         }
-        self.terminate(&block.term, resolved.cond)?;
+        self.terminate(&ir.term, block.cond)?;
         if let Some(cost) = self.pricing.block_cost() {
             self.scratch.blocks[self.block].cost = Some(cost);
         }
-        self.pricing.end_block(&vm.block_tags[self.block]);
+        self.pricing.end_block(&block.tag);
         Ok(())
     }
 
@@ -671,36 +674,35 @@ impl Superstep<'_, '_> {
         Ok(())
     }
 
-    /// Execute one fused elementwise region as a single loop over
-    /// elements, if the runtime shapes permit. Returns `false` (having
-    /// done nothing observable) when the region must fall back to
-    /// per-op execution: mixed shapes or dtypes, a `bool` region, a
-    /// dtype with no compiled table, or the uncached-top ablation
-    /// (whose per-read pricing only the per-op path reproduces).
+    /// Execute `region`, whose operands live in `slots`, as one loop
+    /// over elements if [`FusedRegion::run`] accepts its operands;
+    /// return `false`, having done nothing observable, if not.
     ///
     /// Results are bit-identical to per-op execution: the loop applies
     /// the same `scalar_ops` functions in the same order, and
-    /// write-back goes through the exact per-op write path in op order.
+    /// write-back goes through the exact per-op write path in op order
+    /// (so stack pushes error in the same order as unfused execution).
     fn try_exec_fused(&mut self, region: &FusedRegion, slots: &Operands) -> Result<bool> {
-        if !self.vm.opts.cache_stack_tops {
-            return Ok(false);
-        }
         // Read the external inputs exactly like the per-op path, into
         // the same reused buffer.
         self.read_operands(&slots.ins, &region.exts)?;
-        let rows = if self.scratch.gathered {
-            self.scratch.active_idx.len()
+        let scratch = &mut *self.scratch;
+        let rows = if scratch.gathered {
+            scratch.active_idx.len()
         } else {
             self.st.z()
         };
-        let fused = fused_results(region, rows, self.scratch, &mut self.pricing);
-        self.scratch.inputs.clear();
-        if !fused? {
+        let ran = region.run(
+            &scratch.inputs,
+            rows,
+            &mut scratch.fused,
+            &mut scratch.results,
+        );
+        scratch.inputs.clear();
+        let Some(ran) = ran? else {
             return Ok(false);
-        }
-        // Write back the materialized results through the per-op write
-        // path, in op order (so stack pushes error in the same order as
-        // unfused execution).
+        };
+        self.pricing.region(&ran, scratch.gathered);
         let outs = region.mats.iter().map(|&d| &region.ops[d].out);
         self.write_results(&slots.outs, outs)?;
         Ok(true)
@@ -1428,156 +1430,6 @@ mod send_handoff {
     }
 }
 
-/// Run one fused elementwise region as a single loop over `rows`
-/// members of its external inputs (`scratch.inputs`), priced, its
-/// materialized results in `scratch.results`; or return `false`, having
-/// done nothing observable, when the region must fall back to per-op
-/// execution (see `Superstep::try_exec_fused`).
-fn fused_results(
-    region: &FusedRegion,
-    rows: usize,
-    scratch: &mut Scratch,
-    pricing: &mut Pricing<'_>,
-) -> Result<bool> {
-    let exts = &scratch.inputs;
-    // The fast path requires a single "wide" shape: every external
-    // either matches it exactly or is a member-scalar `[rows]`
-    // broadcast against it, all sharing one numeric dtype (the
-    // per-op kernels' NumPy broadcast, reproduced per element).
-    // Anything else falls back. A materialized def that never reads
-    // a full-width external would come out wider than the per-op
-    // path's member-narrow result, so those only fuse at scalar
-    // element shape.
-    let (shape, dtype) = match exts.iter().max_by_key(|t| t.rank()) {
-        Some(t) => (t.shape().to_vec(), t.dtype()),
-        None => {
-            let d = match (&region.f64_exec, &region.i64_exec) {
-                (Some(_), None) => DType::F64,
-                (None, Some(_)) => DType::I64,
-                _ => return Ok(false),
-            };
-            (vec![rows], d)
-        }
-    };
-    if shape.is_empty() || shape[0] != rows {
-        return Ok(false);
-    }
-    scratch.ext_bcast.clear();
-    for t in exts {
-        if t.dtype() != dtype {
-            return Ok(false);
-        }
-        if t.shape() == shape.as_slice() {
-            scratch.ext_bcast.push(false);
-        } else if t.rank() == 1 && t.shape()[0] == rows {
-            scratch.ext_bcast.push(true);
-        } else {
-            return Ok(false);
-        }
-    }
-    let n: usize = shape.iter().product();
-    if n == 0 {
-        // Zero-sized tensors: the fused loop would skip member-
-        // narrow materializations entirely (their values exist even
-        // when the element axis is empty). The per-op path handles
-        // the degenerate case; nothing to optimize at zero elements.
-        return Ok(false);
-    }
-    let mut run = RegionRun {
-        region,
-        shape: &shape,
-        ext_bcast: &scratch.ext_bcast,
-        def_wide: &mut scratch.def_wide,
-    };
-    let out = &mut scratch.results;
-    out.clear();
-    match dtype {
-        DType::F64 => {
-            let Some(table) = &region.f64_exec else {
-                return Ok(false);
-            };
-            let slices: Vec<&[f64]> = exts
-                .iter()
-                .map(|t| t.as_f64().expect("dtype checked"))
-                .collect();
-            run.materialize(table, &slices, &mut scratch.regs_f64, Data::F64, out)?;
-        }
-        DType::I64 => {
-            let Some(table) = &region.i64_exec else {
-                return Ok(false);
-            };
-            let slices: Vec<&[i64]> = exts
-                .iter()
-                .map(|t| t.as_i64().expect("dtype checked"))
-                .collect();
-            run.materialize(table, &slices, &mut scratch.regs_i64, Data::I64, out)?;
-        }
-        DType::Bool => return Ok(false),
-    };
-    pricing.region(
-        region,
-        &scratch.ext_bcast,
-        &scratch.def_wide,
-        rows,
-        n,
-        scratch.gathered,
-    );
-    Ok(true)
-}
-
-/// One fused region about to run over operands of one validated wide
-/// `shape` (`[rows, elem..]`): what its two element types share.
-struct RegionRun<'a> {
-    region: &'a FusedRegion,
-    shape: &'a [usize],
-    /// Which external inputs hold one value per member.
-    ext_bcast: &'a [bool],
-    /// Which defs come out at the full shape; filled here.
-    def_wide: &'a mut Vec<bool>,
-}
-
-impl RegionRun<'_> {
-    /// Run the region for a concrete element type and push the
-    /// materialized result tensors onto `out` (wide defs at the region
-    /// shape, member-narrow defs at `[rows]`). Shared by the `f64` and
-    /// `i64` paths so the dtypes cannot diverge.
-    fn materialize<T: Copy + Default>(
-        &mut self,
-        table: &[fusion::ExecOp<T>],
-        exts: &[&[T]],
-        regs: &mut Vec<T>,
-        wrap: fn(Vec<T>) -> Data,
-        out: &mut Vec<Tensor>,
-    ) -> Result<()> {
-        let (region, shape) = (self.region, self.shape);
-        fusion::def_wideness(table, self.ext_bcast, self.def_wide);
-        let def_wide = &*self.def_wide;
-        let rows = shape[0];
-        let n: usize = shape.iter().product();
-        let mut bufs: Vec<Vec<T>> = region
-            .mats
-            .iter()
-            .map(|&d| Vec::with_capacity(if def_wide[d] { n } else { rows }))
-            .collect();
-        fusion::run_region(
-            table,
-            exts,
-            self.ext_bcast,
-            rows,
-            n / rows,
-            regs,
-            &region.mats,
-            def_wide,
-            &mut bufs,
-        );
-        for (&d, b) in region.mats.iter().zip(bufs) {
-            let sh: &[usize] = if def_wide[d] { shape } else { &shape[..1] };
-            out.push(Tensor::new(wrap(b), sh)?);
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1988,6 +1840,71 @@ mod tests {
         assert_eq!(fused, plain);
         assert_eq!(fused[0].shape(), &[2, 0]);
         assert_eq!(fused[1].as_f64().unwrap(), &[2.0, 2.0]);
+    }
+
+    #[test]
+    fn a_region_copying_three_dtypes_refuses_once_per_machine_and_changes_nothing() {
+        // Regression: the served NUTS program's most common region, a
+        // run of `id`s that copies f64, i64 and bool registers. It is
+        // planned (`id` has an f64 and an i64 kernel) and refused on the
+        // first superstep of a machine, which then never tries it again;
+        // outputs and the priced eager trace are those of no fusion.
+        use autobatch_ir::pcab::VarClass;
+        use autobatch_ir::BlockId;
+        let names = ["a", "b", "c", "a2", "b2", "c2"].map(Var::new);
+        let copy = |out: &Var, x: &Var| Op::Compute {
+            outs: vec![(out.clone(), WriteKind::Update)],
+            prim: Prim::Id,
+            ins: vec![x.clone()],
+        };
+        let prog = Program {
+            blocks: vec![Block {
+                ops: (0..3).map(|k| copy(&names[k + 3], &names[k])).collect(),
+                term: Terminator::Return,
+            }],
+            entry: BlockId(0),
+            inputs: names[..3].to_vec(),
+            outputs: names[3..].to_vec(),
+            classes: names
+                .iter()
+                .map(|v| (v.clone(), VarClass::Register))
+                .collect(),
+        };
+        prog.validate().unwrap();
+        assert_eq!(crate::fused_spans(&prog), vec![vec![(0, 3)]]);
+        let member = |k: i64| {
+            vec![
+                Tensor::from_f64(&[k as f64 + 0.5], &[1]).unwrap(),
+                Tensor::from_i64(&[k], &[1]).unwrap(),
+                Tensor::from_bool(&[k % 2 == 0], &[1]).unwrap(),
+            ]
+        };
+        let run = |fuse_elementwise: bool| {
+            let opts = ExecOptions {
+                fuse_elementwise,
+                ..ExecOptions::default()
+            };
+            let mut m = PcMachine::new(&prog, KernelRegistry::new(), opts);
+            let mut trace = Trace::recording(Backend::eager_cpu());
+            let mut fused_off = Vec::new();
+            let mut done = Vec::new();
+            // One member per superstep: block 0 runs three times.
+            for k in 0..3 {
+                m.admit(&member(k), k as u64, None).unwrap();
+                assert!(m.step(Some(&mut trace)).unwrap());
+                fused_off.push(m.scratch.blocks[0].fused_off.clone());
+                done.extend(m.retire_finished(None).unwrap());
+            }
+            let outputs: Vec<Vec<Tensor>> = done.into_iter().map(|r| r.outputs).collect();
+            (outputs, format!("{trace:?}"), fused_off)
+        };
+        let (fused, fused_trace, fused_off) = run(true);
+        let (plain, plain_trace, no_regions) = run(false);
+        assert_eq!(fused_off, vec![vec![true]; 3]);
+        assert_eq!(no_regions, vec![Vec::<bool>::new(); 3]);
+        assert_eq!(fused, plain);
+        assert_eq!(fused[2], member(2));
+        assert_eq!(fused_trace, plain_trace);
     }
 
     #[test]

@@ -60,7 +60,7 @@ use autobatch_accel::{DispatchMode, LaunchRecord, Trace};
 use autobatch_ir::Prim;
 use autobatch_tensor::Tensor;
 
-use crate::fusion::FusedRegion;
+use crate::fusion::Ran;
 use crate::kernels::KernelRegistry;
 use crate::options::BlockCost;
 
@@ -245,27 +245,25 @@ impl<'t> Pricing<'t> {
         self.launch_or_fold(rec);
     }
 
-    /// One fused elementwise region ran as a single loop over `rows`
-    /// members and `n` elements. Logical records stay one per op; the
-    /// priced cost is a single launch whose memory traffic counts only
-    /// the region's external inputs and materialized outputs —
-    /// intermediates live in registers, which is exactly the saving a
-    /// fusing compiler buys. `ext_bcast` flags the member-broadcast
-    /// external inputs and `def_wide` the full-width ops: a narrow one
-    /// works over one element per member, exactly like its per-op
-    /// evaluation would.
-    pub(crate) fn region(
-        &mut self,
-        region: &FusedRegion,
-        ext_bcast: &[bool],
-        def_wide: &[bool],
-        rows: usize,
-        n: usize,
-        gathered: bool,
-    ) {
+    /// One fused elementwise region ran as a single loop over
+    /// `ran.rows` members and `ran.n` elements. Logical records stay one
+    /// per op; the priced cost is a single launch whose memory traffic
+    /// counts only the region's external inputs and materialized
+    /// outputs — intermediates live in registers, which is exactly the
+    /// saving a fusing compiler buys. A member-narrow op
+    /// ([`Ran::def_wide`]) works over one element per member, exactly
+    /// like its per-op evaluation would.
+    pub(crate) fn region(&mut self, ran: &Ran<'_>, gathered: bool) {
         if self.is_off() {
             return;
         }
+        let Ran {
+            region,
+            ext_bcast,
+            def_wide,
+            rows,
+            n,
+        } = *ran;
         let elem = 8.0; // f64 and i64 payloads are both 8 bytes
         let width = |wide: bool| if wide { n } else { rows };
         let mut flops_total = 0.0f64;

@@ -86,7 +86,7 @@ fn check(
 }
 
 #[test]
-fn divergent_binom_stays_under_7_376_and_5_833_allocations_per_superstep() {
+fn divergent_binom_stays_under_6_264_and_5_833_allocations_per_superstep() {
     let source = "fn binom(n: int, k: int) -> (out: int) {
         if k <= 0 { out = 1; } else if k >= n { out = 1; } else {
             let left = binom(n - 1, k - 1);
@@ -100,13 +100,13 @@ fn divergent_binom_stays_under_7_376_and_5_833_allocations_per_superstep() {
     let requests: Vec<Vec<Tensor>> = (0..12)
         .map(|i| vec![scalar(10 + i * 5 % 7), scalar(2 + i * 3 % 5)])
         .collect();
-    let pins = [(true, 825_238, 283_455), (false, 652_607, 509_129)];
+    let pins = [(true, 700_888, 283_455), (false, 652_607, 509_129)];
     let opts = ExecOptions::default();
     check(&pc, &KernelRegistry::new(), opts, &requests, 111_892, pins);
 }
 
 #[test]
-fn funnel_nuts_stays_under_16_282_and_14_002_allocations_per_superstep() {
+fn funnel_nuts_stays_under_14_791_and_14_002_allocations_per_superstep() {
     let cfg = NutsConfig {
         step_size: 0.2,
         n_trajectories: 3,
@@ -120,7 +120,7 @@ fn funnel_nuts_stays_under_16_282_and_14_002_allocations_per_superstep() {
         .map(|i| rng.normal_batch(&[i], &[nuts.dim()]).row(0).expect("row"))
         .map(|q| nuts.request_inputs(&q).expect("inputs"))
         .collect();
-    let pins = [(true, 64_718, 30_128), (false, 55_656, 37_669)];
+    let pins = [(true, 58_791, 30_128), (false, 55_656, 37_669)];
     let (program, opts) = (nuts.lowered(), nuts.exec_options());
     check(program, nuts.registry(), opts, &requests, 3_975, pins);
 }
