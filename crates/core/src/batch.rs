@@ -93,7 +93,7 @@ pub(crate) struct Lanes<'a> {
 /// A value whose member axis disagrees with the lanes — a kernel or a
 /// corrupted program produced the wrong batch width — is refused
 /// instead of silently corrupting lanes.
-pub(crate) fn land(slot: &mut Option<Tensor>, value: Tensor, lanes: Lanes<'_>) -> Result<()> {
+pub(crate) fn land(slot: &mut Option<Tensor>, value: &Tensor, lanes: Lanes<'_>) -> Result<()> {
     let z = lanes.active.len();
     let rows = lanes.idx.map_or(z, <[usize]>::len);
     if value.rank() == 0 || value.shape()[0] != rows {
@@ -111,13 +111,13 @@ pub(crate) fn land(slot: &mut Option<Tensor>, value: Tensor, lanes: Lanes<'_>) -
         *slot = None;
     }
     match (lanes.idx, slot) {
-        (Some(idx), slot) => store_rows(slot, z, idx, &value)?,
-        (None, Some(old)) => old.masked_assign_rows(lanes.active, &value)?,
-        (None, slot) if lanes.active.iter().all(|&a| a) => *slot = Some(value),
+        (Some(idx), slot) => store_rows(slot, z, idx, value)?,
+        (None, Some(old)) => old.masked_assign_rows(lanes.active, value)?,
+        (None, slot) if lanes.active.iter().all(|&a| a) => *slot = Some(value.clone()),
         (None, slot) => {
             // The value is full width: zeros of its own shape.
             slot.insert(Tensor::zeros(value.dtype(), value.shape()))
-                .masked_assign_rows(lanes.active, &value)?;
+                .masked_assign_rows(lanes.active, value)?;
         }
     }
     Ok(())
@@ -164,14 +164,14 @@ mod tests {
         };
         for start in [None, Some(old)] {
             let (mut a, mut b) = (start.clone(), start.clone());
-            land(&mut a, full.clone(), masked).unwrap();
-            land(&mut b, rows.clone(), gathered).unwrap();
+            land(&mut a, &full, masked).unwrap();
+            land(&mut b, &rows, gathered).unwrap();
             assert_eq!(a, b);
             let kept = start.map_or([0, 0], |_| [10, 30]);
             assert_eq!(a.unwrap().as_i64().unwrap(), &[kept[0], 2, kept[1], 4]);
         }
         // The wrong batch width is refused in either mode.
-        for (value, lanes) in [(rows, masked), (full, gathered)] {
+        for (value, lanes) in [(&rows, masked), (&full, gathered)] {
             let err = land(&mut None, value, lanes);
             assert!(matches!(err, Err(VmError::BadInputs { .. })), "{err:?}");
         }

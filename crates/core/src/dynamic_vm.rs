@@ -422,8 +422,16 @@ impl<'p> DynamicVm<'p> {
             stacked.push(Tensor::concat_rows(&rows)?);
         }
         let ids: Vec<u64> = members.iter().map(|&ti| threads[ti].member).collect();
-        let mut results = Vec::new();
-        eval_prim(&prim, &stacked, &ids, rng, &self.registry, &mut results)?;
+        let (mut spare, mut results) = (Vec::new(), Vec::new());
+        eval_prim(
+            &prim,
+            &stacked,
+            &ids,
+            rng,
+            &self.registry,
+            &mut spare,
+            &mut results,
+        )?;
 
         Pricing::per_op(trace, members.len()).op(&prim, &stacked, &results, &self.registry, false);
 

@@ -32,9 +32,10 @@ use std::collections::BTreeMap;
 
 use autobatch_ir::pcab::{Block, Op, Program, Terminator, WriteKind};
 use autobatch_ir::{Prim, ScalarKernel, Var};
-use autobatch_tensor::{DType, Data, Tensor};
+use autobatch_tensor::{DType, Element, Tensor};
 
 use crate::error::Result;
+use crate::kernels::take_spare;
 
 /// Where a fused op reads an operand: an earlier def in the region, or
 /// one of the region's external input tensors.
@@ -254,8 +255,8 @@ pub(crate) struct Ran<'a> {
 }
 
 /// The buffers a machine's region executions reuse, one set per element
-/// type with a loop, so that an execution allocates nothing but its
-/// result tensors.
+/// type with a loop, so that an execution allocates nothing: its result
+/// tensors are spares the caller lends.
 #[derive(Debug, Default)]
 pub(crate) struct RegionScratch {
     f64: Buffers<f64>,
@@ -275,37 +276,10 @@ struct Buffers<T: 'static> {
     /// between: the `'static` only keeps the allocation (see
     /// [`recycle`]).
     exts: Vec<&'static [T]>,
-    /// The materialized results' buffers while a region runs, empty in
-    /// between.
+    /// The materialized results' values while a region runs; between
+    /// runs, the spare payloads they were swapped for, kept for their
+    /// capacity.
     mats: Vec<Vec<T>>,
-}
-
-/// An element type a region's loop runs on.
-trait Elem: Copy + Default + 'static {
-    const DTYPE: DType;
-    /// The payload of a tensor of dtype [`Elem::DTYPE`].
-    fn payload(t: &Tensor) -> &[Self];
-    fn wrap(values: Vec<Self>) -> Data;
-}
-
-impl Elem for f64 {
-    const DTYPE: DType = DType::F64;
-    fn payload(t: &Tensor) -> &[f64] {
-        t.as_f64().expect("dtype checked")
-    }
-    fn wrap(values: Vec<f64>) -> Data {
-        Data::F64(values)
-    }
-}
-
-impl Elem for i64 {
-    const DTYPE: DType = DType::I64;
-    fn payload(t: &Tensor) -> &[i64] {
-        t.as_i64().expect("dtype checked")
-    }
-    fn wrap(values: Vec<i64>) -> Data {
-        Data::I64(values)
-    }
 }
 
 /// `v`, emptied, as a vector of slices of another lifetime. Collecting a
@@ -324,8 +298,10 @@ impl FusedRegion {
     /// order: a wide def at the region's shape, a member-narrow one —
     /// which reads no full-width operand, so its value does not vary
     /// along the element axes — at `[rows]`, each the shape the per-op
-    /// kernels give it. Returns what the cost model prices the
-    /// execution by.
+    /// kernels give it. Each result is a tensor taken out of `spare`
+    /// (unshared, of any dtype) and refilled, or a fresh one when
+    /// `spare` holds none of its dtype. Returns what the cost model
+    /// prices the execution by.
     ///
     /// Returns `None`, having changed nothing but scratch, when the loop
     /// would not reproduce the per-op kernels: the externals must share
@@ -340,6 +316,7 @@ impl FusedRegion {
         exts: &[Tensor],
         rows: usize,
         scratch: &'s mut RegionScratch,
+        spare: &mut Vec<Tensor>,
         out: &mut Vec<Tensor>,
     ) -> Result<Option<Ran<'s>>> {
         let member_scalar = [rows];
@@ -357,14 +334,14 @@ impl FusedRegion {
         }
         let RegionScratch { f64, i64 } = scratch;
         match dtype {
-            DType::F64 => f64.run(self, self.f64_exec.as_deref(), exts, shape, out),
-            DType::I64 => i64.run(self, self.i64_exec.as_deref(), exts, shape, out),
+            DType::F64 => f64.run(self, self.f64_exec.as_deref(), exts, shape, spare, out),
+            DType::I64 => i64.run(self, self.i64_exec.as_deref(), exts, shape, spare, out),
             DType::Bool => Ok(None),
         }
     }
 }
 
-impl<T: Elem> Buffers<T> {
+impl<T: Element> Buffers<T> {
     /// [`FusedRegion::run`] once the wide `shape` and its dtype, `T`, are
     /// known; `table` is the region's table for `T`, if it has one.
     fn run<'s>(
@@ -373,6 +350,7 @@ impl<T: Elem> Buffers<T> {
         table: Option<&[ExecOp<T>]>,
         exts: &[Tensor],
         shape: &[usize],
+        spare: &mut Vec<Tensor>,
         out: &mut Vec<Tensor>,
     ) -> Result<Option<Ran<'s>>> {
         let rows = shape[0];
@@ -410,11 +388,19 @@ impl<T: Elem> Buffers<T> {
             });
         }
         let mut slices = recycle(std::mem::take(&mut self.exts));
-        slices.extend(exts.iter().map(T::payload));
-        let (def_wide, regs, bufs) = (&self.def_wide, &mut self.regs, &mut self.mats);
-        bufs.extend(
-            (region.mats.iter()).map(|&d| Vec::with_capacity(if def_wide[d] { n } else { rows })),
+        slices.extend(
+            exts.iter()
+                .map(|t| T::values(t.data()).expect("dtype checked")),
         );
+        let (def_wide, regs, bufs) = (&self.def_wide, &mut self.regs, &mut self.mats);
+        if bufs.len() < region.mats.len() {
+            bufs.resize_with(region.mats.len(), Vec::new);
+        }
+        let bufs = &mut bufs[..region.mats.len()];
+        for (buf, &d) in bufs.iter_mut().zip(&region.mats) {
+            buf.clear();
+            buf.reserve(if def_wide[d] { n } else { rows });
+        }
         regs.clear();
         regs.resize(table.len(), T::default());
         let el = n / rows;
@@ -446,9 +432,17 @@ impl<T: Elem> Buffers<T> {
         }
         self.exts = recycle(slices);
         out.clear();
-        for (&d, values) in region.mats.iter().zip(bufs.drain(..)) {
+        for (&d, values) in region.mats.iter().zip(bufs) {
             let sh = if def_wide[d] { shape } else { &shape[..1] };
-            out.push(Tensor::new(T::wrap(values), sh)?);
+            // The values move into the result's payload, and the spare's
+            // emptied payload stays behind for the next run.
+            out.push(match take_spare(spare, T::DTYPE) {
+                Some(mut t) => {
+                    t.refill_with(sh, |v| std::mem::swap(v, values));
+                    t
+                }
+                None => Tensor::new(T::wrap(std::mem::take(values)), sh)?,
+            });
         }
         Ok(Some(Ran {
             region,
@@ -598,8 +592,8 @@ mod tests {
     /// `None` if it refused them.
     fn run(region: &FusedRegion, exts: &[Tensor], rows: usize) -> Option<Vec<Tensor>> {
         let (mut scratch, mut out) = (RegionScratch::default(), Vec::new());
-        let ran = region.run(exts, rows, &mut scratch, &mut out).unwrap();
-        ran.map(|_| out)
+        let ran = region.run(exts, rows, &mut scratch, &mut Vec::new(), &mut out);
+        ran.unwrap().map(|_| out)
     }
 
     /// Bit-compare a primitive's scalar kernel, run as a one-op fused
@@ -625,7 +619,17 @@ mod tests {
         let members: Vec<u64> = (0..a.len() as u64).collect();
         let (rng, registry) = (CounterRng::new(0), KernelRegistry::new());
         let mut batched = Vec::new();
-        eval_prim(prim, &inputs, &members, &rng, &registry, &mut batched).unwrap();
+        let spare = &mut Vec::new();
+        eval_prim(
+            prim,
+            &inputs,
+            &members,
+            &rng,
+            &registry,
+            spare,
+            &mut batched,
+        )
+        .unwrap();
         let (f, i) = prim.scalar_kernels();
         let (a_, b_) = (Src::Ext(0), Src::Ext(1));
         let f = f.map(|kernel| {
@@ -696,7 +700,8 @@ mod tests {
                     // refuses these operands, and does not panic.
                     let ins = vec![Tensor::from_f64(&[1.0], &[1]).unwrap(); arity.ins];
                     let (rng, registry) = (CounterRng::new(0), KernelRegistry::new());
-                    let _ = eval_prim(prim, &ins, &[0], &rng, &registry, &mut Vec::new());
+                    let (spare, out) = (&mut Vec::new(), &mut Vec::new());
+                    let _ = eval_prim(prim, &ins, &[0], &rng, &registry, spare, out);
                 }
                 (f, i) => {
                     if let Some(k) = f {

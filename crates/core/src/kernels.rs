@@ -11,7 +11,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use autobatch_ir::{Arity, Prim, ScalarKernel};
-use autobatch_tensor::{CounterRng, Tensor};
+use autobatch_tensor::{CounterRng, DType, Element, Tensor};
 
 use crate::error::{Result, VmError};
 
@@ -106,6 +106,12 @@ fn align_pair(a: &Tensor, b: &Tensor) -> Result<(Tensor, Tensor)> {
 /// - `members`: original batch-member id of each row (RNG independence).
 /// - `rng`: the counter-based random source.
 /// - `registry`: external kernels.
+/// - `spare`: unshared tensors of any dtype whose buffers a result may
+///   be written into. A constant, a comparison, or a primitive-table row
+///   with a scalar kernel on the operands' dtype (other than `id`, which
+///   shares its operand) takes one of its result's dtype out and writes
+///   it in place, bit-identical to its allocating kernel. With no spare
+///   of that dtype, or `spare` empty, the kernel allocates.
 /// - `out`: cleared, then given one tensor per primitive output. A
 ///   caller that keeps it across calls evaluates a primitive without
 ///   allocating a vector for its results.
@@ -120,6 +126,7 @@ pub fn eval_prim(
     members: &[u64],
     rng: &CounterRng,
     registry: &KernelRegistry,
+    spare: &mut Vec<Tensor>,
     out: &mut Vec<Tensor>,
 ) -> Result<()> {
     out.clear();
@@ -132,6 +139,10 @@ pub fn eval_prim(
                 got: (inputs.len(), a.outs),
             });
         }
+    }
+    if let Some(t) = written_into_spare(prim, inputs, rows, spare) {
+        out.push(t);
+        return Ok(());
     }
     let mut one = |t: Tensor| {
         out.push(t);
@@ -245,6 +256,82 @@ pub fn eval_prim(
     }
 }
 
+/// The one result of `prim` on `inputs` (`rows` of them) written into a
+/// spare buffer of its dtype by an into-buffer kernel: a constant, a row
+/// of the primitive table with a scalar kernel on the operands' dtype
+/// (an elementwise map or a broadcasting binary op, bit-identical to the
+/// allocating kernel that runs the same function), or a comparison.
+/// `None` when there is no such kernel or no spare of the result's dtype,
+/// or when the kernel refuses the operands (the spare is then dropped):
+/// the allocating kernels compute the result or report the error. `id`
+/// is left to its allocating kernel, which shares its operand.
+fn written_into_spare(
+    prim: &Prim,
+    inputs: &[Tensor],
+    rows: usize,
+    spare: &mut Vec<Tensor>,
+) -> Option<Tensor> {
+    match prim {
+        Prim::Id => None,
+        Prim::ConstBool(c) => apply(ScalarKernel::Const(*c), inputs, rows, spare),
+        Prim::Lt => compare(inputs, spare, |a: f64, b| a < b, |a: i64, b| a < b),
+        Prim::Le => compare(inputs, spare, |a: f64, b| a <= b, |a: i64, b| a <= b),
+        Prim::Gt => compare(inputs, spare, |a: f64, b| a > b, |a: i64, b| a > b),
+        Prim::Ge => compare(inputs, spare, |a: f64, b| a >= b, |a: i64, b| a >= b),
+        Prim::EqE => compare(inputs, spare, |a: f64, b| a == b, |a: i64, b| a == b),
+        Prim::NeE => compare(inputs, spare, |a: f64, b| a != b, |a: i64, b| a != b),
+        _ => match (prim.scalar_kernels(), inputs.first().map(Tensor::dtype)) {
+            ((Some(k), _), None | Some(DType::F64)) => apply(k, inputs, rows, spare),
+            ((_, Some(k)), None | Some(DType::I64)) => apply(k, inputs, rows, spare),
+            _ => None,
+        },
+    }
+}
+
+/// Take a tensor of `dtype` out of `spare`, the most recently given
+/// first.
+pub(crate) fn take_spare(spare: &mut Vec<Tensor>, dtype: DType) -> Option<Tensor> {
+    let i = spare.iter().rposition(|t| t.dtype() == dtype)?;
+    Some(spare.swap_remove(i))
+}
+
+/// The scalar kernel `k` on `inputs`, in a spare: `[rows]` copies of a
+/// constant, or the kernel mapped over one operand or zipped over two.
+fn apply<T: Element>(
+    k: ScalarKernel<T>,
+    inputs: &[Tensor],
+    rows: usize,
+    spare: &mut Vec<Tensor>,
+) -> Option<Tensor> {
+    let mut buf = take_spare(spare, T::DTYPE)?;
+    match k {
+        ScalarKernel::Const(c) => buf.refill_with(&[rows], |v| v.resize(rows, c)),
+        ScalarKernel::Un(f) => inputs[0].map_into(f, &mut buf).ok()?,
+        ScalarKernel::Bin(f) => {
+            let (a, b) = align_pair(&inputs[0], &inputs[1]).ok()?;
+            a.zip_into(&b, f, &mut buf).ok()?;
+        }
+    }
+    Some(buf)
+}
+
+/// The comparison `f64s` / `i64s` on two operands of one of those
+/// dtypes, into a spare `bool` tensor.
+fn compare(
+    inputs: &[Tensor],
+    spare: &mut Vec<Tensor>,
+    f64s: impl Fn(f64, f64) -> bool,
+    i64s: impl Fn(i64, i64) -> bool,
+) -> Option<Tensor> {
+    let (a, b) = align_pair(&inputs[0], &inputs[1]).ok()?;
+    let mut buf = take_spare(spare, DType::Bool)?;
+    match a.dtype() {
+        DType::F64 => a.zip_into(&b, f64s, &mut buf).ok()?,
+        _ => a.zip_into(&b, i64s, &mut buf).ok()?,
+    }
+    Some(buf)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,7 +351,7 @@ mod tests {
         reg: &KernelRegistry,
     ) -> Result<Vec<Tensor>> {
         let mut out = Vec::new();
-        eval_prim(prim, inputs, members, rng, reg, &mut out).map(|()| out)
+        eval_prim(prim, inputs, members, rng, reg, &mut Vec::new(), &mut out).map(|()| out)
     }
 
     #[test]
@@ -278,12 +365,22 @@ mod tests {
             &[0, 1],
             &rng,
             &reg,
+            &mut Vec::new(),
             &mut out,
         )
         .unwrap();
         assert_eq!(out.len(), 2);
         let x = Tensor::from_f64(&[1.0, -2.0], &[2]).unwrap();
-        eval_prim(&Prim::Neg, &[x], &[0, 1], &rng, &reg, &mut out).unwrap();
+        eval_prim(
+            &Prim::Neg,
+            &[x],
+            &[0, 1],
+            &rng,
+            &reg,
+            &mut Vec::new(),
+            &mut out,
+        )
+        .unwrap();
         assert_eq!(out, vec![Tensor::from_f64(&[-1.0, 2.0], &[2]).unwrap()]);
     }
 

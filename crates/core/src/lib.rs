@@ -41,15 +41,22 @@
 //! result lands in a full-width buffer — lives once in `batch`, which
 //! [`LocalStaticVm`] calls too.
 //!
-//! That loop keeps its bookkeeping allocation-free in the steady
-//! state: whoever drives it owns
-//! a scratch arena (active mask, active-index list, member keys, pop
-//! depths, block-local temporaries, the fused loops' registers and
+//! That loop allocates nothing in the steady state: whoever drives it
+//! owns a scratch arena (active mask, active-index list, member keys,
+//! pop depths, block-local temporaries, the fused loops' registers and
 //! lists, and the buffers a gathered superstep copies its operands'
-//! active rows into) that is cleared per superstep, never reallocated,
-//! and tensors are copy-on-write so state reads and observer snapshots
-//! share buffers instead of deep-copying (primitive and region results
-//! are still fresh tensors). The VMs only execute; what a superstep
+//! active rows into) that is cleared per superstep, never reallocated.
+//! Tensors are copy-on-write, so state reads and observer snapshots
+//! share buffers instead of deep-copying, and the arena also keeps the
+//! tensors a superstep is done with — a temporary when its superstep
+//! ends, a result once it is copied into a register or stack top — as
+//! spares that the next results are written into: [`eval_prim`]'s
+//! constants, comparisons and table-row kernels, a fused region's
+//! results and the copy a write makes of a shared register all refill
+//! a spare in place, and a pop gathers the stored frames straight into
+//! the cached top. A spare is kept only while nothing else holds its
+//! payload, so no refill is ever seen through a share, and no more are
+//! kept than one block writes. The VMs only execute; what a superstep
 //! costs on a simulated accelerator is decided in one place, the
 //! `pricing` module, which does nothing at all on an untraced run (but
 //! for measuring each block once, for the mask-or-gather choice). On

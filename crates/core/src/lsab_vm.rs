@@ -111,7 +111,7 @@ impl Invocation {
             active: &self.local,
             idx: gathered.then_some(&self.local_idx),
         };
-        land(self.env.entry(var.clone()).or_default(), value, lanes)
+        land(self.env.entry(var.clone()).or_default(), &value, lanes)
     }
 
     /// Execute one primitive under the configured strategy. `cost` is
@@ -142,7 +142,15 @@ impl Invocation {
             (0..z as u64).collect()
         };
         let mut results = Vec::with_capacity(outs.len());
-        eval_prim(prim, &inputs, &members, &vm.rng, &vm.registry, &mut results)?;
+        eval_prim(
+            prim,
+            &inputs,
+            &members,
+            &vm.rng,
+            &vm.registry,
+            &mut Vec::new(),
+            &mut results,
+        )?;
         pricing.op(prim, &inputs, &results, &vm.registry, gather);
         if vm.opts.strategy.measures(*cost) {
             *cost = Some(prim_cost(prim, &inputs, &results, &vm.registry).per_member(z));

@@ -48,6 +48,17 @@
 //! [`crate::fusion`], which says whether the operands are what its loop
 //! reproduces the per-op kernels on. The program's `Var`s are read only
 //! to name an error or to label an observer's snapshot.
+//!
+//! Nor does a superstep allocate. Every tensor it produces is written
+//! into one the arena already holds: the arena's spares are the
+//! temporaries of the last superstep and the results already copied
+//! into registers and stack tops, each kept only while nothing else
+//! holds its payload. A primitive or a fused region refills a spare of
+//! its result's dtype; a write to a register or stack top that shares
+//! its payload copies it into a spare instead of a fresh buffer; and a
+//! pop gathers the stored frames straight into the cached top, under
+//! the mask. The kernels, their order and the write-back order are
+//! those of fresh tensors, so every output is bit-identical.
 
 use std::collections::BTreeMap;
 
@@ -59,7 +70,7 @@ use autobatch_tensor::{CounterRng, DType, Tensor};
 use crate::batch::{batch_size, land, lookup, select_block, store_rows, zeroed, Lanes};
 use crate::error::{Result, VmError};
 use crate::fusion::{self, FusedRegion, RegionScratch};
-use crate::kernels::{eval_prim, KernelRegistry};
+use crate::kernels::{eval_prim, take_spare, KernelRegistry};
 use crate::member_set::{LaneState, State};
 use crate::options::{BlockCost, ExecOptions};
 use crate::pricing::Pricing;
@@ -232,10 +243,11 @@ impl CompiledBlock {
 /// the loop (a [`PcMachine`] for its lifetime, a one-shot run for the
 /// run). Everything here but `blocks` is logically dead between
 /// supersteps; keeping the allocations alive makes the steady-state
-/// superstep loop allocation-free for all bookkeeping (masks, index
-/// lists, stack depths, fused-loop registers). It is lent to each
-/// superstep in place, never taken, so a superstep that fails leaves
-/// what `blocks` has learned where it was.
+/// superstep loop allocation-free, for its bookkeeping (masks, index
+/// lists, stack depths, fused-loop registers) and for the tensors it
+/// produces, which are written into `temps` and `spare`. It is lent to
+/// each superstep in place, never taken, so a superstep that fails
+/// leaves what `blocks` has learned where it was.
 #[derive(Debug, Default)]
 struct Scratch {
     /// Per-block member counts, lent to
@@ -266,6 +278,14 @@ struct Scratch {
     /// The superstep's block-local temporaries, indexed by
     /// [`Slot::Temp`]; all unbound when a superstep begins.
     temps: Vec<Option<Tensor>>,
+    /// Tensors nothing else holds, of any dtype, whose buffers the next
+    /// results are written into: a result landed in a register or stack
+    /// top comes back here once it is copied in, and a temporary when
+    /// its superstep is over. At most `spare_cap` are kept.
+    spare: Vec<Tensor>,
+    /// The most tensors one block writes, which bounds what `spare`
+    /// keeps.
+    spare_cap: usize,
     /// What this machine has learned about each block by running it.
     blocks: Vec<BlockMemo>,
 }
@@ -274,8 +294,10 @@ impl Scratch {
     /// An arena for `vm`'s supersteps: a memo per block, and room for
     /// the temporaries of its largest block.
     fn new(vm: &PcVm<'_>) -> Self {
+        let writes = |b: &CompiledBlock| b.ops.iter().map(|o| o.outs.len()).sum();
         Scratch {
             temps: vec![None; vm.max_temps],
+            spare_cap: vm.blocks.iter().map(writes).max().unwrap_or(0),
             blocks: (vm.blocks.iter())
                 .map(|b| BlockMemo {
                     fused_off: vec![false; b.regions.len()],
@@ -283,6 +305,14 @@ impl Scratch {
                 })
                 .collect(),
             ..Scratch::default()
+        }
+    }
+
+    /// Keep `t` for a later result if nothing else holds its payload and
+    /// there is room; drop it otherwise.
+    fn give(&mut self, t: Tensor) {
+        if t.is_unique() && self.spare.len() < self.spare_cap {
+            self.spare.push(t);
         }
     }
 }
@@ -458,12 +488,9 @@ impl<'p> PcVm<'p> {
         }
         let new_lanes: Vec<usize> = (z..z + k).collect();
         for (&slot, rows) in self.input_slots.iter().zip(inputs) {
-            let buf = match slot {
-                Some(Slot::Stacked(i)) => &mut st.stacked[i].top,
-                Some(Slot::Register(i)) => &mut st.registers[i],
-                _ => continue,
-            };
-            store_rows(buf, z + k, &new_lanes, rows)?;
+            if let Some(slot) = slot {
+                store_rows(persistent(st, slot), z + k, &new_lanes, rows)?;
+            }
         }
         Ok(z)
     }
@@ -523,7 +550,14 @@ impl<'p> PcVm<'p> {
                 .extend(scratch.active_idx.iter().map(|&b| st.member_keys[b]));
             scratch.next_operand = 0;
         }
-        scratch.temps.fill(None);
+        // Unbind the last superstep's temporaries, keeping their
+        // buffers: a temporary that shares its payload is dropped, which
+        // may leave a later one the sole holder of it.
+        for i in 0..scratch.temps.len() {
+            if let Some(t) = scratch.temps[i].take() {
+                scratch.give(t);
+            }
+        }
         let step = Superstep {
             vm: self,
             st,
@@ -552,6 +586,29 @@ fn peek(st: &State, slot: Slot) -> Option<&Tensor> {
         Slot::Stacked(i) => st.stacked[i].top.as_ref(),
         Slot::Register(i) => st.registers[i].as_ref(),
         Slot::Temp(_) => None,
+    }
+}
+
+/// The full-width buffer of a persistent slot: a stacked variable's
+/// cached top, or a register.
+fn persistent(st: &mut State, slot: Slot) -> &mut Option<Tensor> {
+    match slot {
+        Slot::Stacked(i) => &mut st.stacked[i].top,
+        Slot::Register(i) => &mut st.registers[i],
+        Slot::Temp(_) => unreachable!("a temporary belongs to a superstep"),
+    }
+}
+
+/// Before a write in place, make the tensor in `slot` the only holder of
+/// its payload by copying it into a spare of its dtype, if it shares it
+/// and `spare` has one: the copy-on-write the write would make, without
+/// allocating. The share left behind stays with its other holder.
+fn unshare(slot: &mut Option<Tensor>, spare: &mut Vec<Tensor>) {
+    if let Some(t) = slot.as_mut().filter(|t| !t.is_unique()) {
+        if let Some(mut buf) = take_spare(spare, t.dtype()) {
+            t.copy_into(&mut buf);
+            *t = buf;
+        }
     }
 }
 
@@ -696,6 +753,7 @@ impl Superstep<'_, '_> {
             &scratch.inputs,
             rows,
             &mut scratch.fused,
+            &mut scratch.spare,
             &mut scratch.results,
         );
         scratch.inputs.clear();
@@ -764,7 +822,8 @@ impl Superstep<'_, '_> {
             &self.st.member_keys
         };
         let (inputs, results) = (&scratch.inputs, &mut scratch.results);
-        eval_prim(prim, inputs, members, &vm.rng, &vm.registry, results)?;
+        let spare = &mut scratch.spare;
+        eval_prim(prim, inputs, members, &vm.rng, &vm.registry, spare, results)?;
         self.pricing
             .op(prim, inputs, results, &vm.registry, scratch.gathered);
         // Release the operand clones before write-back: a surviving
@@ -793,8 +852,14 @@ impl Superstep<'_, '_> {
     /// members: the one write path of the per-op and fused paths in
     /// both modes, so neither fusion nor the mode can change write
     /// semantics. A block-local temporary is bound as it comes
-    /// (compacted in a gathered superstep).
+    /// (compacted in a gathered superstep); a value copied into a
+    /// register or stack top goes back to the spares.
     fn write_var(&mut self, slot: Slot, var: &Var, value: Tensor, kind: WriteKind) -> Result<()> {
+        if let Slot::Temp(i) = slot {
+            self.scratch.temps[i] = Some(value);
+            return Ok(());
+        }
+        unshare(persistent(self.st, slot), &mut self.scratch.spare);
         let (vm, z) = (self.vm, self.st.z());
         let lanes = Lanes {
             active: &self.scratch.active,
@@ -806,7 +871,7 @@ impl Superstep<'_, '_> {
                 let s = &mut self.st.stacked[i];
                 match kind {
                     WriteKind::Update => {
-                        land(&mut s.top, value, lanes)?;
+                        land(&mut s.top, &value, lanes)?;
                         let top = s.top.as_ref().expect("just stored");
                         // Uncached-top ablation: updates scatter to storage.
                         let scattered = if vm.opts.cache_stack_tops {
@@ -848,18 +913,18 @@ impl Superstep<'_, '_> {
                         }
                         let (store_bytes, frame_bytes) = (store.size_bytes(), row_bytes(&top));
                         s.top = Some(top);
-                        land(&mut s.top, value, lanes)?;
+                        land(&mut s.top, &value, lanes)?;
                         self.pricing.stack_push(store_bytes, frame_bytes);
                     }
                 }
             }
             Slot::Register(i) => {
                 debug_assert_eq!(kind, WriteKind::Update, "validated: no push to register");
-                land(&mut self.st.registers[i], value, lanes)?;
+                land(&mut self.st.registers[i], &value, lanes)?;
             }
-            // Block-local temporary: plain unmasked binding.
-            Slot::Temp(i) => self.scratch.temps[i] = Some(value),
+            Slot::Temp(_) => unreachable!("a temporary is bound, not landed"),
         }
+        self.scratch.give(value);
         Ok(())
     }
 
@@ -889,13 +954,20 @@ impl Superstep<'_, '_> {
                 .zip(&scratch.active)
                 .map(|(&d, &a)| if a { d - 1 } else { 0 }),
         );
-        let restored = store.gather_at_depth(&scratch.depths)?;
-        // The restored frames are full width whatever the mode.
-        let lanes = Lanes {
-            active: &scratch.active,
-            idx: None,
-        };
-        land(&mut s.top, restored, lanes)?;
+        let (depths, active) = (&scratch.depths, &scratch.active[..]);
+        unshare(&mut s.top, &mut scratch.spare);
+        match &mut s.top {
+            // The frames land straight in the cached top, under the mask.
+            Some(top) if top.dtype() == store.dtype() && top.shape() == &store.shape()[1..] => {
+                store.gather_at_depth_into(depths, active, top)?;
+            }
+            // A top of another shape is replaced as `land` replaces it;
+            // the restored frames are full width whatever the mode.
+            top => {
+                let restored = store.gather_at_depth(depths)?;
+                land(top, &restored, Lanes { active, idx: None })?;
+            }
+        }
         for &b in &scratch.active_idx {
             s.sp[b] -= 1;
         }
@@ -1905,6 +1977,85 @@ mod tests {
         assert_eq!(fused, plain);
         assert_eq!(fused[2], member(2));
         assert_eq!(fused_trace, plain_trace);
+    }
+
+    #[test]
+    fn a_register_that_adopted_a_result_is_not_written_through() {
+        // Block 0 loops while `x < 100`: `t = x; y = t * t; x = x + y`.
+        // The first superstep has every lane active and `y` unwritten, so
+        // `y` adopts the buffer its result was computed in. Later
+        // supersteps run the same block with lane 0 finished, computing
+        // into buffers the machine kept; if one of them still were `y`'s,
+        // lane 0's `y` would change after it left the loop. Run op by op,
+        // the temporary `t` shares `x` when `x` is written, so that write
+        // first copies `x` into a kept buffer, whose other rows must be
+        // `x`'s.
+        use autobatch_ir::pcab::VarClass;
+        use autobatch_ir::BlockId;
+        let [x, y, t, k, c] = ["x", "y", "t", "k", "c"].map(Var::new);
+        let compute = |out: &Var, prim: Prim, ins: &[&Var]| Op::Compute {
+            outs: vec![(out.clone(), WriteKind::Update)],
+            prim,
+            ins: ins.iter().map(|&v| v.clone()).collect(),
+        };
+        let prog = Program {
+            blocks: vec![
+                Block {
+                    ops: vec![
+                        compute(&t, Prim::Id, &[&x]),
+                        compute(&y, Prim::Mul, &[&t, &t]),
+                        compute(&x, Prim::Add, &[&x, &y]),
+                        compute(&k, Prim::ConstF64(100.0), &[]),
+                        compute(&c, Prim::Lt, &[&x, &k]),
+                    ],
+                    term: Terminator::Branch {
+                        cond: c.clone(),
+                        then_: BlockId(0),
+                        else_: BlockId(1),
+                    },
+                },
+                Block {
+                    ops: vec![],
+                    term: Terminator::Return,
+                },
+            ],
+            entry: BlockId(0),
+            inputs: vec![x.clone()],
+            outputs: vec![x.clone(), y.clone()],
+            classes: [(x.clone(), VarClass::Register), (y, VarClass::Register)]
+                .into_iter()
+                .collect(),
+        };
+        prog.validate().unwrap();
+        let rows = [[50.0], [1.0], [3.0]].map(|v| [Tensor::from_f64(&v, &[1]).unwrap()]);
+        let members: Vec<(&[Tensor], u64)> = rows.iter().map(|r| &r[..]).zip(0..).collect();
+        let outputs = |m: &mut PcMachine<'_>| -> Vec<Vec<Tensor>> {
+            m.admit_batch(&members, None).unwrap();
+            let mut done = m.run_to_completion(None).unwrap();
+            done.sort_by_key(|r| r.ticket % 3);
+            done.into_iter().map(|r| r.outputs).collect()
+        };
+        let machine = |fuse_elementwise| {
+            let opts = ExecOptions {
+                fuse_elementwise,
+                ..ExecOptions::default()
+            };
+            PcMachine::new(&prog, KernelRegistry::new(), opts)
+        };
+        let mut m = machine(true);
+        let first = outputs(&mut m);
+        // x: 50 → 2,550; 1 → 2 → 6 → 42 → 1,806; 3 → 12 → 156.
+        let xy = |x: f64, y: f64| {
+            [x, y]
+                .map(|v| Tensor::from_f64(&[v], &[1]).unwrap())
+                .to_vec()
+        };
+        let want = vec![xy(2550.0, 2500.0), xy(1806.0, 1764.0), xy(156.0, 144.0)];
+        assert_eq!(first, want);
+        // The same block again, on the buffers the first run left behind.
+        assert_eq!(outputs(&mut m), want);
+        assert_eq!(outputs(&mut machine(true)), want);
+        assert_eq!(outputs(&mut machine(false)), want);
     }
 
     #[test]

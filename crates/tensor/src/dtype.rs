@@ -87,6 +87,46 @@ impl Data {
     }
 }
 
+/// An element type a [`Tensor`](crate::Tensor) holds: what lets a kernel
+/// written once over `T` read and write the [`Data`] variant of `T`.
+/// `f64`, `i64` and `bool` implement it; [`Element::values_mut`] of a
+/// payload [`Element::wrap`] built is always `Some`.
+pub trait Element: Copy + Default + 'static {
+    /// The dtype of a payload of `Self`s.
+    const DTYPE: DType;
+    /// The payload's elements, if it holds `Self`s.
+    fn values(data: &Data) -> Option<&[Self]>;
+    /// The payload's vector, if it holds `Self`s.
+    fn values_mut(data: &mut Data) -> Option<&mut Vec<Self>>;
+    /// A payload holding `values`.
+    fn wrap(values: Vec<Self>) -> Data;
+}
+
+macro_rules! element {
+    ($($t:ty => $variant:ident),*) => {$(
+        impl Element for $t {
+            const DTYPE: DType = DType::$variant;
+            fn values(data: &Data) -> Option<&[Self]> {
+                match data {
+                    Data::$variant(v) => Some(v),
+                    _ => None,
+                }
+            }
+            fn values_mut(data: &mut Data) -> Option<&mut Vec<Self>> {
+                match data {
+                    Data::$variant(v) => Some(v),
+                    _ => None,
+                }
+            }
+            fn wrap(values: Vec<Self>) -> Data {
+                Data::$variant(values)
+            }
+        }
+    )*};
+}
+
+element!(f64 => F64, i64 => I64, bool => Bool);
+
 /// Dispatch site 1 of 2: a fresh payload of its sources' element type.
 ///
 /// `$body` is evaluated with each `$v` bound to its source's `Vec<T>` and

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use crate::dtype::{fresh_like, Data};
+use crate::dtype::{fresh_like, DType, Data, Element};
 use crate::error::{Result, TensorError};
 use crate::shape::{broadcast_shapes, Broadcast, Run};
 use crate::tensor::Tensor;
@@ -162,6 +162,20 @@ fn plan<'a>(lhs: &'a Tensor, rhs: &'a Tensor, op: &'static str) -> Result<Broadc
         rhs: rhs.shape().to_vec(),
         op,
     })
+}
+
+/// The error of kernel `op` given `t`, which does not hold `T`s.
+fn dtype_err<T: Element>(t: &Tensor, op: &'static str) -> TensorError {
+    let expected = match T::DTYPE {
+        DType::F64 => "f64",
+        DType::I64 => "i64",
+        DType::Bool => "bool",
+    };
+    TensorError::DTypeMismatch {
+        got: t.dtype(),
+        expected,
+        op,
+    }
 }
 
 /// The output's shape allocation: the first operand's that has that
@@ -379,41 +393,50 @@ impl Tensor {
         self.like(Data::F64(v.iter().map(|&x| f(x)).collect()))
     }
 
-    /// Apply a scalar function to every element **in place**: no
-    /// allocation when this tensor's storage is unshared (a shared
-    /// copy-on-write buffer is copied once first, never mutated).
+    /// [`Tensor::map_f64`] for any element type, **into `out`**:
+    /// `out = f(self)` elementwise, shaped like `self`, reusing `out`'s
+    /// payload when nothing shares it and it holds `T`s (whatever its
+    /// previous shape; see [`Tensor::refill_with`]). Given the same
+    /// [`scalar_ops`](crate::scalar_ops) function it is bit-identical to
+    /// the allocating kernel.
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::DTypeMismatch`] unless the dtype is `f64`.
-    pub fn map_f64_inplace<F: Fn(f64) -> f64>(&mut self, f: F) -> Result<()> {
-        for x in self.as_f64_mut()? {
-            *x = f(*x);
-        }
+    /// Returns [`TensorError::DTypeMismatch`] unless `self` holds `T`s;
+    /// `out` is untouched then.
+    pub fn map_into<T: Element>(&self, f: impl Fn(T) -> T, out: &mut Tensor) -> Result<()> {
+        let v = T::values(self.data()).ok_or_else(|| dtype_err::<T>(self, "map_into"))?;
+        out.adopt_shape(self.shape_handle());
+        out.refill_payload().extend(v.iter().map(|&x| f(x)));
         Ok(())
     }
 
-    /// Broadcasting binary combine **into a caller-provided buffer**:
-    /// `out = f(self, rhs)` elementwise, reusing `out`'s storage when it
-    /// is an unshared `f64` buffer (whatever its previous shape). This
-    /// is the scratch-buffer primitive the interpreter's fast paths use
-    /// to keep the superstep loop allocation-free.
-    ///
-    /// Produces bit-identical results to the allocating kernels when
-    /// given the same [`scalar_ops`](crate::scalar_ops) function.
+    /// The broadcasting binary kernels for any operand and result
+    /// element types, **into `out`**: `out = f(self, rhs)` elementwise
+    /// under NumPy broadcasting, reusing `out`'s payload when nothing
+    /// shares it and it holds `U`s (whatever its previous shape). It runs
+    /// the allocating kernels' loop, so given the same function it is
+    /// bit-identical to them ([`Tensor::add`] with
+    /// [`scalar_ops::add_f64`](crate::scalar_ops::add_f64),
+    /// [`Tensor::lt`] with `|a, b| a < b`, …).
     ///
     /// # Errors
     ///
-    /// Returns an error unless both operands are `f64` and broadcastable.
-    pub fn binary_f64_into<F: Fn(f64, f64) -> f64>(
+    /// Returns an error unless both operands hold `A`s and broadcast;
+    /// `out` is untouched then.
+    pub fn zip_into<A: Element, U: Element>(
         &self,
         rhs: &Tensor,
-        f: F,
+        f: impl Fn(A, A) -> U,
         out: &mut Tensor,
     ) -> Result<()> {
-        let p = plan(self, rhs, "binary_f64_into")?;
-        let (a, b) = (self.as_f64()?, rhs.as_f64()?);
-        zip(a, b, &p, out.refill_f64(out_shape(&p, [self, rhs])), f);
+        let p = plan(self, rhs, "zip_into")?;
+        let a = A::values(self.data()).ok_or_else(|| dtype_err::<A>(self, "zip_into"))?;
+        let b = A::values(rhs.data()).ok_or_else(|| dtype_err::<A>(rhs, "zip_into"))?;
+        if !p.is_out_shape(out.shape()) {
+            out.adopt_shape(&out_shape(&p, [self, rhs]));
+        }
+        zip(a, b, &p, out.refill_payload(), f);
         Ok(())
     }
 

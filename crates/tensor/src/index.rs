@@ -210,6 +210,78 @@ impl Tensor {
         Tensor::new(data, &out_shape)
     }
 
+    /// Masked stack read **into `out`**: for a stack tensor of shape
+    /// `[D, Z, ..]`, write `self[depths[b], b, ..]` into row `b` of `out`
+    /// (shape `[Z, ..]`) for every member where `mask[b]` is `true`; the
+    /// other rows keep their values. This is Algorithm 2's `POP` landing
+    /// the restored frames straight in the cached top, in place unless
+    /// something shares `out`'s payload (copy-on-write). Depths of
+    /// members outside the mask are not read.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on rank/shape/dtype mismatch or a masked depth
+    /// out of range; `out` is untouched then.
+    pub fn gather_at_depth_into(
+        &self,
+        depths: &[usize],
+        mask: &[bool],
+        out: &mut Tensor,
+    ) -> Result<()> {
+        fn go<T: Copy>(d: &mut [T], v: &[T], depths: &[usize], mask: &[bool], el: usize) {
+            let z = depths.len();
+            for (b, (&depth, &m)) in depths.iter().zip(mask).enumerate() {
+                if m {
+                    let base = (depth * z + b) * el;
+                    d[b * el..(b + 1) * el].copy_from_slice(&v[base..base + el]);
+                }
+            }
+        }
+        let el = self.frame_io(depths, mask, out, "gather_at_depth_into")?;
+        let dst = out.payload_like(self, "gather_at_depth_into")?;
+        write_like!(dst, self.data() => |d, v| go(d, v, depths, mask, el));
+        Ok(())
+    }
+
+    /// The elements per lane of a stack tensor `[D, Z, ..]` that kernel
+    /// `op` moves frames between and `frames` (`[Z, ..]`), once `depths`
+    /// and `mask` are known to hold one entry per member, `frames` to be
+    /// shaped like one frame per member, and every masked depth to name a
+    /// frame (checked in that order).
+    fn frame_io(
+        &self,
+        depths: &[usize],
+        mask: &[bool],
+        frames: &Tensor,
+        op: &'static str,
+    ) -> Result<usize> {
+        let (d_max, z, el) = stack_dims(self)?;
+        for len in [depths.len(), mask.len()] {
+            if len != z {
+                return Err(TensorError::MaskLength {
+                    expected: z,
+                    got: len,
+                });
+            }
+        }
+        let fs = frames.shape();
+        if fs.is_empty() || fs[0] != z || fs[1..] != self.shape()[2..] {
+            return Err(TensorError::ShapeMismatch {
+                lhs: self.shape().to_vec(),
+                rhs: fs.to_vec(),
+                op,
+            });
+        }
+        match depths.iter().zip(mask).find(|&(&d, &m)| m && d >= d_max) {
+            Some((&index, _)) => Err(TensorError::IndexOutOfBounds {
+                index,
+                len: d_max,
+                op,
+            }),
+            None => Ok(el),
+        }
+    }
+
     /// Stack write: for a stack tensor of shape `[D, Z, ..]`, write row `b`
     /// of `src` (shape `[Z, ..]`) into `self[depths[b], b, ..]` for every
     /// member where `mask[b]` is `true`.
@@ -234,31 +306,7 @@ impl Tensor {
                 }
             }
         }
-        let (d_max, z, el) = stack_dims(self)?;
-        for len in [depths.len(), mask.len()] {
-            if len != z {
-                return Err(TensorError::MaskLength {
-                    expected: z,
-                    got: len,
-                });
-            }
-        }
-        if src.rank() == 0 || src.shape()[0] != z || src.shape()[1..] != self.shape()[2..] {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.shape().to_vec(),
-                rhs: src.shape().to_vec(),
-                op: "scatter_at_depth",
-            });
-        }
-        for (&d, &m) in depths.iter().zip(mask) {
-            if m && d >= d_max {
-                return Err(TensorError::IndexOutOfBounds {
-                    index: d,
-                    len: d_max,
-                    op: "scatter_at_depth",
-                });
-            }
-        }
+        let el = self.frame_io(depths, mask, src, "scatter_at_depth")?;
         let dst = self.payload_like(src, "scatter_at_depth")?;
         write_like!(dst, src.data() => |d, s| go(d, s, depths, mask, el));
         Ok(())

@@ -23,12 +23,18 @@
 //! [`Tensor`] storage is **copy-on-write**: the payload sits behind an
 //! `Arc`, `clone()` is O(1), and every mutating accessor copies the
 //! buffer first if it is shared (see the type-level docs for the full
-//! contract). On top of the allocating kernels sit **in-place and
-//! into-buffer variants** ([`Tensor::map_f64_inplace`],
-//! [`Tensor::binary_f64_into`]). The scalar functions behind every
-//! elementwise kernel are shared through [`scalar_ops`], so a caller
-//! that fuses a chain of them into one pass (`autobatch-core` does) is
-//! bit-identical to per-kernel execution by construction.
+//! contract). Beside the allocating kernels sit **into-buffer forms**
+//! that overwrite a caller's tensor, written once over the [`Element`]
+//! type ([`Tensor::refill_with`], [`Tensor::copy_into`],
+//! [`Tensor::map_into`], [`Tensor::zip_into`],
+//! [`Tensor::gather_rows_into`], [`Tensor::gather_at_depth_into`]):
+//! they reuse the caller's buffers exactly when nothing else holds them,
+//! so a caller that keeps its tensors unshared between uses writes
+//! without allocating. `zip_into` and `map_into` run the allocating
+//! kernels' loops. The scalar functions behind every elementwise kernel
+//! are shared through [`scalar_ops`], so a caller that fuses a chain of
+//! them into one pass (`autobatch-core` does) is bit-identical to
+//! per-kernel execution by construction.
 //!
 //! A broadcasting kernel classifies each operand **once per call**, from
 //! the shapes alone and without allocating: *whole* (the operand is the
@@ -77,7 +83,7 @@ pub mod scalar_ops;
 pub mod shape;
 mod tensor;
 
-pub use dtype::{DType, Data, Scalar};
+pub use dtype::{DType, Data, Element, Scalar};
 pub use error::{Result, TensorError};
 pub use rng::{splitmix64, CounterRng};
 pub use tensor::Tensor;

@@ -3,7 +3,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::dtype::{DType, Data, Scalar};
+use crate::dtype::{DType, Data, Element, Scalar};
 use crate::error::{Result, TensorError};
 use crate::shape::volume;
 
@@ -19,13 +19,26 @@ use crate::shape::volume;
 ///
 /// The payload lives behind an [`Arc`], so [`Clone`] is O(1) — clones
 /// share storage until one of them is mutated. Every mutating accessor
-/// (`as_*_mut`, [`Tensor::set`], the in-place kernels) goes through
+/// ([`Tensor::set`], the in-place kernels) goes through
 /// [`Arc::make_mut`], which copies the buffer first if (and only if) it
 /// is shared. A shared buffer is therefore never mutated observably:
 /// holding a clone — an observer snapshot, a cached stack top — is
 /// always safe, and the interpreter's hot loop pays a deep copy only on
 /// the first write after a share, not on every clone. [`Tensor::reshape`]
 /// shares storage with the source for the same reason.
+///
+/// The **into-buffer kernels** ([`Tensor::refill_with`],
+/// [`Tensor::copy_into`], [`Tensor::map_into`], [`Tensor::zip_into`],
+/// [`Tensor::gather_rows_into`]) overwrite a caller's tensor instead of
+/// building one. Refilling a payload in place is legal exactly when
+/// nothing else holds it ([`Tensor::is_unique`]): each kernel checks
+/// that itself and otherwise writes into a fresh payload, leaving every
+/// other holder's bits as they were. A caller that keeps unique tensors
+/// between uses therefore writes its results without allocating, and a
+/// caller that lets one be shared meanwhile pays one allocation, never
+/// a corruption. The masked kernels ([`Tensor::masked_assign_rows`],
+/// [`Tensor::gather_at_depth_into`], the scatters) copy a shared
+/// destination first, like every other write.
 ///
 /// # Examples
 ///
@@ -225,24 +238,77 @@ impl Tensor {
         &self.shape
     }
 
-    /// Turn `self` into an `f64` tensor of `shape` whose payload is empty
-    /// with room for the shape's elements, reusing the current allocation
-    /// when it is an unshared `f64` buffer. The caller must push exactly
-    /// the shape's volume of elements before the tensor is read.
-    pub(crate) fn refill_f64(&mut self, shape: Arc<[usize]>) -> &mut Vec<f64> {
-        let n = volume(&shape);
-        self.shape = shape;
-        if !matches!(Arc::get_mut(&mut self.data), Some(Data::F64(_))) {
-            self.data = Arc::new(Data::F64(Vec::with_capacity(n)));
-        }
-        match Arc::get_mut(&mut self.data) {
-            Some(Data::F64(v)) => {
-                v.clear();
-                v.reserve(n);
-                v
+    /// Whether nothing else holds this tensor's payload, so that
+    /// refilling or writing it in place copies nothing and no other
+    /// holder can see the write.
+    pub fn is_unique(&self) -> bool {
+        Arc::strong_count(&self.data) == 1
+    }
+
+    /// Turn `self` into a `T` tensor of `shape` holding what `write`
+    /// appends to its emptied payload: exactly the shape's volume of
+    /// elements. This is the into-buffer form of a constructor. The
+    /// payload's allocation is kept when nothing shares it and it holds
+    /// `T`s, and the shape's when it already is `shape` or nothing shares
+    /// it and its rank is `shape`'s; anything else is allocated afresh, so
+    /// a share of the old payload never sees the write (see the
+    /// copy-on-write section of [`Tensor`]).
+    ///
+    /// # Panics
+    ///
+    /// If `write` appends any other number of elements.
+    pub fn refill_with<T: Element>(&mut self, shape: &[usize], write: impl FnOnce(&mut Vec<T>)) {
+        if *self.shape != *shape {
+            match Arc::get_mut(&mut self.shape) {
+                Some(dims) if dims.len() == shape.len() => dims.copy_from_slice(shape),
+                _ => self.shape = Arc::from(shape),
             }
-            _ => unreachable!("unshared f64: checked or just built"),
         }
+        let values = self.refill_payload();
+        write(values);
+        assert_eq!(
+            values.len(),
+            volume(shape),
+            "refill_with: wrong element count"
+        );
+    }
+
+    /// Make `out` a copy of `self`, in `out`'s own buffers when nothing
+    /// shares them and its payload holds `self`'s dtype (see
+    /// [`Tensor::refill_with`]): the into-buffer form of a deep copy.
+    pub fn copy_into(&self, out: &mut Tensor) {
+        fn go<T: Element>(v: &[T], out: &mut Tensor) {
+            out.refill_payload().extend_from_slice(v);
+        }
+        out.adopt_shape(&self.shape);
+        match self.data() {
+            Data::F64(v) => go(v, out),
+            Data::I64(v) => go(v, out),
+            Data::Bool(v) => go(v, out),
+        }
+    }
+
+    /// Give `self` the shape `like` has, sharing `like`'s allocation
+    /// unless `self` already has that shape.
+    pub(crate) fn adopt_shape(&mut self, like: &Arc<[usize]>) {
+        if self.shape != *like {
+            self.shape = Arc::clone(like);
+        }
+    }
+
+    /// The payload, emptied, as the vector of `T`s the caller refills:
+    /// the current one when nothing shares it and it holds `T`s (its
+    /// capacity kept), else a fresh one. The caller must push exactly the
+    /// shape's volume of elements before the tensor is read.
+    pub(crate) fn refill_payload<T: Element>(&mut self) -> &mut Vec<T> {
+        let reusable = Arc::get_mut(&mut self.data).is_some_and(|d| T::values_mut(d).is_some());
+        if !reusable {
+            self.data = Arc::new(T::wrap(Vec::new()));
+        }
+        let data = Arc::get_mut(&mut self.data).expect("unshared: checked or just built");
+        let values = T::values_mut(data).expect("holds T: checked or just built");
+        values.clear();
+        values
     }
 
     /// Turn `self` into an empty-payload tensor that will hold `rows`
@@ -323,25 +389,6 @@ impl Tensor {
         match &*self.data {
             Data::Bool(v) => Ok(v),
             _ => Err(self.dtype_err("bool", "as_bool")),
-        }
-    }
-
-    /// Mutably borrow the payload as `&mut [f64]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::DTypeMismatch`] if the dtype is not `f64`.
-    pub fn as_f64_mut(&mut self) -> Result<&mut [f64]> {
-        match Arc::make_mut(&mut self.data) {
-            Data::F64(v) => Ok(v),
-            d => {
-                let got = d.dtype();
-                Err(TensorError::DTypeMismatch {
-                    got,
-                    expected: "f64",
-                    op: "as_f64_mut",
-                })
-            }
         }
     }
 

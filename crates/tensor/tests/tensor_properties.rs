@@ -179,6 +179,52 @@ proptest! {
     }
 
     #[test]
+    fn copy_into_makes_a_deep_copy_whatever_out_held(a in vec_i64(10), el in 0usize..3) {
+        // `out` arrives holding each dtype in turn, shared with a sibling.
+        let mut out = Tensor::arange(4);
+        for dtype in DTYPES {
+            let held = out.clone();
+            let sibling = held.clone();
+            let t = tensor_of(dtype, &a, &[5, el]);
+            t.copy_into(&mut out);
+            prop_assert_eq!(&out, &t, "{}", dtype);
+            prop_assert!(!out.shares_storage(&t));
+            prop_assert_eq!(&held, &sibling);
+        }
+    }
+
+    #[test]
+    fn masked_depth_gather_into_writes_only_the_masked_rows(
+        a in vec_i64(24),
+        b in vec_i64(6),
+        el in 0usize..3,
+        depths in proptest::collection::vec(0usize..4, 3..=3),
+        mask in vec_bool(3),
+        shared in any::<bool>(),
+    ) {
+        for dtype in DTYPES {
+            let stack = tensor_of(dtype, &a, &[4, 3, el]);
+            let top = tensor_of(dtype, &b, &[3, el]);
+            let mut out = tensor_of(dtype, &b, &[3, el]);
+            // A second holder of the top's payload must read it unchanged.
+            let holder = shared.then(|| out.clone());
+            stack.gather_at_depth_into(&depths, &mask, &mut out).unwrap();
+            let want = build(dtype, &[3, el], |ix| {
+                (if mask[ix[0]] { stack.get(&[depths[ix[0]], ix[0], ix[1]]) } else { top.get(ix) }).ok()
+            });
+            prop_assert_eq!(&out, &want, "gather_at_depth_into on {}", dtype);
+            // It is the allocating read landed under the mask.
+            let mut landed = top.clone();
+            landed.masked_assign_rows(&mask, &stack.gather_at_depth(&depths).unwrap()).unwrap();
+            prop_assert_eq!(&out, &landed);
+            prop_assert_eq!(&stack, &tensor_of(dtype, &a, &[4, 3, el]));
+            if let Some(holder) = holder {
+                prop_assert_eq!(&holder, &top);
+            }
+        }
+    }
+
+    #[test]
     fn depth_scatter_then_gather_reads_back(
         a in vec_i64(24),
         b in vec_i64(6),
@@ -376,9 +422,9 @@ proptest! {
         m.set(&[idx / 4, idx % 4], v).unwrap();
         prop_assert!(!m.shares_storage(&base));
         prop_assert_eq!(base.as_f64().unwrap(), &a[..]);
-        // map_f64_inplace()
+        // map_into() a clone of the operand
         let mut m = base.clone();
-        m.map_f64_inplace(scalar_ops::exp_f64).unwrap();
+        base.map_into(scalar_ops::exp_f64, &mut m).unwrap();
         prop_assert_eq!(base.as_f64().unwrap(), &a[..]);
         prop_assert_eq!(&m, &base.exp().unwrap());
         // masked_assign_rows()
@@ -386,16 +432,18 @@ proptest! {
         let src = Tensor::full(&[3, 4], v);
         m.masked_assign_rows(&[true, false, true], &src).unwrap();
         prop_assert_eq!(base.as_f64().unwrap(), &a[..]);
-        // as_*_mut on a clone of a clone
+        // set() on a clone of a clone
         let mid = base.clone();
         let mut leaf = mid.clone();
-        leaf.as_f64_mut().unwrap()[0] = v;
+        leaf.set(&[0, 0], v).unwrap();
         prop_assert_eq!(&mid, &base);
         prop_assert_eq!(base.as_f64().unwrap(), &a[..]);
     }
 
     #[test]
-    fn in_place_unary_is_bit_identical_to_allocating(a in vec_f64(10)) {
+    fn unary_into_is_bit_identical_to_allocating(a in vec_f64(10)) {
+        // Into a dirty reused tensor of another dtype and shape.
+        let mut out = Tensor::arange(3);
         for f in [
             scalar_ops::exp_f64,
             scalar_ops::sigmoid_f64,
@@ -404,9 +452,8 @@ proptest! {
         ] {
             let t = Tensor::from_f64(&a, &[5, 2]).unwrap();
             let allocating = t.map_f64(f).unwrap();
-            let mut inplace = t.clone();
-            inplace.map_f64_inplace(f).unwrap();
-            prop_assert_eq!(&inplace, &allocating);
+            t.map_into(f, &mut out).unwrap();
+            prop_assert_eq!(&out, &allocating);
         }
     }
 
@@ -435,7 +482,7 @@ proptest! {
                     "mul" => tm.mul(&rhs).unwrap(),
                     _ => tm.div(&rhs).unwrap(),
                 };
-                tm.binary_f64_into(&rhs, f, &mut out).unwrap();
+                tm.zip_into(&rhs, f, &mut out).unwrap();
                 prop_assert_eq!(&out, &allocating, "op {}", name);
             }
         }
@@ -451,7 +498,7 @@ proptest! {
         // The scratch buffer aliases the left operand's storage: the
         // copy-on-write contract must keep `ta` intact.
         let mut out = ta.clone();
-        ta.binary_f64_into(&tb, scalar_ops::add_f64, &mut out).unwrap();
+        ta.zip_into(&tb, scalar_ops::add_f64, &mut out).unwrap();
         prop_assert_eq!(&out, &ta.add(&tb).unwrap());
         prop_assert_eq!(ta.as_f64().unwrap(), &a[..]);
     }
@@ -621,7 +668,7 @@ fn check_cases<T: Copy, U>(
 }
 
 /// Every binary kernel against the reference on `lhs` × `rhs`, of one
-/// dtype, and `binary_f64_into` into a reused scratch tensor.
+/// dtype, and `zip_into` into a reused scratch tensor.
 fn check_binary(lhs: &Tensor, rhs: &Tensor, scratch: &mut Tensor) {
     match (lhs.data(), rhs.data()) {
         (Data::F64(a), Data::F64(b)) => {
@@ -637,10 +684,10 @@ fn check_binary(lhs: &Tensor, rhs: &Tensor, scratch: &mut Tensor) {
             check_cases(&arith, (lhs, a), (rhs, b), Data::F64);
             check_cases(&comparisons(), (lhs, a), (rhs, b), Data::Bool);
             for (name, _, f) in arith {
-                lhs.binary_f64_into(rhs, f, scratch).unwrap();
+                lhs.zip_into(rhs, f, scratch).unwrap();
                 let want = reference((a, lhs.shape()), (b, rhs.shape()), f, Data::F64);
                 let at = format!("{:?} x {:?}", lhs.shape(), rhs.shape());
-                assert_eq!(bits(scratch), bits(&want), "binary_f64_into {name} on {at}");
+                assert_eq!(bits(scratch), bits(&want), "zip_into {name} on {at}");
             }
         }
         (Data::I64(a), Data::I64(b)) => {
