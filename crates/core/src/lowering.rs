@@ -17,7 +17,15 @@
 //!   recursive call become mask-updated registers;
 //! - a peephole pass implements optimization 5: `Pop v; …; Push v = e`
 //!   with no intervening access to `v` cancels into `Update v = e`
-//!   (optimization 4, stack-top caching, lives in the runtime).
+//!   (optimization 4, stack-top caching, lives in the runtime);
+//! - a clean-up then removes what the machine would pay for and nothing
+//!   needs: copies (propagated, or folded into the computation they
+//!   copy), blocks that only jump or return (threaded through), and
+//!   persistent variables whose every read follows a write in the same
+//!   block (made temporaries). Each is a superstep or a dispatch saved,
+//!   and none changes a member's values. It runs after optimization 5,
+//!   which must not run again: copy propagation turns argument passing
+//!   into the `Pop v; Push v = id(v)` shape of a re-save.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -31,7 +39,9 @@ use crate::options::LoweringOptions;
 /// lowering-ablation bench.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LoweringStats {
-    /// Blocks in the merged program.
+    /// Blocks in the merged program after the clean-up: a block that held
+    /// no op and only jumped or returned has been threaded through and
+    /// dropped.
     pub blocks: usize,
     /// Variables classified as stacked.
     pub stacked_vars: usize,
@@ -315,10 +325,12 @@ pub fn lower(
             eliminated += eliminate_pop_push(&mut b.ops);
         }
     }
-    // Drop trivial `v = id(v)` updates produced by the cancellation.
-    for b in &mut out.blocks {
-        b.ops.retain(|op| !is_trivial_id(op));
-    }
+    // The clean-up (which also drops the `v = id(v)` updates the
+    // cancellation leaves) comes after optimization 5 and must never be
+    // followed by it: copy propagation turns argument passing such as
+    // `pop k; %c = id(k); push k = id(%c)` into `pop k; push k = id(k)`,
+    // which the cancellation would mistake for a re-save.
+    clean_up(&mut out, opts.elide_temporaries);
 
     out.validate()?;
     let stats = LoweringStats {
@@ -437,6 +449,311 @@ fn eliminate_pop_push(ops: &mut Vec<pcab::Op>) -> usize {
     eliminated
 }
 
+/// The clean-up below the paper's optimizations: lowering emits only
+/// what the machine has to run. `localize` applies rule (c), which is
+/// optimization 2 made exact, so it follows
+/// [`LoweringOptions::elide_temporaries`].
+///
+/// - (c) a persistent variable that is never pushed or popped, is no
+///   program input or output, and is read in every block only after that
+///   block writes it becomes a block-local temporary;
+/// - (a) inside each block, copies are propagated and the copies nothing
+///   reads are dropped ([`propagate_copies`]), and a computation whose one
+///   reader is a copy writes the copy's target itself ([`fold_copies`]);
+/// - (b) edges into blocks that hold no op are threaded through them, and
+///   the blocks nothing reaches any more are dropped ([`thread_jumps`]).
+///
+/// Each rule keeps every member's values bit-identical; superstep counts
+/// change, because a threaded block is no longer a superstep (and an
+/// empty return block is no longer a join).
+fn clean_up(p: &mut pcab::Program, localize: bool) {
+    if localize {
+        localize_block_locals(p);
+    }
+    let classes = &p.classes;
+    for b in &mut p.blocks {
+        propagate_copies(&mut b.ops, &mut b.term, classes);
+        fold_copies(&mut b.ops, &b.term, classes);
+    }
+    thread_jumps(p);
+}
+
+/// The variables `op` reads.
+fn reads(op: &pcab::Op) -> &[Var] {
+    match op {
+        pcab::Op::Compute { ins, .. } => ins,
+        pcab::Op::Pop { .. } => &[],
+    }
+}
+
+/// Whether `op` writes, pushes or pops `v`.
+fn writes(op: &pcab::Op, v: &Var) -> bool {
+    match op {
+        pcab::Op::Compute { outs, .. } => outs.iter().any(|(w, _)| w == v),
+        pcab::Op::Pop { var } => var == v,
+    }
+}
+
+/// `v` and `x` of a copy `v = id(x)`.
+fn copy(op: &pcab::Op) -> Option<(&Var, &Var)> {
+    match op {
+        pcab::Op::Compute {
+            outs,
+            prim: Prim::Id,
+            ins,
+        } => match (outs.as_slice(), ins.as_slice()) {
+            ([(v, _)], [x]) => Some((v, x)),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// `t` and `x` of a copy `t = id(x)` into a temporary.
+fn copy_into_temp<'o>(
+    op: &'o pcab::Op,
+    classes: &BTreeMap<Var, pcab::VarClass>,
+) -> Option<(&'o Var, &'o Var)> {
+    copy(op).filter(|(t, _)| !classes.contains_key(*t))
+}
+
+/// Rule (c): drop from `classes` every variable that no block reads
+/// before writing it, that is never pushed or popped and that is no
+/// program input or output. Its value never crosses a superstep, so a
+/// block-local temporary holds it.
+fn localize_block_locals(p: &mut pcab::Program) {
+    let mut persistent: BTreeSet<&Var> = p.inputs.iter().chain(&p.outputs).collect();
+    for b in &p.blocks {
+        let mut written: BTreeSet<&Var> = BTreeSet::new();
+        for op in &b.ops {
+            match op {
+                pcab::Op::Compute { outs, ins, .. } => {
+                    persistent.extend(ins.iter().filter(|v| !written.contains(v)));
+                    for (w, kind) in outs {
+                        if *kind == pcab::WriteKind::Push {
+                            persistent.insert(w);
+                        }
+                        written.insert(w);
+                    }
+                }
+                pcab::Op::Pop { var } => {
+                    persistent.insert(var);
+                }
+            }
+        }
+        if let pcab::Terminator::Branch { cond, .. } = &b.term {
+            if !written.contains(cond) {
+                persistent.insert(cond);
+            }
+        }
+    }
+    let persistent: BTreeSet<Var> = persistent.into_iter().cloned().collect();
+    p.classes.retain(|v, _| persistent.contains(v));
+}
+
+/// Rule (a), first half: after a copy `t = id(x)` into a temporary,
+/// later reads of `t` (the branch condition too) read `x`, until `x` or
+/// `t` is written or popped; then the copies into temporaries that
+/// nothing reads, and those that became `v = id(v)`, are dropped.
+fn propagate_copies(
+    ops: &mut Vec<pcab::Op>,
+    term: &mut pcab::Terminator,
+    classes: &BTreeMap<Var, pcab::VarClass>,
+) {
+    // `(t, x)`: the temporary `t` holds the value `x` holds now.
+    let mut alias: Vec<(Var, Var)> = Vec::new();
+    let resolve = |alias: &[(Var, Var)], v: &mut Var| {
+        if let Some((_, x)) = alias.iter().find(|(t, _)| t == v) {
+            *v = x.clone();
+        }
+    };
+    let mut propagated = Vec::with_capacity(ops.len());
+    for mut op in ops.drain(..) {
+        if let pcab::Op::Compute { ins, .. } = &mut op {
+            for v in ins.iter_mut() {
+                resolve(&alias, v);
+            }
+        }
+        // A copy that became `v = id(v)` writes nothing new.
+        if is_trivial_id(&op) {
+            continue;
+        }
+        alias.retain(|(t, x)| !writes(&op, t) && !writes(&op, x));
+        if let Some((t, x)) = copy_into_temp(&op, classes) {
+            alias.push((t.clone(), x.clone()));
+        }
+        propagated.push(op);
+    }
+    *ops = propagated;
+    if let pcab::Terminator::Branch { cond, .. } = term {
+        resolve(&alias, cond);
+    }
+    // Backwards over the block: drop a copy into a temporary no later
+    // op (or the branch) reads.
+    let mut live: BTreeSet<Var> = match term {
+        pcab::Terminator::Branch { cond, .. } => BTreeSet::from([cond.clone()]),
+        _ => BTreeSet::new(),
+    };
+    let mut keep = vec![true; ops.len()];
+    for (k, op) in ops.iter().enumerate().rev() {
+        if let Some((t, _)) = copy_into_temp(op, classes) {
+            if !live.contains(t) {
+                keep[k] = false;
+                continue;
+            }
+        }
+        if let pcab::Op::Compute { outs, .. } = op {
+            for (w, _) in outs {
+                live.remove(w);
+            }
+        }
+        live.extend(reads(op).iter().cloned());
+    }
+    let mut k = 0;
+    ops.retain(|_| {
+        k += 1;
+        keep[k - 1]
+    });
+}
+
+/// Rule (a), second half: `t = f(..); …; v = id(t)` becomes
+/// `v = f(..)`, with the copy's write kind, when that copy is the one
+/// read of this `t` and no op in between reads, writes or pops `v`.
+/// `f` may read `v` itself: an op reads before it writes, so
+/// `push n = sub(n, c)` is the same as `t = sub(n, c); push n = id(t)`.
+fn fold_copies(
+    ops: &mut Vec<pcab::Op>,
+    term: &pcab::Terminator,
+    classes: &BTreeMap<Var, pcab::VarClass>,
+) {
+    let mut j = 0;
+    while j < ops.len() {
+        let Some(i) = fold_site(ops, term, j, classes) else {
+            j += 1;
+            continue;
+        };
+        let pcab::Op::Compute { mut outs, ins, .. } = ops.remove(j) else {
+            unreachable!("a fold removes a copy");
+        };
+        if let pcab::Op::Compute { outs: def, .. } = &mut ops[i] {
+            if let Some(w) = def.iter_mut().find(|w| w.0 == ins[0]) {
+                *w = outs.remove(0);
+            }
+        }
+    }
+}
+
+/// Where the computation of the copy `ops[j]` folds into: the index of
+/// the op that last wrote the copied temporary, if the fold is legal.
+fn fold_site(
+    ops: &[pcab::Op],
+    term: &pcab::Terminator,
+    j: usize,
+    classes: &BTreeMap<Var, pcab::VarClass>,
+) -> Option<usize> {
+    let (v, t) = copy(&ops[j])?;
+    if classes.contains_key(t) || v == t {
+        return None;
+    }
+    let i = (0..j).rev().find(|&i| writes(&ops[i], t))?;
+    let pcab::Op::Compute { outs: def, .. } = &ops[i] else {
+        return None;
+    };
+    let between = &ops[i + 1..j];
+    let legal = !def.iter().any(|(w, _)| w == v)
+        && !between
+            .iter()
+            .any(|op| reads(op).contains(t) || reads(op).contains(v) || writes(op, v))
+        && !read_later(&ops[j + 1..], term, t);
+    legal.then_some(i)
+}
+
+/// Whether `v` is read after `ops` before anything writes it: by a later
+/// op or, if none writes it, by the branch of `term`.
+fn read_later(ops: &[pcab::Op], term: &pcab::Terminator, v: &Var) -> bool {
+    for op in ops {
+        if reads(op).contains(v) {
+            return true;
+        }
+        if writes(op, v) {
+            return false;
+        }
+    }
+    matches!(term, pcab::Terminator::Branch { cond, .. } if cond == v)
+}
+
+/// Rule (b): an edge into a block that holds no op goes where that
+/// block's `Jump` goes; a `Jump` into one that returns returns itself.
+/// `Branch` and `PushJump` targets thread through jumps only: a branch
+/// cannot return, so an empty return block a branch targets stays.
+/// Then the blocks nothing reaches are dropped and the rest renumbered
+/// in order.
+fn thread_jumps(p: &mut pcab::Program) {
+    use pcab::Terminator::{Jump, Return};
+    let n = p.blocks.len();
+    // Where an edge into each block goes. Bounded: a cycle of empty
+    // jumps is a loop that never ends.
+    let through: Vec<BlockId> = (0..n)
+        .map(|mut b| {
+            for _ in 0..n {
+                match p.blocks[b].term {
+                    Jump(next) if p.blocks[b].ops.is_empty() => b = next.0,
+                    _ => break,
+                }
+            }
+            BlockId(b)
+        })
+        .collect();
+    let returns: Vec<bool> = (p.blocks.iter())
+        .map(|b| b.ops.is_empty() && b.term == Return)
+        .collect();
+    p.entry = through[p.entry.0];
+    for b in &mut p.blocks {
+        for t in targets(&mut b.term) {
+            *t = through[t.0];
+        }
+        if matches!(b.term, Jump(t) if returns[t.0]) {
+            b.term = Return;
+        }
+    }
+
+    let mut reachable = vec![false; n];
+    let mut stack = vec![p.entry];
+    while let Some(b) = stack.pop() {
+        if !std::mem::replace(&mut reachable[b.0], true) {
+            stack.extend(p.blocks[b.0].term.successors());
+        }
+    }
+    let renumbered: Vec<usize> = (reachable.iter())
+        .scan(0, |next, &r| {
+            let i = *next;
+            *next += usize::from(r);
+            Some(i)
+        })
+        .collect();
+    let mut k = 0;
+    p.blocks.retain(|_| {
+        k += 1;
+        reachable[k - 1]
+    });
+    p.entry.0 = renumbered[p.entry.0];
+    for b in &mut p.blocks {
+        for t in targets(&mut b.term) {
+            t.0 = renumbered[t.0];
+        }
+    }
+}
+
+/// The blocks `term` transfers control to, to be rewritten in place.
+fn targets(term: &mut pcab::Terminator) -> Vec<&mut BlockId> {
+    match term {
+        pcab::Terminator::Jump(t) => vec![t],
+        pcab::Terminator::Branch { then_, else_, .. } => vec![then_, else_],
+        pcab::Terminator::PushJump { enter, resume } => vec![enter, resume],
+        pcab::Terminator::Return => vec![],
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -448,9 +765,9 @@ mod tests {
         let p = fibonacci_program();
         let (pc, stats) = lower(&p, LoweringOptions::default()).unwrap();
         pc.validate().unwrap();
-        // Two calls → the else-block splits into three segments; plus the
-        // four structural blocks.
-        assert_eq!(stats.blocks, p.funcs[0].blocks.len() + 2);
+        // Two calls → the else-block splits into three segments; the join
+        // block, which only returns, is threaded through and dropped.
+        assert_eq!(stats.blocks, p.funcs[0].blocks.len() + 2 - 1);
         // n is live across the first recursive call → stacked; left is
         // live across the second → stacked.
         let stacked = pc.stacked_vars();
@@ -707,28 +1024,31 @@ mod tests {
     ///   the emitted blocks.
     #[test]
     fn lowered_invariants_hold_across_all_configs() {
-        let programs = [fibonacci_program(), double_call_with_saved_var()];
-        let configs = [
-            LoweringOptions::default(),
-            LoweringOptions {
-                elide_temporaries: false,
-                ..LoweringOptions::default()
-            },
-            LoweringOptions {
-                demote_registers: false,
-                ..LoweringOptions::default()
-            },
-            LoweringOptions {
-                pop_push_elimination: false,
-                ..LoweringOptions::default()
-            },
-            LoweringOptions::unoptimized(),
+        let programs = [
+            fibonacci_program(),
+            double_call_with_saved_var(),
+            autobatch_lang::compile(BINOM_SRC, "binom").unwrap(),
         ];
+        let configs = (0..8).map(|bits| LoweringOptions {
+            elide_temporaries: bits & 1 != 0,
+            demote_registers: bits & 2 != 0,
+            pop_push_elimination: bits & 4 != 0,
+        });
         for p in &programs {
-            for opts in configs {
+            for opts in configs.clone() {
                 let (pc, stats) = lower(p, opts).unwrap();
                 pc.validate().unwrap();
                 assert_eq!(stats.blocks, pc.blocks.len(), "{opts:?}");
+                // The clean-up left no block that only jumps, and no jump
+                // into a block that only returns.
+                for b in &pc.blocks {
+                    if let pcab::Terminator::Jump(t) = b.term {
+                        assert!(!b.ops.is_empty(), "empty jump block under {opts:?}");
+                        let target = &pc.blocks[t.0];
+                        let returns = target.term == pcab::Terminator::Return;
+                        assert!(!(returns && target.ops.is_empty()), "{opts:?}");
+                    }
+                }
                 let (mut pushes, mut pops) = (0usize, 0usize);
                 for b in &pc.blocks {
                     for op in &b.ops {
@@ -795,5 +1115,246 @@ mod tests {
         let p = pb.finish(even).unwrap();
         let (pc, _) = lower(&p, LoweringOptions::default()).unwrap();
         pc.validate().unwrap();
+    }
+
+    /// `C(n, k)` by Pascal's rule, the program `binom_divergent` serves.
+    const BINOM_SRC: &str = "
+        fn binom(n: int, k: int) -> (out: int) {
+            if k <= 0 {
+                out = 1;
+            } else if k >= n {
+                out = 1;
+            } else {
+                let left = binom(n - 1, k - 1);
+                let right = binom(n - 1, k);
+                out = left + right;
+            }
+        }
+    ";
+
+    /// What the machine runs for binom: 7 blocks, 20 ops (3 of them
+    /// `id`s) and 1 register, where emission and optimization 5 leave 9
+    /// blocks (one only returns, one only jumps to it), 35 ops (18 `id`s)
+    /// and 3 registers. b5's `pop binom.k; …; push binom.k = id(binom.k)`
+    /// passes the caller's `k` to the second call: the pop drops the
+    /// first call's argument frame, so the pair is not a re-save, and
+    /// optimization 5 must not see it (it runs before the clean-up).
+    #[test]
+    fn binom_lowers_to_the_listing_the_machine_runs() {
+        let p = autobatch_lang::compile(BINOM_SRC, "binom").unwrap();
+        let (pc, stats) = lower(&p, LoweringOptions::default()).unwrap();
+        let want = [
+            "program entry=b0 inputs=(binom.n, binom.k) outputs=(binom.out)",
+            "stacked: binom.k, binom.left, binom.n",
+            "registers: binom.out",
+            "b0:",
+            "  binom.%t0 = const(0i)()",
+            "  binom.%t1 = le(binom.k, binom.%t0)",
+            "  branch binom.%t1 ? b1 : b2",
+            "b1:",
+            "  binom.out = const(1i)()",
+            "  return",
+            "b2:",
+            "  binom.%t3 = ge(binom.k, binom.n)",
+            "  branch binom.%t3 ? b3 : b4",
+            "b3:",
+            "  binom.out = const(1i)()",
+            "  return",
+            "b4:",
+            "  binom.%t5 = const(1i)()",
+            "  push binom.n = sub(binom.n, binom.%t5)",
+            "  binom.%t7 = const(1i)()",
+            "  push binom.k = sub(binom.k, binom.%t7)",
+            "  pushjump enter=b0 resume=b5",
+            "b5:",
+            "  pop binom.k",
+            "  pop binom.n",
+            "  binom.left = id(binom.out)",
+            "  binom.%t10 = const(1i)()",
+            "  push binom.n = sub(binom.n, binom.%t10)",
+            "  push binom.k = id(binom.k)",
+            "  push binom.left = id(binom.left)",
+            "  pushjump enter=b0 resume=b6",
+            "b6:",
+            "  pop binom.left",
+            "  pop binom.k",
+            "  pop binom.n",
+            "  binom.out = add(binom.left, binom.out)",
+            "  return",
+        ];
+        assert_eq!(pcab_listing(&pc).lines().collect::<Vec<_>>(), want);
+        assert_eq!((stats.blocks, stats.register_vars), (7, 1));
+    }
+
+    fn op(out: &str, kind: pcab::WriteKind, prim: Prim, ins: &[&str]) -> pcab::Op {
+        pcab::Op::Compute {
+            outs: vec![(Var::new(out), kind)],
+            prim,
+            ins: ins.iter().map(|v| Var::new(*v)).collect(),
+        }
+    }
+
+    fn set(out: &str, prim: Prim, ins: &[&str]) -> pcab::Op {
+        op(out, pcab::WriteKind::Update, prim, ins)
+    }
+
+    fn classes(vars: &[(&str, pcab::VarClass)]) -> BTreeMap<Var, pcab::VarClass> {
+        vars.iter().map(|(v, c)| (Var::new(*v), *c)).collect()
+    }
+
+    #[test]
+    fn a_copy_folds_into_its_computation_unless_the_target_is_touched_between() {
+        use pcab::VarClass::{Register, Stacked};
+        let classes = classes(&[("n", Stacked), ("v", Register), ("w", Register)]);
+        let ret = pcab::Terminator::Return;
+        let mut ops = vec![
+            set("t", Prim::Sub, &["n", "w"]),
+            set("u", Prim::Neg, &["w"]),
+            op("n", pcab::WriteKind::Push, Prim::Id, &["t"]),
+            set("v", Prim::Id, &["u"]),
+        ];
+        fold_copies(&mut ops, &ret, &classes);
+        // The computation may read its new target: an op reads first.
+        let folded = vec![
+            op("n", pcab::WriteKind::Push, Prim::Sub, &["n", "w"]),
+            set("v", Prim::Neg, &["w"]),
+        ];
+        assert_eq!(ops, folded);
+
+        for refused in [
+            // `v` is read between the computation and the copy.
+            vec![
+                set("t", Prim::Neg, &["w"]),
+                set("w", Prim::Id, &["v"]),
+                set("v", Prim::Id, &["t"]),
+            ],
+            // `v` is written between them.
+            vec![
+                set("t", Prim::Neg, &["w"]),
+                set("v", Prim::Neg, &["w"]),
+                set("v", Prim::Id, &["t"]),
+            ],
+            // `t` has a second read.
+            vec![
+                set("t", Prim::Neg, &["w"]),
+                set("v", Prim::Id, &["t"]),
+                set("w", Prim::Add, &["t", "v"]),
+            ],
+        ] {
+            let mut ops = refused.clone();
+            fold_copies(&mut ops, &ret, &classes);
+            assert_eq!(ops, refused);
+        }
+    }
+
+    #[test]
+    fn a_pop_of_the_source_ends_a_copy_alias() {
+        use pcab::VarClass::{Register, Stacked};
+        let classes = classes(&[("x", Stacked), ("y", Register)]);
+        let cond = |c: &str| pcab::Terminator::Branch {
+            cond: Var::new(c),
+            then_: BlockId(0),
+            else_: BlockId(0),
+        };
+        let mut ops = vec![
+            set("t", Prim::Id, &["x"]),
+            set("c", Prim::Lt, &["t", "y"]),
+            set("s", Prim::Id, &["c"]),
+        ];
+        let mut term = cond("s");
+        propagate_copies(&mut ops, &mut term, &classes);
+        assert_eq!(ops, vec![set("c", Prim::Lt, &["x", "y"])]);
+        assert_eq!(term, cond("c"));
+
+        // The pop exposes another frame of `x`: `t` still holds the old top.
+        let refused = vec![
+            set("t", Prim::Id, &["x"]),
+            pcab::Op::Pop { var: Var::new("x") },
+            set("y", Prim::Add, &["t", "x"]),
+        ];
+        let mut ops = refused.clone();
+        propagate_copies(&mut ops, &mut pcab::Terminator::Return, &classes);
+        assert_eq!(ops, refused);
+    }
+
+    #[test]
+    fn jumps_thread_through_empty_blocks_but_a_branch_keeps_its_return() {
+        use pcab::Terminator::{Branch, Jump, Return};
+        let block = |ops: Vec<pcab::Op>, term| pcab::Block { ops, term };
+        let branch = |then_, else_| Branch {
+            cond: Var::new("c"),
+            then_: BlockId(then_),
+            else_: BlockId(else_),
+        };
+        let test = set("c", Prim::Lt, &["x", "x"]);
+        let body = set("y", Prim::Neg, &["x"]);
+        let mut p = pcab::Program {
+            blocks: vec![
+                // Nothing reaches this block: it goes, and the rest move up.
+                block(vec![body.clone()], Return),
+                block(vec![test.clone()], branch(2, 3)),
+                block(vec![], Return),
+                block(vec![], Jump(BlockId(4))),
+                block(vec![body.clone()], Jump(BlockId(5))),
+                block(vec![], Jump(BlockId(2))),
+            ],
+            entry: BlockId(1),
+            inputs: vec![Var::new("x")],
+            outputs: vec![Var::new("y")],
+            classes: classes(&[
+                ("x", pcab::VarClass::Register),
+                ("y", pcab::VarClass::Register),
+            ]),
+        };
+        thread_jumps(&mut p);
+        // The branch's empty return block stays; its empty jump block is
+        // threaded through; the jump chain into the return returns.
+        let want = vec![
+            block(vec![test], branch(1, 2)),
+            block(vec![], Return),
+            block(vec![body], Return),
+        ];
+        assert_eq!((p.entry, p.blocks), (BlockId(0), want));
+    }
+
+    #[test]
+    fn a_variable_read_before_its_write_in_some_block_stays_persistent() {
+        use pcab::Terminator::{Jump, Return};
+        use pcab::VarClass::{Register, Stacked};
+        let block = |ops: Vec<pcab::Op>, term| pcab::Block { ops, term };
+        let mut p = pcab::Program {
+            blocks: vec![
+                block(
+                    vec![
+                        set("r", Prim::Neg, &["x"]),
+                        set("s", Prim::Add, &["r", "r"]),
+                    ],
+                    Jump(BlockId(1)),
+                ),
+                // `s` is read before this block writes it; `k` is not.
+                block(
+                    vec![
+                        set("k", Prim::Neg, &["s"]),
+                        set("y", Prim::Add, &["k", "s"]),
+                        set("s", Prim::Neg, &["y"]),
+                    ],
+                    Return,
+                ),
+            ],
+            entry: BlockId(0),
+            inputs: vec![Var::new("x")],
+            outputs: vec![Var::new("y")],
+            classes: classes(&[
+                ("k", Stacked),
+                ("r", Register),
+                ("s", Register),
+                ("x", Register),
+                ("y", Register),
+            ]),
+        };
+        localize_block_locals(&mut p);
+        let kept: Vec<&str> = p.classes.keys().map(Var::name).collect();
+        assert_eq!(kept, ["s", "x", "y"]);
+        p.validate().unwrap();
     }
 }

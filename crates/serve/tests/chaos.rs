@@ -692,7 +692,7 @@ fn fixed_seeds_end_exactly_as_pinned() {
     let (faults, mixes) = ((2, 10, None), (4, 6, Some(65_536)));
     for ((workers, n0, max_supersteps), one_in, cancel_one_in, want) in [
         (faults, [0, 0, 0, 0, 0], 0, [12, 0, 0, 0, 0, 0, 0]),
-        (faults, [65_536, 0, 0, 0, 0], 0, [12, 0, 0, 0, 6, 3, 0]),
+        (faults, [65_536, 0, 0, 0, 0], 0, [12, 0, 0, 0, 4, 1, 0]),
         (faults, [0, 8, 0, 0, 0], 0, [12, 0, 0, 0, 2, 0, 0]),
         (faults, [0, 0, 2, 0, 0], 0, [9, 3, 0, 0, 15, 6, 0]),
         (faults, [0, 0, 1, 0, 0], 0, [0, 12, 0, 0, 48, 8, 0]),

@@ -273,20 +273,20 @@ fn pair_digest(
 /// Golden folds, `[program][runtime]` in `workloads()` × `RUNTIMES` order.
 const GOLDEN: [[u64; 4]; 3] = [
     [
-        0x1e57_6b94_7180_de3b,
-        0xadba_09cd_c5fd_13e1,
+        0x779b_4ed5_86ad_2b50,
+        0xbe1f_76b4_e827_36c2,
         0xc96f_6ed2_f915_f6d1,
         0x57a7_0f78_20cb_c105,
     ],
     [
-        0x9a2b_b6cc_3abb_9544,
-        0x1161_4c3e_12c7_dc22,
+        0x5268_2e5a_0813_684e,
+        0xe850_3d79_9e02_e54a,
         0x0650_2c94_b9a3_dae5,
         0x9f87_0ac1_6331_7e75,
     ],
     [
-        0xafac_f78a_d4f9_5fdc,
-        0x6168_dcbb_50aa_4285,
+        0x3915_1f6d_4c73_eb5a,
+        0x480e_577c_30a5_8a91,
         0xfe91_4e95_7b51_ab09,
         0x145f_fbc1_792e_3dad,
     ],
@@ -301,20 +301,20 @@ const GOLDEN: [[u64; 4]; 3] = [
 /// its row is the masked prices again.)
 const ADAPTIVE_GOLDEN: [[u64; 4]; 3] = [
     [
-        0x460e_730b_6807_26e8,
-        0xfc55_64ed_8072_7cb3,
+        0x5830_5204_57a1_e08b,
+        0x64a9_978a_b451_0e61,
         0xfde8_c644_9c5d_47e5,
         0x03e9_3a51_c1bf_ee95,
     ],
     [
-        0xd194_c3d8_bc63_6e76,
-        0xa58d_bf3c_1ead_8066,
+        0x2ebb_747e_1ada_fd47,
+        0x0ee6_785b_9e5d_62ab,
         0xff11_9f2a_a22c_9ff1,
         0x4f27_9e68_87de_3cbd,
     ],
     [
-        0xb23b_cf23_7b47_2b0c,
-        0x9109_79f1_724a_b7d6,
+        0x9e5b_5161_67bc_4db1,
+        0x1ed8_10fd_c504_a453,
         0xd570_b937_2f1b_b1b9,
         0x0ba5_0ad3_3cf5_2d21,
     ],

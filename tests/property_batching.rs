@@ -7,9 +7,12 @@
 //! Programs are generated randomly at the IR-builder level: straight-line
 //! arithmetic over a growing variable pool, nested conditionals, bounded
 //! while loops, and a terminating recursive helper with data-dependent
-//! branching. RNG primitives are excluded here because their draws are
-//! keyed by batch-member id (their member-consistency is covered by the
-//! NUTS native-vs-batched tests).
+//! branching: single or double (binom-shaped) recursion, a second call
+//! that passes the caller's parameter through unchanged (binom's `k`),
+//! and mutual recursion whose depth steps by a data-dependent stride.
+//! RNG primitives are excluded here because their draws are keyed by
+//! batch-member id (their member-consistency is covered by the NUTS
+//! native-vs-batched tests).
 //!
 //! Determinism: the `seed` strategy below, like every proptest input, is
 //! drawn from the vendored deterministic proptest harness — cases are a
@@ -25,7 +28,7 @@ use autobatch::core::{
     LaneState, LocalStaticVm, LoweringOptions, PcMachine, PcObservation, PcVm, VmError,
 };
 use autobatch::ir::build::{fibonacci_program, ProgramBuilder};
-use autobatch::ir::{lsab, Prim, Var};
+use autobatch::ir::{lsab, pcab, Prim, Var};
 use autobatch::serve::{AdmissionPolicy, BatchServer, Request, ShardedServer};
 use autobatch::tensor::Tensor;
 use proptest::prelude::*;
@@ -37,19 +40,29 @@ use rand::{Rng, SeedableRng};
 /// Structure: a recursive helper `g(n, acc) -> r` whose branching
 /// depends on both `n` and `acc`, and an entry `main(x, n) -> y` mixing
 /// straight-line float arithmetic, an `if`, a bounded `while`, and a
-/// call to the helper with a clamped depth argument.
+/// call to the helper with a clamped depth argument. Some helpers call
+/// themselves twice, the second time with their own `acc` unchanged —
+/// after the first call pushed another value onto it, so the pop that
+/// precedes the second push is argument passing, not a re-save; some
+/// recurse through a partner `h(m, acc) -> r` that calls `g` back with
+/// `m` lowered by 1 or 2 depending on the sign of `acc`. Every depth is
+/// bounded by the clamped `n`, so stack bounds stay finite.
 fn random_program(seed: u64) -> lsab::Program {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut pb = ProgramBuilder::new();
     let helper = pb.declare("g", &["n", "acc"], &["r"]);
     let main = pb.declare("main", &["x", "n0"], &["y"]);
+    let partner = rng
+        .gen_bool(0.4)
+        .then(|| pb.declare("h", &["m", "acc"], &["r"]));
 
     // Safe float ops only: no div (NaN poisons comparisons), exp clamped
     // by construction of small operands.
     let bin_ops = [Prim::Add, Prim::Sub, Prim::Mul, Prim::Min2, Prim::Max2];
     let un_ops = [Prim::Neg, Prim::Abs, Prim::Tanh, Prim::Sin];
 
-    let double_recursion = rng.gen_bool(0.4);
+    let double_recursion = rng.gen_bool(0.5);
+    let pass_through = rng.gen_bool(0.5);
     let helper_branch_on_acc = rng.gen_bool(0.5);
     let h_expr_ops: Vec<usize> = (0..rng.gen_range(1..4))
         .map(|_| rng.gen_range(0..bin_ops.len()))
@@ -74,31 +87,58 @@ fn random_program(seed: u64) -> lsab::Program {
                 }
                 let one = fb.const_i64(1);
                 let n1 = fb.emit(Prim::Sub, &[fb.param(0), one]);
-                if helper_branch_on_acc {
+                let r1 = if helper_branch_on_acc {
                     // Branch on the float state: divergent recursion.
                     let thr = fb.const_f64(0.0);
                     let pos = fb.emit(Prim::Gt, &[t.clone(), thr]);
                     let flipped = fb.emit(Prim::Neg, &[t.clone()]);
                     let sel = fb.emit(Prim::Select, &[pos, t.clone(), flipped]);
-                    let r1 = fb.call(helper, &[n1.clone(), sel], 1);
-                    fb.copy(&fb.output(0), &r1[0]);
+                    fb.call(helper, &[n1.clone(), sel], 1)
                 } else {
-                    let r1 = fb.call(helper, &[n1.clone(), t.clone()], 1);
-                    if double_recursion {
-                        let two = fb.const_i64(2);
-                        let n2 = fb.emit(Prim::Sub, &[fb.param(0), two]);
-                        let half = fb.const_f64(0.5);
-                        let t2 = fb.emit(Prim::Mul, &[t, half]);
-                        let r2 = fb.call(helper, &[n2, t2], 1);
-                        fb.assign(&fb.output(0), Prim::Add, &[r1[0].clone(), r2[0].clone()]);
+                    fb.call(partner.unwrap_or(helper), &[n1.clone(), t.clone()], 1)
+                };
+                if double_recursion {
+                    let two = fb.const_i64(2);
+                    let n2 = fb.emit(Prim::Sub, &[fb.param(0), two]);
+                    let t2 = if pass_through {
+                        fb.param(1)
                     } else {
-                        fb.copy(&fb.output(0), &r1[0]);
-                    }
+                        let half = fb.const_f64(0.5);
+                        fb.emit(Prim::Mul, &[t, half])
+                    };
+                    let r2 = fb.call(helper, &[n2, t2], 1);
+                    fb.assign(&fb.output(0), Prim::Add, &[r1[0].clone(), r2[0].clone()]);
+                } else {
+                    fb.copy(&fb.output(0), &r1[0]);
                 }
             },
         );
         fb.ret();
     });
+    if let Some(partner) = partner {
+        pb.define(partner, |fb| {
+            let zero = fb.const_i64(0);
+            let base = fb.emit(Prim::Le, &[fb.param(0), zero]);
+            fb.if_else(
+                &base,
+                |fb| {
+                    fb.assign(&fb.output(0), Prim::Neg, &[fb.param(1)]);
+                },
+                |fb| {
+                    let thr = fb.const_f64(0.0);
+                    let pos = fb.emit(Prim::Gt, &[fb.param(1), thr]);
+                    let (one, two) = (fb.const_i64(1), fb.const_i64(2));
+                    let stride = fb.emit(Prim::Select, &[pos, two, one]);
+                    let m1 = fb.emit(Prim::Sub, &[fb.param(0), stride]);
+                    let c = fb.const_f64(0.75);
+                    let a = fb.emit(Prim::Mul, &[fb.param(1), c]);
+                    let r = fb.call(helper, &[m1, a], 1);
+                    fb.assign(&fb.output(0), Prim::Add, &[r[0].clone(), fb.param(1)]);
+                },
+            );
+            fb.ret();
+        });
+    }
 
     let n_straight = rng.gen_range(1..6);
     let straight: Vec<(usize, usize, bool)> = (0..n_straight)
@@ -191,18 +231,17 @@ fn run_lsab(p: &lsab::Program, inputs: &[Tensor], strategy: ExecStrategy) -> Vec
         .expect("lsab runs")
 }
 
-fn run_pc(
-    p: &lsab::Program,
-    inputs: &[Tensor],
-    lopts: LoweringOptions,
-    cache: bool,
-) -> Vec<Tensor> {
-    let (lowered, _) = lower(p, lopts).expect("lowers");
-    let opts = ExecOptions {
-        cache_stack_tops: cache,
-        ..ExecOptions::default()
-    };
-    PcVm::new(&lowered, KernelRegistry::new(), opts)
+/// Every combination of the lowering's three optimizations.
+fn all_lowering_options() -> impl Iterator<Item = LoweringOptions> {
+    (0..8).map(|bits| LoweringOptions {
+        elide_temporaries: bits & 1 != 0,
+        demote_registers: bits & 2 != 0,
+        pop_push_elimination: bits & 4 != 0,
+    })
+}
+
+fn run_pc(p: &pcab::Program, inputs: &[Tensor], opts: ExecOptions) -> Vec<Tensor> {
+    PcVm::new(p, KernelRegistry::new(), opts)
         .run(inputs, None)
         .expect("pc runs")
 }
@@ -305,12 +344,7 @@ impl<'p> Rig<'p> {
 /// `fib(n)`: a lane of the wrong program for every other machine, and a
 /// deep one for a machine of the same program with a tighter depth
 /// limit.
-fn fib_lane(
-    pc: &autobatch::ir::pcab::Program,
-    opts: ExecOptions,
-    n: i64,
-    steps: usize,
-) -> LaneState {
+fn fib_lane(pc: &pcab::Program, opts: ExecOptions, n: i64, steps: usize) -> LaneState {
     let mut donor = PcMachine::new(pc, KernelRegistry::new(), opts);
     let t = donor
         .admit(&[Tensor::from_i64(&[n], &[1]).expect("n")], 0, None)
@@ -365,19 +399,22 @@ proptest! {
         let adaptive = run_lsab(&p, &inputs, ExecStrategy::Adaptive);
         prop_assert_eq!(&batch, &adaptive, "per-primitive mask-or-gather agrees");
 
-        // Program-counter autobatching under every lowering config.
-        for lopts in [
-            LoweringOptions::default(),
-            LoweringOptions { pop_push_elimination: false, ..LoweringOptions::default() },
-            LoweringOptions { demote_registers: false, ..LoweringOptions::default() },
-            LoweringOptions::unoptimized(),
-        ] {
-            let pc = run_pc(&p, &inputs, lopts, true);
-            prop_assert_eq!(&batch, &pc, "pc agrees under {:?}", lopts);
+        // Program-counter autobatching under every lowering config ×
+        // strategy × fusion on and off, and top caching off (a runtime
+        // ablation that also plans no fused region).
+        for lopts in all_lowering_options() {
+            let (lowered, _) = lower(&p, lopts).expect("lowers");
+            for strategy in STRATEGIES {
+                for fuse_elementwise in [true, false] {
+                    let opts = ExecOptions { strategy, fuse_elementwise, ..ExecOptions::default() };
+                    let pc = run_pc(&lowered, &inputs, opts);
+                    prop_assert_eq!(&batch, &pc, "pc agrees under {:?}", (lopts, strategy, fuse_elementwise));
+                }
+            }
+            let opts = ExecOptions { cache_stack_tops: false, ..ExecOptions::default() };
+            let pc_nocache = run_pc(&lowered, &inputs, opts);
+            prop_assert_eq!(&batch, &pc_nocache, "pc agrees without top caching under {:?}", lopts);
         }
-        // Top-caching off (runtime ablation).
-        let pc_nocache = run_pc(&p, &inputs, LoweringOptions::default(), false);
-        prop_assert_eq!(&batch, &pc_nocache, "pc agrees without top caching");
 
         // Dynamic (on-the-fly) batching, both agenda policies (paper §5's
         // related-work architecture must compute the same answers).
