@@ -44,7 +44,7 @@ pub struct Backend {
     /// Host-side cost per runtime superstep (block selection, mask
     /// computation, Python-style interpreter overhead), seconds.
     pub superstep_overhead: f64,
-    /// Whether stack updates are functional (copy the whole `[D, Z, ..]`
+    /// Whether stack updates are functional (copy the whole `[Z, D, ..]`
     /// buffer) as under XLA's static-shape discipline, or in-place.
     pub functional_stack_updates: bool,
     /// Multiplier on memory traffic for random-access gather/scatter

@@ -76,9 +76,9 @@ fn bench_tensor_kernels(c: &mut Criterion) {
         let mut dst = a.clone();
         b.iter(|| dst.masked_assign_rows(&mask, &b2).expect("mask"));
     });
-    let stack = Tensor::full(&[32, 1024, 100], 0.0);
+    let stack = Tensor::full(&[1024, 32, 100], 0.0);
     let depths: Vec<usize> = (0..1024).map(|i| i % 32).collect();
-    group.bench_function("gather-at-depth-32x1024x100", |b| {
+    group.bench_function("gather-at-depth-1024x32x100", |b| {
         b.iter(|| stack.gather_at_depth(&depths).expect("gather"));
     });
     group.finish();

@@ -8,9 +8,9 @@
 //!
 //! 1. **One length.** Every per-lane structure has length `Z`: the pc
 //!    tops and pc stacks, the RNG keys, tickets, spend and peak-byte
-//!    counters, each stacked variable's stack pointers, axis 0 of every
-//!    `[Z, elem..]` top and register buffer, and axis 1 of every
-//!    `[D, Z, elem..]` store.
+//!    counters, each stacked variable's stack pointers, and axis 0 of
+//!    every lane buffer — each `[Z, elem..]` top and register and each
+//!    `[Z, D, elem..]` store. Lane `b` is row `b` of every buffer.
 //! 2. **Ticket order.** Lanes are in ascending ticket order: new lanes
 //!    are appended with fresh tickets, and removing lanes keeps the
 //!    survivors' order.
@@ -27,9 +27,13 @@
 //! `Z` changes in exactly two functions: [`State::grow`] appends lanes
 //! and [`State::compact`] keeps a subset. Beside them
 //! [`State::snapshot`] and [`State::restore`] read and write one lane's
-//! rows as a portable [`LaneState`]. Admission, retirement, extraction
-//! and injection ([`PcMachine`](crate::PcMachine)) are validation plus
-//! these four.
+//! rows as a portable [`LaneState`], which [`State::accepts`] checks
+//! first. Each of the five is one loop over one list of lane buffers,
+//! `State::buffers` — each stacked variable's top and store, then the
+//! registers — with one row kernel: `pad_rows`, `gather_rows`,
+//! `gather_rows` of one lane, a shape check and `scatter_rows`.
+//! Admission, retirement, extraction and injection
+//! ([`PcMachine`](crate::PcMachine)) are validation plus these.
 //!
 //! What a superstep needs beyond its members — the `Scratch` arena of
 //! masks, index lists and per-block memos in `pc_vm` — is not member
@@ -41,13 +45,13 @@
 use autobatch_ir::pcab::Program;
 use autobatch_tensor::Tensor;
 
-use crate::batch::{store_rows, zeroed};
+use crate::batch::store_rows;
 use crate::error::{Result, VmError};
 
 /// Storage for one stacked variable: frames below the cached top.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct StackVar {
-    /// `[D, Z, elem..]` frames beneath the top (lazily allocated).
+    /// `[Z, D, elem..]` frames beneath the top (lazily allocated).
     pub(crate) store: Option<Tensor>,
     /// Per-member count of frames in `store`.
     pub(crate) sp: Vec<usize>,
@@ -87,15 +91,6 @@ pub(crate) struct State {
     pub(crate) peak_bytes: Vec<u64>,
 }
 
-/// One stacked variable's slice of a [`LaneState`]: the lane's frames
-/// (bottom first, each `[1, elem..]`; as many as its stack pointer
-/// counts) and its cached top row.
-#[derive(Debug, Clone)]
-struct LaneStack {
-    frames: Vec<Tensor>,
-    top: Option<Tensor>,
-}
-
 /// The complete portable state of one **running** lane, extracted by
 /// [`PcMachine::extract_lanes`](crate::PcMachine::extract_lanes) and
 /// re-admitted elsewhere by
@@ -109,7 +104,7 @@ struct LaneStack {
 /// The only compatibility requirement is that source and destination
 /// execute the same lowered program under the same
 /// [`ExecOptions::stack_depth`](crate::ExecOptions::stack_depth)
-/// (checked at injection).
+/// (checked at injection: a store row is `stack_depth` frames deep).
 #[derive(Debug, Clone)]
 pub struct LaneState {
     /// The RNG member key the lane draws under.
@@ -118,10 +113,12 @@ pub struct LaneState {
     pc_top: usize,
     /// pc frames beneath the top (exit sentinel at the bottom).
     pc_stack: Vec<usize>,
-    /// Per stacked variable, in the program's slot order.
-    stacked: Vec<LaneStack>,
-    /// Per register slot: the lane's row, if ever materialized.
-    registers: Vec<Option<Tensor>>,
+    /// Per stacked variable, in the program's slot order: the lane's
+    /// stack pointer.
+    sp: Vec<usize>,
+    /// Per lane buffer, in `State::buffers` order: the lane's `[1, ..]`
+    /// row, if the buffer was ever materialized.
+    rows: Vec<Option<Tensor>>,
     /// Supersteps the lane has been charged for so far; migrates with
     /// the lane so a budget cannot be reset by moving shards.
     spent: u64,
@@ -142,18 +139,16 @@ impl LaneState {
     }
 }
 
-/// Refuse `row` (a lane's `[1, elem..]` slice of some buffer) unless
-/// its element shape and dtype are those of the live buffer `live`,
-/// whose leading `skip` axes are batch axes.
-fn check_row(what: &str, row: &Tensor, live: &Tensor, skip: usize) -> Result<()> {
-    if live.shape()[skip..] != row.shape()[1..] || live.dtype() != row.dtype() {
+/// Refuse `row` (a lane's `[1, ..]` row of some buffer) unless its row
+/// shape and dtype are those of the live buffer `live`.
+fn check_row(row: &Tensor, live: &Tensor) -> Result<()> {
+    if live.shape()[1..] != row.shape()[1..] || live.dtype() != row.dtype() {
         return Err(VmError::BadInputs {
             what: format!(
-                "inject_lane: lane {what} row is {:?} {:?}, but the live \
-                 batch holds {:?} {:?}",
+                "inject_lane: lane row is {:?} {:?}, but the live batch holds {:?} {:?}",
                 &row.shape()[1..],
                 row.dtype(),
-                &live.shape()[skip..],
+                &live.shape()[1..],
                 live.dtype()
             ),
         });
@@ -207,15 +202,9 @@ impl State {
         self.peak_bytes.extend(std::iter::repeat_n(0, k));
         for s in self.stacked.iter_mut() {
             s.sp.extend(std::iter::repeat_n(0, k));
-            if let Some(top) = &s.top {
-                s.top = Some(top.pad_rows(k)?);
-            }
-            if let Some(store) = &s.store {
-                s.store = Some(store.pad_axis1(k)?);
-            }
         }
-        for slot in self.registers.iter_mut().flatten() {
-            *slot = slot.pad_rows(k)?;
+        for buf in self.buffers_mut().flatten() {
+            *buf = buf.pad_rows(k)?;
         }
         self.z += k;
         Ok(())
@@ -239,61 +228,51 @@ impl State {
         self.peak_bytes = keep.iter().map(|&b| self.peak_bytes[b]).collect();
         for s in self.stacked.iter_mut() {
             s.sp = keep.iter().map(|&b| s.sp[b]).collect();
-            if let Some(top) = &s.top {
-                s.top = Some(top.gather_rows(keep)?);
-            }
-            if let Some(store) = &s.store {
-                s.store = Some(store.select_axis1(keep)?);
-            }
         }
-        for slot in self.registers.iter_mut().flatten() {
-            *slot = slot.gather_rows(keep)?;
+        for buf in self.buffers_mut().flatten() {
+            *buf = buf.gather_rows(keep)?;
         }
         self.z = keep.len();
         Ok(())
     }
 
+    /// Every lane buffer, in one fixed order: each stacked variable's top
+    /// and store, in the program's slot order, then the registers.
+    fn buffers(&self) -> impl Iterator<Item = &Option<Tensor>> {
+        let stacks = self.stacked.iter().flat_map(|s| [&s.top, &s.store]);
+        stacks.chain(&self.registers)
+    }
+
+    /// [`State::buffers`], mutably.
+    fn buffers_mut(&mut self) -> impl Iterator<Item = &mut Option<Tensor>> {
+        let stacks = self
+            .stacked
+            .iter_mut()
+            .flat_map(|s| [&mut s.top, &mut s.store]);
+        stacks.chain(&mut self.registers)
+    }
+
     /// A copy of everything lane `b` holds.
     pub(crate) fn snapshot(&self, b: usize) -> Result<LaneState> {
-        let mut depths = vec![0usize; self.z];
-        let mut stacked = Vec::with_capacity(self.stacked.len());
-        for s in &self.stacked {
-            let sp = s.sp[b];
-            let mut frames = Vec::with_capacity(sp);
-            if sp > 0 {
-                // The store always spans the full depth limit, so any
-                // frame index below `sp` is in bounds for every lane.
-                let store = s.store.as_ref().ok_or_else(|| VmError::BadInputs {
-                    what: format!("extract_lanes: sp {sp} > 0 with no store buffer"),
-                })?;
-                for d in 0..sp {
-                    depths.fill(d);
-                    frames.push(store.gather_at_depth(&depths)?.gather_rows(&[b])?);
-                }
-            }
-            let top = s.top.as_ref().map(|t| t.gather_rows(&[b])).transpose()?;
-            stacked.push(LaneStack { frames, top });
-        }
-        let registers = self
-            .registers
-            .iter()
-            .map(|slot| slot.as_ref().map(|t| t.gather_rows(&[b])).transpose())
+        let rows = self
+            .buffers()
+            .map(|buf| buf.as_ref().map(|t| t.gather_rows(&[b])).transpose())
             .collect::<std::result::Result<_, _>>()?;
         Ok(LaneState {
             key: self.member_keys[b],
             pc_top: self.pc_top[b],
             pc_stack: self.pc_stack[b].clone(),
-            stacked,
-            registers,
+            sp: self.stacked.iter().map(|s| s.sp[b]).collect(),
+            rows,
             spent: self.spent[b],
             peak_bytes: self.peak_bytes[b],
         })
     }
 
     /// Whether [`State::restore`] can write `lane` into a lane of this
-    /// state: a running lane of the same program, no deeper than
-    /// `depth_limit`, whose rows have the live buffers' element shapes
-    /// and dtypes wherever both sides hold one.
+    /// state: a running lane of the same program whose stores are
+    /// `depth_limit` frames deep, and whose rows have the live buffers'
+    /// row shapes and dtypes wherever both sides hold one.
     pub(crate) fn accepts(&self, lane: &LaneState, depth_limit: usize) -> Result<()> {
         if lane.pc_top >= self.exit {
             return Err(VmError::BadInputs {
@@ -303,39 +282,34 @@ impl State {
                 ),
             });
         }
-        if lane.stacked.len() != self.stacked.len() || lane.registers.len() != self.registers.len()
-        {
+        let buffers = self.buffers().count();
+        if lane.sp.len() != self.stacked.len() || lane.rows.len() != buffers {
             return Err(VmError::BadInputs {
                 what: format!(
-                    "inject_lane: lane has {} stacked vars / {} registers, \
+                    "inject_lane: lane has {} stacked vars / {} buffers, \
                      machine has {} / {} (programs must match)",
-                    lane.stacked.len(),
-                    lane.registers.len(),
+                    lane.sp.len(),
+                    lane.rows.len(),
                     self.stacked.len(),
-                    self.registers.len()
+                    buffers
                 ),
             });
         }
-        if let Some(ls) = lane.stacked.iter().find(|ls| ls.frames.len() > depth_limit) {
+        // The stacked variables' rows come first, as (top, store) pairs.
+        let pairs = lane.rows.chunks(2).take(lane.sp.len());
+        let mut stores = pairs.filter_map(|pair| pair[1].as_ref());
+        if let Some(row) = stores.find(|row| row.shape()[1] != depth_limit) {
             return Err(VmError::BadInputs {
                 what: format!(
-                    "inject_lane: lane carries {0} frames at sp {0} under depth limit \
-                     {depth_limit}",
-                    ls.frames.len(),
+                    "inject_lane: lane stack is {} frames deep, but the stack depth \
+                     here is {depth_limit}",
+                    row.shape()[1]
                 ),
             });
         }
-        for (s, ls) in self.stacked.iter().zip(&lane.stacked) {
-            if let (Some(top), Some(row)) = (&s.top, &ls.top) {
-                check_row("stack-top", row, top, 1)?;
-            }
-            if let (Some(store), Some(frame)) = (&s.store, ls.frames.first()) {
-                check_row("stack-frame", frame, store, 2)?;
-            }
-        }
-        for (slot, row) in self.registers.iter().zip(&lane.registers) {
-            if let (Some(t), Some(row)) = (slot, row) {
-                check_row("register", row, t, 1)?;
+        for (buf, row) in self.buffers().zip(&lane.rows) {
+            if let (Some(live), Some(row)) = (buf, row) {
+                check_row(row, live)?;
             }
         }
         Ok(())
@@ -343,39 +317,22 @@ impl State {
 
     /// Overwrite lane `b` — a zeroed lane [`State::grow`] just appended
     /// — with `lane`, which this state [accepts](State::accepts). The
-    /// lane keeps the ticket `grow` gave it. A store created here spans
-    /// `depth_limit` frames like one the VM's push path creates, so it
-    /// is layout-identical to one the machine grew itself.
-    pub(crate) fn restore(&mut self, b: usize, lane: &LaneState, depth_limit: usize) -> Result<()> {
+    /// lane keeps the ticket `grow` gave it. A buffer created here is
+    /// zeroed around the lane's row, so it is layout-identical to one
+    /// the machine grew itself.
+    pub(crate) fn restore(&mut self, b: usize, lane: &LaneState) -> Result<()> {
         let z = self.z;
         self.pc_top[b] = lane.pc_top;
         self.pc_stack[b].clone_from(&lane.pc_stack);
         self.member_keys[b] = lane.key;
         self.spent[b] = lane.spent;
         self.peak_bytes[b] = lane.peak_bytes;
-        let mut mask = vec![false; z];
-        mask[b] = true;
-        let mut depths = vec![0usize; z];
-        for (s, ls) in self.stacked.iter_mut().zip(&lane.stacked) {
-            s.sp[b] = ls.frames.len();
-            if let Some(row) = &ls.top {
-                store_rows(&mut s.top, z, &[b], row)?;
-            }
-            for (d, frame) in ls.frames.iter().enumerate() {
-                let store = s.store.get_or_insert_with(|| {
-                    let mut shape = vec![depth_limit, z];
-                    shape.extend_from_slice(&frame.shape()[1..]);
-                    Tensor::zeros(frame.dtype(), &shape)
-                });
-                let mut full = zeroed(z, frame);
-                full.scatter_rows(&[b], frame)?;
-                depths.fill(d);
-                store.scatter_at_depth(&depths, &mask, &full)?;
-            }
+        for (s, &sp) in self.stacked.iter_mut().zip(&lane.sp) {
+            s.sp[b] = sp;
         }
-        for (slot, row) in self.registers.iter_mut().zip(&lane.registers) {
+        for (buf, row) in self.buffers_mut().zip(&lane.rows) {
             if let Some(row) = row {
-                store_rows(slot, z, &[b], row)?;
+                store_rows(buf, z, &[b], row)?;
             }
         }
         Ok(())

@@ -3,7 +3,7 @@
 //! A flat, non-recursive interpreter over the merged
 //! [`pcab`](autobatch_ir::pcab) program. Every batch member carries a
 //! stacked program counter; each stacked data variable owns a
-//! `[D, Z, ..]` stack tensor plus per-member stack pointers, with the
+//! `[Z, D, ..]` stack tensor plus per-member stack pointers, with the
 //! current top cached densely (paper optimization 4). Because recursion
 //! state lives entirely in these arrays, the runtime is a single loop —
 //! exactly the property that lets the paper compile it with XLA — and
@@ -84,7 +84,8 @@ use crate::pricing::Pricing;
 /// machine transparently copies a buffer only on its next write to it.
 #[derive(Debug, Clone)]
 pub struct StackSnapshot {
-    /// Frames beneath the top, `[D, Z, elem..]`, if ever pushed.
+    /// Frames beneath the top, `[Z, D, elem..]` (lane `b`'s frames are
+    /// row `b`), if ever pushed.
     pub store: Option<Tensor>,
     /// Per-member stack pointers (frames currently in `store`).
     pub sp: Vec<usize>,
@@ -900,7 +901,7 @@ impl Superstep<'_, '_> {
                         // place (a live clone would force a copy-on-write).
                         let top = s.top.take().expect("ensured above");
                         if s.store.is_none() {
-                            let mut shape = vec![vm.opts.stack_depth, z];
+                            let mut shape = vec![z, vm.opts.stack_depth];
                             shape.extend_from_slice(&top.shape()[1..]);
                             s.store = Some(Tensor::zeros(top.dtype(), &shape));
                         }
@@ -957,8 +958,13 @@ impl Superstep<'_, '_> {
         let (depths, active) = (&scratch.depths, &scratch.active[..]);
         unshare(&mut s.top, &mut scratch.spare);
         match &mut s.top {
-            // The frames land straight in the cached top, under the mask.
-            Some(top) if top.dtype() == store.dtype() && top.shape() == &store.shape()[1..] => {
+            // The frames land straight in the cached top, under the mask,
+            // when the top has the frame shape `[Z] ++ store.shape()[2..]`.
+            Some(top)
+                if top.dtype() == store.dtype()
+                    && top.shape()[0] == store.shape()[0]
+                    && top.shape()[1..] == store.shape()[2..] =>
+            {
                 store.gather_at_depth_into(depths, active, top)?;
             }
             // A top of another shape is replaced as `land` replaces it;
@@ -1457,11 +1463,10 @@ impl<'p> PcMachine<'p> {
     /// when the lane's rows disagree with the live batch's element
     /// shapes.
     pub fn inject_lane(&mut self, lane: &LaneState, trace: Option<&mut Trace>) -> Result<u64> {
-        let depth_limit = self.vm.opts.stack_depth;
-        self.st.accepts(lane, depth_limit)?;
+        self.st.accepts(lane, self.vm.opts.stack_depth)?;
         let b = self.st.z();
         self.st.grow(1)?;
-        self.st.restore(b, lane, depth_limit)?;
+        self.st.restore(b, lane)?;
         if let Some(t) = trace {
             t.migrate_in(1, self.st.z());
         }

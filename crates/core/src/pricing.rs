@@ -37,8 +37,8 @@
 //!   the active count instead of the batch width.
 //! - **The functional surcharge.** On a backend with functional stack
 //!   updates, an update of a cached top copies the top buffer, a push
-//!   or pop copies the whole `[D, Z, ..]` store, and a pc push or pop
-//!   copies the `[D, Z]` pc stack: twice the buffer, read plus write —
+//!   or pop copies the whole `[Z, D, ..]` store, and a pc push or pop
+//!   copies the `[Z, D]` pc stack: twice the buffer, read plus write —
 //!   the cost the paper's §4.1 hypothesis (2) blames for fully compiled
 //!   autobatching losing to the hybrid at very large batches. A quirk
 //!   kept: the copy is streaming traffic but is priced as
@@ -312,7 +312,7 @@ impl<'t> Pricing<'t> {
     }
 
     /// A push of one `row_bytes` frame per active member onto a
-    /// `[D, Z, ..]` store of `store_bytes`.
+    /// `[Z, D, ..]` store of `store_bytes`.
     pub(crate) fn stack_push(&mut self, store_bytes: usize, row_bytes: usize) {
         self.stack(store_bytes, row_bytes, false);
     }

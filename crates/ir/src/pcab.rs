@@ -32,7 +32,7 @@ pub enum VarClass {
     /// Live across blocks but never across a recursive call: a masked
     /// flat value, no stack, no stack pointer.
     Register,
-    /// Live across a recursive call: full `[D, Z, ..]` stack plus
+    /// Live across a recursive call: full `[Z, D, ..]` stack plus
     /// per-member stack pointers.
     Stacked,
 }

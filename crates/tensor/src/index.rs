@@ -8,7 +8,10 @@
 //!   members into a smaller array, compute, scatter back" strategy;
 //! - *gather/scatter at depth* implement the per-variable stack reads and
 //!   writes of program-counter autobatching (Algorithm 2), where each
-//!   batch member may sit at a different stack depth.
+//!   batch member may sit at a different stack depth. Stack storage is
+//!   lane-major, `[Z, D, ..]`: a lane's frames are its row, so adding,
+//!   dropping or copying lanes is the same row kernel as for any other
+//!   per-lane tensor.
 //!
 //! Every kernel here is validation, index arithmetic, and one loop
 //! generic over the element type. The type is chosen in two places, both
@@ -26,10 +29,10 @@ fn row_len(t: &Tensor) -> Result<usize> {
     if t.rank() == 0 {
         return Err(TensorError::InvalidAxis { axis: 0, rank: 0 });
     }
-    Ok(t.len() / t.shape()[0].max(1))
+    Ok(t.shape()[1..].iter().product())
 }
 
-/// `(D, Z, elements per lane)` of a stack-storage tensor `[D, Z, ..]`.
+/// `(Z, D, elements per frame)` of a stack-storage tensor `[Z, D, ..]`.
 fn stack_dims(t: &Tensor) -> Result<(usize, usize, usize)> {
     if t.rank() < 2 {
         return Err(TensorError::InvalidAxis {
@@ -47,6 +50,14 @@ fn check_indices(indices: &[usize], len: usize, op: &'static str) -> Result<()> 
     match indices.iter().find(|&&i| i >= len) {
         Some(&index) => Err(TensorError::IndexOutOfBounds { index, len, op }),
         None => Ok(()),
+    }
+}
+
+/// Copy `el` elements from `src[from..]` to `dst[to..]` for each
+/// `(to, from)` offset pair (already bounds-checked).
+fn copy_at<T: Copy>(dst: &mut [T], src: &[T], el: usize, at: impl Iterator<Item = (usize, usize)>) {
+    for (to, from) in at {
+        dst[to..to + el].copy_from_slice(&src[from..from + el]);
     }
 }
 
@@ -176,8 +187,8 @@ impl Tensor {
         Ok(())
     }
 
-    /// Stack read: for a stack tensor of shape `[D, Z, ..]` and per-member
-    /// depths `depths` (length `Z`), gather `self[depths[b], b, ..]` into a
+    /// Stack read: for a stack tensor of shape `[Z, D, ..]` and per-member
+    /// depths `depths` (length `Z`), gather `self[b, depths[b], ..]` into a
     /// tensor of shape `[Z, ..]`.
     ///
     /// This is the `x[x_stack]` gather of Algorithm 2.
@@ -187,15 +198,15 @@ impl Tensor {
     /// Returns an error if the tensor has rank < 2, `depths.len() != Z`,
     /// or any depth is out of range.
     pub fn gather_at_depth(&self, depths: &[usize]) -> Result<Tensor> {
-        fn go<T: Copy>(v: &[T], depths: &[usize], z: usize, el: usize) -> Vec<T> {
-            let mut out = Vec::with_capacity(z * el);
+        fn go<T: Copy>(v: &[T], depths: &[usize], d_max: usize, el: usize) -> Vec<T> {
+            let mut out = Vec::with_capacity(depths.len() * el);
             for (b, &d) in depths.iter().enumerate() {
-                let base = (d * z + b) * el;
+                let base = (b * d_max + d) * el;
                 out.extend_from_slice(&v[base..base + el]);
             }
             out
         }
-        let (d_max, z, el) = stack_dims(self)?;
+        let (z, d_max, el) = stack_dims(self)?;
         if depths.len() != z {
             return Err(TensorError::MaskLength {
                 expected: z,
@@ -206,12 +217,12 @@ impl Tensor {
             .chain(self.shape()[2..].iter().copied())
             .collect();
         check_indices(depths, d_max, "gather_at_depth")?;
-        let data = fresh_like!(self.data() => |v| go(v, depths, z, el));
+        let data = fresh_like!(self.data() => |v| go(v, depths, d_max, el));
         Tensor::new(data, &out_shape)
     }
 
     /// Masked stack read **into `out`**: for a stack tensor of shape
-    /// `[D, Z, ..]`, write `self[depths[b], b, ..]` into row `b` of `out`
+    /// `[Z, D, ..]`, write `self[b, depths[b], ..]` into row `b` of `out`
     /// (shape `[Z, ..]`) for every member where `mask[b]` is `true`; the
     /// other rows keep their values. This is Algorithm 2's `POP` landing
     /// the restored frames straight in the cached top, in place unless
@@ -228,34 +239,26 @@ impl Tensor {
         mask: &[bool],
         out: &mut Tensor,
     ) -> Result<()> {
-        fn go<T: Copy>(d: &mut [T], v: &[T], depths: &[usize], mask: &[bool], el: usize) {
-            let z = depths.len();
-            for (b, (&depth, &m)) in depths.iter().zip(mask).enumerate() {
-                if m {
-                    let base = (depth * z + b) * el;
-                    d[b * el..(b + 1) * el].copy_from_slice(&v[base..base + el]);
-                }
-            }
-        }
-        let el = self.frame_io(depths, mask, out, "gather_at_depth_into")?;
+        let (el, at) = self.frame_io(depths, mask, out, "gather_at_depth_into")?;
         let dst = out.payload_like(self, "gather_at_depth_into")?;
-        write_like!(dst, self.data() => |d, v| go(d, v, depths, mask, el));
+        write_like!(dst, self.data() => |d, v| copy_at(d, v, el, at));
         Ok(())
     }
 
-    /// The elements per lane of a stack tensor `[D, Z, ..]` that kernel
-    /// `op` moves frames between and `frames` (`[Z, ..]`), once `depths`
-    /// and `mask` are known to hold one entry per member, `frames` to be
-    /// shaped like one frame per member, and every masked depth to name a
-    /// frame (checked in that order).
-    fn frame_io(
+    /// The elements per frame of a stack tensor `[Z, D, ..]` that kernel
+    /// `op` moves frames between and `frames` (`[Z, ..]`), and each masked
+    /// member's `(row, frame)` offsets into `frames` and `self`, once
+    /// `depths` and `mask` are known to hold one entry per member,
+    /// `frames` to be shaped like one frame per member, and every masked
+    /// depth to name a frame (checked in that order).
+    fn frame_io<'a>(
         &self,
-        depths: &[usize],
-        mask: &[bool],
+        depths: &'a [usize],
+        mask: &'a [bool],
         frames: &Tensor,
         op: &'static str,
-    ) -> Result<usize> {
-        let (d_max, z, el) = stack_dims(self)?;
+    ) -> Result<(usize, impl Iterator<Item = (usize, usize)> + 'a)> {
+        let (z, d_max, el) = stack_dims(self)?;
         for len in [depths.len(), mask.len()] {
             if len != z {
                 return Err(TensorError::MaskLength {
@@ -278,12 +281,20 @@ impl Tensor {
                 len: d_max,
                 op,
             }),
-            None => Ok(el),
+            None => Ok((
+                el,
+                depths
+                    .iter()
+                    .zip(mask)
+                    .enumerate()
+                    .filter(|&(_, (_, &m))| m)
+                    .map(move |(b, (&d, _))| (b * el, (b * d_max + d) * el)),
+            )),
         }
     }
 
-    /// Stack write: for a stack tensor of shape `[D, Z, ..]`, write row `b`
-    /// of `src` (shape `[Z, ..]`) into `self[depths[b], b, ..]` for every
+    /// Stack write: for a stack tensor of shape `[Z, D, ..]`, write row `b`
+    /// of `src` (shape `[Z, ..]`) into `self[b, depths[b], ..]` for every
     /// member where `mask[b]` is `true`.
     ///
     /// This is the scatter of Algorithm 2's `PUSH`.
@@ -297,18 +308,10 @@ impl Tensor {
         mask: &[bool],
         src: &Tensor,
     ) -> Result<()> {
-        fn go<T: Copy>(dst: &mut [T], s: &[T], depths: &[usize], mask: &[bool], el: usize) {
-            let z = depths.len();
-            for (b, (&d, &m)) in depths.iter().zip(mask).enumerate() {
-                if m {
-                    let base = (d * z + b) * el;
-                    dst[base..base + el].copy_from_slice(&s[b * el..(b + 1) * el]);
-                }
-            }
-        }
-        let el = self.frame_io(depths, mask, src, "scatter_at_depth")?;
+        let (el, at) = self.frame_io(depths, mask, src, "scatter_at_depth")?;
+        let at = at.map(|(row, frame)| (frame, row));
         let dst = self.payload_like(src, "scatter_at_depth")?;
-        write_like!(dst, src.data() => |d, s| go(d, s, depths, mask, el));
+        write_like!(dst, src.data() => |d, s| copy_at(d, s, el, at));
         Ok(())
     }
 
@@ -327,72 +330,26 @@ impl Tensor {
     ///
     /// This is the growth primitive of dynamic batch admission — newly
     /// admitted members land in freshly zeroed lanes, exactly the state a
-    /// fresh batch would start from.
+    /// fresh batch would start from. It grows stack storage `[Z, D, ..]`
+    /// too: each new lane gets `D` zeroed frames. The result is
+    /// allocated once.
     ///
     /// # Errors
     ///
     /// Returns an error for rank-0 tensors.
     pub fn pad_rows(&self, extra: usize) -> Result<Tensor> {
-        if self.rank() == 0 {
-            return Err(TensorError::InvalidAxis { axis: 0, rank: 0 });
+        fn go<T: Copy + Default>(v: &[T], len: usize) -> Vec<T> {
+            let mut out = Vec::with_capacity(len);
+            out.extend_from_slice(v);
+            out.resize(len, T::default());
+            out
         }
+        let rl = row_len(self)?;
         let mut shape = self.shape().to_vec();
-        shape[0] = extra;
-        Tensor::concat_rows(&[self.clone(), Tensor::zeros(self.dtype(), &shape)])
-    }
-
-    /// Append `extra` zero columns along axis 1:
-    /// `[D, Z, ..] -> [D, Z + extra, ..]`.
-    ///
-    /// Grows a stack-storage tensor when members are admitted into an
-    /// in-flight batch; every depth level gains zeroed lanes.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for tensors of rank < 2.
-    pub fn pad_axis1(&self, extra: usize) -> Result<Tensor> {
-        /// `old` / `new`: elements per depth level before and after.
-        fn go<T: Copy + Default>(v: &[T], d: usize, old: usize, new: usize) -> Vec<T> {
-            let mut out = vec![T::default(); d * new];
-            for depth in 0..d {
-                out[depth * new..depth * new + old]
-                    .copy_from_slice(&v[depth * old..(depth + 1) * old]);
-            }
-            out
-        }
-        let (d, z, el) = stack_dims(self)?;
-        let mut out_shape = self.shape().to_vec();
-        out_shape[1] = z + extra;
-        let data = fresh_like!(self.data() => |v| go(v, d, z * el, (z + extra) * el));
-        Tensor::new(data, &out_shape)
-    }
-
-    /// Select columns along axis 1: `[D, Z, ..] -> [D, indices.len(), ..]`
-    /// with `out[d, j, ..] = self[d, indices[j], ..]`.
-    ///
-    /// Compacts a stack-storage tensor when members retire from an
-    /// in-flight batch (the surviving lanes are gathered together).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for tensors of rank < 2 or out-of-range indices.
-    pub fn select_axis1(&self, indices: &[usize]) -> Result<Tensor> {
-        fn go<T: Copy>(v: &[T], indices: &[usize], d: usize, z: usize, el: usize) -> Vec<T> {
-            let mut out = Vec::with_capacity(d * indices.len() * el);
-            for depth in 0..d {
-                for &i in indices {
-                    let base = (depth * z + i) * el;
-                    out.extend_from_slice(&v[base..base + el]);
-                }
-            }
-            out
-        }
-        let (d, z, el) = stack_dims(self)?;
-        check_indices(indices, z, "select_axis1")?;
-        let mut out_shape = self.shape().to_vec();
-        out_shape[1] = indices.len();
-        let data = fresh_like!(self.data() => |v| go(v, indices, d, z, el));
-        Tensor::new(data, &out_shape)
+        shape[0] += extra;
+        let len = shape[0] * rl;
+        let data = fresh_like!(self.data() => |v| go(v, len));
+        Tensor::new(data, &shape)
     }
 
     /// Concatenate tensors along axis 0. All inputs must agree on dtype
@@ -476,15 +433,15 @@ mod tests {
 
     #[test]
     fn depth_gather_scatter() {
-        // Stack of shape [D=2, Z=3] with distinct values.
-        let mut stack = Tensor::from_f64(&[0.0, 1.0, 2.0, 10.0, 11.0, 12.0], &[2, 3]).unwrap();
+        // Stack of shape [Z=3, D=2] with distinct values.
+        let mut stack = Tensor::from_f64(&[0.0, 10.0, 1.0, 11.0, 2.0, 12.0], &[3, 2]).unwrap();
         let top = stack.gather_at_depth(&[0, 1, 0]).unwrap();
         assert_eq!(top.as_f64().unwrap(), &[0.0, 11.0, 2.0]);
         let src = Tensor::from_f64(&[7.0, 8.0, 9.0], &[3]).unwrap();
         stack
             .scatter_at_depth(&[1, 0, 1], &[true, true, false], &src)
             .unwrap();
-        assert_eq!(stack.as_f64().unwrap(), &[0.0, 8.0, 2.0, 7.0, 11.0, 12.0]);
+        assert_eq!(stack.as_f64().unwrap(), &[0.0, 7.0, 8.0, 11.0, 2.0, 12.0]);
     }
 
     #[test]
@@ -521,9 +478,9 @@ mod tests {
 
     #[test]
     fn depth_gather_with_element_shape() {
-        // Stack [D=2, Z=2, 2].
+        // Stack [Z=2, D=2, 2].
         let stack =
-            Tensor::from_f64(&[0.0, 1.0, 2.0, 3.0, 10.0, 11.0, 12.0, 13.0], &[2, 2, 2]).unwrap();
+            Tensor::from_f64(&[0.0, 1.0, 10.0, 11.0, 2.0, 3.0, 12.0, 13.0], &[2, 2, 2]).unwrap();
         let top = stack.gather_at_depth(&[1, 0]).unwrap();
         assert_eq!(top.shape(), &[2, 2]);
         assert_eq!(top.as_f64().unwrap(), &[10.0, 11.0, 2.0, 3.0]);
@@ -531,7 +488,7 @@ mod tests {
 
     #[test]
     fn depth_bounds_only_checked_for_active() {
-        let mut stack = Tensor::zeros(crate::DType::F64, &[1, 2]);
+        let mut stack = Tensor::zeros(crate::DType::F64, &[2, 1]);
         let src = Tensor::zeros(crate::DType::F64, &[2]);
         // Depth 5 out of range but masked off: fine.
         stack
@@ -559,7 +516,7 @@ mod tests {
         assert_eq!(masked, refused("masked_assign_rows"));
         assert_eq!(t.scatter_rows(&[0, 1], &src), refused("scatter_rows"));
         assert!(t.shares_storage(&rows));
-        let stack = Tensor::zeros(crate::DType::F64, &[1, 2]);
+        let stack = Tensor::zeros(crate::DType::F64, &[2, 1]);
         let mut t = stack.clone();
         let pushed = t.scatter_at_depth(&[0, 0], &[true, true], &src);
         assert_eq!(pushed, refused("scatter_at_depth"));
@@ -568,7 +525,7 @@ mod tests {
 
     #[test]
     fn scatter_at_depth_reports_the_length_that_is_wrong() {
-        let mut stack = Tensor::zeros(crate::DType::F64, &[1, 2]);
+        let mut stack = Tensor::zeros(crate::DType::F64, &[2, 1]);
         let src = Tensor::zeros(crate::DType::F64, &[2]);
         let short = |got| Err(TensorError::MaskLength { expected: 2, got });
         assert_eq!(stack.scatter_at_depth(&[0, 0], &[true], &src), short(1));
@@ -605,36 +562,12 @@ mod tests {
             &[1.0, 2.0, 3.0, 4.0, 0.0, 0.0, 0.0, 0.0]
         );
         assert!(Tensor::scalar(1.0).pad_rows(1).is_err());
-    }
-
-    #[test]
-    fn pad_axis1_grows_every_depth_level() {
-        // Stack [D=2, Z=2]: depths keep their values, new lanes are zero.
-        let t = Tensor::from_i64(&[1, 2, 10, 20], &[2, 2]).unwrap();
-        let p = t.pad_axis1(1).unwrap();
-        assert_eq!(p.shape(), &[2, 3]);
-        assert_eq!(p.as_i64().unwrap(), &[1, 2, 0, 10, 20, 0]);
-        assert!(Tensor::from_i64(&[1], &[1]).unwrap().pad_axis1(1).is_err());
-    }
-
-    #[test]
-    fn select_axis1_compacts_lanes() {
-        // Stack [D=2, Z=3, 1].
-        let t = Tensor::from_f64(&[0.0, 1.0, 2.0, 10.0, 11.0, 12.0], &[2, 3, 1]).unwrap();
-        let s = t.select_axis1(&[2, 0]).unwrap();
-        assert_eq!(s.shape(), &[2, 2, 1]);
-        assert_eq!(s.as_f64().unwrap(), &[2.0, 0.0, 12.0, 10.0]);
-        assert!(t.select_axis1(&[3]).is_err());
-        // Empty selection shrinks to zero lanes.
-        assert_eq!(t.select_axis1(&[]).unwrap().shape(), &[2, 0, 1]);
-    }
-
-    #[test]
-    fn pad_then_select_roundtrip() {
-        let t = Tensor::from_f64(&[1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
-        let grown = t.pad_axis1(3).unwrap();
-        let back = grown.select_axis1(&[0, 1]).unwrap();
-        assert_eq!(back, t);
+        // A tensor of no rows keeps its row length.
+        let empty = Tensor::zeros(crate::DType::I64, &[0, 2, 3]);
+        assert_eq!(
+            empty.pad_rows(1).unwrap(),
+            Tensor::zeros(crate::DType::I64, &[1, 2, 3])
+        );
     }
 
     #[test]

@@ -11,9 +11,9 @@ use crate::shape::volume;
 ///
 /// This is the batched-array substrate the autobatching runtimes execute
 /// against. By convention the runtimes use axis 0 as the batch dimension
-/// and (for stacked variables) axis 0 of a separate stack tensor as the
-/// stack-depth dimension, but `Tensor` itself is plain N-d storage with
-/// no special axes.
+/// of every per-lane tensor, and (for stacked variables) axis 1 of a
+/// `[Z, D, ..]` stack tensor as the stack-depth dimension, but `Tensor`
+/// itself is plain N-d storage with no special axes.
 ///
 /// # Copy-on-write storage
 ///

@@ -203,21 +203,21 @@ proptest! {
         shared in any::<bool>(),
     ) {
         for dtype in DTYPES {
-            let stack = tensor_of(dtype, &a, &[4, 3, el]);
+            let stack = tensor_of(dtype, &a, &[3, 4, el]);
             let top = tensor_of(dtype, &b, &[3, el]);
             let mut out = tensor_of(dtype, &b, &[3, el]);
             // A second holder of the top's payload must read it unchanged.
             let holder = shared.then(|| out.clone());
             stack.gather_at_depth_into(&depths, &mask, &mut out).unwrap();
             let want = build(dtype, &[3, el], |ix| {
-                (if mask[ix[0]] { stack.get(&[depths[ix[0]], ix[0], ix[1]]) } else { top.get(ix) }).ok()
+                (if mask[ix[0]] { stack.get(&[ix[0], depths[ix[0]], ix[1]]) } else { top.get(ix) }).ok()
             });
             prop_assert_eq!(&out, &want, "gather_at_depth_into on {}", dtype);
             // It is the allocating read landed under the mask.
             let mut landed = top.clone();
             landed.masked_assign_rows(&mask, &stack.gather_at_depth(&depths).unwrap()).unwrap();
             prop_assert_eq!(&out, &landed);
-            prop_assert_eq!(&stack, &tensor_of(dtype, &a, &[4, 3, el]));
+            prop_assert_eq!(&stack, &tensor_of(dtype, &a, &[3, 4, el]));
             if let Some(holder) = holder {
                 prop_assert_eq!(&holder, &top);
             }
@@ -233,27 +233,27 @@ proptest! {
         mask in vec_bool(3),
     ) {
         for dtype in DTYPES {
-            let mut stack = tensor_of(dtype, &a, &[4, 3, el]);
+            let mut stack = tensor_of(dtype, &a, &[3, 4, el]);
             let sibling = stack.clone();
             let src = tensor_of(dtype, &b, &[3, el]);
             // Each active member's row lands at its own depth.
             stack.scatter_at_depth(&depths, &mask, &src).unwrap();
-            let want = build(dtype, &[4, 3, el], |ix| {
-                if mask[ix[1]] && depths[ix[1]] == ix[0] {
-                    src.get(&[ix[1], ix[2]]).ok()
+            let want = build(dtype, &[3, 4, el], |ix| {
+                if mask[ix[0]] && depths[ix[0]] == ix[1] {
+                    src.get(&[ix[0], ix[2]]).ok()
                 } else {
                     sibling.get(ix).ok()
                 }
             });
             prop_assert_eq!(&stack, &want, "scatter_at_depth on {}", dtype);
-            prop_assert_eq!(&sibling, &tensor_of(dtype, &a, &[4, 3, el]));
+            prop_assert_eq!(&sibling, &tensor_of(dtype, &a, &[3, 4, el]));
             // Reading at those depths recovers the written rows, and the
             // old tops of the members that sat out.
             let read = stack.gather_at_depth(&depths).unwrap();
-            let want = build(dtype, &[3, el], |ix| stack.get(&[depths[ix[0]], ix[0], ix[1]]).ok());
+            let want = build(dtype, &[3, el], |ix| stack.get(&[ix[0], depths[ix[0]], ix[1]]).ok());
             prop_assert_eq!(&read, &want, "gather_at_depth on {}", dtype);
             let tops = build(dtype, &[3, el], |ix| {
-                (if mask[ix[0]] { src.get(ix) } else { sibling.get(&[depths[ix[0]], ix[0], ix[1]]) }).ok()
+                (if mask[ix[0]] { src.get(ix) } else { sibling.get(&[ix[0], depths[ix[0]], ix[1]]) }).ok()
             });
             prop_assert_eq!(&read, &tops);
         }
@@ -266,34 +266,6 @@ proptest! {
             let want = build(dtype, &[3 + extra, el], |ix| t.get(ix).ok());
             prop_assert_eq!(&t.pad_rows(extra).unwrap(), &want, "{}", dtype);
             prop_assert_eq!(&t, &tensor_of(dtype, &a, &[3, el]));
-        }
-    }
-
-    #[test]
-    fn pad_axis1_appends_zero_lanes_at_every_depth(
-        a in vec_i64(12),
-        el in 0usize..3,
-        extra in 0usize..3,
-    ) {
-        for dtype in DTYPES {
-            let t = tensor_of(dtype, &a, &[2, 3, el]);
-            let want = build(dtype, &[2, 3 + extra, el], |ix| t.get(ix).ok());
-            prop_assert_eq!(&t.pad_axis1(extra).unwrap(), &want, "{}", dtype);
-            prop_assert_eq!(&t, &tensor_of(dtype, &a, &[2, 3, el]));
-        }
-    }
-
-    #[test]
-    fn select_axis1_picks_lanes_at_every_depth(
-        a in vec_i64(12),
-        el in 0usize..3,
-        idx in proptest::collection::vec(0usize..3, 0..5),
-    ) {
-        for dtype in DTYPES {
-            let t = tensor_of(dtype, &a, &[2, 3, el]);
-            let want = build(dtype, &[2, idx.len(), el], |ix| t.get(&[ix[0], idx[ix[1]], ix[2]]).ok());
-            prop_assert_eq!(&t.select_axis1(&idx).unwrap(), &want, "{}", dtype);
-            prop_assert_eq!(&t, &tensor_of(dtype, &a, &[2, 3, el]));
         }
     }
 

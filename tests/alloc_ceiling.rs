@@ -91,8 +91,8 @@ fn check(
     }
 }
 
-#[test]
-fn divergent_binom_stays_under_0_0075_and_0_0074_allocations_per_superstep() {
+/// The divergent binom program, lowered, and its 12-request stream.
+fn binom() -> (Program, Vec<Vec<Tensor>>) {
     let source = "fn binom(n: int, k: int) -> (out: int) {
         if k <= 0 { out = 1; } else if k >= n { out = 1; } else {
             let left = binom(n - 1, k - 1);
@@ -106,9 +106,43 @@ fn divergent_binom_stays_under_0_0075_and_0_0074_allocations_per_superstep() {
     let requests: Vec<Vec<Tensor>> = (0..12)
         .map(|i| vec![scalar(10 + i * 5 % 7), scalar(2 + i * 3 % 5)])
         .collect();
+    (pc, requests)
+}
+
+#[test]
+fn divergent_binom_stays_under_0_0075_and_0_0074_allocations_per_superstep() {
+    let (pc, requests) = binom();
     let pins = [(true, 623, 249_237), (false, 609, 333_778)];
     let opts = ExecOptions::default();
     check(&pc, &KernelRegistry::new(), opts, &requests, 83_220, pins);
+}
+
+/// The allocations of one call, on this thread.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// Admission and retirement edit every per-lane buffer (ROADMAP 17).
+/// Seven binom lanes run 40 supersteps, so every stack store, top and
+/// register exists; one more request joins them, and once all eight
+/// have finished they retire together. Both counts are exact.
+#[test]
+fn admitting_one_binom_lane_allocates_51_and_retiring_eight_allocates_63() {
+    let (pc, requests) = binom();
+    let members: Vec<(&[Tensor], u64)> = requests.iter().map(Vec::as_slice).zip(0..).collect();
+    let mut m = PcMachine::new(&pc, KernelRegistry::new(), ExecOptions::default());
+    m.admit_batch(&members[..7], None).expect("admission");
+    for _ in 0..40 {
+        assert!(m.step(None).expect("steps"));
+    }
+    let (admitted, admit) = allocations(|| m.admit_batch(&members[7..8], None));
+    admitted.expect("admission");
+    while m.step(None).expect("steps") {}
+    let (retired, retire) = allocations(|| m.retire_finished(None));
+    assert_eq!(retired.expect("retirement").len(), 8);
+    assert_eq!((admit, retire), (51, 63), "admission, retirement");
 }
 
 #[test]

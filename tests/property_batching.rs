@@ -27,6 +27,7 @@ use autobatch::core::{
     lower, BlockHeuristic, DynSchedule, DynamicVm, ExecOptions, ExecStrategy, KernelRegistry,
     LaneState, LocalStaticVm, LoweringOptions, PcMachine, PcObservation, PcVm, VmError,
 };
+use autobatch::ir::analysis::analyze_pcab;
 use autobatch::ir::build::{fibonacci_program, ProgramBuilder};
 use autobatch::ir::{lsab, pcab, Prim, Var};
 use autobatch::serve::{AdmissionPolicy, BatchServer, Request, ShardedServer};
@@ -476,6 +477,75 @@ proptest! {
         };
         prop_assert_eq!(stopped, Err(VmError::StepLimit { limit }));
         prop_assert_eq!((stepped, observed), (limit, limit));
+    }
+
+    #[test]
+    fn a_stack_overflow_is_one_error_in_every_configuration(
+        seed in any::<u64>(),
+        xs in proptest::collection::vec(-2.0f64..2.0, 1..5),
+        ns in proptest::collection::vec(0i64..6, 1..5),
+        stack_depth in 2usize..=3,
+    ) {
+        // Under a stack of two or three frames the generated recursion
+        // overflows for most inputs. Where it does, the push that
+        // overflows is the same in every configuration, so the error is
+        // too: one value per lowering, whichever driver, strategy or
+        // fusion setting runs it. A statically bounded program that
+        // fits never overflows.
+        let z = xs.len().min(ns.len());
+        let p = random_program(seed);
+        let inputs = vec![
+            Tensor::from_f64(&xs[..z], &[z]).expect("x input"),
+            Tensor::from_i64(&ns[..z], &[z]).expect("n input"),
+        ];
+        let rows: Vec<Vec<Tensor>> = (0..z)
+            .map(|b| inputs.iter().map(|t| t.gather_rows(&[b]).expect("row")).collect())
+            .collect();
+        let members: Vec<(&[Tensor], u64)> = rows.iter().map(Vec::as_slice).zip(0..).collect();
+        let base = ExecOptions { stack_depth, ..ExecOptions::default() };
+        for lopts in all_lowering_options() {
+            let (lowered, _) = lower(&p, lopts).expect("lowers");
+            let reference = PcVm::new(&lowered, KernelRegistry::new(), base).run(&inputs, None);
+            match &reference {
+                Ok(_) => {}
+                Err(VmError::StackOverflow { limit, .. }) => {
+                    prop_assert_eq!(*limit, stack_depth);
+                    prop_assert!(
+                        !analyze_pcab(&lowered).overflow_excluded(stack_depth),
+                        "overflow under a static bound that fits, {:?}", lopts
+                    );
+                }
+                Err(e) => prop_assert!(false, "{} under {:?}", e, lopts),
+            }
+            for strategy in STRATEGIES {
+                for fuse_elementwise in [true, false] {
+                    let opts = ExecOptions { strategy, fuse_elementwise, ..base };
+                    let at = (lopts, strategy, fuse_elementwise);
+                    let one_shot = PcVm::new(&lowered, KernelRegistry::new(), opts).run(&inputs, None);
+                    prop_assert_eq!(&one_shot, &reference, "one-shot under {:?}", at);
+                    let mut m = PcMachine::new(&lowered, KernelRegistry::new(), opts);
+                    m.admit_batch(&members, None).expect("admits");
+                    let machine = loop {
+                        match m.step(None) {
+                            Ok(true) => {}
+                            Ok(false) => break Ok(m.retire_finished(None).expect("retires")),
+                            Err(e) => break Err(e),
+                        }
+                    };
+                    match (machine, &reference) {
+                        (Err(e), Err(want)) => prop_assert_eq!(&e, want, "machine under {:?}", at),
+                        (Ok(done), Ok(want)) => {
+                            for (o, full) in want.iter().enumerate() {
+                                let rows: Vec<Tensor> =
+                                    done.iter().map(|r| r.outputs[o].clone()).collect();
+                                prop_assert_eq!(&Tensor::concat_rows(&rows).expect("stacks"), full);
+                            }
+                        }
+                        (got, _) => prop_assert!(false, "machine under {:?}: {:?}", at, got.err()),
+                    }
+                }
+            }
+        }
     }
 
     #[test]
