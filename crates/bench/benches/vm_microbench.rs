@@ -79,7 +79,12 @@ fn bench_tensor_kernels(c: &mut Criterion) {
     let stack = Tensor::full(&[1024, 32, 100], 0.0);
     let depths: Vec<usize> = (0..1024).map(|i| i % 32).collect();
     group.bench_function("gather-at-depth-1024x32x100", |b| {
-        b.iter(|| stack.gather_at_depth(&depths).expect("gather"));
+        let mut top = Tensor::full(&[1024, 100], 0.0);
+        b.iter(|| {
+            stack
+                .gather_at_depth_into(&depths, &[true; 1024], &mut top)
+                .expect("gather")
+        });
     });
     group.finish();
 }

@@ -59,21 +59,6 @@ use crate::pricing::Pricing;
 /// never results.
 const SCHED_SECONDS_PER_ENTRY: f64 = 2e-6;
 
-/// A snapshot handed to an observer after every scheduling round.
-#[derive(Debug)]
-pub struct DynObservation<'a> {
-    /// The round number (1-based).
-    pub round: u64,
-    /// Number of threads still running at the start of the round.
-    pub runnable: usize,
-    /// The groups the scheduler formed this round: kernel tag and the
-    /// number of threads batched into the launch.
-    pub groups: &'a [(String, usize)],
-}
-
-/// Callback invoked after every scheduling round.
-pub type DynObserver<'o> = dyn FnMut(&DynObservation<'_>) + 'o;
-
 /// The dynamic-batching virtual machine.
 ///
 /// # Examples
@@ -159,21 +144,7 @@ impl<'p> DynamicVm<'p> {
     /// Returns kernel errors from user data, [`VmError::StepLimit`] if the
     /// scheduling-round limit is exceeded, or
     /// [`VmError::HostRecursionLimit`] on runaway recursion in any thread.
-    pub fn run(&self, inputs: &[Tensor], trace: Option<&mut Trace>) -> Result<Vec<Tensor>> {
-        self.run_observed(inputs, trace, None)
-    }
-
-    /// Like [`DynamicVm::run`], with a per-round observer.
-    ///
-    /// # Errors
-    ///
-    /// See [`DynamicVm::run`].
-    pub fn run_observed(
-        &self,
-        inputs: &[Tensor],
-        mut trace: Option<&mut Trace>,
-        mut observer: Option<&mut DynObserver<'_>>,
-    ) -> Result<Vec<Tensor>> {
+    pub fn run(&self, inputs: &[Tensor], mut trace: Option<&mut Trace>) -> Result<Vec<Tensor>> {
         let entry = self.program.entry_func()?;
         if inputs.len() != entry.params.len() {
             return Err(VmError::BadInputs {
@@ -214,13 +185,8 @@ impl<'p> DynamicVm<'p> {
         let mut rounds: u64 = 0;
         loop {
             // Advance every runnable thread to its next suspension point.
-            let mut runnable = 0usize;
             for th in &mut threads {
-                if th.result.is_some() {
-                    continue;
-                }
-                runnable += 1;
-                if th.pending.is_none() {
+                if th.result.is_none() && th.pending.is_none() {
                     self.advance(th)?;
                 }
             }
@@ -257,13 +223,10 @@ impl<'p> DynamicVm<'p> {
                 t.add_host_time(entries as f64 * SCHED_SECONDS_PER_ENTRY);
             }
 
-            let mut groups: Vec<(String, usize)> = Vec::with_capacity(agenda.len());
             match self.opts.dyn_schedule {
                 DynSchedule::Breadth => {
                     for (_, members) in agenda {
-                        let tag =
-                            self.execute_group(&members, &mut threads, &rng, trace.as_deref_mut())?;
-                        groups.push((tag, members.len()));
+                        self.execute_group(&members, &mut threads, &rng, trace.as_deref_mut())?;
                     }
                 }
                 DynSchedule::Agenda => {
@@ -274,17 +237,8 @@ impl<'p> DynamicVm<'p> {
                         .into_iter()
                         .max_by(|(ka, a), (kb, b)| a.len().cmp(&b.len()).then(kb.cmp(ka)))
                         .expect("agenda is nonempty");
-                    let tag =
-                        self.execute_group(&members, &mut threads, &rng, trace.as_deref_mut())?;
-                    groups.push((tag, members.len()));
+                    self.execute_group(&members, &mut threads, &rng, trace.as_deref_mut())?;
                 }
-            }
-            if let Some(obs) = observer.as_deref_mut() {
-                obs(&DynObservation {
-                    round: rounds,
-                    runnable,
-                    groups: &groups,
-                });
             }
         }
 
@@ -404,7 +358,7 @@ impl<'p> DynamicVm<'p> {
         threads: &mut [Thread],
         rng: &CounterRng,
         trace: Option<&mut Trace>,
-    ) -> Result<String> {
+    ) -> Result<()> {
         let first = threads[members[0]]
             .pending
             .as_ref()
@@ -445,7 +399,7 @@ impl<'p> DynamicVm<'p> {
             }
             frame.op += 1;
         }
-        Ok(prim.kernel_tag().to_string())
+        Ok(())
     }
 }
 
@@ -552,22 +506,18 @@ mod tests {
     fn batches_across_recursion_depths() {
         // Two members entering fibonacci at different depths still share
         // kernel launches: with Z = 2 some launch must batch both while
-        // their call stacks differ — something LSAB can never do. We
-        // check that the mean group size exceeds 1 and that some round
-        // batched both members.
+        // their call stacks differ — something LSAB can never do. Every
+        // launch runs only the members it batched, so some kernel counts
+        // more active members than launches.
         let p = fibonacci_program();
         let vm = DynamicVm::new(&p, KernelRegistry::new(), opts());
-        let mut full_groups = 0usize;
-        let mut obs = |o: &DynObservation<'_>| {
-            full_groups += o.groups.iter().filter(|(_, n)| *n == 2).count();
-        };
-        vm.run_observed(
-            &[Tensor::from_i64(&[8, 5], &[2]).unwrap()],
-            None,
-            Some(&mut obs),
-        )
-        .unwrap();
-        assert!(full_groups > 0, "scheduler batched divergent members");
+        let mut tr = Trace::new(Backend::eager_cpu());
+        vm.run(&[Tensor::from_i64(&[8, 5], &[2]).unwrap()], Some(&mut tr))
+            .unwrap();
+        assert!(
+            tr.kernels().any(|(_, k)| k.active_members > k.launches),
+            "scheduler batched divergent members"
+        );
     }
 
     #[test]
@@ -700,26 +650,5 @@ mod tests {
             vm.run(&[Tensor::from_bool(&[true], &[1]).unwrap()], None),
             Err(VmError::StepLimit { .. })
         ));
-    }
-
-    #[test]
-    fn observer_sees_rounds_and_groups() {
-        let p = fibonacci_program();
-        let vm = DynamicVm::new(&p, KernelRegistry::new(), opts());
-        let mut rounds = 0u64;
-        let mut max_runnable = 0usize;
-        let mut obs = |o: &DynObservation<'_>| {
-            rounds = o.round;
-            max_runnable = max_runnable.max(o.runnable);
-            assert!(!o.groups.is_empty());
-        };
-        vm.run_observed(
-            &[Tensor::from_i64(&[4, 6, 3], &[3]).unwrap()],
-            None,
-            Some(&mut obs),
-        )
-        .unwrap();
-        assert!(rounds > 0);
-        assert_eq!(max_runnable, 3);
     }
 }

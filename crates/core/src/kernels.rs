@@ -107,11 +107,13 @@ fn align_pair(a: &Tensor, b: &Tensor) -> Result<(Tensor, Tensor)> {
 /// - `rng`: the counter-based random source.
 /// - `registry`: external kernels.
 /// - `spare`: unshared tensors of any dtype whose buffers a result may
-///   be written into. A constant, a comparison, or a primitive-table row
-///   with a scalar kernel on the operands' dtype (other than `id`, which
-///   shares its operand) takes one of its result's dtype out and writes
-///   it in place, bit-identical to its allocating kernel. With no spare
-///   of that dtype, or `spare` empty, the kernel allocates.
+///   be written into. A constant, a comparison, and a primitive-table row
+///   with a scalar kernel (other than `id`, which shares its operand)
+///   run one into-buffer kernel, bit-identical to the allocating tensor
+///   kernel of the same function: it takes a spare of its result's dtype
+///   out and writes it in place. With no spare of that dtype, or `spare`
+///   empty, it writes a share of its first operand instead, which
+///   allocates the result's payload as the allocating kernel would.
 /// - `out`: cleared, then given one tensor per primitive output. A
 ///   caller that keeps it across calls evaluates a primitive without
 ///   allocating a vector for its results.
@@ -140,71 +142,36 @@ pub fn eval_prim(
             });
         }
     }
-    if let Some(t) = written_into_spare(prim, inputs, rows, spare) {
-        out.push(t);
-        return Ok(());
-    }
-    let mut one = |t: Tensor| {
-        out.push(t);
-        Ok(())
-    };
-    match prim {
-        Prim::ConstF64(c) => one(Tensor::full(&[rows], *c)),
-        Prim::ConstI64(c) => one(Tensor::full(&[rows], *c)),
-        Prim::ConstBool(c) => one(Tensor::full(&[rows], *c)),
-        Prim::FillLike(c) => one(Tensor::full(inputs[0].shape(), *c)),
-        Prim::Id => one(inputs[0].clone()),
-        Prim::NegI => one(inputs[0].neg_i64()?),
-        Prim::Not => one(inputs[0].not()?),
-        Prim::Add
-        | Prim::Sub
-        | Prim::Mul
-        | Prim::Div
-        | Prim::Pow
-        | Prim::Min2
-        | Prim::Max2
-        | Prim::Lt
-        | Prim::Le
-        | Prim::Gt
-        | Prim::Ge
-        | Prim::EqE
-        | Prim::NeE
-        | Prim::And
-        | Prim::Or
-        | Prim::Xor => {
+    let result = match prim {
+        Prim::ConstBool(c) => apply(ScalarKernel::Const(*c), inputs, rows, spare)?,
+        Prim::Lt => compare(inputs, spare, |a: f64, b| a < b, |a: i64, b| a < b)?,
+        Prim::Le => compare(inputs, spare, |a: f64, b| a <= b, |a: i64, b| a <= b)?,
+        Prim::Gt => compare(inputs, spare, |a: f64, b| a > b, |a: i64, b| a > b)?,
+        Prim::Ge => compare(inputs, spare, |a: f64, b| a >= b, |a: i64, b| a >= b)?,
+        Prim::EqE => compare(inputs, spare, |a: f64, b| a == b, |a: i64, b| a == b)?,
+        Prim::NeE => compare(inputs, spare, |a: f64, b| a != b, |a: i64, b| a != b)?,
+        Prim::FillLike(c) => Tensor::full(inputs[0].shape(), *c),
+        Prim::Id => inputs[0].clone(),
+        Prim::Not => inputs[0].not()?,
+        Prim::And | Prim::Or | Prim::Xor => {
             let (a, b) = align_pair(&inputs[0], &inputs[1])?;
-            let r = match prim {
-                Prim::Add => a.add(&b)?,
-                Prim::Sub => a.sub(&b)?,
-                Prim::Mul => a.mul(&b)?,
-                Prim::Div => a.div(&b)?,
-                Prim::Pow => a.pow(&b)?,
-                Prim::Min2 => a.min2(&b)?,
-                Prim::Max2 => a.max2(&b)?,
-                Prim::Lt => a.lt(&b)?,
-                Prim::Le => a.le(&b)?,
-                Prim::Gt => a.gt(&b)?,
-                Prim::Ge => a.ge(&b)?,
-                Prim::EqE => a.eq_elem(&b)?,
-                Prim::NeE => a.ne_elem(&b)?,
+            match prim {
                 Prim::And => a.and(&b)?,
                 Prim::Or => a.or(&b)?,
-                Prim::Xor => a.xor(&b)?,
-                _ => unreachable!(),
-            };
-            one(r)
+                _ => a.xor(&b)?,
+            }
         }
         Prim::Select => {
             let (a, b) = align_pair(&inputs[1], &inputs[2])?;
             let (c, a2) = align_pair(&inputs[0], &a)?;
             let (_, b2) = align_pair(&inputs[0], &b)?;
-            one(c.select(&a2, &b2)?)
+            c.select(&a2, &b2)?
         }
-        Prim::ToF64 => one(inputs[0].to_f64()),
-        Prim::ToI64 => one(inputs[0].to_i64()),
-        Prim::ToBool => one(inputs[0].to_bool()),
-        Prim::SumElems => one(inputs[0].sum_last_axis()?),
-        Prim::Dot => one(inputs[0].dot_last_axis(&inputs[1])?),
+        Prim::ToF64 => inputs[0].to_f64(),
+        Prim::ToI64 => inputs[0].to_i64(),
+        Prim::ToBool => inputs[0].to_bool(),
+        Prim::SumElems => inputs[0].sum_last_axis()?,
+        Prim::Dot => inputs[0].dot_last_axis(&inputs[1])?,
         Prim::RandUniform | Prim::RandNormal | Prim::RandExponential => {
             let counters = inputs[0].as_i64()?;
             let sample = match prim {
@@ -215,7 +182,7 @@ pub fn eval_prim(
             };
             let next = inputs[0].add(&Tensor::scalar(1i64))?;
             out.extend([sample, next]);
-            Ok(())
+            return Ok(());
         }
         Prim::RandNormalLike => {
             let counters = inputs[0].as_i64()?;
@@ -223,7 +190,7 @@ pub fn eval_prim(
             let sample = rng.normal_batch_for(members, counters, elem);
             let next = inputs[0].add(&Tensor::scalar(1i64))?;
             out.extend([sample, next]);
-            Ok(())
+            return Ok(());
         }
         Prim::External(name) => {
             let k = registry.get(name)?;
@@ -244,48 +211,23 @@ pub fn eval_prim(
                 });
             }
             out.extend(outs);
-            Ok(())
+            return Ok(());
         }
-        // The rest are the unary float maps (`exp`, `softplus`, …): the
-        // batched kernel maps the row's scalar kernel over the tensor,
-        // as `Tensor::exp` and the others do.
-        _ => match prim.scalar_kernels() {
-            (Some(ScalarKernel::Un(f)), None) => one(inputs[0].map_f64(f)?),
-            _ => unreachable!("{prim:?} has an arm of its own"),
-        },
-    }
-}
-
-/// The one result of `prim` on `inputs` (`rows` of them) written into a
-/// spare buffer of its dtype by an into-buffer kernel: a constant, a row
-/// of the primitive table with a scalar kernel on the operands' dtype
-/// (an elementwise map or a broadcasting binary op, bit-identical to the
-/// allocating kernel that runs the same function), or a comparison.
-/// `None` when there is no such kernel or no spare of the result's dtype,
-/// or when the kernel refuses the operands (the spare is then dropped):
-/// the allocating kernels compute the result or report the error. `id`
-/// is left to its allocating kernel, which shares its operand.
-fn written_into_spare(
-    prim: &Prim,
-    inputs: &[Tensor],
-    rows: usize,
-    spare: &mut Vec<Tensor>,
-) -> Option<Tensor> {
-    match prim {
-        Prim::Id => None,
-        Prim::ConstBool(c) => apply(ScalarKernel::Const(*c), inputs, rows, spare),
-        Prim::Lt => compare(inputs, spare, |a: f64, b| a < b, |a: i64, b| a < b),
-        Prim::Le => compare(inputs, spare, |a: f64, b| a <= b, |a: i64, b| a <= b),
-        Prim::Gt => compare(inputs, spare, |a: f64, b| a > b, |a: i64, b| a > b),
-        Prim::Ge => compare(inputs, spare, |a: f64, b| a >= b, |a: i64, b| a >= b),
-        Prim::EqE => compare(inputs, spare, |a: f64, b| a == b, |a: i64, b| a == b),
-        Prim::NeE => compare(inputs, spare, |a: f64, b| a != b, |a: i64, b| a != b),
+        // The rest are the rows of the primitive table with a scalar
+        // kernel: the numeric constants, the unary maps and the
+        // broadcasting arithmetic. The kernel of the first operand's
+        // dtype runs, else the row's only one, which then reports the
+        // dtype it cannot take.
         _ => match (prim.scalar_kernels(), inputs.first().map(Tensor::dtype)) {
-            ((Some(k), _), None | Some(DType::F64)) => apply(k, inputs, rows, spare),
-            ((_, Some(k)), None | Some(DType::I64)) => apply(k, inputs, rows, spare),
-            _ => None,
+            ((_, Some(k)), Some(DType::I64)) | ((None, Some(k)), _) => {
+                apply(k, inputs, rows, spare)?
+            }
+            ((Some(k), _), _) => apply(k, inputs, rows, spare)?,
+            ((None, None), _) => unreachable!("{prim:?} has an arm of its own"),
         },
-    }
+    };
+    out.push(result);
+    Ok(())
 }
 
 /// Take a tensor of `dtype` out of `spare`, the most recently given
@@ -295,41 +237,57 @@ pub(crate) fn take_spare(spare: &mut Vec<Tensor>, dtype: DType) -> Option<Tensor
     Some(spare.swap_remove(i))
 }
 
-/// The scalar kernel `k` on `inputs`, in a spare: `[rows]` copies of a
-/// constant, or the kernel mapped over one operand or zipped over two.
+/// The scalar kernel `k` on `inputs` by its into-buffer kernel: `[rows]`
+/// copies of a constant, or the kernel mapped over one operand or zipped
+/// over two. The result is written into a spare of its dtype or, with
+/// none at hand, into a share of the first (aligned) operand, which the
+/// write gives a payload of its own; a constant with no spare is built
+/// as it stands.
 fn apply<T: Element>(
     k: ScalarKernel<T>,
     inputs: &[Tensor],
     rows: usize,
     spare: &mut Vec<Tensor>,
-) -> Option<Tensor> {
-    let mut buf = take_spare(spare, T::DTYPE)?;
-    match k {
-        ScalarKernel::Const(c) => buf.refill_with(&[rows], |v| v.resize(rows, c)),
-        ScalarKernel::Un(f) => inputs[0].map_into(f, &mut buf).ok()?,
-        ScalarKernel::Bin(f) => {
-            let (a, b) = align_pair(&inputs[0], &inputs[1]).ok()?;
-            a.zip_into(&b, f, &mut buf).ok()?;
+) -> Result<Tensor> {
+    let buf = take_spare(spare, T::DTYPE);
+    Ok(match k {
+        ScalarKernel::Const(c) => match buf {
+            Some(mut buf) => {
+                buf.refill_with(&[rows], |v| v.resize(rows, c));
+                buf
+            }
+            None => Tensor::new(T::wrap(vec![c; rows]), &[rows])?,
+        },
+        ScalarKernel::Un(f) => {
+            let mut buf = buf.unwrap_or_else(|| inputs[0].clone());
+            inputs[0].map_into(f, &mut buf)?;
+            buf
         }
-    }
-    Some(buf)
+        ScalarKernel::Bin(f) => {
+            let (a, b) = align_pair(&inputs[0], &inputs[1])?;
+            let mut buf = buf.unwrap_or_else(|| a.clone());
+            a.zip_into(&b, f, &mut buf)?;
+            buf
+        }
+    })
 }
 
 /// The comparison `f64s` / `i64s` on two operands of one of those
-/// dtypes, into a spare `bool` tensor.
+/// dtypes, into a spare `bool` tensor or, with none at hand, a share of
+/// the first (aligned) operand, as [`apply`] writes.
 fn compare(
     inputs: &[Tensor],
     spare: &mut Vec<Tensor>,
     f64s: impl Fn(f64, f64) -> bool,
     i64s: impl Fn(i64, i64) -> bool,
-) -> Option<Tensor> {
-    let (a, b) = align_pair(&inputs[0], &inputs[1]).ok()?;
-    let mut buf = take_spare(spare, DType::Bool)?;
+) -> Result<Tensor> {
+    let (a, b) = align_pair(&inputs[0], &inputs[1])?;
+    let mut buf = take_spare(spare, DType::Bool).unwrap_or_else(|| a.clone());
     match a.dtype() {
-        DType::F64 => a.zip_into(&b, f64s, &mut buf).ok()?,
-        _ => a.zip_into(&b, i64s, &mut buf).ok()?,
+        DType::F64 => a.zip_into(&b, f64s, &mut buf)?,
+        _ => a.zip_into(&b, i64s, &mut buf)?,
     }
-    Some(buf)
+    Ok(buf)
 }
 
 #[cfg(test)]

@@ -90,7 +90,7 @@ mod pc_vm;
 mod pricing;
 
 pub use api::{vmap, Autobatcher, BatchedFn};
-pub use dynamic_vm::{DynObservation, DynObserver, DynamicVm};
+pub use dynamic_vm::DynamicVm;
 pub use error::{Result, VmError};
 pub use fusion::fused_spans;
 pub use kernels::{eval_prim, ExternalKernel, KernelRegistry};

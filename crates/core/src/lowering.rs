@@ -12,20 +12,21 @@
 //! - control transfers via `PushJump(callee entry, resume block)`; the
 //!   resume block copies the callee's outputs, pops the saved variables,
 //!   and continues;
-//! - variable classification implements optimizations 2–3: block-local
-//!   temporaries bypass the machinery, variables never live across a
-//!   recursive call become mask-updated registers;
+//! - variable classification implements optimization 3: a variable live
+//!   across a recursive call is stacked, every other one becomes a
+//!   mask-updated register;
 //! - a peephole pass implements optimization 5: `Pop v; …; Push v = e`
 //!   with no intervening access to `v` cancels into `Update v = e`
 //!   (optimization 4, stack-top caching, lives in the runtime);
 //! - a clean-up then removes what the machine would pay for and nothing
-//!   needs: copies (propagated, or folded into the computation they
-//!   copy), blocks that only jump or return (threaded through), and
-//!   persistent variables whose every read follows a write in the same
-//!   block (made temporaries). Each is a superstep or a dispatch saved,
-//!   and none changes a member's values. It runs after optimization 5,
-//!   which must not run again: copy propagation turns argument passing
-//!   into the `Pop v; Push v = id(v)` shape of a re-save.
+//!   needs: variables whose every read follows a write in the same block
+//!   (made block-local temporaries: optimization 2, decided there alone),
+//!   copies (propagated, or folded into the computation they copy), and
+//!   blocks that only jump or return (threaded through). Each is a
+//!   superstep or a dispatch saved, and none changes a member's values.
+//!   It runs after optimization 5, which must not run again: copy
+//!   propagation turns argument passing into the `Pop v; Push v = id(v)`
+//!   shape of a re-save.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -81,31 +82,14 @@ pub fn lower(
     let cg = CallGraph::new(program);
     let liveness: Vec<Liveness> = program.funcs.iter().map(Liveness::new).collect();
 
-    // ---- classification (optimizations 2 & 3) --------------------------
-    // For each function: persistent variables (those that cross a block
-    // boundary or a call site) and, among them, the stacked ones (live
-    // across a recursive call).
+    // ---- classification (optimization 3) ---------------------------------
+    // A variable live across a recursive call is stacked; every other one
+    // is a register, or stacked too without register demotion (the
+    // paper's unoptimized baseline). Optimization 2 comes later: the
+    // clean-up's rule (c) makes the block-local ones temporaries.
     let mut classes: BTreeMap<Var, pcab::VarClass> = BTreeMap::new();
     for (fi, f) in program.funcs.iter().enumerate() {
         let lv = &liveness[fi];
-        let mut persistent: BTreeSet<Var> = if opts.elide_temporaries {
-            let mut s = lv.cross_block_vars();
-            s.extend(f.params.iter().cloned());
-            s.extend(f.outputs.iter().cloned());
-            for (bi, b) in f.blocks.iter().enumerate() {
-                for (oi, op) in b.ops.iter().enumerate() {
-                    if matches!(op, lsab::Op::Call { .. }) {
-                        s.extend(lv.live_after_op(bi, oi).iter().cloned());
-                    }
-                }
-            }
-            s
-        } else {
-            f.all_vars().into_iter().collect()
-        };
-        // Outputs of functions are read by callers at resume: persistent.
-        persistent.extend(f.outputs.iter().cloned());
-
         let mut stacked: BTreeSet<Var> = BTreeSet::new();
         for (bi, b) in f.blocks.iter().enumerate() {
             for (oi, op) in b.ops.iter().enumerate() {
@@ -120,19 +104,9 @@ pub fn lower(
                 }
             }
         }
-        for v in persistent {
+        for v in f.all_vars() {
             let class = if !opts.demote_registers || stacked.contains(&v) {
-                // Without register demotion every persistent variable
-                // carries a stack, as the paper's unoptimized baseline.
-                if opts.demote_registers {
-                    if stacked.contains(&v) {
-                        pcab::VarClass::Stacked
-                    } else {
-                        pcab::VarClass::Register
-                    }
-                } else {
-                    pcab::VarClass::Stacked
-                }
+                pcab::VarClass::Stacked
             } else {
                 pcab::VarClass::Register
             };
@@ -451,12 +425,11 @@ fn eliminate_pop_push(ops: &mut Vec<pcab::Op>) -> usize {
 
 /// The clean-up below the paper's optimizations: lowering emits only
 /// what the machine has to run. `localize` applies rule (c), which is
-/// optimization 2 made exact, so it follows
-/// [`LoweringOptions::elide_temporaries`].
+/// optimization 2, so it follows [`LoweringOptions::elide_temporaries`].
 ///
-/// - (c) a persistent variable that is never pushed or popped, is no
-///   program input or output, and is read in every block only after that
-///   block writes it becomes a block-local temporary;
+/// - (c) a variable that is never pushed or popped, is no program input
+///   or output, and is read in every block only after that block writes
+///   it becomes a block-local temporary;
 /// - (a) inside each block, copies are propagated and the copies nothing
 ///   reads are dropped ([`propagate_copies`]), and a computation whose one
 ///   reader is a copy writes the copy's target itself ([`fold_copies`]);

@@ -200,8 +200,10 @@ impl Default for ExecOptions {
 /// optimization 4 is a runtime knob, [`ExecOptions::cache_stack_tops`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoweringOptions {
-    /// Optimization 2: variables whose live range stays inside one block
-    /// bypass the batching machinery entirely.
+    /// Optimization 2: a variable that is never pushed or popped, is no
+    /// program input or output, and is read in every block only after
+    /// that block writes it bypasses the batching machinery entirely (a
+    /// block-local temporary; the clean-up's rule (c) in `lowering.rs`).
     pub elide_temporaries: bool,
     /// Optimization 3: variables never live across a recursive call get a
     /// masked register instead of a stack.

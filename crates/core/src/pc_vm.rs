@@ -957,27 +957,28 @@ impl Superstep<'_, '_> {
         );
         let (depths, active) = (&scratch.depths, &scratch.active[..]);
         unshare(&mut s.top, &mut scratch.spare);
-        match &mut s.top {
-            // The frames land straight in the cached top, under the mask,
-            // when the top has the frame shape `[Z] ++ store.shape()[2..]`.
+        // The frames land straight in the cached top, under the mask. A
+        // top without the frame shape `[Z] ++ store.shape()[2..]` is
+        // first replaced by zeros of it, as `land` replaces a slot.
+        let top = match &mut s.top {
             Some(top)
                 if top.dtype() == store.dtype()
                     && top.shape()[0] == store.shape()[0]
                     && top.shape()[1..] == store.shape()[2..] =>
             {
-                store.gather_at_depth_into(depths, active, top)?;
+                top
             }
-            // A top of another shape is replaced as `land` replaces it;
-            // the restored frames are full width whatever the mode.
             top => {
-                let restored = store.gather_at_depth(depths)?;
-                land(top, &restored, Lanes { active, idx: None })?;
+                let frame: Vec<usize> = std::iter::once(store.shape()[0])
+                    .chain(store.shape()[2..].iter().copied())
+                    .collect();
+                top.insert(Tensor::zeros(store.dtype(), &frame))
             }
-        }
+        };
+        store.gather_at_depth_into(depths, active, top)?;
         for &b in &scratch.active_idx {
             s.sp[b] -= 1;
         }
-        let top = s.top.as_ref().expect("pop restores a value");
         self.pricing.stack_pop(store.size_bytes(), row_bytes(top));
         Ok(())
     }

@@ -3,12 +3,15 @@
 //! tensor crate's broadcasting properties.
 //!
 //! For every row of the primitive table with a scalar kernel, every
-//! constant and every comparison, on each dtype it has a kernel for,
-//! [`eval_prim`] with no spare buffer (the allocating kernels) is the
-//! reference. Against it run both the primitive through [`eval_prim`]
-//! with one spare buffer and the tensor crate's into-buffer kernel
-//! ([`Tensor::refill_with`], [`Tensor::map_into`], [`Tensor::zip_into`])
-//! called straight on the same buffer. The operand shapes cover the four
+//! constant and every comparison, on each dtype it has a kernel for, the
+//! tensor crate's allocating kernel of the same function ([`Tensor::add`],
+//! [`Tensor::lt`], [`Tensor::exp`], [`Tensor::neg_i64`], [`Tensor::full`],
+//! …) is the reference. Against it run the primitive through
+//! [`eval_prim`] with no spare buffer (its result then written into a
+//! share of its first operand) and with one spare buffer, and the tensor
+//! crate's into-buffer kernel ([`Tensor::refill_with`],
+//! [`Tensor::map_into`], [`Tensor::zip_into`]) called straight on the
+//! same buffer. The operand shapes cover the four
 //! ways an operand lines up with a broadcast's output (whole, tile,
 //! repeat, general); the buffer arrives unshared, shared with a holder
 //! whose bits must not change, of another dtype, or of another rank or
@@ -118,6 +121,45 @@ fn target(kind: usize, dtype: DType, shape: &[usize], raw: &[u64]) -> (Tensor, O
     }
 }
 
+/// `prim` on same-rank `inputs` (`rows` members) by the tensor crate's
+/// allocating kernel of the same function: the reference.
+fn allocating(prim: &Prim, inputs: &[Tensor], rows: usize) -> Tensor {
+    let r = match prim {
+        Prim::ConstF64(c) => return Tensor::full(&[rows], *c),
+        Prim::ConstI64(c) => return Tensor::full(&[rows], *c),
+        Prim::ConstBool(c) => return Tensor::full(&[rows], *c),
+        Prim::Id => return inputs[0].clone(),
+        Prim::Neg => inputs[0].neg(),
+        Prim::Abs => inputs[0].abs(),
+        Prim::Exp => inputs[0].exp(),
+        Prim::Ln => inputs[0].ln(),
+        Prim::Sqrt => inputs[0].sqrt(),
+        Prim::Square => inputs[0].square(),
+        Prim::Sigmoid => inputs[0].sigmoid(),
+        Prim::Softplus => inputs[0].softplus(),
+        Prim::Floor => inputs[0].floor(),
+        Prim::Sin => inputs[0].sin(),
+        Prim::Cos => inputs[0].cos(),
+        Prim::Tanh => inputs[0].tanh(),
+        Prim::NegI => inputs[0].neg_i64(),
+        Prim::Add => inputs[0].add(&inputs[1]),
+        Prim::Sub => inputs[0].sub(&inputs[1]),
+        Prim::Mul => inputs[0].mul(&inputs[1]),
+        Prim::Div => inputs[0].div(&inputs[1]),
+        Prim::Pow => inputs[0].pow(&inputs[1]),
+        Prim::Min2 => inputs[0].min2(&inputs[1]),
+        Prim::Max2 => inputs[0].max2(&inputs[1]),
+        Prim::Lt => inputs[0].lt(&inputs[1]),
+        Prim::Le => inputs[0].le(&inputs[1]),
+        Prim::Gt => inputs[0].gt(&inputs[1]),
+        Prim::Ge => inputs[0].ge(&inputs[1]),
+        Prim::EqE => inputs[0].eq_elem(&inputs[1]),
+        Prim::NeE => inputs[0].ne_elem(&inputs[1]),
+        other => panic!("{other:?} runs no into-buffer kernel"),
+    };
+    r.unwrap()
+}
+
 /// `prim` on `inputs` (`rows` members) through [`eval_prim`], into the
 /// buffers `spare` lends.
 fn eval(prim: &Prim, inputs: &[Tensor], rows: usize, spare: &mut Vec<Tensor>) -> Tensor {
@@ -128,8 +170,9 @@ fn eval(prim: &Prim, inputs: &[Tensor], rows: usize, spare: &mut Vec<Tensor>) ->
 }
 
 /// Hold `prim` on `inputs` to its allocating kernel, through
-/// [`eval_prim`] and through `direct`, the tensor crate's into-buffer
-/// kernel, each writing a buffer that arrives as `kind` says.
+/// [`eval_prim`] with no spare, and through [`eval_prim`] and `direct`,
+/// the tensor crate's into-buffer kernel, each writing a buffer that
+/// arrives as `kind` says.
 fn check(
     prim: &Prim,
     inputs: &[Tensor],
@@ -138,10 +181,21 @@ fn check(
     raw: &[u64],
     direct: impl Fn(&mut Tensor),
 ) {
-    let want = eval(prim, inputs, rows, &mut Vec::new());
+    let want = allocating(prim, inputs, rows);
     let at = format!(
         "{prim:?} on {:?}",
         inputs.iter().map(Tensor::shape).collect::<Vec<_>>()
+    );
+    let operands: Vec<_> = inputs.iter().map(bits).collect();
+    assert_eq!(
+        bits(&eval(prim, inputs, rows, &mut Vec::new())),
+        bits(&want),
+        "eval_prim without a spare {at}"
+    );
+    assert_eq!(
+        inputs.iter().map(bits).collect::<Vec<_>>(),
+        operands,
+        "{at}: an operand's bits changed"
     );
     let (buf, holder) = target(kind, want.dtype(), want.shape(), raw);
     let held = holder.as_ref().map(bits);
@@ -259,7 +313,11 @@ fn into_buffer_kernels_match_the_allocating_ones_on_named_shapes() {
             operand(dtype, &raw, &[2]),
             operand(dtype, &raw[7..], &[2, 3]),
         ];
-        let want = eval(&Prim::Add, &ins, 2, &mut Vec::new());
+        let want = ins[0].reshape(&[2, 1]).unwrap().add(&ins[1]).unwrap();
+        assert_eq!(
+            bits(&eval(&Prim::Add, &ins, 2, &mut Vec::new())),
+            bits(&want)
+        );
         let mut spare = vec![operand(dtype, &raw, &[5])];
         assert_eq!(bits(&eval(&Prim::Add, &ins, 2, &mut spare)), bits(&want));
         assert!(spare.is_empty(), "the spare was written into");

@@ -1,12 +1,9 @@
 //! Backward live-variable analysis over one function's CFG.
 //!
-//! The lowering (paper §3, optimizations 2–3) needs two liveness facts:
-//!
-//! - which variables are live *after* each call site (those are the ones
-//!   a recursive call must not clobber, so the caller saves them);
-//! - which variables are ever live across a block boundary at all
-//!   (variables that are not are block-local temporaries and bypass the
-//!   batching machinery entirely).
+//! The lowering (paper §3, optimizations 1 and 3) needs one liveness
+//! fact: which variables are live *after* each call site. Those are the
+//! ones a recursive call must not clobber, so the caller saves them, and
+//! a variable live across a recursive call is stacked.
 //!
 //! A function's `outputs` are treated as read by every `Return`
 //! terminator, and a `Branch` condition as read at the end of its block.
@@ -19,8 +16,6 @@ use crate::var::Var;
 /// Liveness facts for one function.
 #[derive(Debug, Clone)]
 pub struct Liveness {
-    /// `live_in[b]`: variables live at entry of block `b`.
-    live_in: Vec<BTreeSet<Var>>,
     /// `live_after[b][i]`: variables live immediately after op `i` of
     /// block `b`, precomputed so call-site save-set queries are O(1)
     /// borrows instead of a backward re-walk per query.
@@ -99,10 +94,7 @@ impl Liveness {
             }
             live_after.push(after);
         }
-        Liveness {
-            live_in,
-            live_after,
-        }
+        Liveness { live_after }
     }
 
     /// Variables live immediately *after* op `op_index` of block `b`
@@ -111,17 +103,6 @@ impl Liveness {
     /// precomputed in [`Liveness::new`], so this is a borrow.
     pub fn live_after_op(&self, b: usize, op_index: usize) -> &BTreeSet<Var> {
         &self.live_after[b][op_index]
-    }
-
-    /// Variables that cross a block boundary anywhere in the function:
-    /// the union of all blocks' live-in sets. Variables *not* in this set
-    /// (and not params/outputs) are block-local temporaries.
-    pub fn cross_block_vars(&self) -> BTreeSet<Var> {
-        let mut s = BTreeSet::new();
-        for li in &self.live_in {
-            s.extend(li.iter().cloned());
-        }
-        s
     }
 }
 
@@ -158,52 +139,39 @@ mod tests {
         assert!(after_second.contains(&left), "left live after second call");
     }
 
-    /// The precomputed `live_after` tables must agree with the original
-    /// per-query backward walk, on every op, across repeated queries.
+    /// The precomputed `live_after` tables must agree with a backward
+    /// step within each block, on every op, across repeated queries:
+    /// what is live after op `i` is what op `i + 1` reads plus what is
+    /// live after it and not written by it, and a block's terminator
+    /// reads what it reads.
     #[test]
     fn precomputed_live_after_matches_rewalk() {
-        fn rewalk(lv: &Liveness, f: &Function, b: usize, op_index: usize) -> BTreeSet<Var> {
-            let block = &f.blocks[b];
-            // Live out: the union of the successors' live-in sets.
-            let mut cur: BTreeSet<Var> = block
-                .term
-                .successors()
-                .into_iter()
-                .flat_map(|s| lv.live_in[s.0].iter().cloned())
-                .collect();
-            match &block.term {
-                Terminator::Branch { cond, .. } => {
-                    cur.insert(cond.clone());
-                }
-                Terminator::Return => {
-                    cur.extend(f.outputs.iter().cloned());
-                }
-                Terminator::Jump(_) => {}
-            }
-            for (i, op) in block.ops.iter().enumerate().rev() {
-                if i == op_index {
-                    break;
-                }
-                for w in op.writes() {
-                    cur.remove(w);
-                }
-                for r in op.reads() {
-                    cur.insert(r.clone());
-                }
-            }
-            cur
-        }
         let p = fibonacci_program();
         let f = &p.funcs[0];
         let lv = Liveness::new(f);
         for _ in 0..2 {
             for (bi, b) in f.blocks.iter().enumerate() {
-                for oi in 0..b.ops.len() {
+                for oi in 1..b.ops.len() {
+                    let mut want = lv.live_after_op(bi, oi).clone();
+                    for w in b.ops[oi].writes() {
+                        want.remove(w);
+                    }
+                    want.extend(b.ops[oi].reads().iter().cloned());
                     assert_eq!(
-                        *lv.live_after_op(bi, oi),
-                        rewalk(&lv, f, bi, oi),
-                        "mismatch at block {bi} op {oi}"
+                        *lv.live_after_op(bi, oi - 1),
+                        want,
+                        "mismatch at block {bi} op {}",
+                        oi - 1
                     );
+                }
+                let Some(last) = b.ops.len().checked_sub(1) else {
+                    continue;
+                };
+                let after = lv.live_after_op(bi, last);
+                match &b.term {
+                    Terminator::Branch { cond, .. } => assert!(after.contains(cond)),
+                    Terminator::Return => assert!(f.outputs.iter().all(|o| after.contains(o))),
+                    Terminator::Jump(_) => {}
                 }
             }
         }
@@ -212,17 +180,24 @@ mod tests {
     #[test]
     fn outputs_live_at_return() {
         let mut pb = ProgramBuilder::new();
-        let f = pb.declare("f", &["x"], &["y"]);
+        let f = pb.declare("f", &["x", "z"], &["y"]);
         pb.define(f, |fb| {
             let x = fb.param(0);
             fb.assign(&fb.output(0), Prim::Neg, &[x]);
+            fb.assign(&Var::new("w"), Prim::Neg, &[fb.param(1)]);
             fb.ret();
         });
         let p = pb.finish(f).unwrap();
         let lv = Liveness::new(&p.funcs[0]);
-        // x is live at entry (read by the op); y is not (written first).
-        assert!(lv.live_in[0].contains(&Var::new("x")));
-        assert!(!lv.live_in[0].contains(&Var::new("y")));
+        // x is read by the first op only and z by the second; y,
+        // written by the first, is read by the return; w is never read.
+        let after_first = lv.live_after_op(0, 0);
+        assert!(!after_first.contains(&Var::new("x")));
+        assert!(after_first.contains(&Var::new("y")));
+        assert!(after_first.contains(&Var::new("z")));
+        let after_last = lv.live_after_op(0, 1);
+        assert!(after_last.contains(&Var::new("y")));
+        assert!(!after_last.contains(&Var::new("w")));
     }
 
     #[test]
@@ -242,27 +217,42 @@ mod tests {
             fb.ret();
         });
         let p = pb.finish(f).unwrap();
-        let lv = Liveness::new(&p.funcs[0]);
+        let f = &p.funcs[0];
+        let lv = Liveness::new(f);
         let i = Var::new("i");
         let n = Var::new("n");
-        // Header block (index 1) must see both i and n live at entry.
-        assert!(lv.live_in[1].contains(&i));
-        assert!(lv.live_in[1].contains(&n));
-        assert!(lv.cross_block_vars().contains(&i));
+        // Both enter the header (block 1) from the entry block and again
+        // from the end of the body (block 2).
+        for b in [0, 2] {
+            let after = lv.live_after_op(b, f.blocks[b].ops.len() - 1);
+            assert!(after.contains(&i) && after.contains(&n), "block {b}");
+        }
     }
 
     #[test]
     fn temporaries_do_not_cross_blocks() {
         let p = fibonacci_program();
-        let lv = Liveness::new(&p.funcs[0]);
-        let crossing = lv.cross_block_vars();
+        let f = &p.funcs[0];
+        let lv = Liveness::new(f);
         // All builder temporaries (names starting with '%') in fibonacci
         // are defined and consumed within a single block — including the
         // branch condition, which its own block's terminator reads.
-        for v in &crossing {
-            assert!(!v.name().starts_with('%'), "unexpected crossing temp {v}");
+        for (bi, b) in f.blocks.iter().enumerate() {
+            let Some(last) = b.ops.len().checked_sub(1) else {
+                continue;
+            };
+            for v in lv.live_after_op(bi, last) {
+                let read_here = matches!(&b.term, Terminator::Branch { cond, .. } if cond == v);
+                assert!(
+                    read_here || !v.name().starts_with('%'),
+                    "unexpected crossing temp {v}"
+                );
+            }
         }
-        // The named variables do cross blocks.
-        assert!(crossing.contains(&Var::new("n")));
+        // The named variables do cross blocks: `n` is live after the
+        // entry block's branch condition is computed.
+        assert!(lv
+            .live_after_op(0, f.blocks[0].ops.len() - 1)
+            .contains(&Var::new("n")));
     }
 }

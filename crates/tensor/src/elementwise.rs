@@ -436,7 +436,9 @@ impl Tensor {
         if !p.is_out_shape(out.shape()) {
             out.adopt_shape(&out_shape(&p, [self, rhs]));
         }
-        zip(a, b, &p, out.refill_payload(), f);
+        let values = out.refill_payload();
+        values.reserve(p.len());
+        zip(a, b, &p, values, f);
         Ok(())
     }
 

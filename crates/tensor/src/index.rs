@@ -187,40 +187,6 @@ impl Tensor {
         Ok(())
     }
 
-    /// Stack read: for a stack tensor of shape `[Z, D, ..]` and per-member
-    /// depths `depths` (length `Z`), gather `self[b, depths[b], ..]` into a
-    /// tensor of shape `[Z, ..]`.
-    ///
-    /// This is the `x[x_stack]` gather of Algorithm 2.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the tensor has rank < 2, `depths.len() != Z`,
-    /// or any depth is out of range.
-    pub fn gather_at_depth(&self, depths: &[usize]) -> Result<Tensor> {
-        fn go<T: Copy>(v: &[T], depths: &[usize], d_max: usize, el: usize) -> Vec<T> {
-            let mut out = Vec::with_capacity(depths.len() * el);
-            for (b, &d) in depths.iter().enumerate() {
-                let base = (b * d_max + d) * el;
-                out.extend_from_slice(&v[base..base + el]);
-            }
-            out
-        }
-        let (z, d_max, el) = stack_dims(self)?;
-        if depths.len() != z {
-            return Err(TensorError::MaskLength {
-                expected: z,
-                got: depths.len(),
-            });
-        }
-        let out_shape: Vec<usize> = std::iter::once(z)
-            .chain(self.shape()[2..].iter().copied())
-            .collect();
-        check_indices(depths, d_max, "gather_at_depth")?;
-        let data = fresh_like!(self.data() => |v| go(v, depths, d_max, el));
-        Tensor::new(data, &out_shape)
-    }
-
     /// Masked stack read **into `out`**: for a stack tensor of shape
     /// `[Z, D, ..]`, write `self[b, depths[b], ..]` into row `b` of `out`
     /// (shape `[Z, ..]`) for every member where `mask[b]` is `true`; the
@@ -435,7 +401,10 @@ mod tests {
     fn depth_gather_scatter() {
         // Stack of shape [Z=3, D=2] with distinct values.
         let mut stack = Tensor::from_f64(&[0.0, 10.0, 1.0, 11.0, 2.0, 12.0], &[3, 2]).unwrap();
-        let top = stack.gather_at_depth(&[0, 1, 0]).unwrap();
+        let mut top = Tensor::zeros(crate::DType::F64, &[3]);
+        stack
+            .gather_at_depth_into(&[0, 1, 0], &[true; 3], &mut top)
+            .unwrap();
         assert_eq!(top.as_f64().unwrap(), &[0.0, 11.0, 2.0]);
         let src = Tensor::from_f64(&[7.0, 8.0, 9.0], &[3]).unwrap();
         stack
@@ -481,9 +450,21 @@ mod tests {
         // Stack [Z=2, D=2, 2].
         let stack =
             Tensor::from_f64(&[0.0, 1.0, 10.0, 11.0, 2.0, 3.0, 12.0, 13.0], &[2, 2, 2]).unwrap();
-        let top = stack.gather_at_depth(&[1, 0]).unwrap();
-        assert_eq!(top.shape(), &[2, 2]);
+        let mut top = Tensor::zeros(crate::DType::F64, &[2, 2]);
+        stack
+            .gather_at_depth_into(&[1, 0], &[true, true], &mut top)
+            .unwrap();
         assert_eq!(top.as_f64().unwrap(), &[10.0, 11.0, 2.0, 3.0]);
+        // A member outside the mask keeps its row, and its depth is not
+        // read; a top of another shape is refused.
+        stack
+            .gather_at_depth_into(&[0, 9], &[true, false], &mut top)
+            .unwrap();
+        assert_eq!(top.as_f64().unwrap(), &[0.0, 1.0, 2.0, 3.0]);
+        let mut flat = Tensor::zeros(crate::DType::F64, &[2]);
+        assert!(stack
+            .gather_at_depth_into(&[1, 0], &[true, true], &mut flat)
+            .is_err());
     }
 
     #[test]

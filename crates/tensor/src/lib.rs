@@ -14,7 +14,7 @@
 //!   [`Tensor::dot_last_axis`]);
 //! - the gather/scatter/mask kernels the autobatching virtual machines
 //!   are built on ([`Tensor::masked_assign_rows`],
-//!   [`Tensor::gather_at_depth`], [`Tensor::scatter_at_depth`], which
+//!   [`Tensor::gather_at_depth_into`], [`Tensor::scatter_at_depth`], which
 //!   read and write lane-major `[Z, D, ..]` stack storage, so every
 //!   per-lane tensor keeps its lanes on axis 0);
 //! - a counter-based random source ([`CounterRng`]) whose draws are

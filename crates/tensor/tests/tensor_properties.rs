@@ -213,10 +213,6 @@ proptest! {
                 (if mask[ix[0]] { stack.get(&[ix[0], depths[ix[0]], ix[1]]) } else { top.get(ix) }).ok()
             });
             prop_assert_eq!(&out, &want, "gather_at_depth_into on {}", dtype);
-            // It is the allocating read landed under the mask.
-            let mut landed = top.clone();
-            landed.masked_assign_rows(&mask, &stack.gather_at_depth(&depths).unwrap()).unwrap();
-            prop_assert_eq!(&out, &landed);
             prop_assert_eq!(&stack, &tensor_of(dtype, &a, &[3, 4, el]));
             if let Some(holder) = holder {
                 prop_assert_eq!(&holder, &top);
@@ -249,9 +245,10 @@ proptest! {
             prop_assert_eq!(&sibling, &tensor_of(dtype, &a, &[3, 4, el]));
             // Reading at those depths recovers the written rows, and the
             // old tops of the members that sat out.
-            let read = stack.gather_at_depth(&depths).unwrap();
+            let mut read = Tensor::zeros(dtype, &[3, el]);
+            stack.gather_at_depth_into(&depths, &[true; 3], &mut read).unwrap();
             let want = build(dtype, &[3, el], |ix| stack.get(&[ix[0], depths[ix[0]], ix[1]]).ok());
-            prop_assert_eq!(&read, &want, "gather_at_depth on {}", dtype);
+            prop_assert_eq!(&read, &want, "gather_at_depth_into on {}", dtype);
             let tops = build(dtype, &[3, el], |ix| {
                 (if mask[ix[0]] { src.get(ix) } else { sibling.get(&[ix[0], depths[ix[0]], ix[1]]) }).ok()
             });

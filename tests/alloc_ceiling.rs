@@ -160,7 +160,7 @@ fn funnel_nuts_stays_under_6_142_and_6_234_allocations_per_superstep() {
         .map(|i| rng.normal_batch(&[i], &[nuts.dim()]).row(0).expect("row"))
         .map(|q| nuts.request_inputs(&q).expect("inputs"))
         .collect();
-    let pins = [(true, 17_981, 18_497), (false, 18_483, 23_062)];
+    let pins = [(true, 17_981, 18_497), (false, 18_445, 23_062)];
     let (program, opts) = (nuts.lowered(), nuts.exec_options());
     check(program, nuts.registry(), opts, &requests, 3_468, pins);
 }

@@ -49,6 +49,22 @@ use rand::{Rng, SeedableRng};
 /// `m` lowered by 1 or 2 depending on the sign of `acc`. Every depth is
 /// bounded by the clamped `n`, so stack bounds stay finite.
 fn random_program(seed: u64) -> lsab::Program {
+    generate(seed, false)
+}
+
+/// The program [`random_program`] generates from `seed`, entered at the
+/// recursive helper `g(n, acc) -> r` instead of `main`, with `n`
+/// unclamped. `main` enters `g` by a call that pushes a pc frame and no
+/// data frame, so under `main` the pc stack always fills first. Entered
+/// directly, `g`'s data stacks run as deep as the pc stack, and a
+/// recursion pushes its data frames before its return address, so a
+/// program that saves a variable across the recursion overflows on that
+/// variable.
+fn recursive_entry_program(seed: u64) -> lsab::Program {
+    generate(seed, true)
+}
+
+fn generate(seed: u64, entry_recurses: bool) -> lsab::Program {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut pb = ProgramBuilder::new();
     let helper = pb.declare("g", &["n", "acc"], &["r"]);
@@ -212,7 +228,8 @@ fn random_program(seed: u64) -> lsab::Program {
         fb.copy(&fb.output(0), &r[0]);
         fb.ret();
     });
-    pb.finish(main).expect("generated program is well-formed")
+    let entry = if entry_recurses { helper } else { main };
+    pb.finish(entry).expect("generated program is well-formed")
 }
 
 /// The strategy axis; the masked arm first, as the reference.
@@ -491,57 +508,63 @@ proptest! {
         // overflows is the same in every configuration, so the error is
         // too: one value per lowering, whichever driver, strategy or
         // fusion setting runs it. A statically bounded program that
-        // fits never overflows.
+        // fits never overflows. Entered at `main`, the pc stack is the
+        // one that overflows; entered at the recursive helper, a data
+        // variable's stack is.
         let z = xs.len().min(ns.len());
-        let p = random_program(seed);
-        let inputs = vec![
+        let (x, n) = (
             Tensor::from_f64(&xs[..z], &[z]).expect("x input"),
             Tensor::from_i64(&ns[..z], &[z]).expect("n input"),
-        ];
-        let rows: Vec<Vec<Tensor>> = (0..z)
-            .map(|b| inputs.iter().map(|t| t.gather_rows(&[b]).expect("row")).collect())
-            .collect();
-        let members: Vec<(&[Tensor], u64)> = rows.iter().map(Vec::as_slice).zip(0..).collect();
-        let base = ExecOptions { stack_depth, ..ExecOptions::default() };
-        for lopts in all_lowering_options() {
-            let (lowered, _) = lower(&p, lopts).expect("lowers");
-            let reference = PcVm::new(&lowered, KernelRegistry::new(), base).run(&inputs, None);
-            match &reference {
-                Ok(_) => {}
-                Err(VmError::StackOverflow { limit, .. }) => {
-                    prop_assert_eq!(*limit, stack_depth);
-                    prop_assert!(
-                        !analyze_pcab(&lowered).overflow_excluded(stack_depth),
-                        "overflow under a static bound that fits, {:?}", lopts
-                    );
+        );
+        for (p, inputs) in [
+            (random_program(seed), vec![x.clone(), n.clone()]),
+            (recursive_entry_program(seed), vec![n, x]),
+        ] {
+            let rows: Vec<Vec<Tensor>> = (0..z)
+                .map(|b| inputs.iter().map(|t| t.gather_rows(&[b]).expect("row")).collect())
+                .collect();
+            let members: Vec<(&[Tensor], u64)> = rows.iter().map(Vec::as_slice).zip(0..).collect();
+            let base = ExecOptions { stack_depth, ..ExecOptions::default() };
+            for lopts in all_lowering_options() {
+                let (lowered, _) = lower(&p, lopts).expect("lowers");
+                let reference = PcVm::new(&lowered, KernelRegistry::new(), base).run(&inputs, None);
+                match &reference {
+                    Ok(_) => {}
+                    Err(VmError::StackOverflow { limit, .. }) => {
+                        prop_assert_eq!(*limit, stack_depth);
+                        prop_assert!(
+                            !analyze_pcab(&lowered).overflow_excluded(stack_depth),
+                            "overflow under a static bound that fits, {:?}", lopts
+                        );
+                    }
+                    Err(e) => prop_assert!(false, "{} under {:?}", e, lopts),
                 }
-                Err(e) => prop_assert!(false, "{} under {:?}", e, lopts),
-            }
-            for strategy in STRATEGIES {
-                for fuse_elementwise in [true, false] {
-                    let opts = ExecOptions { strategy, fuse_elementwise, ..base };
-                    let at = (lopts, strategy, fuse_elementwise);
-                    let one_shot = PcVm::new(&lowered, KernelRegistry::new(), opts).run(&inputs, None);
-                    prop_assert_eq!(&one_shot, &reference, "one-shot under {:?}", at);
-                    let mut m = PcMachine::new(&lowered, KernelRegistry::new(), opts);
-                    m.admit_batch(&members, None).expect("admits");
-                    let machine = loop {
-                        match m.step(None) {
-                            Ok(true) => {}
-                            Ok(false) => break Ok(m.retire_finished(None).expect("retires")),
-                            Err(e) => break Err(e),
-                        }
-                    };
-                    match (machine, &reference) {
-                        (Err(e), Err(want)) => prop_assert_eq!(&e, want, "machine under {:?}", at),
-                        (Ok(done), Ok(want)) => {
-                            for (o, full) in want.iter().enumerate() {
-                                let rows: Vec<Tensor> =
-                                    done.iter().map(|r| r.outputs[o].clone()).collect();
-                                prop_assert_eq!(&Tensor::concat_rows(&rows).expect("stacks"), full);
+                for strategy in STRATEGIES {
+                    for fuse_elementwise in [true, false] {
+                        let opts = ExecOptions { strategy, fuse_elementwise, ..base };
+                        let at = (lopts, strategy, fuse_elementwise);
+                        let one_shot = PcVm::new(&lowered, KernelRegistry::new(), opts).run(&inputs, None);
+                        prop_assert_eq!(&one_shot, &reference, "one-shot under {:?}", at);
+                        let mut m = PcMachine::new(&lowered, KernelRegistry::new(), opts);
+                        m.admit_batch(&members, None).expect("admits");
+                        let machine = loop {
+                            match m.step(None) {
+                                Ok(true) => {}
+                                Ok(false) => break Ok(m.retire_finished(None).expect("retires")),
+                                Err(e) => break Err(e),
                             }
+                        };
+                        match (machine, &reference) {
+                            (Err(e), Err(want)) => prop_assert_eq!(&e, want, "machine under {:?}", at),
+                            (Ok(done), Ok(want)) => {
+                                for (o, full) in want.iter().enumerate() {
+                                    let rows: Vec<Tensor> =
+                                        done.iter().map(|r| r.outputs[o].clone()).collect();
+                                    prop_assert_eq!(&Tensor::concat_rows(&rows).expect("stacks"), full);
+                                }
+                            }
+                            (got, _) => prop_assert!(false, "machine under {:?}: {:?}", at, got.err()),
                         }
-                        (got, _) => prop_assert!(false, "machine under {:?}: {:?}", at, got.err()),
                     }
                 }
             }
@@ -1039,5 +1062,56 @@ proptest! {
         p.validate().expect("valid");
         let (pc, _) = lower(&p, LoweringOptions::default()).expect("lowers");
         pc.validate().expect("lowered form valid");
+    }
+}
+
+/// `f(n, p) { v = p; if n <= 0 { r = to_f64(n) } else { r = f(n - 1,
+/// sum(p)) + sum(v) } }` with `p` of two elements per member: the caller
+/// saves a `v` of two elements, the callee writes `v` with a scalar, so
+/// the pop that restores the caller's `v` finds a cached top of another
+/// shape than its frames. Every strategy, both ends of the lowering and
+/// fusion on and off agree with the local-static runtime.
+#[test]
+fn a_pop_restores_frames_of_another_shape_than_the_top() {
+    let mut pb = ProgramBuilder::new();
+    let f = pb.declare("f", &["n", "p"], &["r"]);
+    pb.define(f, |fb| {
+        fb.copy(&Var::new("v"), &fb.param(1));
+        let zero = fb.const_i64(0);
+        let base = fb.emit(Prim::Le, &[fb.param(0), zero]);
+        fb.if_else(
+            &base,
+            |fb| fb.assign(&fb.output(0), Prim::ToF64, &[fb.param(0)]),
+            |fb| {
+                let one = fb.const_i64(1);
+                let n1 = fb.emit(Prim::Sub, &[fb.param(0), one]);
+                let s = fb.emit(Prim::SumElems, &[fb.param(1)]);
+                let r = fb.call(f, &[n1, s], 1);
+                let sv = fb.emit(Prim::SumElems, &[Var::new("v")]);
+                fb.assign(&fb.output(0), Prim::Add, &[r[0].clone(), sv]);
+            },
+        );
+        fb.ret();
+    });
+    let p = pb.finish(f).expect("well-formed");
+    let inputs = vec![
+        Tensor::from_i64(&[1, 0, 1], &[3]).expect("n"),
+        Tensor::from_f64(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[3, 2]).expect("p"),
+    ];
+    let want = run_lsab(&p, &inputs, ExecStrategy::Masking);
+    assert_eq!(want[0].as_f64().expect("f64 out"), &[3.0, 0.0, 11.0]);
+    for lopts in [LoweringOptions::default(), LoweringOptions::unoptimized()] {
+        let (lowered, _) = lower(&p, lopts).expect("lowers");
+        for strategy in STRATEGIES {
+            for fuse_elementwise in [true, false] {
+                let opts = ExecOptions {
+                    strategy,
+                    fuse_elementwise,
+                    ..ExecOptions::default()
+                };
+                let at = (lopts, strategy, fuse_elementwise);
+                assert_eq!(run_pc(&lowered, &inputs, opts), want, "under {at:?}");
+            }
+        }
     }
 }
