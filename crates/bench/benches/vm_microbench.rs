@@ -1,17 +1,19 @@
 //! Real wall-clock microbenchmarks of the actual Rust interpreters
 //! (not the simulated-accelerator timings the figures use): VM superstep
-//! overhead, batched Fibonacci on both runtimes, and one batched NUTS
-//! trajectory set.
+//! overhead, batched Fibonacci on both runtimes, one batched NUTS
+//! trajectory set, tensor kernels, and the host cost of one per-op
+//! primitive on a binom-sized batch.
 
 use std::sync::Arc;
 
 use autobatch_core::{
-    lower, DynamicVm, ExecOptions, KernelRegistry, LocalStaticVm, LoweringOptions, PcVm,
+    eval_prim, lower, DynamicVm, ExecOptions, KernelRegistry, LocalStaticVm, LoweringOptions, PcVm,
 };
 use autobatch_ir::build::fibonacci_program;
+use autobatch_ir::Prim;
 use autobatch_models::StdNormal;
 use autobatch_nuts::{BatchNuts, NutsConfig};
-use autobatch_tensor::Tensor;
+use autobatch_tensor::{scalar_ops, CounterRng, DType, Tensor};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_fib(c: &mut Criterion) {
@@ -89,5 +91,49 @@ fn bench_tensor_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_fib, bench_nuts, bench_tensor_kernels);
+/// Calls per timed sample of a per-op row: one call is below the
+/// timer's resolution.
+const CALLS: usize = 1000;
+
+/// One primitive as a `binom_divergent` superstep runs it: 8 lanes of
+/// `i64`, through `eval_prim` with the last result handed back as the
+/// spare, and the into-buffer kernel `zip_into` alone. Each sample is
+/// `CALLS` calls.
+fn bench_per_op(c: &mut Criterion) {
+    let mut group = c.benchmark_group("per-op");
+    let (rng, registry) = (CounterRng::new(0), KernelRegistry::new());
+    let members: Vec<u64> = (0..8).collect();
+    let n = Tensor::from_i64(&[9, 3, 12, 5, 7, 0, 4, 10], &[8]).expect("n");
+    let k = Tensor::from_i64(&[4, 1, 6, 5, 2, 0, 3, 1], &[8]).expect("k");
+    for prim in [Prim::Le, Prim::Sub] {
+        group.bench_function(format!("eval_prim-{prim}-i64x8-x{CALLS}"), |b| {
+            let (mut spare, mut out) = (Vec::new(), Vec::new());
+            b.iter(|| {
+                for _ in 0..CALLS {
+                    let spare = &mut spare;
+                    eval_prim(&prim, &[&n, &k], &members, &rng, &registry, spare, &mut out)
+                        .expect("eval");
+                    spare.append(&mut out);
+                }
+            });
+        });
+    }
+    group.bench_function(format!("zip_into-sub-i64x8-x{CALLS}"), |b| {
+        let mut out = Tensor::zeros(DType::I64, &[8]);
+        b.iter(|| {
+            for _ in 0..CALLS {
+                n.zip_into(&k, scalar_ops::sub_i64, &mut out).expect("zip");
+            }
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_fib,
+    bench_nuts,
+    bench_tensor_kernels,
+    bench_per_op
+);
 criterion_main!(benches);

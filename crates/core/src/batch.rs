@@ -39,8 +39,8 @@ pub(crate) fn batch_size(inputs: &[Tensor]) -> Result<usize> {
 
 /// The value `v` is bound to, or [`VmError::Unbound`] naming where it
 /// was read.
-pub(crate) fn lookup(bound: Option<&Tensor>, v: &Var, context: &str) -> Result<Tensor> {
-    bound.cloned().ok_or_else(|| VmError::Unbound {
+pub(crate) fn lookup<'t>(bound: Option<&'t Tensor>, v: &Var, context: &str) -> Result<&'t Tensor> {
+    bound.ok_or_else(|| VmError::Unbound {
         var: v.clone(),
         context: context.to_string(),
     })

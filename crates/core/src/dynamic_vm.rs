@@ -279,7 +279,7 @@ impl<'p> DynamicVm<'p> {
                     Op::Prim { outs, prim, ins } => {
                         let ins = ins
                             .iter()
-                            .map(|v| lookup(frame.env.get(v), v, &f.name))
+                            .map(|v| lookup(frame.env.get(v), v, &f.name).cloned())
                             .collect::<Result<Vec<_>>>()?;
                         th.pending = Some(PrimRequest {
                             prim: prim.clone(),
@@ -292,7 +292,7 @@ impl<'p> DynamicVm<'p> {
                         let g = &self.program.funcs[callee.0];
                         let mut env = BTreeMap::new();
                         for (p, a) in g.params.iter().zip(ins) {
-                            env.insert(p.clone(), lookup(frame.env.get(a), a, &f.name)?);
+                            env.insert(p.clone(), lookup(frame.env.get(a), a, &f.name)?.clone());
                         }
                         frame.call_outs = Some(outs.clone());
                         if th.frames.len() >= self.opts.max_host_depth {
@@ -325,7 +325,7 @@ impl<'p> DynamicVm<'p> {
                         let rets: Vec<Tensor> = f
                             .outputs
                             .iter()
-                            .map(|o| lookup(frame.env.get(o), o, &f.name))
+                            .map(|o| lookup(frame.env.get(o), o, &f.name).cloned())
                             .collect::<Result<_>>()?;
                         th.frames.pop();
                         match th.frames.last_mut() {
@@ -375,6 +375,7 @@ impl<'p> DynamicVm<'p> {
                 .collect();
             stacked.push(Tensor::concat_rows(&rows)?);
         }
+        let stacked: Vec<&Tensor> = stacked.iter().collect();
         let ids: Vec<u64> = members.iter().map(|&ti| threads[ti].member).collect();
         let (mut spare, mut results) = (Vec::new(), Vec::new());
         eval_prim(

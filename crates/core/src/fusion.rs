@@ -282,11 +282,11 @@ struct Buffers<T: 'static> {
     mats: Vec<Vec<T>>,
 }
 
-/// `v`, emptied, as a vector of slices of another lifetime. Collecting a
-/// mapped `vec::IntoIter` into elements of the same layout reuses its
+/// `v`, emptied, as a vector of borrows of another lifetime. Collecting
+/// a mapped `vec::IntoIter` into elements of the same layout reuses its
 /// allocation, so this allocates nothing (`tests/alloc_ceiling.rs`
 /// counts it).
-fn recycle<'b, T>(mut v: Vec<&[T]>) -> Vec<&'b [T]> {
+pub(crate) fn recycle<'b, T: ?Sized>(mut v: Vec<&T>) -> Vec<&'b T> {
     v.clear();
     v.into_iter().map(|_| unreachable!("emptied")).collect()
 }
@@ -313,7 +313,7 @@ impl FusedRegion {
     /// even then; the per-op path handles that case.
     pub(crate) fn run<'s>(
         &'s self,
-        exts: &[Tensor],
+        exts: &[&Tensor],
         rows: usize,
         scratch: &'s mut RegionScratch,
         spare: &mut Vec<Tensor>,
@@ -348,7 +348,7 @@ impl<T: Element> Buffers<T> {
         &'s mut self,
         region: &'s FusedRegion,
         table: Option<&[ExecOp<T>]>,
-        exts: &[Tensor],
+        exts: &[&Tensor],
         shape: &[usize],
         spare: &mut Vec<Tensor>,
         out: &mut Vec<Tensor>,
@@ -591,8 +591,9 @@ mod tests {
     /// `region` run over `rows` members of `exts`: its results, or
     /// `None` if it refused them.
     fn run(region: &FusedRegion, exts: &[Tensor], rows: usize) -> Option<Vec<Tensor>> {
+        let exts: Vec<&Tensor> = exts.iter().collect();
         let (mut scratch, mut out) = (RegionScratch::default(), Vec::new());
-        let ran = region.run(exts, rows, &mut scratch, &mut Vec::new(), &mut out);
+        let ran = region.run(&exts, rows, &mut scratch, &mut Vec::new(), &mut out);
         ran.unwrap().map(|_| out)
     }
 
@@ -622,7 +623,7 @@ mod tests {
         let spare = &mut Vec::new();
         eval_prim(
             prim,
-            &inputs,
+            &inputs.iter().collect::<Vec<_>>(),
             &members,
             &rng,
             &registry,
@@ -698,7 +699,8 @@ mod tests {
                     assert!(plan_block(&p, &p.blocks[0]).is_empty(), "{prim:?} planned");
                     // `eval_prim` has an arm for it: it evaluates or
                     // refuses these operands, and does not panic.
-                    let ins = vec![Tensor::from_f64(&[1.0], &[1]).unwrap(); arity.ins];
+                    let x = Tensor::from_f64(&[1.0], &[1]).unwrap();
+                    let ins = vec![&x; arity.ins];
                     let (rng, registry) = (CounterRng::new(0), KernelRegistry::new());
                     let (spare, out) = (&mut Vec::new(), &mut Vec::new());
                     let _ = eval_prim(prim, &ins, &[0], &rng, &registry, spare, out);

@@ -6,6 +6,8 @@
 //! gather/scatter), accompanied by the original member id of each row so
 //! counter-based RNG draws are independent of execution strategy.
 
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -83,26 +85,28 @@ impl KernelRegistry {
 
 /// Pad the lower-rank operand with singleton element dimensions so that
 /// per-member broadcasting works: `[Z]` against `[Z, d]` becomes
-/// `[Z, 1]` against `[Z, d]`.
-fn align_pair(a: &Tensor, b: &Tensor) -> Result<(Tensor, Tensor)> {
-    let (ra, rb) = (a.rank(), b.rank());
-    if ra == rb {
-        return Ok((a.clone(), b.clone()));
-    }
-    if ra < rb {
-        let mut shape = a.shape().to_vec();
-        shape.extend(std::iter::repeat_n(1, rb - ra));
-        Ok((a.reshape(&shape)?, b.clone()))
-    } else {
-        let mut shape = b.shape().to_vec();
-        shape.extend(std::iter::repeat_n(1, ra - rb));
-        Ok((a.clone(), b.reshape(&shape)?))
-    }
+/// `[Z, 1]` against `[Z, d]`. Operands of one rank come back as they
+/// are, borrowed.
+fn align_pair<'t>(a: &'t Tensor, b: &'t Tensor) -> Result<(Cow<'t, Tensor>, Cow<'t, Tensor>)> {
+    let padded = |t: &Tensor, rank: usize| -> Result<Cow<'t, Tensor>> {
+        let mut shape = t.shape().to_vec();
+        shape.resize(rank, 1);
+        Ok(Cow::Owned(t.reshape(&shape)?))
+    };
+    Ok(match a.rank().cmp(&b.rank()) {
+        Ordering::Equal => (Cow::Borrowed(a), Cow::Borrowed(b)),
+        Ordering::Less => (padded(a, b.rank())?, Cow::Borrowed(b)),
+        Ordering::Greater => (Cow::Borrowed(a), padded(b, a.rank())?),
+    })
 }
 
 /// Evaluate one primitive on a batch of rows.
 ///
-/// - `inputs`: operand tensors, axis 0 = rows (length `members.len()`).
+/// - `inputs`: operand tensors, axis 0 = rows (length `members.len()`),
+///   borrowed where the caller keeps them: no operand handle is cloned
+///   to evaluate a primitive, and operands of one rank are zipped as
+///   they are (a lower-rank operand is reshaped, which shares its
+///   payload).
 /// - `members`: original batch-member id of each row (RNG independence).
 /// - `rng`: the counter-based random source.
 /// - `registry`: external kernels.
@@ -124,7 +128,7 @@ fn align_pair(a: &Tensor, b: &Tensor) -> Result<(Tensor, Tensor)> {
 /// holds no complete set of results.
 pub fn eval_prim(
     prim: &Prim,
-    inputs: &[Tensor],
+    inputs: &[&Tensor],
     members: &[u64],
     rng: &CounterRng,
     registry: &KernelRegistry,
@@ -154,7 +158,7 @@ pub fn eval_prim(
         Prim::Id => inputs[0].clone(),
         Prim::Not => inputs[0].not()?,
         Prim::And | Prim::Or | Prim::Xor => {
-            let (a, b) = align_pair(&inputs[0], &inputs[1])?;
+            let (a, b) = align_pair(inputs[0], inputs[1])?;
             match prim {
                 Prim::And => a.and(&b)?,
                 Prim::Or => a.or(&b)?,
@@ -162,16 +166,16 @@ pub fn eval_prim(
             }
         }
         Prim::Select => {
-            let (a, b) = align_pair(&inputs[1], &inputs[2])?;
-            let (c, a2) = align_pair(&inputs[0], &a)?;
-            let (_, b2) = align_pair(&inputs[0], &b)?;
+            let (a, b) = align_pair(inputs[1], inputs[2])?;
+            let (c, a2) = align_pair(inputs[0], &a)?;
+            let (_, b2) = align_pair(inputs[0], &b)?;
             c.select(&a2, &b2)?
         }
         Prim::ToF64 => inputs[0].to_f64(),
         Prim::ToI64 => inputs[0].to_i64(),
         Prim::ToBool => inputs[0].to_bool(),
         Prim::SumElems => inputs[0].sum_last_axis()?,
-        Prim::Dot => inputs[0].dot_last_axis(&inputs[1])?,
+        Prim::Dot => inputs[0].dot_last_axis(inputs[1])?,
         Prim::RandUniform | Prim::RandNormal | Prim::RandExponential => {
             let counters = inputs[0].as_i64()?;
             let sample = match prim {
@@ -202,7 +206,9 @@ pub fn eval_prim(
                     got: (inputs.len(), a.outs),
                 });
             }
-            let outs = k.eval(inputs)?;
+            let outs = k.eval(owned(inputs, out));
+            out.clear();
+            let outs = outs?;
             if outs.len() != a.outs {
                 return Err(VmError::KernelArity {
                     name: name.to_string(),
@@ -218,7 +224,7 @@ pub fn eval_prim(
         // broadcasting arithmetic. The kernel of the first operand's
         // dtype runs, else the row's only one, which then reports the
         // dtype it cannot take.
-        _ => match (prim.scalar_kernels(), inputs.first().map(Tensor::dtype)) {
+        _ => match (prim.scalar_kernels(), inputs.first().map(|t| t.dtype())) {
             ((_, Some(k)), Some(DType::I64)) | ((None, Some(k)), _) => {
                 apply(k, inputs, rows, spare)?
             }
@@ -228,6 +234,18 @@ pub fn eval_prim(
     };
     out.push(result);
     Ok(())
+}
+
+/// `inputs` as the slice of tensors an [`ExternalKernel`] takes: a lone
+/// operand as it is, several as shares collected into `buf`, whose
+/// allocation a caller that keeps it reuses.
+pub(crate) fn owned<'t>(inputs: &[&'t Tensor], buf: &'t mut Vec<Tensor>) -> &'t [Tensor] {
+    if let [t] = inputs {
+        return std::slice::from_ref(*t);
+    }
+    buf.clear();
+    buf.extend(inputs.iter().map(|&t| t.clone()));
+    buf
 }
 
 /// Take a tensor of `dtype` out of `spare`, the most recently given
@@ -245,7 +263,7 @@ pub(crate) fn take_spare(spare: &mut Vec<Tensor>, dtype: DType) -> Option<Tensor
 /// as it stands.
 fn apply<T: Element>(
     k: ScalarKernel<T>,
-    inputs: &[Tensor],
+    inputs: &[&Tensor],
     rows: usize,
     spare: &mut Vec<Tensor>,
 ) -> Result<Tensor> {
@@ -264,8 +282,8 @@ fn apply<T: Element>(
             buf
         }
         ScalarKernel::Bin(f) => {
-            let (a, b) = align_pair(&inputs[0], &inputs[1])?;
-            let mut buf = buf.unwrap_or_else(|| a.clone());
+            let (a, b) = align_pair(inputs[0], inputs[1])?;
+            let mut buf = buf.unwrap_or_else(|| Tensor::clone(&a));
             a.zip_into(&b, f, &mut buf)?;
             buf
         }
@@ -276,13 +294,13 @@ fn apply<T: Element>(
 /// dtypes, into a spare `bool` tensor or, with none at hand, a share of
 /// the first (aligned) operand, as [`apply`] writes.
 fn compare(
-    inputs: &[Tensor],
+    inputs: &[&Tensor],
     spare: &mut Vec<Tensor>,
     f64s: impl Fn(f64, f64) -> bool,
     i64s: impl Fn(i64, i64) -> bool,
 ) -> Result<Tensor> {
-    let (a, b) = align_pair(&inputs[0], &inputs[1])?;
-    let mut buf = take_spare(spare, DType::Bool).unwrap_or_else(|| a.clone());
+    let (a, b) = align_pair(inputs[0], inputs[1])?;
+    let mut buf = take_spare(spare, DType::Bool).unwrap_or_else(|| Tensor::clone(&a));
     match a.dtype() {
         DType::F64 => a.zip_into(&b, f64s, &mut buf)?,
         _ => a.zip_into(&b, i64s, &mut buf)?,
@@ -308,8 +326,9 @@ mod tests {
         rng: &CounterRng,
         reg: &KernelRegistry,
     ) -> Result<Vec<Tensor>> {
+        let inputs: Vec<&Tensor> = inputs.iter().collect();
         let mut out = Vec::new();
-        eval_prim(prim, inputs, members, rng, reg, &mut Vec::new(), &mut out).map(|()| out)
+        eval_prim(prim, &inputs, members, rng, reg, &mut Vec::new(), &mut out).map(|()| out)
     }
 
     #[test]
@@ -319,7 +338,7 @@ mod tests {
         let mut out = Vec::new();
         eval_prim(
             &Prim::RandUniform,
-            &[counters],
+            &[&counters],
             &[0, 1],
             &rng,
             &reg,
@@ -331,7 +350,7 @@ mod tests {
         let x = Tensor::from_f64(&[1.0, -2.0], &[2]).unwrap();
         eval_prim(
             &Prim::Neg,
-            &[x],
+            &[&x],
             &[0, 1],
             &rng,
             &reg,
@@ -442,7 +461,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out[0].as_f64().unwrap(), &[2.0, 4.0]);
-        let cost = prim_cost(&Prim::external("double"), &[x], &out, &reg);
+        let cost = prim_cost(&Prim::external("double"), &[&x], &out, &reg);
         assert_eq!(cost.flops, 2.0); // 1 flop/member × 2 members
         assert!(cost.bytes > 0.0);
     }
@@ -452,7 +471,7 @@ mod tests {
         let (_, reg) = env();
         let a = Tensor::zeros(DType::F64, &[4, 8]);
         let out = vec![Tensor::zeros(DType::F64, &[4, 8])];
-        let c = prim_cost(&Prim::Add, &[a.clone(), a], &out, &reg);
+        let c = prim_cost(&Prim::Add, &[&a, &a], &out, &reg);
         assert_eq!(c.flops, 32.0);
         assert_eq!(c.parallel, 32);
     }

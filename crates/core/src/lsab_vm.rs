@@ -101,7 +101,7 @@ struct Invocation {
 
 impl Invocation {
     fn read(&self, v: &Var, context: &str) -> Result<Tensor> {
-        lookup(self.env.get(v).and_then(Option::as_ref), v, context)
+        lookup(self.env.get(v).and_then(Option::as_ref), v, context).cloned()
     }
 
     /// Write `value` for the locally active members: full width under
@@ -141,6 +141,7 @@ impl Invocation {
         } else {
             (0..z as u64).collect()
         };
+        let inputs: Vec<&Tensor> = inputs.iter().collect();
         let mut results = Vec::with_capacity(outs.len());
         eval_prim(
             prim,

@@ -49,7 +49,11 @@
 //! reproduces the per-op kernels on. The program's `Var`s are read only
 //! to name an error or to label an observer's snapshot.
 //!
-//! Nor does a superstep allocate. Every tensor it produces is written
+//! Nor does a superstep allocate, and no handle is cloned: a primitive,
+//! a fused region and a branch read their operands in place, borrowed
+//! from the member set, the temporaries or a gathered operand buffer,
+//! so no share of a destination outlives its read into write-back.
+//! Every tensor it produces is written
 //! into one the arena already holds: the arena's spares are the
 //! temporaries of the last superstep and the results already copied
 //! into registers and stack tops, each kept only while nothing else
@@ -69,7 +73,7 @@ use autobatch_tensor::{CounterRng, DType, Tensor};
 
 use crate::batch::{batch_size, land, lookup, select_block, store_rows, zeroed, Lanes};
 use crate::error::{Result, VmError};
-use crate::fusion::{self, FusedRegion, RegionScratch};
+use crate::fusion::{self, recycle, FusedRegion, RegionScratch};
 use crate::kernels::{eval_prim, take_spare, KernelRegistry};
 use crate::member_set::{LaneState, State};
 use crate::options::{BlockCost, ExecOptions};
@@ -272,8 +276,10 @@ struct Scratch {
     depths: Vec<usize>,
     /// What the fused regions' loops reuse.
     fused: RegionScratch,
-    /// Reused operand buffer of a primitive or a fused region.
-    inputs: Vec<Tensor>,
+    /// The operand borrows of a primitive or a fused region while it
+    /// runs, empty in between: the `'static` only keeps the allocation
+    /// (see [`recycle`]).
+    inputs: Vec<&'static Tensor>,
     /// Reused result buffer of a primitive or a fused region.
     results: Vec<Tensor>,
     /// The superstep's block-local temporaries, indexed by
@@ -574,7 +580,7 @@ impl<'p> PcVm<'p> {
     fn outputs(&self, st: &State) -> Result<Vec<Tensor>> {
         let outputs = self.program.outputs.iter().zip(&self.output_slots);
         outputs
-            .map(|(o, &slot)| lookup(slot.and_then(|s| peek(st, s)), o, "outputs"))
+            .map(|(o, &slot)| lookup(slot.and_then(|s| peek(st, s)), o, "outputs").cloned())
             .collect()
     }
 }
@@ -620,6 +626,57 @@ fn read<'s>(st: &'s State, temps: &'s [Option<Tensor>], slot: Slot) -> Option<&'
         Slot::Temp(i) => temps[i].as_ref(),
         _ => peek(st, slot),
     }
+}
+
+/// Where a gathered superstep copies its persistent operands' active
+/// `rows`: the block's operand buffers, the next one to fill at `next`.
+struct Gather<'s> {
+    rows: &'s [usize],
+    bufs: &'s mut Vec<Tensor>,
+    next: &'s mut usize,
+}
+
+/// Borrow the operands in `slots` (named `vars`, for errors) into `out`,
+/// each as the superstep's mode wants it: a block-local temporary as it
+/// is (a gathered superstep bound it compacted), a persistent variable's
+/// full-width buffer or, under `gather`, the block's next operand
+/// buffer, which the variable's active rows are first copied into. No
+/// handle is cloned, so once `out` is released no share of a
+/// destination survives into write-back.
+fn read_operands<'s>(
+    st: &'s State,
+    temps: &'s [Option<Tensor>],
+    gather: Option<Gather<'s>>,
+    slots: &[Slot],
+    vars: &[Var],
+    out: &mut Vec<&'s Tensor>,
+) -> Result<()> {
+    let Some(Gather { rows, bufs, next }) = gather else {
+        for (&slot, v) in slots.iter().zip(vars) {
+            out.push(lookup(read(st, temps, slot), v, "compute")?);
+        }
+        return Ok(());
+    };
+    let first = *next;
+    for (&slot, v) in slots.iter().zip(vars) {
+        let t = lookup(read(st, temps, slot), v, "compute")?;
+        if !matches!(slot, Slot::Temp(_)) {
+            match bufs.get_mut(*next) {
+                Some(buf) => t.gather_rows_into(rows, buf)?,
+                None => bufs.push(t.gather_rows(rows)?),
+            }
+            *next += 1;
+        }
+    }
+    let bufs: &'s [Tensor] = bufs;
+    let mut gathered = bufs[first..].iter();
+    for &slot in slots {
+        out.push(match slot {
+            Slot::Temp(i) => temps[i].as_ref().expect("looked up above"),
+            _ => gathered.next().expect("gathered above"),
+        });
+    }
+    Ok(())
 }
 
 /// One superstep's working set, borrowed for its duration from whoever
@@ -691,11 +748,23 @@ impl Superstep<'_, '_> {
                 // A gathered superstep's temporaries hold one row per
                 // *active* member.
                 let compacted = self.scratch.gathered && matches!(slot, Slot::Temp(_));
-                let c = lookup(read(st, &self.scratch.temps, slot), cond, "branch")?;
-                let cv = c.as_bool()?;
+                // The condition is read in place, beside the pc tops it
+                // moves.
+                let State {
+                    pc_top,
+                    stacked,
+                    registers,
+                    ..
+                } = st;
+                let bound = match slot {
+                    Slot::Stacked(i) => stacked[i].top.as_ref(),
+                    Slot::Register(i) => registers[i].as_ref(),
+                    Slot::Temp(i) => self.scratch.temps[i].as_ref(),
+                };
+                let cv = lookup(bound, cond, "branch")?.as_bool()?;
                 for (pos, &b) in active_idx.iter().enumerate() {
                     let bit = if compacted { cv[pos] } else { cv[b] };
-                    st.pc_top[b] = if bit { then_.0 } else { else_.0 };
+                    pc_top[b] = if bit { then_.0 } else { else_.0 };
                 }
             }
             Terminator::PushJump { enter, resume } => {
@@ -743,21 +812,34 @@ impl Superstep<'_, '_> {
     fn try_exec_fused(&mut self, region: &FusedRegion, slots: &Operands) -> Result<bool> {
         // Read the external inputs exactly like the per-op path, into
         // the same reused buffer.
-        self.read_operands(&slots.ins, &region.exts)?;
         let scratch = &mut *self.scratch;
+        let mut args = recycle(std::mem::take(&mut scratch.inputs));
+        let gather = (scratch.gathered).then(|| Gather {
+            rows: &scratch.active_idx,
+            bufs: &mut scratch.blocks[self.block].operands,
+            next: &mut scratch.next_operand,
+        });
+        read_operands(
+            self.st,
+            &scratch.temps,
+            gather,
+            &slots.ins,
+            &region.exts,
+            &mut args,
+        )?;
         let rows = if scratch.gathered {
             scratch.active_idx.len()
         } else {
             self.st.z()
         };
         let ran = region.run(
-            &scratch.inputs,
+            &args,
             rows,
             &mut scratch.fused,
             &mut scratch.spare,
             &mut scratch.results,
         );
-        scratch.inputs.clear();
+        scratch.inputs = recycle(args);
         let Some(ran) = ran? else {
             return Ok(false);
         };
@@ -765,33 +847,6 @@ impl Superstep<'_, '_> {
         let outs = region.mats.iter().map(|&d| &region.ops[d].out);
         self.write_results(&slots.outs, outs)?;
         Ok(true)
-    }
-
-    /// Fill `scratch.inputs` with the operands in `slots` (named `vars`,
-    /// for errors), each as the superstep's mode wants it: a block-local
-    /// temporary as it is (a gathered superstep bound it compacted), a
-    /// persistent variable whole — an O(1) copy-on-write share — or,
-    /// gathered, its active rows copied into the block's next operand
-    /// buffer.
-    fn read_operands(&mut self, slots: &[Slot], vars: &[Var]) -> Result<()> {
-        let scratch = &mut *self.scratch;
-        scratch.inputs.clear();
-        for (&slot, v) in slots.iter().zip(vars) {
-            let t = lookup(read(self.st, &scratch.temps, slot), v, "compute")?;
-            if !scratch.gathered || matches!(slot, Slot::Temp(_)) {
-                scratch.inputs.push(t);
-                continue;
-            }
-            let k = scratch.next_operand;
-            scratch.next_operand += 1;
-            let bufs = &mut scratch.blocks[self.block].operands;
-            match bufs.get_mut(k) {
-                Some(rows) => t.gather_rows_into(&scratch.active_idx, rows)?,
-                None => bufs.push(t.gather_rows(&scratch.active_idx)?),
-            }
-            scratch.inputs.push(bufs[k].clone());
-        }
-        Ok(())
     }
 
     /// Execute one `Compute` op in the superstep's mode: `slots` are
@@ -815,22 +870,24 @@ impl Superstep<'_, '_> {
                 }
             }
         }
-        self.read_operands(&slots.ins, ins)?;
         let scratch = &mut *self.scratch;
+        let mut args = recycle(std::mem::take(&mut scratch.inputs));
+        let gather = (scratch.gathered).then(|| Gather {
+            rows: &scratch.active_idx,
+            bufs: &mut scratch.blocks[self.block].operands,
+            next: &mut scratch.next_operand,
+        });
+        read_operands(self.st, &scratch.temps, gather, &slots.ins, ins, &mut args)?;
         let members = if scratch.gathered {
             &scratch.members
         } else {
             &self.st.member_keys
         };
-        let (inputs, results) = (&scratch.inputs, &mut scratch.results);
-        let spare = &mut scratch.spare;
-        eval_prim(prim, inputs, members, &vm.rng, &vm.registry, spare, results)?;
+        let (results, spare) = (&mut scratch.results, &mut scratch.spare);
+        eval_prim(prim, &args, members, &vm.rng, &vm.registry, spare, results)?;
         self.pricing
-            .op(prim, inputs, results, &vm.registry, scratch.gathered);
-        // Release the operand clones before write-back: a surviving
-        // share of the destination buffer would force the store below
-        // into a full copy-on-write instead of an in-place write.
-        scratch.inputs.clear();
+            .op(prim, &args, results, &vm.registry, scratch.gathered);
+        scratch.inputs = recycle(args);
         self.write_results(&slots.outs, outs.iter())
     }
 
@@ -1409,9 +1466,10 @@ impl<'p> PcMachine<'p> {
     ///
     /// # Errors
     ///
-    /// Returns [`VmError::BadInputs`] for an unknown ticket or a lane
+    /// Returns [`VmError::BadInputs`] for an unknown ticket, a lane
     /// that has already finished (finished lanes must retire, not
-    /// migrate).
+    /// migrate) or a ticket requested twice (one lane cannot leave as
+    /// two); the machine is untouched then.
     pub fn extract_lanes(
         &mut self,
         tickets: &[u64],
@@ -1430,6 +1488,11 @@ impl<'p> PcMachine<'p> {
             if !self.st.is_running(b) {
                 return Err(VmError::BadInputs {
                     what: format!("extract_lanes: lane with ticket {ticket} already finished"),
+                });
+            }
+            if lanes.contains(&b) {
+                return Err(VmError::BadInputs {
+                    what: format!("extract_lanes: ticket {ticket} requested twice"),
                 });
             }
             lanes.push(b);
@@ -2234,6 +2297,32 @@ mod tests {
             f.extract_lanes(&[t], None),
             Err(VmError::BadInputs { .. })
         ));
+    }
+
+    /// A ticket named twice is refused before anything moves: two
+    /// states of one lane, each re-injected, would run the request
+    /// twice.
+    #[test]
+    fn extracting_a_ticket_twice_is_refused_and_changes_nothing() {
+        let p = fibonacci_program();
+        let (pc, _) = lower(&p, LoweringOptions::default()).unwrap();
+        let mut m = PcMachine::new(&pc, KernelRegistry::new(), ExecOptions::default());
+        let input = |n: i64| [Tensor::from_i64(&[n], &[1]).unwrap()];
+        let t = m.admit(&input(9), 0, None).unwrap();
+        let u = m.admit(&input(7), 1, None).unwrap();
+        m.step(None).unwrap();
+        for tickets in [[t, t], [u, u]] {
+            assert!(matches!(
+                m.extract_lanes(&tickets, None),
+                Err(VmError::BadInputs { .. })
+            ));
+            assert_eq!((m.live(), m.running(), m.tickets()), (2, 2, &[t, u][..]));
+        }
+        let mut fib: Vec<(u64, i64)> = (m.run_to_completion(None).unwrap().iter())
+            .map(|r| (r.ticket, r.outputs[0].as_i64().unwrap()[0]))
+            .collect();
+        fib.sort_unstable();
+        assert_eq!(fib, vec![(t, 55), (u, 21)]);
     }
 
     #[test]

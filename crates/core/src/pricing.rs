@@ -61,7 +61,7 @@ use autobatch_ir::Prim;
 use autobatch_tensor::Tensor;
 
 use crate::fusion::Ran;
-use crate::kernels::KernelRegistry;
+use crate::kernels::{owned, KernelRegistry};
 use crate::options::BlockCost;
 
 /// Flops and streaming bytes of one primitive evaluation, for pricing.
@@ -88,27 +88,28 @@ impl OpCost {
 /// Compute the cost of a primitive applied to `inputs` producing `outputs`.
 pub fn prim_cost(
     prim: &Prim,
-    inputs: &[Tensor],
+    inputs: &[&Tensor],
     outputs: &[Tensor],
     registry: &KernelRegistry,
 ) -> OpCost {
-    let in_elems: usize = inputs.iter().map(Tensor::len).max().unwrap_or(0);
+    let in_elems: usize = inputs.iter().map(|t| t.len()).max().unwrap_or(0);
     let out_elems: usize = outputs.iter().map(Tensor::len).max().unwrap_or(0);
     let work_elems = in_elems.max(out_elems);
-    let bytes: f64 = inputs
-        .iter()
+    let bytes: f64 = (inputs.iter().copied())
         .chain(outputs)
         .map(|t| t.size_bytes() as f64)
         .sum();
     let (flops, parallel) = match prim {
         Prim::External(name) => {
-            let rows = outputs.first().or(inputs.first()).map_or(0, |t| {
+            let rows = outputs.first().or(inputs.first().copied()).map_or(0, |t| {
                 if t.rank() == 0 {
                     1
                 } else {
                     t.shape()[0]
                 }
             });
+            let mut buf = Vec::new();
+            let inputs = owned(inputs, &mut buf);
             match registry.get(name) {
                 Ok(k) => (
                     k.flops_per_member(inputs) * rows as f64,
@@ -217,7 +218,7 @@ impl<'t> Pricing<'t> {
     pub(crate) fn op(
         &mut self,
         prim: &Prim,
-        inputs: &[Tensor],
+        inputs: &[&Tensor],
         results: &[Tensor],
         registry: &KernelRegistry,
         gathered: bool,

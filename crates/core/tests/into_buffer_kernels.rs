@@ -11,11 +11,14 @@
 //! share of its first operand) and with one spare buffer, and the tensor
 //! crate's into-buffer kernel ([`Tensor::refill_with`],
 //! [`Tensor::map_into`], [`Tensor::zip_into`]) called straight on the
-//! same buffer. The operand shapes cover the four
-//! ways an operand lines up with a broadcast's output (whole, tile,
-//! repeat, general); the buffer arrives unshared, shared with a holder
-//! whose bits must not change, of another dtype, or of another rank or
-//! row count.
+//! same buffer and on a share of the first operand. The operand shapes
+//! cover the four ways an operand lines up with a broadcast's output
+//! (whole, tile, repeat, general); the buffer arrives unshared, shared
+//! with a holder whose bits must not change, of another dtype, or of
+//! another rank or row count. Equal shapes, which `zip_into` runs
+//! without planning a broadcast, and broadcasting ones are also run over
+//! every ordered pair of edge values (signed zeros, NaN, infinities, a
+//! subnormal, the `f64` and `i64` extremes), at ranks 0, 1 and 2.
 
 use autobatch_core::{eval_prim, KernelRegistry};
 use autobatch_ir::{Prim, ScalarKernel};
@@ -69,6 +72,29 @@ fn bits(t: &Tensor) -> (Vec<usize>, DType, Vec<u64>) {
     (t.shape().to_vec(), t.dtype(), v)
 }
 
+/// Whether `got` is `want` bit for bit, except where both `f64`
+/// operands of an element are NaNs of different payloads: there IEEE 754
+/// leaves open which payload the result keeps, and the allocating
+/// kernels' loop, which LLVM inlines, vectorizes and may commute, keeps
+/// the other one than a scalar kernel called through its `fn` pointer
+/// (seen in release builds); the result must still be a NaN.
+fn agree(got: &Tensor, want: &Tensor, inputs: &[Tensor]) -> bool {
+    if bits(got) == bits(want) {
+        return true;
+    }
+    let (Data::F64(g), Data::F64(w), [a, b]) = (got.data(), want.data(), inputs) else {
+        return false;
+    };
+    // Each operand broadcast to the result's shape, bit for bit.
+    let spread = |t: &Tensor| Tensor::full(want.shape(), true).select(t, t).unwrap();
+    let (a, b) = (spread(a), spread(b));
+    let nans = |x: f64, y: f64| x.is_nan() && y.is_nan() && x.to_bits() != y.to_bits();
+    got.shape() == want.shape()
+        && (g.iter().zip(w))
+            .zip(a.as_f64().unwrap().iter().zip(b.as_f64().unwrap()))
+            .all(|((g, w), (&x, &y))| g.to_bits() == w.to_bits() || nans(x, y) && nans(*g, *w))
+}
+
 /// The operand shapes of broadcast class `class` over `[z, d]` (rank 3
 /// for the general class): the output itself, a trailing block, each
 /// element repeated, and operands that each broadcast along a different
@@ -106,6 +132,10 @@ fn target(kind: usize, dtype: DType, shape: &[usize], raw: &[u64]) -> (Tensor, O
         DType::Bool => DType::F64,
     };
     let mut longer = shape.to_vec();
+    if let Some(rows) = longer.first_mut() {
+        *rows += 1;
+    }
+    longer.push(2);
     match kind % 4 {
         0 => (operand(dtype, raw, shape), None),
         1 => {
@@ -113,11 +143,7 @@ fn target(kind: usize, dtype: DType, shape: &[usize], raw: &[u64]) -> (Tensor, O
             (held.clone(), Some(held))
         }
         2 => (operand(other, raw, shape), None),
-        _ => {
-            longer[0] += 1;
-            longer.push(2);
-            (operand(dtype, raw, &longer), None)
-        }
+        _ => (operand(dtype, raw, &longer), None),
     }
 }
 
@@ -164,15 +190,17 @@ fn allocating(prim: &Prim, inputs: &[Tensor], rows: usize) -> Tensor {
 /// buffers `spare` lends.
 fn eval(prim: &Prim, inputs: &[Tensor], rows: usize, spare: &mut Vec<Tensor>) -> Tensor {
     let members: Vec<u64> = (0..rows as u64).collect();
+    let inputs: Vec<&Tensor> = inputs.iter().collect();
     let (rng, registry, mut out) = (CounterRng::new(0), KernelRegistry::new(), Vec::new());
-    eval_prim(prim, inputs, &members, &rng, &registry, spare, &mut out).unwrap();
+    eval_prim(prim, &inputs, &members, &rng, &registry, spare, &mut out).unwrap();
     out.remove(0)
 }
 
 /// Hold `prim` on `inputs` to its allocating kernel, through
-/// [`eval_prim`] with no spare, and through [`eval_prim`] and `direct`,
-/// the tensor crate's into-buffer kernel, each writing a buffer that
-/// arrives as `kind` says.
+/// [`eval_prim`] with no spare, through `direct`, the tensor crate's
+/// into-buffer kernel, writing a share of the first operand, and through
+/// [`eval_prim`] and `direct` each writing a buffer that arrives as
+/// `kind` says.
 fn check(
     prim: &Prim,
     inputs: &[Tensor],
@@ -187,11 +215,23 @@ fn check(
         inputs.iter().map(Tensor::shape).collect::<Vec<_>>()
     );
     let operands: Vec<_> = inputs.iter().map(bits).collect();
-    assert_eq!(
-        bits(&eval(prim, inputs, rows, &mut Vec::new())),
-        bits(&want),
-        "eval_prim without a spare {at}"
+    let same = |got: &Tensor, what: &str| {
+        assert!(
+            agree(got, &want, inputs),
+            "{what} {at}: {:?} against {:?}",
+            bits(got),
+            bits(&want)
+        );
+    };
+    same(
+        &eval(prim, inputs, rows, &mut Vec::new()),
+        "eval_prim without a spare",
     );
+    if let Some(first) = inputs.first() {
+        let mut share = first.clone();
+        direct(&mut share);
+        same(&share, "into a share of an operand");
+    }
     assert_eq!(
         inputs.iter().map(bits).collect::<Vec<_>>(),
         operands,
@@ -200,14 +240,10 @@ fn check(
     let (buf, holder) = target(kind, want.dtype(), want.shape(), raw);
     let held = holder.as_ref().map(bits);
     let mut spare = vec![buf.clone()];
-    assert_eq!(
-        bits(&eval(prim, inputs, rows, &mut spare)),
-        bits(&want),
-        "eval_prim {at}"
-    );
+    same(&eval(prim, inputs, rows, &mut spare), "eval_prim");
     let mut buf = buf;
     direct(&mut buf);
-    assert_eq!(bits(&buf), bits(&want), "into-buffer kernel {at}");
+    same(&buf, "into-buffer kernel");
     drop(spare);
     assert_eq!(
         holder.as_ref().map(bits),
@@ -220,44 +256,37 @@ fn check(
 /// broadcast class `class` over `[z, d]`, into a buffer of `kind`.
 fn check_rows(class: usize, z: usize, d: usize, e: usize, kind: usize, raw: &[u64]) {
     let [ls, rs] = shapes(class, z, d, e);
-    for dtype in [DType::F64, DType::I64] {
-        let (a, b) = (operand(dtype, raw, &ls), operand(dtype, &raw[7..], &rs));
-        for (prim, f, i) in comparisons() {
+    let operands = |dtype| (operand(dtype, raw, &ls), operand(dtype, &raw[7..], &rs));
+    check_all(operands(DType::F64), operands(DType::I64), z, kind, raw);
+}
+
+/// Every constant, scalar-kernel row and comparison on the `f64`
+/// operands `f` and the `i64` operands `i` (`z` members), into a buffer
+/// of `kind`.
+fn check_all(f: (Tensor, Tensor), i: (Tensor, Tensor), z: usize, kind: usize, raw: &[u64]) {
+    for (a, b) in [&f, &i] {
+        for (prim, fk, ik) in comparisons() {
             check(
                 &prim,
                 &[a.clone(), b.clone()],
                 z,
                 kind,
                 raw,
-                |out| match dtype {
-                    DType::F64 => a.zip_into(&b, f, out).unwrap(),
-                    _ => a.zip_into(&b, i, out).unwrap(),
+                |out| match a.dtype() {
+                    DType::F64 => a.zip_into(b, fk, out).unwrap(),
+                    _ => a.zip_into(b, ik, out).unwrap(),
                 },
             );
         }
     }
     let consts = [Prim::ConstF64(-2.5), Prim::ConstI64(7)];
     for prim in Prim::ROWS.iter().chain(&consts) {
-        let (f, i) = prim.scalar_kernels();
-        let f = f.map(|k| {
-            (
-                k,
-                operand(DType::F64, raw, &ls),
-                operand(DType::F64, &raw[7..], &rs),
-            )
-        });
-        let i = i.map(|k| {
-            (
-                k,
-                operand(DType::I64, raw, &ls),
-                operand(DType::I64, &raw[7..], &rs),
-            )
-        });
-        if let Some((k, a, b)) = f {
-            check_kernel(prim, k, &a, &b, z, kind, raw);
+        let (fk, ik) = prim.scalar_kernels();
+        if let Some(k) = fk {
+            check_kernel(prim, k, &f.0, &f.1, z, kind, raw);
         }
-        if let Some((k, a, b)) = i {
-            check_kernel(prim, k, &a, &b, z, kind, raw);
+        if let Some(k) = ik {
+            check_kernel(prim, k, &i.0, &i.1, z, kind, raw);
         }
     }
     let c = Prim::ConstBool(true);
@@ -321,6 +350,114 @@ fn into_buffer_kernels_match_the_allocating_ones_on_named_shapes() {
         let mut spare = vec![operand(dtype, &raw, &[5])];
         assert_eq!(bits(&eval(&Prim::Add, &ins, 2, &mut spare)), bits(&want));
         assert!(spare.is_empty(), "the spare was written into");
+    }
+}
+
+/// The floats' edge values: both zeros, the infinities, two NaN bit
+/// patterns, a subnormal and the extremes.
+const F64_EDGES: [f64; 12] = [
+    0.0,
+    -0.0,
+    1.0,
+    -2.5,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+    f64::from_bits(0xfff8_0000_0000_0bad),
+    f64::MIN_POSITIVE / 4.0,
+    -f64::MIN_POSITIVE,
+    f64::MAX,
+    f64::MIN,
+];
+
+/// The integers' edge values: 0, ±1, small ones and the extremes.
+const I64_EDGES: [i64; 12] = [
+    0,
+    1,
+    -1,
+    2,
+    -3,
+    63,
+    64,
+    i64::MIN,
+    i64::MAX,
+    i64::MIN + 1,
+    i64::MAX - 1,
+    -64,
+];
+
+/// `dtype`'s edge values as every ordered pair, `[n, n]` each: on the
+/// left each edge repeated along its row, on the right the edges tiled.
+fn edge_pairs(dtype: DType) -> (Tensor, Tensor) {
+    let n = F64_EDGES.len();
+    let laid = |at: fn(usize, usize) -> usize| {
+        let data = match dtype {
+            DType::F64 => Data::F64((0..n * n).map(|j| F64_EDGES[at(j, n)]).collect()),
+            _ => Data::I64((0..n * n).map(|j| I64_EDGES[at(j, n)]).collect()),
+        };
+        Tensor::new(data, &[n, n]).unwrap()
+    };
+    (laid(|j, n| j / n), laid(|j, n| j % n))
+}
+
+/// Equal operand shapes, which `zip_into` runs as one loop over the two
+/// slices without planning a broadcast, and broadcasting ones, which it
+/// plans: every edge value against every other, on every dtype a
+/// kernel has, into a buffer that is unshared, shares its payload with a
+/// holder or with the first operand, or is of another dtype or shape.
+#[test]
+fn equal_and_broadcast_shapes_match_the_allocating_kernels_on_edge_values() {
+    let raw: Vec<u64> = (0..64u64)
+        .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+        .collect();
+    let n = F64_EDGES.len();
+    let (f, i) = (edge_pairs(DType::F64), edge_pairs(DType::I64));
+    let shaped = |(l, r): &(Tensor, Tensor), ls: &[usize], rs: &[usize]| {
+        (l.reshape(ls).unwrap(), r.reshape(rs).unwrap())
+    };
+    // The edges once, as a `[1, n]` row and an `[n, 1]` column.
+    let row = |(_, r): &(Tensor, Tensor)| r.gather_rows(&[0]).unwrap();
+    let col = |p: &(Tensor, Tensor)| row(p).reshape(&[n, 1]).unwrap();
+    // NaN against -0.0 (and 64 against 1), at rank 0.
+    let scalars = |(l, r): &(Tensor, Tensor)| {
+        let at = |t: &Tensor| {
+            t.reshape(&[n * n])
+                .unwrap()
+                .gather_rows(&[6 * n + 1])
+                .unwrap()
+        };
+        (at(l).reshape(&[]).unwrap(), at(r).reshape(&[]).unwrap())
+    };
+    for kind in 0..4 {
+        // Equal shapes: `[n, n]`, the lanes' `[n²]`, and rank 0.
+        check_all(f.clone(), i.clone(), n, kind, &raw);
+        let flat = [n * n];
+        check_all(
+            shaped(&f, &flat, &flat),
+            shaped(&i, &flat, &flat),
+            n * n,
+            kind,
+            &raw,
+        );
+        check_all(scalars(&f), scalars(&i), 1, kind, &raw);
+        // Broadcasting shapes: a row against the matrix (tile), the
+        // matrix against a column (repeat), a column against a row
+        // (general).
+        check_all(
+            (row(&f), f.0.clone()),
+            (row(&i), i.0.clone()),
+            n,
+            kind,
+            &raw,
+        );
+        check_all(
+            (f.0.clone(), col(&f)),
+            (i.0.clone(), col(&i)),
+            n,
+            kind,
+            &raw,
+        );
+        check_all((col(&f), row(&f)), (col(&i), row(&i)), n, kind, &raw);
     }
 }
 

@@ -1150,8 +1150,8 @@ impl<'p> BatchServer<'p> {
     /// # Errors
     ///
     /// The poisoning error if this server is poisoned, or
-    /// [`VmError::BadInputs`] for a ticket that is not a running lane
-    /// (validation happens before any mutation).
+    /// [`VmError::BadInputs`] for a ticket that is not a running lane or
+    /// is named twice (validation happens before any mutation).
     pub fn evict_lanes(&mut self, tickets: &[u64]) -> Result<Vec<Migrant>> {
         self.check_poisoned()?;
         let lanes = self.machine.extract_lanes(tickets, None)?;
@@ -1357,6 +1357,34 @@ mod tests {
             out.iter().any(|r| r.admitted_at > 0),
             "no mid-flight admission happened"
         );
+    }
+
+    /// Evicting one ticket twice is refused before the machine or the
+    /// in-flight records change, and every request is still answered
+    /// once.
+    #[test]
+    fn evicting_a_ticket_twice_is_refused_and_changes_nothing() {
+        let (pc, _) = lower(&fibonacci_program(), LoweringOptions::default()).unwrap();
+        let policy = AdmissionPolicy::JoinAtEntry { max_batch: 4 };
+        let mut server =
+            BatchServer::new(&pc, KernelRegistry::new(), ExecOptions::default(), policy).unwrap();
+        for r in fib_requests(&[9, 7]) {
+            server.submit(r).unwrap();
+        }
+        assert!(server.poll(None).unwrap());
+        let lanes = server.lane_pcs();
+        assert_eq!(lanes.len(), 2);
+        let t = lanes[0].0;
+        assert!(server.evict_lanes(&[t, t]).is_err());
+        assert_eq!((server.in_flight(), server.running()), (2, 2));
+        assert_eq!(server.lane_pcs(), lanes);
+        assert!(server.poisoned().is_none());
+        let mut out = server.run_until_idle(None).unwrap();
+        out.sort_by_key(|r| r.id);
+        let got: Vec<(u64, i64)> = (out.iter())
+            .map(|r| (r.id, r.outputs[0].as_i64().unwrap()[0]))
+            .collect();
+        assert_eq!(got, vec![(0, 55), (1, 21)]);
     }
 
     #[test]

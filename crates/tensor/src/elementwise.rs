@@ -418,7 +418,9 @@ impl Tensor {
     /// the allocating kernels' loop, so given the same function it is
     /// bit-identical to them ([`Tensor::add`] with
     /// [`scalar_ops::add_f64`](crate::scalar_ops::add_f64),
-    /// [`Tensor::lt`] with `|a, b| a < b`, …).
+    /// [`Tensor::lt`] with `|a, b| a < b`, …). Operands of one shape
+    /// broadcast as a single run, so they skip the planner and run that
+    /// run's loop over the two slices.
     ///
     /// # Errors
     ///
@@ -430,6 +432,14 @@ impl Tensor {
         f: impl Fn(A, A) -> U,
         out: &mut Tensor,
     ) -> Result<()> {
+        if self.shape() == rhs.shape() {
+            let a = A::values(self.data()).ok_or_else(|| dtype_err::<A>(self, "zip_into"))?;
+            let b = A::values(rhs.data()).ok_or_else(|| dtype_err::<A>(rhs, "zip_into"))?;
+            out.adopt_shape(self.shape_handle());
+            let values = out.refill_payload();
+            values.extend(a.iter().zip(b).map(|(&x, &y)| f(x, y)));
+            return Ok(());
+        }
         let p = plan(self, rhs, "zip_into")?;
         let a = A::values(self.data()).ok_or_else(|| dtype_err::<A>(self, "zip_into"))?;
         let b = A::values(rhs.data()).ok_or_else(|| dtype_err::<A>(rhs, "zip_into"))?;

@@ -33,7 +33,8 @@
 //! they reuse the caller's buffers exactly when nothing else holds them,
 //! so a caller that keeps its tensors unshared between uses writes
 //! without allocating. `zip_into` and `map_into` run the allocating
-//! kernels' loops. The scalar functions behind every elementwise kernel
+//! kernels' loops; `zip_into` given operands of one shape runs the loop
+//! of their one run without planning the broadcast. The scalar functions behind every elementwise kernel
 //! are shared through [`scalar_ops`], so a caller that fuses a chain of
 //! them into one pass (`autobatch-core` does) is bit-identical to
 //! per-kernel execution by construction.
