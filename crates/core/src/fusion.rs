@@ -654,6 +654,11 @@ mod tests {
         assert_eq!(got, want, "{prim:?}: fused and batched kernels disagree");
     }
 
+    /// Two NaNs of different payloads meet in every binary row, in both
+    /// orders. Both paths keep the same one: `Add`, `Sub`, `Mul`, `Div`
+    /// and `Pow` the first operand's payload, `Min2` and `Max2` the
+    /// second's, and a unary row its operand's (`Neg` and `Sigmoid` with
+    /// the sign bit set).
     #[test]
     fn every_row_fuses_bit_identically_or_not_at_all() {
         let subnormal = f64::MIN_POSITIVE / 4.0;
@@ -668,6 +673,7 @@ mod tests {
             f64::INFINITY,
             f64::NEG_INFINITY,
             f64::NAN,
+            f64::from_bits(0x7ff8_0000_0000_0001),
             subnormal,
             -subnormal,
             f64::MAX,

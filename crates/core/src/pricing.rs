@@ -447,9 +447,10 @@ mod tests {
         }
     }
 
-    /// ROADMAP 2(a), for the cost model: under a fixed strategy an
-    /// untraced run never asks a kernel what it costs and a traced one
-    /// asks once per evaluation (one flops and one parallelism query).
+    /// The cost model runs only where a trace is attached: under a fixed
+    /// strategy an untraced run never asks a kernel what it costs and a
+    /// traced one asks once per evaluation (one flops and one
+    /// parallelism query).
     /// `Adaptive` asks once more per primitive it has not seen — this
     /// program has one external call site — and never again, traced or
     /// not; every run computes the same bits.

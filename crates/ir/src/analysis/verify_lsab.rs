@@ -315,21 +315,30 @@ impl<'p> Engine<'p> {
         if (0..self.p.funcs.len()).any(|f| reachable[f] && cg.is_recursive_func(FuncId(f))) {
             return DepthBound::Unbounded;
         }
-        fn depth(cg: &CallGraph, f: usize, memo: &mut [Option<usize>]) -> usize {
+        fn depth(
+            cg: &CallGraph,
+            f: usize,
+            reachable: &[bool],
+            memo: &mut [Option<usize>],
+        ) -> usize {
             if let Some(d) = memo[f] {
                 return d;
             }
-            // Acyclic (checked above), so plain recursion terminates.
+            // The reachable functions are acyclic (checked above), so
+            // plain recursion over them terminates. A recursive callee
+            // the analysis never reached, behind an op it rejected, is
+            // not walked.
             let d = cg
                 .callees(FuncId(f))
-                .map(|c| 1 + depth(cg, c.0, memo))
+                .filter(|c| reachable[c.0])
+                .map(|c| 1 + depth(cg, c.0, reachable, memo))
                 .max()
                 .unwrap_or(0);
             memo[f] = Some(d);
             d
         }
         let mut memo = vec![None; self.p.funcs.len()];
-        DepthBound::Bounded(depth(&cg, self.p.entry.0, &mut memo))
+        DepthBound::Bounded(depth(&cg, self.p.entry.0, &reachable, &mut memo))
     }
 }
 
@@ -571,6 +580,39 @@ mod tests {
         assert_eq!(report.input_dtypes, vec![AbsDType::I64]);
         let sig = infer_lsab_signature(&p, &[TensorSpec::new(AbsDType::I64, vec![])]).unwrap();
         assert_eq!(sig.outputs[0].dtype, AbsDType::I64);
+    }
+
+    /// The analysis stops at an ill-typed op, so the recursive function
+    /// called after it is never reached: the report names the op, and
+    /// the call-depth walk does not follow the recursion it never saw.
+    #[test]
+    fn an_ill_typed_op_ahead_of_a_recursive_call_is_reported() {
+        let mut pb = ProgramBuilder::new();
+        let main = pb.declare("main", &["n"], &["y"]);
+        let fib = pb.declare("fib", &["n"], &["r"]);
+        pb.define(main, |fb| {
+            let (x, k) = (fb.const_f64(1.0), fb.const_i64(1));
+            fb.emit(Prim::Add, &[x, k]);
+            fb.call_into(&[fb.output(0)], fib, &[fb.param(0)]);
+            fb.ret();
+        });
+        pb.define(fib, |fb| {
+            let zero = fb.const_i64(0);
+            let base = fb.emit(Prim::Le, &[fb.param(0), zero]);
+            fb.if_else(
+                &base,
+                |fb| fb.copy(&fb.output(0), &fb.param(0)),
+                |fb| {
+                    let one = fb.const_i64(1);
+                    let m = fb.emit(Prim::Sub, &[fb.param(0), one]);
+                    fb.call_into(&[fb.output(0)], fib, &[m]);
+                },
+            );
+            fb.ret();
+        });
+        let report = analyze_lsab(&pb.finish(main).unwrap());
+        assert!(!report.ok());
+        assert_eq!(report.call_depth, DepthBound::Bounded(0));
     }
 
     #[test]

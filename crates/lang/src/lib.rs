@@ -39,7 +39,6 @@
 pub mod ast;
 mod error;
 mod extract;
-pub mod genprog;
 mod lower;
 mod parser;
 mod token;
@@ -47,7 +46,6 @@ pub mod types;
 
 pub use error::{LangError, Pos, Result};
 pub use extract::embedded_sources;
-pub use genprog::{gen_program, GeneratedProgram};
 pub use lower::{compile, compile_module};
 pub use parser::parse;
 pub use types::{check_module, Tables};

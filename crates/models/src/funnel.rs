@@ -140,7 +140,7 @@ fn check_shape(q: &Tensor, dim: usize) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autobatch_autodiff::finite_difference;
+    use crate::testing::finite_difference;
 
     #[test]
     fn funnel_gradient_matches_finite_differences() {

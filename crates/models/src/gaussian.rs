@@ -111,7 +111,7 @@ impl Model for CorrelatedGaussian {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autobatch_autodiff::finite_difference;
+    use crate::testing::finite_difference;
 
     #[test]
     fn gradient_matches_finite_differences() {

@@ -10,10 +10,10 @@
 //!   precision;
 //! - [`NealsFunnel`] and [`StdNormal`] — extra targets for the examples.
 //!
-//! Every gradient is cross-checked in tests against both
-//! `autobatch-autodiff`'s reverse-mode tape and central finite
-//! differences. [`model_registry`] packages a model as the `grad`/`logp`
-//! external kernels autobatched programs call.
+//! Every gradient is cross-checked in tests against central finite
+//! differences, and the logistic regression's also against its closed
+//! form written as plain loops. [`model_registry`] packages a model as
+//! the `grad`/`logp` external kernels autobatched programs call.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -66,5 +66,26 @@ pub trait Model: Send + Sync + fmt::Debug {
     /// override with their data count).
     fn parallel_width(&self) -> usize {
         self.dim()
+    }
+}
+
+#[cfg(test)]
+mod testing {
+    use autobatch_tensor::Tensor;
+
+    /// Central finite-difference gradient of `f` at `x`, to check a
+    /// hand-derived gradient against.
+    pub(crate) fn finite_difference<F: Fn(&Tensor) -> f64>(f: F, x: &Tensor, eps: f64) -> Tensor {
+        let base = x.as_f64().expect("finite_difference needs f64 input");
+        let grad: Vec<f64> = (0..base.len())
+            .map(|i| {
+                let (mut plus, mut minus) = (base.to_vec(), base.to_vec());
+                plus[i] += eps;
+                minus[i] -= eps;
+                let at = |v: &[f64]| f(&Tensor::from_f64(v, x.shape()).expect("shape preserved"));
+                (at(&plus) - at(&minus)) / (2.0 * eps)
+            })
+            .collect();
+        Tensor::from_f64(&grad, x.shape()).expect("shape preserved")
     }
 }

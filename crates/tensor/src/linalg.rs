@@ -50,31 +50,6 @@ impl Tensor {
         Ok(Tensor::from_parts(shape, Data::F64(out)))
     }
 
-    /// Matrix–vector product: `self` of shape `[m, k]`, `v` of shape `[k]`,
-    /// result of shape `[m]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless both are `f64` with conforming shapes.
-    pub fn matvec(&self, v: &Tensor) -> Result<Tensor> {
-        let a = self.as_f64()?;
-        let x = v.as_f64()?;
-        if self.rank() != 2 || v.rank() != 1 || self.shape()[1] != v.shape()[0] {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.shape().to_vec(),
-                rhs: v.shape().to_vec(),
-                op: "matvec",
-            });
-        }
-        let (m, k) = (self.shape()[0], self.shape()[1]);
-        let mut out = vec![0.0; m];
-        for i in 0..m {
-            let row = &a[i * k..(i + 1) * k];
-            out[i] = row.iter().zip(x).map(|(&r, &xx)| r * xx).sum();
-        }
-        Tensor::new(Data::F64(out), &[m])
-    }
-
     /// Batched matrix–vector product: `self` of shape `[m, k]` applied to
     /// every row of `vs` of shape `[z, k]`, producing `[z, m]`.
     ///
@@ -180,8 +155,8 @@ mod tests {
     #[test]
     fn matvec_small() {
         let m = Tensor::from_f64(&[1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
-        let v = Tensor::from_f64(&[1.0, 1.0], &[2]).unwrap();
-        assert_eq!(m.matvec(&v).unwrap().as_f64().unwrap(), &[3.0, 7.0]);
+        let v = Tensor::from_f64(&[1.0, 1.0], &[1, 2]).unwrap();
+        assert_eq!(m.matvec_batched(&v).unwrap().as_f64().unwrap(), &[3.0, 7.0]);
     }
 
     #[test]
@@ -211,8 +186,8 @@ mod tests {
 
     #[test]
     fn shape_errors() {
-        let a = Tensor::from_f64(&[1.0, 2.0], &[2]).unwrap();
+        let a = Tensor::from_f64(&[1.0, 2.0], &[1, 2]).unwrap();
         let m = Tensor::from_f64(&[1.0, 2.0, 3.0], &[3, 1]).unwrap();
-        assert!(m.matvec(&a).is_err());
+        assert!(m.matvec_batched(&a).is_err());
     }
 }

@@ -1,5 +1,4 @@
-//! Reduction kernels: the full sum, boolean any/all, and the sum over
-//! the trailing axis (the per-batch-member element axis in the
+//! Reduction kernels: boolean any/all and the sum over the trailing axis (the per-batch-member element axis in the
 //! autobatching runtimes).
 
 use crate::dtype::Data;
@@ -7,23 +6,6 @@ use crate::error::{Result, TensorError};
 use crate::tensor::Tensor;
 
 impl Tensor {
-    /// Sum of all elements (numeric dtypes).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::DTypeMismatch`] for `bool` tensors.
-    pub fn sum_all(&self) -> Result<f64> {
-        match self.data() {
-            Data::F64(v) => Ok(v.iter().sum()),
-            Data::I64(v) => Ok(v.iter().map(|&x| x as f64).sum()),
-            Data::Bool(_) => Err(TensorError::DTypeMismatch {
-                got: self.dtype(),
-                expected: "numeric dtype",
-                op: "sum_all",
-            }),
-        }
-    }
-
     /// Whether any element of a `bool` tensor is `true`.
     ///
     /// # Errors
@@ -78,8 +60,8 @@ mod tests {
 
     #[test]
     fn full_reductions() {
-        let t = Tensor::from_f64(&[1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
-        assert_eq!(t.sum_all().unwrap(), 10.0);
+        let t = Tensor::from_f64(&[1.0, 2.0, 3.0, 4.0], &[4]).unwrap();
+        assert_eq!(t.sum_last_axis().unwrap().as_f64().unwrap(), &[10.0]);
     }
 
     #[test]
@@ -105,12 +87,12 @@ mod tests {
         let t = Tensor::from_f64(&[1.0, 2.0], &[2]).unwrap();
         let s = t.sum_last_axis().unwrap();
         assert_eq!(s.rank(), 0);
-        assert_eq!(s.item().unwrap().as_f64(), Some(3.0));
+        assert_eq!(s.as_f64().unwrap(), &[3.0]);
     }
 
     #[test]
     fn bool_sum_rejected() {
         let t = Tensor::from_bool(&[true], &[1]).unwrap();
-        assert!(t.sum_all().is_err());
+        assert!(t.sum_last_axis().is_err());
     }
 }

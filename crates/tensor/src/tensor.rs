@@ -51,9 +51,9 @@ use crate::shape::volume;
 ///
 /// // Clones are O(1) and share storage until mutated.
 /// let mut u = t.clone();
-/// assert!(t.shares_storage(&u));
+/// assert!(std::ptr::eq(t.data(), u.data()));
 /// u.set(&[0, 0], 9.0)?;
-/// assert!(!t.shares_storage(&u));
+/// assert!(!std::ptr::eq(t.data(), u.data()));
 /// assert_eq!(t.get(&[0, 0])?, Scalar::F64(1.0)); // the sibling is untouched
 /// # Ok::<(), autobatch_tensor::TensorError>(())
 /// ```
@@ -153,14 +153,6 @@ impl Tensor {
         }
     }
 
-    /// `[0, 1, ..., n-1]` as an `i64` vector.
-    pub fn arange(n: usize) -> Tensor {
-        Tensor {
-            shape: Arc::from([n].as_slice()),
-            data: Arc::new(Data::I64((0..n as i64).collect())),
-        }
-    }
-
     /// The shape of the tensor.
     pub fn shape(&self) -> &[usize] {
         &self.shape
@@ -194,12 +186,6 @@ impl Tensor {
     /// Borrow the raw storage.
     pub fn data(&self) -> &Data {
         &self.data
-    }
-
-    /// Whether two tensors share one copy-on-write payload. Diagnostic
-    /// only: sharing is an optimization, never an observable semantic.
-    pub fn shares_storage(&self, other: &Tensor) -> bool {
-        Arc::ptr_eq(&self.data, &other.data)
     }
 
     /// A tensor with `self`'s shape and fresh storage, sharing the
@@ -485,25 +471,6 @@ impl Tensor {
             data: Arc::clone(&self.data),
         })
     }
-
-    /// The scalar value of a single-element tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the tensor does not hold exactly one element.
-    pub fn item(&self) -> Result<Scalar> {
-        if self.len() != 1 {
-            return Err(TensorError::DataLength {
-                expected: 1,
-                got: self.len(),
-            });
-        }
-        Ok(match &*self.data {
-            Data::F64(v) => Scalar::F64(v[0]),
-            Data::I64(v) => Scalar::I64(v[0]),
-            Data::Bool(v) => Scalar::Bool(v[0]),
-        })
-    }
 }
 
 impl fmt::Display for Tensor {
@@ -541,7 +508,7 @@ mod tests {
         let t = Tensor::scalar(5.0);
         assert_eq!(t.rank(), 0);
         assert_eq!(t.len(), 1);
-        assert_eq!(t.item().unwrap(), Scalar::F64(5.0));
+        assert_eq!(t.get(&[]).unwrap(), Scalar::F64(5.0));
     }
 
     #[test]
@@ -564,7 +531,8 @@ mod tests {
 
     #[test]
     fn reshape_preserves_data() {
-        let t = Tensor::arange(6).reshape(&[2, 3]).unwrap();
+        let t = Tensor::from_i64(&[0, 1, 2, 3, 4, 5], &[6]).unwrap();
+        let t = t.reshape(&[2, 3]).unwrap();
         assert_eq!(t.get(&[1, 2]).unwrap(), Scalar::I64(5));
         assert!(t.reshape(&[4]).is_err());
     }

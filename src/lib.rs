@@ -15,8 +15,8 @@
 //! - [`lang`] — the surface language frontend (the AutoGraph stand-in);
 //! - [`core`] — the paper's contribution: both autobatching runtimes and
 //!   the stack-discipline lowering between them;
-//! - [`autodiff`] — a reverse-mode tape for deriving model gradients;
-//! - [`models`] — the evaluation's target log-densities;
+//! - [`models`] — the evaluation's target log-densities, with
+//!   hand-derived batched gradients;
 //! - [`nuts`] — the No-U-Turn Sampler, recursive and batched;
 //! - [`diagnostics`] — cross-chain convergence diagnostics (`R̂`, ESS),
 //!   the practice the paper's batching is meant to enable;
@@ -46,7 +46,6 @@
 #![warn(missing_docs)]
 
 pub use autobatch_accel as accel;
-pub use autobatch_autodiff as autodiff;
 pub use autobatch_chaos as chaos;
 pub use autobatch_core as core;
 pub use autobatch_diagnostics as diagnostics;

@@ -4,23 +4,28 @@
 //! strategies, every lowering configuration, and both primitive
 //! execution strategies.
 //!
-//! Programs are generated randomly at the IR-builder level: straight-line
-//! arithmetic over a growing variable pool, nested conditionals, bounded
-//! while loops, and a terminating recursive helper with data-dependent
-//! branching: single or double (binom-shaped) recursion, a second call
-//! that passes the caller's parameter through unchanged (binom's `k`),
-//! and mutual recursion whose depth steps by a data-dependent stride.
-//! RNG primitives are excluded here because their draws are keyed by
-//! batch-member id (their member-consistency is covered by the NUTS
-//! native-vs-batched tests).
+//! Programs come from the random-program generator every root test
+//! shares (`tests/common`): `f64` and `i64` values at scalar and `[2]`
+//! element shapes, nested conditionals, bounded while loops, acyclic
+//! calls, and, in about 2 programs of 3, a terminating recursive helper
+//! with data-dependent branching: single or double (binom-shaped)
+//! recursion, a second call that passes the caller's parameter through
+//! unchanged (binom's `k`), and mutual recursion whose depth steps by a
+//! data-dependent stride, entered at `main` or at the helper itself. The
+//! properties run the well-typed programs ([`program`]) on batches drawn
+//! from their input specs. RNG primitives are excluded here because their
+//! draws are keyed by batch-member id (their member-consistency is
+//! covered by the NUTS native-vs-batched tests).
 //!
 //! Determinism: the `seed` strategy below, like every proptest input, is
 //! drawn from the vendored deterministic proptest harness — cases are a
 //! pure function of `(PROPTEST_SEED, test name, case index)`, and the
-//! program generator itself derives everything from `seed` through
-//! `StdRng::seed_from_u64`. A failing case therefore reproduces bit-for-
-//! bit on any machine with the same `PROPTEST_SEED` (default 0); set
-//! `PROPTEST_CASES` to widen or narrow the sweep.
+//! program generator and the batches derive everything from their seeds
+//! through `StdRng::seed_from_u64`. A failing case therefore reproduces
+//! bit-for-bit on any machine with the same `PROPTEST_SEED` (default 0);
+//! set `PROPTEST_CASES` to widen or narrow the sweep.
+
+mod common;
 
 use autobatch::accel::{Backend, Trace};
 use autobatch::core::{
@@ -32,204 +37,117 @@ use autobatch::ir::build::{fibonacci_program, ProgramBuilder};
 use autobatch::ir::{lsab, pcab, Prim, Var};
 use autobatch::serve::{AdmissionPolicy, BatchServer, Request, ShardedServer};
 use autobatch::tensor::Tensor;
+use common::{generate, materialize, Generated};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
-/// Generate a random, well-formed, terminating program.
-///
-/// Structure: a recursive helper `g(n, acc) -> r` whose branching
-/// depends on both `n` and `acc`, and an entry `main(x, n) -> y` mixing
-/// straight-line float arithmetic, an `if`, a bounded `while`, and a
-/// call to the helper with a clamped depth argument. Some helpers call
-/// themselves twice, the second time with their own `acc` unchanged —
-/// after the first call pushed another value onto it, so the pop that
-/// precedes the second push is argument passing, not a re-save; some
-/// recurse through a partner `h(m, acc) -> r` that calls `g` back with
-/// `m` lowered by 1 or 2 depending on the sign of `acc`. Every depth is
-/// bounded by the clamped `n`, so stack bounds stay finite.
-fn random_program(seed: u64) -> lsab::Program {
-    generate(seed, false)
+/// The first program the generator makes from `seed` on that carries no
+/// injected type error (about 1 in 4 does), entered at `main` or, when
+/// `at_helper` and the program recurses, at its recursive helper.
+fn program(seed: u64, at_helper: bool) -> Generated {
+    (0..)
+        .map(|k| generate(seed.wrapping_add(k), at_helper))
+        .find(|g| !g.expect_reject)
+        .expect("a well-typed program")
 }
 
-/// The program [`random_program`] generates from `seed`, entered at the
-/// recursive helper `g(n, acc) -> r` instead of `main`, with `n`
-/// unclamped. `main` enters `g` by a call that pushes a pc frame and no
-/// data frame, so under `main` the pc stack always fills first. Entered
-/// directly, `g`'s data stacks run as deep as the pc stack, and a
-/// recursion pushes its data frames before its return address, so a
-/// program that saves a variable across the recursion overflows on that
-/// variable.
-fn recursive_entry_program(seed: u64) -> lsab::Program {
-    generate(seed, true)
-}
-
-fn generate(seed: u64, entry_recurses: bool) -> lsab::Program {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut pb = ProgramBuilder::new();
-    let helper = pb.declare("g", &["n", "acc"], &["r"]);
-    let main = pb.declare("main", &["x", "n0"], &["y"]);
-    let partner = rng
-        .gen_bool(0.4)
-        .then(|| pb.declare("h", &["m", "acc"], &["r"]));
-
-    // Safe float ops only: no div (NaN poisons comparisons), exp clamped
-    // by construction of small operands.
-    let bin_ops = [Prim::Add, Prim::Sub, Prim::Mul, Prim::Min2, Prim::Max2];
-    let un_ops = [Prim::Neg, Prim::Abs, Prim::Tanh, Prim::Sin];
-
-    let double_recursion = rng.gen_bool(0.5);
-    let pass_through = rng.gen_bool(0.5);
-    let helper_branch_on_acc = rng.gen_bool(0.5);
-    let h_expr_ops: Vec<usize> = (0..rng.gen_range(1..4))
-        .map(|_| rng.gen_range(0..bin_ops.len()))
-        .collect();
-
-    pb.define(helper, |fb| {
-        let n = fb.param(0);
-        let _acc = fb.param(1);
-        let zero = fb.const_i64(0);
-        let base = fb.emit(Prim::Le, &[n.clone(), zero]);
-        fb.if_else(
-            &base,
-            |fb| {
-                fb.copy(&fb.output(0), &fb.param(1));
-            },
-            |fb| {
-                // A value whose computation depends on the random ops.
-                let mut t = fb.param(1);
-                for &oi in &h_expr_ops {
-                    let c = fb.const_f64(0.25 + oi as f64 * 0.5);
-                    t = fb.emit(bin_ops[oi].clone(), &[t, c]);
-                }
-                let one = fb.const_i64(1);
-                let n1 = fb.emit(Prim::Sub, &[fb.param(0), one]);
-                let r1 = if helper_branch_on_acc {
-                    // Branch on the float state: divergent recursion.
-                    let thr = fb.const_f64(0.0);
-                    let pos = fb.emit(Prim::Gt, &[t.clone(), thr]);
-                    let flipped = fb.emit(Prim::Neg, &[t.clone()]);
-                    let sel = fb.emit(Prim::Select, &[pos, t.clone(), flipped]);
-                    fb.call(helper, &[n1.clone(), sel], 1)
-                } else {
-                    fb.call(partner.unwrap_or(helper), &[n1.clone(), t.clone()], 1)
-                };
-                if double_recursion {
-                    let two = fb.const_i64(2);
-                    let n2 = fb.emit(Prim::Sub, &[fb.param(0), two]);
-                    let t2 = if pass_through {
-                        fb.param(1)
-                    } else {
-                        let half = fb.const_f64(0.5);
-                        fb.emit(Prim::Mul, &[t, half])
-                    };
-                    let r2 = fb.call(helper, &[n2, t2], 1);
-                    fb.assign(&fb.output(0), Prim::Add, &[r1[0].clone(), r2[0].clone()]);
-                } else {
-                    fb.copy(&fb.output(0), &r1[0]);
-                }
-            },
-        );
-        fb.ret();
-    });
-    if let Some(partner) = partner {
-        pb.define(partner, |fb| {
-            let zero = fb.const_i64(0);
-            let base = fb.emit(Prim::Le, &[fb.param(0), zero]);
-            fb.if_else(
-                &base,
-                |fb| {
-                    fb.assign(&fb.output(0), Prim::Neg, &[fb.param(1)]);
-                },
-                |fb| {
-                    let thr = fb.const_f64(0.0);
-                    let pos = fb.emit(Prim::Gt, &[fb.param(1), thr]);
-                    let (one, two) = (fb.const_i64(1), fb.const_i64(2));
-                    let stride = fb.emit(Prim::Select, &[pos, two, one]);
-                    let m1 = fb.emit(Prim::Sub, &[fb.param(0), stride]);
-                    let c = fb.const_f64(0.75);
-                    let a = fb.emit(Prim::Mul, &[fb.param(1), c]);
-                    let r = fb.call(helper, &[m1, a], 1);
-                    fb.assign(&fb.output(0), Prim::Add, &[r[0].clone(), fb.param(1)]);
-                },
-            );
-            fb.ret();
-        });
-    }
-
-    let n_straight = rng.gen_range(1..6);
-    let straight: Vec<(usize, usize, bool)> = (0..n_straight)
-        .map(|_| {
-            (
-                rng.gen_range(0..bin_ops.len()),
-                rng.gen_range(0..un_ops.len()),
-                rng.gen_bool(0.5),
-            )
+/// Each member's rows of a batch of inputs or outputs, in member order.
+fn rows(batch: &[Tensor]) -> Vec<Vec<Tensor>> {
+    let z = batch.first().map_or(0, |t| t.shape()[0]);
+    (0..z)
+        .map(|b| {
+            batch
+                .iter()
+                .map(|t| t.gather_rows(&[b]).expect("row"))
+                .collect()
         })
-        .collect();
-    let with_if = rng.gen_bool(0.7);
-    let with_loop = rng.gen_bool(0.7);
-    let loop_trips = rng.gen_range(1..4);
-    let depth_mod = rng.gen_range(2..5);
+        .collect()
+}
 
-    pb.define(main, |fb| {
-        let x = fb.param(0);
-        let pool = Var::new("pool");
-        fb.copy(&pool, &x);
-        for &(bi, ui, unary_first) in &straight {
-            if unary_first {
-                let u = fb.emit(un_ops[ui].clone(), std::slice::from_ref(&pool));
-                let c = fb.const_f64(0.75);
-                fb.assign(&pool, bin_ops[bi].clone(), &[u, c]);
-            } else {
-                let c = fb.const_f64(-0.5);
-                let b = fb.emit(bin_ops[bi].clone(), &[pool.clone(), c]);
-                fb.assign(&pool, un_ops[ui].clone(), &[b]);
+/// Run `p` on `inputs` under a stack of `stack_depth` frames (two or
+/// three: the generated recursion overflows it for most inputs), one-shot
+/// and through a machine, under every lowering × strategy × fusion
+/// setting. Where it overflows, the push that overflows is the same in
+/// every configuration, so the error is too: one value per lowering,
+/// whichever driver, strategy or fusion setting runs it. A program whose
+/// static stack bound fits never overflows. Returns the number of
+/// lowerings whose bound fits, all of which ran clean.
+fn overflow_is_one_error(p: &lsab::Program, inputs: &[Tensor], stack_depth: usize) -> usize {
+    let members = rows(inputs);
+    let members: Vec<(&[Tensor], u64)> = members.iter().map(Vec::as_slice).zip(0..).collect();
+    let base = ExecOptions {
+        stack_depth,
+        ..ExecOptions::default()
+    };
+    let mut fits = 0;
+    for lopts in all_lowering_options() {
+        let (lowered, _) = lower(p, lopts).expect("lowers");
+        let excluded = analyze_pcab(&lowered).overflow_excluded(stack_depth);
+        let reference = PcVm::new(&lowered, KernelRegistry::new(), base).run(inputs, None);
+        match &reference {
+            Ok(_) => fits += usize::from(excluded),
+            Err(VmError::StackOverflow { limit, .. }) => {
+                assert_eq!(*limit, stack_depth);
+                assert!(
+                    !excluded,
+                    "overflow under a static bound that fits, {lopts:?}"
+                );
+            }
+            Err(e) => panic!("{e} under {lopts:?}"),
+        }
+        for strategy in STRATEGIES {
+            for fuse_elementwise in [true, false] {
+                let opts = ExecOptions {
+                    strategy,
+                    fuse_elementwise,
+                    ..base
+                };
+                let at = (lopts, strategy, fuse_elementwise);
+                let one_shot = PcVm::new(&lowered, KernelRegistry::new(), opts).run(inputs, None);
+                assert_eq!(&one_shot, &reference, "one-shot under {at:?}");
+                let mut m = PcMachine::new(&lowered, KernelRegistry::new(), opts);
+                m.admit_batch(&members, None).expect("admits");
+                let machine = loop {
+                    match m.step(None) {
+                        Ok(true) => {}
+                        Ok(false) => break Ok(m.retire_finished(None).expect("retires")),
+                        Err(e) => break Err(e),
+                    }
+                };
+                match (machine, &reference) {
+                    (Err(e), Err(want)) => assert_eq!(&e, want, "machine under {at:?}"),
+                    (Ok(done), Ok(want)) => {
+                        for (o, full) in want.iter().enumerate() {
+                            let rows: Vec<Tensor> =
+                                done.iter().map(|r| r.outputs[o].clone()).collect();
+                            assert_eq!(&Tensor::concat_rows(&rows).expect("stacks"), full);
+                        }
+                    }
+                    (got, _) => panic!("machine under {at:?}: {:?}", got.err()),
+                }
             }
         }
-        if with_if {
-            let zero = fb.const_f64(0.0);
-            let c = fb.emit(Prim::Lt, &[pool.clone(), zero]);
-            fb.if_else(
-                &c,
-                |fb| {
-                    let k = fb.const_f64(1.5);
-                    fb.assign(&Var::new("pool"), Prim::Add, &[Var::new("pool"), k]);
-                },
-                |fb| {
-                    let k = fb.const_f64(0.25);
-                    fb.assign(&Var::new("pool"), Prim::Mul, &[Var::new("pool"), k]);
-                },
-            );
+    }
+    fits
+}
+
+/// The overflow property's static clause is not vacuous: over a fixed
+/// range of seeds, some lowering of some program has a static stack
+/// bound that fits a stack of two or three frames, and runs clean there.
+/// A recursive program's bound is `Unbounded`, so these are the
+/// generator's non-recursive programs.
+#[test]
+fn a_static_stack_bound_that_fits_holds_in_some_run() {
+    let mut fits = 0;
+    for seed in 0..8 {
+        let g = program(seed, false);
+        let inputs = materialize(&g.inputs, 3, seed);
+        for stack_depth in 2..=3 {
+            fits += overflow_is_one_error(&g.program, &inputs, stack_depth);
         }
-        if with_loop {
-            let i = Var::new("i");
-            let zero = fb.const_i64(0);
-            fb.copy(&i, &zero);
-            let trips = fb.const_i64(loop_trips);
-            fb.while_loop(
-                |fb| fb.emit(Prim::Lt, &[Var::new("i"), trips.clone()]),
-                |fb| {
-                    let half = fb.const_f64(0.5);
-                    let s = fb.emit(Prim::Sin, &[Var::new("pool")]);
-                    let sc = fb.emit(Prim::Mul, &[s, half]);
-                    fb.assign(&Var::new("pool"), Prim::Add, &[Var::new("pool"), sc]);
-                    let one = fb.const_i64(1);
-                    fb.assign(&Var::new("i"), Prim::Add, &[Var::new("i"), one]);
-                },
-            );
-        }
-        // Clamped recursion depth: n0 is bounded by the test harness, but
-        // clamp again via min to stay within host limits.
-        let cap = fb.const_i64(depth_mod);
-        let n0 = fb.param(1);
-        let depth = fb.emit(Prim::Min2, &[n0, cap]);
-        let r = fb.call(helper, &[depth, pool.clone()], 1);
-        fb.copy(&fb.output(0), &r[0]);
-        fb.ret();
-    });
-    let entry = if entry_recurses { helper } else { main };
-    pb.finish(entry).expect("generated program is well-formed")
+    }
+    assert!(fits > 0, "no run had a static stack bound that fits");
 }
 
 /// The strategy axis; the masked arm first, as the reference.
@@ -383,35 +301,22 @@ proptest! {
     #[test]
     fn batch_equals_singles_and_all_runtimes_agree(
         seed in any::<u64>(),
-        xs in proptest::collection::vec(-2.0f64..2.0, 1..5),
-        ns in proptest::collection::vec(0i64..6, 1..5),
+        at_helper in any::<bool>(),
+        z in 1usize..5,
+        data in any::<u64>(),
     ) {
-        let z = xs.len().min(ns.len());
-        let xs = &xs[..z];
-        let ns = &ns[..z];
-        let p = random_program(seed);
-        let inputs = vec![
-            Tensor::from_f64(xs, &[z]).expect("x input"),
-            Tensor::from_i64(ns, &[z]).expect("n input"),
-        ];
+        let g = program(seed, at_helper);
+        let p = g.program;
+        let inputs = materialize(&g.inputs, z, data);
+        let members = rows(&inputs);
 
         // Reference: each member alone through the local-static runtime.
-        let mut singles = Vec::with_capacity(z);
-        for b in 0..z {
-            let one = vec![
-                Tensor::from_f64(&[xs[b]], &[1]).expect("x"),
-                Tensor::from_i64(&[ns[b]], &[1]).expect("n"),
-            ];
-            let out = run_lsab(&p, &one, ExecStrategy::Masking);
-            singles.push(out[0].as_f64().expect("f64 out")[0]);
-        }
+        let singles: Vec<Vec<Tensor>> =
+            members.iter().map(|row| run_lsab(&p, row, ExecStrategy::Masking)).collect();
 
         // Batch under local static autobatching (every strategy).
         let batch = run_lsab(&p, &inputs, ExecStrategy::Masking);
-        let batch_v = batch[0].as_f64().expect("f64 out");
-        for b in 0..z {
-            prop_assert_eq!(batch_v[b], singles[b], "lsab member {}", b);
-        }
+        prop_assert_eq!(rows(&batch), singles, "lsab batch against each member alone");
         let gather = run_lsab(&p, &inputs, ExecStrategy::GatherScatter);
         prop_assert_eq!(&batch, &gather, "gather/scatter strategy agrees");
         let adaptive = run_lsab(&p, &inputs, ExecStrategy::Adaptive);
@@ -449,10 +354,7 @@ proptest! {
         // and is stepped until nothing is runnable, never retiring on
         // the way, is the one-shot run superstep for superstep.
         let (lowered, _) = lower(&p, LoweringOptions::default()).expect("lowers");
-        let rows: Vec<Vec<Tensor>> = (0..z)
-            .map(|b| inputs.iter().map(|t| t.gather_rows(&[b]).expect("row")).collect())
-            .collect();
-        let members: Vec<(&[Tensor], u64)> = rows.iter().map(Vec::as_slice).zip(0..).collect();
+        let members: Vec<(&[Tensor], u64)> = members.iter().map(Vec::as_slice).zip(0..).collect();
         let mut total = 0;
         for heuristic in [BlockHeuristic::EarliestBlock, BlockHeuristic::MostActive] {
             for strategy in STRATEGIES {
@@ -499,83 +401,27 @@ proptest! {
     #[test]
     fn a_stack_overflow_is_one_error_in_every_configuration(
         seed in any::<u64>(),
-        xs in proptest::collection::vec(-2.0f64..2.0, 1..5),
-        ns in proptest::collection::vec(0i64..6, 1..5),
+        z in 1usize..5,
+        data in any::<u64>(),
         stack_depth in 2usize..=3,
     ) {
-        // Under a stack of two or three frames the generated recursion
-        // overflows for most inputs. Where it does, the push that
-        // overflows is the same in every configuration, so the error is
-        // too: one value per lowering, whichever driver, strategy or
-        // fusion setting runs it. A statically bounded program that
-        // fits never overflows. Entered at `main`, the pc stack is the
-        // one that overflows; entered at the recursive helper, a data
-        // variable's stack is.
-        let z = xs.len().min(ns.len());
-        let (x, n) = (
-            Tensor::from_f64(&xs[..z], &[z]).expect("x input"),
-            Tensor::from_i64(&ns[..z], &[z]).expect("n input"),
-        );
-        for (p, inputs) in [
-            (random_program(seed), vec![x.clone(), n.clone()]),
-            (recursive_entry_program(seed), vec![n, x]),
-        ] {
-            let rows: Vec<Vec<Tensor>> = (0..z)
-                .map(|b| inputs.iter().map(|t| t.gather_rows(&[b]).expect("row")).collect())
-                .collect();
-            let members: Vec<(&[Tensor], u64)> = rows.iter().map(Vec::as_slice).zip(0..).collect();
-            let base = ExecOptions { stack_depth, ..ExecOptions::default() };
-            for lopts in all_lowering_options() {
-                let (lowered, _) = lower(&p, lopts).expect("lowers");
-                let reference = PcVm::new(&lowered, KernelRegistry::new(), base).run(&inputs, None);
-                match &reference {
-                    Ok(_) => {}
-                    Err(VmError::StackOverflow { limit, .. }) => {
-                        prop_assert_eq!(*limit, stack_depth);
-                        prop_assert!(
-                            !analyze_pcab(&lowered).overflow_excluded(stack_depth),
-                            "overflow under a static bound that fits, {:?}", lopts
-                        );
-                    }
-                    Err(e) => prop_assert!(false, "{} under {:?}", e, lopts),
-                }
-                for strategy in STRATEGIES {
-                    for fuse_elementwise in [true, false] {
-                        let opts = ExecOptions { strategy, fuse_elementwise, ..base };
-                        let at = (lopts, strategy, fuse_elementwise);
-                        let one_shot = PcVm::new(&lowered, KernelRegistry::new(), opts).run(&inputs, None);
-                        prop_assert_eq!(&one_shot, &reference, "one-shot under {:?}", at);
-                        let mut m = PcMachine::new(&lowered, KernelRegistry::new(), opts);
-                        m.admit_batch(&members, None).expect("admits");
-                        let machine = loop {
-                            match m.step(None) {
-                                Ok(true) => {}
-                                Ok(false) => break Ok(m.retire_finished(None).expect("retires")),
-                                Err(e) => break Err(e),
-                            }
-                        };
-                        match (machine, &reference) {
-                            (Err(e), Err(want)) => prop_assert_eq!(&e, want, "machine under {:?}", at),
-                            (Ok(done), Ok(want)) => {
-                                for (o, full) in want.iter().enumerate() {
-                                    let rows: Vec<Tensor> =
-                                        done.iter().map(|r| r.outputs[o].clone()).collect();
-                                    prop_assert_eq!(&Tensor::concat_rows(&rows).expect("stacks"), full);
-                                }
-                            }
-                            (got, _) => prop_assert!(false, "machine under {:?}: {:?}", at, got.err()),
-                        }
-                    }
-                }
+        // Entered at `main`, the pc stack is the one that overflows;
+        // entered at the recursive helper, a data variable's stack is.
+        for at_helper in [false, true] {
+            let g = program(seed, at_helper);
+            if at_helper && !g.recurses {
+                break;
             }
+            let inputs = materialize(&g.inputs, z, data);
+            overflow_is_one_error(&g.program, &inputs, stack_depth);
         }
     }
 
     #[test]
     fn pc_results_bit_identical_across_heuristics_and_strategies(
         seed in any::<u64>(),
-        xs in proptest::collection::vec(-2.0f64..2.0, 2..5),
-        ns in proptest::collection::vec(0i64..6, 2..5),
+        z in 2usize..5,
+        data in any::<u64>(),
     ) {
         // The paper's §2 claim: any non-starving block-selection
         // heuristic is correct, under either primitive execution
@@ -583,15 +429,9 @@ proptest! {
         // "correct" but bit-identical, because each member's per-lane
         // computation is untouched by scheduling. The strategy cannot
         // change the schedule either: same heuristic, same supersteps.
-        let z = xs.len().min(ns.len());
-        let xs = &xs[..z];
-        let ns = &ns[..z];
-        let p = random_program(seed);
-        let (lowered, _) = lower(&p, LoweringOptions::default()).expect("lowers");
-        let inputs = vec![
-            Tensor::from_f64(xs, &[z]).expect("x input"),
-            Tensor::from_i64(ns, &[z]).expect("n input"),
-        ];
+        let g = program(seed, false);
+        let (lowered, _) = lower(&g.program, LoweringOptions::default()).expect("lowers");
+        let inputs = materialize(&g.inputs, z, data);
         let mut outs = Vec::new();
         for heuristic in [BlockHeuristic::EarliestBlock, BlockHeuristic::MostActive] {
             let mut masked_steps = None;
@@ -615,27 +455,23 @@ proptest! {
     #[test]
     fn admission_order_cannot_perturb_results(
         seed in any::<u64>(),
-        xs in proptest::collection::vec(-2.0f64..2.0, 3..6),
-        ns in proptest::collection::vec(0i64..6, 3..6),
+        z in 3usize..6,
+        data in any::<u64>(),
         order_seed in any::<u64>(),
     ) {
         // Dynamic batch admission: each request's outputs are
         // bit-identical whether it is served alone, in a one-shot batch,
         // or admitted into an in-flight batch in any order.
-        let z = xs.len().min(ns.len());
-        let xs = &xs[..z];
-        let ns = &ns[..z];
-        let p = random_program(seed);
-        let (lowered, _) = lower(&p, LoweringOptions::default()).expect("lowers");
+        let g = program(seed, false);
+        let (lowered, _) = lower(&g.program, LoweringOptions::default()).expect("lowers");
 
         // Reference: the one-shot batch.
-        let inputs = vec![
-            Tensor::from_f64(xs, &[z]).expect("x input"),
-            Tensor::from_i64(ns, &[z]).expect("n input"),
-        ];
+        let inputs = materialize(&g.inputs, z, data);
+        let members = rows(&inputs);
         let reference = PcVm::new(&lowered, KernelRegistry::new(), ExecOptions::default())
             .run(&inputs, None)
             .expect("pc runs");
+        let reference = rows(&reference);
 
         // A shuffled submission order with a tight batch capacity, so
         // later requests join mid-flight.
@@ -652,10 +488,7 @@ proptest! {
             server
                 .submit(Request {
                     id: b as u64,
-                    inputs: vec![
-                        Tensor::from_f64(&[xs[b]], &[1]).expect("x"),
-                        Tensor::from_i64(&[ns[b]], &[1]).expect("n"),
-                    ],
+                    inputs: members[b].clone(),
                     seed: b as u64,
                 })
                 .expect("submit");
@@ -663,10 +496,9 @@ proptest! {
         let mut served = server.run_until_idle(None).expect("serve");
         served.sort_by_key(|r| r.id);
         for (b, r) in served.iter().enumerate() {
-            let want = reference[0].gather_rows(&[b]).expect("row");
             prop_assert_eq!(
-                &r.outputs[0],
-                &want,
+                &r.outputs,
+                &reference[b],
                 "member {} perturbed by admission order {:?}",
                 b,
                 &order
@@ -687,8 +519,8 @@ proptest! {
         // machines, every request's outputs equal its solo run, every
         // view of the member set stays in step, and each machine's
         // trace ends with the schedule's own count of who came and went.
-        let p = random_program(seed);
-        let (lowered, _) = lower(&p, LoweringOptions::default()).expect("lowers");
+        let g = program(seed, false);
+        let (lowered, _) = lower(&g.program, LoweringOptions::default()).expect("lowers");
         let opts = ExecOptions {
             strategy: STRATEGIES[strategy],
             cache_stack_tops,
@@ -706,15 +538,16 @@ proptest! {
         }
 
         // Lanes no machine of this program may accept: one of another
-        // program, and one of this program whose `x` rows are `[2]`
-        // where every admitted request's are scalars.
+        // program, and one of this program whose first input's rows have
+        // one more axis, of 3, than every admitted request's.
         let (fib, _) = lower(&fibonacci_program(), LoweringOptions::default()).expect("lowers");
         let foreign = fib_lane(&fib, opts, 9, 3);
-        let wide_x = Tensor::from_f64(&[0.5, 0.5], &[1, 2]).expect("x");
+        let mut wide_specs = g.inputs.clone();
+        wide_specs[0].elem_shape.push(3);
+        let wide = materialize(&wide_specs, 1, seed);
         let misshapen = {
             let mut donor = PcMachine::new(&lowered, KernelRegistry::new(), opts);
-            let row = [wide_x.clone(), Tensor::from_i64(&[1], &[1]).expect("n")];
-            let t = donor.admit(&row, 0, None).expect("first admission fixes the spec");
+            let t = donor.admit(&wide, 0, None).expect("first admission fixes the spec");
             donor.extract_lanes(&[t], None).expect("extract").remove(0).1
         };
 
@@ -725,13 +558,7 @@ proptest! {
             let i = usize::from(rng.gen_bool(0.4));
             match rng.gen_range(0..10) {
                 0..=2 if want.len() < 14 => {
-                    let rows: Vec<[Tensor; 2]> = (0..rng.gen_range(1..=4))
-                        .map(|_| {
-                            let x = Tensor::from_f64(&[rng.gen_range(-2.0..2.0)], &[1]).expect("x");
-                            let n = Tensor::from_i64(&[rng.gen_range(0..6)], &[1]).expect("n");
-                            [x, n]
-                        })
-                        .collect();
+                    let rows = rows(&materialize(&g.inputs, rng.gen_range(1..=4), rng.next_u64()));
                     let first_key = want.len() as u64;
                     for row in &rows {
                         want.push(solo.run(row, None).expect("solo run"));
@@ -799,17 +626,15 @@ proptest! {
                 _ => {
                     // Validation comes before mutation.
                     let rig = &mut rigs[i];
-                    let x = Tensor::from_f64(&[1.0], &[1]).expect("x");
-                    let n = Tensor::from_i64(&[2], &[1]).expect("n");
                     rig.refused("an admission of the wrong arity", |m| {
-                        m.admit_batch(&[(&[x.clone()][..], 99)], None)
+                        m.admit_batch(&[(&[][..], 99)], None)
                     });
                     rig.refused("a lane of another program", |m| m.inject_lane(&foreign, None));
                     // Element shapes are fixed by the first lane a
                     // machine ever held.
                     if rig.admitted + rig.moved_in > 0 {
                         rig.refused("an admission of the wrong element shape", |m| {
-                            m.admit_batch(&[(&[wide_x.clone(), n.clone()][..], 99)], None)
+                            m.admit_batch(&[(&wide[..], 99)], None)
                         });
                         rig.refused("a lane of the wrong element shape", |m| {
                             m.inject_lane(&misshapen, None)
@@ -849,8 +674,8 @@ proptest! {
     #[test]
     fn sharding_and_routing_cannot_perturb_results(
         seed in any::<u64>(),
-        xs in proptest::collection::vec(-2.0f64..2.0, 3..8),
-        ns in proptest::collection::vec(0i64..6, 3..8),
+        z in 3usize..8,
+        data in any::<u64>(),
         workers in 1usize..5,
         shard_batch in 1usize..4,
         order_seed in any::<u64>(),
@@ -860,17 +685,12 @@ proptest! {
         // submission order — and therefore least-loaded routing), every
         // request's outputs are bit-identical to the unsharded server's,
         // and aggregation returns them in submission order.
-        let z = xs.len().min(ns.len());
-        let xs = &xs[..z];
-        let ns = &ns[..z];
-        let p = random_program(seed);
-        let (lowered, _) = lower(&p, LoweringOptions::default()).expect("lowers");
+        let g = program(seed, false);
+        let (lowered, _) = lower(&g.program, LoweringOptions::default()).expect("lowers");
+        let members = rows(&materialize(&g.inputs, z, data));
         let request = |b: usize| Request {
             id: b as u64,
-            inputs: vec![
-                Tensor::from_f64(&[xs[b]], &[1]).expect("x"),
-                Tensor::from_i64(&[ns[b]], &[1]).expect("n"),
-            ],
+            inputs: members[b].clone(),
             seed: b as u64,
         };
 
@@ -928,8 +748,7 @@ proptest! {
     #[test]
     fn deadline_admission_cannot_perturb_results(
         seed in any::<u64>(),
-        xs in proptest::collection::vec(-2.0f64..2.0, 3..7),
-        ns in proptest::collection::vec(0i64..6, 3..7),
+        data in any::<u64>(),
         gaps in proptest::collection::vec(0u64..500, 3..7),
         max_batch in 1usize..4,
         max_wait in 1u64..400,
@@ -942,17 +761,13 @@ proptest! {
         // request's outputs are bit-identical to utilization-driven
         // admission of the same stream, because admission timing is
         // pure scheduling and per-lane computation never observes it.
-        let z = xs.len().min(ns.len()).min(gaps.len());
-        let xs = &xs[..z];
-        let ns = &ns[..z];
-        let p = random_program(seed);
-        let (lowered, _) = lower(&p, LoweringOptions::default()).expect("lowers");
+        let z = gaps.len();
+        let g = program(seed, false);
+        let (lowered, _) = lower(&g.program, LoweringOptions::default()).expect("lowers");
+        let members = rows(&materialize(&g.inputs, z, data));
         let request = |b: usize| Request {
             id: b as u64,
-            inputs: vec![
-                Tensor::from_f64(&[xs[b]], &[1]).expect("x"),
-                Tensor::from_i64(&[ns[b]], &[1]).expect("n"),
-            ],
+            inputs: members[b].clone(),
             seed: b as u64,
         };
 
@@ -978,7 +793,7 @@ proptest! {
                 .expect("server");
         let mut prng = StdRng::seed_from_u64(poll_seed);
         let mut now = 0u64;
-        for (b, gap) in gaps.iter().enumerate().take(z) {
+        for (b, gap) in gaps.iter().enumerate() {
             now = now.max(server.clock()) + gap;
             server.set_clock(now);
             server.submit(request(b)).expect("submit");
@@ -1006,7 +821,7 @@ proptest! {
                 got.id,
                 max_batch,
                 max_wait,
-                &gaps[..z]
+                &gaps
             );
         }
     }
@@ -1014,19 +829,15 @@ proptest! {
     #[test]
     fn elementwise_fusion_cannot_perturb_results(
         seed in any::<u64>(),
-        xs in proptest::collection::vec(-2.0f64..2.0, 2..5),
-        ns in proptest::collection::vec(0i64..6, 2..5),
+        z in 2usize..5,
+        data in any::<u64>(),
     ) {
         // The fused fast path must be invisible: bit-identical outputs
         // under every strategy × heuristic, and under eager dispatch it
         // may only ever *remove* timed launches.
-        let z = xs.len().min(ns.len());
-        let p = random_program(seed);
-        let inputs = vec![
-            Tensor::from_f64(&xs[..z], &[z]).expect("x input"),
-            Tensor::from_i64(&ns[..z], &[z]).expect("n input"),
-        ];
-        let (lowered, _) = lower(&p, LoweringOptions::default()).expect("lowers");
+        let g = program(seed, false);
+        let inputs = materialize(&g.inputs, z, data);
+        let (lowered, _) = lower(&g.program, LoweringOptions::default()).expect("lowers");
         for strategy in STRATEGIES {
             for heuristic in [BlockHeuristic::EarliestBlock, BlockHeuristic::MostActive] {
                 let run = |fuse: bool| {
@@ -1057,8 +868,11 @@ proptest! {
     }
 
     #[test]
-    fn generated_programs_always_validate_and_lower(seed in any::<u64>()) {
-        let p = random_program(seed);
+    fn generated_programs_always_validate_and_lower(
+        seed in any::<u64>(),
+        at_helper in any::<bool>(),
+    ) {
+        let p = program(seed, at_helper).program;
         p.validate().expect("valid");
         let (pc, _) = lower(&p, LoweringOptions::default()).expect("lowers");
         pc.validate().expect("lowered form valid");

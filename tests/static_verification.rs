@@ -1,8 +1,10 @@
 //! Differential soundness test of the static verification tier.
 //!
-//! Randomly generated control-flow programs (straight-line arithmetic,
-//! if/else, bounded loops, cross-function calls — and, for a quarter of
-//! seeds, a deliberately injected type error) are pushed through the
+//! Programs from the shared random-program generator (`tests/common`:
+//! mixed `f64`/`i64` values at scalar and `[2]` element shapes, if/else,
+//! bounded loops, acyclic calls, single, double and mutual recursion
+//! entered at `main` or at the recursive helper, and, for about a quarter
+//! of seeds, a deliberately injected type error) are pushed through the
 //! verifier and then executed on all three VMs under every primitive
 //! execution strategy. The soundness contract under test:
 //!
@@ -18,56 +20,83 @@
 //!
 //! Cases are deterministic: the vendored proptest harness derives seeds
 //! from `(PROPTEST_SEED, test name, case index)` and the program
-//! generator (`autobatch_lang::genprog`) is a pure function of its seed.
+//! generator is a pure function of its seed.
+
+mod common;
 
 use autobatch::core::{
     lower, DynSchedule, DynamicVm, ExecOptions, ExecStrategy, KernelRegistry, LocalStaticVm,
     LoweringOptions, PcVm, VmError,
 };
 use autobatch::ir::analysis::{
-    analyze_lsab, analyze_pcab, infer_lsab_signature, AbsDType, AbsShape, TensorSpec,
+    analyze_lsab, analyze_pcab, infer_lsab_signature, AbsDType, AbsShape,
 };
-use autobatch::lang::gen_program;
 use autobatch::tensor::{DType, Tensor};
+use common::{generate, materialize};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Batch members per run.
 const Z: usize = 3;
 
-/// Materialize a concrete batch for the generated program's input
-/// specs: shape `[Z] ++ elem_shape`, values drawn deterministically
-/// from the seed.
-fn materialize(specs: &[TensorSpec], seed: u64) -> Vec<Tensor> {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-    specs
-        .iter()
-        .map(|s| {
-            let volume = Z * s.elem_shape.iter().product::<usize>();
-            let mut shape = vec![Z];
-            shape.extend_from_slice(&s.elem_shape);
-            match s.dtype {
-                AbsDType::F64 => {
-                    let v: Vec<f64> = (0..volume).map(|_| rng.gen_range(-2.0..2.0)).collect();
-                    Tensor::from_f64(&v, &shape).expect("f64 input")
-                }
-                AbsDType::I64 => {
-                    let v: Vec<i64> = (0..volume).map(|_| rng.gen_range(0..5i64)).collect();
-                    Tensor::from_i64(&v, &shape).expect("i64 input")
-                }
-                _ => unreachable!("the generator only emits f64/i64 inputs"),
-            }
-        })
-        .collect()
+#[test]
+fn generation_is_deterministic() {
+    for at_helper in [false, true] {
+        let (a, b) = (generate(42, at_helper), generate(42, at_helper));
+        assert_eq!(format!("{:?}", a.program), format!("{:?}", b.program));
+        assert_eq!((a.expect_reject, a.recurses), (b.expect_reject, b.recurses));
+    }
+}
+
+/// An injected ill-typed op must be caught by verification against the
+/// generator's concrete input specs (some injections, like a logic op on
+/// two inputs, are only ill-typed *given* those specs — at program level
+/// they merely infer a bool constraint), and every other program, with
+/// or without recursion, must verify.
+#[test]
+fn well_typed_programs_verify_and_ill_typed_ones_do_not() {
+    let (mut accepted, mut recursive, mut rejected) = (0, 0, 0);
+    for seed in 0..200 {
+        let g = generate(seed, seed % 2 == 1);
+        let program_ok = analyze_lsab(&g.program).ok();
+        let concrete = infer_lsab_signature(&g.program, &g.inputs);
+        if g.expect_reject {
+            assert!(
+                !(program_ok && concrete.is_ok()),
+                "seed {seed}: injected ill-typed op escaped the verifier"
+            );
+            rejected += 1;
+        } else {
+            assert!(
+                program_ok,
+                "seed {seed}: clean program rejected: {:?}",
+                analyze_lsab(&g.program).diagnostics
+            );
+            assert!(
+                concrete.is_ok(),
+                "seed {seed}: clean program's inputs rejected: {:?}",
+                concrete.err()
+            );
+            accepted += 1;
+            recursive += usize::from(g.recurses);
+        }
+    }
+    assert!(accepted > 100, "too few clean programs: {accepted}");
+    assert!(
+        recursive > 50,
+        "too few recursive clean programs: {recursive}"
+    );
+    assert!(rejected > 10, "too few negative cases: {rejected}");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn verifier_accepted_programs_run_clean_on_every_vm(seed in any::<u64>()) {
-        let g = gen_program(seed);
+    fn verifier_accepted_programs_run_clean_on_every_vm(
+        seed in any::<u64>(),
+        at_helper in any::<bool>(),
+    ) {
+        let g = generate(seed, at_helper);
         let report = analyze_lsab(&g.program);
         let concrete = infer_lsab_signature(&g.program, &g.inputs);
         let accepted = report.ok() && concrete.is_ok();
@@ -117,8 +146,7 @@ proptest! {
             pc_report.diagnostics.first()
         );
 
-        let inputs = materialize(&g.inputs, seed);
-        let defaults = ExecOptions::default();
+        let inputs = materialize(&g.inputs, Z, seed);
         let mut runs: Vec<(String, Result<Vec<Tensor>, VmError>)> = Vec::new();
         for strategy in [ExecStrategy::Masking, ExecStrategy::GatherScatter, ExecStrategy::Adaptive] {
             let opts = ExecOptions { strategy, ..ExecOptions::default() };
@@ -138,6 +166,13 @@ proptest! {
                 DynamicVm::new(&g.program, KernelRegistry::new(), opts).run(&inputs, None),
             ));
         }
+        // Three frames: the generated recursion overflows them for most
+        // inputs, and a program of at most two nested calls fits.
+        let tight = ExecOptions { stack_depth: 3, ..ExecOptions::default() };
+        runs.push((
+            "pc/stack_depth 3".into(),
+            PcVm::new(&lowered, KernelRegistry::new(), tight).run(&inputs, None),
+        ));
 
         let mut agreed: Option<(&str, &Vec<Tensor>)> = None;
         for (vm, res) in &runs {
@@ -189,22 +224,22 @@ proptest! {
                         vm,
                         e
                     );
-                    if matches!(e, VmError::StackOverflow { .. }) {
+                    if let VmError::StackOverflow { limit, .. } = e {
                         prop_assert!(
-                            !pc_report.overflow_excluded(defaults.stack_depth),
+                            !pc_report.overflow_excluded(*limit),
                             "{}: stack overflow despite static bounds (pc {}, data {}) \
                              fitting limit {}",
                             vm,
                             pc_report.pc_depth,
                             pc_report.data_depth,
-                            defaults.stack_depth
+                            limit
                         );
                     }
                 }
             }
         }
-        // The generator only emits terminating, recursion-free,
-        // RNG-free programs: at least one VM must actually have
+        // The generator only emits terminating, RNG-free programs that
+        // recurse at most 4 deep: at least one VM must actually have
         // produced outputs, or the comparisons above were all vacuous.
         prop_assert!(
             agreed.is_some(),
