@@ -21,7 +21,7 @@
 //!    │                          `max_wait`; fleet running: no waiting
 //!    │                                        │ one continuous drive
 //!    │                                        ▼
-//!    │                          Supervisor ▶ ShardedServer: arrivals
+//!    │                          ShardedServer, self-healing: arrivals
 //!    │                          join the running shards' inboxes and
 //!    │                          admit on a free lane; every retirement
 //!    │                          comes back after its quantum
@@ -37,7 +37,7 @@
 //!   short timeout double as the shutdown poll. After the stop flag
 //!   flips a connection answers late frames with typed `Shutdown`
 //!   rejects until the wire goes quiet, and for a fixed 100 ms at most.
-//! - The **engine thread** owns the program, the supervised fleet and
+//! - The **engine thread** owns the program, the self-healing fleet and
 //!   the book of every request accepted and not yet answered. While
 //!   the fleet is idle it collects arrivals until they can fill every
 //!   lane (`workers × max_batch`) **or** the oldest has waited
@@ -107,11 +107,12 @@
 //!   instead of piling up unboundedly in the channel. The budget counts
 //!   requests and sheds; the read-ahead bounds wait; whichever a
 //!   connection meets first acts.
-//! - **Self-healing**: the engine drives the fleet through a
-//!   [`Supervisor`]: a worker panic or injected execution fault poisons
-//!   one shard, which closes the drive; the shard is salvaged and
-//!   respawned and its stranded work retried under a bounded budget
-//!   before the next drive. Requests that cannot be saved are answered
+//! - **Self-healing**: the fleet heals as the engine drives it: a
+//!   worker panic or injected execution fault poisons one shard, which
+//!   closes the fleet's inner drive; the shard is salvaged and respawned
+//!   and its stranded and lost work retried under a bounded budget
+//!   before the next inner drive, all inside one
+//!   [`ShardedServer::drive`]. Requests that cannot be saved are answered
 //!   with typed reject frames — a client never loses a request to a
 //!   silent hang, not even one whose reply the wire cannot carry.
 //! - **Chaos**: the [`autobatch_chaos::FaultPlan`] inside
@@ -146,7 +147,7 @@ use autobatch_core::{ExecOptions, KernelRegistry};
 use autobatch_ir::pcab::Program;
 use autobatch_serve::{
     AdmissionPolicy, Bell, Intake, Outcome, Request, RequestBudget, ServeError, ShardedServer,
-    Supervisor, SupervisorConfig,
+    SupervisorConfig,
 };
 use autobatch_tensor::Tensor;
 
@@ -251,9 +252,9 @@ pub struct IngressConfig {
     /// reject while its batchmates keep running bit-identically. The
     /// default is unlimited.
     pub budget: RequestBudget,
-    /// Retry and quarantine discipline for the engine's [`Supervisor`]
-    /// (repeated budget blowups trip the program's breaker, which
-    /// fast-rejects with
+    /// Retry and quarantine discipline the engine's self-healing
+    /// [`ShardedServer`] runs under (repeated budget blowups trip the
+    /// program's breaker, which fast-rejects with
     /// [`Quarantined`](wire::RejectCode::Quarantined)).
     pub supervisor: SupervisorConfig,
 }
@@ -288,7 +289,7 @@ pub struct IngressStats {
     /// non-request messages), each answered with a typed
     /// [`BadRequest`](wire::RejectCode::BadRequest) reject.
     pub bad_frames: u64,
-    /// Retry attempts the supervisor performed on behalf of accepted
+    /// Retry attempts the fleet performed on behalf of accepted
     /// requests (stranded, lost, or admission-faulted work).
     pub retried: u64,
     /// Shards respawned after a poisoning error or worker panic.
@@ -439,7 +440,7 @@ impl IngressServer {
     ///
     /// The returned handle owns three kinds of threads: one acceptor,
     /// one reader per connection, and one engine that owns the program
-    /// and the supervised [`ShardedServer`]. All are joined on
+    /// and the self-healing [`ShardedServer`]. All are joined on
     /// shutdown/drop.
     ///
     /// # Errors
@@ -993,10 +994,10 @@ impl<W: io::Write> Book<W> {
     }
 }
 
-/// The engine thread's state: the supervised fleet, the book of
+/// The engine thread's state: the self-healing fleet, the book of
 /// requests in front of it, and the one waiting decision.
 struct Engine<'p> {
-    server: Supervisor<'p>,
+    server: ShardedServer<'p>,
     book: Book<TcpStream>,
     /// Lanes in the fleet: a buffer this deep sets an idle fleet going
     /// without waiting, and a running fleet is handed up to twice this
@@ -1017,7 +1018,7 @@ impl<'p> Engine<'p> {
         let policy = AdmissionPolicy::JoinAtEntry {
             max_batch: config.max_batch,
         };
-        let fleet = ShardedServer::new(
+        let mut server = ShardedServer::new(
             program,
             config.registry.clone(),
             config.opts,
@@ -1026,12 +1027,12 @@ impl<'p> Engine<'p> {
             Backend::hybrid_cpu(),
         )
         .expect("config validated by IngressServer::start");
-        // The supervisor owns fault recovery: worker panics and injected
+        // The fleet owns fault recovery: worker panics and injected
         // execution faults poison one shard, which is respawned and its
         // work retried — a drive never sees a wedged fleet. It also
         // owns governance: per-request budgets bound every lane, and the
         // quarantine breaker fast-rejects programs that keep blowing them.
-        let mut server = Supervisor::new(fleet, config.supervisor);
+        server.set_supervision(config.supervisor);
         server.set_budget(config.budget);
         Engine {
             server,
@@ -1085,12 +1086,12 @@ impl<'p> Engine<'p> {
         stats.bad_frames = gate.bad_frames.load(Ordering::Relaxed);
         stats.retried = self.server.retries();
         stats.respawned = self.server.respawns();
-        stats.peak_queue = self.server.inner().peak_pending();
-        stats.supersteps = self.server.inner().supersteps();
+        stats.peak_queue = self.server.peak_pending();
+        stats.supersteps = self.server.supersteps();
         stats
     }
 
-    /// Set the supervised fleet going and keep it going for as long as
+    /// Set the fleet going and keep it going for as long as
     /// there is work: every call of the drive's hook answers what
     /// retired since the last one, takes every arrival, hands the fleet
     /// as much of the buffer as keeps twice its lanes in it, and writes
@@ -1112,7 +1113,7 @@ impl<'p> Engine<'p> {
         let room = capacity.saturating_mul(2);
         let bell = book.gate.bell.clone();
         let mut disconnected = false;
-        // The supervisor heals as it drives: poisoned shards are
+        // The fleet heals as it drives: poisoned shards are
         // respawned, their stranded and lost work retried under a
         // bounded budget, and every request resolves to exactly one
         // terminal outcome, handed to this hook as it resolves.
@@ -1145,7 +1146,7 @@ impl<'p> Engine<'p> {
                 clock,
             }
         });
-        // Unreachable under the supervisor's exactly-one-outcome
+        // Unreachable under the fleet's exactly-one-outcome
         // contract; answered defensively so no client ever hangs.
         for (p, _) in std::mem::take(&mut book.outstanding).into_values() {
             book.refuse(&p, LOST, &"request lost");

@@ -691,6 +691,90 @@ pub(crate) mod tests {
         assert!(decode(&huge).is_err());
     }
 
+    /// Tensors of every dtype, rank 0 to 2 and up to four elements,
+    /// one per drawn word, their shape and values spelled by its bits.
+    fn drawn_tensors(words: &[u64]) -> Vec<Tensor> {
+        words
+            .iter()
+            .map(|&w| {
+                let shape: Vec<usize> = (0..w % 3)
+                    .map(|k| 1 + (w >> (2 + k)) as usize % 2)
+                    .collect();
+                let values =
+                    (1..=shape.iter().product::<usize>() as u64).map(|i| w.wrapping_mul(i));
+                match (w >> 8) % 3 {
+                    0 => Tensor::from_f64(&values.map(f64::from_bits).collect::<Vec<_>>(), &shape),
+                    1 => Tensor::from_i64(&values.map(|v| v as i64).collect::<Vec<_>>(), &shape),
+                    _ => Tensor::from_bool(&values.map(|v| v & 1 == 1).collect::<Vec<_>>(), &shape),
+                }
+                .unwrap()
+            })
+            .collect()
+    }
+
+    /// A decoded message's payload, encoded again.
+    fn encode(m: &Message) -> Vec<u8> {
+        match m {
+            Message::Request(r) => encode_request(r.id, r.seed, &r.inputs).unwrap(),
+            Message::Response(r) => encode_response(r.id, r.queued_ticks, &r.outputs).unwrap(),
+            Message::Reject(r) => encode_reject(r),
+            Message::Cancel(id) => encode_cancel(*id),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Whatever a damaged payload holds, decoding it is a value, never
+        /// a panic: every strict prefix of a valid request, response,
+        /// reject and cancel payload is a `ProtocolError`, and every
+        /// single-byte change of one (a drawn byte, `0x00`, `0xff` and the
+        /// top bit flipped, at every position) decodes to a message that
+        /// spans the whole payload or to a `ProtocolError`.
+        #[test]
+        fn damaged_payloads_decode_to_a_message_or_a_typed_error(
+            id in any::<u64>(),
+            seed in any::<u64>(),
+            words in proptest::collection::vec(any::<u64>(), 0..4),
+            code in 1u8..=8,
+            text in proptest::collection::vec(0u32..4, 0..12),
+            bytes in proptest::collection::vec(any::<u8>(), 1..64),
+        ) {
+            let tensors = drawn_tensors(&words);
+            let message: String = text.iter().map(|&c| ['a', ' ', 'é', '✓'][c as usize]).collect();
+            let reject = WireReject {
+                id,
+                code: RejectCode::from_u8(code).unwrap(),
+                depth: seed,
+                budget: id ^ seed,
+                message,
+            };
+            let payloads = [
+                encode_request(id, seed, &tensors).unwrap(),
+                encode_response(id, seed, &tensors).unwrap(),
+                encode_reject(&reject),
+                encode_cancel(id),
+            ];
+            for payload in &payloads {
+                let whole = decode(payload).expect("a valid payload decodes");
+                prop_assert_eq!(&encode(&whole), payload);
+                for end in 0..payload.len() {
+                    prop_assert!(decode(&payload[..end]).is_err(), "a {}-byte prefix decoded", end);
+                }
+                for at in 0..payload.len() {
+                    let was = payload[at];
+                    for now in [bytes[at % bytes.len()], 0x00, 0xff, was ^ 0x80] {
+                        let mut changed = payload.clone();
+                        changed[at] = now;
+                        if let Ok(m) = decode(&changed) {
+                            prop_assert_eq!(encode(&m).len(), changed.len());
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn frames_reassemble_across_split_reads() {
         let payload = encode_request(3, 4, &sample_tensors()).unwrap();

@@ -44,11 +44,6 @@ impl<M: Model> PricedAs<M> {
             parallel_width: 10_000,
         }
     }
-
-    /// The wrapped model.
-    pub fn inner(&self) -> &M {
-        &self.inner
-    }
 }
 
 impl<M: Model> Model for PricedAs<M> {

@@ -39,6 +39,15 @@
 //! so results are bit-identical across admission orders and batch
 //! compositions (asserted by this crate's tests and the workspace
 //! property suite).
+//!
+//! Two types serve. A [`BatchServer`] is one machine and its queue on
+//! the caller's thread, the one serving path that can price its run
+//! into a [`Trace`]. A [`ShardedServer`] runs one `BatchServer` per
+//! shard across worker threads and heals itself: a shard an error
+//! poisons is rebuilt and the work it held retried under the
+//! [`SupervisorConfig`] retry budget and quarantine breaker, so every
+//! request it accepts reaches exactly one terminal [`Outcome`] (see
+//! [`shard`] and [`supervisor`]).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -60,7 +69,7 @@ pub mod shard;
 pub mod supervisor;
 
 pub use affinity::{AffinityConfig, SchedulingPolicy};
-pub use shard::{Bell, FleetCounts, Intake, ShardHealth, ShardedServer};
+pub use shard::{Bell, FleetCounts, Intake, ShardedServer};
 pub use supervisor::{Outcome, QuarantineConfig, Supervisor, SupervisorConfig};
 
 /// Errors from the serving layer.
@@ -93,15 +102,15 @@ pub enum ServeError {
     },
     /// A worker thread panicked. The panic was caught at the shard
     /// boundary and converted into this typed poison — one shard dies,
-    /// not the fleet — so completed work stays salvageable and a
-    /// [`Supervisor`] can respawn the shard.
+    /// not the fleet — so completed work stays salvageable and the
+    /// [`ShardedServer`] respawns the shard.
     Panicked {
         /// The panic message, as far as it could be recovered.
         what: String,
     },
-    /// A supervised request failed on every attempt its retry budget
-    /// allowed; `last` is the error that killed the final attempt. The
-    /// typed terminal answer a [`Supervisor`] gives up with.
+    /// A request failed on every attempt its retry budget allowed;
+    /// `last` is the error that killed the final attempt. The typed
+    /// terminal answer the self-healing [`ShardedServer`] gives up with.
     RetriesExhausted {
         /// The request id.
         id: u64,
@@ -114,7 +123,7 @@ pub enum ServeError {
     /// [`RequestBudget::max_supersteps`] allows and was evicted at a
     /// superstep boundary. Terminal: retrying a program that blew its
     /// superstep budget would blow it again (the lane's draws are
-    /// deterministic), so a supervisor answers with this instead of
+    /// deterministic), so the fleet answers with this instead of
     /// burning the retry budget.
     BudgetExceeded {
         /// Supersteps the lane had been charged when evicted.
@@ -429,6 +438,10 @@ struct InFlight {
     admitted_clock: u64,
 }
 
+/// A governance verdict or refusal, as a server reports it:
+/// `(submission sequence, request id, error)`.
+pub(crate) type Verdict = (u64, u64, ServeError);
+
 /// A batch server owning a request queue and an in-flight [`PcMachine`].
 ///
 /// # Examples
@@ -471,8 +484,8 @@ pub struct BatchServer<'p> {
     /// Requests that reached a typed terminal failure inside the drive
     /// loop (budget eviction, cancellation) — the failure-side analogue
     /// of [`BatchServer::ready`], drained by
-    /// [`BatchServer::take_failed`].
-    failed: Vec<(u64, ServeError)>,
+    /// `BatchServer::take_failed`.
+    failed: Vec<Verdict>,
     /// Lanes evicted by governance over the server's lifetime.
     evictions: u64,
     /// Completed responses not yet handed to the caller, each with its
@@ -593,15 +606,15 @@ impl<'p> BatchServer<'p> {
     /// request is removed immediately; an in-flight request's lane is
     /// evicted at the next superstep boundary of whatever drive call is
     /// running (never mid-superstep). Either way the request's terminal
-    /// outcome becomes [`ServeError::Cancelled`], drained via
-    /// [`BatchServer::take_failed`]. Returns `false` when the id is
-    /// neither queued nor in flight (already answered, or never
+    /// outcome becomes [`ServeError::Cancelled`], reported with the
+    /// server's other governance failures. Returns `false` when the id
+    /// is neither queued nor in flight (already answered, or never
     /// submitted) — a completed request cannot be cancelled, so a
     /// cancel racing completion yields the normal response.
     pub fn cancel(&mut self, id: u64) -> bool {
         if let Some(pos) = self.queue.iter().position(|q| q.request.id == id) {
-            self.queue.remove(pos);
-            self.failed.push((id, ServeError::Cancelled));
+            let q = self.queue.remove(pos).expect("the position was just found");
+            self.failed.push((q.seq, id, ServeError::Cancelled));
             return true;
         }
         if self.in_flight.iter().any(|f| f.id == id) {
@@ -612,10 +625,10 @@ impl<'p> BatchServer<'p> {
     }
 
     /// Take the typed terminal failures produced by governance so far
-    /// (budget evictions and cancellations) — the failure-side analogue
-    /// of [`BatchServer::take_ready`]. Each request appears at most
-    /// once.
-    pub fn take_failed(&mut self) -> Vec<(u64, ServeError)> {
+    /// (budget evictions and cancellations), each as `(submission
+    /// sequence, id, error)` — the failure-side analogue of
+    /// [`BatchServer::take_ready`]. Each request appears at most once.
+    pub(crate) fn take_failed(&mut self) -> Vec<Verdict> {
         std::mem::take(&mut self.failed)
     }
 
@@ -623,16 +636,6 @@ impl<'p> BatchServer<'p> {
     /// over the server's lifetime.
     pub fn evictions(&self) -> u64 {
         self.evictions
-    }
-
-    /// Total supersteps currently charged across the live lanes — the
-    /// aggregate in-flight budget spend a health report surfaces.
-    pub fn spent_supersteps(&self) -> u64 {
-        self.machine
-            .lane_spend()
-            .iter()
-            .map(|&(_, spent, _)| spent)
-            .sum()
     }
 
     /// The deepest the queue has ever been over the server's lifetime.
@@ -702,8 +705,8 @@ impl<'p> BatchServer<'p> {
         let specs = self.judge(&request)?;
         // Chaos hook: an injected admission failure refuses a request
         // that would otherwise have been enqueued (it was judged fit).
-        // Every call rolls a fresh counter, so a supervised retry
-        // re-rolls instead of deterministically re-failing.
+        // Every call rolls a fresh counter, so a retry re-rolls instead
+        // of deterministically re-failing.
         self.fault_rolls += 1;
         if self.fault.fires(FaultPoint::Admission, self.fault_rolls) {
             return Err(ServeError::Vm(VmError::Injected {
@@ -892,7 +895,7 @@ impl<'p> BatchServer<'p> {
     /// cannot perturb its batchmates (see the soundness note on
     /// [`PcMachine::extract_lanes`]). Doomed lanes are extracted through
     /// the migration checkpoint path and dropped; their requests get a
-    /// typed terminal error in [`BatchServer::take_failed`].
+    /// typed terminal error in the server's failures.
     fn enforce_governance(&mut self, trace: &mut Option<&mut Trace>) -> Result<()> {
         if self.cancel_requested.is_empty() && !self.budget.is_limited() {
             return Ok(());
@@ -931,16 +934,9 @@ impl<'p> BatchServer<'p> {
             let f = self.in_flight.swap_remove(self.flight(ticket));
             self.cancel_requested.remove(&f.id);
             self.evictions += 1;
-            self.failed.push((f.id, e));
+            self.failed.push((f.seq, f.id, e));
         }
         Ok(())
-    }
-
-    /// Drop and return the request at the head of the queue: how the
-    /// queue of a server that cannot run (poisoned, or out of steps) is
-    /// drained for serving elsewhere.
-    pub fn reject(&mut self) -> Option<Request> {
-        self.queue.pop_front().map(|q| q.request)
     }
 
     /// Take the responses completed so far without driving the machine —
@@ -967,26 +963,28 @@ impl<'p> BatchServer<'p> {
     /// hook for faults that invalidate machine state without surfacing
     /// through [`BatchServer::run_until_idle`], e.g. a panic caught at a
     /// worker-thread boundary (the machine may be mid-superstep).
-    /// Completed work stays salvageable via [`BatchServer::take_ready`]
-    /// and the queue stays drainable via [`BatchServer::reject`].
+    /// Completed work stays salvageable via [`BatchServer::take_ready`],
+    /// and the fleet retries what the server still holds.
     pub fn poison(&mut self, error: ServeError) {
         self.poisoned = Some(error);
     }
 
     /// Poison the server with `error` over a migrant that could be put
     /// back nowhere, keeping its request on the in-flight record: the
-    /// request is then among the ids a respawn reports lost.
+    /// request is then among those a respawn retries as lost.
     pub(crate) fn lose(&mut self, m: Migrant, error: ServeError) {
         self.in_flight.push(m.flight);
         self.poison(error);
     }
 
-    /// Ids of requests admitted into the machine but not yet retired.
-    /// After a poisoning fault these are the requests whose work is
-    /// unrecoverable from this machine — the set a supervisor must
-    /// retry elsewhere.
-    pub fn in_flight_ids(&self) -> Vec<u64> {
-        self.in_flight.iter().map(|f| f.id).collect()
+    /// The submission sequences of every request the server holds and
+    /// has not answered: the queued ones in queue order, then the ones in
+    /// flight. After a poisoning fault these are the requests a respawn
+    /// retries elsewhere — the queued ones stranded, the in-flight ones
+    /// lost with the machine.
+    pub(crate) fn held_seqs(&self) -> impl Iterator<Item = u64> + '_ {
+        let queued = self.queue.iter().map(|q| q.seq);
+        queued.chain(self.in_flight.iter().map(|f| f.seq))
     }
 
     /// Drive the server until the queue and the machine are both empty,
@@ -1002,15 +1000,15 @@ impl<'p> BatchServer<'p> {
     ///   machine's lifetime) fires *before* a block executes, so state
     ///   stays consistent: the server is not poisoned, and later calls
     ///   still retire finished members — they just cannot step further.
-    ///   Queued requests stay pending (never admitted into the exhausted
-    ///   machine), where [`BatchServer::reject`] can still drain them.
+    ///   Queued requests stay pending, never admitted into the exhausted
+    ///   machine.
     /// - **Execution errors** (stack overflow/underflow) surface
     ///   mid-superstep, after some lanes already ran the block's ops —
     ///   the machine's state is half-mutated and re-driving it would
     ///   corrupt innocent members. The server is *poisoned*: this and
     ///   every later call return the error. Salvage completed work with
-    ///   [`BatchServer::take_ready`], drain the queue with
-    ///   [`BatchServer::reject`], and rebuild the server. A machine
+    ///   [`BatchServer::take_ready`] and rebuild the server, as the
+    ///   [`ShardedServer`] does with each shard it heals. A machine
     ///   that fails to admit a batch poisons the server the same way,
     ///   with the batch back at the queue head.
     pub fn run_until_idle(&mut self, mut trace: Option<&mut Trace>) -> Result<Vec<Response>> {
@@ -1231,6 +1229,12 @@ mod tests {
     use super::*;
     use autobatch_core::{lower, LoweringOptions};
     use autobatch_ir::build::fibonacci_program;
+
+    /// The governance failures a server reports, as `(id, error)`.
+    fn failures(server: &mut BatchServer<'_>) -> Vec<(u64, ServeError)> {
+        let failed = server.take_failed();
+        failed.into_iter().map(|(_, id, e)| (id, e)).collect()
+    }
 
     fn fib_requests(ns: &[i64]) -> Vec<Request> {
         ns.iter()
@@ -1634,8 +1638,7 @@ mod tests {
         );
         assert!(server.poisoned().is_none(), "step limit must not poison");
         // Requests submitted after exhaustion must stay pending — never
-        // admitted into a machine that can only error — so they remain
-        // reachable through `reject`.
+        // admitted into a machine that can only error.
         for mut r in fib_requests(&[4]) {
             r.id = 2;
             server.submit(r).unwrap();
@@ -1650,7 +1653,7 @@ mod tests {
             in_flight_before,
             "no stranded admission"
         );
-        assert_eq!(server.reject().map(|r| r.id), Some(2));
+        assert_eq!(server.queue.front().map(|q| q.request.id), Some(2));
         let ready = server.take_ready();
         assert_eq!(ready.len(), 1);
         assert_eq!(ready[0].outputs[0].as_i64().unwrap(), &[2]);
@@ -1942,20 +1945,22 @@ mod tests {
         assert!(matches!(err, Err(ServeError::Vm(_))), "got {err:?}");
         assert!(server.poisoned().is_some());
         assert_eq!(server.pending(), 2, "the popped request is back");
-        assert_eq!(server.in_flight_ids(), vec![0], "the long member stays");
+        let in_flight: Vec<u64> = server.in_flight.iter().map(|f| f.id).collect();
+        assert_eq!(in_flight, vec![0], "the long member stays");
         let ready = server.take_ready();
         let got: Vec<(u64, f64)> = ready
             .iter()
             .map(|r| (r.id, r.outputs[0].as_f64().unwrap()[0]))
             .collect();
         assert_eq!(got, vec![(1, 2.0)], "countup(2) completed before the error");
-        // The poisoned server refuses to run again; its queue drains.
+        // The poisoned server refuses to run again; it still holds what
+        // it did not answer.
         assert!(matches!(
             server.run_until_idle(None),
             Err(ServeError::Vm(_))
         ));
-        let mut seen: Vec<u64> = std::iter::from_fn(|| server.reject().map(|r| r.id)).collect();
-        seen.extend(server.in_flight_ids());
+        let mut seen: Vec<u64> = server.queue.iter().map(|q| q.request.id).collect();
+        seen.extend(server.in_flight.iter().map(|f| f.id));
         seen.extend(ready.iter().map(|r| r.id));
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2, 3]);
@@ -1965,7 +1970,7 @@ mod tests {
     fn failed_admission_requeues_in_original_fifo_order() {
         // When a batch admission fails in the machine, every request it
         // popped lands back at the queue *head* in the original FIFO
-        // order, so `reject()` drains them first to last.
+        // order, first to last.
         let (pc, _) = lower(&countup_program(), LoweringOptions::default()).unwrap();
         // max_batch 4 pops the conflicting request and both requests
         // behind it in one admission attempt.
@@ -1988,7 +1993,7 @@ mod tests {
         assert!(matches!(err, Err(ServeError::Vm(_))), "got {err:?}");
         assert_eq!(server.in_flight(), 1);
         assert_eq!(server.pending(), 3);
-        let order: Vec<u64> = std::iter::from_fn(|| server.reject().map(|r| r.id)).collect();
+        let order: Vec<u64> = server.queue.iter().map(|q| q.request.id).collect();
         assert_eq!(order, vec![1, 2, 3]);
     }
 
@@ -2141,7 +2146,7 @@ mod tests {
 
         // Typed verdict, within `max_supersteps + 1` supersteps of
         // admission (the charge that first *exceeds* the limit).
-        let failed = server.take_failed();
+        let failed = failures(&mut server);
         assert_eq!(failed.len(), 1);
         let (id, error) = &failed[0];
         assert_eq!(*id, 3);
@@ -2190,7 +2195,7 @@ mod tests {
         }
         server.set_clock(1_000);
         while server.poll(None).unwrap() {}
-        let failed = server.take_failed();
+        let failed = failures(&mut server);
         assert_eq!(failed.len(), 1);
         assert!(
             matches!(
@@ -2220,7 +2225,7 @@ mod tests {
         }
         let done = server.run_until_idle(None).unwrap();
         assert!(done.is_empty());
-        let failed = server.take_failed();
+        let failed = failures(&mut server);
         assert_eq!(failed.len(), 1);
         assert!(
             matches!(failed[0].1, ServeError::MemoryExceeded { limit: 1, bytes } if bytes > 1),
@@ -2252,7 +2257,7 @@ mod tests {
         assert!(server.cancel(0));
         let done = server.run_until_idle(None).unwrap();
         assert!(done.is_empty());
-        let mut failed = server.take_failed();
+        let mut failed = failures(&mut server);
         failed.sort_by_key(|&(id, _)| id);
         assert_eq!(failed.len(), 2);
         assert!(matches!(failed[0], (0, ServeError::Cancelled)));
@@ -2280,6 +2285,6 @@ mod tests {
         assert_eq!(done.len(), 1);
         // The request already retired: a late cancel matches nothing.
         assert!(!server.cancel(0));
-        assert!(server.take_failed().is_empty());
+        assert!(failures(&mut server).is_empty());
     }
 }

@@ -1,5 +1,5 @@
-//! Sharded multi-worker serving: scaling the batch server across host
-//! threads, not just lanes.
+//! Sharded, self-healing multi-worker serving: scaling the batch server
+//! across host threads, not just lanes.
 //!
 //! A single [`BatchServer`] saturates one host thread: every superstep
 //! is host control (block selection, masking) followed by one fused
@@ -8,7 +8,7 @@
 //! `PcMachine`), and runs them concurrently — the Send-safe machine
 //! handoff asserted in `autobatch-core`.
 //!
-//! Four design points:
+//! Five design points:
 //!
 //! - **Routing** is least-loaded: each shard's load is the requests it
 //!   holds, in flight on its machine plus queued — the count a running
@@ -17,18 +17,18 @@
 //!   deterministic.
 //! - **Aggregation** preserves per-request ordering: every submission
 //!   gets a global sequence number, which travels with the request —
-//!   queued, in flight, stolen or migrated — and comes back with its
-//!   response, and [`ShardedServer::take_ready`] merges the shards'
-//!   completions back into submission order.
-//! - **Poison/drain**: a shard's only error is its poison. Any error a
-//!   shard surfaces — an execution error, a caught panic, step-limit
-//!   exhaustion — poisons it, and no shard error loses another shard's
-//!   completed work: a poisoned shard's already-completed responses are
-//!   salvaged into the shared ready buffer, and routing skips it from
-//!   then on. Its queued and in-flight requests come back from
-//!   [`ShardedServer::respawn_shard`], which is how a
-//!   [`Supervisor`](crate::Supervisor) re-routes them. A bad request
-//!   never gets this far: [`BatchServer::submit`] refuses it.
+//!   queued, in flight, stolen, migrated or retried — and comes back
+//!   with its response, and [`ShardedServer::run_until_idle_with`]
+//!   merges the shards' completions back into submission order.
+//! - **Poison and heal**: a shard's only error is its poison. Any error
+//!   a shard surfaces — an execution error, a caught panic, step-limit
+//!   exhaustion — poisons it and closes the drive, and no shard error
+//!   loses another shard's completed work. Between drives the fleet
+//!   salvages what each poisoned shard completed, rebuilds it in place
+//!   and retries what it still held, stranded in its queue or lost in
+//!   flight, under the retry budget and the quarantine breaker its
+//!   books keep (see [`crate::supervisor`]). A bad request never gets
+//!   this far: [`BatchServer::submit`] refuses it.
 //! - **One continuous drive, one crew of threads.** Host control per
 //!   superstep is what batching has to amortise, so the runtime must not
 //!   add to it: a drive ([`ShardedServer::drive`]; every other entry
@@ -47,6 +47,10 @@
 //!   between quanta; a panicking worker poisons its own shard and is
 //!   always reported. The contract is spelled out on
 //!   [`ShardedServer::drive`].
+//! - **Every request has exactly one answer.** A completion or a typed
+//!   [`Outcome::Failed`] — a refusal, a governance verdict,
+//!   [`ServeError::RetriesExhausted`] — handed out once, whatever the
+//!   faults.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -60,9 +64,10 @@ use autobatch_ir::analysis::{analyze_pcab, PcabReport};
 use autobatch_ir::pcab::Program;
 
 use crate::affinity::{plan_migrations, plan_splits, plan_steals, ShardView};
+use crate::supervisor::Books;
 use crate::{
     AdmissionPolicy, AffinityConfig, BatchServer, Outcome, Request, RequestBudget, Response,
-    Result, SchedulingPolicy, ServeError,
+    Result, SchedulingPolicy, ServeError, SupervisorConfig, Verdict,
 };
 
 /// Supersteps a shard runs between two looks at its inbox under default
@@ -143,11 +148,10 @@ pub struct Intake {
     pub clock: u64,
 }
 
-/// The caller's side of a drive: called with the fleet's buffers of
-/// completed responses (tagged with their submission sequence) and
-/// governance verdicts, it takes out what it wants to hand on and
-/// returns what joins the fleet.
-type Hook<'h> = &'h mut dyn FnMut(&mut Vec<(u64, Response)>, &mut Vec<(u64, ServeError)>) -> Intake;
+/// The caller's side of a drive, as the fleet calls it: handed the
+/// outcomes resolved since the last call, each with its request's
+/// submission sequence, it returns what joins the fleet.
+type Hook<'h> = &'h mut dyn FnMut(Vec<(u64, Outcome)>) -> Intake;
 
 #[cfg(test)]
 thread_local! {
@@ -171,43 +175,12 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 #[derive(Debug)]
 struct Shard<'p> {
     server: BatchServer<'p>,
-    /// The most recent error the slot ever surfaced — unlike the
-    /// server's poison it survives respawns, so health reporting can say
-    /// *why* a shard was last respawned.
-    fault_record: Option<ServeError>,
-    /// How many times this slot's server has been rebuilt.
-    respawns: u64,
     /// Queued requests this slot took from a deeper queue (work
     /// stealing), over the slot's lifetime.
     steals: u64,
     /// Running lanes a rebalance moved onto this slot (straggler
     /// migration and batch splits), over the slot's lifetime.
     migrated_in: u64,
-}
-
-/// Observability snapshot of one shard slot, for fleet health reporting
-/// (see [`ShardedServer::health`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardHealth {
-    /// Times this slot's `BatchServer` + `PcMachine` were rebuilt.
-    pub respawns: u64,
-    /// The most recent error the slot ever surfaced (sticky across
-    /// respawns and later successes), if any.
-    pub last_error: Option<ServeError>,
-    /// Whether the slot can currently accept and run work.
-    pub healthy: bool,
-    /// Lanes the current server evicted under governance (budget
-    /// blowups + cancellations). Resets when the slot is respawned —
-    /// it describes the live machine, not the slot's lifetime.
-    pub evictions: u64,
-    /// Supersteps charged across the lanes currently in flight on this
-    /// slot — the live budget spend a dashboard watches climb.
-    pub spent_supersteps: u64,
-    /// Queued requests this slot stole from deeper queues under
-    /// [`SchedulingPolicy::PcAffinity`], over the slot's lifetime
-    /// (respawns included). Lane migrations are counted fleet-wide
-    /// ([`FleetCounts::members_migrated_in`]).
-    pub steals: u64,
 }
 
 /// What a fleet has run, counted where it happened (see
@@ -217,6 +190,9 @@ pub struct ShardHealth {
 pub struct FleetCounts {
     supersteps: u64,
     members_migrated_in: u64,
+    /// Queued requests an idle shard took from a deeper queue under
+    /// [`SchedulingPolicy::PcAffinity`] (work stealing).
+    pub steals: u64,
 }
 
 impl FleetCounts {
@@ -248,8 +224,8 @@ impl Shard<'_> {
     }
 }
 
-/// A serving runtime that partitions requests across worker threads,
-/// each owning its own [`BatchServer`] + `PcMachine`.
+/// A self-healing serving runtime that partitions requests across
+/// worker threads, each owning its own [`BatchServer`] + `PcMachine`.
 ///
 /// Results are deterministic: routing is a pure function of submission
 /// order and shard loads, each shard's execution is deterministic, and
@@ -257,6 +233,11 @@ impl Shard<'_> {
 /// scheduling cannot perturb anything the caller observes. Per-request
 /// results are bit-identical to an unsharded run because every lane's
 /// draws are keyed by the request seed, not by placement.
+///
+/// The fleet heals itself: a shard an error poisons is rebuilt between
+/// drives, its stranded and lost work retried under the
+/// [`SupervisorConfig`] retry budget, and every request the fleet
+/// accepts reaches exactly one terminal [`Outcome`].
 ///
 /// # Examples
 ///
@@ -280,7 +261,7 @@ impl Shard<'_> {
 /// for (id, n) in [(0u64, 6i64), (1, 9), (2, 3)] {
 ///     server.submit(Request { id, inputs: vec![Tensor::from_i64(&[n], &[1])?], seed: id })?;
 /// }
-/// let done = server.run_until_idle()?;
+/// let done = server.run_until_idle_with(&mut Vec::new)?;
 /// // Aggregation preserves submission order across shards.
 /// let ids: Vec<u64> = done.iter().map(|r| r.id).collect();
 /// assert_eq!(ids, vec![0, 1, 2]);
@@ -291,8 +272,8 @@ impl Shard<'_> {
 pub struct ShardedServer<'p> {
     shards: Vec<Shard<'p>>,
     /// Construction inputs, kept so a dead shard can be rebuilt in
-    /// place ([`ShardedServer::respawn_shard`]) with a fresh
-    /// `BatchServer` + `PcMachine`.
+    /// place ([`ShardedServer::respawn`]) with a fresh `BatchServer` +
+    /// `PcMachine`.
     program: &'p Program,
     /// The program's static verification report: the fleet analyses the
     /// program once, and every shard, first or respawned, shares it.
@@ -311,11 +292,13 @@ pub struct ShardedServer<'p> {
     /// re-kill the replacement at the exact same superstep forever.
     next_fault_epoch: u64,
     /// Next chaos round: the counter behind worker-panic and
-    /// worker-slowness injection, drawn once per drive under default
-    /// scheduling and once per quantum round under PC-affinity. A drive
-    /// that starts with the whole fleet idle draws it only for the
-    /// shards that get work.
+    /// worker-slowness injection, drawn once per inner drive under
+    /// default scheduling and once per quantum round under PC-affinity.
+    /// A drive that starts with the whole fleet idle draws it only for
+    /// the shards that get work.
     fault_round: u64,
+    /// Shard respawns over the fleet's lifetime.
+    respawns: u64,
     /// Lifetime completions on servers that were since respawned.
     retired_completed: u64,
     /// Peak queue depth on servers that were since respawned.
@@ -324,27 +307,24 @@ pub struct ShardedServer<'p> {
     retired_evictions: u64,
     /// Supersteps run by servers that were since respawned.
     retired_supersteps: u64,
-    /// Governance failures salvaged from respawned shards, awaiting
-    /// [`ShardedServer::take_failed`].
-    failed: Vec<(u64, ServeError)>,
     /// Per-request resource ceilings (mirrors each shard's
     /// [`BatchServer::set_budget`]); kept here so a respawned shard
     /// re-enforces the same budget.
     budget: RequestBudget,
-    /// Next global submission sequence number. A request carries its
-    /// number through its shard and back with its response, so even
-    /// requests that share an id come back in submission order.
-    next_seq: u64,
-    /// Completed responses awaiting [`ShardedServer::take_ready`],
+    /// Completed responses retired and not yet filed in the books,
     /// tagged with their submission sequence.
     ready: Vec<(u64, Response)>,
+    /// Verdicts and refusals retired and not yet filed in the books.
+    failed: Vec<Verdict>,
+    /// The retry books, parked retries and quarantine breaker.
+    books: Books,
 }
 
 impl<'p> ShardedServer<'p> {
     /// Create a sharded server: `workers` shards, each a [`BatchServer`]
-    /// under `policy`. The fleet prices nothing, so `_backend` is unused;
-    /// the parameter stays because `benchmark/` passes it (ROADMAP item
-    /// 1(e)).
+    /// under `policy`, healing under [`SupervisorConfig::default`]. The
+    /// fleet prices nothing, so `_backend` is unused; the parameter
+    /// stays because `benchmark/` passes it (ROADMAP item 1(e)).
     ///
     /// # Errors
     ///
@@ -382,8 +362,6 @@ impl<'p> ShardedServer<'p> {
                         policy,
                         &report,
                     )?,
-                    fault_record: None,
-                    respawns: 0,
                     steals: 0,
                     migrated_in: 0,
                 })
@@ -400,14 +378,15 @@ impl<'p> ShardedServer<'p> {
             clock: 0,
             next_fault_epoch: base_epoch + workers as u64,
             fault_round: 0,
+            respawns: 0,
             retired_completed: 0,
             retired_peak: 0,
             retired_evictions: 0,
             retired_supersteps: 0,
-            failed: Vec::new(),
             budget: RequestBudget::unlimited(),
-            next_seq: 0,
             ready: Vec::new(),
+            failed: Vec::new(),
+            books: Books::new(SupervisorConfig::default()),
         })
     }
 
@@ -431,28 +410,26 @@ impl<'p> ShardedServer<'p> {
         }
     }
 
-    /// Request cooperative cancellation of a request anywhere in the
-    /// fleet (see [`BatchServer::cancel`]). Returns `false` when no
-    /// shard knows the id — already answered, or never submitted.
+    /// Set the retry budget and the quarantine breaker the fleet heals
+    /// under (default [`SupervisorConfig::default`]). The breaker starts
+    /// over with a clean record.
+    pub fn set_supervision(&mut self, config: SupervisorConfig) {
+        self.books.configure(config);
+    }
+
+    /// Request cooperative cancellation of a request: a retry parked for
+    /// backoff is answered with [`ServeError::Cancelled`] at once; a
+    /// queued or in-flight request is cancelled on whichever shard holds
+    /// it (see [`BatchServer::cancel`]), its lane evicted at the next
+    /// superstep boundary. Either way the outcome is handed out by the
+    /// next drive. Returns `false` when the id is unknown — already
+    /// answered, or never submitted.
     pub fn cancel(&mut self, id: u64) -> bool {
-        self.shards.iter_mut().any(|s| s.server.cancel(id))
+        self.books.cancel_parked(id) || self.shards.iter_mut().any(|s| s.server.cancel(id))
     }
 
-    /// Drain the typed terminal failures governance produced across the
-    /// fleet (budget evictions and cancellations, and refusals of
-    /// requests routed mid-drive), in the order they were reported,
-    /// including failures salvaged from shards that were since
-    /// respawned.
-    pub fn take_failed(&mut self) -> Vec<(u64, ServeError)> {
-        for s in &mut self.shards {
-            self.failed.extend(s.server.take_failed());
-        }
-        std::mem::take(&mut self.failed)
-    }
-
-    /// Lanes evicted under governance over the fleet's lifetime
-    /// (including on servers since respawned — unlike
-    /// [`ShardHealth::evictions`], which is per-live-server).
+    /// Lanes evicted under governance over the fleet's lifetime,
+    /// including on servers since respawned.
     pub fn evictions(&self) -> u64 {
         self.shards
             .iter()
@@ -512,99 +489,15 @@ impl<'p> ShardedServer<'p> {
             + self.retired_supersteps
     }
 
-    /// Indices of shards poisoned by an execution error. A poisoned
-    /// shard refuses to run until [`ShardedServer::respawn_shard`]
-    /// rebuilds it, which also hands back its queue for re-routing.
-    pub fn poisoned_shards(&self) -> Vec<usize> {
-        (0..self.shards.len())
-            .filter(|&i| self.shards[i].poisoned())
-            .collect()
-    }
-
-    /// The error that poisoned shard `i`, if any.
-    pub(crate) fn poison(&self, i: usize) -> Option<&ServeError> {
-        self.shards[i].server.poisoned()
-    }
-
-    /// Per-slot health snapshot: respawn count, the most recent error
-    /// ever surfaced (sticky across respawns), and current liveness.
-    pub fn health(&self) -> Vec<ShardHealth> {
-        self.shards
-            .iter()
-            .map(|s| ShardHealth {
-                respawns: s.respawns,
-                last_error: s.fault_record.clone(),
-                healthy: !s.poisoned(),
-                evictions: s.server.evictions(),
-                spent_supersteps: s.server.spent_supersteps(),
-                steals: s.steals,
-            })
-            .collect()
-    }
-
-    /// Total shard respawns over the fleet's lifetime.
+    /// Shard respawns over the fleet's lifetime.
     pub fn respawns(&self) -> u64 {
-        self.shards.iter().map(|s| s.respawns).sum()
+        self.respawns
     }
 
-    /// Tear down shard `i`'s server and rebuild it in place with a
-    /// fresh `BatchServer` + `PcMachine` (same program, registry,
-    /// options, policy and verification report; the later of the fleet's
-    /// and the old server's clock, and the request budget, restored; a
-    /// fresh fault-stream epoch so a deterministic fault plan does not
-    /// re-kill the replacement on schedule). The recovery move for a
-    /// poisoned shard.
-    ///
-    /// Work the old server had is handed on, never silently dropped:
-    ///
-    /// - **completed** responses are salvaged into the shared ready
-    ///   buffer ([`ShardedServer::take_ready`] returns them);
-    /// - **queued** requests (never admitted) are returned in
-    ///   `(stranded, _)`, to be submitted again;
-    /// - **in-flight** requests (admitted, not retired) died with the
-    ///   machine; their ids are returned in `(_, lost)` so a supervisor
-    ///   can retry them from its own copies.
-    pub fn respawn_shard(&mut self, i: usize) -> (Vec<Request>, Vec<u64>) {
-        self.ready.extend(self.shards[i].server.take_numbered());
-        // Governance verdicts already reached are salvaged too: a
-        // budget-evicted request's terminal failure must not be lost
-        // (and then retried) just because its shard later died.
-        self.failed.extend(self.shards[i].server.take_failed());
-        let lost = self.shards[i].server.in_flight_ids();
-        let mut stranded = Vec::new();
-        while let Some(r) = self.shards[i].server.reject() {
-            stranded.push(r);
-        }
-        let epoch = self.next_fault_epoch;
-        self.next_fault_epoch += 1;
-        let opts = ExecOptions {
-            fault: self.opts.fault.with_epoch(epoch),
-            ..self.opts
-        };
-        let mut server = BatchServer::with_report(
-            self.program,
-            self.registry.clone(),
-            opts,
-            self.policy,
-            &self.report,
-        )
-        .expect("policy and program were validated when the fleet was built");
-        // A deadline fast-forward moves only its own shard's clock, so
-        // the slot's clock may be ahead of the fleet's: it never goes back.
-        server.set_clock(self.clock.max(self.shards[i].server.clock()));
-        server.set_budget(self.budget);
-        self.retired_completed += self.shards[i].server.completed();
-        self.retired_peak = self.retired_peak.max(self.shards[i].server.peak_pending());
-        self.retired_evictions += self.shards[i].server.evictions();
-        self.retired_supersteps += self.shards[i].server.supersteps();
-        let old = &mut self.shards[i];
-        self.shards[i] = Shard {
-            server,
-            fault_record: old.fault_record.take(),
-            respawns: old.respawns + 1,
-            ..*old
-        };
-        (stranded, lost)
+    /// Retry attempts over the fleet's lifetime: admission retries plus
+    /// requeues of stranded and lost work.
+    pub fn retries(&self) -> u64 {
+        self.books.retries
     }
 
     /// What the fleet has run over its lifetime, respawned servers
@@ -614,56 +507,70 @@ impl<'p> ShardedServer<'p> {
         FleetCounts {
             supersteps: self.supersteps(),
             members_migrated_in: self.shards.iter().map(|s| s.migrated_in).sum(),
+            steals: self.shards.iter().map(|s| s.steals).sum(),
         }
     }
 
-    /// Number a request and enqueue it per the scheduling policy: on the
-    /// least-loaded healthy shard (lowest index on ties), or by
-    /// PC-affinity packing.
+    /// Submit a request. It passes the quarantine breaker, is numbered
+    /// and booked for retries, and is routed per the scheduling policy:
+    /// to the least-loaded shard (lowest index on ties), or by
+    /// PC-affinity packing. An injected admission fault is retried at
+    /// once, charged to the request's retry budget; a real refusal (a
+    /// request [`BatchServer::submit`] judges unfit) passes straight
+    /// through.
     ///
     /// # Errors
     ///
-    /// The refusals of [`BatchServer::submit`] on the chosen shard; if
-    /// every shard is poisoned, the first shard's poison error.
+    /// [`ServeError::BadRequest`] / [`ServeError::InvalidRequest`] as
+    /// [`BatchServer::submit`]; [`ServeError::Quarantined`] when the
+    /// program's breaker is open (nothing reaches the fleet);
+    /// [`ServeError::RetriesExhausted`] when injected admission faults
+    /// outlasted the budget. In every error case the request is **not**
+    /// booked: the error *is* its terminal outcome.
     pub fn submit(&mut self, request: Request) -> Result<()> {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let candidates: Vec<usize> = (0..self.shards.len())
-            .filter(|&i| !self.shards[i].poisoned())
-            .collect();
-        let target = match self.scheduling {
-            SchedulingPolicy::LeastLoaded => candidates
-                .iter()
-                .copied()
-                .min_by_key(|&i| (self.shards[i].load(), i)),
-            SchedulingPolicy::PcAffinity(cfg) => self.affinity_target(&candidates, cfg),
-        };
-        match target {
-            Some(i) => self.shards[i].server.submit_as(seq, request),
-            None => Err(self
-                .shards
-                .iter()
-                .find_map(|s| s.server.poisoned().cloned())
-                .expect("no healthy shard implies a poisoned one")),
+        let seq = self.books.number();
+        self.books.admit(seq, &request)?;
+        // A fleet left sick (a panic unwound a drive) must not refuse
+        // new work: heal before routing.
+        self.heal();
+        loop {
+            match self.route(seq, request.clone()) {
+                Ok(()) => return Ok(()),
+                Err(e) => self.books.refused(seq, request.id, e)?,
+            }
         }
     }
 
+    /// Enqueue request `seq` on the shard the scheduling policy picks.
+    /// Every shard is healthy here: the fleet heals before it routes.
+    fn route(&mut self, seq: u64, request: Request) -> Result<()> {
+        let i = match self.scheduling {
+            SchedulingPolicy::LeastLoaded => self.least_loaded(),
+            SchedulingPolicy::PcAffinity(cfg) => self.affinity_target(cfg),
+        };
+        self.shards[i].server.submit_as(seq, request)
+    }
+
+    /// The shard holding the fewest requests, lowest index on ties.
+    fn least_loaded(&self) -> usize {
+        (0..self.shards.len())
+            .min_by_key(|&i| (self.shards[i].load(), i))
+            .expect("a fleet has a shard")
+    }
+
     /// PC-affinity routing: pack shards to capacity in submission
-    /// order instead of spreading. Among *open* candidates (load below
-    /// the packing threshold `ceil(capacity × pack)`), pick the shard
-    /// with the most mass at the program's entry block — running lanes
-    /// still at entry plus queued requests, which will join at entry —
-    /// breaking ties toward lower load, then the lowest index. When no
-    /// shard is open, fall back to least-loaded. Full batches share
-    /// supersteps; spread ones pay the per-superstep host control many
-    /// times over.
-    fn affinity_target(&self, candidates: &[usize], cfg: AffinityConfig) -> Option<usize> {
+    /// order instead of spreading. Among *open* shards (load below the
+    /// packing threshold `ceil(capacity × pack)`), pick the one with the
+    /// most mass at the program's entry block — running lanes still at
+    /// entry plus queued requests, which will join at entry — breaking
+    /// ties toward lower load, then the lowest index. When no shard is
+    /// open, fall back to least-loaded. Full batches share supersteps;
+    /// spread ones pay the per-superstep host control many times over.
+    fn affinity_target(&self, cfg: AffinityConfig) -> usize {
         let cap = self.policy.max_batch().max(1);
         let open_cap = ((cap as f64) * cfg.pack).ceil().max(1.0) as usize;
         let entry = self.program.entry.0;
-        candidates
-            .iter()
-            .copied()
+        (0..self.shards.len())
             .filter(|&i| self.shards[i].load() < open_cap)
             .max_by_key(|&i| {
                 let shard = &self.shards[i];
@@ -680,101 +587,84 @@ impl<'p> ShardedServer<'p> {
                     std::cmp::Reverse(i),
                 )
             })
-            .or_else(|| {
-                candidates
-                    .iter()
-                    .copied()
-                    .min_by_key(|&i| (self.shards[i].load(), i))
-            })
+            .unwrap_or_else(|| self.least_loaded())
     }
 
-    /// Take every completed response aggregated so far, in submission
-    /// order — including responses salvaged from shards that later
-    /// failed. The way to recover finished work after
-    /// [`ShardedServer::run_until_idle`] reports a shard error.
-    pub fn take_ready(&mut self) -> Vec<Response> {
-        for shard in &mut self.shards {
-            self.ready.extend(shard.server.take_numbered());
-        }
-        self.ready.sort_by_key(|&(seq, _)| seq);
-        std::mem::take(&mut self.ready)
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect()
-    }
-
-    /// Drive every shard until the fleet is idle and return all
-    /// completed responses in submission order:
-    /// [`ShardedServer::run_until_idle_with`] under a hook that never
-    /// cancels anything.
+    /// Drive the fleet until it is idle and return every completed
+    /// response in submission order: [`ShardedServer::drive`] with no
+    /// [`Bell`], under a hook that feeds nothing and cancels every id
+    /// `poll` returns (broadcast to every shard, so duplicate in-flight
+    /// ids are all cancelled). With no bell to wake it, the coordinator
+    /// asks `poll` every `COORDINATOR_WAKE` (1 ms) while it only waits.
     ///
     /// # Errors
     ///
-    /// As [`ShardedServer::drive`].
-    pub fn run_until_idle(&mut self) -> Result<Vec<Response>> {
-        self.run_until_idle_with(&mut Vec::new)
-    }
-
-    /// [`ShardedServer::drive`] under a hook that feeds nothing and only
-    /// cancels: every id `poll` returns is cancelled on whichever shard
-    /// holds it (as [`ShardedServer::cancel`], except that a mid-drive
-    /// cancel is broadcast, so duplicate in-flight ids are all
-    /// cancelled). Retirements are not handed out as they happen: they
-    /// stay in the fleet's buffers, so the drive returns every completed
-    /// response at the end, in submission order, and leaves the
-    /// governance failures for [`ShardedServer::take_failed`]. With no
-    /// [`Bell`] to wake it, the coordinator asks `poll` every
-    /// `COORDINATOR_WAKE` (1 ms) while it only waits.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedServer::drive`].
+    /// If a request the drive answered did not complete, the first such
+    /// failure in submission order — a refusal, a governance verdict (a
+    /// budget eviction or a cancellation) or
+    /// [`ServeError::RetriesExhausted`] — and the drive's responses are
+    /// dropped. [`ShardedServer::drive`] hands out every outcome.
     pub fn run_until_idle_with(
         &mut self,
         poll: &mut dyn FnMut() -> Vec<u64>,
     ) -> Result<Vec<Response>> {
-        self.run(None, &mut |_, _| Intake {
-            cancels: poll(),
-            ..Intake::default()
-        })?;
-        Ok(self.take_ready())
+        let mut resolved = Vec::new();
+        self.supervise(None, &mut |outcomes| {
+            resolved.extend(outcomes);
+            Intake {
+                cancels: poll(),
+                ..Intake::default()
+            }
+        });
+        resolved.sort_by_key(|&(seq, _)| seq);
+        resolved
+            .into_iter()
+            .map(|(_, outcome)| match outcome {
+                Outcome::Done(r) => Ok(r),
+                Outcome::Failed { error, .. } => Err(error),
+            })
+            .collect()
     }
 
-    /// Drive every shard **concurrently and continuously**: requests the
-    /// hook hands in join the running fleet, and every retirement is
-    /// handed back through the hook as its shard reports it. The drive
-    /// ends when every shard is idle and a call of `feed` has nothing
-    /// more to give.
+    /// Serve **concurrently and continuously**, healing as it goes:
+    /// requests the hook hands in join the running fleet, and every
+    /// request's terminal outcome is handed back through the hook. The
+    /// drive ends when the fleet is idle, no retry is parked, every
+    /// outcome is handed out and a call of `hook` has nothing more to
+    /// give.
     ///
     /// # The hook
     ///
-    /// `feed` is called before the first leg, after every quantum of the
+    /// `hook` is called before the first leg, after every quantum of the
     /// shard the caller runs itself, and whenever the caller wakes while
     /// it only waits: on `bell`, which the shard workers ring when they
     /// report and which whoever feeds the hook rings when it has
     /// something new, or without a bell every `COORDINATOR_WAKE` (1 ms).
-    /// Each call gets the outcomes retired since the last one —
-    /// completions in submission order, then governance verdicts and
-    /// refusals (a request its shard refused at submission, a bad
-    /// payload say, is [`Outcome::Failed`] with the refusal) — and
-    /// returns an
-    /// [`Intake`]: its clock is applied first, its requests are routed
-    /// to the healthy shard holding the fewest requests (lowest index on
-    /// ties) through that shard's inbox, and its cancels are broadcast.
-    /// A running shard drains its inbox before each quantum
+    /// Each call gets the outcomes resolved since the last one —
+    /// completions in submission order, then failures: refusals (a
+    /// request its shard refused, a bad payload say, or one the
+    /// quarantine breaker turned away), governance verdicts and
+    /// [`ServeError::RetriesExhausted`] — and returns an [`Intake`]: its
+    /// clock is applied first, its requests are numbered, booked and
+    /// routed to the shard holding the fewest requests (lowest index on
+    /// ties) through that shard's inbox, and its cancels are applied as
+    /// [`ShardedServer::cancel`] does, broadcast to every shard. A
+    /// running shard drains its inbox before each quantum
     /// (`CANCEL_QUANTUM` = 64 supersteps); an idle one is started by the
-    /// work landing in it.
+    /// work landing in it. A call that hands in work is a round, so
+    /// retries whose backoff expires while a fed drive runs join it
+    /// then.
     ///
     /// # Threads
     ///
-    /// One call is one *drive*. It opens one `std::thread::scope` and
-    /// starts one thread per shard that has work, less one: the caller
-    /// runs the first such shard itself and coordinates the rest. A shard
-    /// that first gets work mid-drive gets its thread then. A drive with
-    /// one busy shard (a 1-worker fleet always) runs inline, and a drive
+    /// One *inner drive* opens one `std::thread::scope` and starts one
+    /// thread per shard that has work, less one: the caller runs the
+    /// first such shard itself and coordinates the rest. A shard that
+    /// first gets work mid-drive gets its thread then. A drive with one
+    /// busy shard (a 1-worker fleet always) runs inline, and a drive
     /// that finds no work and is fed none starts nothing. The threads
-    /// live until the drive ends, and while they have nothing to run
-    /// they are parked — nothing in a drive spins.
+    /// live until the inner drive ends, and while they have nothing to
+    /// run they are parked — nothing in a drive spins.
     ///
     /// Under [`SchedulingPolicy::LeastLoaded`] (the default) no shard
     /// ever needs another: a worker runs its shard quantum after quantum
@@ -792,52 +682,129 @@ impl<'p> ShardedServer<'p> {
     /// execute, and a lane's draws are keyed by its request seed, not
     /// its placement.
     ///
-    /// # Panic containment
+    /// # Faults
     ///
     /// Every quantum runs under `catch_unwind`: a panic while driving
     /// one shard — a VM bug or an injected [`FaultPoint::WorkerPanic`] —
     /// becomes a typed [`ServeError::Panicked`] that poisons *that shard
     /// only*. A worker reports its leg from a drop guard, so even one
     /// that unwinds past the containment is reported (as panicked) and
-    /// the drive never waits on a thread that will not answer. The
-    /// poisoned shard's completed work is salvaged like any other
-    /// failing shard's, and [`ShardedServer::respawn_shard`] puts the
-    /// slot back in rotation. Shards already poisoned by an earlier
-    /// call are skipped; their error is *not* re-raised, so healthy
-    /// shards keep serving.
+    /// the drive never waits on a thread that will not answer. A shard
+    /// that errors — an execution error, a panic, step-limit exhaustion
+    /// — is poisoned and leaves the inner drive, which *closes*: `hook`
+    /// is not called again until it ends, and the healthy remainder
+    /// drains. Then the poisoned shards are salvaged and respawned, the
+    /// work they stranded or lost is parked for a retry with backoff,
+    /// and the next inner drive starts; every completed response and
+    /// verdict is handed out, none is lost.
     ///
-    /// # Errors
-    ///
-    /// A refused request is an outcome, not an error. A shard that
-    /// errors this call — an execution error, a panic, step-limit
-    /// exhaustion — is poisoned with the error and leaves the drive, and
-    /// the drive *closes*: `feed` is not called again, the healthy
-    /// remainder drains, and the first such error (by report) is
-    /// returned — but no work is lost: every response finished by any
-    /// shard, including work a failing shard completed before its error,
-    /// and every verdict not yet handed out stays buffered for
-    /// [`ShardedServer::take_ready`] and [`ShardedServer::take_failed`],
-    /// and [`ShardedServer::respawn_shard`] hands back what the poisoned
-    /// shard still held. If only poisoned shards still hold work, the
-    /// drive stops.
-    pub fn drive(
-        &mut self,
-        bell: Option<&Bell>,
-        feed: &mut dyn FnMut(Vec<Outcome>) -> Intake,
-    ) -> Result<()> {
-        self.run(bell, &mut |ready, failed| {
-            ready.sort_by_key(|&(seq, _)| seq);
-            let done = ready.drain(..).map(|(_, r)| Outcome::Done(r));
-            let verdicts = failed
-                .drain(..)
-                .map(|(id, error)| Outcome::Failed { id, error });
-            feed(done.chain(verdicts).collect())
-        })
+    /// Quiescence is guaranteed once the hook stops feeding: every
+    /// failing round burns retry attempts from a bounded per-request
+    /// budget, so even a fault plan that fires on every round
+    /// terminates with typed [`Outcome::Failed`] answers — and a healthy
+    /// fleet.
+    pub fn drive(&mut self, bell: Option<&Bell>, hook: &mut dyn FnMut(Vec<Outcome>) -> Intake) {
+        self.supervise(bell, &mut |resolved| {
+            hook(resolved.into_iter().map(|(_, outcome)| outcome).collect())
+        });
     }
 
-    /// The one drive loop behind every entry point: see
-    /// [`ShardedServer::drive`].
-    fn run(&mut self, bell: Option<&Bell>, hook: Hook<'_>) -> Result<()> {
+    /// The healing loop behind every entry point: inner drives, each
+    /// followed by a respawn of every shard it poisoned, the filing of
+    /// what it left and the release of the retries that came due, until
+    /// the fleet is idle and the books are settled. Rounds (backoff, the
+    /// breaker's clock) advance once per inner drive.
+    fn supervise(&mut self, bell: Option<&Bell>, hook: Hook<'_>) {
+        // A fleet left sick (a panic unwound a drive) runs healthy.
+        self.heal();
+        loop {
+            self.books.round += 1;
+            self.run(bell, hook);
+            self.heal();
+            // Whatever a closed drive left behind, and anything a shard
+            // retired outside a drive (a cancel of a queued request).
+            for s in &mut self.shards {
+                self.ready.extend(s.server.take_numbered());
+                self.failed.extend(s.server.take_failed());
+            }
+            self.books.file(&mut self.ready, &mut self.failed);
+            let idle = self.pending() == 0 && self.in_flight() == 0;
+            for (seq, request) in self.books.release(idle) {
+                // Re-entry may itself fail (injected admission fault):
+                // that burns another attempt like any failed try.
+                if let Err(e) = self.route(seq, request) {
+                    self.books.requeue(seq, e);
+                }
+            }
+            if self.pending() == 0 && self.in_flight() == 0 && self.books.settled() {
+                // Poison never outlives a drive, and every request the
+                // fleet accepted has been answered.
+                debug_assert!(self.shards.iter().all(|s| !s.poisoned()));
+                debug_assert_eq!(self.books.tracked(), 0);
+                return;
+            }
+        }
+    }
+
+    /// Respawn every poisoned shard and requeue the work it stranded or
+    /// lost, charged to the shard's poison.
+    fn heal(&mut self) {
+        for i in 0..self.shards.len() {
+            if let Some(cause) = self.shards[i].server.poisoned().cloned() {
+                for seq in self.respawn(i) {
+                    self.books.requeue(seq, cause.clone());
+                }
+            }
+        }
+    }
+
+    /// Tear down shard `i`'s server and rebuild it in place with a
+    /// fresh `BatchServer` + `PcMachine` (same program, registry,
+    /// options, policy and verification report; the later of the fleet's
+    /// and the old server's clock, and the request budget, restored; a
+    /// fresh fault-stream epoch so a deterministic fault plan does not
+    /// re-kill the replacement on schedule). The old server's completed
+    /// responses and verdicts are salvaged into the fleet's buffers;
+    /// returns the submission sequences of what it still held, queued
+    /// ones first, then those in flight.
+    fn respawn(&mut self, i: usize) -> Vec<u64> {
+        let old = &mut self.shards[i].server;
+        self.ready.extend(old.take_numbered());
+        // Governance verdicts already reached are salvaged too: a
+        // budget-evicted request's terminal failure must not be lost
+        // (and then retried) just because its shard later died.
+        self.failed.extend(old.take_failed());
+        let held = old.held_seqs().collect();
+        self.retired_completed += old.completed();
+        self.retired_peak = self.retired_peak.max(old.peak_pending());
+        self.retired_evictions += old.evictions();
+        self.retired_supersteps += old.supersteps();
+        let opts = ExecOptions {
+            fault: self.opts.fault.with_epoch(self.next_fault_epoch),
+            ..self.opts
+        };
+        self.next_fault_epoch += 1;
+        let mut server = BatchServer::with_report(
+            self.program,
+            self.registry.clone(),
+            opts,
+            self.policy,
+            &self.report,
+        )
+        .expect("policy and program were validated when the fleet was built");
+        // A deadline fast-forward moves only its own shard's clock, so
+        // the slot's clock may be ahead of the fleet's: it never goes back.
+        server.set_clock(self.clock.max(self.shards[i].server.clock()));
+        server.set_budget(self.budget);
+        self.shards[i].server = server;
+        self.respawns += 1;
+        held
+    }
+
+    /// One inner drive: the one drive loop, see [`ShardedServer::drive`].
+    /// It ends when nothing runs and the hook has seen every outcome, or,
+    /// once a shard has errored, when the healthy remainder is drained.
+    fn run(&mut self, bell: Option<&Bell>, hook: Hook<'_>) {
         let (quantum, affinity) = match self.scheduling {
             SchedulingPolicy::LeastLoaded => (CANCEL_QUANTUM, None),
             SchedulingPolicy::PcAffinity(cfg) => (cfg.quantum.max(1), Some(cfg)),
@@ -850,30 +817,22 @@ impl<'p> ShardedServer<'p> {
         // (drive, shard), PC-affinity a fresh one per (round, shard).
         let first_round = self.fault_round;
         self.fault_round += 1;
-        // The crew: shards that take part from the first leg. Under
-        // affinity work moves, so one busy shard enlists every healthy
-        // one; worker chaos enlists idle shards too, unless the whole
-        // fleet starts idle.
-        let any_work = self.shards.iter().any(|s| !s.poisoned() && s.has_work());
+        // The crew: shards that take part from the first leg (every shard
+        // is healthy: the fleet heals between inner drives). Under
+        // affinity work moves, so one busy shard enlists every shard;
+        // worker chaos enlists idle shards too, unless the whole fleet
+        // starts idle.
+        let any_work = self.shards.iter().any(Shard::has_work);
         let crew: Vec<bool> = (0..n)
             .map(|i| {
                 let counter = first_round * n as u64 + i as u64;
-                let s = &self.shards[i];
-                !s.poisoned()
-                    && (s.has_work()
-                        || (any_work
-                            && (lockstep
-                                || fault.fires(FaultPoint::WorkerSlow, counter)
-                                || fault.fires(FaultPoint::WorkerPanic, counter))))
+                self.shards[i].has_work()
+                    || (any_work
+                        && (lockstep
+                            || fault.fires(FaultPoint::WorkerSlow, counter)
+                            || fault.fires(FaultPoint::WorkerPanic, counter)))
             })
             .collect();
-        // Shards poisoned before this drive take no part in it, and no
-        // request is routed to them.
-        let sick: Vec<bool> = self.shards.iter().map(Shard::poisoned).collect();
-        let poison = self
-            .shards
-            .iter()
-            .find_map(|s| s.server.poisoned().cloned());
         // Each shard's load, as the coordinator counts it while it
         // cannot look: routed in, retired out.
         let mut held: Vec<usize> = self.shards.iter().map(Shard::load).collect();
@@ -886,7 +845,7 @@ impl<'p> ShardedServer<'p> {
             failed,
             clock,
             fault_round: next_fault_round,
-            next_seq,
+            books,
             ..
         } = self;
         let drive = Drive {
@@ -898,7 +857,8 @@ impl<'p> ShardedServer<'p> {
             one_quantum_legs: lockstep,
             fault,
         };
-        let mut first_error: Option<ServeError> = None;
+        // Set once a shard errors: the drive takes no more work.
+        let mut closed = false;
         std::thread::scope(|scope| {
             // One channel of legs to each worker, one of reports back.
             // A worker parks in `recv` between legs and leaves when its
@@ -931,18 +891,15 @@ impl<'p> ShardedServer<'p> {
             let mut drew = vec![false; n];
             let mut first = true;
             let mut round = Some(first_round);
-            // How many buffered retirements the hook had been shown at
-            // its last call.
-            let mut heard = 0;
             let mut ended: Vec<(usize, LegOutcome)> = Vec::new();
             loop {
                 // Legs that ended: the caller's own, and the workers'.
                 ended.extend(report_rx.try_iter());
                 for (i, outcome) in ended.drain(..) {
                     out[i] = false;
-                    if let Err(e) = Self::settle(&mut lock(&drive.slots[i]), outcome, ready) {
+                    if Self::settle(&mut lock(&drive.slots[i]), outcome, ready).is_err() {
                         dead[i] = true;
-                        first_error.get_or_insert(e);
+                        closed = true;
                     }
                 }
                 for (i, retired) in std::mem::take(&mut *lock(&drive.retired)) {
@@ -952,30 +909,23 @@ impl<'p> ShardedServer<'p> {
 
                 // The hook: outcomes out, work in. A closing drive takes
                 // no more work.
-                if first_error.is_none() {
-                    let intake = hook(ready, failed);
-                    heard = ready.len() + failed.len();
-                    if intake.clock > *clock {
-                        *clock = intake.clock;
+                if !closed {
+                    let post = books.exchange(ready, failed, hook);
+                    if post.clock > *clock {
+                        *clock = post.clock;
                         for inbox in &drive.inboxes {
                             let mut inbox = lock(inbox);
-                            inbox.clock = inbox.clock.max(intake.clock);
+                            inbox.clock = inbox.clock.max(post.clock);
                         }
                     }
-                    for request in intake.requests {
-                        let target = (0..n).filter(|&i| !sick[i]).min_by_key(|&i| (held[i], i));
-                        let Some(i) = target else {
-                            let e = poison
-                                .clone()
-                                .expect("no healthy shard implies a poisoned one");
-                            failed.push((request.id, e));
-                            continue;
-                        };
+                    for (seq, request) in post.requests {
+                        let i = (0..n)
+                            .min_by_key(|&i| (held[i], i))
+                            .expect("a fleet has a shard");
                         held[i] += 1;
-                        lock(&drive.inboxes[i]).requests.push((*next_seq, request));
-                        *next_seq += 1;
+                        lock(&drive.inboxes[i]).requests.push((seq, request));
                     }
-                    drive.post(intake.cancels);
+                    drive.post(post.cancels);
                 }
                 // A shard nobody is running takes its inbox here; a
                 // running one takes it before its next quantum.
@@ -991,7 +941,7 @@ impl<'p> ShardedServer<'p> {
                 for i in 0..n {
                     let running = out[i] || (Some(i) == mine && my_leg.is_some());
                     let go = (first && crew[i]) || wake[i];
-                    if running || !go || dead[i] || sick[i] {
+                    if running || !go || dead[i] {
                         continue;
                     }
                     wake[i] = false;
@@ -1071,8 +1021,8 @@ impl<'p> ShardedServer<'p> {
                 // retirement is shown the rest, and may bring more,
                 // first.
                 let unheard =
-                    ready.len() + failed.len() > heard || !lock(&drive.retired).is_empty();
-                if first_error.is_none() && unheard {
+                    !ready.is_empty() || !failed.is_empty() || !lock(&drive.retired).is_empty();
+                if !closed && unheard {
                     continue;
                 }
                 break;
@@ -1085,10 +1035,6 @@ impl<'p> ShardedServer<'p> {
             .unwrap_or_else(PoisonError::into_inner)
         {
             retired.file(ready, failed);
-        }
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(()),
         }
     }
 
@@ -1110,7 +1056,6 @@ impl<'p> ShardedServer<'p> {
             if !shard.poisoned() {
                 shard.server.poison(e.clone());
             }
-            shard.fault_record = Some(e.clone());
         }
         // Completed work is salvaged either way.
         ready.extend(shard.server.take_numbered());
@@ -1169,7 +1114,6 @@ impl<'p> ShardedServer<'p> {
                         let (migrant, _) = *bounce;
                         if let Err(bounce) = donor.server.admit_migrant(migrant) {
                             let (migrant, e) = *bounce;
-                            donor.fault_record = Some(e.clone());
                             donor.server.lose(migrant, e);
                         }
                     }
@@ -1216,15 +1160,16 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// What the coordinator has posted for one shard and the shard has not
-/// yet taken.
+/// yet taken; also what the books turn one call of the hook into, for
+/// the coordinator to post.
 #[derive(Debug, Default)]
-struct Inbox {
+pub(crate) struct Inbox {
     /// Requests routed here, each with its submission sequence.
-    requests: Vec<(u64, Request)>,
-    cancels: Vec<u64>,
+    pub(crate) requests: Vec<(u64, Request)>,
+    pub(crate) cancels: Vec<u64>,
     /// The fleet clock as of the latest post (taken by a shard's every
     /// look, work or not).
-    clock: u64,
+    pub(crate) clock: u64,
 }
 
 impl Inbox {
@@ -1241,15 +1186,15 @@ enum Retired {
     Done(u64, Response),
     /// A governance verdict (a budget eviction or a cancellation), or
     /// the refusal of a request routed mid-drive.
-    Failed(u64, ServeError),
+    Failed(Verdict),
 }
 
 impl Retired {
     /// File the outcome in the fleet's buffers.
-    fn file(self, ready: &mut Vec<(u64, Response)>, failed: &mut Vec<(u64, ServeError)>) {
+    fn file(self, ready: &mut Vec<(u64, Response)>, failed: &mut Vec<Verdict>) {
         match self {
             Retired::Done(seq, r) => ready.push((seq, r)),
-            Retired::Failed(id, e) => failed.push((id, e)),
+            Retired::Failed(verdict) => failed.push(verdict),
         }
     }
 }
@@ -1304,7 +1249,7 @@ impl<'p> Drive<'_, 'p> {
         for (seq, r) in requests {
             let id = r.id;
             if let Err(e) = server.submit_as(seq, r) {
-                refused.push(Retired::Failed(id, e));
+                refused.push(Retired::Failed((seq, id, e)));
             }
         }
         for id in cancels {
@@ -1317,7 +1262,7 @@ impl<'p> Drive<'_, 'p> {
     /// Hand shard `i`'s retirements to the coordinator, and wake it.
     fn hand_over(&self, i: usize, server: &mut BatchServer<'p>, mut retired: Vec<Retired>) {
         let failed = server.take_failed();
-        retired.extend(failed.into_iter().map(|(id, e)| Retired::Failed(id, e)));
+        retired.extend(failed.into_iter().map(Retired::Failed));
         let done = server.take_numbered().into_iter();
         retired.extend(done.map(|(seq, r)| Retired::Done(seq, r)));
         if retired.is_empty() {
@@ -1473,7 +1418,7 @@ mod tests {
             for (id, &n) in NS.iter().enumerate() {
                 server.submit(fib_request(id as u64, n)).unwrap();
             }
-            let done = server.run_until_idle().unwrap();
+            let done = server.run_until_idle_with(&mut Vec::new).unwrap();
             // Submission order is preserved without any caller-side sort,
             // whatever the per-shard completion interleaving was.
             let ids: Vec<u64> = done.iter().map(|r| r.id).collect();
@@ -1505,7 +1450,7 @@ mod tests {
             for (id, &n) in NS.iter().enumerate() {
                 server.submit(fib_request(id as u64, n)).unwrap();
             }
-            let done = server.run_until_idle().unwrap();
+            let done = server.run_until_idle_with(&mut Vec::new).unwrap();
             for (a, b) in reference.iter().zip(&done) {
                 assert_eq!(a.id, b.id);
                 assert_eq!(a.outputs, b.outputs, "sharding perturbed request {}", a.id);
@@ -1534,61 +1479,44 @@ mod tests {
             stack_depth: 16,
             ..ExecOptions::default()
         };
-        // Serial per-shard batches make per-shard completion order
-        // deterministic: shard 0 serves ids 0 then 2 (fib(2), then the
-        // overflowing fib(40), with id 4 stranded behind it); shard 1
-        // serves ids 1 and 3.
+        // Serial per-shard batches: shard 0 serves ids 0 then 2 (fib(2),
+        // then the overflowing fib(40), with id 4 stranded behind it);
+        // shard 1 serves ids 1 and 3. Every attempt at fib(40) overflows
+        // and poisons the shard it runs on.
         let policy = AdmissionPolicy::DrainAndRefill { max_batch: 1 };
         let mut server = sharded(policy, 2, opts, &pc);
         for (id, n) in [(0u64, 2i64), (1, 5), (2, 40), (3, 7), (4, 9)] {
             server.submit(fib_request(id, n)).unwrap();
         }
-        let err = server.run_until_idle().unwrap_err();
-        assert!(
-            matches!(err, ServeError::Vm(VmError::StackOverflow { .. })),
-            "{err:?}"
-        );
-        assert_eq!(server.poisoned_shards(), vec![0]);
-        assert_eq!(
-            server.shards[0].load(),
-            2,
-            "fib(40) in flight, fib(9) queued"
-        );
-        // Every completed response survives — including shard 0's own
-        // pre-error completion — in submission order.
-        let ready = server.take_ready();
-        let ids: Vec<u64> = ready.iter().map(|r| r.id).collect();
-        assert_eq!(ids, vec![0, 1, 3]);
-        let got: Vec<i64> = ready
+        let (done, failed) = served(&mut server, &mut Vec::new);
+        // Every other response survives: shard 0's own completion before
+        // the error, and the stranded fib(9) retried elsewhere.
+        let got: Vec<(u64, i64)> = done
             .iter()
-            .map(|r| r.outputs[0].as_i64().unwrap()[0])
+            .map(|r| (r.id, r.outputs[0].as_i64().unwrap()[0]))
             .collect();
-        assert_eq!(got, vec![2, 8, 21], "fib(2), fib(5), fib(7)");
-        // New work routes around the poisoned shard and keeps serving;
-        // the dead shard's error is not re-raised. (The poisoned shard
-        // still carries its never-retired member as load — routing skips
-        // it by health, not by load.)
+        assert_eq!(got, vec![(0, 2), (1, 8), (3, 21), (4, 55)]);
+        // fib(40) poisons a shard on every attempt: one respawn per
+        // attempt, then a typed answer that keeps the cause.
+        let budget = SupervisorConfig::default().retry_budget;
+        assert!(
+            matches!(
+                &failed[..],
+                [(2, ServeError::RetriesExhausted { attempts, last, .. })]
+                    if *attempts == budget + 1
+                        && matches!(**last, ServeError::Vm(VmError::StackOverflow { .. }))
+            ),
+            "{failed:?}"
+        );
+        assert_eq!(server.respawns(), u64::from(budget) + 1);
+        assert!(
+            server.shards.iter().all(|s| !s.poisoned()),
+            "the fleet healed"
+        );
+        // And it keeps serving.
         server.submit(fib_request(5, 6)).unwrap();
-        let done = server.run_until_idle().unwrap();
-        assert_eq!(done.len(), 1);
+        let done = server.run_until_idle_with(&mut Vec::new).unwrap();
         assert_eq!(done[0].outputs[0].as_i64().unwrap(), &[13]);
-        assert_eq!(server.poisoned_shards(), vec![0], "shard 0 stays poisoned");
-        // A respawn hands back what the dead machine held; the stranded
-        // request is submitted again, under a new number.
-        let (stranded, lost) = server.respawn_shard(0);
-        assert_eq!((stranded.len(), lost), (1, vec![2]));
-        assert!(matches!(
-            server.health()[0].last_error,
-            Some(ServeError::Vm(VmError::StackOverflow { .. }))
-        ));
-        for r in stranded {
-            server.submit(r).unwrap();
-        }
-        server.submit(fib_request(6, 3)).unwrap();
-        let done = server.run_until_idle().unwrap();
-        let ids: Vec<u64> = done.iter().map(|r| r.id).collect();
-        assert_eq!(ids, vec![4, 6]);
-        assert_eq!(done[0].outputs[0].as_i64().unwrap(), &[55]);
     }
 
     #[test]
@@ -1599,7 +1527,7 @@ mod tests {
         for (id, &n) in NS.iter().enumerate() {
             server.submit(fib_request(id as u64, n)).unwrap();
         }
-        server.run_until_idle().unwrap();
+        server.run_until_idle_with(&mut Vec::new).unwrap();
         let agg = server.aggregated_trace();
         let per_shard: Vec<u64> = server
             .shards
@@ -1619,10 +1547,10 @@ mod tests {
         for (id, &n) in NS.iter().enumerate() {
             server.submit(fib_request(id as u64, n)).unwrap();
         }
-        server.run_until_idle().unwrap();
+        server.run_until_idle_with(&mut Vec::new).unwrap();
         let ran = server.supersteps();
         assert_eq!(ran, server.aggregated_trace().supersteps());
-        server.respawn_shard(0);
+        server.respawn(0);
         assert_eq!(server.shards[0].server.supersteps(), 0, "a fresh machine");
         assert_eq!(server.supersteps(), ran, "the fleet's count is kept");
         assert_eq!(server.aggregated_trace().supersteps(), ran);
@@ -1703,7 +1631,7 @@ mod tests {
                 })
                 .unwrap();
         }
-        let done = server.run_until_idle().unwrap();
+        let done = server.run_until_idle_with(&mut Vec::new).unwrap();
         let halvings: Vec<i64> = done
             .iter()
             .map(|r| r.outputs[0].as_i64().unwrap()[0])
@@ -1730,7 +1658,7 @@ mod tests {
         server.submit(fib_request(7, 20)).unwrap();
         server.submit(fib_request(7, 3)).unwrap();
         assert_eq!((server.shards[0].load(), server.shards[1].load()), (1, 1));
-        let done = server.run_until_idle().unwrap();
+        let done = server.run_until_idle_with(&mut Vec::new).unwrap();
         let got: Vec<(u64, i64)> = done
             .iter()
             .map(|r| (r.id, r.outputs[0].as_i64().unwrap()[0]))
@@ -1757,7 +1685,7 @@ mod tests {
             for (id, &n) in NS.iter().enumerate() {
                 server.submit(fib_request(id as u64, n)).unwrap();
             }
-            let done = server.run_until_idle().unwrap();
+            let done = server.run_until_idle_with(&mut Vec::new).unwrap();
             for (a, b) in reference.iter().zip(&done) {
                 assert_eq!(a.id, b.id);
                 assert_eq!(
@@ -1823,6 +1751,41 @@ mod tests {
         })
     }
 
+    /// Drive the fleet until it is idle, cancelling every id `poll`
+    /// returns, and keep every outcome handed out, in the order it
+    /// resolved.
+    fn outcomes_of(
+        server: &mut ShardedServer<'_>,
+        poll: &mut dyn FnMut() -> Vec<u64>,
+    ) -> Vec<Outcome> {
+        let mut outcomes = Vec::new();
+        server.drive(None, &mut |resolved| {
+            outcomes.extend(resolved);
+            Intake {
+                cancels: poll(),
+                ..Intake::default()
+            }
+        });
+        outcomes
+    }
+
+    /// [`outcomes_of`], split: the responses by id, and the failures as
+    /// `(id, error)` in the order they resolved.
+    fn served(
+        server: &mut ShardedServer<'_>,
+        poll: &mut dyn FnMut() -> Vec<u64>,
+    ) -> (Vec<Response>, Vec<(u64, ServeError)>) {
+        let (mut done, mut failed) = (Vec::new(), Vec::new());
+        for outcome in outcomes_of(server, poll) {
+            match outcome {
+                Outcome::Done(r) => done.push(r),
+                Outcome::Failed { id, error } => failed.push((id, error)),
+            }
+        }
+        done.sort_by_key(|r| r.id);
+        (done, failed)
+    }
+
     fn threads_spawned_by(drive: impl FnOnce()) -> usize {
         let before = THREADS_SPAWNED.with(std::cell::Cell::get);
         drive();
@@ -1840,7 +1803,7 @@ mod tests {
                 server.submit(fib_request(id, 17)).unwrap();
             }
             let spawned = threads_spawned_by(|| {
-                assert_eq!(server.run_until_idle().unwrap().len(), 6);
+                assert_eq!(server.run_until_idle_with(&mut Vec::new).unwrap().len(), 6);
             });
             for i in 0..2 {
                 assert!(
@@ -1853,24 +1816,36 @@ mod tests {
                 "{scheduling:?}: the caller runs one of two busy shards itself"
             );
             // Nothing to do: nothing started.
-            assert_eq!(threads_spawned_by(|| drop(server.run_until_idle())), 0);
+            assert_eq!(
+                threads_spawned_by(|| drop(server.run_until_idle_with(&mut Vec::new))),
+                0
+            );
         }
         // One busy shard of four runs inline, and so does any 1-worker
         // fleet.
         let mut server = sharded(policy, 4, ExecOptions::default(), &pc);
         server.submit(fib_request(0, 12)).unwrap();
-        assert_eq!(threads_spawned_by(|| drop(server.run_until_idle())), 0);
+        assert_eq!(
+            threads_spawned_by(|| drop(server.run_until_idle_with(&mut Vec::new))),
+            0
+        );
         let mut server = sharded(policy, 1, ExecOptions::default(), &pc);
         for id in 0..4u64 {
             server.submit(fib_request(id, 12)).unwrap();
         }
-        assert_eq!(threads_spawned_by(|| drop(server.run_until_idle())), 0);
+        assert_eq!(
+            threads_spawned_by(|| drop(server.run_until_idle_with(&mut Vec::new))),
+            0
+        );
         // Under affinity work moves, so one busy shard enlists the
         // fleet: four shards, three threads.
         let mut server = sharded(policy, 4, ExecOptions::default(), &pc);
         server.set_scheduling(affinity(12));
         server.submit(fib_request(0, 12)).unwrap();
-        assert_eq!(threads_spawned_by(|| drop(server.run_until_idle())), 3);
+        assert_eq!(
+            threads_spawned_by(|| drop(server.run_until_idle_with(&mut Vec::new))),
+            3
+        );
     }
 
     #[test]
@@ -1878,7 +1853,7 @@ mod tests {
         use autobatch_chaos::FaultPlan;
         silence_injected_panics();
         for scheduling in [SchedulingPolicy::LeastLoaded, affinity(12)] {
-            let (poisoned, err) = within(Duration::from_secs(30), move || {
+            let (failed, healthy) = within(Duration::from_secs(30), move || {
                 let (pc, _) = lower(&fibonacci_program(), LoweringOptions::default()).unwrap();
                 let opts = ExecOptions {
                     fault: FaultPlan {
@@ -1894,13 +1869,23 @@ mod tests {
                 for (id, &n) in NS.iter().enumerate() {
                     server.submit(fib_request(id as u64, n)).unwrap();
                 }
-                let err = server.run_until_idle().unwrap_err();
-                (server.poisoned_shards(), err)
+                let (done, failed) = served(&mut server, &mut Vec::new);
+                assert!(done.is_empty());
+                let healthy = server.shards.iter().all(|s| !s.poisoned());
+                (failed, healthy)
             });
             // The caller's own shard and all three workers die in the
-            // same leg; each is reported and the drive ends.
-            assert!(matches!(err, ServeError::Panicked { .. }), "{err:?}");
-            assert_eq!(poisoned, vec![0, 1, 2, 3]);
+            // same leg, every leg; each death is reported, healed and
+            // charged, until every request is answered with the panic.
+            assert_eq!(failed.len(), NS.len());
+            for (_, e) in &failed {
+                assert!(
+                    matches!(e, ServeError::RetriesExhausted { last, .. }
+                        if matches!(**last, ServeError::Panicked { .. })),
+                    "{e:?}"
+                );
+            }
+            assert!(healthy, "the fleet ends healed");
         }
     }
 
@@ -1941,7 +1926,7 @@ mod tests {
         for (id, &n) in NS.iter().enumerate() {
             clean.submit(fib_request(id as u64, n)).unwrap();
         }
-        let want = clean.run_until_idle().unwrap();
+        let want = clean.run_until_idle_with(&mut Vec::new).unwrap();
         // A quantum no shard outlasts makes an affinity drive a single
         // round, so a plan can be picked that fires on exactly one
         // (round, shard) counter of the drive: shard 2's first.
@@ -1967,19 +1952,16 @@ mod tests {
             for (id, &n) in NS.iter().enumerate() {
                 server.submit(fib_request(id as u64, n)).unwrap();
             }
-            let err = server.run_until_idle().unwrap_err();
-            assert!(matches!(err, ServeError::Panicked { .. }), "{err:?}");
-            assert_eq!(server.poisoned_shards(), vec![VICTIM as usize]);
+            // The victim dies before it runs anything: only it is
+            // respawned, the requests it held are retried, and every
+            // request is answered, bit-identical to the fault-free run.
+            let got = server.run_until_idle_with(&mut Vec::new).unwrap();
+            assert_eq!(server.respawns(), 1);
+            assert!(server.retries() > 0, "the victim must have held work");
             assert!(server.fault_round <= ROUNDS, "the plan covers the drive");
-            // The victim died before it ran anything: its requests are
-            // still queued, and every request routed elsewhere is
-            // answered, bit-identical to the fault-free run.
-            let stranded = server.shards[VICTIM as usize].server.pending();
-            assert!(stranded > 0, "the victim must have held work");
-            let got = server.take_ready();
-            assert_eq!(got.len() + stranded, NS.len());
-            for g in &got {
-                let w = want.iter().find(|w| w.id == g.id).unwrap();
+            let ids: Vec<u64> = got.iter().map(|r| r.id).collect();
+            assert_eq!(ids, (0..NS.len() as u64).collect::<Vec<_>>());
+            for (g, w) in got.iter().zip(&want) {
                 assert_eq!(g.outputs, w.outputs, "request {} drifted", g.id);
             }
         }
@@ -2025,18 +2007,16 @@ mod tests {
             })
             .unwrap();
         let mut calls = 0u64;
-        let done = server
-            .run_until_idle_with(&mut || {
-                calls += 1;
-                if calls == 4 {
-                    vec![7]
-                } else {
-                    Vec::new()
-                }
-            })
-            .unwrap();
+        let (done, failed) = served(&mut server, &mut || {
+            calls += 1;
+            if calls == 4 {
+                vec![7]
+            } else {
+                Vec::new()
+            }
+        });
         assert!(done.is_empty());
-        assert_eq!(server.take_failed(), vec![(7, ServeError::Cancelled)]);
+        assert_eq!(failed, vec![(7, ServeError::Cancelled)]);
         // Posted after the third quantum; not one superstep more.
         let ran = server.shards[0].server.supersteps();
         assert!(
@@ -2072,19 +2052,17 @@ mod tests {
             assert_eq!(server.shards[1].load(), 1, "the runaway is the worker's");
             let mut calls = 0u64;
             let mut posted = None;
-            let done = server
-                .run_until_idle_with(&mut || {
-                    calls += 1;
-                    if calls == 6 {
-                        posted = Some(std::time::Instant::now());
-                        vec![1]
-                    } else {
-                        Vec::new()
-                    }
-                })
-                .unwrap();
+            let (done, failed) = served(&mut server, &mut || {
+                calls += 1;
+                if calls == 6 {
+                    posted = Some(std::time::Instant::now());
+                    vec![1]
+                } else {
+                    Vec::new()
+                }
+            });
             let latency = posted.expect("the hook was asked six times").elapsed();
-            (server.take_failed(), done, latency)
+            (failed, done, latency)
         });
         assert_eq!(done.len(), 1, "the clean request completed");
         assert_eq!(failed, vec![(1, ServeError::Cancelled)]);
@@ -2117,10 +2095,9 @@ mod tests {
         for id in 0..4u64 {
             server.submit(fib_request(id, 20)).unwrap();
         }
-        // `run_until_idle` returns: nothing waits on the runaways.
-        let done = server.run_until_idle().unwrap();
+        // The drive returns: nothing waits on the runaways.
+        let (done, failed) = served(&mut server, &mut Vec::new);
         assert!(done.is_empty());
-        let failed = server.take_failed();
         assert_eq!(failed.len(), 4);
         for (_, e) in &failed {
             assert!(
@@ -2129,9 +2106,11 @@ mod tests {
             );
         }
         assert_eq!(server.evictions(), 4);
-        let health = server.health();
-        assert!(health.iter().all(|h| h.healthy), "no shard may wedge");
-        assert_eq!(health.iter().map(|h| h.evictions).sum::<u64>(), 4);
+        assert!(
+            server.shards.iter().all(|s| !s.poisoned()),
+            "no shard may wedge"
+        );
+        assert_eq!(server.respawns(), 0);
         assert_eq!(server.pending() + server.in_flight(), 0);
     }
 
@@ -2160,18 +2139,15 @@ mod tests {
         };
         let (pc, _) = lower(&fibonacci_program(), LoweringOptions::default()).unwrap();
         let policy = AdmissionPolicy::DrainAndRefill { max_batch: 2 };
-        let fleet = sharded(policy, 2, opts, &pc);
-        let mut sup = crate::Supervisor::new(
-            fleet,
-            crate::SupervisorConfig {
-                quarantine: crate::QuarantineConfig {
-                    trip_threshold: 2,
-                    decay_rounds: 64,
-                    cooldown_rounds: 3,
-                },
-                ..crate::SupervisorConfig::default()
+        let mut sup = sharded(policy, 2, opts, &pc);
+        sup.set_supervision(SupervisorConfig {
+            quarantine: crate::QuarantineConfig {
+                trip_threshold: 2,
+                decay_rounds: 64,
+                cooldown_rounds: 3,
             },
-        );
+            ..SupervisorConfig::default()
+        });
         sup.set_budget(crate::RequestBudget {
             max_supersteps: Some(2048),
             ..crate::RequestBudget::unlimited()
@@ -2180,13 +2156,13 @@ mod tests {
         // Two budget blowups inside the window trip the breaker.
         sup.submit(request(0, doomed.next().unwrap())).unwrap();
         sup.submit(request(1, doomed.next().unwrap())).unwrap();
-        let outcomes = sup.run_until_quiescent_with(&mut Vec::new);
+        let outcomes = outcomes_of(&mut sup, &mut Vec::new);
         assert_eq!(outcomes.len(), 2);
         for o in &outcomes {
             assert!(
                 matches!(
                     o,
-                    crate::Outcome::Failed {
+                    Outcome::Failed {
                         error: ServeError::BudgetExceeded { .. },
                         ..
                     }
@@ -2219,29 +2195,27 @@ mod tests {
 
         // The clean probe terminates normally: the breaker closes and
         // traffic flows again.
-        let outcomes = sup.run_until_quiescent_with(&mut Vec::new);
+        let outcomes = outcomes_of(&mut sup, &mut Vec::new);
         assert!(
-            outcomes
-                .iter()
-                .any(|o| matches!(o, crate::Outcome::Done(_))),
+            outcomes.iter().any(|o| matches!(o, Outcome::Done(_))),
             "the probe must complete, got {outcomes:?}"
         );
         sup.submit(request(200, clean)).unwrap();
-        let outcomes = sup.run_until_quiescent_with(&mut Vec::new);
+        let outcomes = outcomes_of(&mut sup, &mut Vec::new);
         assert_eq!(outcomes.len(), 1);
-        assert!(matches!(outcomes[0], crate::Outcome::Done(_)));
+        assert!(matches!(outcomes[0], Outcome::Done(_)));
 
         // The probe also reset the record: one more blowup stays under
         // the threshold (kept, the two old ones would make it a third
         // and trip the breaker), and the next trips it with two on
         // record, not four.
         sup.submit(request(300, doomed.next().unwrap())).unwrap();
-        sup.run_until_quiescent_with(&mut Vec::new);
+        outcomes_of(&mut sup, &mut Vec::new);
         sup.submit(request(301, clean))
             .expect("one blowup since the reset must not trip the breaker");
-        sup.run_until_quiescent_with(&mut Vec::new);
+        outcomes_of(&mut sup, &mut Vec::new);
         sup.submit(request(302, doomed.next().unwrap())).unwrap();
-        sup.run_until_quiescent_with(&mut Vec::new);
+        outcomes_of(&mut sup, &mut Vec::new);
         assert!(matches!(
             sup.submit(request(303, clean)),
             Err(ServeError::Quarantined { blowups: 2 })
@@ -2267,29 +2241,22 @@ mod tests {
             ..ExecOptions::default()
         };
         let (pc, _) = lower(&fibonacci_program(), LoweringOptions::default()).unwrap();
-        let fleet = sharded(
-            AdmissionPolicy::DrainAndRefill { max_batch: 2 },
-            2,
-            opts,
-            &pc,
-        );
-        let mut sup = crate::Supervisor::new(
-            fleet,
-            crate::SupervisorConfig {
-                quarantine: crate::QuarantineConfig {
-                    trip_threshold: 1,
-                    decay_rounds: 64,
-                    cooldown_rounds: 2,
-                },
-                ..crate::SupervisorConfig::default()
+        let policy = AdmissionPolicy::DrainAndRefill { max_batch: 2 };
+        let mut sup = sharded(policy, 2, opts, &pc);
+        sup.set_supervision(SupervisorConfig {
+            quarantine: crate::QuarantineConfig {
+                trip_threshold: 1,
+                decay_rounds: 64,
+                cooldown_rounds: 2,
             },
-        );
+            ..SupervisorConfig::default()
+        });
         sup.set_budget(crate::RequestBudget {
             max_supersteps: Some(8),
             ..crate::RequestBudget::unlimited()
         });
         sup.submit(request(0, doomed.next().unwrap())).unwrap();
-        sup.run_until_quiescent_with(&mut Vec::new);
+        outcomes_of(&mut sup, &mut Vec::new);
         let mut refusals = 0u64;
         let probe_seed = doomed.next().unwrap();
         loop {
@@ -2302,7 +2269,7 @@ mod tests {
         }
         assert!(refusals >= 1, "one blowup must open the breaker");
         // The probe itself runs away: straight back to quarantine.
-        sup.run_until_quiescent_with(&mut Vec::new);
+        outcomes_of(&mut sup, &mut Vec::new);
         let after = sup.submit(request(999, probe_seed));
         assert!(
             matches!(after, Err(ServeError::Quarantined { .. })),

@@ -1,22 +1,21 @@
-//! Self-healing supervision over the sharded fleet.
+//! The self-healing fleet's books, and the [`Supervisor`] shim.
 //!
-//! [`ShardedServer`] contains faults (a poisoned shard cannot hurt its
-//! siblings) but does not *recover* from them: a poisoned shard stays
-//! out of rotation, with whatever was queued on it, until somebody
-//! calls [`ShardedServer::respawn_shard`], and work that was in flight
-//! on the dead machine is simply gone. [`Supervisor`] is that somebody:
+//! [`ShardedServer`] heals itself: after every inner drive it respawns
+//! in place, with a fresh `BatchServer` + `PcMachine`, every shard an
+//! error poisoned (an execution error, a caught panic, step-limit
+//! exhaustion), and retries the work the dead machine stranded (queued)
+//! or lost (in flight). This module keeps the books that recovery runs
+//! on:
 //!
-//! - after every fleet drive it **respawns in place**, with a fresh
-//!   `BatchServer` + `PcMachine`, every shard an error poisoned (an
-//!   execution error, a caught panic, step-limit exhaustion) — a bad
-//!   request never poisons one, because submission refuses it with a
-//!   typed error;
-//! - work the dead machine stranded (queued) or lost (in flight) is
-//!   **retried** under a bounded per-request retry budget with
-//!   round-based backoff, from the supervisor's own copy of each
-//!   request;
+//! - every request the fleet accepts is **tracked** under the submission
+//!   sequence the fleet gives it, with a retryable copy, so requests that
+//!   share an id are retried, answered and charged apart;
+//! - stranded and lost work is **retried** under a bounded per-request
+//!   retry budget with round-based backoff ([`SupervisorConfig`]);
 //! - a request whose budget runs out gets a **typed terminal error**
-//!   ([`ServeError::RetriesExhausted`]) instead of silence.
+//!   ([`ServeError::RetriesExhausted`]) instead of silence;
+//! - a program whose requests keep blowing their resource budgets trips
+//!   the **quarantine breaker** ([`QuarantineConfig`]).
 //!
 //! The contract, proven by the chaos property suite
 //! (`crates/serve/tests/chaos.rs`): under any seeded
@@ -27,31 +26,33 @@
 //! counter-based RNG is keyed by the request seed, not placement), and
 //! the fleet ends **healthy** (every dead shard respawned).
 //!
-//! Backoff is measured in fleet rounds, not wall clock: one per fleet
+//! Backoff is measured in fleet rounds, not wall clock: one per inner
 //! drive, and inside a drive one per hook call that hands in work (see
-//! [`Supervisor::drive`]). A supervised run fed nothing mid-drive
-//! therefore stays deterministic and replayable, and a retry still comes
-//! due while traffic keeps a drive running.
+//! [`ShardedServer::drive`]). A drive fed nothing mid-drive therefore
+//! stays deterministic and replayable, and a retry still comes due while
+//! traffic keeps a drive running.
 
 use std::collections::{HashMap, VecDeque};
 
 use autobatch_core::VmError;
 
-use crate::{Bell, Intake, Request, Response, Result, ServeError, ShardedServer};
+use crate::shard::Inbox;
+use crate::{Intake, Request, Response, Result, ServeError, ShardedServer, Verdict};
 
 /// Backoff slope, in fleet rounds per accumulated attempt: a request on
 /// its `n`-th retry is parked for `BACKOFF_ROUNDS * n` rounds before
 /// re-entering the fleet.
 const BACKOFF_ROUNDS: u64 = 1;
 
-/// Retry discipline of a [`Supervisor`].
+/// Retry discipline of the self-healing [`ShardedServer`], set with
+/// [`ShardedServer::set_supervision`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisorConfig {
     /// How many times one request may be retried (beyond its first
     /// attempt) before it is answered with
     /// [`ServeError::RetriesExhausted`].
     pub retry_budget: u32,
-    /// When the supervised program's requests repeatedly blow their
+    /// When the served program's requests repeatedly blow their
     /// resource budgets, trip a circuit breaker that fast-rejects at
     /// admission (see [`QuarantineConfig`]).
     pub quarantine: QuarantineConfig,
@@ -70,17 +71,17 @@ impl Default for SupervisorConfig {
 ///
 /// Budget blowups ([`ServeError::BudgetExceeded`],
 /// [`ServeError::DeadlineExceeded`], [`ServeError::MemoryExceeded`] —
-/// cancellations never count) are recorded against the supervised
+/// cancellations never count) are recorded against the served
 /// program with the fleet round they happened in. When
 /// `trip_threshold` blowups accumulate inside the `decay_rounds`
-/// sliding window, the breaker **opens**: [`Supervisor::submit`]
+/// sliding window, the breaker **opens**: [`ShardedServer::submit`]
 /// fast-rejects with [`ServeError::Quarantined`] instead of burning
 /// fleet capacity on a program that keeps running away. After
 /// `cooldown_rounds` the breaker goes **half-open**: exactly one probe
 /// request is admitted — if it completes, the breaker closes and the
 /// record resets; if it blows a budget again, the breaker re-opens for
-/// another cooldown. Round-based (not wall-clock), so supervised runs
-/// stay deterministic and replayable.
+/// another cooldown. Round-based (not wall-clock), so healing runs stay
+/// deterministic and replayable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuarantineConfig {
     /// Blowups within the window that open the breaker. `0` disables
@@ -141,10 +142,11 @@ impl Breaker {
         }
     }
 
-    /// Gate one admission at `round`. `Ok(())` admits; an open breaker
-    /// rejects with [`ServeError::Quarantined`]. Handles the
-    /// open→half-open transition when the cooldown has elapsed.
-    fn admit(&mut self, round: u64, id: u64) -> Result<()> {
+    /// Gate the admission of the request numbered `seq` at `round`.
+    /// `Ok(())` admits; an open breaker rejects with
+    /// [`ServeError::Quarantined`]. Handles the open→half-open
+    /// transition when the cooldown has elapsed.
+    fn admit(&mut self, round: u64, seq: u64) -> Result<()> {
         self.decay(round);
         if let BreakerState::Open { until_round } = self.state {
             if round < until_round {
@@ -159,7 +161,7 @@ impl Breaker {
                 blowups: self.blowups.len() as u32,
             }),
             BreakerState::HalfOpen { probe: None } => {
-                self.state = BreakerState::HalfOpen { probe: Some(id) };
+                self.state = BreakerState::HalfOpen { probe: Some(seq) };
                 Ok(())
             }
             _ => Ok(()),
@@ -168,16 +170,16 @@ impl Breaker {
 
     /// The probe never actually entered the fleet (its submission
     /// failed downstream of the breaker): free the probe slot.
-    fn abort_probe(&mut self, id: u64) {
-        if self.state == (BreakerState::HalfOpen { probe: Some(id) }) {
+    fn abort_probe(&mut self, seq: u64) {
+        if self.state == (BreakerState::HalfOpen { probe: Some(seq) }) {
             self.state = BreakerState::HalfOpen { probe: None };
         }
     }
 
     /// A request completed. A successful probe closes the breaker and
     /// resets the record — the program demonstrably terminates again.
-    fn note_done(&mut self, id: u64) {
-        if self.state == (BreakerState::HalfOpen { probe: Some(id) }) {
+    fn note_done(&mut self, seq: u64) {
+        if self.state == (BreakerState::HalfOpen { probe: Some(seq) }) {
             self.state = BreakerState::Closed;
             self.blowups.clear();
         }
@@ -187,9 +189,9 @@ impl Breaker {
     /// trip (or re-open) the breaker; a non-blowup failure of the probe
     /// (cancellation, retries exhausted) proves nothing about the
     /// program, so the probe slot simply reopens.
-    fn note_failed(&mut self, id: u64, round: u64, blowup: bool) {
+    fn note_failed(&mut self, seq: u64, round: u64, blowup: bool) {
         if !blowup {
-            self.abort_probe(id);
+            self.abort_probe(seq);
             return;
         }
         if self.config.trip_threshold == 0 {
@@ -197,7 +199,7 @@ impl Breaker {
         }
         self.decay(round);
         self.blowups.push_back(round);
-        let probe_blew = self.state == (BreakerState::HalfOpen { probe: Some(id) });
+        let probe_blew = self.state == (BreakerState::HalfOpen { probe: Some(seq) });
         let tripped = self.state == BreakerState::Closed
             && self.blowups.len() >= self.config.trip_threshold as usize;
         if probe_blew || tripped {
@@ -208,7 +210,7 @@ impl Breaker {
     }
 }
 
-/// The terminal outcome of one supervised request.
+/// The terminal outcome of one request the fleet accepted.
 #[derive(Debug, Clone)]
 pub enum Outcome {
     /// The request completed; the response is bit-identical to what a
@@ -220,7 +222,7 @@ pub enum Outcome {
     Failed {
         /// The request id.
         id: u64,
-        /// Why the supervisor gave up.
+        /// Why the fleet gave up.
         error: ServeError,
     },
 }
@@ -240,9 +242,263 @@ impl Outcome {
     }
 }
 
-/// A self-healing wrapper around [`ShardedServer`]: respawns dead
-/// shards, retries their stranded and lost work under a bounded budget,
-/// and turns every failure into a typed terminal [`Outcome`].
+/// Everything the fleet keeps to heal besides its shards: a retryable
+/// copy of every request it has not answered, the retries parked for
+/// backoff, the outcomes not yet handed out, the round clock and the
+/// quarantine breaker. Every request is booked under the submission
+/// sequence the fleet numbers it with, which it keeps through every
+/// retry, so requests that share an id are never confused.
+#[derive(Debug)]
+pub(crate) struct Books {
+    config: SupervisorConfig,
+    /// Sequence → (a retryable copy of the request, attempts consumed).
+    tracked: HashMap<u64, (Request, u32)>,
+    /// Retries awaiting a backoff release: `(seq, request,
+    /// release_round)`. A parked request is out of the fleet.
+    parked: Vec<(u64, Request, u64)>,
+    /// Terminal outcomes not yet handed out, each with its sequence.
+    resolved: Vec<(u64, Outcome)>,
+    /// Fleet rounds so far — the virtual time backoff counts in: one per
+    /// inner drive, and inside a drive one per hook call that hands in
+    /// work, so retries come due while a fed drive runs.
+    pub(crate) round: u64,
+    /// Retry attempts performed over the fleet's lifetime.
+    pub(crate) retries: u64,
+    /// The per-program quarantine breaker (see [`QuarantineConfig`]).
+    breaker: Breaker,
+    /// The sequence the next request is numbered with.
+    next_seq: u64,
+}
+
+impl Books {
+    pub(crate) fn new(config: SupervisorConfig) -> Books {
+        Books {
+            config,
+            tracked: HashMap::new(),
+            parked: Vec::new(),
+            resolved: Vec::new(),
+            round: 0,
+            retries: 0,
+            breaker: Breaker::new(config.quarantine),
+            next_seq: 0,
+        }
+    }
+
+    /// Adopt a new discipline; the breaker starts over under it.
+    pub(crate) fn configure(&mut self, config: SupervisorConfig) {
+        self.config = config;
+        self.breaker = Breaker::new(config.quarantine);
+    }
+
+    /// Number a request: its submission sequence.
+    pub(crate) fn number(&mut self) -> u64 {
+        self.next_seq += 1;
+        self.next_seq - 1
+    }
+
+    /// Gate the request numbered `seq` through the quarantine breaker
+    /// and, admitted, track a copy of it. While the breaker is open
+    /// nothing enters the fleet, so no drive rounds happen: fast-rejects
+    /// are the program's only events and therefore drive the cooldown
+    /// clock.
+    pub(crate) fn admit(&mut self, seq: u64, request: &Request) -> Result<()> {
+        if let Err(e) = self.breaker.admit(self.round, seq) {
+            self.round += 1;
+            return Err(e);
+        }
+        self.tracked.insert(seq, (request.clone(), 0));
+        Ok(())
+    }
+
+    /// Requests booked and not yet answered.
+    pub(crate) fn tracked(&self) -> usize {
+        self.tracked.len()
+    }
+
+    /// Whether nothing is parked and every outcome was handed out.
+    pub(crate) fn settled(&self) -> bool {
+        self.parked.is_empty() && self.resolved.is_empty()
+    }
+
+    /// Charge one refused admission to a tracked request. `Ok` means
+    /// try again: an injected admission fault with budget left. Anything
+    /// else is the request's terminal error; it is no longer tracked.
+    pub(crate) fn refused(&mut self, seq: u64, id: u64, e: ServeError) -> Result<()> {
+        let budget = self.config.retry_budget;
+        if let (ServeError::Vm(VmError::Injected { .. }), Some((_, attempts))) =
+            (&e, self.tracked.get_mut(&seq))
+        {
+            if *attempts < budget {
+                *attempts += 1;
+                self.retries += 1;
+                return Ok(());
+            }
+            let attempts = *attempts;
+            self.tracked.remove(&seq);
+            self.breaker.abort_probe(seq);
+            return Err(ServeError::RetriesExhausted {
+                id,
+                attempts,
+                last: Box::new(e),
+            });
+        }
+        // The breaker admitted this request but it never entered the
+        // fleet: free the half-open probe slot, if held.
+        self.tracked.remove(&seq);
+        self.breaker.abort_probe(seq);
+        Err(e)
+    }
+
+    /// File what the fleet retired: completions in submission order,
+    /// then failures in the order they were reported. A refusal at
+    /// submission with budget left is parked, due at once; any other
+    /// failure is terminal.
+    pub(crate) fn file(&mut self, ready: &mut Vec<(u64, Response)>, failed: &mut Vec<Verdict>) {
+        ready.sort_by_key(|&(seq, _)| seq);
+        for (seq, r) in ready.drain(..) {
+            self.tracked.remove(&seq);
+            self.breaker.note_done(seq);
+            self.resolved.push((seq, Outcome::Done(r)));
+        }
+        for (seq, id, error) in failed.drain(..) {
+            if !matches!(error, ServeError::Vm(VmError::Injected { .. })) {
+                self.resolve_failure(seq, id, error);
+                continue;
+            }
+            match self.refused(seq, id, error) {
+                Ok(()) => {
+                    if let Some((r, _)) = self.tracked.get(&seq) {
+                        self.parked.push((seq, r.clone(), self.round));
+                    }
+                }
+                Err(error) => self.resolved.push((seq, Outcome::Failed { id, error })),
+            }
+        }
+    }
+
+    /// Charge one failed attempt to the request numbered `seq`: park its
+    /// copy for backoff, or answer it with
+    /// [`ServeError::RetriesExhausted`] if the budget is spent. Every
+    /// request in the fleet is tracked, so one that is not was answered
+    /// already.
+    pub(crate) fn requeue(&mut self, seq: u64, cause: ServeError) {
+        let Some((request, attempts)) = self.tracked.get_mut(&seq) else {
+            return;
+        };
+        self.retries += 1;
+        *attempts += 1;
+        if *attempts <= self.config.retry_budget {
+            let release = self.round + BACKOFF_ROUNDS * *attempts as u64;
+            self.parked.push((seq, request.clone(), release));
+            return;
+        }
+        let (id, attempts) = (request.id, *attempts);
+        self.tracked.remove(&seq);
+        self.breaker.note_failed(seq, self.round, false);
+        let error = ServeError::RetriesExhausted {
+            id,
+            attempts,
+            last: Box::new(cause),
+        };
+        self.resolved.push((seq, Outcome::Failed { id, error }));
+    }
+
+    /// Answer a parked retry's cancellation: it is not in the fleet, so
+    /// nothing there needs evicting. Returns `false` if `id` is not
+    /// parked.
+    pub(crate) fn cancel_parked(&mut self, id: u64) -> bool {
+        let Some(pos) = self.parked.iter().position(|(_, r, _)| r.id == id) else {
+            return false;
+        };
+        let (seq, _, _) = self.parked.remove(pos);
+        self.resolve_failure(seq, id, ServeError::Cancelled);
+        true
+    }
+
+    /// Take the parked retries whose backoff has expired. A fleet that
+    /// is otherwise `idle` fast-forwards to the next release instead of
+    /// spinning empty rounds.
+    pub(crate) fn release(&mut self, idle: bool) -> Vec<(u64, Request)> {
+        let Some(next) = self.parked.iter().map(|&(_, _, release)| release).min() else {
+            return Vec::new();
+        };
+        if idle {
+            self.round = self.round.max(next);
+        }
+        let round = self.round;
+        let (due, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut self.parked)
+            .into_iter()
+            .partition(|&(_, _, release)| release <= round);
+        self.parked = rest;
+        due.into_iter().map(|(seq, r, _)| (seq, r)).collect()
+    }
+
+    /// Resolve one request to a typed terminal failure, feeding the
+    /// quarantine breaker. Governance verdicts are terminal, never
+    /// retried: a budget blowup would blow the same budget again on
+    /// re-execution (same program, same inputs, deterministic VM), and a
+    /// cancelled request has nobody waiting for it.
+    fn resolve_failure(&mut self, seq: u64, id: u64, error: ServeError) {
+        self.tracked.remove(&seq);
+        let blowup = matches!(
+            error,
+            ServeError::BudgetExceeded { .. }
+                | ServeError::DeadlineExceeded { .. }
+                | ServeError::MemoryExceeded { .. }
+        );
+        self.breaker.note_failed(seq, self.round, blowup);
+        self.resolved.push((seq, Outcome::Failed { id, error }));
+    }
+
+    /// One call of a running drive's hook: file what the fleet retired,
+    /// hand the resolved outcomes to the caller's hook, and turn its
+    /// intake into what is posted to the shards — requests numbered
+    /// and through the breaker, cancels of parked retries answered
+    /// here. A call that hands in work is a round: parked retries that
+    /// come due with it go along.
+    pub(crate) fn exchange(
+        &mut self,
+        ready: &mut Vec<(u64, Response)>,
+        failed: &mut Vec<Verdict>,
+        hook: &mut dyn FnMut(Vec<(u64, Outcome)>) -> Intake,
+    ) -> Inbox {
+        self.file(ready, failed);
+        let Intake {
+            requests,
+            cancels,
+            clock,
+        } = hook(std::mem::take(&mut self.resolved));
+        let mut post = Inbox {
+            clock,
+            ..Inbox::default()
+        };
+        for id in cancels {
+            if !self.cancel_parked(id) {
+                post.cancels.push(id);
+            }
+        }
+        if requests.is_empty() {
+            return post;
+        }
+        self.round += 1;
+        for request in requests {
+            let seq = self.number();
+            match self.admit(seq, &request) {
+                Ok(()) => post.requests.push((seq, request)),
+                Err(error) => {
+                    let id = request.id;
+                    self.resolved.push((seq, Outcome::Failed { id, error }));
+                }
+            }
+        }
+        post.requests.extend(self.release(false));
+        post
+    }
+}
+
+/// The self-healing fleet under the name it had while it was a wrapper
+/// around [`ShardedServer`]. It is kept only because `benchmark/` drives
+/// it; everything else uses the fleet itself, which this forwards to.
 ///
 /// # Examples
 ///
@@ -267,322 +523,35 @@ impl Outcome {
 /// }
 /// let outcomes = sup.run_until_quiescent_with(&mut Vec::new);
 /// assert!(outcomes.iter().all(|o| o.is_done()));
-/// assert!(sup.inner().poisoned_shards().is_empty());
+/// assert_eq!((sup.retries(), sup.respawns()), (0, 0));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug)]
-pub struct Supervisor<'p> {
-    inner: ShardedServer<'p>,
-    books: Books,
-}
-
-/// Everything the supervisor keeps besides the fleet — apart from it,
-/// so that a running drive's hook can keep the books while the fleet is
-/// driven.
-#[derive(Debug)]
-struct Books {
-    config: SupervisorConfig,
-    /// id → (a retryable copy of the request, attempts consumed).
-    tracked: HashMap<u64, (Request, u32)>,
-    /// Requests awaiting a backoff release: `(request, release_round)`.
-    /// A parked request is out of the fleet and holds no place in its
-    /// submission order; it re-enters as a fresh submission.
-    parked: Vec<(Request, u64)>,
-    /// Terminal outcomes not yet handed out.
-    resolved: Vec<Outcome>,
-    /// Fleet rounds so far — the virtual time backoff counts in: one per
-    /// fleet drive, and inside a drive one per hook call that hands in
-    /// work, so retries come due while a fed drive runs.
-    round: u64,
-    /// Retry attempts performed over the supervisor's lifetime.
-    retries: u64,
-    /// The per-program quarantine breaker (see [`QuarantineConfig`]).
-    breaker: Breaker,
-}
-
-impl Books {
-    /// Gate one admission through the quarantine breaker. While the
-    /// breaker is open nothing enters the fleet, so no drive rounds
-    /// happen: fast-rejects are the program's only events and therefore
-    /// drive the cooldown clock.
-    fn gate(&mut self, id: u64) -> Result<()> {
-        let gated = self.breaker.admit(self.round, id);
-        if gated.is_err() {
-            self.round += 1;
-        }
-        gated
-    }
-
-    /// Charge one refused admission to a tracked request. `Ok` means
-    /// try again: an injected admission fault with budget left. Anything
-    /// else is the request's terminal error; it is no longer tracked.
-    fn refused(&mut self, id: u64, e: ServeError) -> Result<()> {
-        let budget = self.config.retry_budget;
-        if let (ServeError::Vm(VmError::Injected { .. }), Some((_, attempts))) =
-            (&e, self.tracked.get_mut(&id))
-        {
-            if *attempts < budget {
-                *attempts += 1;
-                self.retries += 1;
-                return Ok(());
-            }
-            let attempts = *attempts;
-            self.tracked.remove(&id);
-            self.breaker.abort_probe(id);
-            return Err(ServeError::RetriesExhausted {
-                id,
-                attempts,
-                last: Box::new(e),
-            });
-        }
-        // The breaker admitted this id but it never entered the fleet:
-        // free the half-open probe slot, if held.
-        self.tracked.remove(&id);
-        self.breaker.abort_probe(id);
-        Err(e)
-    }
-
-    fn done(&mut self, r: Response) {
-        self.tracked.remove(&r.id);
-        self.breaker.note_done(r.id);
-        self.resolved.push(Outcome::Done(r));
-    }
-
-    /// File a failure the fleet reported. A refusal at submission with
-    /// budget left is parked, due at once; anything else is terminal.
-    fn fail(&mut self, id: u64, error: ServeError) {
-        if !matches!(error, ServeError::Vm(VmError::Injected { .. })) {
-            self.resolve_failure(id, error);
-            return;
-        }
-        match self.refused(id, error) {
-            Ok(()) => {
-                if let Some((r, _)) = self.tracked.get(&id) {
-                    self.parked.push((r.clone(), self.round));
-                }
-            }
-            Err(error) => self.resolved.push(Outcome::Failed { id, error }),
-        }
-    }
-
-    /// Charge one failed attempt to `request`: park it for backoff, or
-    /// answer it with [`ServeError::RetriesExhausted`] if the budget is
-    /// spent.
-    fn requeue(&mut self, request: Request, cause: ServeError) {
-        self.retries += 1;
-        let attempts = match self.tracked.get_mut(&request.id) {
-            Some((_, a)) => {
-                *a += 1;
-                *a
-            }
-            None => {
-                // Defensive: an untracked stray gets tracked now so its
-                // budget is still bounded.
-                self.tracked.insert(request.id, (request.clone(), 1));
-                1
-            }
-        };
-        if attempts > self.config.retry_budget {
-            self.tracked.remove(&request.id);
-            self.breaker.note_failed(request.id, self.round, false);
-            self.resolved.push(Outcome::Failed {
-                id: request.id,
-                error: ServeError::RetriesExhausted {
-                    id: request.id,
-                    attempts,
-                    last: Box::new(cause),
-                },
-            });
-        } else {
-            let release = self.round + BACKOFF_ROUNDS * attempts as u64;
-            self.parked.push((request, release));
-        }
-    }
-
-    /// Answer a parked retry's cancellation: it is not in the fleet, so
-    /// nothing there needs evicting. Returns `false` if `id` is not
-    /// parked.
-    fn cancel_parked(&mut self, id: u64) -> bool {
-        let Some(pos) = self.parked.iter().position(|(r, _)| r.id == id) else {
-            return false;
-        };
-        self.parked.remove(pos);
-        self.resolve_failure(id, ServeError::Cancelled);
-        true
-    }
-
-    /// Take the parked retries whose backoff has expired.
-    fn take_due(&mut self) -> Vec<Request> {
-        let round = self.round;
-        let (due, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut self.parked)
-            .into_iter()
-            .partition(|&(_, release)| release <= round);
-        self.parked = rest;
-        due.into_iter().map(|(r, _)| r).collect()
-    }
-
-    /// Resolve one request to a typed terminal failure, feeding the
-    /// quarantine breaker. Governance verdicts are terminal, never
-    /// retried: a budget blowup would blow the same budget again on
-    /// re-execution (same program, same inputs, deterministic VM), and a
-    /// cancelled request has nobody waiting for it.
-    fn resolve_failure(&mut self, id: u64, error: ServeError) {
-        self.tracked.remove(&id);
-        let blowup = matches!(
-            error,
-            ServeError::BudgetExceeded { .. }
-                | ServeError::DeadlineExceeded { .. }
-                | ServeError::MemoryExceeded { .. }
-        );
-        self.breaker.note_failed(id, self.round, blowup);
-        self.resolved.push(Outcome::Failed { id, error });
-    }
-
-    /// One call of a running fleet drive's hook: file what the fleet
-    /// retired, hand the resolved outcomes to the caller's hook, and
-    /// pass its intake on to the fleet — requests through the breaker,
-    /// cancels of parked retries answered here. A call that hands in
-    /// work is a round: parked retries that come due with it go along.
-    fn exchange(
-        &mut self,
-        retired: Vec<Outcome>,
-        hook: &mut dyn FnMut(Vec<Outcome>) -> Intake,
-    ) -> Intake {
-        for outcome in retired {
-            match outcome {
-                Outcome::Done(r) => self.done(r),
-                Outcome::Failed { id, error } => self.fail(id, error),
-            }
-        }
-        let Intake {
-            requests,
-            cancels,
-            clock,
-        } = hook(std::mem::take(&mut self.resolved));
-        let mut fleet = Intake {
-            clock,
-            ..Intake::default()
-        };
-        for id in cancels {
-            if !self.cancel_parked(id) {
-                fleet.cancels.push(id);
-            }
-        }
-        if requests.is_empty() {
-            return fleet;
-        }
-        self.round += 1;
-        for request in requests {
-            let id = request.id;
-            match self.gate(id) {
-                Ok(()) => {
-                    self.tracked.insert(id, (request.clone(), 0));
-                    fleet.requests.push(request);
-                }
-                Err(error) => self.resolved.push(Outcome::Failed { id, error }),
-            }
-        }
-        fleet.requests.extend(self.take_due());
-        fleet
-    }
-}
+pub struct Supervisor<'p>(ShardedServer<'p>);
 
 impl<'p> Supervisor<'p> {
-    /// Supervise an existing fleet.
-    pub fn new(inner: ShardedServer<'p>, config: SupervisorConfig) -> Supervisor<'p> {
-        Supervisor {
-            inner,
-            books: Books {
-                config,
-                tracked: HashMap::new(),
-                parked: Vec::new(),
-                resolved: Vec::new(),
-                round: 0,
-                retries: 0,
-                breaker: Breaker::new(config.quarantine),
-            },
-        }
+    /// `fleet` under `config` ([`ShardedServer::set_supervision`]).
+    pub fn new(mut fleet: ShardedServer<'p>, config: SupervisorConfig) -> Supervisor<'p> {
+        fleet.set_supervision(config);
+        Supervisor(fleet)
     }
 
-    /// The supervised fleet, for observability
-    /// ([`ShardedServer::health`], [`ShardedServer::aggregated_trace`],
-    /// counters).
-    pub fn inner(&self) -> &ShardedServer<'p> {
-        &self.inner
-    }
-
-    /// Set the per-request resource ceilings every shard enforces. See
-    /// [`ShardedServer::set_budget`].
-    pub fn set_budget(&mut self, budget: crate::RequestBudget) {
-        self.inner.set_budget(budget);
-    }
-
-    /// Request cooperative cancellation of a tracked request: a parked
-    /// retry is answered with [`ServeError::Cancelled`] immediately; a
-    /// queued or in-flight request is cancelled through the fleet (its
-    /// lane evicted at the next superstep boundary) and resolves to the
-    /// same typed outcome on the next drive. Returns `false` when the id
-    /// is unknown — already answered, or never submitted.
-    pub fn cancel(&mut self, id: u64) -> bool {
-        self.books.cancel_parked(id) || self.inner.cancel(id)
-    }
-
-    /// Total shard respawns performed so far.
-    pub fn respawns(&self) -> u64 {
-        self.inner.respawns()
-    }
-
-    /// Total retry attempts performed so far (admission retries plus
-    /// requeues of stranded/lost work).
-    pub fn retries(&self) -> u64 {
-        self.books.retries
-    }
-
-    /// Requests tracked but not yet resolved to a terminal outcome.
-    pub fn outstanding(&self) -> usize {
-        self.books.tracked.len()
-    }
-
-    /// Submit a request for supervised execution. An injected admission
-    /// fault is retried inline, charged to the request's retry budget;
-    /// real refusals (a request [`BatchServer::submit`](crate::BatchServer::submit)
-    /// judges unfit) pass straight through — the caller owns that
-    /// terminal outcome.
+    /// [`ShardedServer::submit`].
     ///
     /// # Errors
     ///
-    /// [`ServeError::BadRequest`] / [`ServeError::InvalidRequest`] as
-    /// [`ShardedServer::submit`]; [`ServeError::Quarantined`] when the
-    /// program's breaker is open (fast rejection — nothing reaches the
-    /// fleet); [`ServeError::RetriesExhausted`] when injected admission
-    /// faults outlasted the budget. In every error case the request is
-    /// **not** tracked: the error *is* its terminal outcome.
+    /// As [`ShardedServer::submit`].
     pub fn submit(&mut self, request: Request) -> Result<()> {
-        self.books.gate(request.id)?;
-        // A fleet left sick by a previous drive (or a panic mid-run)
-        // must not refuse new work: heal before routing.
-        self.heal();
-        self.books.tracked.insert(request.id, (request.clone(), 0));
-        loop {
-            match self.inner.submit(request.clone()) {
-                Ok(()) => return Ok(()),
-                Err(e) => self.books.refused(request.id, e)?,
-            }
-        }
+        self.0.submit(request)
     }
 
-    /// [`Supervisor::drive`] under a hook that feeds nothing and only
-    /// cancels — every id `poll` returns is
-    /// [cancelled](Supervisor::cancel) — and that keeps what it is
-    /// handed: returns the outcomes resolved since the last drain, in
-    /// resolution order. With no [`Bell`] to wake it, the fleet asks
-    /// `poll` every 1 ms while it only waits (see
-    /// [`ShardedServer::run_until_idle_with`]). Fed nothing, no round
-    /// passes inside a drive, so retries are released only between
-    /// drives and the run replays exactly under a seeded fault plan.
+    /// [`ShardedServer::drive`] with no [`Bell`](crate::Bell), under a
+    /// hook that feeds nothing, cancels every id `poll` returns and
+    /// keeps what it is handed: returns the outcomes in the order they
+    /// resolved.
     pub fn run_until_quiescent_with(&mut self, poll: &mut dyn FnMut() -> Vec<u64>) -> Vec<Outcome> {
         let mut outcomes = Vec::new();
-        self.drive(None, &mut |resolved| {
+        self.0.drive(None, &mut |resolved| {
             outcomes.extend(resolved);
             Intake {
                 cancels: poll(),
@@ -592,94 +561,13 @@ impl<'p> Supervisor<'p> {
         outcomes
     }
 
-    /// Serve continuously, healing as it goes, until every tracked
-    /// request has a terminal outcome and a call of `hook` has nothing
-    /// more to give.
-    ///
-    /// Every turn is one fleet drive (see [`ShardedServer::drive`] for
-    /// `bell` and for when the hook is called), and the hook is called
-    /// only from inside it. Each call gets the outcomes resolved since
-    /// the last one and returns an [`Intake`]: its requests pass the
-    /// quarantine breaker, join the retry tracking and the running
-    /// fleet (a refusal is handed back as an [`Outcome::Failed`] at a
-    /// later call), and its cancels are applied as
-    /// [`Supervisor::cancel`] does. Every completion and verdict is
-    /// passed out as the fleet reports it. A call that hands in work is
-    /// a round, so retries whose backoff expires while a fed drive runs
-    /// join it then. A shard error closes the drive: the fleet drains,
-    /// and between drives the poisoned shards are salvaged and
-    /// respawned, and the work they stranded or lost is retried (with
-    /// backoff). The supervisor returns when a drive ends with the fleet
-    /// idle and nothing parked or left to hand out.
-    ///
-    /// Quiescence is guaranteed once the hook stops feeding: every
-    /// failing round burns retry attempts from a bounded per-request
-    /// budget, so even a fault plan that fires on every round
-    /// terminates with typed [`Outcome::Failed`] answers — and a healthy
-    /// fleet.
-    pub fn drive(&mut self, bell: Option<&Bell>, hook: &mut dyn FnMut(Vec<Outcome>) -> Intake) {
-        loop {
-            self.books.round += 1;
-            let Supervisor { inner, books } = self;
-            // An error poisons its shard; heal acts on it below.
-            // Completed work is salvaged either way.
-            let _ = inner.drive(bell, &mut |retired| books.exchange(retired, hook));
-            self.heal();
-            // Salvaged completions from heal, and whatever a closed
-            // drive left behind.
-            for r in self.inner.take_ready() {
-                self.books.done(r);
-            }
-            for (id, error) in self.inner.take_failed() {
-                self.books.fail(id, error);
-            }
-            self.release_parked();
-            let idle = self.inner.pending() == 0 && self.inner.in_flight() == 0;
-            if idle && self.books.parked.is_empty() && self.books.resolved.is_empty() {
-                return;
-            }
-        }
+    /// [`ShardedServer::retries`].
+    pub fn retries(&self) -> u64 {
+        self.0.retries()
     }
 
-    /// Release parked retries whose backoff expired; if the fleet is
-    /// otherwise idle, fast-forward to the next release instead of
-    /// spinning empty rounds.
-    fn release_parked(&mut self) {
-        let books = &mut self.books;
-        if books.parked.is_empty() {
-            return;
-        }
-        if self.inner.pending() == 0 && self.inner.in_flight() == 0 {
-            let next = books.parked.iter().map(|&(_, release)| release).min();
-            books.round = books.round.max(next.expect("parked is non-empty"));
-        }
-        for r in books.take_due() {
-            // Re-entry may itself fail (injected admission fault):
-            // that burns another attempt like any failed try.
-            if let Err(e) = self.inner.submit(r.clone()) {
-                books.requeue(r, e);
-            }
-        }
-    }
-
-    /// Respawn every poisoned shard and requeue the work it stranded or
-    /// lost, charged to the shard's poison. Neither keeps its place in
-    /// the fleet's submission order: a retry re-enters as a fresh
-    /// submission.
-    fn heal(&mut self) {
-        for i in self.inner.poisoned_shards() {
-            let cause = self.inner.poison(i).cloned().expect("a poisoned shard");
-            let (stranded, lost) = self.inner.respawn_shard(i);
-            for r in stranded {
-                self.books.requeue(r, cause.clone());
-            }
-            for id in lost {
-                // Retried from the supervisor's copy; an id no longer
-                // tracked already completed (salvaged) — nothing lost.
-                if let Some(r) = self.books.tracked.get(&id).map(|(r, _)| r.clone()) {
-                    self.books.requeue(r, cause.clone());
-                }
-            }
-        }
+    /// [`ShardedServer::respawns`].
+    pub fn respawns(&self) -> u64 {
+        self.0.respawns()
     }
 }

@@ -17,8 +17,8 @@ use autobatch_core::{lower, ExecOptions, KernelRegistry, LoweringOptions};
 use autobatch_ir::build::fibonacci_program;
 use autobatch_ir::pcab::Program;
 use autobatch_serve::{
-    AdmissionPolicy, AffinityConfig, Outcome, Request, Response, SchedulingPolicy, ShardedServer,
-    Supervisor, SupervisorConfig,
+    AdmissionPolicy, AffinityConfig, Intake, Outcome, Request, Response, SchedulingPolicy,
+    ShardedServer,
 };
 use autobatch_tensor::Tensor;
 use proptest::prelude::*;
@@ -63,7 +63,7 @@ fn serve(server: &mut ShardedServer<'_>, reqs: &[Request]) -> Vec<Response> {
     for r in reqs {
         server.submit(r.clone()).expect("submit");
     }
-    server.run_until_idle().expect("serve")
+    server.run_until_idle_with(&mut Vec::new).expect("serve")
 }
 
 /// A divergent workload: recursion depths spread so lanes retire at
@@ -174,9 +174,10 @@ fn stealing_from_a_deep_queue_preserves_order_and_results() {
         assert_eq!(g.id, w.id, "stolen work broke submission order");
         assert_eq!(g.outputs, w.outputs);
     }
-    // At least one other shard must actually have stolen something.
+    // Something must actually have been stolen: every request was routed
+    // to shard 0, so the other shards only ever ran stolen work.
     assert!(
-        server.health()[1..].iter().any(|h| h.steals > 0),
+        server.aggregated_trace().steals > 0,
         "nothing was stolen from the packed shard"
     );
 }
@@ -206,7 +207,7 @@ fn migration_survives_shard_respawns_mid_flight() {
         ..ExecOptions::default()
     };
     let policy = AdmissionPolicy::JoinAtEntry { max_batch: 3 };
-    let mut inner = ShardedServer::new(
+    let mut sup = ShardedServer::new(
         &program,
         KernelRegistry::new(),
         opts,
@@ -215,12 +216,15 @@ fn migration_survives_shard_respawns_mid_flight() {
         Backend::hybrid_cpu(),
     )
     .expect("fleet");
-    inner.set_scheduling(SchedulingPolicy::PcAffinity(AffinityConfig::default()));
-    let mut sup = Supervisor::new(inner, SupervisorConfig::default());
+    sup.set_scheduling(SchedulingPolicy::PcAffinity(AffinityConfig::default()));
     for r in &reqs {
         sup.submit(r.clone()).expect("submit");
     }
-    let outcomes = sup.run_until_quiescent_with(&mut Vec::new);
+    let mut outcomes = Vec::new();
+    sup.drive(None, &mut |resolved| {
+        outcomes.extend(resolved);
+        Intake::default()
+    });
 
     // Every request gets exactly one terminal outcome, and everything
     // that completed matches the unsharded fault-free run bit for bit.
@@ -239,6 +243,4 @@ fn migration_survives_shard_respawns_mid_flight() {
         sup.respawns() > 0,
         "exec faults must have forced at least one respawn"
     );
-    assert!(sup.inner().poisoned_shards().is_empty(), "fleet healed");
-    assert_eq!(sup.outstanding(), 0);
 }

@@ -1,4 +1,4 @@
-//! Chaos suite for the self-healing supervisor: deterministic fault
+//! Chaos suite for the self-healing fleet: deterministic fault
 //! injection (seeded [`FaultPlan`]) must never perturb surviving
 //! results or lose a request.
 //!
@@ -6,7 +6,9 @@
 //! execution errors, admission failures, worker panics, and artificial
 //! slowness, every submitted request reaches **exactly one** terminal
 //! outcome, every surviving response is **bit-identical** to the
-//! fault-free run, and the fleet ends healthy (no poisoned shards).
+//! fault-free run, and the fleet ends healthy (no poisoned shards; the
+//! drive asserts that, and that nothing is left on its books, in every
+//! debug build).
 //! The proptests state that in general; `fixed_seeds_end_exactly_as_pinned`
 //! pins its exact counts on the divergent-binom stream of `golden_outputs.rs`.
 
@@ -20,7 +22,7 @@ use autobatch_ir::build::fibonacci_program;
 use autobatch_ir::pcab::Program;
 use autobatch_serve::{
     AdmissionPolicy, AffinityConfig, Intake, Outcome, Request, RequestBudget, SchedulingPolicy,
-    ServeError, ShardedServer, Supervisor, SupervisorConfig,
+    ServeError, ShardedServer, SupervisorConfig,
 };
 use autobatch_tensor::Tensor;
 use proptest::prelude::*;
@@ -52,13 +54,13 @@ fn fib_program() -> Program {
     program
 }
 
-fn fleet(program: &Program, workers: usize, fault: FaultPlan) -> Supervisor<'_> {
+fn fleet(program: &Program, workers: usize, fault: FaultPlan) -> ShardedServer<'_> {
     let opts = ExecOptions {
         fault,
         ..ExecOptions::default()
     };
     let policy = AdmissionPolicy::JoinAtEntry { max_batch: 2 };
-    let inner = ShardedServer::new(
+    ShardedServer::new(
         program,
         KernelRegistry::new(),
         opts,
@@ -66,8 +68,21 @@ fn fleet(program: &Program, workers: usize, fault: FaultPlan) -> Supervisor<'_> 
         workers,
         Backend::hybrid_cpu(),
     )
-    .expect("fleet");
-    Supervisor::new(inner, SupervisorConfig::default())
+    .expect("fleet")
+}
+
+/// Drive the fleet until it is idle, cancelling every id `poll` returns,
+/// and keep every outcome handed out, in the order it resolved.
+fn quiesce(sup: &mut ShardedServer<'_>, poll: &mut dyn FnMut() -> Vec<u64>) -> Vec<Outcome> {
+    let mut outcomes = Vec::new();
+    sup.drive(None, &mut |resolved| {
+        outcomes.extend(resolved);
+        Intake {
+            cancels: poll(),
+            ..Intake::default()
+        }
+    });
+    outcomes
 }
 
 fn requests(ns: &[i64]) -> Vec<Request> {
@@ -87,7 +102,7 @@ fn reference(program: &Program, workers: usize, reqs: &[Request]) -> HashMap<u64
     for r in reqs {
         sup.submit(r.clone()).expect("fault-free submit");
     }
-    sup.run_until_quiescent_with(&mut Vec::new)
+    quiesce(&mut sup, &mut Vec::new)
         .into_iter()
         .map(|o| match o {
             Outcome::Done(r) => (r.id, r.outputs),
@@ -136,7 +151,7 @@ proptest! {
                 outcomes.push(Outcome::Failed { id: r.id, error: e });
             }
         }
-        outcomes.extend(sup.run_until_quiescent_with(&mut Vec::new));
+        outcomes.extend(quiesce(&mut sup, &mut Vec::new));
 
         // Exactly one terminal outcome per submitted request.
         let mut seen: Vec<u64> = outcomes.iter().map(Outcome::id).collect();
@@ -160,9 +175,6 @@ proptest! {
             }
         }
 
-        // The fleet ends healthy: poison never outlives the drive.
-        prop_assert!(sup.inner().poisoned_shards().is_empty());
-        prop_assert_eq!(sup.outstanding(), 0);
     }
 
     /// The governance invariant: random budgets × worker counts ×
@@ -171,7 +183,7 @@ proptest! {
     /// terminal outcome (a response, or a typed governance/retry
     /// verdict), every survivor is bit-identical to an unbudgeted
     /// fault-free run, and the fleet ends healthy and idle — no budget
-    /// blowup, however placed, can wedge `run_until_quiescent_with`.
+    /// blowup, however placed, can wedge the drive.
     #[test]
     fn budget_eviction_cannot_perturb_survivors(
         seed in any::<u64>(),
@@ -217,7 +229,7 @@ proptest! {
                 ..AffinityConfig::default()
             }));
         }
-        let mut sup = Supervisor::new(inner, SupervisorConfig::default());
+        let mut sup = inner;
         // Zero means "no byte ceiling"; anything else is a ceiling that
         // may or may not bite — both are legitimate draws.
         let max_lane_bytes = (lane_bytes_raw > 0).then_some(255 + lane_bytes_raw);
@@ -232,7 +244,7 @@ proptest! {
                 outcomes.push(Outcome::Failed { id: r.id, error: e });
             }
         }
-        outcomes.extend(sup.run_until_quiescent_with(&mut Vec::new));
+        outcomes.extend(quiesce(&mut sup, &mut Vec::new));
 
         // Exactly one terminal outcome per submitted request.
         let mut seen: Vec<u64> = outcomes.iter().map(Outcome::id).collect();
@@ -265,10 +277,8 @@ proptest! {
             }
         }
 
-        // Healthy and idle: no wedge, no poison, nothing in flight.
-        prop_assert!(sup.inner().poisoned_shards().is_empty());
-        prop_assert_eq!(sup.outstanding(), 0);
-        prop_assert_eq!(sup.inner().pending() + sup.inner().in_flight(), 0);
+        // Idle: no wedge, nothing in flight.
+        prop_assert_eq!(sup.pending() + sup.in_flight(), 0);
     }
 
     /// The headline invariant for work that arrives while the fleet
@@ -316,8 +326,6 @@ proptest! {
                 ),
             }
         }
-        prop_assert!(sup.inner().poisoned_shards().is_empty());
-        prop_assert_eq!(sup.outstanding(), 0);
     }
 }
 
@@ -325,7 +333,7 @@ proptest! {
 /// `Σ draws[..=i] % 3`, and one in four cancelled a drawn number of
 /// calls after it was fed. Returns every outcome handed out and the ids
 /// asked to be cancelled.
-fn feed(sup: &mut Supervisor<'_>, reqs: &[Request], draws: &[u64]) -> (Vec<Outcome>, Vec<u64>) {
+fn feed(sup: &mut ShardedServer<'_>, reqs: &[Request], draws: &[u64]) -> (Vec<Outcome>, Vec<u64>) {
     let mut at = Vec::new();
     let mut call = 0u64;
     for &d in draws {
@@ -395,12 +403,12 @@ fn work_fed_mid_drive_is_retried_when_its_shard_dies() {
     };
     let policy = AdmissionPolicy::JoinAtEntry { max_batch: 2 };
     let backend = Backend::hybrid_cpu();
-    let inner = ShardedServer::new(&program, KernelRegistry::new(), opts, policy, 2, backend);
-    let config = SupervisorConfig {
+    let mut sup = ShardedServer::new(&program, KernelRegistry::new(), opts, policy, 2, backend)
+        .expect("fleet");
+    sup.set_supervision(SupervisorConfig {
         retry_budget: 64,
         ..SupervisorConfig::default()
-    };
-    let mut sup = Supervisor::new(inner.expect("fleet"), config);
+    });
     // The first request starts the fleet, the rest arrive one or two
     // hook calls apart while it runs; none is cancelled.
     let draws = [0, 4, 4, 2, 4, 4, 2, 4, 4, 2];
@@ -414,8 +422,6 @@ fn work_fed_mid_drive_is_retried_when_its_shard_dies() {
     }
     assert!(sup.respawns() > 0, "shards must have died");
     assert!(sup.retries() > 0, "their work must have been retried");
-    assert!(sup.inner().poisoned_shards().is_empty());
-    assert_eq!(sup.outstanding(), 0);
 }
 
 #[test]
@@ -450,12 +456,12 @@ fn a_retry_is_answered_while_the_hook_keeps_feeding() {
     };
     let policy = AdmissionPolicy::JoinAtEntry { max_batch: 2 };
     let backend = Backend::hybrid_cpu();
-    let inner = ShardedServer::new(&program, KernelRegistry::new(), opts, policy, 2, backend);
-    let config = SupervisorConfig {
+    let mut sup = ShardedServer::new(&program, KernelRegistry::new(), opts, policy, 2, backend)
+        .expect("fleet");
+    sup.set_supervision(SupervisorConfig {
         retry_budget: 64,
         ..SupervisorConfig::default()
-    };
-    let mut sup = Supervisor::new(inner.expect("fleet"), config);
+    });
     // Hand the watched requests in at the first call, and a small filler
     // at every call for as long as a watched request is unanswered: the
     // drive never runs out of work, so it never ends on its own. A retry
@@ -500,7 +506,6 @@ fn a_retry_is_answered_while_the_hook_keeps_feeding() {
     assert!(sup.retries() > 0);
     let fed = answered_while_feeding.expect("every watched request was answered");
     assert!(fed, "the retries waited for the feeding to stop");
-    assert_eq!(sup.outstanding(), 0);
 }
 
 #[test]
@@ -522,7 +527,7 @@ fn worker_panic_is_contained_and_the_shard_respawns() {
         sup.submit(r.clone())
             .expect("panics cannot refuse admission");
     }
-    let outcomes = sup.run_until_quiescent_with(&mut Vec::new);
+    let outcomes = quiesce(&mut sup, &mut Vec::new);
     assert_eq!(outcomes.len(), reqs.len());
     assert!(
         sup.respawns() > 0,
@@ -534,7 +539,6 @@ fn worker_panic_is_contained_and_the_shard_respawns() {
             Outcome::Failed { id, error } => panic!("request {id} lost to {error}"),
         }
     }
-    assert!(sup.inner().poisoned_shards().is_empty());
 }
 
 #[test]
@@ -555,7 +559,7 @@ fn retry_budget_exhaustion_terminates_with_typed_errors() {
     for r in &reqs {
         sup.submit(r.clone()).expect("submit is unaffected");
     }
-    let outcomes = sup.run_until_quiescent_with(&mut Vec::new);
+    let outcomes = quiesce(&mut sup, &mut Vec::new);
     assert_eq!(outcomes.len(), reqs.len());
     for o in outcomes {
         match o {
@@ -566,9 +570,7 @@ fn retry_budget_exhaustion_terminates_with_typed_errors() {
             other => panic!("expected RetriesExhausted, got {other:?}"),
         }
     }
-    assert!(sup.inner().poisoned_shards().is_empty(), "fleet healed");
     assert!(sup.respawns() > 0);
-    assert_eq!(sup.outstanding(), 0);
 }
 
 #[test]
@@ -592,7 +594,8 @@ fn injected_admission_faults_retry_inline_then_exhaust() {
         }
         other => panic!("expected RetriesExhausted, got {other}"),
     }
-    assert_eq!(sup.outstanding(), 0, "a refused request is not tracked");
+    // A refused request is not tracked: the drive has nothing to do.
+    assert!(quiesce(&mut sup, &mut Vec::new).is_empty());
 }
 
 #[test]
@@ -614,7 +617,7 @@ fn exec_faults_poison_heal_and_preserve_results() {
     for r in &reqs {
         sup.submit(r.clone()).expect("submit");
     }
-    let outcomes = sup.run_until_quiescent_with(&mut Vec::new);
+    let outcomes = quiesce(&mut sup, &mut Vec::new);
     assert_eq!(outcomes.len(), reqs.len());
     let done = outcomes.iter().filter(|o| o.is_done()).count();
     assert!(done > 0, "a ~1.6% exec fault rate cannot kill everything");
@@ -624,51 +627,107 @@ fn exec_faults_poison_heal_and_preserve_results() {
             assert_eq!(r.outputs, want[&r.id], "request {} drifted", r.id);
         }
     }
-    assert!(sup.inner().poisoned_shards().is_empty());
 }
 
 #[test]
 fn respawn_salvages_completed_work_and_reports_health() {
     silence_injected_panics();
     let program = fib_program();
-    let plan = FaultPlan {
-        seed: 1,
-        worker_panic: FaultPlan::ALWAYS,
-        ..FaultPlan::none()
-    };
-    let opts = ExecOptions {
-        fault: plan,
-        ..ExecOptions::default()
-    };
-    let policy = AdmissionPolicy::JoinAtEntry { max_batch: 2 };
-    let mut fleet = ShardedServer::new(
-        &program,
-        KernelRegistry::new(),
-        opts,
-        policy,
-        1,
-        Backend::hybrid_cpu(),
-    )
-    .expect("fleet");
-    for r in requests(&[6, 7, 8]) {
-        fleet.submit(r).expect("submit");
+    // One shard in 32-superstep affinity quanta, one fault round per
+    // quantum: the first quantum runs clean, and every later one panics
+    // until the retry budget is spent. By then fib(2) has completed, two
+    // requests are in flight (lost with the machine) and one is queued
+    // behind them (stranded).
+    let budget = SupervisorConfig::default().retry_budget;
+    let plan = (0u64..)
+        .map(|seed| FaultPlan {
+            seed,
+            worker_panic: FaultPlan::ALWAYS / 2,
+            ..FaultPlan::none()
+        })
+        .find(|p| {
+            (0..=u64::from(budget) + 1).all(|c| p.fires(FaultPoint::WorkerPanic, c) == (c > 0))
+        })
+        .expect("a plan with that schedule");
+    let mut fleet = fleet(&program, 1, plan);
+    fleet.set_scheduling(SchedulingPolicy::PcAffinity(AffinityConfig {
+        quantum: 32,
+        ..AffinityConfig::default()
+    }));
+    let reqs = requests(&[2, 9, 10, 8]);
+    let want = reference(&program, 1, &reqs);
+    for r in &reqs {
+        fleet.submit(r.clone()).expect("submit");
     }
-    let err = fleet.run_until_idle().expect_err("every round panics");
-    assert!(matches!(err, ServeError::Panicked { .. }), "typed: {err}");
-    assert_eq!(fleet.poisoned_shards(), vec![0]);
-
-    let (stranded, lost) = fleet.respawn_shard(0);
-    // Everything the dead worker held comes back out: the queued tail
-    // plus the ids that were mid-flight when the panic hit.
-    assert_eq!(stranded.len() + lost.len(), 3);
-    assert!(fleet.poisoned_shards().is_empty(), "fresh shard is healthy");
-    let health = &fleet.health()[0];
-    assert_eq!(health.respawns, 1);
-    assert!(health.healthy);
-    assert!(
-        matches!(health.last_error, Some(ServeError::Panicked { .. })),
-        "the fault record survives the respawn"
+    let outcomes = quiesce(&mut fleet, &mut Vec::new);
+    assert_eq!(outcomes.len(), reqs.len(), "every request answered once");
+    let mut retried = Vec::new();
+    for o in outcomes {
+        match o {
+            // The work the shard completed before it died is kept.
+            Outcome::Done(r) => assert_eq!((r.id, &r.outputs), (0, &want[&0])),
+            // Everything else it held, stranded or lost, is retried until
+            // the budget is spent, and the panic survives as the cause.
+            Outcome::Failed {
+                id,
+                error: ServeError::RetriesExhausted { attempts, last, .. },
+            } => {
+                assert_eq!(attempts, budget + 1);
+                assert!(matches!(*last, ServeError::Panicked { .. }), "{last}");
+                retried.push(id);
+            }
+            other => panic!("unexpected outcome {other:?}"),
+        }
+    }
+    retried.sort_unstable();
+    assert_eq!(
+        retried,
+        vec![1, 2, 3],
+        "stranded plus lost is every other request"
     );
+    // Each death is one respawn, and each charges every request it held.
+    assert_eq!(fleet.respawns(), u64::from(budget) + 1);
+    assert_eq!(fleet.retries(), 3 * (u64::from(budget) + 1));
+}
+
+#[test]
+fn requests_that_share_an_id_are_retried_apart() {
+    silence_injected_panics();
+    let program = fib_program();
+    // Two requests under one id: fib(20) runs long enough to meet
+    // execution faults, fib(3) hardly any. Each is retried from its own
+    // copy, so each gets exactly one answer, and a completion is always
+    // its own request's fault-free result.
+    let reqs = requests(&[20, 3]);
+    let want = reference(&program, 2, &reqs);
+    for seed in 0..8 {
+        let plan = FaultPlan {
+            seed,
+            exec_error: FaultPlan::ALWAYS / 2000,
+            ..FaultPlan::none()
+        };
+        let mut sup = fleet(&program, 2, plan);
+        for r in &reqs {
+            sup.submit(Request { id: 7, ..r.clone() }).expect("submit");
+        }
+        let outcomes = quiesce(&mut sup, &mut Vec::new);
+        assert_eq!(outcomes.len(), 2, "seed {seed}: one outcome per request");
+        let mut unanswered = vec![&want[&0], &want[&1]];
+        for o in &outcomes {
+            match o {
+                Outcome::Done(r) => {
+                    let own = unanswered.iter().position(|w| **w == r.outputs);
+                    let own =
+                        own.unwrap_or_else(|| panic!("seed {seed}: {r:?} answers no request"));
+                    unanswered.remove(own);
+                }
+                Outcome::Failed { error, .. } => assert!(
+                    matches!(error, ServeError::RetriesExhausted { .. }),
+                    "seed {seed}: {error}"
+                ),
+            }
+        }
+    }
 }
 
 #[test]
@@ -724,13 +783,15 @@ fn fixed_seeds_end_exactly_as_pinned() {
         };
         let policy = AdmissionPolicy::JoinAtEntry { max_batch: 4 };
         let backend = Backend::hybrid_cpu();
-        let inner = ShardedServer::new(&pc, KernelRegistry::new(), opts, policy, workers, backend);
+        let mut sup =
+            ShardedServer::new(&pc, KernelRegistry::new(), opts, policy, workers, backend)
+                .expect("fleet");
         // Quarantine off: every doomed lane must burn its own budget,
         // not be spared by the breaker (which counts budget blowups
         // only, so this changes nothing for the fault plans).
         let mut config = SupervisorConfig::default();
         config.quarantine.trip_threshold = 0;
-        let mut sup = Supervisor::new(inner.expect("fleet"), config);
+        sup.set_supervision(config);
         let mut budget = RequestBudget::unlimited();
         budget.max_supersteps = max_supersteps;
         sup.set_budget(budget);
@@ -747,7 +808,7 @@ fn fixed_seeds_end_exactly_as_pinned() {
             }
         }
         let mut to_cancel: Vec<u64> = (0..12).filter(|&id| asked_to_cancel(id)).collect();
-        outcomes.extend(sup.run_until_quiescent_with(&mut || std::mem::take(&mut to_cancel)));
+        outcomes.extend(quiesce(&mut sup, &mut || std::mem::take(&mut to_cancel)));
         let mut got = [0; 7];
         for o in outcomes {
             let kind = match o {
@@ -771,9 +832,12 @@ fn fixed_seeds_end_exactly_as_pinned() {
             };
             got[kind] += 1;
         }
-        got[4..].copy_from_slice(&[sup.retries(), sup.respawns(), sup.inner().evictions()]);
+        got[4..].copy_from_slice(&[sup.retries(), sup.respawns(), sup.evictions()]);
         assert_eq!(got, want, "{fault:?}, cancel 1 in {cancel_one_in}");
-        let unhealthy_or_busy = (sup.inner().poisoned_shards().len(), sup.outstanding());
-        assert_eq!(unhealthy_or_busy, (0, 0), "the fleet ends healthy and idle");
+        let busy = sup.pending() + sup.in_flight();
+        assert_eq!(
+            busy, 0,
+            "the fleet ends idle (and healthy, as the drive asserts)"
+        );
     }
 }

@@ -103,7 +103,7 @@ fn serve_sharded(
     for r in requests {
         server.submit(r).expect("submit");
     }
-    let done = server.run_until_idle().expect("serve");
+    let done = server.run_until_idle_with(&mut Vec::new).expect("serve");
     (done, server.aggregated_trace().supersteps())
 }
 

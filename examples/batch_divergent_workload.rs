@@ -140,7 +140,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })?;
     }
     let started = Instant::now();
-    let sharded = fleet.run_until_idle()?;
+    let sharded = fleet.run_until_idle_with(&mut Vec::new)?;
     let fleet_wall = started.elapsed();
     println!(
         "\nsharded the same {} chains over {} workers (batch {} each): \

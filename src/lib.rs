@@ -23,8 +23,8 @@
 //! - [`chaos`] — deterministic, seed-replayable fault injection for
 //!   chaos-testing the serving stack;
 //! - [`serve`] — dynamic batch admission: a request server that merges
-//!   incoming work into an in-flight batched execution, plus the
-//!   self-healing [`serve::Supervisor`];
+//!   incoming work into an in-flight batched execution, and the
+//!   self-healing [`serve::ShardedServer`] that runs one per thread;
 //! - [`ingress`] — a dependency-free TCP front door: length-prefixed
 //!   wire frames, deadline-driven batch collection, and load shedding
 //!   over the sharded server.

@@ -726,7 +726,7 @@ proptest! {
         for &b in &order {
             sharded.submit(request(b)).expect("submit");
         }
-        let served = sharded.run_until_idle().expect("serve");
+        let served = sharded.run_until_idle_with(&mut Vec::new).expect("serve");
         // Aggregation preserves the (shuffled) submission order.
         let got_ids: Vec<u64> = served.iter().map(|r| r.id).collect();
         let want_ids: Vec<u64> = order.iter().map(|&b| b as u64).collect();
